@@ -14,7 +14,6 @@ from halfline import (
     SincBasis,
     mapped_trapezoid_rule,
     mglf_matrix,
-    transformed_hermite_eval,
 )
 
 
@@ -36,11 +35,12 @@ def main():
     print()
 
     print("== far-field decay of member 4 ==")
-    for x in (5.0, 20.0, 80.0):
+    xs = (5.0, 20.0, 80.0)
+    rows = zip(xs, lag.matrix(xs, 0)[4], herm.matrix(xs, 0)[4],
+               comp.matrix(xs, 0)[0])
+    for x, lag_val, herm_val, comp_val in rows:
         print("  x=%6.1f   laguerre %10.3e   hermite %10.3e   "
-              "translate %10.3e"
-              % (x, lag.member(4, x, 0), herm.member(4, x, 0),
-                 comp.member(0, x, 0)))
+              "translate %10.3e" % (x, lag_val, herm_val, comp_val))
     print()
 
     print("== discrete orthogonality ==")
@@ -56,8 +56,7 @@ def main():
 
     rule = mapped_trapezoid_rule(herm)
     w = np.asarray(rule.weights)
-    phi = np.array([[transformed_hermite_eval(herm, n, x)
-                     for x in rule.nodes] for n in range(9)])
+    phi = herm.matrix(rule.nodes, 0)[:9]
     gram = phi @ (w[:, None] * phi.T)
     err = float(np.max(np.abs(gram - math.sqrt(math.pi) * np.eye(9))))
     print("  hermite:  transformed members integrate to sqrt(pi)*delta "

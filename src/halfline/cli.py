@@ -13,6 +13,8 @@ configuration error, 3 solver or integrator failure.
 import math
 import sys
 
+import numpy as np
+
 from .errors import ConfigurationError, HalflineError, SolverError, UsageError
 from .hermite import HermiteBasis
 from .laguerre import LaguerreBasis
@@ -383,9 +385,12 @@ def run_case(cfg):
     """Solve the configured case and tabulate it at the evaluation grid."""
     spec = to_problem_spec(cfg)
     e, report = solve_problem(spec)
-    xs = cfg.abscissas if cfg.abscissas is not None else default_abscissas(cfg)
-    rows = [(x, e(x, 0), e(x, 1), pointwise_residual(spec, e, x))
-            for x in xs]
+    xs = np.asarray(cfg.abscissas if cfg.abscissas is not None
+                    else default_abscissas(cfg), dtype=float)
+    f = [e(xs, m) for m in range(spec.max_order + 1)]
+    # the residual reads the derivatives just tabulated at xs
+    res = pointwise_residual(spec, lambda x, m: f[m], xs)
+    rows = list(zip(xs, f[0], f[1], res))
     slope = derived_slope(e, spec)
     rows.append((0.0, e(0.0, 0), slope, report.final_residual_norm))
     return SolutionTable(rows, slope, report)

@@ -3,12 +3,14 @@
 A basis object (Laguerre, Hermite, or sinc family) exposes
 
     dimension          -- number of coefficients in a truncated expansion
-    member(i, x, m)    -- i-th basis member, m-th derivative, at x >= 0
+    matrix(xs, m)      -- m-th derivatives of every member at the points
+                          xs >= 0, shape (dimension, len(xs))
 
 and this module supplies everything generic on top of that: evaluating a
 truncated series (optionally shifted by a closed-form seed profile),
 projecting a function onto the basis with a discrete inner-product rule,
-and the weighted nodal sums themselves.
+the weighted nodal sums themselves, and the order, point and member-index
+checks every family shares.
 """
 
 import numpy as np
@@ -97,34 +99,40 @@ class Expansion:
         return eval_expansion(self, x, order)
 
 
-def _check_point(x, order):
+def _check_order(order):
     if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_ORDER:
         raise UnsupportedOrderError("derivative order must be an integer in 0..3, got %r" % (order,))
-    x = float(x)
-    if not np.isfinite(x):
-        raise DomainError("evaluation point must be finite, got %r" % (x,))
-    if x < 0:
-        raise DomainError("evaluation point must be >= 0, got %r" % (x,))
-    return x
+    return int(order)
+
+
+def _as_points(x):
+    """x as a float array of its own shape; every point finite and >= 0."""
+    xs = np.asarray(x, dtype=float)
+    if not ((xs >= 0.0) & (xs < np.inf)).all():        # NaN fails both
+        raise DomainError("evaluation points must be finite and >= 0, got %r" % (x,))
+    return xs
+
+
+def _check_index(i, dimension):
+    if not (0 <= i < dimension):
+        raise ConfigurationError("member index %r outside 0..%d" % (i, dimension - 1))
+    return i
 
 
 def eval_expansion(e, x, order=0):
     """Value of the expansion's order-th derivative at x >= 0.
 
-    Sums coefficient * member derivative over the basis, then adds the
-    seed's derivative when a seed is attached.
+    One basis-matrix product with the coefficients, plus the seed's
+    derivative when a seed is attached.  A scalar x gives a float, an
+    array x an array of the same shape.
     """
-    x = _check_point(x, order)
-    total = 0.0
-    coef = e.coefficients
-    basis = e.basis
-    for i in range(coef.size):
-        c = coef[i]
-        if c != 0.0:
-            total += c * basis.member(i, x, order)
+    order = _check_order(order)
+    xs = _as_points(x)
+    flat = xs.reshape(-1)
+    vals = e.coefficients @ e.basis.matrix(flat, order)
     if e.seed is not None:
-        total += e.seed(x, order)
-    return total
+        vals = vals + e.seed(flat, order)
+    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
 def discrete_inner_product(u, v, rule):
@@ -148,11 +156,7 @@ def project(f, basis, rule):
         raise ConfigurationError(
             "rule with %d nodes cannot resolve a %d-member basis"
             % (len(rule), basis.dimension))
-    coefficients = np.empty(basis.dimension)
     fvals = np.array([f(xj) for xj in rule.nodes])
-    for i in range(basis.dimension):
-        bvals = np.array([basis.member(i, xj, 0) for xj in rule.nodes])
-        num = np.sum(fvals * bvals * rule.weights)
-        den = np.sum(bvals * bvals * rule.weights)
-        coefficients[i] = num / den
+    B = basis.matrix(rule.nodes, 0)
+    coefficients = (B @ (fvals * rule.weights)) / ((B * B) @ rule.weights)
     return Expansion(basis, coefficients)

@@ -14,37 +14,33 @@ import math
 
 import numpy as np
 
-from .core import CollocationGrid, DiscreteInnerProductRule
-from .errors import ConfigurationError, DomainError, NodeComputationError, UnsupportedOrderError
+from .core import (CollocationGrid, DiscreteInnerProductRule, _as_points,
+                   _check_index, _check_order)
+from .errors import ConfigurationError, NodeComputationError
 
 _POLISH_TOL = 1e-9
 
 
-def _check_order(order):
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > 3:
-        raise UnsupportedOrderError("derivative order must be in 0..3, got %r" % (order,))
-    return int(order)
-
-
 def _line_tables(nmax, t, max_order):
-    """Values and t-derivatives of G_0..G_nmax at scalar t.
+    """Values and t-derivatives of G_0..G_nmax over an array t.
 
-    Returns a list D with D[m][n] = d^m/dt^m G_n(t), for m = 0..max_order.
-    The derivative recurrence G_n' = sqrt(2n) G_{n-1} - t G_n differentiates
-    into one extra -G term per order.
+    Returns a list D with D[m][n] = d^m/dt^m G_n(t), each of shape
+    (nmax+1,) + t.shape, for m = 0..max_order.  The derivative recurrence
+    G_n' = sqrt(2n) G_{n-1} - t G_n differentiates into one extra -G term
+    per order.
     """
-    g = np.empty(nmax + 1)
-    g[0] = math.exp(-0.5 * t * t)
+    t = np.asarray(t, dtype=float)
+    g = np.empty((nmax + 1,) + t.shape)
+    g[0] = np.exp(-0.5 * t * t)
     if nmax >= 1:
         g[1] = math.sqrt(2.0) * t * g[0]
     for n in range(1, nmax):
         g[n + 1] = t * math.sqrt(2.0 / (n + 1)) * g[n] - math.sqrt(n / (n + 1.0)) * g[n - 1]
     D = [g]
-    root = np.sqrt(2.0 * np.arange(nmax + 1))
+    root = np.sqrt(2.0 * np.arange(nmax + 1)).reshape((-1,) + (1,) * t.ndim)
     for m in range(1, max_order + 1):
         prev = D[m - 1]
-        shifted = np.empty(nmax + 1)
-        shifted[0] = 0.0
+        shifted = np.zeros_like(prev)
         shifted[1:] = prev[:-1]
         cur = root * shifted - t * prev
         if m >= 2:
@@ -80,8 +76,11 @@ class HermiteBasis:
     def dimension(self):
         return self.N + 1
 
+    def matrix(self, xs, order=0):
+        return hermite_matrix(self, xs, order)
+
     def member(self, i, x, order=0):
-        return transformed_hermite_eval(self, i, x, order)
+        return float(self.matrix([x], order)[_check_index(i, self.N + 1), 0])
 
     def nodes(self):
         return hermite_nodes(self)
@@ -90,67 +89,29 @@ class HermiteBasis:
         return "HermiteBasis(N=%d, k=%g)" % (self.N, self.k)
 
 
-def _map_derivatives(k, x):
-    """(t, t', t'', t''') for t = ln(x)/k at x > 0."""
-    t = math.log(x) / k
-    p1 = 1.0 / (k * x)
-    p2 = -1.0 / (k * x * x)
-    p3 = 2.0 / (k * x * x * x)
-    return t, p1, p2, p3
+def hermite_matrix(basis, xs, order=0):
+    """Members G_n(ln(x)/k), or their x-derivatives, at each x: shape (N+1, len(xs)).
 
-
-def _chain(D, n, p1, p2, p3, order):
-    """x-derivative of order 'order' from line-derivative tables D at one member n."""
-    if order == 0:
-        return D[0][n]
-    if order == 1:
-        return D[1][n] * p1
-    if order == 2:
-        return D[2][n] * p1 * p1 + D[1][n] * p2
-    return (D[3][n] * p1 ** 3 + 3.0 * D[2][n] * p1 * p2 + D[1][n] * p3)
-
-
-def transformed_hermite_eval(basis, n, x, order=0):
-    """Half-line member G_n(ln(x)/k) or its x-derivative.
-
-    At x = 0 every order returns the continuous-extension limit 0: the
-    Gaussian factor decays faster than any power of the diverging map
-    derivatives grows.
+    The line tables at t = ln(x)/k are chained with the map derivatives
+    1/(k x), -1/(k x^2) and 2/(k x^3).  At x = 0 every order gives the
+    continuous-extension limit 0: the Gaussian factor decays faster than
+    any power of the diverging map derivatives grows.
     """
     m = _check_order(order)
-    if not (0 <= n <= basis.N):
-        raise ConfigurationError("member index %r outside 0..%d" % (n, basis.N))
-    x = float(x)
-    if x < 0:
-        raise DomainError("mapped Hermite members live on x >= 0, got %r" % (x,))
-    if x == 0.0:
-        return 0.0
-    t, p1, p2, p3 = _map_derivatives(basis.k, x)
-    D = _line_tables(n, t, m)
-    return float(_chain(D, n, p1, p2, p3, m))
-
-
-def hermite_matrix(basis, xs, order=0):
-    """Values of all members' order-th derivative at each x, shape (N+1, len(xs))."""
-    m = _check_order(order)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.empty((basis.N + 1, xs.size))
-    for col, x in enumerate(xs):
-        if x < 0:
-            raise DomainError("mapped Hermite members live on x >= 0, got %r" % (x,))
-        if x == 0.0:
-            out[:, col] = 0.0
-            continue
-        t, p1, p2, p3 = _map_derivatives(basis.k, x)
-        D = _line_tables(basis.N, t, m)
-        if m == 0:
-            out[:, col] = D[0]
-        elif m == 1:
-            out[:, col] = D[1] * p1
-        elif m == 2:
-            out[:, col] = D[2] * p1 * p1 + D[1] * p2
-        else:
-            out[:, col] = D[3] * p1 ** 3 + 3.0 * D[2] * p1 * p2 + D[1] * p3
+    xs = _as_points(xs).reshape(-1)
+    out = np.zeros((basis.N + 1, xs.size))
+    live = xs > 0.0
+    x, k = xs[live], basis.k
+    D = _line_tables(basis.N, np.log(x) / k, m)
+    p1, p2, p3 = 1.0 / (k * x), -1.0 / (k * x * x), 2.0 / (k * x * x * x)
+    if m == 0:
+        out[:, live] = D[0]
+    elif m == 1:
+        out[:, live] = D[1] * p1
+    elif m == 2:
+        out[:, live] = D[2] * p1 * p1 + D[1] * p2
+    else:
+        out[:, live] = D[3] * p1 ** 3 + 3.0 * D[2] * p1 * p2 + D[1] * p3
     return out
 
 
@@ -163,10 +124,9 @@ def hermite_line_nodes(N):
         raise NodeComputationError("eigen-solve for Hermite nodes failed: %s" % exc)
     t = np.sort(t)
     for _ in range(5):
-        vals = np.array([hermite_fn_eval(N + 1, tj, 0) for tj in t])
+        vals, derivs = (D[N + 1] for D in _line_tables(N + 1, t, 1))
         if np.all(np.abs(vals) <= _POLISH_TOL):
             break
-        derivs = np.array([hermite_fn_eval(N + 1, tj, 1) for tj in t])
         with np.errstate(divide="raise", invalid="raise"):
             try:
                 t = t - vals / derivs

@@ -18,40 +18,29 @@ import math
 
 import numpy as np
 
-from .core import CollocationGrid, DiscreteInnerProductRule
-from .errors import (ConfigurationError, NodeComputationError,
-                     UnsupportedOrderError, UnsupportedParameterError)
+from .core import (CollocationGrid, DiscreteInnerProductRule, _as_points,
+                   _check_index, _check_order)
+from .errors import ConfigurationError, NodeComputationError, UnsupportedParameterError
 
 _POLISH_TOL = 1e-9
 
 
-def _check_order(order):
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > 3:
-        raise UnsupportedOrderError("derivative order must be in 0..3, got %r" % (order,))
-    return int(order)
-
-
-def laguerre_raw(n, alpha, y):
-    """L_n^alpha(y) by the upward three-term recurrence; y may be an ndarray."""
-    y = np.asarray(y, dtype=float)
-    if n == 0:
-        return np.ones_like(y)
-    prev = np.ones_like(y)          # L_0
-    cur = 1.0 + alpha - y           # L_1
-    for m in range(2, n + 1):
-        prev, cur = cur, ((2 * m - 1 + alpha - y) * cur - (m + alpha - 1) * prev) / m
-    return cur
-
-
 def laguerre_table(nmax, alpha, y):
-    """Stacked values L_0^alpha(y) .. L_nmax^alpha(y), shape (nmax+1, len(y))."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty((nmax + 1, y.size))
+    """Stacked values L_0^alpha(y) .. L_nmax^alpha(y) by the upward three-term
+    recurrence, shape (nmax+1,) + the broadcast shape of alpha and y.
+
+    An array of alphas runs the recurrence for all of them in one pass.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.empty((nmax + 1,) + np.broadcast_shapes(alpha.shape, y.shape))
+    n = np.arange(nmax + 1).reshape((-1,) + (1,) * alpha.ndim)
+    a, b = 2 * n - 1 + alpha, n + alpha - 1     # each row's recurrence coefficients
     out[0] = 1.0
     if nmax >= 1:
         out[1] = 1.0 + alpha - y
     for m in range(2, nmax + 1):
-        out[m] = ((2 * m - 1 + alpha - y) * out[m - 1] - (m + alpha - 1) * out[m - 2]) / m
+        out[m] = ((a[m] - y) * out[m - 1] - b[m] * out[m - 2]) / m
     return out
 
 
@@ -70,7 +59,7 @@ def laguerre_eval(n, alpha, x, order=0):
     if m > n:
         return 0.0
     sign = -1.0 if m % 2 else 1.0
-    return sign * float(laguerre_raw(n - m, alpha + m, float(x)))
+    return sign * float(laguerre_table(n - m, alpha + m, float(x))[n - m])
 
 
 class LaguerreBasis:
@@ -96,8 +85,11 @@ class LaguerreBasis:
     def dimension(self):
         return self.N
 
+    def matrix(self, xs, order=0):
+        return mglf_matrix(self, xs, order)
+
     def member(self, i, x, order=0):
-        return mglf_eval(self, i, x, order)
+        return float(self.matrix([x], order)[_check_index(i, self.N), 0])
 
     def nodes(self):
         return laguerre_nodes(self)
@@ -109,50 +101,26 @@ class LaguerreBasis:
         return "LaguerreBasis(N=%d, alpha=%g, L=%g)" % (self.N, self.alpha, self.L)
 
 
-def _phi_scalar(j, L, x, order):
-    """order-th derivative of exp(-x/2L) L_j^1(x/L), any j >= 0."""
-    y = x / L
-    damp = math.exp(-0.5 * y)
-    total = 0.0
-    for i in range(order + 1):
-        q = order - i                       # derivatives landing on the polynomial
-        if q > j:
-            continue
-        poly = float(laguerre_raw(j - q, 1 + q, y))
-        term = math.comb(order, i) * (-0.5 / L) ** i * (-1.0 / L) ** q * poly
-        total += term
-    return damp * total
-
-
-def mglf_eval(basis, j, x, order=0):
-    """j-th trial member phi_j = exp(-x/2L) L_j^1(x/L), or a derivative of it."""
-    m = _check_order(order)
-    if not (0 <= j < basis.N):
-        raise ConfigurationError("member index %r outside 0..%d" % (j, basis.N - 1))
-    return _phi_scalar(j, basis.L, float(x), m)
-
-
 def mglf_matrix(basis, xs, order=0):
     """Values phi_j^(order)(x_i) for all members, shape (N, len(xs)).
 
-    Vectorized over the evaluation points via the recurrence tables; used by
-    the solver assembly where the same matrix multiplies every Newton step.
+    Leibniz over the damping factor and the shifted polynomial part
+    d^q/dx^q L_j^1(x/L) = (-1/L)^q L_{j-q}^(1+q)(x/L), one recurrence
+    table per shift q.
     """
     m = _check_order(order)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = _as_points(xs).reshape(-1)
     y = xs / basis.L
     damp = np.exp(-0.5 * y)
     N = basis.N
     out = np.zeros((N, xs.size))
-    # tables[q][n] = L_n^(1+q)(y) for the q-fold differentiated polynomial part
-    tables = [laguerre_table(N - 1, 1 + q, y) if N - 1 - q >= 0 else None
-              for q in range(m + 1)]
+    # tables[n, q] = L_n^(1+q)(y) for the q-fold differentiated polynomial part
+    tables = laguerre_table(N - 1, 1.0 + np.arange(m + 1)[:, np.newaxis], y)
     for i in range(m + 1):
         q = m - i
-        c = math.comb(m, i) * (-0.5 / basis.L) ** i * (-1.0 / basis.L) ** q
-        table = tables[q]
-        for j in range(q, N):
-            out[j] += c * table[j - q]
+        if q < N:
+            c = math.comb(m, i) * (-0.5 / basis.L) ** i * (-1.0 / basis.L) ** q
+            out[q:] += c * tables[:N - q, q]
     out *= damp
     return out
 
@@ -179,10 +147,10 @@ def laguerre_nodes(basis):
         raise NodeComputationError("eigen-solve for Laguerre nodes failed: %s" % exc)
     y = np.sort(y)
     for _ in range(5):
-        vals = laguerre_raw(N, alpha, y)
+        vals = laguerre_table(N, alpha, y)[N]
         if np.all(np.abs(np.exp(-0.5 * y) * vals) <= _POLISH_TOL):
             break
-        derivs = -laguerre_raw(N - 1, alpha + 1, y)
+        derivs = -laguerre_table(N - 1, alpha + 1, y)[N - 1]
         with np.errstate(divide="raise", invalid="raise"):
             try:
                 y = y - vals / derivs
@@ -213,7 +181,7 @@ def mglf_quadrature_weights(basis, grid):
     N, L = basis.N, basis.L
     x = grid.nodes
     # Gamma(N+2)/N! = N+1
-    phi_next = np.array([_phi_scalar(N + 1, L, xj, 0) for xj in x])
+    phi_next = np.exp(-0.5 * x / L) * laguerre_table(N + 1, 1.0, x / L)[N + 1]
     w = x * (N + 1.0) / (L ** 3 * ((N + 1.0) * phi_next) ** 2)
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise NodeComputationError("quadrature weights must be positive and finite")

@@ -23,7 +23,7 @@ import warnings
 import enum
 import numpy as np
 
-from .core import Expansion
+from .core import Expansion, _as_points, _check_order
 from .errors import ConfigurationError, DomainError, SolverError
 from .hermite import HermiteBasis, hermite_matrix, hermite_nodes
 from .laguerre import LaguerreBasis, laguerre_nodes, mglf_matrix
@@ -141,11 +141,9 @@ class SeedProfile:
         self.parameter = float(parameter)
 
     def __call__(self, x, order=0):
-        x = float(x)
-        if x < 0:
-            raise DomainError("seed profiles live on x >= 0, got %r" % (x,))
-        if not isinstance(order, (int, np.integer)) or order < 0 or order > 3:
-            raise ConfigurationError("seed derivative order must be in 0..3")
+        """order-th derivative at x >= 0; x may be a scalar or an array."""
+        order = _check_order(order)
+        x = _as_points(x)
         a = self.parameter
         if self.kind is SeedKind.RATIONAL_QUADRATIC:
             q = 1.0 + a * x + x * x
@@ -248,21 +246,18 @@ def residual_fluid(approx, params, z):
     return f2 + params.b1 * f1 * f1 * f2 - params.b2 * f0 * f1 * f1 - params.b3 * f0
 
 
-def _signed_three_halves(u):
-    return math.copysign(abs(u) ** 1.5, u)
-
-
 def residual_thomas_fermi(approx, x):
-    """y'' - y^(3/2) / sqrt(x) at x > 0.
+    """y'' - y^(3/2) / sqrt(x) at x > 0 (a scalar or an array).
 
     The 3/2 power is extended odd-symmetrically (sign(u) |u|^{3/2}) so
     Newton iterates that dip below zero stay real and differentiable; at a
     converged nonnegative profile the extension is inactive.
     """
-    x = float(x)
-    if x <= 0:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
         raise DomainError("the screening residual needs x > 0, got %r" % (x,))
-    return approx(x, 2) - _signed_three_halves(approx(x, 0)) / math.sqrt(x)
+    u = approx(x, 0)
+    return approx(x, 2) - np.copysign(np.abs(u) ** 1.5, u) / np.sqrt(x)
 
 
 def residual_cone(approx, params, eta):
@@ -277,7 +272,7 @@ def residual_cone(approx, params, eta):
 
 
 def pointwise_residual(spec, approx, x):
-    """Governing-equation residual of an evaluator at one abscissa."""
+    """Governing-equation residual of an evaluator at an abscissa or an array of them."""
     if isinstance(spec.problem, FluidParams):
         return residual_fluid(approx, spec.problem, x)
     if isinstance(spec.problem, ThomasFermiProblem):
@@ -381,13 +376,9 @@ def _build_laguerre(spec):
         # every node
         full0 = mglf_matrix(basis, nodes, 0).T
         shape = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
-        target = np.array([shape(x) for x in nodes])
+        target = shape(nodes)
         guess = np.linalg.solve(full0, target)
     return NonlinearSystem(spec, residual_map, guess, interior, nboundary)
-
-
-def _seed_arrays(seed, nodes, maxord):
-    return [np.array([seed(x, q) for x in nodes]) for q in range(maxord + 1)]
 
 
 def _build_hermite(spec):
@@ -395,7 +386,7 @@ def _build_hermite(spec):
     nodes = hermite_nodes(basis).nodes
     maxord = spec.max_order
     mats = [hermite_matrix(basis, nodes, q).T for q in range(maxord + 1)]
-    seed_vals = _seed_arrays(spec.seed, nodes, maxord)
+    seed_vals = [spec.seed(nodes, q) for q in range(maxord + 1)]
     tf = isinstance(spec.problem, ThomasFermiProblem)
     sqrt_nodes = np.sqrt(nodes)
 
@@ -417,7 +408,7 @@ def _build_sinc(spec):
     deltas = [np.ascontiguousarray(delta_matrix(basis, q).entries.T)
               for q in range(maxord + 1)]
     A = chain_tables(basis, maxord)
-    seed_vals = _seed_arrays(spec.seed, nodes, maxord)
+    seed_vals = [spec.seed(nodes, q) for q in range(maxord + 1)]
     tf = isinstance(spec.problem, ThomasFermiProblem)
     sqrt_nodes = np.sqrt(nodes)
 
@@ -484,7 +475,7 @@ def derived_slope(e, spec):
     """
     if isinstance(spec.basis, (LaguerreBasis, HermiteBasis)):
         return e(0.0, 1)
-    f0 = e(0.0, 0)
-    q_full = (e(_SLOPE_DELTA, 0) - f0) / _SLOPE_DELTA
-    q_half = (e(0.5 * _SLOPE_DELTA, 0) - f0) / (0.5 * _SLOPE_DELTA)
+    f0, f_full, f_half = e(np.array([0.0, _SLOPE_DELTA, 0.5 * _SLOPE_DELTA]), 0)
+    q_full = (f_full - f0) / _SLOPE_DELTA
+    q_half = (f_half - f0) / (0.5 * _SLOPE_DELTA)
     return float(2.0 * q_half - q_full)

@@ -23,19 +23,12 @@ import math
 
 import numpy as np
 
-from .core import CollocationGrid
-from .errors import (ConfigurationError, DomainError, RangeOverflowError,
-                     UnsupportedOrderError)
+from .core import CollocationGrid, _as_points, _check_index, _check_order
+from .errors import ConfigurationError, RangeOverflowError
 
 _LOGSINH_CUTOFF = 1e-10   # below this x the weight zero dominates every order
 _TAYLOR_RADIUS = 0.05     # switch point between closed forms and series
 _NODE_EXP_LIMIT = 700.0   # |j h| beyond which nodes leave double range
-
-
-def _check_order(order):
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > 3:
-        raise UnsupportedOrderError("derivative order must be in 0..3, got %r" % (order,))
-    return int(order)
 
 
 def sinc(x):
@@ -50,40 +43,49 @@ def sinc(x):
     return math.sin(math.pi * x) / (math.pi * x)
 
 
+# _SERIES[d, k]: coefficient of y^k in the Taylor series of sinc^(d) about
+# 0, from sinc(y) = sum_m (-1)^m (pi y)^(2m) / (2m+1)!, truncated after m = 10
+_SERIES = np.array([[(-1.0) ** ((k + d) // 2) * math.pi ** (k + d)
+                     / ((k + d + 1) * math.factorial(k))
+                     if (k + d) % 2 == 0 and k + d <= 20 else 0.0
+                     for k in range(21)] for d in range(4)])
+
+
 def _sinc_derivs_series(y, max_order):
-    """Derivatives 0..max_order of sinc at small |y| from the power series."""
-    out = []
-    for d in range(max_order + 1):
-        total = 0.0
-        for m in range((d + 1) // 2, 11):
-            k = 2 * m - d
-            term = (-1.0) ** m * math.pi ** (2 * m) / ((2 * m + 1) * math.factorial(k))
-            total += term * y ** k
-        out.append(total)
-    return out
+    """Derivatives 0..max_order of sinc at small |y|, rows of (max_order+1, len(y))."""
+    return _SERIES[:max_order + 1] @ (y ** np.arange(21)[:, np.newaxis])
 
 
 def sinc_derivatives(y, max_order=3):
-    """Tuple (sinc(y), sinc'(y), ..., up to max_order).
+    """Tuple (sinc(y), sinc'(y), ..., up to max_order) over an array y.
 
     Closed quotient forms away from zero; the series inside |y| <= 0.05
-    where the quotients lose digits to cancellation.
+    where the quotients lose digits to cancellation.  Each form runs on
+    its own points only.
     """
     max_order = _check_order(max_order)
-    y = float(y)
-    if abs(y) <= _TAYLOR_RADIUS:
-        return tuple(_sinc_derivs_series(y, max_order))
+    y = np.asarray(y, dtype=float)
+    vals = tuple(np.empty(y.shape) for _ in range(max_order + 1))
+    near = np.abs(y) <= _TAYLOR_RADIUS
+    for v, series in zip(vals, _sinc_derivs_series(y[near], max_order)):
+        v[near] = series
+    far = ~near
+    y = y[far]
     py = math.pi * y
-    sp, cp = math.sin(py), math.cos(py)
-    vals = [sp / py]
-    if max_order >= 1:
-        vals.append(cp / y - sp / (math.pi * y * y))
+    sp = np.sin(py)
+    vals[0][far] = sp / py
+    if max_order == 0:
+        return vals
+    cp = np.cos(py)
+    y2 = y * y                          # products: array powers are far slower
+    y3 = y2 * y
+    vals[1][far] = cp / y - sp / (math.pi * y2)
     if max_order >= 2:
-        vals.append(-math.pi * sp / y - 2.0 * cp / y ** 2 + 2.0 * sp / (math.pi * y ** 3))
+        vals[2][far] = -math.pi * sp / y - 2.0 * cp / y2 + 2.0 * sp / (math.pi * y3)
     if max_order >= 3:
-        vals.append(-math.pi ** 2 * cp / y + 3.0 * math.pi * sp / y ** 2
-                    + 6.0 * cp / y ** 3 - 6.0 * sp / (math.pi * y ** 4))
-    return tuple(vals)
+        vals[3][far] = (-math.pi ** 2 * cp / y + 3.0 * math.pi * sp / y2
+                        + 6.0 * cp / y3 - 6.0 * sp / (math.pi * y2 * y2))
+    return vals
 
 
 class SincMap(enum.Enum):
@@ -128,18 +130,11 @@ class SincBasis:
     def dimension(self):
         return 2 * self.N + 1
 
-    def member(self, i, x, order=0):
-        """Coefficient-slot view: slot i holds translate k = i - N.
+    def matrix(self, xs, order=0):
+        return composite_matrix(self, xs, order)
 
-        x = 0 returns the continuous-extension limit 0 for every order (the
-        boundary weight's algebraic zero wins against the map divergence).
-        """
-        if not (0 <= i < self.dimension):
-            raise ConfigurationError("member index %r outside 0..%d" % (i, self.dimension - 1))
-        if float(x) == 0.0:
-            _check_order(order)
-            return 0.0
-        return composite_basis_eval(self, i - self.N, x, order)
+    def member(self, i, x, order=0):
+        return float(self.matrix([x], order)[_check_index(i, self.dimension), 0])
 
     def nodes(self):
         return sinc_nodes(self)
@@ -194,11 +189,13 @@ def delta_matrix(basis, order):
 
 
 def _asinh_exp(t):
-    """ln(e^t + sqrt(1 + e^(2t))) = asinh(e^t), stable for any |t| <= 700."""
-    if t > 0:
-        return t + math.log(1.0 + math.sqrt(1.0 + math.exp(-2.0 * t)))
-    u = math.exp(t)
-    return math.log1p(u + u * u / (1.0 + math.sqrt(1.0 + u * u)))
+    """ln(e^t + sqrt(1 + e^(2t))) = asinh(e^t) over an array t, stable for any |t| <= 700."""
+    out = np.empty(t.shape)
+    pos = t > 0
+    out[pos] = t[pos] + np.log(1.0 + np.sqrt(1.0 + np.exp(-2.0 * t[pos])))
+    u = np.exp(t[~pos])
+    out[~pos] = np.log1p(u + u * u / (1.0 + np.sqrt(1.0 + u * u)))
+    return out
 
 
 def sinc_nodes(basis):
@@ -210,98 +207,108 @@ def sinc_nodes(basis):
             "|j h| up to %g exceeds %g; nodes leave double range"
             % (np.abs(ts).max(), _NODE_EXP_LIMIT))
     if basis.map_kind is SincMap.LOG_SINH:
-        nodes = np.array([_asinh_exp(t) for t in ts])
+        nodes = _asinh_exp(ts)
     else:
         nodes = np.exp(ts)
     return CollocationGrid(nodes)
 
 
 # ---------------------------------------------------------------------------
-# map derivatives
+# map derivatives (over 1-D arrays of x > 0)
 
 
 def _logsinh_derivs(x):
-    """(Phi, Phi', Phi'', Phi''') for Phi = ln(sinh x), x > 0."""
-    if x < 20.0:
-        phi = math.log(math.sinh(x))
-    else:
-        phi = x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
-    th = math.tanh(x)
-    p1 = 1.0 / th
-    if x < 350.0:
-        csch2 = 1.0 / math.sinh(x) ** 2
-    else:
-        csch2 = 0.0
+    """(Phi, Phi', Phi'', Phi''') for Phi = ln(sinh x)."""
+    phi = np.empty(x.shape)
+    near = x < 20.0
+    phi[near] = np.log(np.sinh(x[near]))
+    far = x[~near]
+    phi[~near] = far - math.log(2.0) + np.log1p(-np.exp(-2.0 * far))
+    p1 = 1.0 / np.tanh(x)
+    csch2 = np.zeros(x.shape)                  # underflows to 0 from x = 350
+    near = x < 350.0
+    csch2[near] = 1.0 / np.sinh(x[near]) ** 2
     return phi, p1, -csch2, 2.0 * p1 * csch2
 
 
 def _log_derivs(x):
-    """(Phi, Phi', Phi'', Phi''') for Phi = ln x, x > 0."""
+    """(Phi, Phi', Phi'', Phi''') for Phi = ln x."""
     p1 = 1.0 / x
-    return math.log(x), p1, -p1 * p1, 2.0 * p1 ** 3
+    return np.log(x), p1, -p1 * p1, 2.0 * p1 ** 3
 
 
 # ---------------------------------------------------------------------------
 # weight derivatives (branch forms: reciprocal powers for the far field)
 
 
+def _branches(x, inner, outer):
+    """Rows inner(x) where x <= 1 and outer(1/x) elsewhere, each on its own subset."""
+    out = np.empty((4,) + x.shape)
+    near = x <= 1.0
+    out[:, near] = inner(x[near])
+    out[:, ~near] = outer(1.0 / x[~near])
+    return out
+
+
 def _rational_x_derivs(x):
-    """W = x/(1+x^2) and derivatives through order 3, overflow-safe."""
-    if x <= 1.0:
+    """W = x/(1+x^2) and derivatives through order 3, overflow-safe; rows 0..3."""
+    def inner(x):
         q = 1.0 + x * x
         return (x / q,
                 (1.0 - x * x) / q ** 2,
                 (2.0 * x ** 3 - 6.0 * x) / q ** 3,
                 (-6.0 * x ** 4 + 36.0 * x * x - 6.0) / q ** 4)
-    d = 1.0 / x
-    q = 1.0 + d * d
-    return (d / q,
-            (d ** 4 - d * d) / q ** 2,
-            (2.0 * d ** 3 - 6.0 * d ** 5) / q ** 3,
-            (-6.0 * d ** 8 + 36.0 * d ** 6 - 6.0 * d ** 4) / q ** 4)
+
+    def outer(d):
+        q = 1.0 + d * d
+        return (d / q,
+                (d ** 4 - d * d) / q ** 2,
+                (2.0 * d ** 3 - 6.0 * d ** 5) / q ** 3,
+                (-6.0 * d ** 8 + 36.0 * d ** 6 - 6.0 * d ** 4) / q ** 4)
+    return _branches(x, inner, outer)
 
 
 def _rational_x3_derivs(x):
-    """W = x^3/(1+x^3) and derivatives through order 3, overflow-safe."""
-    if x <= 1.0:
+    """W = x^3/(1+x^3) and derivatives through order 3, overflow-safe; rows 0..3."""
+    def inner(x):
         q = 1.0 + x ** 3
         return (x ** 3 / q,
                 3.0 * x * x / q ** 2,
                 (6.0 * x - 12.0 * x ** 4) / q ** 3,
                 (6.0 - 96.0 * x ** 3 + 60.0 * x ** 6) / q ** 4)
-    d = 1.0 / x
-    r = d ** 3
-    q = 1.0 + r
-    return (1.0 / q,
-            3.0 * d ** 4 / q ** 2,
-            (6.0 * d ** 8 - 12.0 * d ** 5) / q ** 3,
-            (6.0 * d ** 12 - 96.0 * d ** 9 + 60.0 * d ** 6) / q ** 4)
+
+    def outer(d):
+        q = 1.0 + d ** 3
+        return (1.0 / q,
+                3.0 * d ** 4 / q ** 2,
+                (6.0 * d ** 8 - 12.0 * d ** 5) / q ** 3,
+                (6.0 * d ** 12 - 96.0 * d ** 9 + 60.0 * d ** 6) / q ** 4)
+    return _branches(x, inner, outer)
 
 
-def composite_basis_eval(basis, k, x, order=0):
-    """k-th weighted composite member W(x) S(k,h)(Phi(x)) or its derivative.
+def composite_matrix(basis, xs, order=0):
+    """Members W(x) S(k,h)(Phi(x)), or their derivatives, at each x: shape (2N+1, len(xs)).
 
-    k runs -N..N.  Under the LogSinh map, x below 1e-10 returns the
-    continuous-extension limit 0 for every order.
+    Row i holds translate k = i - N.  At x = 0 every order gives the
+    continuous-extension limit 0 (the boundary weight's algebraic zero wins
+    against the map divergence); under the LogSinh map so does every x
+    below 1e-10.
     """
     m = _check_order(order)
-    if not (-basis.N <= k <= basis.N):
-        raise ConfigurationError("translate index %r outside -%d..%d" % (k, basis.N, basis.N))
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError("composite members live on x > 0, got %r" % (x,))
+    xs = _as_points(xs).reshape(-1)
+    out = np.zeros((basis.dimension, xs.size))
     logsinh = basis.map_kind is SincMap.LOG_SINH
-    if logsinh and x < _LOGSINH_CUTOFF:
-        return 0.0
-    h = basis.h
+    live = xs >= _LOGSINH_CUTOFF if logsinh else xs > 0.0
+    x = xs[live]
     if logsinh:
         phi, p1, p2, p3 = _logsinh_derivs(x)
         W = _rational_x_derivs(x)
     else:
         phi, p1, p2, p3 = _log_derivs(x)
         W = _rational_x3_derivs(x)
-    y = (phi - k * h) / h
-    s = sinc_derivatives(y, m)
+    h = basis.h
+    k = np.arange(-basis.N, basis.N + 1)[:, np.newaxis]
+    s = sinc_derivatives((phi - k * h) / h, m)
     # phi-composite derivatives F = S(k,h)(Phi(x))
     F = [s[0]]
     if m >= 1:
@@ -310,10 +317,8 @@ def composite_basis_eval(basis, k, x, order=0):
         F.append(s[2] / h ** 2 * p1 * p1 + s[1] / h * p2)
     if m >= 3:
         F.append(s[3] / h ** 3 * p1 ** 3 + 3.0 * s[2] / h ** 2 * p1 * p2 + s[1] / h * p3)
-    total = 0.0
-    for i in range(m + 1):
-        total += math.comb(m, i) * W[i] * F[m - i]
-    return total
+    out[:, live] = sum(math.comb(m, i) * W[i] * F[m - i] for i in range(m + 1))
+    return out
 
 
 def chain_tables(basis, max_order):
@@ -376,9 +381,8 @@ def chain_tables(basis, max_order):
         return A
     # LogSinh map: nodes stay within moderate magnitudes; direct products
     nodes = sinc_nodes(basis).nodes
-    W = np.array([_rational_x_derivs(x) for x in nodes]).T
-    P = np.array([_logsinh_derivs(x)[1:] for x in nodes]).T   # rows: p1, p2, p3
-    p1, p2, p3 = P
+    W = _rational_x_derivs(nodes)
+    _, p1, p2, p3 = _logsinh_derivs(nodes)
     dead = nodes < _LOGSINH_CUTOFF
     A = [[None] * (m + 1) for m in range(max_order + 1)]
     A[0][0] = W[0].copy()

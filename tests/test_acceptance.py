@@ -11,8 +11,7 @@ import numpy as np
 
 import conftest
 from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE, T5_BETA
-from halfline.hermite import HermiteBasis, mapped_trapezoid_rule, \
-    transformed_hermite_eval
+from halfline.hermite import HermiteBasis, mapped_trapezoid_rule
 from halfline.laguerre import LaguerreBasis, mglf_matrix
 from halfline.newton import newton_solve
 from halfline.problems import (
@@ -32,7 +31,7 @@ from halfline.reference import (
     TABLE6,
     TABLE7,
 )
-from halfline.sinc import SincBasis, composite_basis_eval, delta_matrix
+from halfline.sinc import SincBasis, delta_matrix
 
 
 def record(name, ok, detail):
@@ -213,8 +212,7 @@ def test_criterion_10_property_suites():
     basis = HermiteBasis(8, 0.9)
     rule = mapped_trapezoid_rule(basis)
     w = np.asarray(rule.weights)
-    phi = np.array([[transformed_hermite_eval(basis, n, x)
-                     for x in rule.nodes] for n in range(9)])
+    phi = basis.matrix(rule.nodes, 0)
     gram = phi @ (w[:, None] * phi.T)
     err = float(np.max(np.abs(gram - math.sqrt(math.pi) * np.eye(9))))
     worst["hermite orthogonality (tol 1e-6)"] = (err, 1e-6)
@@ -249,34 +247,27 @@ def test_criterion_10_property_suites():
     lag = LaguerreBasis(9, 1.0, 0.8)
     fd3_at = lambda f, x, s: (f(x + 2 * s) - 2 * f(x + s) + 2 * f(x - s)
                               - f(x - 2 * s)) / (2 * s**3)
-    for j in (2, 7):
-        for x in (0.9, 4.0):
-            f = lambda t: lag.member(j, t, 0)
-            err = max(err, abs(lag.member(j, x, 1)
-                               - (f(x + 1e-6) - f(x - 1e-6)) / 2e-6))
-            err = max(err, abs(lag.member(j, x, 2)
-                               - (f(x + 1e-4) - 2 * f(x) + f(x - 1e-4))
-                               / 1e-8))
-            err = max(err, abs(lag.member(j, x, 3)
-                               - (4 * fd3_at(f, x, 1e-3)
-                                  - fd3_at(f, x, 2e-3)) / 3))
+    x = np.array([0.9, 4.0])
+    f = lambda t: lag.matrix(t, 0)[[2, 7]]      # members 2 and 7
+    err = max(err, np.max(np.abs(lag.matrix(x, 1)[[2, 7]]
+                                 - (f(x + 1e-6) - f(x - 1e-6)) / 2e-6)))
+    err = max(err, np.max(np.abs(lag.matrix(x, 2)[[2, 7]]
+                                 - (f(x + 1e-4) - 2 * f(x) + f(x - 1e-4))
+                                 / 1e-8)))
+    err = max(err, np.max(np.abs(lag.matrix(x, 3)[[2, 7]]
+                                 - (4 * fd3_at(f, x, 1e-3)
+                                    - fd3_at(f, x, 2e-3)) / 3)))
     herm = HermiteBasis(8, 1.2)
     comp = SincBasis(6, 0.8)
-    for fam, idxs in ((herm, (1, 5)), (comp, (-2, 3))):
-        member = (fam.member if fam is herm
-                  else lambda i, t, o: composite_basis_eval(fam, i, t, o))
-        for i in idxs:
-            for x in (0.5, 2.0):
-                s = 1e-6
-                f0 = lambda t: member(i, t, 0)
-                f1 = lambda t: member(i, t, 1)
-                f2 = lambda t: member(i, t, 2)
-                err = max(err, abs(member(i, x, 1)
-                                   - (f0(x + s) - f0(x - s)) / (2 * s)))
-                err = max(err, abs(member(i, x, 2)
-                                   - (f1(x + s) - f1(x - s)) / (2 * s)))
-                err = max(err, abs(member(i, x, 3)
-                                   - (f2(x + s) - f2(x - s)) / (2 * s)))
+    # Hermite members 1 and 5; translates k = -2 and 3 (rows k + 6)
+    for fam, rows in ((herm, [1, 5]), (comp, [4, 9])):
+        x = np.array([0.5, 2.0])
+        s = 1e-6
+        for m in (1, 2, 3):
+            lower = lambda t: fam.matrix(t, m - 1)[rows]
+            err = max(err, np.max(np.abs(fam.matrix(x, m)[rows]
+                                         - (lower(x + s) - lower(x - s))
+                                         / (2 * s))))
     worst["derivatives orders 1-3 (tol 1e-5)"] = (err, 1e-5)
 
     # Newton quadratic convergence on the scalar test problem

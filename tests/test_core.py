@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import halfline
 from halfline import (
     CollocationGrid,
     ConfigurationError,
@@ -151,6 +152,40 @@ def test_single_member_expansion_matches_member():
             c = np.zeros(basis.dimension)
             c[i] = 1.0
             e = Expansion(basis, c)
-            for x in (0.7, 2.2):
-                for m in (0, 1, 2, 3):
-                    assert e(x, m) == basis.member(i, x, m)
+            for m in (0, 1, 2, 3):
+                row = basis.matrix([0.7, 2.2], m)[i]
+                assert e(0.7, m) == row[0] and e(2.2, m) == row[1]
+                assert basis.member(i, 2.2, m) == row[1]
+
+
+@pytest.mark.parametrize("basis", FAMILIES + [
+    SincBasis(3, 1.0, halfline.SincMap.LOG, halfline.SincWeight.RATIONAL_X3)],
+    ids=lambda b: repr(b))
+def test_array_evaluation(basis):
+    rng = np.random.default_rng(8)
+    seed = None if isinstance(basis, LaguerreBasis) else \
+        SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.7)
+    e = Expansion(basis, rng.standard_normal(basis.dimension), seed)
+    xs = np.array([[0.0, 0.3, 1.1], [2.5, 4.7, 9.0]])
+    for m in range(4):
+        scalar = e(1.1, m)
+        assert type(scalar) is float
+        got = e(xs, m)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        want = np.array([[e(x, m) for x in row] for row in xs])
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert e([1.1], m).shape == (1,)
+        assert basis.matrix(xs.ravel(), m).shape == (basis.dimension, xs.size)
+        if not isinstance(basis, LaguerreBasis):
+            # the basis part vanishes at the axis to every order
+            assert np.all(basis.matrix([0.0], m) == 0.0)
+        for bad in (-1e-300, -2.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                e(np.array([0.5, bad, 1.0]), m)
+            with pytest.raises(DomainError):
+                basis.matrix([bad], m)
+
+
+def test_every_exported_name_resolves():
+    for name in halfline.__all__:
+        assert getattr(halfline, name, None) is not None, name

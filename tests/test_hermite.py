@@ -10,7 +10,6 @@ from halfline.hermite import (
     hermite_fn_eval,
     hermite_line_nodes,
     mapped_trapezoid_rule,
-    transformed_hermite_eval,
 )
 
 
@@ -43,10 +42,7 @@ def test_line_derivative_identity():
 def test_transformed_orthogonality():
     basis = HermiteBasis(8, 0.9)
     rule = mapped_trapezoid_rule(basis)
-    phi = {}
-    for n in range(9):
-        phi[n] = np.array([transformed_hermite_eval(basis, n, x)
-                           for x in rule.nodes])
+    phi = basis.matrix(rule.nodes, 0)
     # rule.weights already absorb the 1/(k x) measure of the map
     w = np.asarray(rule.weights)
     root_pi = math.sqrt(math.pi)
@@ -60,41 +56,35 @@ def test_transformed_orthogonality():
 def test_mapped_members_match_line_functions():
     # member n at x equals the line function at t = ln(x)/k
     basis = HermiteBasis(6, 1.2)
+    xs = (0.3, 1.0, 2.6)
+    got = basis.matrix(xs, 0)
     for n in range(7):
-        for x in (0.3, 1.0, 2.6):
+        for col, x in enumerate(xs):
             t = math.log(x) / 1.2
-            assert (abs(basis.member(n, x, 0) - hermite_fn_eval(n, t))
-                    <= 1e-13)
+            assert abs(got[n, col] - hermite_fn_eval(n, t)) <= 1e-13
 
 
 def test_member_derivatives_match_central_differences():
     basis = HermiteBasis(8, 0.9)
-    for n in range(9):
-        for x in (0.2, 0.8, 2.5, 6.0, 10.0):
-            f = lambda t: basis.member(n, t, 0)
-            s = 1e-6
-            fd1 = (f(x + s) - f(x - s)) / (2 * s)
-            assert abs(basis.member(n, x, 1) - fd1) <= 1e-5
-            # Orders 2 and 3 are checked as central differences of the
-            # next-lower (independently verified) order: near x = 0.2
-            # the higher derivatives reach ~1e8, which puts direct
-            # stencils outside 1e-5 at any step size.
-            f1 = lambda t: basis.member(n, t, 1)
-            s = 1e-6
-            fd2 = (f1(x + s) - f1(x - s)) / (2 * s)
-            assert abs(basis.member(n, x, 2) - fd2) <= 1e-5
-            f2 = lambda t: basis.member(n, t, 2)
-            fd3 = (f2(x + s) - f2(x - s)) / (2 * s)
-            assert abs(basis.member(n, x, 3) - fd3) <= 1e-5
+    x = np.array([0.2, 0.8, 2.5, 6.0, 10.0])
+    s = 1e-6
+    # Orders 2 and 3 are checked as central differences of the
+    # next-lower (independently verified) order: near x = 0.2 the
+    # higher derivatives reach ~1e8, which puts direct stencils
+    # outside 1e-5 at any step size.
+    for m in (1, 2, 3):
+        lower = lambda t: basis.matrix(t, m - 1)   # all 9 members at once
+        fd = (lower(x + s) - lower(x - s)) / (2 * s)
+        assert np.max(np.abs(basis.matrix(x, m) - fd)) <= 1e-5
 
 
 @pytest.mark.parametrize("k", [0.5, 0.9, 1.0])
 def test_axis_limit_is_zero(k):
     basis = HermiteBasis(8, k)
-    for n in range(9):
-        for m in range(4):
-            assert abs(transformed_hermite_eval(basis, n, 1e-6, m)) <= 1e-8
-            assert transformed_hermite_eval(basis, n, 0.0, m) == 0.0
+    for m in range(4):
+        near, axis = basis.matrix([1e-6, 0.0], m).T
+        assert np.max(np.abs(near)) <= 1e-8
+        assert np.all(axis == 0.0)
 
 
 def test_axis_limit_at_largest_preset_map_constant():
@@ -104,13 +94,12 @@ def test_axis_limit_at_largest_preset_map_constant():
     # exp(-(ln x)^2 / (2 k^2)) beats any power of 1/x — so here we
     # assert the decay trend along x -> 0 and exact zero at x = 0.
     basis = HermiteBasis(8, 1.2)
-    for n in range(9):
-        for m in range(4):
-            seq = [abs(transformed_hermite_eval(basis, n, x, m))
-                   for x in (1e-4, 1e-8, 1e-12, 1e-16)]
+    for m in range(4):
+        vals = np.abs(basis.matrix([1e-4, 1e-8, 1e-12, 1e-16, 0.0], m))
+        for seq in vals[:, :4]:             # one member along x -> 0
             assert all(a > b for a, b in zip(seq, seq[1:]) if a > 0)
             assert seq[-1] <= 1e-10
-            assert transformed_hermite_eval(basis, n, 0.0, m) == 0.0
+        assert np.all(vals[:, 4] == 0.0)
 
 
 def test_nodes_are_exponentials_of_line_nodes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from halfline import ConfigurationError, LaguerreBasis
-from halfline.laguerre import laguerre_eval, mglf_eval, mglf_matrix
+from halfline.laguerre import laguerre_eval, mglf_matrix
 
 
 def test_low_order_closed_forms():
@@ -93,30 +93,31 @@ def test_member_derivatives_match_central_differences():
     def fd3_at(f, x, s):
         return (f(x + 2 * s) - 2 * f(x + s) + 2 * f(x - s)
                 - f(x - 2 * s)) / (2 * s**3)
-    xs = (0.1, 0.9, 4.0, 12.0, 20.0)
-    for j in range(9):
-        for x in xs:
-            f = lambda t: basis.member(j, t, 0)
-            fd1 = (f(x + h[1]) - f(x - h[1])) / (2 * h[1])
-            assert abs(basis.member(j, x, 1) - fd1) <= 1e-5
-            s = h[2]
-            fd2 = (f(x + s) - 2 * f(x) + f(x - s)) / s**2
-            assert abs(basis.member(j, x, 2) - fd2) <= 1e-5
-            # Richardson-extrapolated third difference: a plain stencil
-            # cannot reach 1e-5 absolute in double precision here.
-            s = h[3]
-            fd3 = (4 * fd3_at(f, x, s / 2) - fd3_at(f, x, s)) / 3
-            assert abs(basis.member(j, x, 3) - fd3) <= 1e-5
+    x = np.array([0.1, 0.9, 4.0, 12.0, 20.0])
+    f = lambda t: basis.matrix(t, 0)        # all 9 members at once
+    fd1 = (f(x + h[1]) - f(x - h[1])) / (2 * h[1])
+    assert np.max(np.abs(basis.matrix(x, 1) - fd1)) <= 1e-5
+    s = h[2]
+    fd2 = (f(x + s) - 2 * f(x) + f(x - s)) / s**2
+    assert np.max(np.abs(basis.matrix(x, 2) - fd2)) <= 1e-5
+    # Richardson-extrapolated third difference: a plain stencil
+    # cannot reach 1e-5 absolute in double precision here.
+    s = h[3]
+    fd3 = (4 * fd3_at(f, x, s / 2) - fd3_at(f, x, s)) / 3
+    assert np.max(np.abs(basis.matrix(x, 3) - fd3)) <= 1e-5
 
 
 def test_member_is_weighted_laguerre():
     # member j is e^{-x/2L} L_j^1(x/L)
     basis = LaguerreBasis(6, 1.0, 0.7)
+    xs = (0.0, 0.4, 2.1)
+    got = basis.matrix(xs, 0)
+    assert got.shape == (6, 3)
+    assert np.array_equal(got, mglf_matrix(basis, xs, 0))
     for j in range(6):
-        for x in (0.0, 0.4, 2.1):
+        for col, x in enumerate(xs):
             want = math.exp(-x / 1.4) * laguerre_eval(j, 1.0, x / 0.7)
-            assert abs(basis.member(j, x, 0) - want) <= 1e-13 * (1 + abs(want))
-            assert mglf_eval(basis, j, x) == basis.member(j, x, 0)
+            assert abs(got[j, col] - want) <= 1e-13 * (1 + abs(want))
 
 
 def test_constructor_validation():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from halfline.errors import ConfigurationError, DomainError
+from halfline.errors import ConfigurationError, DomainError, UnsupportedOrderError
 from halfline.problems import (
     ConeParams,
     FluidParams,
@@ -174,7 +174,10 @@ def test_seed_validation():
     p = SeedProfile(SeedKind.RATIONAL_QUADRATIC, 1.0)
     with pytest.raises(DomainError):
         p(-0.5, 0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
+        p(np.array([1.0, math.inf]), 0)
+    # a bad order is the same typed error every evaluator raises
+    with pytest.raises(UnsupportedOrderError):
         p(1.0, 4)
 
 

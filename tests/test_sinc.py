@@ -17,9 +17,10 @@ from halfline.sinc import (
     SincBasis,
     SincMap,
     SincWeight,
-    composite_basis_eval,
+    composite_matrix,
     delta_matrix,
     sinc,
+    sinc_derivatives,
     sinc_nodes,
     _rational_x_derivs,
     _rational_x3_derivs,
@@ -34,7 +35,7 @@ PAIRS = (
 def weight_value(weight_kind, x):
     fn = (_rational_x_derivs if weight_kind is SincWeight.RATIONAL_X
           else _rational_x3_derivs)
-    return fn(x)[0]
+    return fn(np.array([x]))[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +46,20 @@ def test_sinc_point_values():
     assert sinc(0.0) == 1.0
     assert abs(sinc(1.0)) <= 1e-16
     assert abs(sinc(0.5) - 2.0 / math.pi) <= 1e-15
+
+
+def test_sinc_derivatives_across_the_series_switch():
+    # |y| <= 0.05 takes the tabulated series, the rest the closed forms
+    y = np.array([[-7.3, -0.0501, -0.05, -1e-9], [0.0, 0.02, 0.0500001, 2.5]])
+    vals = sinc_derivatives(y, 3)
+    assert all(v.shape == y.shape for v in vals)
+    want = np.vectorize(sinc)(y)
+    assert np.max(np.abs(vals[0] - want)) <= 1e-15
+    s = 1e-5
+    for m in (1, 2, 3):
+        lower = lambda t: sinc_derivatives(t, m - 1)[m - 1]
+        fd = (lower(y + s) - lower(y - s)) / (2 * s)
+        assert np.max(np.abs(vals[m] - fd)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +90,13 @@ def test_extreme_mesh_nodes_stay_finite():
     basis = SincBasis(30, 5.0, SincMap.LOG, SincWeight.RATIONAL_X3)
     xs = np.asarray(basis.nodes().nodes)
     assert np.all(np.isfinite(xs))
-    for i in (0, 30, 60):
-        for order in range(4):
-            assert math.isfinite(basis.member(i, xs[i], order))
+    for order in range(4):
+        vals = basis.matrix(xs[[0, 30, 60]], order)
+        assert np.all(np.isfinite(vals[[0, 30, 60], [0, 1, 2]]))
     big = SincBasis(30, 5.0)  # LogSinh pairing
     xs = np.asarray(big.nodes().nodes)
     assert np.all(np.isfinite(xs))
-    assert math.isfinite(big.member(60, xs[60], 3))
+    assert math.isfinite(big.matrix(xs[60:], 3)[60, 0])
 
 
 def test_mesh_beyond_double_range_is_rejected():
@@ -99,21 +114,19 @@ def test_mesh_beyond_double_range_is_rejected():
 def test_interpolation_property(map_kind, weight_kind, N, h):
     basis = SincBasis(N, h, map_kind, weight_kind)
     xs = np.asarray(basis.nodes().nodes)
-    for k in range(-N, N + 1):
-        for j in range(-N, N + 1):
-            got = composite_basis_eval(basis, k, xs[j + N], 0)
-            want = weight_value(weight_kind, xs[j + N]) if k == j else 0.0
-            assert abs(got - want) <= 1e-14
+    got = basis.matrix(xs, 0)               # got[k + N, j + N]: translate k at node j
+    want = np.diag([weight_value(weight_kind, x) for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_composite_point_examples():
     x0 = math.log(1.0 + math.sqrt(2.0))
     basis = SincBasis(4, 1.0)
-    assert abs(composite_basis_eval(basis, 0, x0, 0)
-               - x0 / (x0**2 + 1.0)) <= 1e-13
-    assert abs(composite_basis_eval(basis, 1, x0, 0)) <= 1e-14
+    at_x0 = basis.matrix([x0], 0)[:, 0]     # row k + 4 holds translate k
+    assert abs(at_x0[4] - x0 / (x0**2 + 1.0)) <= 1e-13
+    assert abs(at_x0[5]) <= 1e-14
     cone = SincBasis(4, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3)
-    assert abs(composite_basis_eval(cone, 0, 1.0, 0) - 0.5) <= 1e-15
+    assert abs(cone.matrix([1.0], 0)[4, 0] - 0.5) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +205,14 @@ def test_delta_matrix_entries_are_immutable():
 @pytest.mark.parametrize("map_kind,weight_kind", PAIRS)
 def test_member_derivatives_match_central_differences(map_kind, weight_kind):
     basis = SincBasis(4, 0.9, map_kind, weight_kind)
-    for k in range(-4, 5):
-        for x in (0.3, 0.9, 2.1, 5.0, 8.0):
-            f = lambda t: composite_basis_eval(basis, k, t, 0)
-            s = 1e-6
-            fd1 = (f(x + s) - f(x - s)) / (2 * s)
-            assert abs(composite_basis_eval(basis, k, x, 1) - fd1) <= 1e-5
-            # orders 2 and 3 difference the next-lower analytic order,
-            # as in the Hermite suite, to stay inside 1e-5 absolute
-            f1 = lambda t: composite_basis_eval(basis, k, t, 1)
-            fd2 = (f1(x + s) - f1(x - s)) / (2 * s)
-            assert abs(composite_basis_eval(basis, k, x, 2) - fd2) <= 1e-5
-            f2 = lambda t: composite_basis_eval(basis, k, t, 2)
-            fd3 = (f2(x + s) - f2(x - s)) / (2 * s)
-            assert abs(composite_basis_eval(basis, k, x, 3) - fd3) <= 1e-5
+    x = np.array([0.3, 0.9, 2.1, 5.0, 8.0])
+    s = 1e-6
+    # orders 2 and 3 difference the next-lower analytic order, as in
+    # the Hermite suite, to stay inside 1e-5 absolute
+    for m in (1, 2, 3):
+        lower = lambda t: basis.matrix(t, m - 1)   # all 9 translates at once
+        fd = (lower(x + s) - lower(x - s)) / (2 * s)
+        assert np.max(np.abs(basis.matrix(x, m) - fd)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +233,24 @@ def test_weight_far_field():
 
 def test_member_far_field_decay_comes_from_sinc_factor():
     cone = SincBasis(4, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3)
-    for k in range(-4, 5):
-        assert abs(composite_basis_eval(cone, k, 1e4, 0)) <= 0.2
-        assert abs(composite_basis_eval(cone, k, 1e8, 0)) <= 1e-1
+    at_1e4, at_1e8 = np.abs(cone.matrix([1e4, 1e8], 0)).T
+    assert np.all(at_1e4 <= 0.2)
+    assert np.all(at_1e8 <= 1e-1)
 
 
 def test_axis_values_are_zero():
     for map_kind, weight_kind in PAIRS:
         basis = SincBasis(3, 1.0, map_kind, weight_kind)
-        for i in range(basis.dimension):
-            for order in range(4):
-                assert basis.member(i, 0.0, order) == 0.0
+        for order in range(4):
+            assert np.all(basis.matrix([0.0], order) == 0.0)
 
 
 def test_logsinh_cutoff_below_1e10():
     basis = SincBasis(3, 1.0)
     for order in range(4):
-        assert composite_basis_eval(basis, 0, 1e-12, order) == 0.0
+        assert np.all(basis.matrix([1e-12], order) == 0.0)
     # just above the cutoff evaluation proceeds and stays tiny
-    assert abs(composite_basis_eval(basis, 0, 1e-9, 0)) <= 1e-8
+    assert abs(basis.matrix([1e-9], 0)[3, 0]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +274,26 @@ def test_constructor_validation():
 
 
 def test_member_view_matches_translate_view():
+    # member slot i is row i of the translate matrix, translate k = i - 4
     basis = SincBasis(4, 1.0)
     assert basis.dimension == 9
     x = 0.7
+    rows = composite_matrix(basis, [x], 1)[:, 0]
     for i in range(9):
-        assert basis.member(i, x, 1) == composite_basis_eval(basis, i - 4, x, 1)
+        assert basis.member(i, x, 1) == rows[i]
     with pytest.raises(ConfigurationError):
         basis.member(9, x, 0)
     with pytest.raises(ConfigurationError):
-        composite_basis_eval(basis, 5, x, 0)
+        basis.member(-1, x, 0)
 
 
 def test_domain_and_order_validation():
     basis = SincBasis(4, 1.0)
     with pytest.raises(DomainError):
-        composite_basis_eval(basis, 0, -1.0, 0)
+        basis.matrix([1.0, -1.0], 0)
     with pytest.raises(DomainError):
-        composite_basis_eval(basis, 0, float("inf"), 0)
+        basis.matrix([float("inf")], 0)
+    with pytest.raises(DomainError):
+        basis.member(0, float("nan"), 0)
     with pytest.raises(UnsupportedOrderError):
-        composite_basis_eval(basis, 0, 1.0, 4)
+        basis.matrix([1.0], 4)
