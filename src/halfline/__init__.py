@@ -62,9 +62,6 @@ from .problems import (
     derived_slope,
     pointwise_residual,
     problem_label,
-    residual_cone,
-    residual_fluid,
-    residual_thomas_fermi,
     solve_problem,
 )
 from .reference import (
@@ -160,9 +157,6 @@ __all__ = [
     "problem_label",
     "project",
     "rk4_integrate",
-    "residual_cone",
-    "residual_fluid",
-    "residual_thomas_fermi",
     "shoot",
     "sinc_nodes",
     "solve_problem",

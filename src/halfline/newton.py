@@ -1,9 +1,11 @@
 """Damped Newton iteration for square nonlinear systems.
 
-Jacobians come from forward differences; the linear solve is dense LU with
-partial pivoting after row equilibration (the collocation systems mix rows
-whose natural scales differ by many orders of magnitude).  Damping is plain
-step halving on the residual max-norm.
+The caller supplies the Jacobian with the residual map; fd_jacobian, a
+forward-difference approximation, is kept as the oracle tests check
+Jacobians against.  The linear solve is dense LU with partial pivoting
+after row equilibration (the collocation systems mix rows whose natural
+scales differ by many orders of magnitude).  Damping is plain step halving
+on the residual max-norm.
 """
 
 import numpy as np
@@ -20,14 +22,13 @@ class NewtonConfig:
     tol_residual -- stop when max|F| drops to this
     tol_step     -- stop when the accepted (damped) step is this small
     max_iter     -- Newton iteration budget
-    fd_step      -- forward-difference scale; column i uses fd_step*(1+|x_i|)
     max_halvings -- line-search depth; each halving must still decrease max|F|
     """
 
     def __init__(self, tol_residual=1e-10, tol_step=1e-12, max_iter=200,
-                 fd_step=1e-7, max_halvings=30):
-        if not (tol_residual > 0 and tol_step > 0 and fd_step > 0):
-            raise ConfigurationError("tolerances and fd_step must be positive")
+                 max_halvings=30):
+        if not (tol_residual > 0 and tol_step > 0):
+            raise ConfigurationError("tolerances must be positive")
         if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
             raise ConfigurationError("max_iter must be an integer >= 1")
         if not (isinstance(max_halvings, (int, np.integer)) and max_halvings >= 0):
@@ -35,7 +36,6 @@ class NewtonConfig:
         self.tol_residual = float(tol_residual)
         self.tol_step = float(tol_step)
         self.max_iter = int(max_iter)
-        self.fd_step = float(fd_step)
         self.max_halvings = int(max_halvings)
 
 
@@ -66,6 +66,18 @@ def _eval(F, x, what):
     return r
 
 
+def _eval_jacobian(J, x):
+    m = np.array(J(x), dtype=float)        # a copy: dead rows get patched
+    if m.shape != (x.size, x.size):
+        raise ConfigurationError(
+            "Jacobian has shape %s, expected (%d, %d)" % (m.shape, x.size, x.size))
+    bad = ~np.isfinite(m)
+    if bad.any():
+        raise NumericEvaluationError(
+            "Jacobian produced a non-finite value", component=int(np.nonzero(bad)[0][0]))
+    return m
+
+
 def fd_jacobian(F, x, fd_step=1e-7):
     """Forward-difference Jacobian: column i = (F(x + s_i e_i) - F(x)) / s_i.
 
@@ -87,8 +99,12 @@ def fd_jacobian(F, x, fd_step=1e-7):
     return J
 
 
-def newton_solve(F, x0, cfg=None):
-    """Damped Newton iteration from x0; returns a SolveReport.
+def newton_solve(F, J, x0, cfg=None):
+    """Damped Newton iteration for F(x) = 0 from x0; returns a SolveReport.
+
+    J(x) returns the square Jacobian of F at x; a non-finite entry raises
+    NumericEvaluationError (component = its row) and a wrong shape
+    ConfigurationError, as for the residual.
 
     Accepted steps strictly decrease max|F|.  The Newton step solves the
     row-equilibrated system; an equilibrated condition estimate beyond 1e14
@@ -113,24 +129,24 @@ def newton_solve(F, x0, cfg=None):
     if rnorm <= cfg.tol_residual:
         return SolveReport(x, 0, rnorm, True, history)
     for it in range(1, cfg.max_iter + 1):
-        J = fd_jacobian(F, x, cfg.fd_step)
+        jac = _eval_jacobian(J, x)
         # row equilibration in the max norm
-        scale = np.max(np.abs(J), axis=1)
+        scale = np.max(np.abs(jac), axis=1)
         dead = scale == 0.0
         if dead.any():
             idx = np.nonzero(dead)[0]
             if np.all(np.abs(f[idx]) <= cfg.tol_residual):
                 for i in idx:
-                    J[i, i] = 1.0
+                    jac[i, i] = 1.0
                     f = f.copy()
                     f[i] = 0.0
-                scale = np.max(np.abs(J), axis=1)
+                scale = np.max(np.abs(jac), axis=1)
             else:
                 comp = int(idx[np.argmax(np.abs(f[idx]))])
                 raise SingularJacobianError(
                     "Jacobian row %d vanishes while its residual does not" % comp,
                     iterate=x.copy())
-        Jeq = J / scale[:, np.newaxis]
+        Jeq = jac / scale[:, np.newaxis]
         feq = f / scale
         cond = float(np.linalg.cond(Jeq))
         if not np.isfinite(cond) or cond > _COND_LIMIT:

@@ -13,8 +13,15 @@ Each problem pairs with one of the three trial families (modified Laguerre,
 mapped Hermite, weighted composite translates).  The Laguerre family imposes
 axis conditions through explicit boundary equations; the other two carry
 them exactly in a closed-form seed profile whose residual the basis part
-corrects.  build_system turns a pairing into a square nonlinear map over
-the unknown coefficients for the damped Newton driver.
+corrects.
+
+Each problem class holds its equation once: residual(x, f) and
+partials(x, f) take the derivative arrays f = [f0, ..., f_order] at the
+abscissas x (partials gives dR/df_q for every q), and axis_conditions lists
+the (derivative order, value) pairs imposed at x = 0.  build_system reduces
+every pairing to nodal derivatives that are affine in the coefficients,
+f_q = s_q + D_q c, so the damped Newton driver gets the residual map and
+its exact Jacobian from the same operators.
 """
 
 import math
@@ -24,10 +31,10 @@ import enum
 import numpy as np
 
 from .core import Expansion, _as_points, _check_order
-from .errors import ConfigurationError, DomainError, SolverError
-from .hermite import HermiteBasis, hermite_matrix, hermite_nodes
-from .laguerre import LaguerreBasis, laguerre_nodes, mglf_matrix
-from .newton import NewtonConfig, newton_solve
+from .errors import ConfigurationError, ConvergenceError, DomainError, SolverError
+from .hermite import HermiteBasis, hermite_nodes
+from .laguerre import LaguerreBasis, laguerre_nodes
+from .newton import newton_solve
 from .sinc import SincBasis, SincMap, chain_tables, delta_matrix, sinc_nodes
 
 _GUESS_DECAY_LAMBDA = 0.7  # interpolated start profile for unseeded solves
@@ -69,6 +76,9 @@ class FluidParams:
     is violated beyond 1e-12.
     """
 
+    order = 2
+    axis_conditions = ((0, 1.0),)
+
     def __init__(self, b1, b2, b3):
         for name, v in (("b1", b1), ("b2", b2), ("b3", b3)):
             if not (v >= 0 and math.isfinite(v)):
@@ -86,12 +96,47 @@ class FluidParams:
     def from_b1_b3(cls, b1, b3):
         return cls(b1, b1 * b3 / 3.0, b3)
 
+    def residual(self, x, f):
+        """f'' + b1 (f')^2 f'' - b2 f (f')^2 - b3 f."""
+        return (f[2] + self.b1 * f[1] * f[1] * f[2]
+                - self.b2 * f[0] * f[1] * f[1] - self.b3 * f[0])
+
+    def partials(self, x, f):
+        f1f1 = f[1] * f[1]
+        return [-self.b2 * f1f1 - self.b3,
+                2.0 * f[1] * (self.b1 * f[2] - self.b2 * f[0]),
+                1.0 + self.b1 * f1f1]
+
     def __repr__(self):
         return "FluidParams(b1=%g, b2=%g, b3=%g)" % (self.b1, self.b2, self.b3)
 
 
+def _positive(x):
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
+        raise DomainError("the screening residual needs x > 0, got %r" % (x,))
+    return x
+
+
 class ThomasFermiProblem:
-    """The atomic screening equation; carries no free parameters."""
+    """The atomic screening equation; carries no free parameters.
+
+    The 3/2 power is extended odd-symmetrically (sign(u) |u|^{3/2}) so
+    Newton iterates that dip below zero stay real and differentiable; at a
+    converged nonnegative profile the extension is inactive.
+    """
+
+    order = 2
+    axis_conditions = ((0, 1.0),)
+
+    def residual(self, x, f):
+        """y'' - y^(3/2) / sqrt(x) at x > 0."""
+        x = _positive(x)
+        return f[2] - np.copysign(np.abs(f[0]) ** 1.5, f[0]) / np.sqrt(x)
+
+    def partials(self, x, f):
+        x = _positive(x)
+        return [-1.5 * np.sqrt(np.abs(f[0])) / np.sqrt(x), 0.0, 1.0]
 
     def __repr__(self):
         return "ThomasFermiProblem()"
@@ -106,10 +151,25 @@ class ThomasFermiProblem:
 class ConeParams:
     """Heat-flux exponent of the heated-cone boundary layer."""
 
+    order = 3
+    axis_conditions = ((0, 0.0), (2, -1.0))
+
     def __init__(self, lam):
         if not (lam >= 0 and math.isfinite(lam)):
             raise ConfigurationError("lam must be a nonnegative real, got %r" % (lam,))
         self.lam = float(lam)
+
+    def _coefficients(self):
+        return (self.lam + 5.0) / 2.0, (2.0 * self.lam + 1.0) / 3.0
+
+    def residual(self, eta, f):
+        """f''' + ((lam+5)/2) f f'' - ((2 lam+1)/3) (f')^2."""
+        a, b = self._coefficients()
+        return f[3] + a * f[0] * f[2] - b * f[1] * f[1]
+
+    def partials(self, eta, f):
+        a, b = self._coefficients()
+        return [a * f[2], -2.0 * b * f[1], a * f[0], 1.0]
 
     def __repr__(self):
         return "ConeParams(lam=%g)" % self.lam
@@ -211,7 +271,7 @@ class ProblemSpec:
 
     @property
     def max_order(self):
-        return 3 if isinstance(self.problem, ConeParams) else 2
+        return self.problem.order
 
     def __repr__(self):
         return "ProblemSpec(%r, %r, seed=%r)" % (self.problem, self.basis, self.seed)
@@ -234,50 +294,9 @@ def problem_label(spec):
     return "%s / %s" % (p, m)
 
 
-# ---------------------------------------------------------------------------
-# pointwise residuals
-
-
-def residual_fluid(approx, params, z):
-    """f'' + b1 (f')^2 f'' - b2 f (f')^2 - b3 f at z, with f^(m) = approx(z, m)."""
-    f0 = approx(z, 0)
-    f1 = approx(z, 1)
-    f2 = approx(z, 2)
-    return f2 + params.b1 * f1 * f1 * f2 - params.b2 * f0 * f1 * f1 - params.b3 * f0
-
-
-def residual_thomas_fermi(approx, x):
-    """y'' - y^(3/2) / sqrt(x) at x > 0 (a scalar or an array).
-
-    The 3/2 power is extended odd-symmetrically (sign(u) |u|^{3/2}) so
-    Newton iterates that dip below zero stay real and differentiable; at a
-    converged nonnegative profile the extension is inactive.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
-        raise DomainError("the screening residual needs x > 0, got %r" % (x,))
-    u = approx(x, 0)
-    return approx(x, 2) - np.copysign(np.abs(u) ** 1.5, u) / np.sqrt(x)
-
-
-def residual_cone(approx, params, eta):
-    """f''' + ((lam+5)/2) f f'' - ((2 lam+1)/3) (f')^2 at eta."""
-    a = (params.lam + 5.0) / 2.0
-    b = (2.0 * params.lam + 1.0) / 3.0
-    f0 = approx(eta, 0)
-    f1 = approx(eta, 1)
-    f2 = approx(eta, 2)
-    f3 = approx(eta, 3)
-    return f3 + a * f0 * f2 - b * f1 * f1
-
-
 def pointwise_residual(spec, approx, x):
     """Governing-equation residual of an evaluator at an abscissa or an array of them."""
-    if isinstance(spec.problem, FluidParams):
-        return residual_fluid(approx, spec.problem, x)
-    if isinstance(spec.problem, ThomasFermiProblem):
-        return residual_thomas_fermi(approx, x)
-    return residual_cone(approx, spec.problem, x)
+    return spec.problem.residual(x, [approx(x, m) for m in range(spec.max_order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +304,45 @@ def pointwise_residual(spec, approx, x):
 
 
 class NonlinearSystem:
-    """Square residual map over the unknown coefficients of one pairing."""
+    """Square collocation system over the unknown coefficients c of one pairing.
 
-    def __init__(self, spec, residual_map, initial_guess, collocation_nodes,
-                 boundary_rows):
+    The nodal derivatives are affine in c, f_q = s_q + D_q c (seed values
+    s_q, operator matrices D_q of shape nodes x dimension), so the map and
+    its exact Jacobian are
+
+        F(c) = [R(x, s + D c); B c - t],   J(c) = [sum_q diag(dR/df_q) D_q; B]
+
+    with the axis rows B and their targets t.
+    """
+
+    def __init__(self, spec, nodes, operators, seeds, boundary, targets,
+                 initial_guess):
         self.spec = spec
-        self.residual_map = residual_map
+        self.collocation_nodes = np.asarray(nodes, dtype=float)
+        self.operators = operators
+        self.seeds = seeds
+        self.boundary = np.asarray(boundary, dtype=float)
+        self.targets = np.asarray(targets, dtype=float)
         self.initial_guess = np.asarray(initial_guess, dtype=float)
-        self.collocation_nodes = np.asarray(collocation_nodes, dtype=float)
-        self.boundary_rows = int(boundary_rows)
+        self.boundary_rows = self.targets.size
         self.dimension = self.initial_guess.size
+
+    def nodal_derivatives(self, c):
+        return [s + D @ c for s, D in zip(self.seeds, self.operators)]
+
+    def residual_map(self, c):
+        c = np.asarray(c, dtype=float)
+        rows = self.spec.problem.residual(self.collocation_nodes,
+                                          self.nodal_derivatives(c))
+        return np.concatenate([rows, self.boundary @ c - self.targets])
+
+    def jacobian(self, c):
+        c = np.asarray(c, dtype=float)
+        partials = self.spec.problem.partials(self.collocation_nodes,
+                                              self.nodal_derivatives(c))
+        rows = sum(np.reshape(p, (-1, 1)) * D
+                   for p, D in zip(partials, self.operators))
+        return np.vstack([rows, self.boundary])
 
     def make_expansion(self, coefficients):
         return Expansion(self.spec.basis, coefficients, seed=self.spec.seed)
@@ -304,152 +352,81 @@ class NonlinearSystem:
             problem_label(self.spec), self.dimension, self.boundary_rows)
 
 
-def _residual_rows(spec, f):
-    """Vectorized fluid/cone residual from nodal derivative arrays f[order].
-
-    The screening problem is handled inline by the builders (its residual
-    needs the node abscissas as well).
-    """
-    if isinstance(spec.problem, FluidParams):
-        p = spec.problem
-        return (f[2] + p.b1 * f[1] * f[1] * f[2]
-                - p.b2 * f[0] * f[1] * f[1] - p.b3 * f[0])
-    p = spec.problem
-    a = (p.lam + 5.0) / 2.0
-    b = (2.0 * p.lam + 1.0) / 3.0
-    return f[3] + a * f[0] * f[2] - b * f[1] * f[1]
-
-
-def _build_laguerre(spec):
+def _laguerre_guess(spec, nodes, operators, boundary, targets):
     basis = spec.basis
-    cone = isinstance(spec.problem, ConeParams)
-    nboundary = 2 if cone else 1
-    if basis.N <= nboundary:
-        raise ConfigurationError(
-            "N = %d leaves no interior collocation nodes" % basis.N)
-    nodes = laguerre_nodes(basis).nodes
-    interior = nodes[: basis.N - nboundary]   # drop the least-resolved far nodes
-    maxord = spec.max_order
-    mats = [mglf_matrix(basis, interior, q).T for q in range(maxord + 1)]
-    b0 = mglf_matrix(basis, np.array([0.0]), 0)[:, 0]
-    b2 = mglf_matrix(basis, np.array([0.0]), 2)[:, 0] if cone else None
-    sqrt_interior = np.sqrt(interior)
-    tf = isinstance(spec.problem, ThomasFermiProblem)
-    fluid = isinstance(spec.problem, FluidParams)
-
-    def residual_map(a):
-        a = np.asarray(a, dtype=float)
-        f0 = mats[0] @ a
-        f1 = mats[1] @ a
-        f2 = mats[2] @ a
-        if fluid:
-            p = spec.problem
-            rows = (f2 + p.b1 * f1 * f1 * f2
-                    - p.b2 * f0 * f1 * f1 - p.b3 * f0)
-            bc = [b0 @ a - 1.0]
-        elif tf:
-            rows = f2 - np.copysign(np.abs(f0) ** 1.5, f0) / sqrt_interior
-            bc = [b0 @ a - 1.0]
-        else:
-            f3 = mats[3] @ a
-            p = spec.problem
-            rows = (f3 + (p.lam + 5.0) / 2.0 * f0 * f2
-                    - (2.0 * p.lam + 1.0) / 3.0 * f1 * f1)
-            bc = [b0 @ a, b2 @ a + 1.0]
-        return np.concatenate([rows, bc])
-
-    if cone:
-        # least-squares fit of a shooting trajectory over the interior
+    if isinstance(spec.problem, ConeParams):
+        # least-squares fit of a shooting trajectory over the collocation
         # nodes; the boundary rows are appended with a large weight so the
         # fitted start honours the axis conditions at the 1e-2 level.  The
         # far (dropped) nodes are excluded: no decaying expansion can hold
         # the trajectory's plateau out there, and forcing it drags the fit
         # into the basin of a spurious root.
         xs, profile = _cone_start_profile(spec.problem.lam)
-        target = np.interp(interior, xs, profile)
         w = 100.0
-        fit = np.vstack([mats[0], w * b0[np.newaxis, :], w * b2[np.newaxis, :]])
-        rhs = np.concatenate([target, [0.0], [-w]])
+        fit = np.vstack([operators[0], w * boundary])
+        rhs = np.concatenate([np.interp(nodes, xs, profile), w * targets])
         guess, *_ = np.linalg.lstsq(fit, rhs, rcond=None)
-    else:
-        # profile with the right axis behaviour, interpolated through
-        # every node
-        full0 = mglf_matrix(basis, nodes, 0).T
-        shape = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
-        target = shape(nodes)
-        guess = np.linalg.solve(full0, target)
-    return NonlinearSystem(spec, residual_map, guess, interior, nboundary)
-
-
-def _build_hermite(spec):
-    basis = spec.basis
-    nodes = hermite_nodes(basis).nodes
-    maxord = spec.max_order
-    mats = [hermite_matrix(basis, nodes, q).T for q in range(maxord + 1)]
-    seed_vals = [spec.seed(nodes, q) for q in range(maxord + 1)]
-    tf = isinstance(spec.problem, ThomasFermiProblem)
-    sqrt_nodes = np.sqrt(nodes)
-
-    def residual_map(a):
-        a = np.asarray(a, dtype=float)
-        f = [seed_vals[q] + mats[q] @ a for q in range(maxord + 1)]
-        if tf:
-            return f[2] - np.copysign(np.abs(f[0]) ** 1.5, f[0]) / sqrt_nodes
-        return _residual_rows(spec, f)
-
-    guess = np.zeros(basis.dimension)
-    return NonlinearSystem(spec, residual_map, guess, nodes, 0)
-
-
-def _build_sinc(spec):
-    basis = spec.basis
-    nodes = sinc_nodes(basis).nodes
-    maxord = spec.max_order
-    deltas = [np.ascontiguousarray(delta_matrix(basis, q).entries.T)
-              for q in range(maxord + 1)]
-    A = chain_tables(basis, maxord)
-    seed_vals = [spec.seed(nodes, q) for q in range(maxord + 1)]
-    tf = isinstance(spec.problem, ThomasFermiProblem)
-    sqrt_nodes = np.sqrt(nodes)
-
-    def residual_map(c):
-        c = np.asarray(c, dtype=float)
-        # mesh-derivative vectors first, chain scaling second: summing the
-        # translate series before multiplying by the (sometimes huge) chain
-        # coefficients keeps the far-node rows from drowning in cancellation
-        u = [c] + [deltas[q] @ c for q in range(1, maxord + 1)]
-        f = []
-        for m_ord in range(maxord + 1):
-            acc = seed_vals[m_ord].copy()
-            for q in range(m_ord + 1):
-                acc += A[m_ord][q] * u[q]
-            f.append(acc)
-        if tf:
-            return f[2] - np.copysign(np.abs(f[0]) ** 1.5, f[0]) / sqrt_nodes
-        return _residual_rows(spec, f)
-
-    guess = np.zeros(basis.dimension)
-    return NonlinearSystem(spec, residual_map, guess, nodes, 0)
+        return guess
+    # profile with the right axis behaviour, interpolated through every node
+    every = laguerre_nodes(basis).nodes
+    shape = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
+    return np.linalg.solve(basis.matrix(every, 0).T, shape(every))
 
 
 def build_system(spec):
-    """Square nonlinear system for the pairing: residual map, guess, nodes."""
+    """Collocation system of the pairing: nodes, operators D_q, seeds, axis rows, guess.
+
+    Laguerre collocates at all but the last len(axis_conditions) nodes (the
+    least-resolved far ones) and imposes the axis conditions as explicit
+    rows.  Hermite and composite translates collocate at every node and
+    carry the axis conditions in the seed.  For the translates,
+    D_m = sum_q diag(A[m][q]) delta^(q)^T from the chain-rule tables.
+    """
     if not isinstance(spec, ProblemSpec):
         raise ConfigurationError("build_system needs a ProblemSpec")
-    if isinstance(spec.basis, LaguerreBasis):
-        return _build_laguerre(spec)
-    if isinstance(spec.basis, HermiteBasis):
-        return _build_hermite(spec)
-    return _build_sinc(spec)
+    basis = spec.basis
+    orders = range(spec.max_order + 1)
+    boundary = np.empty((0, basis.dimension))
+    targets = np.empty(0)
+    guess = np.zeros(basis.dimension)
+    if isinstance(basis, SincBasis):
+        nodes = sinc_nodes(basis).nodes
+        A = chain_tables(basis, spec.max_order)
+        deltas = [delta_matrix(basis, q).entries.T for q in orders]
+        operators = [sum(A[m][q][:, np.newaxis] * deltas[q] for q in range(m + 1))
+                     for m in orders]
+    elif isinstance(basis, HermiteBasis):
+        nodes = hermite_nodes(basis).nodes
+        operators = [basis.matrix(nodes, q).T for q in orders]
+    else:
+        conditions = spec.problem.axis_conditions
+        if basis.N <= len(conditions):
+            raise ConfigurationError(
+                "N = %d leaves no interior collocation nodes" % basis.N)
+        nodes = laguerre_nodes(basis).nodes[: basis.N - len(conditions)]
+        operators = [basis.matrix(nodes, q).T for q in orders]
+        boundary = np.vstack([basis.matrix([0.0], q).T for q, _ in conditions])
+        targets = np.array([value for _, value in conditions])
+        guess = _laguerre_guess(spec, nodes, operators, boundary, targets)
+    seeds = [np.zeros(nodes.size) if spec.seed is None else spec.seed(nodes, q)
+             for q in orders]
+    return NonlinearSystem(spec, nodes, operators, seeds, boundary, targets, guess)
 
 
 def solve_problem(spec, cfg=None):
-    """Solve the pairing's collocation system; returns (Expansion, SolveReport)."""
-    if cfg is None:
-        cfg = NewtonConfig()
+    """Solve the pairing's collocation system; returns (Expansion, SolveReport).
+
+    Newton gets the system's analytic Jacobian.  A solve that stops
+    unconverged raises ConvergenceError with the SolveReport attached.
+    """
     system = build_system(spec)
     try:
-        report = newton_solve(system.residual_map, system.initial_guess, cfg)
+        report = newton_solve(system.residual_map, system.jacobian,
+                              system.initial_guess, cfg)
+        if not report.converged:
+            raise ConvergenceError(
+                "Newton stopped unconverged after %d iterations at max|F| = %.3e"
+                % (report.iterations, report.final_residual_norm), report=report)
     except SolverError as exc:
         head = exc.args[0] if exc.args else str(exc)
         exc.args = ("%s: %s" % (problem_label(spec), head),) + tuple(exc.args[1:])

@@ -214,7 +214,7 @@ def sinc_nodes(basis):
 
 
 # ---------------------------------------------------------------------------
-# map derivatives (over 1-D arrays of x > 0)
+# chain-rule tables (over 1-D arrays of x > 0)
 
 
 def _logsinh_derivs(x):
@@ -231,93 +231,109 @@ def _logsinh_derivs(x):
     return phi, p1, -csch2, 2.0 * p1 * csch2
 
 
-def _log_derivs(x):
-    """(Phi, Phi', Phi'', Phi''') for Phi = ln x."""
-    p1 = 1.0 / x
-    return np.log(x), p1, -p1 * p1, 2.0 * p1 ** 3
+def _rational_x_derivs(x):
+    """W = x/(1+x^2) and derivatives through order 3, overflow-safe; rows 0..3.
 
-
-# ---------------------------------------------------------------------------
-# weight derivatives (branch forms: reciprocal powers for the far field)
-
-
-def _branches(x, inner, outer):
-    """Rows inner(x) where x <= 1 and outer(1/x) elsewhere, each on its own subset."""
+    Reciprocal powers d = 1/x for x > 1, each form on its own points, so
+    the far field underflows to zero.
+    """
     out = np.empty((4,) + x.shape)
     near = x <= 1.0
-    out[:, near] = inner(x[near])
-    out[:, ~near] = outer(1.0 / x[~near])
+    t = x[near]
+    q = 1.0 + t * t
+    out[:, near] = (t / q,
+                    (1.0 - t * t) / q ** 2,
+                    (2.0 * t ** 3 - 6.0 * t) / q ** 3,
+                    (-6.0 * t ** 4 + 36.0 * t * t - 6.0) / q ** 4)
+    d = 1.0 / x[~near]
+    q = 1.0 + d * d
+    out[:, ~near] = (d / q,
+                     (d ** 4 - d * d) / q ** 2,
+                     (2.0 * d ** 3 - 6.0 * d ** 5) / q ** 3,
+                     (-6.0 * d ** 8 + 36.0 * d ** 6 - 6.0 * d ** 4) / q ** 4)
     return out
 
 
-def _rational_x_derivs(x):
-    """W = x/(1+x^2) and derivatives through order 3, overflow-safe; rows 0..3."""
-    def inner(x):
-        q = 1.0 + x * x
-        return (x / q,
-                (1.0 - x * x) / q ** 2,
-                (2.0 * x ** 3 - 6.0 * x) / q ** 3,
-                (-6.0 * x ** 4 + 36.0 * x * x - 6.0) / q ** 4)
+def _logsinh_chain(x, max_order):
+    """Phi = ln(sinh x) at x, and the tables A[m][q] of W = x/(1+x^2) under it."""
+    phi, p1, p2, p3 = _logsinh_derivs(x)
+    W = _rational_x_derivs(x)
+    A = [[W[0]]]
+    if max_order >= 1:
+        A.append([W[1], W[0] * p1])
+    if max_order >= 2:
+        A.append([W[2], 2.0 * W[1] * p1 + W[0] * p2, W[0] * p1 * p1])
+    if max_order >= 3:
+        A.append([W[3],
+                  3.0 * W[2] * p1 + 3.0 * W[1] * p2 + W[0] * p3,
+                  3.0 * W[1] * p1 * p1 + 3.0 * W[0] * p1 * p2,
+                  W[0] * p1 ** 3])
+    return phi, A
 
-    def outer(d):
-        q = 1.0 + d * d
-        return (d / q,
-                (d ** 4 - d * d) / q ** 2,
-                (2.0 * d ** 3 - 6.0 * d ** 5) / q ** 3,
-                (-6.0 * d ** 8 + 36.0 * d ** 6 - 6.0 * d ** 4) / q ** 4)
-    return _branches(x, inner, outer)
 
+def _log_chain(eta, max_order):
+    """Tables A[m][q] of W = eta^3/(1+eta^3) under Phi = ln(eta), at eta > 0.
 
-def _rational_x3_derivs(x):
-    """W = x^3/(1+x^3) and derivatives through order 3, overflow-safe; rows 0..3."""
-    def inner(x):
-        q = 1.0 + x ** 3
-        return (x ** 3 / q,
-                3.0 * x * x / q ** 2,
-                (6.0 * x - 12.0 * x ** 4) / q ** 3,
-                (6.0 - 96.0 * x ** 3 + 60.0 * x ** 6) / q ** 4)
+    Every entry is written through p = 1/(1 + eta^3) and powers of eta
+    (eta <= 1) or of d = 1/eta (eta > 1), so no entry multiplies an
+    underflowed weight by an overflowed map derivative: all are finite for
+    every representable eta, and far-field entries underflow to exact zeros.
+    """
+    small = eta <= 1.0
+    e = eta[small]
+    d = 1.0 / eta[~small]
+    r = d ** 3
 
-    def outer(d):
-        q = 1.0 + d ** 3
-        return (1.0 / q,
-                3.0 * d ** 4 / q ** 2,
-                (6.0 * d ** 8 - 12.0 * d ** 5) / q ** 3,
-                (6.0 * d ** 12 - 96.0 * d ** 9 + 60.0 * d ** 6) / q ** 4)
-    return _branches(x, inner, outer)
+    def table(on_small, on_big):
+        out = np.empty(eta.shape)
+        out[small] = on_small
+        out[~small] = on_big
+        return out
+
+    p = table(1.0 / (1.0 + e ** 3), r / (1.0 + r))
+    ps = p[small]
+    etap = table(e * ps, d * d / (1.0 + r))              # eta p
+    A = [[table(e ** 3 * ps, 1.0 / (1.0 + r))]]
+    if max_order >= 1:
+        W1 = table(3.0 * e * e * ps ** 2, 3.0 * d ** 4 / (1.0 + r) ** 2)
+        eta2p = table(e * e * ps, d / (1.0 + r))         # eta^2 p = W Phi'
+        A.append([W1, eta2p])
+    if max_order >= 2:
+        W2 = table((6.0 * e - 12.0 * e ** 4) * ps ** 3,
+                   (6.0 * d ** 8 - 12.0 * d ** 5) / (1.0 + r) ** 3)
+        A.append([W2, etap * (6.0 * p - 1.0), etap])
+    if max_order >= 3:
+        W3 = table((6.0 - 96.0 * e ** 3 + 60.0 * e ** 6) * ps ** 4,
+                   (6.0 * d ** 12 - 96.0 * d ** 9 + 60.0 * d ** 6) / (1.0 + r) ** 4)
+        A31 = 18.0 * p ** 3 - 36.0 * etap ** 3 - 9.0 * p * p + 2.0 * p
+        A.append([W3, A31, 9.0 * p * p - 3.0 * p, p])
+    return A
 
 
 def composite_matrix(basis, xs, order=0):
     """Members W(x) S(k,h)(Phi(x)), or their derivatives, at each x: shape (2N+1, len(xs)).
 
-    Row i holds translate k = i - N.  At x = 0 every order gives the
-    continuous-extension limit 0 (the boundary weight's algebraic zero wins
-    against the map divergence); under the LogSinh map so does every x
-    below 1e-10.
+    Row i holds translate k = i - N.  The order-th derivative of member k
+    is sum_q A[order][q](x) S^(q)((Phi(x) - k h)/h) / h^q, with the
+    chain-rule tables that chain_tables evaluates at the nodes.  At x = 0
+    every order gives the continuous-extension limit 0 (the boundary
+    weight's algebraic zero wins against the map divergence); under the
+    LogSinh map so does every x below 1e-10.
     """
     m = _check_order(order)
     xs = _as_points(xs).reshape(-1)
     out = np.zeros((basis.dimension, xs.size))
-    logsinh = basis.map_kind is SincMap.LOG_SINH
-    live = xs >= _LOGSINH_CUTOFF if logsinh else xs > 0.0
-    x = xs[live]
-    if logsinh:
-        phi, p1, p2, p3 = _logsinh_derivs(x)
-        W = _rational_x_derivs(x)
+    if basis.map_kind is SincMap.LOG_SINH:
+        live = xs >= _LOGSINH_CUTOFF
+        phi, A = _logsinh_chain(xs[live], m)
     else:
-        phi, p1, p2, p3 = _log_derivs(x)
-        W = _rational_x3_derivs(x)
+        live = xs > 0.0
+        phi = np.log(xs[live])
+        A = _log_chain(xs[live], m)
     h = basis.h
     k = np.arange(-basis.N, basis.N + 1)[:, np.newaxis]
     s = sinc_derivatives((phi - k * h) / h, m)
-    # phi-composite derivatives F = S(k,h)(Phi(x))
-    F = [s[0]]
-    if m >= 1:
-        F.append(s[1] / h * p1)
-    if m >= 2:
-        F.append(s[2] / h ** 2 * p1 * p1 + s[1] / h * p2)
-    if m >= 3:
-        F.append(s[3] / h ** 3 * p1 ** 3 + 3.0 * s[2] / h ** 2 * p1 * p2 + s[1] / h * p3)
-    out[:, live] = sum(math.comb(m, i) * W[i] * F[m - i] for i in range(m + 1))
+    out[:, live] = sum(A[m][q] * s[q] / h ** q for q in range(m + 1))
     return out
 
 
@@ -329,75 +345,16 @@ def chain_tables(basis, max_order):
         u^(m)(x_j) = sum_{q=0}^{m} A[m][q][j] * (delta^(q)^T c)[j],
 
     where delta^(q) carries the mesh derivatives of the bare translates.
-    Computing the matrix-vector products first and scaling by these tables
-    afterwards avoids the cancellation that plagues member-by-member sums
-    at nodes where the coefficients straddle many orders of magnitude.
-
-    For the Log map the entries are expressed through p = 1/(1 + eta^3) and
-    negative powers of eta, so far-field nodes underflow to exact zeros.
+    Under the LogSinh map, nodes below 1e-10 get zero entries.
     """
     max_order = _check_order(max_order)
-    n = basis.dimension
-    js = np.arange(-basis.N, basis.N + 1)
-    if basis.map_kind is SincMap.LOG:
-        u = js * basis.h                       # u = ln(eta_j)
-        small = u <= 0.0
-        eta_s = np.exp(u[small])               # eta on the small branch only
-        big = ~small
-        r = np.exp(-3.0 * u[big])              # eta^-3, underflows gracefully
-        p = np.empty(n)                        # p = 1/(1 + eta^3)
-        p[small] = 1.0 / (1.0 + eta_s ** 3)
-        p[big] = r / (1.0 + r)
-        etap = np.empty(n)                     # eta p
-        etap[small] = eta_s * p[small]
-        etap[big] = np.exp(-2.0 * u[big]) / (1.0 + r)
-        eta2p = np.empty(n)                    # eta^2 p
-        eta2p[small] = eta_s ** 2 * p[small]
-        eta2p[big] = np.exp(-u[big]) / (1.0 + r)
-        A = [[None] * (m + 1) for m in range(max_order + 1)]
-        W0 = np.empty(n)
-        W0[small] = eta_s ** 3 * p[small]
-        W0[big] = 1.0 / (1.0 + r)
-        A[0][0] = W0
-        if max_order >= 1:
-            W1 = np.empty(n)
-            W1[small] = 3.0 * eta_s ** 2 * p[small] ** 2
-            W1[big] = 3.0 * np.exp(-4.0 * u[big]) / (1.0 + r) ** 2
-            A[1] = [W1, eta2p]                             # [W', W Phi']
-        if max_order >= 2:
-            W2 = np.empty(n)
-            W2[small] = (6.0 * eta_s - 12.0 * eta_s ** 4) * p[small] ** 3
-            W2[big] = (6.0 * np.exp(-8.0 * u[big])
-                       - 12.0 * np.exp(-5.0 * u[big])) / (1.0 + r) ** 3
-            A[2] = [W2, etap * (6.0 * p - 1.0), etap]
-        if max_order >= 3:
-            W3 = np.empty(n)
-            W3[small] = (6.0 - 96.0 * eta_s ** 3 + 60.0 * eta_s ** 6) * p[small] ** 4
-            W3[big] = (6.0 * np.exp(-12.0 * u[big])
-                       - 96.0 * np.exp(-9.0 * u[big])
-                       + 60.0 * np.exp(-6.0 * u[big])) / (1.0 + r) ** 4
-            A31 = 18.0 * p ** 3 - 36.0 * etap ** 3 - 9.0 * p * p + 2.0 * p
-            A[3] = [W3, A31, 9.0 * p * p - 3.0 * p, p]
-        return A
-    # LogSinh map: nodes stay within moderate magnitudes; direct products
     nodes = sinc_nodes(basis).nodes
-    W = _rational_x_derivs(nodes)
-    _, p1, p2, p3 = _logsinh_derivs(nodes)
-    dead = nodes < _LOGSINH_CUTOFF
-    A = [[None] * (m + 1) for m in range(max_order + 1)]
-    A[0][0] = W[0].copy()
-    if max_order >= 1:
-        A[1] = [W[1].copy(), W[0] * p1]
-    if max_order >= 2:
-        A[2] = [W[2].copy(), 2.0 * W[1] * p1 + W[0] * p2, W[0] * p1 * p1]
-    if max_order >= 3:
-        A[3] = [W[3].copy(),
-                3.0 * W[2] * p1 + 3.0 * W[1] * p2 + W[0] * p3,
-                3.0 * W[1] * p1 * p1 + 3.0 * W[0] * p1 * p2,
-                W[0] * p1 ** 3]
-    if np.any(dead):
-        for row in A:
-            for arr in row:
-                if arr is not None:
-                    arr[dead] = 0.0
-    return A
+    if basis.map_kind is SincMap.LOG:
+        return _log_chain(nodes, max_order)
+    live = nodes >= _LOGSINH_CUTOFF
+    _, A = _logsinh_chain(nodes[live], max_order)
+    tables = [[np.zeros(nodes.size) for _ in row] for row in A]
+    for row, parts in zip(tables, A):
+        for full, part in zip(row, parts):
+            full[live] = part
+    return tables

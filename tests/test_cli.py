@@ -216,6 +216,17 @@ def test_solver_failures_exit_3(monkeypatch):
     assert "solver failure" in err
 
 
+def test_unconverged_solve_exits_3_without_csv(tmp_path):
+    # map constant 4 stalls the Hermite film solve after one iteration
+    code, out, err = run_main("solve", "--preset", "table1-hf", "--map-k", "4")
+    assert code == 3 and out == ""
+    assert "solver failure" in err and "unconverged" in err
+    target = tmp_path / "stalled.csv"
+    code, out, err = run_main("solve", "--preset", "table1-hf", "--map-k", "4",
+                              "--out", str(target))
+    assert code == 3 and not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve / verify / oracle flows (cheapest preset: table2-mglf)
 

@@ -1,5 +1,6 @@
 """Damped Newton solver: Jacobians, convergence behavior, determinism,
-and failure modes."""
+and failure modes.  The behaviour tests give the solver the
+forward-difference Jacobian of their test map."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from halfline.errors import (
     SingularJacobianError,
 )
 from halfline.newton import NewtonConfig, SolveReport, fd_jacobian, newton_solve
+
+
+def fd_of(F):
+    return lambda v: fd_jacobian(F, v)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +62,7 @@ def test_jacobian_custom_step_scales_with_component():
 
 def test_scalar_quadratic_root():
     F = lambda v: np.array([v[0] ** 2 - 4.0])
-    report = newton_solve(F, np.array([3.0]))
+    report = newton_solve(F, fd_of(F), np.array([3.0]))
     assert report.converged
     assert abs(report.solution[0] - 2.0) <= 1e-10
     assert report.iterations <= 8
@@ -68,7 +73,7 @@ def test_scalar_quadratic_root():
 def test_scalar_quadratic_convergence_is_quadratic():
     # for F = x^2 - 4 the residuals obey |F_{n+1}| -> |F_n|^2 / 16
     F = lambda v: np.array([v[0] ** 2 - 4.0])
-    h = newton_solve(F, np.array([3.0])).history
+    h = newton_solve(F, fd_of(F), np.array([3.0])).history
     checked = 0
     for a, b in zip(h, h[1:]):
         if 1e-8 < a < 1.0:
@@ -82,7 +87,7 @@ def test_linear_system_needs_one_accepted_step():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
     b = np.array([3.0, 5.0])
     F = lambda v: A @ v - b
-    report = newton_solve(F, np.zeros(2))
+    report = newton_solve(F, fd_of(F), np.zeros(2))
     assert report.converged
     # Newton is exact on affine maps: the first accepted step lands on
     # the solution (any later iteration only polishes roundoff)
@@ -93,7 +98,7 @@ def test_linear_system_needs_one_accepted_step():
 
 def test_start_at_the_root_returns_immediately():
     F = lambda v: np.array([v[0] - 2.0])
-    report = newton_solve(F, np.array([2.0]))
+    report = newton_solve(F, fd_of(F), np.array([2.0]))
     assert report.converged and report.iterations == 0
     assert report.history == [0.0]
 
@@ -103,7 +108,7 @@ def test_max_iter_budget_is_honored():
     # iterations cannot reach 1e-10
     F = lambda v: np.array([v[0] ** 3])
     cfg = NewtonConfig(max_iter=3)
-    report = newton_solve(F, np.array([1.0]), cfg)
+    report = newton_solve(F, fd_of(F), np.array([1.0]), cfg)
     assert not report.converged
     assert report.iterations == 3
     assert len(report.history) == 4
@@ -111,8 +116,20 @@ def test_max_iter_budget_is_honored():
 
 def test_accepted_residuals_decrease_monotonically():
     F = lambda v: np.array([np.tanh(v[0]) - 0.3, v[1] ** 3 + v[1] - 1.5])
-    h = newton_solve(F, np.array([2.0, 1.0])).history
+    h = newton_solve(F, fd_of(F), np.array([2.0, 1.0])).history
     assert all(b <= a for a, b in zip(h, h[1:]))
+
+
+def test_exact_jacobian_costs_one_residual_call_per_trial():
+    calls = []
+    def F(v):
+        calls.append(1)
+        return np.array([v[0] ** 2 - 4.0, np.sin(v[1])])
+    J = lambda v: np.array([[2.0 * v[0], 0.0], [0.0, np.cos(v[1])]])
+    report = newton_solve(F, J, np.array([3.0, 0.5]))
+    assert report.converged and abs(report.solution[0] - 2.0) <= 1e-12
+    # the start plus one accepted trial per iteration (no halving needed)
+    assert len(calls) == report.iterations + 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +138,8 @@ def test_accepted_residuals_decrease_monotonically():
 
 def test_bitwise_determinism():
     F = lambda v: np.array([v[0] ** 2 + v[1] - 3.0, v[0] + v[1] ** 2 - 5.0])
-    r1 = newton_solve(F, np.array([1.0, 2.0]))
-    r2 = newton_solve(F, np.array([1.0, 2.0]))
+    r1 = newton_solve(F, fd_of(F), np.array([1.0, 2.0]))
+    r2 = newton_solve(F, fd_of(F), np.array([1.0, 2.0]))
     assert np.array_equal(r1.solution, r2.solution)
     assert r1.history == r2.history
     assert r1.iterations == r2.iterations
@@ -135,8 +152,8 @@ def test_permutation_equivariance():
     def G(w):  # F with unknowns and equations both swapped
         return np.array([w[1] + w[0] ** 2 - 5.0, w[1] ** 2 + w[0] - 3.0])
 
-    rf = newton_solve(F, np.array([1.0, 2.0]))
-    rg = newton_solve(G, np.array([2.0, 1.0]))
+    rf = newton_solve(F, fd_of(F), np.array([1.0, 2.0]))
+    rg = newton_solve(G, fd_of(G), np.array([2.0, 1.0]))
     assert rf.converged and rg.converged
     assert np.max(np.abs(rf.solution - rg.solution[::-1])) <= 1e-12
 
@@ -148,27 +165,42 @@ def test_permutation_equivariance():
 def test_singular_jacobian_is_reported():
     F = lambda v: np.array([v[0] + v[1] - 1.0, 2.0 * v[0] + 2.0 * v[1] - 2.0])
     with pytest.raises(SingularJacobianError):
-        newton_solve(F, np.array([0.0, 0.0]))
+        newton_solve(F, fd_of(F), np.array([0.0, 0.0]))
 
 
 def test_dead_row_with_live_residual_is_reported():
     F = lambda v: np.array([v[0] - 1.0, 5.0])
     with pytest.raises(SingularJacobianError):
-        newton_solve(F, np.array([0.0, 0.0]))
+        newton_solve(F, fd_of(F), np.array([0.0, 0.0]))
 
 
 def test_dead_row_with_satisfied_residual_is_tolerated():
     F = lambda v: np.array([v[0] - 2.0, 0.0])
-    report = newton_solve(F, np.array([0.0, 0.0]))
+    report = newton_solve(F, fd_of(F), np.array([0.0, 0.0]))
     assert report.converged
     assert abs(report.solution[0] - 2.0) <= 1e-10
+
+
+def test_non_finite_jacobian_is_reported():
+    F = lambda v: np.array([v[0] - 1.0, v[1] - 2.0])
+    J = lambda v: np.array([[1.0, 0.0], [0.0, np.inf]])
+    with pytest.raises(NumericEvaluationError) as info:
+        newton_solve(F, J, np.zeros(2))
+    assert info.value.component == 1
+
+
+def test_jacobian_shape_is_checked():
+    F = lambda v: np.array([v[0] - 1.0, v[1] - 2.0])
+    for J in (lambda v: np.eye(3), lambda v: np.ones(2), lambda v: np.ones((2, 1))):
+        with pytest.raises(ConfigurationError):
+            newton_solve(F, J, np.zeros(2))
 
 
 def test_non_finite_residual_is_reported():
     F = lambda v: np.array([np.sqrt(v[0]) - 2.0])
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericEvaluationError):
-            newton_solve(F, np.array([-1.0]))
+            newton_solve(F, fd_of(F), np.array([-1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,31 +209,31 @@ def test_non_finite_residual_is_reported():
 
 def test_config_validation():
     for kwargs in (dict(tol_residual=0.0), dict(tol_step=-1.0),
-                   dict(fd_step=0.0), dict(max_iter=0),
+                   dict(max_iter=0),
                    dict(max_iter=2.5), dict(max_halvings=-1)):
         with pytest.raises(ConfigurationError):
             NewtonConfig(**kwargs)
     cfg = NewtonConfig()
     assert cfg.tol_residual == 1e-10 and cfg.tol_step == 1e-12
-    assert cfg.max_iter == 200 and cfg.fd_step == 1e-7
+    assert cfg.max_iter == 200
     assert cfg.max_halvings == 30
 
 
 def test_start_point_validation():
     F = lambda v: v.copy()
     with pytest.raises(ConfigurationError):
-        newton_solve(F, np.array([]))
+        newton_solve(F, fd_of(F), np.array([]))
     with pytest.raises(ConfigurationError):
-        newton_solve(F, np.array([[1.0, 2.0]]))
+        newton_solve(F, fd_of(F), np.array([[1.0, 2.0]]))
     with pytest.raises(ConfigurationError):
-        newton_solve(F, np.array([np.nan]))
+        newton_solve(F, fd_of(F), np.array([np.nan]))
     with pytest.raises(ConfigurationError):
-        newton_solve(lambda v: np.array([v[0], v[0]]), np.array([1.0]))
+        newton_solve(lambda v: np.array([v[0], v[0]]), np.ones, np.array([1.0]))
 
 
 def test_report_solution_is_read_only():
     F = lambda v: np.array([v[0] - 1.0])
-    report = newton_solve(F, np.array([0.0]))
+    report = newton_solve(F, fd_of(F), np.array([0.0]))
     with pytest.raises(ValueError):
         report.solution[0] = 9.0
     assert isinstance(report, SolveReport)

@@ -7,7 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from halfline.errors import ConfigurationError, DomainError, UnsupportedOrderError
+from halfline.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DomainError,
+    UnsupportedOrderError,
+)
 from halfline.problems import (
     ConeParams,
     FluidParams,
@@ -20,12 +25,11 @@ from halfline.problems import (
     derived_slope,
     pointwise_residual,
     problem_label,
-    residual_cone,
-    residual_fluid,
-    residual_thomas_fermi,
+    solve_problem,
 )
 from halfline.hermite import HermiteBasis
 from halfline.laguerre import LaguerreBasis
+from halfline.newton import fd_jacobian
 from halfline.sinc import SincBasis, SincMap, SincWeight
 
 from conftest import CONE_LAMBDAS, FLUID_B
@@ -33,6 +37,11 @@ from conftest import CONE_LAMBDAS, FLUID_B
 
 def const(c):
     return lambda x, order=0: c if order == 0 else 0.0
+
+
+def residual_at(problem, approx, x):
+    """The problem's residual from approx's derivatives 0..order at x."""
+    return problem.residual(x, [approx(x, m) for m in range(problem.order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +86,7 @@ def test_thomas_fermi_problem_is_a_singleton_value():
 
 def test_fluid_residual_examples():
     params = FluidParams(*FLUID_B)
-    assert residual_fluid(const(0.0), params, 1.3) == 0.0
+    assert residual_at(params, const(0.0), 1.3) == 0.0
     # f = e^{-z} with b1 = b2 = 0, b3 = 1: f'' - f = 0 identically
     f = lambda z, m: (-1.0) ** m * math.exp(-z)
     with warnings.catch_warnings():
@@ -85,33 +94,33 @@ def test_fluid_residual_examples():
         unit = FluidParams(0.0, 0.0, 1.0)
         half = FluidParams(0.0, 0.0, 0.5)
     for z in (0.3, 1.0, 2.7):
-        assert abs(residual_fluid(f, unit, z)) <= 1e-15
-    assert residual_fluid(const(1.0), half, 2.0) == -0.5
+        assert abs(residual_at(unit, f, z)) <= 1e-15
+    assert residual_at(half, const(1.0), 2.0) == -0.5
 
 
 def test_thomas_fermi_residual_examples():
-    assert residual_thomas_fermi(const(0.0), 2.0) == 0.0
+    assert residual_at(ThomasFermiProblem(), const(0.0), 2.0) == 0.0
     quad = lambda x, m: (x * x, 2.0 * x, 2.0)[m]
-    assert abs(residual_thomas_fermi(quad, 1.0) - 1.0) <= 1e-15
-    assert abs(residual_thomas_fermi(const(1.0), 4.0) - (-0.5)) <= 1e-15
+    assert abs(residual_at(ThomasFermiProblem(), quad, 1.0) - 1.0) <= 1e-15
+    assert abs(residual_at(ThomasFermiProblem(), const(1.0), 4.0) - (-0.5)) <= 1e-15
     with pytest.raises(DomainError):
-        residual_thomas_fermi(const(1.0), 0.0)
+        residual_at(ThomasFermiProblem(), const(1.0), 0.0)
     with pytest.raises(DomainError):
-        residual_thomas_fermi(const(1.0), -1.0)
+        residual_at(ThomasFermiProblem(), const(1.0), -1.0)
 
 
 def test_thomas_fermi_residual_signed_power():
     # negative iterates use sign(u)|u|^{3/2}: residual stays real
-    r = residual_thomas_fermi(const(-1.0), 4.0)
+    r = residual_at(ThomasFermiProblem(), const(-1.0), 4.0)
     assert abs(r - 0.5) <= 1e-15
 
 
 def test_cone_residual_examples():
-    assert residual_cone(const(0.0), ConeParams(1.0), 0.7) == 0.0
+    assert residual_at(ConeParams(1.0), const(0.0), 0.7) == 0.0
     lin = lambda e, m: (e, 1.0, 0.0, 0.0)[m]
-    assert abs(residual_cone(lin, ConeParams(1.0), 0.9) - (-1.0)) <= 1e-15
+    assert abs(residual_at(ConeParams(1.0), lin, 0.9) - (-1.0)) <= 1e-15
     quad = lambda e, m: (e * e, 2.0 * e, 2.0, 0.0)[m]
-    assert abs(residual_cone(quad, ConeParams(0.0), 1.0) - 11.0 / 3.0) <= 1e-15
+    assert abs(residual_at(ConeParams(0.0), quad, 1.0) - 11.0 / 3.0) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +296,18 @@ def test_square_residual_map():
     assert np.all(np.isfinite(out))
 
 
+def test_unconverged_solve_raises_with_the_report():
+    # map constant 4 stalls the Hermite film solve after one iteration
+    spec = ProblemSpec(FluidParams(*FLUID_B), HermiteBasis(16, 4.0),
+                       SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.678301))
+    with pytest.raises(ConvergenceError) as info:
+        solve_problem(spec)
+    report = info.value.report
+    assert not report.converged
+    assert report.final_residual_norm > 1.0
+    assert str(info.value).startswith("fluid film / hermite: ")
+
+
 # ---------------------------------------------------------------------------
 # solved-profile invariants (session-cached solves)
 
@@ -307,6 +328,22 @@ def test_converged_with_small_nodal_residual(key, solve_case):
         nodes = sys.collocation_nodes
     worst = max(abs(pointwise_residual(spec, e, x)) for x in nodes)
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("key", BASE_KEYS, ids=lambda k: "-".join(map(str, k)))
+def test_analytic_jacobian_matches_finite_differences(key, solve_case):
+    spec, _, _ = solve_case(*key)
+    system = build_system(spec)
+    guess = system.initial_guess
+    rng = np.random.default_rng(5)
+    perturbed = guess + 1e-2 * (1.0 + np.abs(guess)) * rng.standard_normal(guess.size)
+    for c in (guess, perturbed):
+        J = system.jacobian(c)
+        assert J.shape == (system.dimension, system.dimension)
+        # step 1e-8: at the default 1e-7 the oracle's own truncation error
+        # on the Hermite film operators (entries up to 4e5) is 1.5e-5
+        err = np.max(np.abs(J - fd_jacobian(system.residual_map, c, fd_step=1e-8)))
+        assert err <= 1e-5 * np.max(np.abs(J))
 
 
 @pytest.mark.parametrize("key", BASE_KEYS, ids=lambda k: "-".join(map(str, k)))

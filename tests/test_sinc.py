@@ -22,8 +22,8 @@ from halfline.sinc import (
     sinc,
     sinc_derivatives,
     sinc_nodes,
+    _log_chain,
     _rational_x_derivs,
-    _rational_x3_derivs,
 )
 
 PAIRS = (
@@ -33,9 +33,9 @@ PAIRS = (
 
 
 def weight_value(weight_kind, x):
-    fn = (_rational_x_derivs if weight_kind is SincWeight.RATIONAL_X
-          else _rational_x3_derivs)
-    return fn(np.array([x]))[0, 0]
+    if weight_kind is SincWeight.RATIONAL_X:
+        return _rational_x_derivs(np.array([x]))[0, 0]
+    return _log_chain(np.array([x]), 0)[0][0][0]        # A[0][0] = W
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,15 @@ def test_extreme_mesh_nodes_stay_finite():
     xs = np.asarray(big.nodes().nodes)
     assert np.all(np.isfinite(xs))
     assert math.isfinite(big.matrix(xs[60:], 3)[60, 0])
+    # down to the smallest subnormal the Log-map members stay finite: the
+    # weight's zero and the map's pole never meet as 0 * inf.  Orders 0-2
+    # vanish with x; order 3 tends to 6 S(ln x), which decays like 1/ln x.
+    cone = SincBasis(4, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3)
+    tiny = np.array([1e-150, 1e-200, 1e-300, 5e-324])
+    for order in range(4):
+        vals = cone.matrix(tiny, order)
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals)) <= (1e-100 if order < 3 else 0.1)
 
 
 def test_mesh_beyond_double_range_is_rejected():
