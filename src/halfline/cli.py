@@ -325,14 +325,18 @@ def _seed_kind(cfg):
     return SeedKind.RATIONAL_QUADRATIC
 
 
+def _problem(cfg):
+    """The configured equation object."""
+    if cfg.problem == "fluid":
+        return FluidParams(cfg.b1, cfg.b2, cfg.b3)
+    if cfg.problem == "thomas-fermi":
+        return ThomasFermiProblem()
+    return ConeParams(cfg.cone_lambda)
+
+
 def to_problem_spec(cfg):
     """Materialize the validated RunConfig as a solvable ProblemSpec."""
-    if cfg.problem == "fluid":
-        problem = FluidParams(cfg.b1, cfg.b2, cfg.b3)
-    elif cfg.problem == "thomas-fermi":
-        problem = ThomasFermiProblem()
-    else:
-        problem = ConeParams(cfg.cone_lambda)
+    problem = _problem(cfg)
 
     if cfg.method == "mglf":
         basis = LaguerreBasis(cfg.n, cfg.alpha, cfg.scale_L)
@@ -372,10 +376,9 @@ class SolutionTable:
 
     header = ("abscissa", "f", "fprime", "residual")
 
-    def __init__(self, rows, slope, report):
+    def __init__(self, rows, slope):
         self.rows = tuple(tuple(float(v) for v in r) for r in rows)
         self.slope = float(slope)
-        self.report = report
 
     def __len__(self):
         return len(self.rows)
@@ -393,7 +396,7 @@ def run_case(cfg):
     rows = list(zip(xs, f[0], f[1], res))
     slope = derived_slope(e, spec)
     rows.append((0.0, e(0.0, 0), slope, report.final_residual_norm))
-    return SolutionTable(rows, slope, report)
+    return SolutionTable(rows, slope)
 
 
 def fmt9(v):
@@ -542,21 +545,10 @@ def run_oracle(cfg):
     """Integrate the configured problem independently; return (slope, table)."""
     from .shooting import shoot
 
-    if cfg.problem == "fluid":
-        problem = FluidParams(cfg.b1, cfg.b2, cfg.b3)
-    elif cfg.problem == "thomas-fermi":
-        problem = ThomasFermiProblem()
-    else:
-        problem = ConeParams(cfg.cone_lambda)
-    slope, (xs, states) = shoot(problem)
+    slope, (xs, states) = shoot(_problem(cfg))
     rows = [(xs[i], states[i, 0], states[i, 1], 0.0)
             for i in range(0, len(xs), 100)]
-
-    class _Report:
-        final_residual_norm = 0.0
-
-    table = SolutionTable(rows, slope, _Report())
-    return slope, table
+    return slope, SolutionTable(rows, slope)
 
 
 # ---------------------------------------------------------------------------

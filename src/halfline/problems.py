@@ -15,13 +15,15 @@ axis conditions through explicit boundary equations; the other two carry
 them exactly in a closed-form seed profile whose residual the basis part
 corrects.
 
-Each problem class holds its equation once: residual(x, f) and
+Each problem class holds its equation in two forms.  residual(x, f) and
 partials(x, f) take the derivative arrays f = [f0, ..., f_order] at the
-abscissas x (partials gives dR/df_q for every q), and axis_conditions lists
-the (derivative order, value) pairs imposed at x = 0.  build_system reduces
-every pairing to nodal derivatives that are affine in the coefficients,
-f_q = s_q + D_q c, so the damped Newton driver gets the residual map and
-its exact Jacobian from the same operators.
+abscissas x (partials gives dR/df_q for every q); top_derivative(x, f0, ...,
+f_{order-1}) is the equation solved for f_order at one point, the form the
+shooting oracle integrates.  axis_conditions lists the (derivative order,
+value) pairs imposed at x = 0.  build_system reduces every pairing to nodal
+derivatives that are affine in the coefficients, f_q = s_q + D_q c, so the
+damped Newton driver gets the residual map and its exact Jacobian from
+the same operators.
 """
 
 import math
@@ -101,6 +103,10 @@ class FluidParams:
         return (f[2] + self.b1 * f[1] * f[1] * f[2]
                 - self.b2 * f[0] * f[1] * f[1] - self.b3 * f[0])
 
+    def top_derivative(self, x, f, fp):
+        """f'' from the equation at one point (the shooting form)."""
+        return (self.b2 * f * fp * fp + self.b3 * f) / (1.0 + self.b1 * fp * fp)
+
     def partials(self, x, f):
         f1f1 = f[1] * f[1]
         return [-self.b2 * f1f1 - self.b3,
@@ -134,6 +140,11 @@ class ThomasFermiProblem:
         x = _positive(x)
         return f[2] - np.copysign(np.abs(f[0]) ** 1.5, f[0]) / np.sqrt(x)
 
+    def top_derivative(self, x, f, fp):
+        """y'' at one point x > 0, in scalar math: numpy's vector ** 1.5
+        can differ from it in the last bit."""
+        return math.copysign(abs(f) ** 1.5, f) / math.sqrt(x)
+
     def partials(self, x, f):
         x = _positive(x)
         return [-1.5 * np.sqrt(np.abs(f[0])) / np.sqrt(x), 0.0, 1.0]
@@ -158,17 +169,19 @@ class ConeParams:
         if not (lam >= 0 and math.isfinite(lam)):
             raise ConfigurationError("lam must be a nonnegative real, got %r" % (lam,))
         self.lam = float(lam)
-
-    def _coefficients(self):
-        return (self.lam + 5.0) / 2.0, (2.0 * self.lam + 1.0) / 3.0
+        self._a = (self.lam + 5.0) / 2.0
+        self._b = (2.0 * self.lam + 1.0) / 3.0
 
     def residual(self, eta, f):
         """f''' + ((lam+5)/2) f f'' - ((2 lam+1)/3) (f')^2."""
-        a, b = self._coefficients()
-        return f[3] + a * f[0] * f[2] - b * f[1] * f[1]
+        return f[3] + self._a * f[0] * f[2] - self._b * f[1] * f[1]
+
+    def top_derivative(self, eta, f, fp, fpp):
+        """f''' from the equation at one point (the shooting form)."""
+        return self._b * fp * fp - self._a * f * fpp
 
     def partials(self, eta, f):
-        a, b = self._coefficients()
+        a, b = self._a, self._b
         return [a * f[2], -2.0 * b * f[1], a * f[0], 1.0]
 
     def __repr__(self):

@@ -52,7 +52,7 @@ def test_fmt9_rejects_non_finite():
 
 
 def test_emit_csv_exact_bytes():
-    table = SolutionTable([(0.0, 1.0, -0.678297, 1e-12)], -0.678297, None)
+    table = SolutionTable([(0.0, 1.0, -0.678297, 1e-12)], -0.678297)
     buf = io.StringIO()
     emit_csv(table, buf)
     assert buf.getvalue() == ("abscissa,f,fprime,residual\n"
@@ -62,7 +62,7 @@ def test_emit_csv_exact_bytes():
 
 def test_emit_csv_refuses_empty_table():
     with pytest.raises(ConfigurationError):
-        emit_csv(SolutionTable([], 0.0, None), io.StringIO())
+        emit_csv(SolutionTable([], 0.0), io.StringIO())
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_verify_detects_corrupted_values():
     rows = list(table.rows)
     x, f, fp, res = rows[3]
     rows[3] = (x, f + 0.01, fp, res)
-    broken = SolutionTable(rows, table.slope, table.report)
+    broken = SolutionTable(rows, table.slope)
     lines_ok, passed_ok = verify_case(cfg, table)
     lines_bad, passed_bad = verify_case(cfg, broken)
     assert passed_ok and not passed_bad

@@ -123,6 +123,22 @@ def test_cone_residual_examples():
     assert abs(residual_at(ConeParams(0.0), quad, 1.0) - 11.0 / 3.0) <= 1e-15
 
 
+@pytest.mark.parametrize("problem", [
+    FluidParams(*FLUID_B), FluidParams.from_b1_b3(0.9, 0.8), ThomasFermiProblem(),
+    ConeParams(0.0), ConeParams(0.5), ConeParams(1.0)], ids=repr)
+def test_top_derivative_solves_the_residual(problem):
+    # the shooting form and the collocation form are one equation; for these
+    # equations max_q |dR/df_q * f_q| is at least the largest term of R
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        x = rng.uniform(1e-3, 30.0)
+        lower = [float(v) for v in rng.uniform(-2.0, 2.0, problem.order)]
+        f = lower + [problem.top_derivative(x, *lower)]
+        r = problem.residual(x, f)
+        scale = max(abs(float(p * v)) for p, v in zip(problem.partials(x, f), f))
+        assert abs(r) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # seed profiles
 

@@ -1,5 +1,5 @@
-"""Reference shooting integrator: RK4 behavior, specialized probe loops,
-slope search, and robustness of the reported slopes."""
+"""Reference shooting integrator: RK4 behavior in companion form, slope
+search, and robustness of the reported slopes."""
 
 import math
 
@@ -8,18 +8,7 @@ import pytest
 
 from halfline.errors import BlowUpError, ConfigurationError, OracleError
 from halfline.problems import ConeParams, FluidParams, ThomasFermiProblem
-from halfline.shooting import (
-    ShootConfig,
-    rk4_integrate,
-    shoot,
-    _cone_rhs,
-    _fluid_rhs,
-    _probe_cone,
-    _probe_fluid,
-    _probe_tf,
-    _rk4_probe,
-    _tf_rhs,
-)
+from halfline.shooting import ShootConfig, rk4_integrate, shoot
 
 from conftest import CONE_LAMBDAS, FLUID_B
 
@@ -27,80 +16,71 @@ FLUID = FluidParams(*FLUID_B)
 
 
 # ---------------------------------------------------------------------------
-# RK4 integrator
+# RK4 integrator: rk4_integrate(accel, (f, f'[, f'']), x0, x1, step)
 
 
 def test_rk4_exponential():
-    xs, states = rk4_integrate(lambda x, y: (y[0],), (1.0,), 0.0, 1.0, 1e-3)
+    xs, states = rk4_integrate(lambda x, f, fp: f, (1.0, 1.0), 0.0, 1.0, 1e-3)
     assert abs(states[-1, 0] - math.e) <= 1e-10
+    assert abs(states[-1, 1] - math.e) <= 1e-10
     assert xs[0] == 0.0 and xs[-1] == 1.0
 
 
 def test_rk4_constant_is_exact():
-    xs, states = rk4_integrate(lambda x, y: (0.0,), (0.7,), 0.0, 5.0, 0.1)
+    xs, states = rk4_integrate(lambda x, f, fp: 0.0, (0.7, 0.0), 0.0, 5.0, 0.1)
+    assert np.all(states[:, 0] == 0.7)
+    xs, states = rk4_integrate(lambda x, f, fp, fpp: 0.0, (0.7, 0.0, 0.0),
+                               0.0, 5.0, 0.1)
     assert np.all(states[:, 0] == 0.7)
 
 
 def test_rk4_exact_on_low_degree_polynomials():
-    xs, states = rk4_integrate(lambda x, y: (2.0 * x,), (0.0,), 0.0, 2.0, 1e-2)
-    assert abs(states[-1, 0] - 4.0) <= 1e-12
+    # f = x^3 through f'' = 6x, and f = x^3 + x^2 through f''' = 6
+    xs, states = rk4_integrate(lambda x, f, fp: 6.0 * x, (0.0, 0.0),
+                               0.0, 2.0, 1e-2)
+    assert abs(states[-1, 0] - 8.0) <= 1e-12
+    assert abs(states[-1, 1] - 12.0) <= 1e-12
+    xs, states = rk4_integrate(lambda x, f, fp, fpp: 6.0, (0.0, 0.0, 2.0),
+                               0.0, 2.0, 1e-2)
+    assert abs(states[-1, 0] - 12.0) <= 1e-12
+    assert abs(states[-1, 1] - 16.0) <= 1e-12
+    assert abs(states[-1, 2] - 14.0) <= 1e-12
 
 
 def test_rk4_final_step_lands_exactly():
-    xs, states = rk4_integrate(lambda x, y: (1.0,), (0.0,), 0.0, 0.0015, 1e-3)
+    xs, states = rk4_integrate(lambda x, f, fp: 0.0, (0.0, 1.0),
+                               0.0, 0.0015, 1e-3)
     assert xs[-1] == 0.0015
     assert len(xs) == 3
     assert abs(states[-1, 0] - 0.0015) <= 1e-15
 
 
 def test_rk4_trajectory_shape():
-    xs, states = rk4_integrate(lambda x, y: (y[1], -y[0]), (1.0, 0.0),
-                               0.0, 1.0, 0.1)
+    xs, states = rk4_integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 1.0, 0.1)
     assert xs.shape == (11,)
     assert states.shape == (11, 2)
+    xs, states = rk4_integrate(lambda x, f, fp, fpp: -fp, (1.0, 0.0, -1.0),
+                               0.0, 1.0, 0.1)
+    assert states.shape == (11, 3)
 
 
 def test_rk4_blow_up_reports_abscissa():
-    # y' = y^2 from 1.5 hits a pole at x = 2/3 (multiplication, not **,
-    # so the overflow becomes inf instead of a Python exception)
+    # f'' = 6 f^2 from f = 1, f' = 2 is f = (1 - x)^-2, with a pole at x = 1
     with pytest.raises(BlowUpError) as info:
-        rk4_integrate(lambda x, y: (y[0] * y[0],), (1.5,), 0.0, 1.0, 1e-3)
-    assert 0.5 < info.value.abscissa <= 1.0
+        rk4_integrate(lambda x, f, fp: 6.0 * f * f, (1.0, 2.0), 0.0, 2.0, 1e-3)
+    assert 0.9 < info.value.abscissa <= 1.1
 
 
 def test_rk4_step_validation():
-    with pytest.raises(ConfigurationError):
-        rk4_integrate(lambda x, y: (0.0,), (1.0,), 0.0, 1.0, 0.0)
+    for step in (0.0, -1e-3):
+        with pytest.raises(ConfigurationError):
+            rk4_integrate(lambda x, f, fp: 0.0, (1.0, 0.0), 0.0, 1.0, step)
 
 
-# ---------------------------------------------------------------------------
-# specialized probe loops match the generic stepper bit for bit
-
-
-def test_fluid_probe_is_bit_identical():
-    rhs = _fluid_rhs(FLUID)
-    for s in (-1.5, -0.678, -0.1):
-        for h in (1e-2, 3e-3):
-            a = _probe_fluid(FLUID, 1.0, s, 0.0, 5.0, h)
-            b = _rk4_probe(rhs, (1.0, s), 0.0, 5.0, h)
-            assert a == b
-
-
-def test_cone_probe_is_bit_identical():
-    for lam in (0.0, 0.25, 1.0):
-        prob = ConeParams(lam)
-        rhs = _cone_rhs(prob)
-        for s in (0.3, 0.9476, 1.4):
-            a = _probe_cone(prob, 0.0, s, -1.0, 0.0, 5.0, 1e-2)
-            b = _rk4_probe(rhs, (0.0, s, -1.0), 0.0, 5.0, 1e-2)
-            assert a == b
-
-
-def test_tf_probe_is_bit_identical():
-    for s in (-1.8, -1.588, -1.2):
-        a = _probe_tf(1.0 + 0.05 * s, s, 0.05, 8.0, 1e-2)
-        b = _rk4_probe(_tf_rhs, (1.0 + 0.05 * s, s), 0.05, 8.0, 1e-2)
-        assert a == b
+def test_rk4_state_must_hold_two_or_three_derivatives():
+    for y0 in ((1.0,), (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ConfigurationError):
+            rk4_integrate(lambda x, *f: 0.0, y0, 0.0, 1.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
