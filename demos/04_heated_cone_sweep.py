@@ -1,8 +1,8 @@
 """Free-convection boundary layer on a heated cone: exponent sweep.
 
-The wall-temperature exponent lam controls the similarity equation
-f''' = (f')^2/2 - f via the stretched wall gradient.  The Laguerre-function
-method is swept over all six tabulated exponents and compared against the
+The wall-temperature exponent lam enters the similarity equation
+f''' + ((lam+5)/2) f f'' - ((2 lam+1)/3) (f')^2 = 0 through its two
+coefficients.  The Laguerre-function method is swept over all six tabulated exponents and compared against the
 independent Runge-Kutta column; the seeded Hermite and translate methods
 are shown for lam = 1/4, where profile tables exist.
 """

@@ -30,6 +30,7 @@ from .problems import (
     solve_problem,
 )
 from .reference import TABLE1, TABLE2, TABLE3, TABLE4, TABLE5, TABLE6, TABLE7
+from .shooting import shoot
 from .sinc import SincBasis, SincMap, SincWeight
 
 # ---------------------------------------------------------------------------
@@ -543,8 +544,6 @@ def verify_case(cfg, table):
 
 def run_oracle(cfg):
     """Integrate the configured problem independently; return (slope, table)."""
-    from .shooting import shoot
-
     slope, (xs, states) = shoot(_problem(cfg))
     rows = [(xs[i], states[i, 0], states[i, 1], 0.0)
             for i in range(0, len(xs), 100)]

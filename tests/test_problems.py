@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from halfline import shooting
 from halfline.errors import (
     ConfigurationError,
     ConvergenceError,
@@ -30,9 +31,10 @@ from halfline.problems import (
 from halfline.hermite import HermiteBasis
 from halfline.laguerre import LaguerreBasis
 from halfline.newton import fd_jacobian
+from halfline.reference import TABLE3
 from halfline.sinc import SincBasis, SincMap, SincWeight
 
-from conftest import CONE_LAMBDAS, FLUID_B
+from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE
 
 
 def const(c):
@@ -399,3 +401,37 @@ def test_fluid_point_values_from_published_table(solve_case):
 def test_screening_point_value_from_published_table(solve_case):
     spec, e, _ = solve_case("tf", "hf")
     assert abs(e(1.0, 0) - 0.423811) <= 5e-3
+
+
+# ---------------------------------------------------------------------------
+# cold Laguerre cone solves: a closed-form start, never the shooting oracle
+
+
+@pytest.fixture
+def no_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a collocation solve called the shooting oracle")
+    monkeypatch.setattr(shooting, "shoot", refuse)
+
+
+@pytest.mark.parametrize("lam", CONE_LAMBDAS)
+def test_cold_cone_laguerre_solve_lands_on_the_tabulated_root(lam, no_oracle):
+    # the cone system has spurious roots a few times 1e-3 from the physical
+    # one, so the 1e-3 bound tells them apart
+    spec = ProblemSpec(ConeParams(lam),
+                       LaguerreBasis(13, TABLE3.value(lam, "alpha"),
+                                     TABLE3.value(lam, "L")))
+    e, report = solve_problem(spec)
+    assert report.converged
+    assert abs(derived_slope(e, spec) - T3_SLOPE[lam]) <= 1e-3
+
+
+def test_cold_cone_laguerre_solve_converges_beyond_the_table(no_oracle):
+    slopes = []
+    for lam in (1.2, 1.5, 2.0):
+        spec = ProblemSpec(ConeParams(lam), LaguerreBasis(13, 1.0, 1.1))
+        e, report = solve_problem(spec)
+        assert report.converged
+        slopes.append(derived_slope(e, spec))
+    # as on the tabulated rows, the wall slope falls as the exponent grows
+    assert slopes[0] > slopes[1] > slopes[2] > 0

@@ -97,6 +97,14 @@ def test_extreme_mesh_nodes_stay_finite():
     xs = np.asarray(big.nodes().nodes)
     assert np.all(np.isfinite(xs))
     assert math.isfinite(big.matrix(xs[60:], 3)[60, 0])
+    # far out on the LogSinh map the mapped variable is as large as x itself;
+    # no power of it may overflow (the filter turns a RuntimeWarning into a
+    # failure), and the members decay to zero or a subnormal
+    far = np.array([1e80, 1e160, 1e300])
+    for order in range(4):
+        vals = SincBasis(17, 1.0).matrix(far, order)
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals)) < 1e-150
     # down to the smallest subnormal the Log-map members stay finite: the
     # weight's zero and the map's pole never meet as 0 * inf.  Orders 0-2
     # vanish with x; order 3 tends to 6 S(ln x), which decays like 1/ln x.
