@@ -71,7 +71,9 @@ def sinc_derivatives(y, max_order=3):
         v[near] = series
     far = ~near
     y = y[far]
-    py = math.pi * y
+    # pi y overflows from |y| = 5.7e307; beyond |y| = 1e300 every value is
+    # below 1e-299 in size, and the sines of the clipped argument keep it so
+    py = math.pi * np.clip(y, -1e300, 1e300)
     sp = np.sin(py)
     s = sp / py
     vals[0][far] = s
@@ -223,7 +225,8 @@ def _logsinh_derivs(x):
     near = x < 20.0
     phi[near] = np.log(np.sinh(x[near]))
     far = x[~near]
-    phi[~near] = far - math.log(2.0) + np.log1p(-np.exp(-2.0 * far))
+    # e^{-far} squared underflows to 0 where e^{-2 far} would first overflow
+    phi[~near] = far - math.log(2.0) + np.log1p(-np.exp(-far) ** 2)
     p1 = 1.0 / np.tanh(x)
     csch2 = np.zeros(x.shape)                  # underflows to 0 from x = 350
     near = x < 350.0

@@ -29,6 +29,27 @@ def run_main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+CONE_PRESETS = ("table3", "table4", "table5")
+
+# every preset case: the fixed presets once, the cone presets at each row
+PRESET_CASES = ([(name, None) for name in PRESET_NAMES
+                 if name not in CONE_PRESETS]
+                + [(name, lam) for name in CONE_PRESETS
+                   for lam in TABLE3.abscissas()])
+
+
+def _case_id(case):
+    name, lam = case
+    return name if lam is None else "%s-%g" % (name, lam)
+
+
+def _preset_flags(name, lam):
+    flags = {"preset": name}
+    if lam is not None:
+        flags["cone-lambda"] = repr(lam)
+    return flags
+
+
 # ---------------------------------------------------------------------------
 # formatting
 
@@ -124,15 +145,40 @@ def test_numeric_coercion_errors():
         parse_config(flags={"preset": "table2-mglf", "tol": "0"})
 
 
+def test_bad_cone_lambda_with_a_preset_is_a_usage_error():
+    # the value is coerced before the preset reads it
+    code, out, err = run_main("verify", "--preset", "table3",
+                              "--cone-lambda", "abc")
+    assert code == 2 and out == ""
+    assert "bad value 'abc' for key 'cone-lambda'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--preset", "table2-mglf", "--abscissas", "-1"),
+    ("solve", "--preset", "table2-mglf", "--abscissas", "nan"),
+    ("solve", "--preset", "table2-mglf", "--alpha", "inf"),
+    ("verify", "--preset", "table2-mglf", "--tol", "inf"),
+], ids=["negative-abscissa", "nan-abscissa", "infinite-alpha", "infinite-tol"])
+def test_non_finite_or_negative_values_exit_2_before_solving(argv,
+                                                             monkeypatch):
+    def solve_not_expected(spec, cfg=None):
+        raise AssertionError("the solver ran on a rejected configuration")
+    monkeypatch.setattr(cli, "solve_problem", solve_not_expected)
+    code, out, err = run_main(*argv)
+    assert code == 2 and out == ""
+    assert "bad value %r for key %r" % (argv[-1], argv[-2][2:]) in err
+
+
 def test_abscissas_flag_parses_to_floats():
     cfg = parse_config(flags={"preset": "table2-mglf",
                               "abscissas": "0.5,1.0,2.5"})
     assert cfg.abscissas == (0.5, 1.0, 2.5)
 
 
-def test_render_config_round_trip():
-    cfg = parse_config(flags={"preset": "table1-sf",
-                              "abscissas": "0.5,1.0"})
+@pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
+def test_render_config_round_trip(case):
+    cfg = parse_config(flags=dict(_preset_flags(*case),
+                                  abscissas="0.5,1.0"))
     again = parse_config(render_config(cfg))
     assert again == cfg
     assert hash(again) == hash(cfg)
@@ -323,3 +369,44 @@ def test_oracle_still_validates_problem_and_configured_method():
     code, out, err = run_main("oracle", "--problem", "thomas-fermi",
                               "--method", "mglf", "--n", "7")
     assert code == 2
+    # a key of another problem is rejected, as solve rejects it
+    code, out, err = run_main("oracle", "--problem", "thomas-fermi",
+                              "--b1", "3")
+    assert code == 2 and "'b1' does not apply" in err
+    code, out, err = run_main("oracle", "--problem", "fluid", "--b1", "0.6",
+                              "--b2", "0.1", "--b3", "0.5",
+                              "--cone-lambda", "0.5")
+    assert code == 2 and "'cone-lambda' does not apply" in err
+    # so is a method key without a method
+    code, out, err = run_main("oracle", "--problem", "thomas-fermi",
+                              "--n", "7")
+    assert code == 2 and "'n' does not apply" in err
+
+
+# printed profile rows each case compares: the film table whole, the
+# screening table up to x = 15, and the cone profiles at lam = 1/4 and 3/4
+# up to eta = 2 (Laguerre) or whole (Hermite); the translates check the
+# slope only
+PROFILE_ROWS = {"table1": 19, "table2": 16, "table3": 17, "table4": 22}
+
+
+@pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
+def test_every_preset_case_verifies(case):
+    name, lam = case
+    rows = PROFILE_ROWS.get(name.split("-")[0])
+    if lam not in (None, 0.25, 0.75):
+        rows = None
+    argv = ["verify", "--preset", name]
+    if lam is not None:
+        argv += ["--cone-lambda", repr(lam)]
+    code, out, err = run_main(*argv)
+    lines = out.splitlines()
+    # the printed Laguerre slope of the lam = 1 cone row is a misprint
+    misprint = (name, lam) == ("table3", 1.0)
+    assert err == ""
+    assert code == (1 if misprint else 0)
+    assert lines[-1] == "overall: %s" % ("FAIL" if misprint else "PASS")
+    assert sum(l.startswith("slope:") for l in lines) == 1
+    counts = [int(l.split(" over ")[1].split()[0]) for l in lines
+              if l.startswith("column ")]
+    assert counts == ([] if rows is None else [rows])

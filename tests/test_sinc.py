@@ -99,8 +99,9 @@ def test_extreme_mesh_nodes_stay_finite():
     assert math.isfinite(big.matrix(xs[60:], 3)[60, 0])
     # far out on the LogSinh map the mapped variable is as large as x itself;
     # no power of it may overflow (the filter turns a RuntimeWarning into a
-    # failure), and the members decay to zero or a subnormal
-    far = np.array([1e80, 1e160, 1e300])
+    # failure), and the members decay to zero or a subnormal, up to the
+    # largest doubles
+    far = np.array([1e80, 1e160, 1e300, 1.7e308])
     for order in range(4):
         vals = SincBasis(17, 1.0).matrix(far, order)
         assert np.all(np.isfinite(vals))
