@@ -16,7 +16,6 @@ from halfline import (
     SeedProfile,
     SincBasis,
     SincMap,
-    SincWeight,
     TABLE3,
     TABLE4,
     TABLE5,
@@ -57,8 +56,7 @@ def main():
     # the printed seed for this row contradicts the row's own slope
     # column; the consistent value 1.8200 reproduces the table
     spec = ProblemSpec(ConeParams(lam),
-                       SincBasis(30, TABLE5.value(lam, "h"), SincMap.LOG,
-                                 SincWeight.RATIONAL_X3),
+                       SincBasis(30, TABLE5.value(lam, "h"), SincMap.LOG),
                        SeedProfile(SeedKind.CONE_RATIONAL, 1.8200))
     e, report = solve_problem(spec)
     slope = derived_slope(e, spec)

@@ -13,7 +13,6 @@ from .core import (
     CollocationGrid,
     DiscreteInnerProductRule,
     Expansion,
-    discrete_inner_product,
     eval_expansion,
     project,
 )
@@ -79,10 +78,8 @@ from .reference import (
 )
 from .shooting import ShootConfig, rk4_integrate, shoot
 from .sinc import (
-    DeltaMatrix,
     SincBasis,
     SincMap,
-    SincWeight,
     composite_matrix,
     delta_matrix,
     sinc_nodes,
@@ -97,7 +94,6 @@ __all__ = [
     "ConeParams",
     "ConfigurationError",
     "ConvergenceError",
-    "DeltaMatrix",
     "DiscreteInnerProductRule",
     "DomainError",
     "Expansion",
@@ -121,7 +117,6 @@ __all__ = [
     "ShootConfig",
     "SincBasis",
     "SincMap",
-    "SincWeight",
     "SingularJacobianError",
     "SolveReport",
     "SolverError",
@@ -140,7 +135,6 @@ __all__ = [
     "composite_matrix",
     "delta_matrix",
     "derived_slope",
-    "discrete_inner_product",
     "eval_expansion",
     "fd_jacobian",
     "hermite_fn_eval",

@@ -34,7 +34,7 @@ from .problems import (
 )
 from .reference import TABLE1, TABLE2, TABLE3, TABLE4, TABLE5, TABLE6, TABLE7
 from .shooting import shoot
-from .sinc import SincBasis, SincMap, SincWeight
+from .sinc import SincBasis, SincMap
 
 # ---------------------------------------------------------------------------
 # the key table
@@ -126,7 +126,7 @@ _PROBLEMS = {
     "cone": _Problem(ConeParams, ("cone-lambda",), TABLE6, "seed-beta",
                      {"hf": SeedKind.CONE_RATIONAL,
                       "sf": SeedKind.CONE_RATIONAL},
-                     {"sf": (SincMap.LOG, SincWeight.RATIONAL_X3)}),
+                     {"sf": (SincMap.LOG,)}),
 }
 
 # method -> (basis class, the keys of its leading arguments)

@@ -9,15 +9,17 @@ A basis object (Laguerre, Hermite, or sinc family) exposes
 and this module supplies everything generic on top of that: evaluating a
 truncated series (optionally shifted by a closed-form seed profile),
 projecting a function onto the basis with a discrete inner-product rule,
-the weighted nodal sums themselves, and the order, point and member-index
-checks every family shares.
+the Golub-Welsch node routine of the two polynomial families, and the
+order, point and member-index checks every family shares.
 """
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UnsupportedOrderError
+from .errors import (ConfigurationError, DomainError, NodeComputationError,
+                     UnsupportedOrderError)
 
 MAX_ORDER = 3
+_POLISH_TOL = 1e-9
 
 
 def _readonly(a):
@@ -135,14 +137,30 @@ def eval_expansion(e, x, order=0):
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
-def discrete_inner_product(u, v, rule):
-    """Weighted nodal sum sum_j u(x_j) v(x_j) w_j."""
-    if len(rule) == 0:
-        raise ConfigurationError("empty inner-product rule")
-    total = 0.0
-    for xj, wj in zip(rule.nodes, rule.weights):
-        total += u(xj) * v(xj) * wj
-    return total
+def _tridiagonal_roots(diag, off, value, derivative, family):
+    """Roots of value, ascending: the eigenvalues of the symmetric tridiagonal
+    (Jacobi) matrix (diag, off), then at most five Newton steps, accepted once
+    every |value(t)| <= 1e-9 (Golub & Welsch 1969).  derivative is called only
+    for a step that is taken.  A failed eigen-solve, a zero derivative or a
+    fifth step short of the bound raises NodeComputationError naming family.
+    """
+    try:
+        t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NodeComputationError("eigen-solve for %s nodes failed: %s" % (family, exc))
+    for _ in range(5):
+        vals = value(t)
+        if np.all(np.abs(vals) <= _POLISH_TOL):
+            return t
+        derivs = derivative(t)
+        with np.errstate(divide="raise", invalid="raise"):
+            try:
+                t = t - vals / derivs
+            except FloatingPointError:
+                raise NodeComputationError(
+                    "%s node polish hit a zero derivative" % family)
+    raise NodeComputationError(
+        "%s nodes failed to polish below %g" % (family, _POLISH_TOL))
 
 
 def project(f, basis, rule):

@@ -15,10 +15,8 @@ import math
 import numpy as np
 
 from .core import (CollocationGrid, DiscreteInnerProductRule, _as_points,
-                   _check_index, _check_order)
-from .errors import ConfigurationError, NodeComputationError
-
-_POLISH_TOL = 1e-9
+                   _check_index, _check_order, _tridiagonal_roots)
+from .errors import ConfigurationError
 
 
 def _line_tables(nmax, t, max_order):
@@ -117,24 +115,10 @@ def hermite_matrix(basis, xs, order=0):
 
 def hermite_line_nodes(N):
     """Roots of G_{N+1} (equivalently the Hermite polynomial H_{N+1}), ascending."""
-    off = np.sqrt(0.5 * np.arange(1, N + 1))
-    try:
-        t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    except np.linalg.LinAlgError as exc:
-        raise NodeComputationError("eigen-solve for Hermite nodes failed: %s" % exc)
-    t = np.sort(t)
-    for _ in range(5):
-        vals, derivs = (D[N + 1] for D in _line_tables(N + 1, t, 1))
-        if np.all(np.abs(vals) <= _POLISH_TOL):
-            break
-        with np.errstate(divide="raise", invalid="raise"):
-            try:
-                t = t - vals / derivs
-            except FloatingPointError:
-                raise NodeComputationError("Newton polish hit a zero derivative")
-    else:
-        raise NodeComputationError("Hermite nodes failed to polish below %g" % _POLISH_TOL)
-    return t
+    return _tridiagonal_roots(
+        np.zeros(N + 1), np.sqrt(0.5 * np.arange(1, N + 1)),
+        lambda t: _line_tables(N + 1, t, 0)[0][N + 1],
+        lambda t: _line_tables(N + 1, t, 1)[1][N + 1], "Hermite")
 
 
 def hermite_nodes(basis):

@@ -19,10 +19,8 @@ import math
 import numpy as np
 
 from .core import (CollocationGrid, DiscreteInnerProductRule, _as_points,
-                   _check_index, _check_order)
+                   _check_index, _check_order, _tridiagonal_roots)
 from .errors import ConfigurationError, NodeComputationError, UnsupportedParameterError
-
-_POLISH_TOL = 1e-9
 
 
 def laguerre_table(nmax, alpha, y):
@@ -136,30 +134,17 @@ def laguerre_nodes(basis):
     floating-point noise grows like e^(+y/2) near the far roots, so for
     moderate N the raw value cannot be driven to a small absolute level at
     any argument, while the damped value (the quantity the basis actually
-    uses) can, at every N in scope.
+    uses) can, at every N in scope.  The derivative carries the same
+    damping, which cancels from the step.
     """
-    N, alpha, L = basis.N, basis.alpha, basis.L
-    diag = 2.0 * np.arange(N) + alpha + 1.0
-    off = np.sqrt(np.arange(1, N) * (np.arange(1, N) + alpha))
-    try:
-        y = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    except np.linalg.LinAlgError as exc:
-        raise NodeComputationError("eigen-solve for Laguerre nodes failed: %s" % exc)
-    y = np.sort(y)
-    for _ in range(5):
-        vals = laguerre_table(N, alpha, y)[N]
-        if np.all(np.abs(np.exp(-0.5 * y) * vals) <= _POLISH_TOL):
-            break
-        derivs = -laguerre_table(N - 1, alpha + 1, y)[N - 1]
-        with np.errstate(divide="raise", invalid="raise"):
-            try:
-                y = y - vals / derivs
-            except FloatingPointError:
-                raise NodeComputationError("Newton polish hit a zero derivative")
-    else:
-        raise NodeComputationError(
-            "Laguerre nodes failed to polish below %g" % _POLISH_TOL)
-    return CollocationGrid(L * y)
+    N, alpha = basis.N, basis.alpha
+    k = np.arange(1, N)
+    y = _tridiagonal_roots(
+        2.0 * np.arange(N) + alpha + 1.0, np.sqrt(k * (k + alpha)),
+        lambda y: np.exp(-0.5 * y) * laguerre_table(N, alpha, y)[N],
+        lambda y: -np.exp(-0.5 * y) * laguerre_table(N - 1, alpha + 1, y)[N - 1],
+        "Laguerre")
+    return CollocationGrid(basis.L * y)
 
 
 def mglf_quadrature_weights(basis, grid):

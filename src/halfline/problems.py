@@ -238,9 +238,10 @@ class ProblemSpec:
 
     Pairing rules enforced here:
       - Laguerre never takes a seed (boundary rows do the work).
-      - Hermite and composite-translate families always take one: the cone
-        problem needs CONE_RATIONAL, the other two a profile with value 1
-        at the axis (RATIONAL_QUADRATIC or RATIONAL_LINEAR).
+      - Hermite and composite-translate families always take one, and it
+        must meet the problem's axis_conditions exactly at x = 0: the cone
+        problem takes CONE_RATIONAL, the other two RATIONAL_QUADRATIC or
+        RATIONAL_LINEAR.
       - Composite translates use the LogSinh map for the fluid/screening
         problems and the Log map for the cone problem.
     """
@@ -255,10 +256,11 @@ class ProblemSpec:
         elif isinstance(basis, (HermiteBasis, SincBasis)):
             if not isinstance(seed, SeedProfile):
                 raise ConfigurationError("this trial family requires a SeedProfile")
-            if cone and seed.kind is not SeedKind.CONE_RATIONAL:
-                raise ConfigurationError("the cone problem requires a CONE_RATIONAL seed")
-            if not cone and seed.kind is SeedKind.CONE_RATIONAL:
-                raise ConfigurationError("CONE_RATIONAL seeds fit the cone problem only")
+            for q, value in problem.axis_conditions:
+                if seed(0.0, q) != value:
+                    raise ConfigurationError(
+                        "%r does not meet the axis condition f^(%d)(0) = %g of %r"
+                        % (seed, q, value, problem))
             if isinstance(basis, SincBasis):
                 want = SincMap.LOG if cone else SincMap.LOG_SINH
                 if basis.map_kind is not want:
@@ -373,7 +375,7 @@ def build_system(spec):
     if isinstance(basis, SincBasis):
         nodes = sinc_nodes(basis).nodes
         A = chain_tables(basis, spec.max_order)
-        deltas = [delta_matrix(basis, q).entries.T for q in orders]
+        deltas = [delta_matrix(basis, q).T for q in orders]
         operators = [sum(A[m][q][:, np.newaxis] * deltas[q] for q in range(m + 1))
                      for m in orders]
     elif isinstance(basis, HermiteBasis):
@@ -403,16 +405,21 @@ def solve_problem(spec, cfg=None):
     """Solve the pairing's collocation system; returns (Expansion, SolveReport).
 
     Newton gets the system's analytic Jacobian.  A solve that stops
-    unconverged raises ConvergenceError with the SolveReport attached.
+    unconverged raises ConvergenceError with the SolveReport attached, and
+    one whose arrays do not fit in memory ConfigurationError.
     """
-    system = build_system(spec)
     try:
+        system = build_system(spec)
         report = newton_solve(system.residual_map, system.jacobian,
                               system.initial_guess, cfg)
         if not report.converged:
             raise ConvergenceError(
                 "Newton stopped unconverged after %d iterations at max|F| = %.3e"
                 % (report.iterations, report.final_residual_norm), report=report)
+    except MemoryError:
+        raise ConfigurationError(
+            "%s: basis dimension %d does not fit in memory"
+            % (problem_label(spec), spec.basis.dimension)) from None
     except SolverError as exc:
         head = exc.args[0] if exc.args else str(exc)
         exc.args = ("%s: %s" % (problem_label(spec), head),) + tuple(exc.args[1:])

@@ -6,7 +6,7 @@ multiplied by an algebraic boundary weight W(x):
 
     member_k(x) = W(x) * S(k, h)(Phi(x)).
 
-Two pairings are supported:
+Each map admits one weight, so the map alone names the family:
 
     LogSinh map  Phi = ln(sinh x)   with weight W = x / (1 + x^2)
     Log map      Phi = ln(eta)      with weight W = eta^3 / (1 + eta^3)
@@ -23,24 +23,12 @@ import math
 
 import numpy as np
 
-from .core import CollocationGrid, _as_points, _check_index, _check_order
+from .core import CollocationGrid, _as_points, _check_index, _check_order, _readonly
 from .errors import ConfigurationError, RangeOverflowError
 
 _LOGSINH_CUTOFF = 1e-10   # below this x the weight zero dominates every order
 _TAYLOR_RADIUS = 0.05     # switch point between closed forms and series
 _NODE_EXP_LIMIT = 700.0   # |j h| beyond which nodes leave double range
-
-
-def sinc(x):
-    """sin(pi x) / (pi x) with the removable singularity filled.
-
-    |x| < 1e-8 uses the two-term series 1 - (pi x)^2 / 6, which agrees with
-    the quotient to full precision there.
-    """
-    x = float(x)
-    if abs(x) < 1e-8:
-        return 1.0 - (math.pi * x) ** 2 / 6.0
-    return math.sin(math.pi * x) / (math.pi * x)
 
 
 # _SERIES[d, k]: coefficient of y^k in the Taylor series of sinc^(d) about
@@ -91,19 +79,8 @@ def sinc_derivatives(y, max_order=3):
 
 
 class SincMap(enum.Enum):
-    LOG_SINH = "logsinh"
-    LOG = "log"
-
-
-class SincWeight(enum.Enum):
-    RATIONAL_X = "rational-x"
-    RATIONAL_X3 = "rational-x3"
-
-
-_VALID_PAIRS = {
-    (SincMap.LOG_SINH, SincWeight.RATIONAL_X),
-    (SincMap.LOG, SincWeight.RATIONAL_X3),
-}
+    LOG_SINH = "logsinh"    # weight x / (1 + x^2)
+    LOG = "log"             # weight x^3 / (1 + x^3)
 
 
 class SincBasis:
@@ -111,22 +88,19 @@ class SincBasis:
 
     N           -- translate indices -N..N, dimension 2N+1
     h           -- mesh size in the mapped variable
-    map_kind    -- SincMap.LOG_SINH or SincMap.LOG
-    weight_kind -- SincWeight.RATIONAL_X or SincWeight.RATIONAL_X3
+    map_kind    -- SincMap.LOG_SINH or SincMap.LOG; the weight follows it
     """
 
-    def __init__(self, N, h, map_kind=SincMap.LOG_SINH, weight_kind=SincWeight.RATIONAL_X):
+    def __init__(self, N, h, map_kind=SincMap.LOG_SINH):
         if not isinstance(N, (int, np.integer)) or N < 1:
             raise ConfigurationError("N must be an integer >= 1, got %r" % (N,))
         if not (h > 0):
             raise ConfigurationError("mesh size h must be positive, got %r" % (h,))
-        if (map_kind, weight_kind) not in _VALID_PAIRS:
-            raise ConfigurationError(
-                "map %s pairs with %s only" % (map_kind, _partner(map_kind)))
+        if not isinstance(map_kind, SincMap):
+            raise ConfigurationError("map_kind must be a SincMap, got %r" % (map_kind,))
         self.N = int(N)
         self.h = float(h)
         self.map_kind = map_kind
-        self.weight_kind = weight_kind
 
     @property
     def dimension(self):
@@ -142,27 +116,12 @@ class SincBasis:
         return sinc_nodes(self)
 
     def __repr__(self):
-        return "SincBasis(N=%d, h=%g, %s, %s)" % (
-            self.N, self.h, self.map_kind.value, self.weight_kind.value)
-
-
-def _partner(map_kind):
-    return SincWeight.RATIONAL_X if map_kind is SincMap.LOG_SINH else SincWeight.RATIONAL_X3
-
-
-class DeltaMatrix:
-    """Nodal derivative matrix of the translates: entries[k, j] = S(k,h)^(order)(j h)."""
-
-    def __init__(self, order, h, entries):
-        self.order = order
-        self.h = h
-        entries = np.asarray(entries, dtype=float).copy()
-        entries.setflags(write=False)
-        self.entries = entries
+        return "SincBasis(N=%d, h=%g, %s)" % (self.N, self.h, self.map_kind.value)
 
 
 def delta_matrix(basis, order):
-    """Differentiation matrix delta^(order) on the 2N+1 mesh points.
+    """Differentiation matrix delta^(order) on the 2N+1 mesh points, read-only:
+    entry [k, j] = S(k,h)^(order)(j h).
 
     order 0: identity
     order 1: (1/h)   (-1)^(j-k) / (j-k)              off-diagonal, 0 diagonal
@@ -175,7 +134,7 @@ def delta_matrix(basis, order):
     idx = np.arange(n)
     d = idx[np.newaxis, :] - idx[:, np.newaxis]        # d[k, j] = j - k
     if m == 0:
-        return DeltaMatrix(0, h, np.eye(n))
+        return _readonly(np.eye(n))
     sign = np.where(d % 2 == 0, 1.0, -1.0)
     dd = np.where(d == 0, 1, d).astype(float)          # dummy 1 on the diagonal
     if m == 1:
@@ -187,7 +146,7 @@ def delta_matrix(basis, order):
     else:
         ent = sign * (6.0 / dd ** 3 - math.pi ** 2 / dd) / h ** 3
         np.fill_diagonal(ent, 0.0)
-    return DeltaMatrix(m, h, ent)
+    return _readonly(ent)
 
 
 def _asinh_exp(t):
@@ -313,6 +272,21 @@ def _log_chain(eta, max_order):
     return A
 
 
+def _mapped(basis, xs, max_order):
+    """(live, Phi, A): the mask of points xs off the axis limit (x = 0, and
+    x < 1e-10 under LogSinh), and there Phi and the chain-rule tables A[m][q]
+    of the weight the map implies.
+    """
+    if basis.map_kind is SincMap.LOG_SINH:
+        live = xs >= _LOGSINH_CUTOFF
+        phi, A = _logsinh_chain(xs[live], max_order)
+    else:
+        live = xs > 0.0
+        phi = np.log(xs[live])
+        A = _log_chain(xs[live], max_order)
+    return live, phi, A
+
+
 def composite_matrix(basis, xs, order=0):
     """Members W(x) S(k,h)(Phi(x)), or their derivatives, at each x: shape (2N+1, len(xs)).
 
@@ -326,16 +300,16 @@ def composite_matrix(basis, xs, order=0):
     m = _check_order(order)
     xs = _as_points(xs).reshape(-1)
     out = np.zeros((basis.dimension, xs.size))
-    if basis.map_kind is SincMap.LOG_SINH:
-        live = xs >= _LOGSINH_CUTOFF
-        phi, A = _logsinh_chain(xs[live], m)
-    else:
-        live = xs > 0.0
-        phi = np.log(xs[live])
-        A = _log_chain(xs[live], m)
+    live, phi, A = _mapped(basis, xs, m)
     h = basis.h
     k = np.arange(-basis.N, basis.N + 1)[:, np.newaxis]
-    s = sinc_derivatives((phi - k * h) / h, m)
+    # once |Phi| / h passes the largest double the argument rounds to +-inf,
+    # where sinc_derivatives takes the limits: a value below 1e-299 in
+    # size, derivatives 0.  Clipping Phi instead would change finite
+    # values on very fine meshes (h = 1e-300).
+    with np.errstate(over="ignore"):
+        y = (phi - k * h) / h
+    s = sinc_derivatives(y, m)
     out[:, live] = sum(A[m][q] * s[q] / h ** q for q in range(m + 1))
     return out
 
@@ -352,10 +326,7 @@ def chain_tables(basis, max_order):
     """
     max_order = _check_order(max_order)
     nodes = sinc_nodes(basis).nodes
-    if basis.map_kind is SincMap.LOG:
-        return _log_chain(nodes, max_order)
-    live = nodes >= _LOGSINH_CUTOFF
-    _, A = _logsinh_chain(nodes[live], max_order)
+    live, _, A = _mapped(basis, nodes, max_order)
     tables = [[np.zeros(nodes.size) for _ in row] for row in A]
     for row, parts in zip(tables, A):
         for full, part in zip(row, parts):

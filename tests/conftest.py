@@ -18,7 +18,6 @@ from halfline import (
     SeedProfile,
     SincBasis,
     SincMap,
-    SincWeight,
     TABLE3,
     TABLE4,
     TABLE5,
@@ -76,8 +75,7 @@ def _case_spec(key):
         return ProblemSpec(prob, HermiteBasis(20, TABLE4.value(lam, "k")),
                            SeedProfile(SeedKind.CONE_RATIONAL,
                                        TABLE4.value(lam, "beta")))
-    return ProblemSpec(prob, SincBasis(30, TABLE5.value(lam, "h"),
-                                       SincMap.LOG, SincWeight.RATIONAL_X3),
+    return ProblemSpec(prob, SincBasis(30, TABLE5.value(lam, "h"), SincMap.LOG),
                        SeedProfile(SeedKind.CONE_RATIONAL, T5_BETA[lam]))
 
 

@@ -222,7 +222,7 @@ def test_criterion_10_property_suites():
     sinc_fn = lambda t: 1.0 if t == 0.0 else math.sin(math.pi * t) / (math.pi * t)
     err = 0.0
     for m in (1, 2, 3):
-        ent = delta_matrix(sb, m).entries
+        ent = delta_matrix(sb, m)
         s = 1e-3 if m <= 2 else 1e-2
         for k in range(-3, 4):
             g = lambda p: sinc_fn(p - k)

@@ -6,6 +6,7 @@ import io
 import pytest
 
 import halfline.cli as cli
+import halfline.problems
 from halfline.cli import (
     PRESET_NAMES,
     RunConfig,
@@ -271,6 +272,19 @@ def test_unconverged_solve_exits_3_without_csv(tmp_path):
     code, out, err = run_main("solve", "--preset", "table1-hf", "--map-k", "4",
                               "--out", str(target))
     assert code == 3 and not target.exists()
+
+
+def test_out_of_memory_exits_2_without_csv(monkeypatch, tmp_path):
+    # the allocation is faked: a real one at n = 1e11 would need 745 GiB
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 745. GiB")
+    monkeypatch.setattr(halfline.problems, "build_system", no_memory)
+    target = tmp_path / "huge.csv"
+    code, out, err = run_main("solve", "--preset", "table2-mglf",
+                              "--n", "100000000000", "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "basis dimension 100000000000" in err
 
 
 # ---------------------------------------------------------------------------

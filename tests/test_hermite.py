@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from halfline import ConfigurationError, HermiteBasis
+import halfline.hermite
+from halfline import ConfigurationError, HermiteBasis, NodeComputationError
 from halfline.hermite import (
     hermite_fn_eval,
     hermite_line_nodes,
@@ -108,6 +109,20 @@ def test_nodes_are_exponentials_of_line_nodes():
     x = np.asarray(basis.nodes().nodes)
     assert x.shape == t.shape
     assert np.max(np.abs(x - np.exp(0.9 * t))) <= 1e-12 * np.max(x)
+
+
+@pytest.mark.parametrize("derivative,message", [
+    (1.0, "Hermite nodes failed to polish below 1e-09"),
+    (0.0, "Hermite node polish hit a zero derivative")])
+def test_node_polish_failures_are_typed(monkeypatch, derivative, message):
+    # every G_{N+1} reads 1 and its derivative the given constant: the value
+    # never reaches 1e-9 in five steps, or the first step divides by zero
+    def tables(nmax, t, max_order):
+        return [np.ones((nmax + 1,) + t.shape),
+                np.full((nmax + 1,) + t.shape, derivative)][:max_order + 1]
+    monkeypatch.setattr(halfline.hermite, "_line_tables", tables)
+    with pytest.raises(NodeComputationError, match=message):
+        hermite_line_nodes(4)
 
 
 def test_dimension_and_validation():

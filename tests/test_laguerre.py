@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from halfline import ConfigurationError, LaguerreBasis
+import halfline.laguerre
+from halfline import ConfigurationError, LaguerreBasis, NodeComputationError
 from halfline.laguerre import laguerre_eval, mglf_matrix
 
 
@@ -59,6 +60,20 @@ def test_node_polish_criterion():
             y = x / L
             damped = math.exp(-y / 2.0) * laguerre_eval(N, 1.0, y)
             assert abs(damped) <= 1e-9
+
+
+@pytest.mark.parametrize("derivative,message", [
+    (1.0, "Laguerre nodes failed to polish below 1e-09"),
+    (0.0, "Laguerre node polish hit a zero derivative")])
+def test_node_polish_failures_are_typed(monkeypatch, derivative, message):
+    # every L_N^alpha reads 1, every L_{N-1}^{alpha+1} reads the given
+    # constant: the damped value stays above 1e-9 for all five steps, or the
+    # first step divides by zero
+    def table(nmax, alpha, y):
+        return np.full((nmax + 1,) + np.shape(y), 1.0 if nmax == 3 else derivative)
+    monkeypatch.setattr(halfline.laguerre, "laguerre_table", table)
+    with pytest.raises(NodeComputationError, match=message):
+        LaguerreBasis(3, 1.0, 1.0).nodes()
 
 
 def test_node_interlacing():

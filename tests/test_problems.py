@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import halfline.problems
 from halfline import shooting
 from halfline.errors import (
     ConfigurationError,
@@ -32,7 +33,7 @@ from halfline.hermite import HermiteBasis
 from halfline.laguerre import LaguerreBasis
 from halfline.newton import fd_jacobian
 from halfline.reference import TABLE3
-from halfline.sinc import SincBasis, SincMap, SincWeight
+from halfline.sinc import SincBasis, SincMap
 
 from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE
 
@@ -240,6 +241,9 @@ def test_cone_seed_kind_is_enforced_both_ways():
     with pytest.raises(ConfigurationError):
         ProblemSpec(fluid, HermiteBasis(8, 1.0),
                     SeedProfile(SeedKind.CONE_RATIONAL, 1.8))
+    with pytest.raises(ConfigurationError):
+        ProblemSpec(cone, HermiteBasis(8, 1.0),
+                    SeedProfile(SeedKind.RATIONAL_LINEAR, 0.7))
 
 
 def test_sinc_map_is_matched_to_the_problem():
@@ -248,9 +252,9 @@ def test_sinc_map_is_matched_to_the_problem():
         ProblemSpec(cone, SincBasis(8, 1.0),  # LogSinh pairing
                     SeedProfile(SeedKind.CONE_RATIONAL, 1.8))
     with pytest.raises(ConfigurationError):
-        ProblemSpec(fluid, SincBasis(8, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3),
+        ProblemSpec(fluid, SincBasis(8, 1.0, SincMap.LOG),
                     SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.7))
-    ProblemSpec(cone, SincBasis(8, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3),
+    ProblemSpec(cone, SincBasis(8, 1.0, SincMap.LOG),
                 SeedProfile(SeedKind.CONE_RATIONAL, 1.8))
 
 
@@ -271,7 +275,7 @@ def test_problem_labels():
                     SeedProfile(SeedKind.RATIONAL_QUADRATIC, 1.5))) \
         == "atomic screening / hermite"
     assert problem_label(
-        ProblemSpec(cone, SincBasis(8, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3),
+        ProblemSpec(cone, SincBasis(8, 1.0, SincMap.LOG),
                     SeedProfile(SeedKind.CONE_RATIONAL, 1.8))) \
         == "heated cone / sinc"
 
@@ -324,6 +328,19 @@ def test_unconverged_solve_raises_with_the_report():
     assert not report.converged
     assert report.final_residual_norm > 1.0
     assert str(info.value).startswith("fluid film / hermite: ")
+
+
+@pytest.mark.parametrize("stage,N", [("build_system", 100000000000),
+                                     ("newton_solve", 7)])
+def test_out_of_memory_is_a_configuration_error(monkeypatch, stage, N):
+    # the allocation is faked: a real one at N = 1e11 would need 745 GiB
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 745. GiB")
+    monkeypatch.setattr(halfline.problems, stage, no_memory)
+    spec = ProblemSpec(ThomasFermiProblem(), LaguerreBasis(N, 1.0, 0.675))
+    with pytest.raises(ConfigurationError,
+                       match="atomic screening / laguerre: basis dimension %d " % N):
+        solve_problem(spec)
 
 
 # ---------------------------------------------------------------------------

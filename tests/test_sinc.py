@@ -1,6 +1,7 @@
 """Weighted composite translate family: interpolation, derivative
 matrices, chain-rule evaluation, weights, maps, and validation."""
 
+import enum
 import math
 
 import numpy as np
@@ -13,18 +14,22 @@ from halfline.errors import (
     UnsupportedOrderError,
 )
 from halfline.sinc import (
-    DeltaMatrix,
     SincBasis,
     SincMap,
-    SincWeight,
     composite_matrix,
     delta_matrix,
-    sinc,
     sinc_derivatives,
     sinc_nodes,
     _log_chain,
     _rational_x_derivs,
 )
+
+
+class SincWeight(enum.Enum):
+    """The boundary weight each map implies, as these tests name it."""
+    RATIONAL_X = "rational-x"       # x / (1 + x^2)
+    RATIONAL_X3 = "rational-x3"     # x^3 / (1 + x^3)
+
 
 PAIRS = (
     (SincMap.LOG_SINH, SincWeight.RATIONAL_X),
@@ -36,6 +41,10 @@ def weight_value(weight_kind, x):
     if weight_kind is SincWeight.RATIONAL_X:
         return _rational_x_derivs(np.array([x]))[0, 0]
     return _log_chain(np.array([x]), 0)[0][0][0]        # A[0][0] = W
+
+
+def sinc(y):
+    return sinc_derivatives(y, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +62,7 @@ def test_sinc_derivatives_across_the_series_switch():
     y = np.array([[-7.3, -0.0501, -0.05, -1e-9], [0.0, 0.02, 0.0500001, 2.5]])
     vals = sinc_derivatives(y, 3)
     assert all(v.shape == y.shape for v in vals)
-    want = np.vectorize(sinc)(y)
-    assert np.max(np.abs(vals[0] - want)) <= 1e-15
+    assert np.max(np.abs(vals[0] - np.sinc(y))) <= 1e-15
     s = 1e-5
     for m in (1, 2, 3):
         lower = lambda t: sinc_derivatives(t, m - 1)[m - 1]
@@ -78,7 +86,7 @@ def test_logsinh_node_closed_forms():
 
 
 def test_log_nodes_are_exponentials():
-    basis = SincBasis(4, 0.6, SincMap.LOG, SincWeight.RATIONAL_X3)
+    basis = SincBasis(4, 0.6, SincMap.LOG)
     xs = np.asarray(basis.nodes().nodes)
     want = np.exp(0.6 * np.arange(-4, 5))
     assert np.allclose(xs, want, rtol=1e-15, atol=0.0)
@@ -87,7 +95,7 @@ def test_log_nodes_are_exponentials():
 
 def test_extreme_mesh_nodes_stay_finite():
     # |j h| = 150: e^{150} is representable; everything stays finite.
-    basis = SincBasis(30, 5.0, SincMap.LOG, SincWeight.RATIONAL_X3)
+    basis = SincBasis(30, 5.0, SincMap.LOG)
     xs = np.asarray(basis.nodes().nodes)
     assert np.all(np.isfinite(xs))
     for order in range(4):
@@ -106,10 +114,17 @@ def test_extreme_mesh_nodes_stay_finite():
         vals = SincBasis(17, 1.0).matrix(far, order)
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) < 1e-150
+    # nor may the translate argument (Phi - k h) / h once Phi / h passes
+    # the largest double.  Orders 2 and 3 on the 1e-300 mesh divide by
+    # h^2 and h^3, which underflow to zero, so only orders 0 and 1 apply.
+    for order in range(4):
+        assert np.all(np.isfinite(SincBasis(17, 0.3).matrix([9e307], order)))
+    for order in range(2):
+        assert np.all(np.isfinite(SincBasis(3, 1e-300).matrix([1e300], order)))
     # down to the smallest subnormal the Log-map members stay finite: the
     # weight's zero and the map's pole never meet as 0 * inf.  Orders 0-2
     # vanish with x; order 3 tends to 6 S(ln x), which decays like 1/ln x.
-    cone = SincBasis(4, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3)
+    cone = SincBasis(4, 1.0, SincMap.LOG)
     tiny = np.array([1e-150, 1e-200, 1e-300, 5e-324])
     for order in range(4):
         vals = cone.matrix(tiny, order)
@@ -118,7 +133,7 @@ def test_extreme_mesh_nodes_stay_finite():
 
 
 def test_mesh_beyond_double_range_is_rejected():
-    basis = SincBasis(150, 5.0, SincMap.LOG, SincWeight.RATIONAL_X3)
+    basis = SincBasis(150, 5.0, SincMap.LOG)
     with pytest.raises(RangeOverflowError):
         basis.nodes()
 
@@ -130,7 +145,7 @@ def test_mesh_beyond_double_range_is_rejected():
 @pytest.mark.parametrize("map_kind,weight_kind", PAIRS)
 @pytest.mark.parametrize("N,h", [(4, 1.0), (7, 0.7), (10, 0.5)])
 def test_interpolation_property(map_kind, weight_kind, N, h):
-    basis = SincBasis(N, h, map_kind, weight_kind)
+    basis = SincBasis(N, h, map_kind)
     xs = np.asarray(basis.nodes().nodes)
     got = basis.matrix(xs, 0)               # got[k + N, j + N]: translate k at node j
     want = np.diag([weight_value(weight_kind, x) for x in xs])
@@ -143,7 +158,7 @@ def test_composite_point_examples():
     at_x0 = basis.matrix([x0], 0)[:, 0]     # row k + 4 holds translate k
     assert abs(at_x0[4] - x0 / (x0**2 + 1.0)) <= 1e-13
     assert abs(at_x0[5]) <= 1e-14
-    cone = SincBasis(4, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3)
+    cone = SincBasis(4, 1.0, SincMap.LOG)
     assert abs(cone.matrix([1.0], 0)[4, 0] - 0.5) <= 1e-15
 
 
@@ -154,23 +169,22 @@ def test_composite_point_examples():
 def test_delta_matrix_closed_form_entries():
     basis = SincBasis(4, 1.0)
     d0 = delta_matrix(basis, 0)
-    assert np.array_equal(d0.entries, np.eye(9))
+    assert np.array_equal(d0, np.eye(9))
     d1 = delta_matrix(basis, 1)
-    assert d1.entries[4, 5] == -1.0
-    assert d1.entries[4, 4] == 0.0
+    assert d1[4, 5] == -1.0
+    assert d1[4, 4] == 0.0
     d2 = delta_matrix(basis, 2)
-    assert np.allclose(np.diag(d2.entries), -math.pi**2 / 3.0, rtol=1e-15)
+    assert np.allclose(np.diag(d2), -math.pi**2 / 3.0, rtol=1e-15)
     d3 = delta_matrix(basis, 3)
-    assert d3.entries[4, 5] == math.pi**2 - 6.0
-    assert d3.entries[4, 4] == 0.0
-    assert d3.order == 3 and d3.h == 1.0
+    assert d3[4, 5] == math.pi**2 - 6.0
+    assert d3[4, 4] == 0.0
 
 
 def test_delta_matrix_h_scaling():
     basis = SincBasis(3, 0.5)
     for m, power in ((1, 1), (2, 2), (3, 3)):
-        unit = delta_matrix(SincBasis(3, 1.0), m).entries
-        scaled = delta_matrix(basis, m).entries
+        unit = delta_matrix(SincBasis(3, 1.0), m)
+        scaled = delta_matrix(basis, m)
         assert np.allclose(scaled, unit / 0.5**power, rtol=1e-15)
 
 
@@ -180,7 +194,7 @@ def test_delta_matrix_matches_finite_differences(h):
     # ones leave ~7e-7 truncation, outside the 1e-6 relative budget
     basis = SincBasis(6, h)
     for m in (1, 2, 3):
-        ent = delta_matrix(basis, m).entries
+        ent = delta_matrix(basis, m)
         s = 1e-3 if m <= 2 else 1e-2
         for k in range(-6, 7):
             g = lambda phi: sinc((phi - k * h) / h)
@@ -202,18 +216,19 @@ def test_delta_matrix_matches_finite_differences(h):
 
 def test_delta_matrix_symmetries_exact():
     basis = SincBasis(5, 0.8)
-    d1 = delta_matrix(basis, 1).entries
-    d2 = delta_matrix(basis, 2).entries
-    d3 = delta_matrix(basis, 3).entries
+    d1 = delta_matrix(basis, 1)
+    d2 = delta_matrix(basis, 2)
+    d3 = delta_matrix(basis, 3)
     assert np.array_equal(d1.T, -d1)
     assert np.array_equal(d2.T, d2)
     assert np.array_equal(d3.T, -d3)
 
 
 def test_delta_matrix_entries_are_immutable():
-    ent = delta_matrix(SincBasis(3, 1.0), 2).entries
-    with pytest.raises(ValueError):
-        ent[0, 0] = 7.0
+    for m in range(4):
+        ent = delta_matrix(SincBasis(3, 1.0), m)
+        with pytest.raises(ValueError):
+            ent[0, 0] = 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +237,7 @@ def test_delta_matrix_entries_are_immutable():
 
 @pytest.mark.parametrize("map_kind,weight_kind", PAIRS)
 def test_member_derivatives_match_central_differences(map_kind, weight_kind):
-    basis = SincBasis(4, 0.9, map_kind, weight_kind)
+    basis = SincBasis(4, 0.9, map_kind)
     x = np.array([0.3, 0.9, 2.1, 5.0, 8.0])
     s = 1e-6
     # orders 2 and 3 difference the next-lower analytic order, as in
@@ -250,7 +265,7 @@ def test_weight_far_field():
 
 
 def test_member_far_field_decay_comes_from_sinc_factor():
-    cone = SincBasis(4, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3)
+    cone = SincBasis(4, 1.0, SincMap.LOG)
     at_1e4, at_1e8 = np.abs(cone.matrix([1e4, 1e8], 0)).T
     assert np.all(at_1e4 <= 0.2)
     assert np.all(at_1e8 <= 1e-1)
@@ -258,7 +273,7 @@ def test_member_far_field_decay_comes_from_sinc_factor():
 
 def test_axis_values_are_zero():
     for map_kind, weight_kind in PAIRS:
-        basis = SincBasis(3, 1.0, map_kind, weight_kind)
+        basis = SincBasis(3, 1.0, map_kind)
         for order in range(4):
             assert np.all(basis.matrix([0.0], order) == 0.0)
 
@@ -276,10 +291,14 @@ def test_logsinh_cutoff_below_1e10():
 
 
 def test_pairing_validation():
-    with pytest.raises(ConfigurationError):
-        SincBasis(4, 1.0, SincMap.LOG_SINH, SincWeight.RATIONAL_X3)
-    with pytest.raises(ConfigurationError):
-        SincBasis(4, 1.0, SincMap.LOG, SincWeight.RATIONAL_X)
+    # the map alone picks the weight: there is no weight argument, and a
+    # map given other than as a SincMap is refused
+    with pytest.raises(TypeError):
+        SincBasis(4, 1.0, SincMap.LOG, SincWeight.RATIONAL_X3)
+    for bad in ("log", None):
+        with pytest.raises(ConfigurationError):
+            SincBasis(4, 1.0, bad)
+    assert repr(SincBasis(4, 1.0, SincMap.LOG)) == "SincBasis(N=4, h=1, log)"
 
 
 def test_constructor_validation():
