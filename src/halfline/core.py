@@ -11,7 +11,13 @@ truncated series (optionally shifted by a closed-form seed profile),
 projecting a function onto the basis with a discrete inner-product rule,
 the Golub-Welsch node routine of the two polynomial families, and the
 order, point and member-index checks every family shares.
+
+Every scalar parameter passes _real (a finite real scalar above a bound)
+or _count (an integer at least a bound); bools and strings fail both,
+which raise ConfigurationError naming the argument.
 """
+
+import math
 
 import numpy as np
 
@@ -115,10 +121,29 @@ def _as_points(x):
     return xs
 
 
+def _real(name, value, low, strict=True):
+    """value as a float: a finite real scalar, > low (>= low if not strict)."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)
+            or not (value > low if strict else value >= low)):
+        raise ConfigurationError("%s must be a finite real %s %g, got %r"
+                                 % (name, ">" if strict else ">=", low, value))
+    return float(value)
+
+
+def _count(name, value, low):
+    """value as an int: an integer scalar, not a bool, at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ConfigurationError("%s must be an integer >= %d, got %r"
+                                 % (name, low, value))
+    return int(value)
+
+
 def _check_index(i, dimension):
-    if not (0 <= i < dimension):
+    if _count("member index", i, 0) >= dimension:
         raise ConfigurationError("member index %r outside 0..%d" % (i, dimension - 1))
-    return i
+    return int(i)
 
 
 def eval_expansion(e, x, order=0):

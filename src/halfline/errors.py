@@ -15,11 +15,7 @@ class ConfigurationError(HalflineError):
 
 
 class UsageError(HalflineError):
-    """Bad command-line or config-file input; carries the offending token."""
-
-    def __init__(self, message, token=None):
-        super().__init__(message)
-        self.token = token
+    """Bad command-line or config-file input."""
 
 
 class DomainError(HalflineError, ValueError):
@@ -35,7 +31,7 @@ class UnsupportedParameterError(HalflineError, ValueError):
 
 
 class RangeOverflowError(HalflineError, OverflowError):
-    """Node generation would overflow or underflow double precision (|j*h| > 700)."""
+    """Sinc nodes or mesh powers leave double precision (|j*h| > 700, or h**order subnormal)."""
 
 
 class NodeComputationError(HalflineError):

@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from .core import (CollocationGrid, DiscreteInnerProductRule, _as_points,
-                   _check_index, _check_order, _tridiagonal_roots)
-from .errors import ConfigurationError
+                   _check_index, _check_order, _count, _real, _tridiagonal_roots)
 
 
 def _line_tables(nmax, t, max_order):
@@ -49,9 +48,7 @@ def _line_tables(nmax, t, max_order):
 
 def hermite_fn_eval(n, t, order=0):
     """G_n(t) or a t-derivative of it (orders 0..3)."""
-    if n < 0:
-        raise ConfigurationError("degree must be >= 0, got %r" % (n,))
-    m = _check_order(order)
+    n, m = _count("degree n", n, 0), _check_order(order)
     return float(_line_tables(n, float(t), m)[m][n])
 
 
@@ -63,12 +60,8 @@ class HermiteBasis:
     """
 
     def __init__(self, N, k=1.0):
-        if not isinstance(N, (int, np.integer)) or N < 1:
-            raise ConfigurationError("N must be an integer >= 1, got %r" % (N,))
-        if not (k > 0):
-            raise ConfigurationError("map constant k must be positive, got %r" % (k,))
-        self.N = int(N)
-        self.k = float(k)
+        self.N = _count("N", N, 1)
+        self.k = _real("map constant k", k, 0.0)
 
     @property
     def dimension(self):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .core import (CollocationGrid, DiscreteInnerProductRule, _as_points,
-                   _check_index, _check_order, _tridiagonal_roots)
+                   _check_index, _check_order, _count, _real, _tridiagonal_roots)
 from .errors import ConfigurationError, NodeComputationError, UnsupportedParameterError
 
 
@@ -49,10 +49,7 @@ def laguerre_eval(n, alpha, x, order=0):
     applied repeatedly: the m-th derivative is (-1)^m L_{n-m}^{alpha+m},
     zero once the degree is exhausted.
     """
-    if n < 0:
-        raise ConfigurationError("degree must be >= 0, got %r" % (n,))
-    if alpha <= -1:
-        raise ConfigurationError("alpha must exceed -1, got %r" % (alpha,))
+    n, alpha = _count("degree n", n, 0), _real("alpha", alpha, -1.0)
     m = _check_order(order)
     if m > n:
         return 0.0
@@ -69,15 +66,9 @@ class LaguerreBasis:
     """
 
     def __init__(self, N, alpha=1.0, L=1.0):
-        if not isinstance(N, (int, np.integer)) or N < 1:
-            raise ConfigurationError("N must be an integer >= 1, got %r" % (N,))
-        if not (L > 0):
-            raise ConfigurationError("scale L must be positive, got %r" % (L,))
-        if not (alpha > -1):
-            raise ConfigurationError("alpha must exceed -1, got %r" % (alpha,))
-        self.N = int(N)
-        self.alpha = float(alpha)
-        self.L = float(L)
+        self.N = _count("N", N, 1)
+        self.alpha = _real("alpha", alpha, -1.0)
+        self.L = _real("scale L", L, 0.0)
 
     @property
     def dimension(self):

@@ -10,6 +10,7 @@ on the residual max-norm.
 
 import numpy as np
 
+from .core import _count, _real
 from .errors import (ConfigurationError, NumericEvaluationError,
                      SingularJacobianError)
 
@@ -27,16 +28,10 @@ class NewtonConfig:
 
     def __init__(self, tol_residual=1e-10, tol_step=1e-12, max_iter=200,
                  max_halvings=30):
-        if not (tol_residual > 0 and tol_step > 0):
-            raise ConfigurationError("tolerances must be positive")
-        if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
-            raise ConfigurationError("max_iter must be an integer >= 1")
-        if not (isinstance(max_halvings, (int, np.integer)) and max_halvings >= 0):
-            raise ConfigurationError("max_halvings must be an integer >= 0")
-        self.tol_residual = float(tol_residual)
-        self.tol_step = float(tol_step)
-        self.max_iter = int(max_iter)
-        self.max_halvings = int(max_halvings)
+        self.tol_residual = _real("tol_residual", tol_residual, 0.0)
+        self.tol_step = _real("tol_step", tol_step, 0.0)
+        self.max_iter = _count("max_iter", max_iter, 1)
+        self.max_halvings = _count("max_halvings", max_halvings, 0)
 
 
 class SolveReport:

@@ -32,7 +32,7 @@ import warnings
 import enum
 import numpy as np
 
-from .core import Expansion, _as_points, _check_order
+from .core import Expansion, _as_points, _check_order, _real
 from .errors import ConfigurationError, ConvergenceError, DomainError, SolverError
 from .hermite import HermiteBasis, hermite_nodes
 from .laguerre import LaguerreBasis, laguerre_nodes
@@ -71,12 +71,8 @@ class FluidParams:
     axis_conditions = ((0, 1.0),)
 
     def __init__(self, b1, b2, b3):
-        for name, v in (("b1", b1), ("b2", b2), ("b3", b3)):
-            if not (v >= 0 and math.isfinite(v)):
-                raise ConfigurationError("%s must be a nonnegative real, got %r" % (name, v))
-        self.b1 = float(b1)
-        self.b2 = float(b2)
-        self.b3 = float(b3)
+        self.b1, self.b2, self.b3 = (_real(name, v, 0.0, strict=False) for name, v
+                                     in (("b1", b1), ("b2", b2), ("b3", b3)))
         if abs(self.b2 - self.b1 * self.b3 / 3.0) > 1e-12:
             warnings.warn(
                 "b2 = %g is not b1*b3/3 = %g; proceeding with the values as given"
@@ -155,9 +151,7 @@ class ConeParams:
     axis_conditions = ((0, 0.0), (2, -1.0))
 
     def __init__(self, lam):
-        if not (lam >= 0 and math.isfinite(lam)):
-            raise ConfigurationError("lam must be a nonnegative real, got %r" % (lam,))
-        self.lam = float(lam)
+        self.lam = _real("lam", lam, 0.0, strict=False)
         self._a = (self.lam + 5.0) / 2.0
         self._b = (2.0 * self.lam + 1.0) / 3.0
 
@@ -197,10 +191,8 @@ class SeedProfile:
     def __init__(self, kind, parameter):
         if not isinstance(kind, SeedKind):
             raise ConfigurationError("kind must be a SeedKind, got %r" % (kind,))
-        if not (parameter > 0 and math.isfinite(parameter)):
-            raise ConfigurationError("seed parameter must be positive, got %r" % (parameter,))
         self.kind = kind
-        self.parameter = float(parameter)
+        self.parameter = _real("seed parameter", parameter, 0.0)
 
     def __call__(self, x, order=0):
         """order-th derivative at x >= 0; x may be a scalar or an array."""

@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from .core import _real
 from .errors import BlowUpError, ConfigurationError, OracleError
 from .problems import ConeParams, FluidParams, ThomasFermiProblem
 
@@ -53,38 +54,28 @@ class ShootConfig:
     """
 
     def __init__(self, z_max=40.0, step=1e-3, secant_tol=1e-10, bracket=None):
-        if not (z_max > 0):
-            raise ConfigurationError("z_max must be positive, got %r" % (z_max,))
-        if not (step > 0):
-            raise ConfigurationError("step must be positive, got %r" % (step,))
-        if not (secant_tol > 0):
-            raise ConfigurationError("secant_tol must be positive, got %r" % (secant_tol,))
+        self.z_max = _real("z_max", z_max, 0.0)
+        self.step = _real("step", step, 0.0)
+        self.secant_tol = _real("secant_tol", secant_tol, 0.0)
         if bracket is not None:
-            lo, hi = float(bracket[0]), float(bracket[1])
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ConfigurationError("bracket must be a finite pair lo < hi")
-            bracket = (lo, hi)
-        self.z_max = float(z_max)
-        self.step = float(step)
-        self.secant_tol = float(secant_tol)
+            lo = _real("bracket lo", bracket[0], -math.inf)
+            bracket = (lo, _real("bracket hi", bracket[1], lo))
         self.bracket = bracket
 
 
 def rk4_integrate(accel, y0, x0, x1, step):
     """Classical RK4 trajectory of f^(m) = accel(x, f, ..., f^(m-1)).
 
-    y0 = (f, f') or (f, f', f'') at x0; steps of size step run to x1, the
-    last one shortened to land on it.  Returns (abscissas, states) as arrays
-    of shape (n+1,) and (n+1, len(y0)).  A state that leaves +-1e6 or turns
-    non-finite aborts with a blow-up error carrying the abscissa.
+    y0 = (f, f') or (f, f', f'') at a finite x0; steps of size step > 0 run to
+    x1 > x0, the last one shortened to land on it.  Returns (abscissas, states)
+    as arrays of shape (n+1,) and (n+1, len(y0)).  A state that leaves +-1e6
+    or turns non-finite aborts with a blow-up error carrying the abscissa.
     """
-    if not (step > 0):
-        raise ConfigurationError("step must be positive, got %r" % (step,))
+    step, x0 = _real("step", step, 0.0), _real("x0", x0, -math.inf)
     if len(y0) not in (2, 3):
         raise ConfigurationError("the state holds 2 or 3 derivatives, got %d"
                                  % len(y0))
-    x0 = float(x0)
-    steps = _uniform_steps(x0, float(x1), step)
+    steps = _uniform_steps(x0, _real("x1", x1, x0), step)
     states = [tuple(float(v) for v in y0)]
     reached, _, ok = _rk4(accel, states[0], steps, states)
     if not ok:

@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-from .core import CollocationGrid, _as_points, _check_index, _check_order, _readonly
+from .core import (CollocationGrid, _as_points, _check_index, _check_order, _count,
+                   _readonly, _real)
 from .errors import ConfigurationError, RangeOverflowError
 
 _LOGSINH_CUTOFF = 1e-10   # below this x the weight zero dominates every order
@@ -92,14 +93,10 @@ class SincBasis:
     """
 
     def __init__(self, N, h, map_kind=SincMap.LOG_SINH):
-        if not isinstance(N, (int, np.integer)) or N < 1:
-            raise ConfigurationError("N must be an integer >= 1, got %r" % (N,))
-        if not (h > 0):
-            raise ConfigurationError("mesh size h must be positive, got %r" % (h,))
+        self.N = _count("N", N, 1)
+        self.h = _real("mesh size h", h, 0.0)
         if not isinstance(map_kind, SincMap):
             raise ConfigurationError("map_kind must be a SincMap, got %r" % (map_kind,))
-        self.N = int(N)
-        self.h = float(h)
         self.map_kind = map_kind
 
     @property
@@ -119,6 +116,12 @@ class SincBasis:
         return "SincBasis(N=%d, h=%g, %s)" % (self.N, self.h, self.map_kind.value)
 
 
+def _check_mesh_power(h, order):
+    """Order-th derivatives divide by h ** order; refuse it subnormal or zero."""
+    if h ** order < np.finfo(float).tiny:
+        raise RangeOverflowError("h^%d underflows for mesh size h = %g" % (order, h))
+
+
 def delta_matrix(basis, order):
     """Differentiation matrix delta^(order) on the 2N+1 mesh points, read-only:
     entry [k, j] = S(k,h)^(order)(j h).
@@ -131,6 +134,7 @@ def delta_matrix(basis, order):
     m = _check_order(order)
     n = basis.dimension
     h = basis.h
+    _check_mesh_power(h, m)
     idx = np.arange(n)
     d = idx[np.newaxis, :] - idx[:, np.newaxis]        # d[k, j] = j - k
     if m == 0:
@@ -299,9 +303,10 @@ def composite_matrix(basis, xs, order=0):
     """
     m = _check_order(order)
     xs = _as_points(xs).reshape(-1)
+    h = basis.h
+    _check_mesh_power(h, m)
     out = np.zeros((basis.dimension, xs.size))
     live, phi, A = _mapped(basis, xs, m)
-    h = basis.h
     k = np.arange(-basis.N, basis.N + 1)[:, np.newaxis]
     # once |Phi| / h passes the largest double the argument rounds to +-inf,
     # where sinc_derivatives takes the limits: a value below 1e-299 in

@@ -134,3 +134,15 @@ def test_dimension_and_validation():
         HermiteBasis(5, 0.0)
     with pytest.raises(ConfigurationError):
         HermiteBasis(5, -1.0)
+    for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
+        with pytest.raises(ConfigurationError):
+            HermiteBasis(5, bad)
+    for bad in (True, 2.5, "5", None):
+        with pytest.raises(ConfigurationError):
+            HermiteBasis(bad, 0.9)
+        with pytest.raises(ConfigurationError):
+            hermite_fn_eval(bad, 0.3)
+    for bad in (1.5, True, -1, 11):
+        with pytest.raises(ConfigurationError):
+            basis.member(bad, 0.3)
+    assert basis.member(np.int64(10), 0.3) == basis.member(10, 0.3)

@@ -145,6 +145,30 @@ def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         LaguerreBasis(5, -1.0, 1.0)  # alpha must exceed -1
     LaguerreBasis(5, -0.5, 1.0)  # any alpha > -1 is a valid node parameter
+    # alpha and L are finite reals; a bool, string or None is no real
+    for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
+        for args in ((5, bad, 1.0), (5, 1.0, bad)):
+            with pytest.raises(ConfigurationError):
+                LaguerreBasis(*args)
+        with pytest.raises(ConfigurationError):
+            laguerre_eval(3, bad, 1.0)
+    # N, the degree and the member index are integers, and a bool is none
+    basis = LaguerreBasis(5)
+    for bad in (True, 2.5, "5", None):
+        with pytest.raises(ConfigurationError):
+            LaguerreBasis(bad)
+        with pytest.raises(ConfigurationError):
+            laguerre_eval(bad, 1.0, 0.3)
+    for bad in (1.5, True, -1, 5):
+        with pytest.raises(ConfigurationError):
+            basis.member(bad, 0.3)
+    # the boundaries stay valid, and numpy scalars are scalars
+    just_above = np.nextafter(-1.0, 0.0)
+    assert LaguerreBasis(5, just_above).alpha == just_above
+    assert math.isfinite(laguerre_eval(3, just_above, 0.7))
+    basis = LaguerreBasis(np.int64(5), np.float32(0.5), np.int32(2))
+    assert (basis.N, basis.alpha, basis.L) == (5, 0.5, 2.0)
+    assert basis.member(np.int64(4), 0.3) == basis.member(4, 0.3)
 
 
 def test_quadrature_only_for_alpha_one():

@@ -2,6 +2,8 @@
 and failure modes.  The behaviour tests give the solver the
 forward-difference Jacobian of their test map."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,17 @@ def test_config_validation():
                    dict(max_iter=2.5), dict(max_halvings=-1)):
         with pytest.raises(ConfigurationError):
             NewtonConfig(**kwargs)
+    # an infinite tol_residual would call any start converged
+    for bad in (math.nan, math.inf, -math.inf, True, "1e-10", None):
+        for key in ("tol_residual", "tol_step"):
+            with pytest.raises(ConfigurationError):
+                NewtonConfig(**{key: bad})
+    for bad in (True, 5.0, "5", None):
+        for key in ("max_iter", "max_halvings"):
+            with pytest.raises(ConfigurationError):
+                NewtonConfig(**{key: bad})
+    cfg = NewtonConfig(max_iter=np.int64(5), max_halvings=0)
+    assert (cfg.max_iter, cfg.max_halvings) == (5, 0)
     cfg = NewtonConfig()
     assert cfg.tol_residual == 1e-10 and cfg.tol_step == 1e-12
     assert cfg.max_iter == 200

@@ -69,6 +69,14 @@ def test_fluid_params_validation():
     for bad in ((-0.1, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, float("nan"))):
         with pytest.raises(ConfigurationError):
             FluidParams(*bad)
+    for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
+        for slot in range(3):
+            b = [0.0, 0.0, 0.0]
+            b[slot] = bad
+            with pytest.raises(ConfigurationError):
+                FluidParams(*b)
+    # b = 0 is the boundary, and stays valid
+    assert (FluidParams(0.0, 0.0, 0.0).b1, FluidParams(0, 0, 0).b3) == (0.0, 0.0)
 
 
 def test_cone_params():
@@ -76,6 +84,10 @@ def test_cone_params():
     assert ConeParams(0.0).lam == 0.0
     with pytest.raises(ConfigurationError):
         ConeParams(-0.5)
+    for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
+        with pytest.raises(ConfigurationError):
+            ConeParams(bad)
+    assert ConeParams(0).lam == 0.0 and ConeParams(np.float64(0.5)).lam == 0.5
 
 
 def test_thomas_fermi_problem_is_a_singleton_value():
@@ -199,6 +211,9 @@ def test_seed_validation():
         SeedProfile(SeedKind.CONE_RATIONAL, float("inf"))
     with pytest.raises(ConfigurationError):
         SeedProfile("quadratic", 1.0)
+    for bad in (math.nan, -math.inf, True, "1.0", None):
+        with pytest.raises(ConfigurationError):
+            SeedProfile(SeedKind.RATIONAL_LINEAR, bad)
     p = SeedProfile(SeedKind.RATIONAL_QUADRATIC, 1.0)
     with pytest.raises(DomainError):
         p(-0.5, 0)

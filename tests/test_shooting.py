@@ -72,9 +72,15 @@ def test_rk4_blow_up_reports_abscissa():
 
 
 def test_rk4_step_validation():
-    for step in (0.0, -1e-3):
+    for step in (0.0, -1e-3, math.inf, math.nan, True, None):
         with pytest.raises(ConfigurationError):
             rk4_integrate(lambda x, f, fp: 0.0, (1.0, 0.0), 0.0, 1.0, step)
+    # x0 is finite and x1 lies beyond it: a backward or empty run, or an
+    # endless one, is refused instead of taking a single odd step
+    for x0, x1 in ((1.0, 0.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0),
+                   (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ConfigurationError):
+            rk4_integrate(lambda x, f, fp: 0.0, (1.0, 0.0), x0, x1, 0.1)
 
 
 def test_rk4_state_must_hold_two_or_three_derivatives():
@@ -172,6 +178,16 @@ def test_shoot_config_validation():
                    dict(bracket=(2.0, 1.0)), dict(bracket=(float("nan"), 0.0))):
         with pytest.raises(ConfigurationError):
             ShootConfig(**kwargs)
+    for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
+        for key in ("z_max", "step", "secant_tol"):
+            with pytest.raises(ConfigurationError):
+                ShootConfig(**{key: bad})
+        for bracket in ((bad, 0.0), (-2.0, bad)):
+            with pytest.raises(ConfigurationError):
+                ShootConfig(bracket=bracket)
+    with pytest.raises(ConfigurationError):
+        ShootConfig(bracket=(1.0, 1.0))
+    assert ShootConfig(bracket=(np.float64(-2), 0)).bracket == (-2.0, 0.0)
     cfg = ShootConfig()
     assert cfg.z_max == 40.0 and cfg.step == 1e-3
     assert cfg.secant_tol == 1e-10 and cfg.bracket is None

@@ -115,12 +115,25 @@ def test_extreme_mesh_nodes_stay_finite():
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) < 1e-150
     # nor may the translate argument (Phi - k h) / h once Phi / h passes
-    # the largest double.  Orders 2 and 3 on the 1e-300 mesh divide by
-    # h^2 and h^3, which underflow to zero, so only orders 0 and 1 apply.
+    # the largest double.
     for order in range(4):
         assert np.all(np.isfinite(SincBasis(17, 0.3).matrix([9e307], order)))
     for order in range(2):
         assert np.all(np.isfinite(SincBasis(3, 1e-300).matrix([1e300], order)))
+    # Orders 2 and 3 divide by h^2 and h^3, which underflow to zero on the
+    # 1e-300 mesh: a typed error on both maps and both evaluation paths.
+    # h^3 = 1e-306 is still a normal double, and stays finite.
+    for map_kind in SincMap:
+        fine = SincBasis(3, 1e-300, map_kind)
+        for order in (2, 3):
+            for x in (1.0, 1e300):
+                with pytest.raises(RangeOverflowError):
+                    fine.matrix([x], order)
+            with pytest.raises(RangeOverflowError):
+                delta_matrix(fine, order)
+        coarse = SincBasis(3, 1e-102, map_kind)
+        assert np.all(np.isfinite(coarse.matrix([1e-5, 1.0, 1e300], 3)))
+        assert np.all(np.isfinite(delta_matrix(coarse, 3)))
     # down to the smallest subnormal the Log-map members stay finite: the
     # weight's zero and the map's pole never meet as 0 * inf.  Orders 0-2
     # vanish with x; order 3 tends to 6 S(ln x), which decays like 1/ln x.
@@ -308,6 +321,15 @@ def test_constructor_validation():
         SincBasis(4, 0.0)
     with pytest.raises(ConfigurationError):
         SincBasis(4, -1.0)
+    for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
+        with pytest.raises(ConfigurationError):
+            SincBasis(3, bad)
+    for bad in (True, 2.5, "5", None):
+        with pytest.raises(ConfigurationError):
+            SincBasis(bad, 1.0)
+    for bad in (1.5, True):
+        with pytest.raises(ConfigurationError):
+            SincBasis(4, 1.0).member(bad, 0.7)
 
 
 def test_member_view_matches_translate_view():
