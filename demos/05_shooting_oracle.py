@@ -1,4 +1,5 @@
-"""The independent check: shooting with Runge-Kutta plus a secant search.
+"""The independent check: shooting with error-controlled Runge-Kutta plus a
+secant search.
 
 Every collocation answer in this package can be cross-examined by an
 oracle that never sees a basis function: integrate the ODE from the origin
@@ -30,8 +31,9 @@ def main():
     slope, (xs, states) = shoot(ConeParams(0.0))
     print("heated cone:     f'(0) = %.9f  (lam = 0)" % slope)
 
-    # the bracket and mesh are adjustable when a problem needs them
-    cfg = ShootConfig(z_max=60.0, step=1e-3, bracket=(0.0, 1.2))
+    # the far-field truncation, the accuracy step (local tolerance
+    # step**4) and the bracket are adjustable when a problem needs them
+    cfg = ShootConfig(z_max=60.0, step=1e-3)
     slope60, _ = shoot(ConeParams(0.0), cfg)
     print("                 doubling the domain moves it by %.1e" %
           abs(slope60 - slope))

@@ -76,7 +76,7 @@ from .reference import (
     TABLE7,
     ReferenceTable,
 )
-from .shooting import ShootConfig, rk4_integrate, shoot
+from .shooting import ShootConfig, integrate, shoot
 from .sinc import (
     SincBasis,
     SincMap,
@@ -141,6 +141,7 @@ __all__ = [
     "hermite_line_nodes",
     "hermite_matrix",
     "hermite_nodes",
+    "integrate",
     "laguerre_eval",
     "laguerre_nodes",
     "mapped_trapezoid_rule",
@@ -150,7 +151,6 @@ __all__ = [
     "pointwise_residual",
     "problem_label",
     "project",
-    "rk4_integrate",
     "shoot",
     "sinc_nodes",
     "solve_problem",

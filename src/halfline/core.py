@@ -108,7 +108,8 @@ class Expansion:
 
 
 def _check_order(order):
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > MAX_ORDER:
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or order < 0 or order > MAX_ORDER):
         raise UnsupportedOrderError("derivative order must be an integer in 0..3, got %r" % (order,))
     return int(order)
 

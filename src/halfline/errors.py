@@ -31,7 +31,8 @@ class UnsupportedParameterError(HalflineError, ValueError):
 
 
 class RangeOverflowError(HalflineError, OverflowError):
-    """Sinc nodes or mesh powers leave double precision (|j*h| > 700, or h**order subnormal)."""
+    """Sinc nodes or mesh powers leave double precision (|j*h| > 700, or
+    h**order subnormal or beyond the largest double)."""
 
 
 class NodeComputationError(HalflineError):

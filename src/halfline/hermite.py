@@ -108,6 +108,7 @@ def hermite_matrix(basis, xs, order=0):
 
 def hermite_line_nodes(N):
     """Roots of G_{N+1} (equivalently the Hermite polynomial H_{N+1}), ascending."""
+    N = _count("N", N, 0)
     return _tridiagonal_roots(
         np.zeros(N + 1), np.sqrt(0.5 * np.arange(1, N + 1)),
         lambda t: _line_tables(N + 1, t, 0)[0][N + 1],
@@ -127,6 +128,7 @@ def mapped_trapezoid_rule(basis, t_span=8.0, dt=0.05):
     sums approximate integral u(x) v(x) / (k x) dx.  Used by property tests
     (orthogonality, projection); the solver path never needs it.
     """
+    t_span, dt = _real("t_span", t_span, 0.0), _real("dt", dt, 0.0)
     n = int(round(2 * t_span / dt))
     t = -t_span + dt * np.arange(n + 1)
     w = np.full(n + 1, dt)

@@ -79,6 +79,7 @@ def fd_jacobian(F, x, fd_step=1e-7):
     The step s_i = fd_step * (1 + |x_i|) keeps relative accuracy for large
     components without collapsing for small ones.
     """
+    fd_step = _real("fd_step", fd_step, 0.0)
     x = np.asarray(x, dtype=float)
     f0 = _eval(F, x, "residual at base point")
     if f0.size != x.size:

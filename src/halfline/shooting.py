@@ -1,17 +1,24 @@
 """Independent reference solutions by shooting.
 
-Classical fixed-step RK4 integrates each model problem from the axis with a
-trial initial slope s; a bracketed false-position iteration (secant with
-bracket retention) drives the far-field mismatch to zero.
+An embedded Dormand-Prince 5(4) pair with step-size control integrates each
+model problem from the axis with a trial initial slope s; a bracketed
+false-position iteration (secant with bracket retention) drives the
+far-field mismatch to zero.
 
-One scalar stepper, _rk4, serves every integration: the mismatch probes,
-the graded launch steps of the screening problem, and the reported
-trajectory (rk4_integrate).  It works in companion form: the state is
-(f, f') or (f, f', f''), and the problem's top_derivative method, the same
-equation as its collocation residual, gives the highest derivative.  The
-stepping stays scalar on purpose: the slope search is sequential, and a
-numpy stepper advancing a batch of 8 to 65 trial slopes in lockstep
-measured 65-90 us per step, against about 2 us per step for this loop.
+One scalar stepper, _dp45, serves every integration: the mismatch probes
+and the reported trajectory (integrate).  It works in companion form: the
+state is (f, f') or (f, f', f''), and the problem's top_derivative method,
+the same equation as its collocation residual, gives the highest
+derivative.  The stepping stays scalar on purpose: the slope search is
+sequential, and a numpy stepper advancing a batch of 8 to 65 trial slopes
+in lockstep measured 65-90 us per step, against a few us per step for this
+loop.
+
+Accuracy is one knob, ShootConfig.step.  The local error tolerance is
+step**4 (1e-12 at the default 1e-3), the global error of a fixed-step
+fourth-order method at that step, so halving the step still asks for 16
+times the accuracy.  The step is also the spacing of the reported
+trajectory, which the stepper's continuous extension fills in.
 
 The mismatch landscape needs care.  Truncating at z_max and capping blown-up
 trajectories manufactures spurious sign changes well inside the bracket: a
@@ -25,10 +32,14 @@ minimum hunting for a hidden negative value, then refines the dip's upper
 edge.  Mismatch values are log-compressed so capped trajectories cannot
 swamp the secant updates.
 
-The scan step is twice the configured RK step and the refinement uses the
-configured step itself.  Steps much above 2e-3 go unstable on the stiffest
-trial trajectories (the cone linearization reaches |A f| ~ 5e2, and RK4
-needs h |lambda| < 2.8), which would poison the scan with oscillation roots.
+The scan probes run at 1e3 times the refinement tolerance.  Trial slopes
+above the cone root are stiff: f grows linearly, so the coefficient a f of
+f'' reaches about 1.1e3 at s = 2, and the pair's stability limit caps the
+step near 3.3 / (a f).  There a probe takes about 21,600 steps at the
+refinement tolerance and 7,100, close to that cap, at the scan tolerance;
+the scan needs only the sign and rough size of the mismatch.  The step
+control keeps these walks stable, where a fixed step too long for the
+stiffest probe oscillates and poisons the scan with spurious roots.
 """
 
 import math
@@ -42,15 +53,38 @@ from .problems import ConeParams, FluidParams, ThomasFermiProblem
 _BOUND = 1e6
 _TF_FAR_FIELD = 30.0
 _TF_PRELUDE_END = 0.05
-_TF_PRELUDE_STEPS = 1500
 _SCAN_POINTS = 64
+_SCAN_TOL_FACTOR = 1e3
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table
+# II.5.2): stage nodes c2..c5 (c6 = c7 = 1), stage weights a_ij, the
+# fifth-order weights b_j (the seventh stage's row, so the pair is FSAL),
+# the error weights e_j = b_j - b^_j, and the weights d_j of the order-4
+# continuous extension (Hairer's DOPRI5 dense output); b2 = e2 = d2 = 0.
+_TABLEAU = (
+    1 / 5, 3 / 10, 4 / 5, 8 / 9,
+    1 / 5,
+    3 / 40, 9 / 40,
+    44 / 45, -56 / 15, 32 / 9,
+    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+    35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+)
 
 
 class ShootConfig:
-    """Far-field truncation, RK step, slope-iteration tolerance, bracket.
+    """Far-field truncation, accuracy step, slope-iteration tolerance, bracket.
 
-    bracket = None picks the per-problem default: (-2, 0) for the fluid and
-    Thomas-Fermi problems (their slopes are negative), (0, 2) for the cone.
+    step sets the local error tolerance step**4 of every integration (the
+    scan probes use 1e3 * step**4), the spacing of the reported trajectory,
+    and the first trial step.  bracket = None picks the per-problem
+    default: (-2, 0) for the fluid and Thomas-Fermi problems (their slopes
+    are negative), (0, 2) for the cone, which holds the root for every lam
+    in [0, 2] (checked in steps of 0.1).
     """
 
     def __init__(self, z_max=40.0, step=1e-3, secant_tol=1e-10, bracket=None):
@@ -63,92 +97,171 @@ class ShootConfig:
         self.bracket = bracket
 
 
-def rk4_integrate(accel, y0, x0, x1, step):
-    """Classical RK4 trajectory of f^(m) = accel(x, f, ..., f^(m-1)).
+def integrate(accel, y0, x0, x1, step):
+    """Error-controlled trajectory of f^(m) = accel(x, f, ..., f^(m-1)).
 
-    y0 = (f, f') or (f, f', f'') at a finite x0; steps of size step > 0 run to
-    x1 > x0, the last one shortened to land on it.  Returns (abscissas, states)
-    as arrays of shape (n+1,) and (n+1, len(y0)).  A state that leaves +-1e6
-    or turns non-finite aborts with a blow-up error carrying the abscissa.
+    y0 = (f, f') or (f, f', f'') at a finite x0; the Dormand-Prince 5(4)
+    pair runs to x1 > x0 at local error tolerance step**4, starting with a
+    trial step of size step > 0.  Returns (abscissas, states) as arrays of
+    shape (n+1,) and (n+1, len(y0)) on x0 + k step, the last point on x1.
+    An accepted state that leaves +-1e6, or a step size that collapses,
+    aborts with a blow-up error carrying the abscissa.
     """
     step, x0 = _real("step", step, 0.0), _real("x0", x0, -math.inf)
     if len(y0) not in (2, 3):
         raise ConfigurationError("the state holds 2 or 3 derivatives, got %d"
                                  % len(y0))
-    steps = _uniform_steps(x0, _real("x1", x1, x0), step)
-    states = [tuple(float(v) for v in y0)]
-    reached, _, ok = _rk4(accel, states[0], steps, states)
+    state = tuple(float(v) for v in y0)
+    return _trajectory(accel, state, x0, x0, _real("x1", x1, x0), step, step)
+
+
+# perfbench (spans.py and its tests) looks the integrator up under its former
+# name; the package exports only integrate.  Drop this binding when the
+# benchmark harness is next changed.
+rk4_integrate = integrate
+
+
+def _trajectory(accel, state, x, x0, x1, step, h):
+    """Walk from (x, state) to x1 with first trial step h, and read the
+    continuous extension on x0 + k step, x <= x0 < x1, the last point x1."""
+    trail = []
+    reached, _, ok = _dp45(accel, state, x, x1, step ** 4, h, trail)
     if not ok:
         raise BlowUpError("trajectory left the state bound", abscissa=reached)
-    return np.array([x0] + [x + h for x, h in steps]), np.array(states)
+    n = max(1, math.ceil((x1 - x0) / step - 1e-12))
+    grid = x0 + step * np.arange(n + 1.0)
+    grid[-1] = x1
+    # per accepted step, the coefficients of Hairer's DOPRI5 dense output
+    # y(x + t h) = y0 + t (diff + u (slope0 + t (curve + u tail))), u = 1 - t
+    m = len(state)
+    rows = np.array(trail)
+    starts, hs = rows[:, 0], rows[:, 1:2]
+    y0, k1 = rows[:, 2:2 + m], rows[:, 3:3 + m]
+    y1, k7 = rows[:, 3 + m:3 + 2 * m], rows[:, 4 + m:4 + 2 * m]
+    diff = y1 - y0
+    slope0 = hs * k1 - diff
+    curve = diff - hs * k7 - slope0
+    tail = hs * rows[:, 4 + 2 * m:4 + 3 * m]
+    j = np.clip(np.searchsorted(starts, grid, side="right") - 1, 0, len(rows) - 1)
+    t = ((grid - starts[j]) / hs[j, 0])[:, np.newaxis]
+    u = 1.0 - t
+    return grid, y0[j] + t * (diff[j] + u * (slope0[j] + t * (curve[j] + u * tail[j])))
 
 
-def _uniform_steps(x0, x1, h):
-    """(x, h) pairs from x0 to x1, the last step shortened to land on x1."""
-    n = max(1, int(math.ceil((x1 - x0) / h - 1e-12)))
-    steps = []
-    x = x0
-    for _ in range(n):
-        hh = min(h, x1 - x)
-        steps.append((x, hh))
-        x += hh
-    return steps
-
-
-def _graded_steps(x0, x1, n):
-    """n geometrically graded (x, h) pairs from x0 to x1 (the singular launch)."""
-    ratio = (x1 / x0) ** (1.0 / n)
-    xs = [x0] + [x0 * ratio ** (i + 1) for i in range(n)]
-    return [(a, b - a) for a, b in zip(xs, xs[1:])]
-
-
-def _rk4(accel, state, steps, trail=None):
-    """RK4 in companion form over the (x, h) pairs; (x reached, state, survived).
+def _dp45(accel, state, x, x1, tol, h, trail=None):
+    """Dormand-Prince 5(4) in companion form from x to x1; (x reached,
+    state, survived).
 
     state is (f, f') or (f, f', f''), and accel gives the top derivative.
-    The walk stops after the first step whose state leaves +-_BOUND or turns
-    non-finite; each state that stays inside is appended to trail, if given.
-    The body is written once per order because a loop over a state tuple
-    costs several times more per step.
+    Seven stages, the last one reused as the next step's first (FSAL): six
+    accel calls per step.  A step is accepted when the RMS over components
+    of err_i / (tol (1 + |y_i|)), y the new state, is <= 1; the next trial
+    step is h clamp(0.9 err^(-1/5), 0.2, 10), and a non-finite error
+    divides h by 5.  The walk stops, not surviving, after the first
+    accepted state that leaves +-_BOUND, or when a rejection drives h below
+    1e-14 (1 + |x|).  Each accepted step appends (x, h, state, top
+    derivative, new state, new top derivative, dense-output weights) to
+    trail, if given.  The body is written once per order because a loop
+    over a state tuple costs several times more per step.
     """
+    (c2, c3, c4, c5, a21, a31, a32, a41, a42, a43, a51, a52, a53, a54,
+     a61, a62, a63, a64, a65, b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7,
+     d1, d3, d4, d5, d6, d7) = _TABLEAU
+    # err is the mean square of the scaled errors, so err ** -0.1 is the
+    # RMS to the power -1/5
+    scale = 1.0 / (len(state) * tol * tol)
     if len(state) == 2:
-        f, fp = state
-        for x, h in steps:
-            h2 = h / 2
-            k1 = accel(x, f, fp)
-            a0, a1 = f + h2 * fp, fp + h2 * k1
-            k2 = accel(x + h2, a0, a1)
-            b0, b1 = f + h2 * a1, fp + h2 * k2
-            k3 = accel(x + h2, b0, b1)
-            c0, c1 = f + h * b1, fp + h * k3
-            k4 = accel(x + h, c0, c1)
-            h6 = h / 6
-            f = f + h6 * (fp + 2 * a1 + 2 * b1 + c1)
-            fp = fp + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not (abs(f) <= _BOUND and abs(fp) <= _BOUND):
-                return x + h, (f, fp), False
+        f, p = state
+        k = accel(x, f, p)
+        while x < x1:
+            if x + 1.01 * h >= x1:
+                h, xn = x1 - x, x1
+            else:
+                xn = x + h
+            f2, p2 = f + h * a21 * p, p + h * a21 * k
+            k2 = accel(x + c2 * h, f2, p2)
+            f3 = f + h * (a31 * p + a32 * p2)
+            p3 = p + h * (a31 * k + a32 * k2)
+            k3 = accel(x + c3 * h, f3, p3)
+            f4 = f + h * (a41 * p + a42 * p2 + a43 * p3)
+            p4 = p + h * (a41 * k + a42 * k2 + a43 * k3)
+            k4 = accel(x + c4 * h, f4, p4)
+            f5 = f + h * (a51 * p + a52 * p2 + a53 * p3 + a54 * p4)
+            p5 = p + h * (a51 * k + a52 * k2 + a53 * k3 + a54 * k4)
+            k5 = accel(x + c5 * h, f5, p5)
+            f6 = f + h * (a61 * p + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+            p6 = p + h * (a61 * k + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+            k6 = accel(xn, f6, p6)
+            fn = f + h * (b1 * p + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+            pn = p + h * (b1 * k + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            kn = accel(xn, fn, pn)
+            sf = (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * pn) / (1.0 + abs(fn))
+            sp = (e1 * k + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * kn) / (1.0 + abs(pn))
+            err = h * h * (sf * sf + sp * sp) * scale
+            if err <= 1.0:
+                if not (abs(fn) <= _BOUND and abs(pn) <= _BOUND):
+                    return xn, (fn, pn), False
+                if trail is not None:
+                    trail.append((
+                        x, h, f, p, k, fn, pn, kn,
+                        d1 * p + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * pn,
+                        d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
+                x, f, p, k = xn, fn, pn, kn
+                h *= 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.1)
+            else:
+                h *= max(0.2, 0.9 * err ** -0.1) if err < math.inf else 0.2
+                if h < 1e-14 * (1.0 + abs(x)):
+                    return x, (f, p), False
+        return x, (f, p), True
+    f, p, q = state
+    k = accel(x, f, p, q)
+    while x < x1:
+        if x + 1.01 * h >= x1:
+            h, xn = x1 - x, x1
+        else:
+            xn = x + h
+        f2, p2, q2 = f + h * a21 * p, p + h * a21 * q, q + h * a21 * k
+        k2 = accel(x + c2 * h, f2, p2, q2)
+        f3 = f + h * (a31 * p + a32 * p2)
+        p3 = p + h * (a31 * q + a32 * q2)
+        q3 = q + h * (a31 * k + a32 * k2)
+        k3 = accel(x + c3 * h, f3, p3, q3)
+        f4 = f + h * (a41 * p + a42 * p2 + a43 * p3)
+        p4 = p + h * (a41 * q + a42 * q2 + a43 * q3)
+        q4 = q + h * (a41 * k + a42 * k2 + a43 * k3)
+        k4 = accel(x + c4 * h, f4, p4, q4)
+        f5 = f + h * (a51 * p + a52 * p2 + a53 * p3 + a54 * p4)
+        p5 = p + h * (a51 * q + a52 * q2 + a53 * q3 + a54 * q4)
+        q5 = q + h * (a51 * k + a52 * k2 + a53 * k3 + a54 * k4)
+        k5 = accel(x + c5 * h, f5, p5, q5)
+        f6 = f + h * (a61 * p + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+        p6 = p + h * (a61 * q + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+        q6 = q + h * (a61 * k + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+        k6 = accel(xn, f6, p6, q6)
+        fn = f + h * (b1 * p + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+        pn = p + h * (b1 * q + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
+        qn = q + h * (b1 * k + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+        kn = accel(xn, fn, pn, qn)
+        sf = (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * pn) / (1.0 + abs(fn))
+        sp = (e1 * q + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * qn) / (1.0 + abs(pn))
+        sq = (e1 * k + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * kn) / (1.0 + abs(qn))
+        err = h * h * (sf * sf + sp * sp + sq * sq) * scale
+        if err <= 1.0:
+            if not (abs(fn) <= _BOUND and abs(pn) <= _BOUND and abs(qn) <= _BOUND):
+                return xn, (fn, pn, qn), False
             if trail is not None:
-                trail.append((f, fp))
-        return x + h, (f, fp), True
-    f, fp, fpp = state
-    for x, h in steps:
-        h2 = h / 2
-        k1 = accel(x, f, fp, fpp)
-        a0, a1, a2 = f + h2 * fp, fp + h2 * fpp, fpp + h2 * k1
-        k2 = accel(x + h2, a0, a1, a2)
-        b0, b1, b2 = f + h2 * a1, fp + h2 * a2, fpp + h2 * k2
-        k3 = accel(x + h2, b0, b1, b2)
-        c0, c1, c2 = f + h * b1, fp + h * b2, fpp + h * k3
-        k4 = accel(x + h, c0, c1, c2)
-        h6 = h / 6
-        f = f + h6 * (fp + 2 * a1 + 2 * b1 + c1)
-        fp = fp + h6 * (fpp + 2 * a2 + 2 * b2 + c2)
-        fpp = fpp + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not (abs(f) <= _BOUND and abs(fp) <= _BOUND and abs(fpp) <= _BOUND):
-            return x + h, (f, fp, fpp), False
-        if trail is not None:
-            trail.append((f, fp, fpp))
-    return x + h, (f, fp, fpp), True
+                trail.append((
+                    x, h, f, p, q, k, fn, pn, qn, kn,
+                    d1 * p + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * pn,
+                    d1 * q + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * qn,
+                    d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
+            x, f, p, q, k = xn, fn, pn, qn, kn
+            h *= 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.1)
+        else:
+            h *= max(0.2, 0.9 * err ** -0.1) if err < math.inf else 0.2
+            if h < 1e-14 * (1.0 + abs(x)):
+                return x, (f, p, q), False
+    return x, (f, p, q), True
 
 
 def _compress(v):
@@ -260,14 +373,16 @@ def shoot(problem, cfg=None, launch_x0=1e-6):
 
     problem is a FluidParams, ConeParams, or ThomasFermiProblem instance.
     Returns (slope, (abscissas, states)); states columns are the integrated
-    components (f, f') / (f, f', f'') / (y, y').  The Thomas-Fermi problem
-    launches from the small-x series at launch_x0 (graded steps carry it to
-    0.05, uniform steps onward) and imposes its far-field condition at 30;
-    the other problems impose theirs at cfg.z_max.
+    components (f, f') / (f, f', f'') / (y, y') on a grid of spacing
+    cfg.step.  The Thomas-Fermi problem launches from the small-x series at
+    launch_x0 (also its first trial step), reports from 0.05 on, and
+    imposes its far-field condition at 30; the other problems impose theirs
+    at cfg.z_max.
     """
     if cfg is None:
         cfg = ShootConfig()
-    x0, x1, far, prelude = 0.0, cfg.z_max, 0, None
+    x0 = grid0 = 0.0
+    x1, far, h0 = cfg.z_max, 0, cfg.step
     if isinstance(problem, FluidParams):
         start, bracket = (lambda s: (1.0, s)), (-2.0, 0.0)
     elif isinstance(problem, ConeParams):
@@ -276,33 +391,20 @@ def shoot(problem, cfg=None, launch_x0=1e-6):
         if not (0 < launch_x0 < _TF_PRELUDE_END):
             raise ConfigurationError("launch_x0 must sit in (0, %g)" % _TF_PRELUDE_END)
         start, bracket = (lambda s: _tf_launch(s, launch_x0)), (-2.0, 0.0)
-        x0, x1 = _TF_PRELUDE_END, _TF_FAR_FIELD
-        prelude = _graded_steps(launch_x0, _TF_PRELUDE_END, _TF_PRELUDE_STEPS)
+        x0 = h0 = launch_x0
+        grid0, x1 = _TF_PRELUDE_END, _TF_FAR_FIELD
     else:
         raise ConfigurationError("unknown problem kind: %r" % (problem,))
     accel = problem.top_derivative
     lo, hi = cfg.bracket if cfg.bracket is not None else bracket
 
-    def launch(s):
-        """State at x0 for the trial slope s, and whether it stayed bounded."""
-        if prelude is None:
-            return start(s), True
-        _, y, ok = _rk4(accel, start(s), prelude)
-        return y, ok
-
-    def mismatch(h):
-        steps = _uniform_steps(x0, x1, h)
-
+    def mismatch(tol):
         def mis(s):
-            y, ok = launch(s)
-            if ok:
-                _, y, ok = _rk4(accel, y, steps)
+            _, y, ok = _dp45(accel, start(s), x0, x1, tol, h0)
             return _compress(y[far] if ok else math.copysign(_BOUND, y[far]))
         return mis
 
-    slope = _upper_root(mismatch(2.0 * cfg.step), mismatch(cfg.step), lo, hi,
+    tol = cfg.step ** 4
+    slope = _upper_root(mismatch(_SCAN_TOL_FACTOR * tol), mismatch(tol), lo, hi,
                         cfg.secant_tol)
-    y, ok = launch(slope)
-    if not ok:
-        raise OracleError("converged slope still blows up in the launch region")
-    return slope, rk4_integrate(accel, y, x0, x1, cfg.step)
+    return slope, _trajectory(accel, start(slope), x0, grid0, x1, cfg.step, h0)

@@ -117,9 +117,15 @@ class SincBasis:
 
 
 def _check_mesh_power(h, order):
-    """Order-th derivatives divide by h ** order; refuse it subnormal or zero."""
-    if h ** order < np.finfo(float).tiny:
-        raise RangeOverflowError("h^%d underflows for mesh size h = %g" % (order, h))
+    """Order-th derivatives divide by h ** order; refuse it subnormal, zero
+    or beyond the largest double."""
+    try:
+        power = h ** order
+    except OverflowError:
+        power = math.inf
+    if not np.finfo(float).tiny <= power < math.inf:
+        raise RangeOverflowError("h^%d leaves the double range for mesh size h = %g"
+                                 % (order, h))
 
 
 def delta_matrix(basis, order):

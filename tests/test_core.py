@@ -108,6 +108,10 @@ def test_evaluation_point_and_order_checks():
         e(1.0, -1)
     with pytest.raises(UnsupportedOrderError):
         eval_expansion(e, 1.0, 1.5)
+    with pytest.raises(UnsupportedOrderError):
+        e(1.0, True)
+    with pytest.raises(UnsupportedOrderError):
+        basis.matrix([1.0], True)
 
 
 def test_collocation_grid_validation():

@@ -224,6 +224,9 @@ def test_config_validation():
         for key in ("max_iter", "max_halvings"):
             with pytest.raises(ConfigurationError):
                 NewtonConfig(**{key: bad})
+    for bad in (0.0, -1e-7, math.nan, math.inf, True, "1e-7", None):
+        with pytest.raises(ConfigurationError):
+            fd_jacobian(lambda v: v.copy(), np.array([1.0]), bad)
     cfg = NewtonConfig(max_iter=np.int64(5), max_halvings=0)
     assert (cfg.max_iter, cfg.max_halvings) == (5, 0)
     cfg = NewtonConfig()

@@ -1,5 +1,5 @@
-"""Reference shooting integrator: RK4 behavior in companion form, slope
-search, and robustness of the reported slopes."""
+"""Reference shooting integrator: error-controlled Runge-Kutta behavior in
+companion form, slope search, and robustness of the reported slopes."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 
 from halfline.errors import BlowUpError, ConfigurationError, OracleError
 from halfline.problems import ConeParams, FluidParams, ThomasFermiProblem
-from halfline.shooting import ShootConfig, rk4_integrate, shoot
+from halfline.shooting import ShootConfig, integrate, shoot
 
 from conftest import CONE_LAMBDAS, FLUID_B
 
@@ -16,77 +16,100 @@ FLUID = FluidParams(*FLUID_B)
 
 
 # ---------------------------------------------------------------------------
-# RK4 integrator: rk4_integrate(accel, (f, f'[, f'']), x0, x1, step)
+# Dormand-Prince 5(4) integrator: integrate(accel, (f, f'[, f'']), x0, x1, step)
 
 
 def test_rk4_exponential():
-    xs, states = rk4_integrate(lambda x, f, fp: f, (1.0, 1.0), 0.0, 1.0, 1e-3)
+    xs, states = integrate(lambda x, f, fp: f, (1.0, 1.0), 0.0, 1.0, 1e-3)
     assert abs(states[-1, 0] - math.e) <= 1e-10
     assert abs(states[-1, 1] - math.e) <= 1e-10
     assert xs[0] == 0.0 and xs[-1] == 1.0
 
 
 def test_rk4_constant_is_exact():
-    xs, states = rk4_integrate(lambda x, f, fp: 0.0, (0.7, 0.0), 0.0, 5.0, 0.1)
+    xs, states = integrate(lambda x, f, fp: 0.0, (0.7, 0.0), 0.0, 5.0, 0.1)
     assert np.all(states[:, 0] == 0.7)
-    xs, states = rk4_integrate(lambda x, f, fp, fpp: 0.0, (0.7, 0.0, 0.0),
-                               0.0, 5.0, 0.1)
+    xs, states = integrate(lambda x, f, fp, fpp: 0.0, (0.7, 0.0, 0.0),
+                           0.0, 5.0, 0.1)
     assert np.all(states[:, 0] == 0.7)
 
 
 def test_rk4_exact_on_low_degree_polynomials():
     # f = x^3 through f'' = 6x, and f = x^3 + x^2 through f''' = 6
-    xs, states = rk4_integrate(lambda x, f, fp: 6.0 * x, (0.0, 0.0),
-                               0.0, 2.0, 1e-2)
+    xs, states = integrate(lambda x, f, fp: 6.0 * x, (0.0, 0.0),
+                           0.0, 2.0, 1e-2)
     assert abs(states[-1, 0] - 8.0) <= 1e-12
     assert abs(states[-1, 1] - 12.0) <= 1e-12
-    xs, states = rk4_integrate(lambda x, f, fp, fpp: 6.0, (0.0, 0.0, 2.0),
-                               0.0, 2.0, 1e-2)
+    xs, states = integrate(lambda x, f, fp, fpp: 6.0, (0.0, 0.0, 2.0),
+                           0.0, 2.0, 1e-2)
     assert abs(states[-1, 0] - 12.0) <= 1e-12
     assert abs(states[-1, 1] - 16.0) <= 1e-12
     assert abs(states[-1, 2] - 14.0) <= 1e-12
 
 
 def test_rk4_final_step_lands_exactly():
-    xs, states = rk4_integrate(lambda x, f, fp: 0.0, (0.0, 1.0),
-                               0.0, 0.0015, 1e-3)
+    xs, states = integrate(lambda x, f, fp: 0.0, (0.0, 1.0),
+                           0.0, 0.0015, 1e-3)
     assert xs[-1] == 0.0015
     assert len(xs) == 3
     assert abs(states[-1, 0] - 0.0015) <= 1e-15
 
 
 def test_rk4_trajectory_shape():
-    xs, states = rk4_integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 1.0, 0.1)
+    xs, states = integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 1.0, 0.1)
     assert xs.shape == (11,)
     assert states.shape == (11, 2)
-    xs, states = rk4_integrate(lambda x, f, fp, fpp: -fp, (1.0, 0.0, -1.0),
-                               0.0, 1.0, 0.1)
+    xs, states = integrate(lambda x, f, fp, fpp: -fp, (1.0, 0.0, -1.0),
+                           0.0, 1.0, 0.1)
     assert states.shape == (11, 3)
 
 
 def test_rk4_blow_up_reports_abscissa():
     # f'' = 6 f^2 from f = 1, f' = 2 is f = (1 - x)^-2, with a pole at x = 1
     with pytest.raises(BlowUpError) as info:
-        rk4_integrate(lambda x, f, fp: 6.0 * f * f, (1.0, 2.0), 0.0, 2.0, 1e-3)
+        integrate(lambda x, f, fp: 6.0 * f * f, (1.0, 2.0), 0.0, 2.0, 1e-3)
     assert 0.9 < info.value.abscissa <= 1.1
+
+
+def test_integrate_fills_the_grid_from_the_continuous_extension():
+    # f'' = -f is cos x; the accepted steps are far longer than the grid
+    # spacing, so almost every reported point comes from the order-4
+    # continuous extension, which holds the local tolerance 1e-8
+    xs, states = integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 10.0, 1e-2)
+    assert np.array_equal(xs[:-1], 1e-2 * np.arange(1000)) and xs[-1] == 10.0
+    assert np.max(np.abs(states[:, 0] - np.cos(xs))) <= 1e-7
+    assert np.max(np.abs(states[:, 1] + np.sin(xs))) <= 1e-7
+
+
+def test_integrate_stays_stable_on_stiff_decay():
+    # f'' = -1e3 f' from (0, 1) is f = (1 - exp(-1e3 x)) / 1e3.  A fixed
+    # step of 1e-2 is far outside any explicit stability region; the step
+    # control settles at the stability limit instead.  Every Runge-Kutta
+    # step keeps the linear invariant f + f'/1e3 = 1e-3 exactly, so the
+    # error in f(40) is the leftover stiff mode f'(40) / 1e3, which the
+    # error test holds near the tolerance 1e-8: at most about 1.5e-11.
+    xs, states = integrate(lambda x, f, fp: -1e3 * fp, (0.0, 1.0), 0.0, 40.0, 1e-2)
+    assert xs[-1] == 40.0 and len(xs) == 4001
+    assert abs(states[-1, 0] - 1e-3) <= 2e-11
+    assert abs(states[-1, 0] + states[-1, 1] / 1e3 - 1e-3) <= 1e-15
 
 
 def test_rk4_step_validation():
     for step in (0.0, -1e-3, math.inf, math.nan, True, None):
         with pytest.raises(ConfigurationError):
-            rk4_integrate(lambda x, f, fp: 0.0, (1.0, 0.0), 0.0, 1.0, step)
+            integrate(lambda x, f, fp: 0.0, (1.0, 0.0), 0.0, 1.0, step)
     # x0 is finite and x1 lies beyond it: a backward or empty run, or an
     # endless one, is refused instead of taking a single odd step
     for x0, x1 in ((1.0, 0.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0),
                    (-math.inf, 1.0), (0.0, math.nan)):
         with pytest.raises(ConfigurationError):
-            rk4_integrate(lambda x, f, fp: 0.0, (1.0, 0.0), x0, x1, 0.1)
+            integrate(lambda x, f, fp: 0.0, (1.0, 0.0), x0, x1, 0.1)
 
 
 def test_rk4_state_must_hold_two_or_three_derivatives():
     for y0 in ((1.0,), (1.0, 0.0, 0.0, 0.0)):
         with pytest.raises(ConfigurationError):
-            rk4_integrate(lambda x, *f: 0.0, y0, 0.0, 1.0, 0.1)
+            integrate(lambda x, *f: 0.0, y0, 0.0, 1.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +164,42 @@ def test_far_field_extension_leaves_slopes_unchanged(oracle):
     base, _ = oracle(FLUID)
     extended, _ = shoot(FLUID, ShootConfig(z_max=60.0))
     assert abs(extended - base) <= 1e-7
-    # every tabulated cone root lies in (0.8, 0.95); the default bracket
-    # top s = 2 hits the state bound with f' < 0 before reaching 60, so
-    # the extended sweep narrows the bracket around the known roots
-    far = ShootConfig(z_max=60.0, bracket=(0.0, 1.2))
+    far = ShootConfig(z_max=60.0)
     for lam in CONE_LAMBDAS:
         base, _ = oracle(ConeParams(lam))
         extended, _ = shoot(ConeParams(lam), far)
         assert abs(extended - base) <= 1e-7
+
+
+# the fixed-step RK4 slopes (step 1e-3) the error-controlled stepper replaced
+FIXED_STEP_SLOPES = {
+    "film": -0.678301619310756,
+    "screening": -1.588071265017559,
+    0.0: 0.947604879149176,
+    0.25: 0.911282349874943,
+    1.0 / 3.0: 0.900307399588860,
+    0.5: 0.879801615516390,
+    0.75: 0.852155098928181,
+    1.0: 0.827606852370027,
+}
+
+
+def test_default_slopes_match_fixed_step_values(oracle):
+    problems = {"film": FLUID, "screening": ThomasFermiProblem()}
+    problems.update((lam, ConeParams(lam)) for lam in CONE_LAMBDAS)
+    assert set(problems) == set(FIXED_STEP_SLOPES)
+    for key, prob in problems.items():
+        slope, _ = oracle(prob)
+        assert abs(slope - FIXED_STEP_SLOPES[key]) <= 1e-8
+
+
+def test_cone_default_bracket_beyond_lambda_one():
+    # the stiff probes near the top s = 2 of the default bracket stay
+    # stable, so it finds the same root as a bracket narrowed around it
+    narrow = ShootConfig(bracket=(0.0, 1.2))
+    for lam in (1.2, 2.0):
+        slope, _ = shoot(ConeParams(lam))
+        assert abs(slope - shoot(ConeParams(lam), narrow)[0]) <= 1e-8
 
 
 def test_screening_launch_point_insensitivity(oracle):

@@ -134,6 +134,12 @@ def test_extreme_mesh_nodes_stay_finite():
         coarse = SincBasis(3, 1e-102, map_kind)
         assert np.all(np.isfinite(coarse.matrix([1e-5, 1.0, 1e300], 3)))
         assert np.all(np.isfinite(delta_matrix(coarse, 3)))
+        # h^order beyond the largest double is refused the same way
+        with pytest.raises(RangeOverflowError):
+            SincBasis(3, 1e200, map_kind).matrix([1.0], 2)
+        with pytest.raises(RangeOverflowError):
+            delta_matrix(SincBasis(3, 1e110, map_kind), 3)
+        assert np.all(np.isfinite(SincBasis(3, 1e200, map_kind).matrix([1.0], 1)))
     # down to the smallest subnormal the Log-map members stay finite: the
     # weight's zero and the map's pole never meet as 0 * inf.  Orders 0-2
     # vanish with x; order 3 tends to 6 S(ln x), which decays like 1/ln x.
