@@ -1,10 +1,11 @@
 """The independent check: shooting with error-controlled Runge-Kutta plus a
-secant search.
+bisection on the initial slope.
 
 Every collocation answer in this package can be cross-examined by an
 oracle that never sees a basis function: integrate the ODE from the origin
-with a guessed initial slope, score how badly the far-field condition is
-violated, and drive the guess with a bracketed secant iteration.
+with a guessed initial slope, call the guess too low or too high by the
+first telltale event on its walk (the profile crossing zero, or turning
+back up), and bisect the bracket on that verdict.
 """
 
 from halfline import (
@@ -35,7 +36,7 @@ def main():
     # step**4) and the bracket are adjustable when a problem needs them
     cfg = ShootConfig(z_max=60.0, step=1e-3)
     slope60, _ = shoot(ConeParams(0.0), cfg)
-    print("                 doubling the domain moves it by %.1e" %
+    print("                 z_max 60 in place of 40 moves it by %.1e" %
           abs(slope60 - slope))
 
 

@@ -1,45 +1,36 @@
 """Independent reference solutions by shooting.
 
 An embedded Dormand-Prince 5(4) pair with step-size control integrates each
-model problem from the axis with a trial initial slope s; a bracketed
-false-position iteration (secant with bracket retention) drives the
-far-field mismatch to zero.
+model problem from the axis with a trial initial slope s, and bisection on
+the class of s, too low or too high, finds the slope that meets the
+far-field condition (Keller, Numerical Methods for Two-Point Boundary-Value
+Problems, 1968; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).
 
-One scalar stepper, _dp45, serves every integration: the mismatch probes
-and the reported trajectory (integrate).  It works in companion form: the
-state is (f, f') or (f, f', f''), and the problem's top_derivative method,
-the same equation as its collocation residual, gives the highest
+One scalar stepper, _dp45, serves every integration: the classification
+walks and the reported trajectory (integrate).  It works in companion form:
+the state is (f, f') or (f, f', f''), and the problem's top_derivative
+method, the same equation as its collocation residual, gives the highest
 derivative.  The stepping stays scalar on purpose: the slope search is
 sequential, and a numpy stepper advancing a batch of 8 to 65 trial slopes
 in lockstep measured 65-90 us per step, against a few us per step for this
 loop.
 
 Accuracy is one knob, ShootConfig.step.  The local error tolerance is
-step**4 (1e-12 at the default 1e-3), the global error of a fixed-step
-fourth-order method at that step, so halving the step still asks for 16
-times the accuracy.  The step is also the spacing of the reported
-trajectory, which the stepper's continuous extension fills in.
+step**4 (1e-12 at the default 1e-3) for every walk, the global error of a
+fixed-step fourth-order method at that step, so halving the step still
+asks for 16 times the accuracy.  The step is also the spacing of the
+reported trajectory, which the stepper's continuous extension fills in.
 
-The mismatch landscape needs care.  Truncating at z_max and capping blown-up
-trajectories manufactures spurious sign changes well inside the bracket: a
-trajectory caught mid-dive sweeps continuously through zero as the blow-up
-point crosses z_max.  The physical slope is the TOPMOST zero, and for the
-convecting-cone problem it sits at the upper edge of a dip in the mismatch
-only ~1e-2 wide, far narrower than any affordable scan grid.  upper-root
-scanning therefore walks down from the top of the bracket and, whenever the
-scan values stop decreasing before changing sign, golden-sections the local
-minimum hunting for a hidden negative value, then refines the dip's upper
-edge.  Mismatch values are log-compressed so capped trajectories cannot
-swamp the secant updates.
-
-The scan probes run at 1e3 times the refinement tolerance.  Trial slopes
-above the cone root are stiff: f grows linearly, so the coefficient a f of
-f'' reaches about 1.1e3 at s = 2, and the pair's stability limit caps the
-step near 3.3 / (a f).  There a probe takes about 21,600 steps at the
-refinement tolerance and 7,100, close to that cap, at the scan tolerance;
-the scan needs only the sign and rough size of the mismatch.  The step
-control keeps these walks stable, where a fixed step too long for the
-stiffest probe oscillates and poisons the scan with spurious roots.
+A trial slope takes the class of the first event on its walk, at the
+launch state or an accepted one: too low once f < 0 and too high once
+f' > 0 (film, screening), too low once f' < 0 and too high once f'' > 0
+(cone: above its root f' levels off positive and b f'^2 drives f'' up).
+So no walk runs into a blow-up or a stiff stretch.  A walk with no event
+by the far field takes the sign of f(z_max) (film), f'(z_max) (cone) or
+y(30) (screening), which keeps each root where its far-field condition
+puts it: near the root, screening's events lie near x = 195, and above
+the cone root f'' can stay at the error floor, about -1e-12.  A walk
+that aborts before it has a class raises OracleError.
 """
 
 import math
@@ -47,14 +38,12 @@ import math
 import numpy as np
 
 from .core import _real
-from .errors import BlowUpError, ConfigurationError, OracleError
+from .errors import BlowUpError, ConfigurationError, OracleError, RangeOverflowError
 from .problems import ConeParams, FluidParams, ThomasFermiProblem
 
 _BOUND = 1e6
 _TF_FAR_FIELD = 30.0
 _TF_PRELUDE_END = 0.05
-_SCAN_POINTS = 64
-_SCAN_TOL_FACTOR = 1e3
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table
 # II.5.2): stage nodes c2..c5 (c6 = c7 = 1), stage weights a_ij, the
@@ -77,14 +66,15 @@ _TABLEAU = (
 
 
 class ShootConfig:
-    """Far-field truncation, accuracy step, slope-iteration tolerance, bracket.
+    """Far-field truncation, accuracy step, bisection tolerance, bracket.
 
-    step sets the local error tolerance step**4 of every integration (the
-    scan probes use 1e3 * step**4), the spacing of the reported trajectory,
-    and the first trial step.  bracket = None picks the per-problem
-    default: (-2, 0) for the fluid and Thomas-Fermi problems (their slopes
-    are negative), (0, 2) for the cone, which holds the root for every lam
-    in [0, 2] (checked in steps of 0.1).
+    step sets the local error tolerance step**4 of every walk, the spacing
+    of the reported trajectory, and the first trial step.  A walk with no
+    event by z_max takes its class from the far-field sign.  Bisection
+    stops at a bracket width of secant_tol (1 + |midpoint|) and returns the
+    midpoint.  bracket = None picks the per-problem default: (-2, 0) for the
+    fluid and Thomas-Fermi problems (their slopes are negative), (0, 2) for
+    the cone, which holds the root for every lam in [0, 2] (steps of 0.1).
     """
 
     def __init__(self, z_max=40.0, step=1e-3, secant_tol=1e-10, bracket=None):
@@ -105,14 +95,17 @@ def integrate(accel, y0, x0, x1, step):
     trial step of size step > 0.  Returns (abscissas, states) as arrays of
     shape (n+1,) and (n+1, len(y0)) on x0 + k step, the last point on x1.
     An accepted state that leaves +-1e6, or a step size that collapses,
-    aborts with a blow-up error carrying the abscissa.
+    aborts with a blow-up error carrying the abscissa.  Before any walk, a
+    step with tol**2 outside the normal doubles, or a grid beyond memory,
+    raises a typed error.
     """
     step, x0 = _real("step", step, 0.0), _real("x0", x0, -math.inf)
     if len(y0) not in (2, 3):
         raise ConfigurationError("the state holds 2 or 3 derivatives, got %d"
                                  % len(y0))
     state = tuple(float(v) for v in y0)
-    return _trajectory(accel, state, x0, x0, _real("x1", x1, x0), step, step)
+    tol, grid = _tol_and_grid(x0, _real("x1", x1, x0), step)
+    return grid, _trajectory(accel, state, x0, grid, tol, step)
 
 
 # perfbench (spans.py and its tests) looks the integrator up under its former
@@ -121,16 +114,33 @@ def integrate(accel, y0, x0, x1, step):
 rk4_integrate = integrate
 
 
-def _trajectory(accel, state, x, x0, x1, step, h):
-    """Walk from (x, state) to x1 with first trial step h, and read the
-    continuous extension on x0 + k step, x <= x0 < x1, the last point x1."""
-    trail = []
-    reached, _, ok = _dp45(accel, state, x, x1, step ** 4, h, trail)
-    if not ok:
-        raise BlowUpError("trajectory left the state bound", abscissa=reached)
-    n = max(1, math.ceil((x1 - x0) / step - 1e-12))
-    grid = x0 + step * np.arange(n + 1.0)
+def _tol_and_grid(x0, x1, step):
+    """Tolerance step**4 and abscissas x0 + k step, the last one on x1; the
+    error test scales by 1 / tol**2, so tol**2 must be a normal double."""
+    try:
+        tol = step ** 4
+    except OverflowError:
+        tol = math.inf
+    if not np.finfo(float).tiny <= tol * tol < math.inf:
+        raise ConfigurationError("step %g: the error tolerance step**4 squared "
+                                 "leaves the double range" % step)
+    try:
+        n = max(1, math.ceil((x1 - x0) / step - 1e-12))
+        grid = x0 + step * np.arange(n + 1.0)
+    except (OverflowError, ValueError, MemoryError):
+        raise RangeOverflowError("a grid from %g to %g at step %g does not fit "
+                                 "in memory" % (x0, x1, step)) from None
     grid[-1] = x1
+    return tol, grid
+
+
+def _trajectory(accel, state, x, grid, tol, h):
+    """Walk from (x, state) to grid[-1] with first trial step h, and read the
+    continuous extension on grid, which starts at or after x."""
+    trail = []
+    reached, _, outcome = _dp45(accel, state, x, grid[-1], tol, h, trail)
+    if outcome is None:
+        raise BlowUpError("trajectory left the state bound", abscissa=reached)
     # per accepted step, the coefficients of Hairer's DOPRI5 dense output
     # y(x + t h) = y0 + t (diff + u (slope0 + t (curve + u tail))), u = 1 - t
     m = len(state)
@@ -145,24 +155,25 @@ def _trajectory(accel, state, x, x0, x1, step, h):
     j = np.clip(np.searchsorted(starts, grid, side="right") - 1, 0, len(rows) - 1)
     t = ((grid - starts[j]) / hs[j, 0])[:, np.newaxis]
     u = 1.0 - t
-    return grid, y0[j] + t * (diff[j] + u * (slope0[j] + t * (curve[j] + u * tail[j])))
+    return y0[j] + t * (diff[j] + u * (slope0[j] + t * (curve[j] + u * tail[j])))
 
 
-def _dp45(accel, state, x, x1, tol, h, trail=None):
-    """Dormand-Prince 5(4) in companion form from x to x1; (x reached,
-    state, survived).
+def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
+    """Dormand-Prince 5(4) in companion form from x to x1: (x, state, outcome).
 
     state is (f, f') or (f, f', f''), and accel gives the top derivative.
     Seven stages, the last one reused as the next step's first (FSAL): six
     accel calls per step.  A step is accepted when the RMS over components
     of err_i / (tol (1 + |y_i|)), y the new state, is <= 1; the next trial
     step is h clamp(0.9 err^(-1/5), 0.2, 10), and a non-finite error
-    divides h by 5.  The walk stops, not surviving, after the first
+    divides h by 5.  The walk aborts, with outcome None, after the first
     accepted state that leaves +-_BOUND, or when a rejection drives h below
     1e-14 (1 + |x|).  Each accepted step appends (x, h, state, top
     derivative, new state, new top derivative, dense-output weights) to
-    trail, if given.  The body is written once per order because a loop
-    over a state tuple costs several times more per step.
+    trail, if given.  The walk stops at the first state, the starting one
+    included, that classify (if given) maps to a nonzero class, which is
+    the outcome; otherwise the outcome is 0.  The body is written once per
+    order because a loop over a state tuple costs several times more per step.
     """
     (c2, c3, c4, c5, a21, a31, a32, a41, a42, a43, a51, a52, a53, a54,
      a61, a62, a63, a64, a65, b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7,
@@ -170,6 +181,8 @@ def _dp45(accel, state, x, x1, tol, h, trail=None):
     # err is the mean square of the scaled errors, so err ** -0.1 is the
     # RMS to the power -1/5
     scale = 1.0 / (len(state) * tol * tol)
+    if classify is not None and classify(*state):
+        return x, state, classify(*state)
     if len(state) == 2:
         f, p = state
         k = accel(x, f, p)
@@ -200,19 +213,21 @@ def _dp45(accel, state, x, x1, tol, h, trail=None):
             err = h * h * (sf * sf + sp * sp) * scale
             if err <= 1.0:
                 if not (abs(fn) <= _BOUND and abs(pn) <= _BOUND):
-                    return xn, (fn, pn), False
+                    return xn, (fn, pn), None
                 if trail is not None:
                     trail.append((
                         x, h, f, p, k, fn, pn, kn,
                         d1 * p + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * pn,
                         d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
                 x, f, p, k = xn, fn, pn, kn
+                if classify is not None and classify(f, p):
+                    return x, (f, p), classify(f, p)
                 h *= 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.1)
             else:
                 h *= max(0.2, 0.9 * err ** -0.1) if err < math.inf else 0.2
                 if h < 1e-14 * (1.0 + abs(x)):
-                    return x, (f, p), False
-        return x, (f, p), True
+                    return x, (f, p), None
+        return x, (f, p), 0
     f, p, q = state
     k = accel(x, f, p, q)
     while x < x1:
@@ -248,7 +263,7 @@ def _dp45(accel, state, x, x1, tol, h, trail=None):
         err = h * h * (sf * sf + sp * sp + sq * sq) * scale
         if err <= 1.0:
             if not (abs(fn) <= _BOUND and abs(pn) <= _BOUND and abs(qn) <= _BOUND):
-                return xn, (fn, pn, qn), False
+                return xn, (fn, pn, qn), None
             if trail is not None:
                 trail.append((
                     x, h, f, p, q, k, fn, pn, qn, kn,
@@ -256,109 +271,23 @@ def _dp45(accel, state, x, x1, tol, h, trail=None):
                     d1 * q + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * qn,
                     d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
             x, f, p, q, k = xn, fn, pn, qn, kn
+            if classify is not None and classify(f, p, q):
+                return x, (f, p, q), classify(f, p, q)
             h *= 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.1)
         else:
             h *= max(0.2, 0.9 * err ** -0.1) if err < math.inf else 0.2
             if h < 1e-14 * (1.0 + abs(x)):
-                return x, (f, p, q), False
-    return x, (f, p, q), True
+                return x, (f, p, q), None
+    return x, (f, p, q), 0
 
 
-def _compress(v):
-    return math.copysign(math.log1p(abs(v)), v)
+# the class of a state: -1 for a slope too low, +1 too high, 0 undecided
+def _film_class(f, p):  # film and screening
+    return -1 if f < 0 else 1 if p > 0 else 0
 
 
-def _refine(fun, lo, hi, flo, fhi, tol, maxit=100):
-    """False position with bracket retention (Illinois) on a sign change."""
-    if (flo < 0) == (fhi < 0):
-        raise OracleError("refinement bracket does not straddle a sign change")
-    side = 0
-    for _ in range(maxit):
-        denom = fhi - flo
-        x = (lo * fhi - hi * flo) / denom if denom != 0 else 0.5 * (lo + hi)
-        if not (min(lo, hi) < x < max(lo, hi)):
-            x = 0.5 * (lo + hi)
-        fx = fun(x)
-        if fx == 0 or abs(hi - lo) <= tol * (1 + abs(x)):
-            return x
-        if (fx < 0) == (flo < 0):
-            lo, flo = x, fx
-            if side == -1:
-                fhi /= 2
-            side = -1
-        else:
-            hi, fhi = x, fx
-            if side == 1:
-                flo /= 2
-            side = 1
-    raise OracleError("slope iteration did not converge in %d steps" % maxit)
-
-
-def _upper_root(mis_scan, mis_full, lo, hi, tol):
-    """Topmost zero of the mismatch in (lo, hi); see the module docstring."""
-    nscan = _SCAN_POINTS
-
-    def full_pair_refine(a, b):
-        fa = mis_full(a)
-        fb = mis_full(b)
-        ds = (hi - lo) / nscan
-        for _ in range(3):
-            if (fa < 0) != (fb < 0):
-                break
-            a = max(lo, a - ds)
-            b = min(hi, b + ds)
-            fa = mis_full(a)
-            fb = mis_full(b)
-        if (fa < 0) == (fb < 0):
-            return None
-        return _refine(mis_full, a, b, fa, fb, tol)
-
-    ss = [lo + (hi - lo) * i / nscan for i in range(nscan + 1)]
-    f_above = mis_scan(ss[nscan])
-    if f_above < 0:
-        raise OracleError("far-field mismatch is not positive at the top of the bracket")
-    for i in range(nscan - 1, -1, -1):
-        fi = mis_scan(ss[i])
-        if fi == 0 or (fi < 0) != (f_above < 0):
-            r = full_pair_refine(ss[i], ss[i + 1])
-            if r is not None:
-                return r
-        elif fi > f_above and i + 2 <= nscan:
-            # values rising as s falls: scan minimum at ss[i+1]; hunt for a
-            # dip narrower than the scan grid inside (ss[i], ss[i+2])
-            xa, xb, xc = ss[i], ss[i + 1], ss[i + 2]
-            fxb = f_above
-            neg = None
-            g = 0.5 * (3.0 - math.sqrt(5.0))
-            for _ in range(60):
-                if (xb - xa) > (xc - xb):
-                    xm = xb - g * (xb - xa)
-                else:
-                    xm = xb + g * (xc - xb)
-                fm = mis_scan(xm)
-                if fm < 0:
-                    neg = xm
-                    break
-                if fm < fxb:
-                    if xm < xb:
-                        xc = xb
-                    else:
-                        xa = xb
-                    xb, fxb = xm, fm
-                else:
-                    if xm < xb:
-                        xa = xm
-                    else:
-                        xc = xm
-                if xc - xa < 1e-11 * (1 + abs(xb)):
-                    break
-            if neg is not None:
-                up = xc if xc > neg else ss[i + 2]
-                r = full_pair_refine(neg, up)
-                if r is not None:
-                    return r
-        f_above = fi
-    raise OracleError("no far-field root found inside the bracket")
+def _cone_class(f, p, q):
+    return -1 if p < 0 else 1 if q > 0 else 0
 
 
 def _tf_launch(s, x0):
@@ -377,16 +306,18 @@ def shoot(problem, cfg=None, launch_x0=1e-6):
     cfg.step.  The Thomas-Fermi problem launches from the small-x series at
     launch_x0 (also its first trial step), reports from 0.05 on, and
     imposes its far-field condition at 30; the other problems impose theirs
-    at cfg.z_max.
+    at cfg.z_max.  A bracket whose top is not too high or whose bottom is
+    not too low, or a walk that aborts unclassified, raises OracleError.
     """
     if cfg is None:
         cfg = ShootConfig()
     x0 = grid0 = 0.0
-    x1, far, h0 = cfg.z_max, 0, cfg.step
+    x1, far, h0, classify = cfg.z_max, 0, cfg.step, _film_class
     if isinstance(problem, FluidParams):
         start, bracket = (lambda s: (1.0, s)), (-2.0, 0.0)
     elif isinstance(problem, ConeParams):
         start, bracket, far = (lambda s: (0.0, s, -1.0)), (0.0, 2.0), 1
+        classify = _cone_class
     elif isinstance(problem, ThomasFermiProblem):
         if not (0 < launch_x0 < _TF_PRELUDE_END):
             raise ConfigurationError("launch_x0 must sit in (0, %g)" % _TF_PRELUDE_END)
@@ -397,14 +328,23 @@ def shoot(problem, cfg=None, launch_x0=1e-6):
         raise ConfigurationError("unknown problem kind: %r" % (problem,))
     accel = problem.top_derivative
     lo, hi = cfg.bracket if cfg.bracket is not None else bracket
+    tol, grid = _tol_and_grid(grid0, x1, cfg.step)
 
-    def mismatch(tol):
-        def mis(s):
-            _, y, ok = _dp45(accel, start(s), x0, x1, tol, h0)
-            return _compress(y[far] if ok else math.copysign(_BOUND, y[far]))
-        return mis
+    def side(s):
+        reached, y, outcome = _dp45(accel, start(s), x0, x1, tol, h0,
+                                    classify=classify)
+        if outcome is None:
+            raise OracleError("the walk from trial slope %.17g aborted at x = %g "
+                              "before it had a class" % (s, reached))
+        return outcome or math.copysign(1.0, y[far])
 
-    tol = cfg.step ** 4
-    slope = _upper_root(mismatch(_SCAN_TOL_FACTOR * tol), mismatch(tol), lo, hi,
-                        cfg.secant_tol)
-    return slope, _trajectory(accel, start(slope), x0, grid0, x1, cfg.step, h0)
+    if side(hi) < 0:
+        raise OracleError("far-field mismatch is not positive at the top of the bracket")
+    if side(lo) > 0:
+        raise OracleError("no far-field root found inside the bracket")
+    mid = 0.5 * (lo + hi)
+    # the second test stops on a bracket of adjacent doubles
+    while hi - lo > cfg.secant_tol * (1.0 + abs(mid)) and lo < mid < hi:
+        lo, hi = (mid, hi) if side(mid) < 0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return mid, (grid, _trajectory(accel, start(mid), x0, grid, tol, h0))

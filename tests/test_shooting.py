@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from halfline.errors import BlowUpError, ConfigurationError, OracleError
+from halfline.errors import (BlowUpError, ConfigurationError, OracleError,
+                             RangeOverflowError)
 from halfline.problems import ConeParams, FluidParams, ThomasFermiProblem
 from halfline.shooting import ShootConfig, integrate, shoot
 
@@ -104,6 +105,20 @@ def test_rk4_step_validation():
                    (-math.inf, 1.0), (0.0, math.nan)):
         with pytest.raises(ConfigurationError):
             integrate(lambda x, f, fp: 0.0, (1.0, 0.0), x0, x1, 0.1)
+    # before any walk: a tolerance step**4 whose square leaves the double
+    # range (step 1e-90 underflows, 1e100 overflows), and a grid of 1e30
+    # points that cannot be allocated
+    calls = []
+
+    def accel(x, f, fp):
+        calls.append(x)
+        return 0.0
+    for step in (1e-90, 1e100):
+        with pytest.raises(ConfigurationError):
+            integrate(accel, (1.0, 0.0), 0.0, 1.0, step)
+    with pytest.raises(RangeOverflowError):
+        integrate(accel, (1.0, 0.0), 0.0, 1.0, 1e-30)
+    assert calls == []
 
 
 def test_rk4_state_must_hold_two_or_three_derivatives():
@@ -202,6 +217,23 @@ def test_cone_default_bracket_beyond_lambda_one():
         assert abs(slope - shoot(ConeParams(lam), narrow)[0]) <= 1e-8
 
 
+def test_cone_classifies_every_lambda_up_to_two():
+    # the default bracket (0, 2) holds the root on the whole lam grid, and
+    # the slope falls as the heat-flux exponent grows
+    slopes = [shoot(ConeParams(i / 10))[0] for i in range(21)]
+    assert all(0.0 < s < 2.0 for s in slopes)
+    assert all(a > b for a, b in zip(slopes, slopes[1:]))
+
+
+def test_bisection_stops_on_adjacent_doubles(oracle):
+    # a tolerance below the spacing of doubles ends the bisection when no
+    # midpoint lies strictly inside the bracket; the slope stays inside the
+    # default run's last bracket, which is 1.7e-10 wide
+    base, _ = oracle(FLUID)
+    fine, _ = shoot(FLUID, ShootConfig(secant_tol=1e-300))
+    assert abs(fine - base) <= 1e-10
+
+
 def test_screening_launch_point_insensitivity(oracle):
     base, _ = oracle(ThomasFermiProblem())
     lo, _ = shoot(ThomasFermiProblem(), launch_x0=1e-7)
@@ -222,6 +254,31 @@ def test_bracket_with_negative_far_field_top_is_rejected():
 def test_bracket_without_root_is_reported():
     with pytest.raises(OracleError, match="no far-field root"):
         shoot(FLUID, ShootConfig(z_max=8.0, step=2e-2, bracket=(-0.05, -0.01)))
+
+
+def test_walk_that_aborts_before_its_class_is_an_oracle_error():
+    # past x = 1 every step's error estimate is NaN, so the step collapses
+    # on the first walk that has no class by then
+    class BrokenFilm(FluidParams):
+        def top_derivative(self, x, f, fp):
+            return math.nan if x > 1.0 else super().top_derivative(x, f, fp)
+    with pytest.raises(OracleError, match="aborted at x = 1 before it had a class"):
+        shoot(BrokenFilm(*FLUID_B))
+
+
+def test_shoot_refuses_tiny_steps_before_any_walk():
+    class CountingFilm(FluidParams):
+        calls = 0
+
+        def top_derivative(self, x, f, fp):
+            CountingFilm.calls += 1
+            return super().top_derivative(x, f, fp)
+    film = CountingFilm(*FLUID_B)
+    with pytest.raises(RangeOverflowError):
+        shoot(film, ShootConfig(step=1e-30))
+    with pytest.raises(ConfigurationError):
+        shoot(film, ShootConfig(step=1e-90))
+    assert CountingFilm.calls == 0
 
 
 def test_shoot_config_validation():
