@@ -29,7 +29,6 @@ from .problems import (
     SeedProfile,
     ThomasFermiProblem,
     derived_slope,
-    pointwise_residual,
     solve_problem,
 )
 from .reference import TABLE1, TABLE2, TABLE3, TABLE4, TABLE5, TABLE6, TABLE7
@@ -358,9 +357,8 @@ def run_case(cfg):
     e, report = solve_problem(spec)
     xs = np.asarray(cfg.abscissas if cfg.abscissas is not None
                     else _PROBLEMS[cfg.problem].grid.abscissas(), dtype=float)
-    f = [e(xs, m) for m in range(spec.max_order + 1)]
-    # the residual reads the derivatives just tabulated at xs
-    res = pointwise_residual(spec, lambda x, m: f[m], xs)
+    f = e.derivatives(xs, spec.max_order)
+    res = spec.problem.residual(xs, f)
     rows = list(zip(xs, f[0], f[1], res))
     slope = derived_slope(e, spec)
     rows.append((0.0, e(0.0, 0), slope, report.final_residual_norm))

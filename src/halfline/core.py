@@ -3,8 +3,9 @@
 A basis object (Laguerre, Hermite, or sinc family) exposes
 
     dimension          -- number of coefficients in a truncated expansion
-    matrix(xs, m)      -- m-th derivatives of every member at the points
-                          xs >= 0, shape (dimension, len(xs))
+    tables(xs, M)      -- derivatives of orders 0..M of every member at the
+                          points xs >= 0, shape (M+1, dimension, len(xs))
+    matrix(xs, m)      -- the last entry of tables(xs, m), bit for bit
 
 and this module supplies everything generic on top of that: evaluating a
 truncated series (optionally shifted by a closed-form seed profile),
@@ -106,6 +107,21 @@ class Expansion:
     def __call__(self, x, order=0):
         return eval_expansion(self, x, order)
 
+    def derivatives(self, x, max_order, lowest=0):
+        """[self(x, lowest), ..., self(x, max_order)]: one basis tabulation, then per
+        order one product with the coefficients plus the seed's derivative."""
+        max_order = _check_order(max_order)
+        xs = _as_points(x)
+        flat = xs.reshape(-1)
+        tables = self.basis.tables(flat, max_order)
+        out = []
+        for q in range(lowest, max_order + 1):
+            vals = self.coefficients @ tables[q]
+            if self.seed is not None:
+                vals = vals + self.seed(flat, q)
+            out.append(float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape))
+        return out
+
 
 def _check_order(order):
     if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
@@ -148,19 +164,9 @@ def _check_index(i, dimension):
 
 
 def eval_expansion(e, x, order=0):
-    """Value of the expansion's order-th derivative at x >= 0.
-
-    One basis-matrix product with the coefficients, plus the seed's
-    derivative when a seed is attached.  A scalar x gives a float, an
-    array x an array of the same shape.
-    """
-    order = _check_order(order)
-    xs = _as_points(x)
-    flat = xs.reshape(-1)
-    vals = e.coefficients @ e.basis.matrix(flat, order)
-    if e.seed is not None:
-        vals = vals + e.seed(flat, order)
-    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+    """Value of the expansion's order-th derivative at x >= 0: a float for a
+    scalar x, an array of its shape for an array x."""
+    return e.derivatives(x, order, lowest=order)[0]
 
 
 def _tridiagonal_roots(diag, off, value, derivative, family):

@@ -70,6 +70,9 @@ class HermiteBasis:
     def matrix(self, xs, order=0):
         return hermite_matrix(self, xs, order)
 
+    def tables(self, xs, max_order):
+        return hermite_tables(self, xs, max_order)
+
     def member(self, i, x, order=0):
         return float(self.matrix([x], order)[_check_index(i, self.N + 1), 0])
 
@@ -80,30 +83,34 @@ class HermiteBasis:
         return "HermiteBasis(N=%d, k=%g)" % (self.N, self.k)
 
 
-def hermite_matrix(basis, xs, order=0):
-    """Members G_n(ln(x)/k), or their x-derivatives, at each x: shape (N+1, len(xs)).
+def hermite_tables(basis, xs, max_order):
+    """x-derivatives of orders 0..max_order of every member: shape (max_order+1, N+1, len(xs)).
 
-    The line tables at t = ln(x)/k are chained with the map derivatives
-    1/(k x), -1/(k x^2) and 2/(k x^3).  At x = 0 every order gives the
-    continuous-extension limit 0: the Gaussian factor decays faster than
-    any power of the diverging map derivatives grows.
+    One set of line tables at t = ln(x)/k is chained with the map
+    derivatives 1/(k x), -1/(k x^2) and 2/(k x^3).  At x = 0 every order
+    gives the continuous-extension limit 0: the Gaussian factor decays
+    faster than any power of the diverging map derivatives grows.
     """
-    m = _check_order(order)
+    M = _check_order(max_order)
     xs = _as_points(xs).reshape(-1)
-    out = np.zeros((basis.N + 1, xs.size))
+    out = np.zeros((M + 1, basis.N + 1, xs.size))
     live = xs > 0.0
     x, k = xs[live], basis.k
-    D = _line_tables(basis.N, np.log(x) / k, m)
+    D = _line_tables(basis.N, np.log(x) / k, M)
     p1, p2, p3 = 1.0 / (k * x), -1.0 / (k * x * x), 2.0 / (k * x * x * x)
-    if m == 0:
-        out[:, live] = D[0]
-    elif m == 1:
-        out[:, live] = D[1] * p1
-    elif m == 2:
-        out[:, live] = D[2] * p1 * p1 + D[1] * p2
-    else:
-        out[:, live] = D[3] * p1 ** 3 + 3.0 * D[2] * p1 * p2 + D[1] * p3
+    out[0][:, live] = D[0]
+    if M >= 1:
+        out[1][:, live] = D[1] * p1
+    if M >= 2:
+        out[2][:, live] = D[2] * p1 * p1 + D[1] * p2
+    if M >= 3:
+        out[3][:, live] = D[3] * p1 ** 3 + 3.0 * D[2] * p1 * p2 + D[1] * p3
     return out
+
+
+def hermite_matrix(basis, xs, order=0):
+    """Members G_n(ln(x)/k), or their x-derivatives, at each x: shape (N+1, len(xs))."""
+    return hermite_tables(basis, xs, order)[order]
 
 
 def hermite_line_nodes(N):

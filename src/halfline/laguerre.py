@@ -77,6 +77,9 @@ class LaguerreBasis:
     def matrix(self, xs, order=0):
         return mglf_matrix(self, xs, order)
 
+    def tables(self, xs, max_order):
+        return mglf_tables(self, xs, max_order)
+
     def member(self, i, x, order=0):
         return float(self.matrix([x], order)[_check_index(i, self.N), 0])
 
@@ -90,28 +93,32 @@ class LaguerreBasis:
         return "LaguerreBasis(N=%d, alpha=%g, L=%g)" % (self.N, self.alpha, self.L)
 
 
-def mglf_matrix(basis, xs, order=0):
-    """Values phi_j^(order)(x_i) for all members, shape (N, len(xs)).
+def mglf_tables(basis, xs, max_order):
+    """Values phi_j^(m)(x_i) for m = 0..max_order, shape (max_order+1, N, len(xs)).
 
     Leibniz over the damping factor and the shifted polynomial part
-    d^q/dx^q L_j^1(x/L) = (-1/L)^q L_{j-q}^(1+q)(x/L), one recurrence
-    table per shift q.
+    d^q/dx^q L_j^1(x/L) = (-1/L)^q L_{j-q}^(1+q)(x/L), from one recurrence
+    table holding every shift q <= max_order.
     """
-    m = _check_order(order)
+    M = _check_order(max_order)
     xs = _as_points(xs).reshape(-1)
     y = xs / basis.L
     damp = np.exp(-0.5 * y)
     N = basis.N
-    out = np.zeros((N, xs.size))
+    out = np.zeros((M + 1, N, xs.size))
     # tables[n, q] = L_n^(1+q)(y) for the q-fold differentiated polynomial part
-    tables = laguerre_table(N - 1, 1.0 + np.arange(m + 1)[:, np.newaxis], y)
-    for i in range(m + 1):
-        q = m - i
-        if q < N:
-            c = math.comb(m, i) * (-0.5 / basis.L) ** i * (-1.0 / basis.L) ** q
-            out[q:] += c * tables[:N - q, q]
+    tables = laguerre_table(N - 1, 1.0 + np.arange(M + 1)[:, np.newaxis], y)
+    for m in range(M + 1):
+        for q in range(min(m, N - 1), -1, -1):
+            c = math.comb(m, q) * (-0.5 / basis.L) ** (m - q) * (-1.0 / basis.L) ** q
+            out[m, q:] += c * tables[:N - q, q]
     out *= damp
     return out
+
+
+def mglf_matrix(basis, xs, order=0):
+    """Values phi_j^(order)(x_i) for all members, shape (N, len(xs))."""
+    return mglf_tables(basis, xs, order)[order]
 
 
 def laguerre_nodes(basis):

@@ -37,7 +37,7 @@ from .errors import ConfigurationError, ConvergenceError, DomainError, SolverErr
 from .hermite import HermiteBasis, hermite_nodes
 from .laguerre import LaguerreBasis, laguerre_nodes
 from .newton import newton_solve
-from .sinc import SincBasis, SincMap, chain_tables, delta_matrix, sinc_nodes
+from .sinc import SincBasis, SincMap, chain_tables, delta_matrices, sinc_nodes
 
 # Newton starts of the Laguerre pairings: a closed-form profile taken at the
 # collocation nodes, with the axis rows completing a square linear system.
@@ -367,20 +367,20 @@ def build_system(spec):
     if isinstance(basis, SincBasis):
         nodes = sinc_nodes(basis).nodes
         A = chain_tables(basis, spec.max_order)
-        deltas = [delta_matrix(basis, q).T for q in orders]
+        deltas = [d.T for d in delta_matrices(basis, spec.max_order)]
         operators = [sum(A[m][q][:, np.newaxis] * deltas[q] for q in range(m + 1))
                      for m in orders]
     elif isinstance(basis, HermiteBasis):
         nodes = hermite_nodes(basis).nodes
-        operators = [basis.matrix(nodes, q).T for q in orders]
+        operators = [t.T for t in basis.tables(nodes, spec.max_order)]
     else:
         conditions = spec.problem.axis_conditions
         if basis.N <= len(conditions):
             raise ConfigurationError(
                 "N = %d leaves no interior collocation nodes" % basis.N)
         nodes = laguerre_nodes(basis).nodes[: basis.N - len(conditions)]
-        operators = [basis.matrix(nodes, q).T for q in orders]
-        boundary = np.vstack([basis.matrix([0.0], q).T for q, _ in conditions])
+        operators = [t.T for t in basis.tables(nodes, spec.max_order)]
+        boundary = basis.tables([0.0], spec.max_order)[[q for q, _ in conditions], :, 0]
         targets = np.array([value for _, value in conditions])
         if isinstance(spec.problem, ConeParams):
             start = SeedProfile(SeedKind.CONE_RATIONAL, _CONE_START_SCALE)

@@ -40,11 +40,6 @@ _SERIES = np.array([[(-1.0) ** ((k + d) // 2) * math.pi ** (k + d)
                      for k in range(21)] for d in range(4)])
 
 
-def _sinc_derivs_series(y, max_order):
-    """Derivatives 0..max_order of sinc at small |y|, rows of (max_order+1, len(y))."""
-    return _SERIES[:max_order + 1] @ (y ** np.arange(21)[:, np.newaxis])
-
-
 def sinc_derivatives(y, max_order=3):
     """Tuple (sinc(y), sinc'(y), ..., up to max_order) over an array y.
 
@@ -56,7 +51,8 @@ def sinc_derivatives(y, max_order=3):
     y = np.asarray(y, dtype=float)
     vals = tuple(np.empty(y.shape) for _ in range(max_order + 1))
     near = np.abs(y) <= _TAYLOR_RADIUS
-    for v, series in zip(vals, _sinc_derivs_series(y[near], max_order)):
+    # every order's series is formed, so no row's bits depend on max_order
+    for v, series in zip(vals, _SERIES @ (y[near] ** np.arange(21)[:, np.newaxis])):
         v[near] = series
     far = ~near
     y = y[far]
@@ -106,6 +102,9 @@ class SincBasis:
     def matrix(self, xs, order=0):
         return composite_matrix(self, xs, order)
 
+    def tables(self, xs, max_order):
+        return composite_tables(self, xs, max_order)
+
     def member(self, i, x, order=0):
         return float(self.matrix([x], order)[_check_index(i, self.dimension), 0])
 
@@ -128,35 +127,37 @@ def _check_mesh_power(h, order):
                                  % (order, h))
 
 
-def delta_matrix(basis, order):
-    """Differentiation matrix delta^(order) on the 2N+1 mesh points, read-only:
-    entry [k, j] = S(k,h)^(order)(j h).
+def delta_matrices(basis, max_order):
+    """Read-only delta^(0)..delta^(max_order) on the 2N+1 mesh points: [k, j] = S(k,h)^(m)(j h).
 
     order 0: identity
     order 1: (1/h)   (-1)^(j-k) / (j-k)              off-diagonal, 0 diagonal
     order 2: (1/h^2) (-2 (-1)^(j-k) / (j-k)^2)       off-diagonal, -pi^2/(3 h^2) diagonal
     order 3: (1/h^3) (-1)^(j-k) (6/(j-k)^3 - pi^2/(j-k)) off-diagonal, 0 diagonal
     """
-    m = _check_order(order)
+    M = _check_order(max_order)
     n = basis.dimension
     h = basis.h
-    _check_mesh_power(h, m)
+    _check_mesh_power(h, M)
     idx = np.arange(n)
     d = idx[np.newaxis, :] - idx[:, np.newaxis]        # d[k, j] = j - k
-    if m == 0:
-        return _readonly(np.eye(n))
     sign = np.where(d % 2 == 0, 1.0, -1.0)
     dd = np.where(d == 0, 1, d).astype(float)          # dummy 1 on the diagonal
-    if m == 1:
-        ent = sign / (h * dd)
-        np.fill_diagonal(ent, 0.0)
-    elif m == 2:
-        ent = -2.0 * sign / (h * h * dd * dd)
-        np.fill_diagonal(ent, -math.pi ** 2 / (3.0 * h * h))
-    else:
-        ent = sign * (6.0 / dd ** 3 - math.pi ** 2 / dd) / h ** 3
-        np.fill_diagonal(ent, 0.0)
-    return _readonly(ent)
+    mats = [np.eye(n)]
+    if M >= 1:
+        mats.append(sign / (h * dd))
+    if M >= 2:
+        mats.append(-2.0 * sign / (h * h * dd * dd))
+    if M >= 3:
+        mats.append(sign * (6.0 / dd ** 3 - math.pi ** 2 / dd) / h ** 3)
+    for ent, diagonal in zip(mats[1:], (0.0, -math.pi ** 2 / (3.0 * h * h), 0.0)):
+        np.fill_diagonal(ent, diagonal)
+    return [_readonly(ent) for ent in mats]
+
+
+def delta_matrix(basis, order):
+    """Differentiation matrix delta^(order) on the mesh points (see delta_matrices)."""
+    return delta_matrices(basis, order)[order]
 
 
 def _asinh_exp(t):
@@ -297,22 +298,22 @@ def _mapped(basis, xs, max_order):
     return live, phi, A
 
 
-def composite_matrix(basis, xs, order=0):
-    """Members W(x) S(k,h)(Phi(x)), or their derivatives, at each x: shape (2N+1, len(xs)).
+def composite_tables(basis, xs, max_order):
+    """Derivatives of orders 0..max_order of every member: shape (max_order+1, 2N+1, len(xs)).
 
-    Row i holds translate k = i - N.  The order-th derivative of member k
-    is sum_q A[order][q](x) S^(q)((Phi(x) - k h)/h) / h^q, with the
-    chain-rule tables that chain_tables evaluates at the nodes.  At x = 0
-    every order gives the continuous-extension limit 0 (the boundary
-    weight's algebraic zero wins against the map divergence); under the
-    LogSinh map so does every x below 1e-10.
+    Row i holds translate k = i - N.  The m-th derivative of member k is
+    sum_q A[m][q](x) S^(q)((Phi(x) - k h)/h) / h^q, with the chain-rule
+    tables that chain_tables evaluates at the nodes.  At x = 0 every order
+    gives the continuous-extension limit 0 (the boundary weight's algebraic
+    zero wins against the map divergence); under the LogSinh map so does
+    every x below 1e-10.
     """
-    m = _check_order(order)
+    M = _check_order(max_order)
     xs = _as_points(xs).reshape(-1)
     h = basis.h
-    _check_mesh_power(h, m)
-    out = np.zeros((basis.dimension, xs.size))
-    live, phi, A = _mapped(basis, xs, m)
+    _check_mesh_power(h, M)
+    out = np.zeros((M + 1, basis.dimension, xs.size))
+    live, phi, A = _mapped(basis, xs, M)
     k = np.arange(-basis.N, basis.N + 1)[:, np.newaxis]
     # once |Phi| / h passes the largest double the argument rounds to +-inf,
     # where sinc_derivatives takes the limits: a value below 1e-299 in
@@ -320,9 +321,15 @@ def composite_matrix(basis, xs, order=0):
     # values on very fine meshes (h = 1e-300).
     with np.errstate(over="ignore"):
         y = (phi - k * h) / h
-    s = sinc_derivatives(y, m)
-    out[:, live] = sum(A[m][q] * s[q] / h ** q for q in range(m + 1))
+    s = sinc_derivatives(y, M)
+    for m in range(M + 1):
+        out[m][:, live] = sum(A[m][q] * s[q] / h ** q for q in range(m + 1))
     return out
+
+
+def composite_matrix(basis, xs, order=0):
+    """Members W(x) S(k,h)(Phi(x)), or their derivatives, at each x: shape (2N+1, len(xs))."""
+    return composite_tables(basis, xs, order)[order]
 
 
 def chain_tables(basis, max_order):

@@ -17,6 +17,7 @@ from halfline import (
     SeedKind,
     SeedProfile,
     SincBasis,
+    SincMap,
     UnsupportedOrderError,
     eval_expansion,
     project,
@@ -184,6 +185,28 @@ def test_array_evaluation(basis):
                 e(np.array([0.5, bad, 1.0]), m)
             with pytest.raises(DomainError):
                 basis.matrix([bad], m)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
+@pytest.mark.parametrize("basis", FAMILIES + [
+    LaguerreBasis(24, 1.0, 0.99), HermiteBasis(16, 1.2), SincBasis(17, 1.0),
+    SincBasis(4, 0.7, SincMap.LOG)], ids=lambda b: repr(b))
+def test_multi_order_tabulation_is_bit_identical(basis, seeded):
+    # the axis, points on and off the nodes, and the far field
+    xs = np.concatenate([[0.0, 1e-12, 1e-3], basis.nodes().nodes,
+                         np.linspace(0.05, 12.0, 17), [80.0, 700.0, 1e6]])
+    rng = np.random.default_rng(7)
+    seed = SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.6) if seeded else None
+    e = Expansion(basis, rng.standard_normal(basis.dimension), seed=seed)
+    for m in range(4):
+        stack = basis.tables(xs, m)
+        assert stack.shape == (m + 1, basis.dimension, xs.size)
+        values = e.derivatives(xs, m)
+        scalars = e.derivatives(1.3, m)
+        for q in range(m + 1):
+            assert np.array_equal(stack[q], basis.matrix(xs, q))
+            assert np.array_equal(values[q], e(xs, q))
+            assert scalars[q] == e(1.3, q)
 
 
 def test_every_exported_name_resolves():

@@ -166,8 +166,28 @@ def test_permutation_equivariance():
 
 def test_singular_jacobian_is_reported():
     F = lambda v: np.array([v[0] + v[1] - 1.0, 2.0 * v[0] + 2.0 * v[1] - 2.0])
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError) as info:
         newton_solve(F, fd_of(F), np.array([0.0, 0.0]))
+    assert info.value.condition == math.inf
+
+
+def test_ill_conditioned_jacobian_aborts_with_its_condition():
+    # J = [[1, 1], [1, 1 + d]]: kappa_1 of the row-equilibrated matrix is
+    # about 4 / d, so d = 1e-15 crosses the 1e-14 abort and d = 1e-9 does not
+    x0 = np.array([0.3, -0.2])
+    for d, aborts in ((1e-15, True), (1e-9, False)):
+        jac = np.array([[1.0, 1.0], [1.0, 1.0 + d]])
+        F = lambda v, jac=jac: jac @ v - np.array([2.0, 2.0 + d])
+        if aborts:
+            with pytest.raises(SingularJacobianError) as info:
+                newton_solve(F, lambda v, jac=jac: jac, x0)
+            assert info.value.condition > 1e14
+            assert np.array_equal(info.value.iterate, x0)
+        else:
+            report = newton_solve(F, lambda v, jac=jac: jac, x0)
+            assert report.converged
+            # forward error within kappa_1 * eps of the exact root (1, 1)
+            assert np.max(np.abs(report.solution - 1.0)) <= 1e-6
 
 
 def test_dead_row_with_live_residual_is_reported():
