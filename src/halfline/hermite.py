@@ -89,7 +89,9 @@ def hermite_tables(basis, xs, max_order):
     One set of line tables at t = ln(x)/k is chained with the map
     derivatives 1/(k x), -1/(k x^2) and 2/(k x^3).  At x = 0 every order
     gives the continuous-extension limit 0: the Gaussian factor decays
-    faster than any power of the diverging map derivatives grows.
+    faster than any power of the diverging map derivatives grows.  Where
+    it underflows (|ln x| beyond about 38.6 k) every line table is 0 and the
+    map derivatives, which may overflow there, are formed at x = 1 instead.
     """
     M = _check_order(max_order)
     xs = _as_points(xs).reshape(-1)
@@ -97,6 +99,7 @@ def hermite_tables(basis, xs, max_order):
     live = xs > 0.0
     x, k = xs[live], basis.k
     D = _line_tables(basis.N, np.log(x) / k, M)
+    x = np.where(D[0][0] > 0.0, x, 1.0)
     p1, p2, p3 = 1.0 / (k * x), -1.0 / (k * x * x), 2.0 / (k * x * x * x)
     out[0][:, live] = D[0]
     if M >= 1:

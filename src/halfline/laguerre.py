@@ -102,12 +102,16 @@ def mglf_tables(basis, xs, max_order):
     """
     M = _check_order(max_order)
     xs = _as_points(xs).reshape(-1)
-    y = xs / basis.L
+    with np.errstate(over="ignore"):               # y = inf past the largest double
+        y = xs / basis.L
     damp = np.exp(-0.5 * y)
     N = basis.N
     out = np.zeros((M + 1, N, xs.size))
-    # tables[n, q] = L_n^(1+q)(y) for the q-fold differentiated polynomial part
-    tables = laguerre_table(N - 1, 1.0 + np.arange(M + 1)[:, np.newaxis], y)
+    # tables[n, q] = L_n^(1+q)(y) for the q-fold differentiated polynomial part;
+    # where the damping is 0 the polynomials (about y^(N-1)) may overflow, so
+    # they are formed at y = 0 there, and every entry comes out 0
+    tables = laguerre_table(N - 1, 1.0 + np.arange(M + 1)[:, np.newaxis],
+                            np.where(damp > 0.0, y, 0.0))
     for m in range(M + 1):
         for q in range(min(m, N - 1), -1, -1):
             c = math.comb(m, q) * (-0.5 / basis.L) ** (m - q) * (-1.0 / basis.L) ** q

@@ -24,12 +24,18 @@ value) pairs imposed at x = 0.  build_system reduces every pairing to nodal
 derivatives that are affine in the coefficients, f_q = s_q + D_q c, so the
 damped Newton driver gets the residual map and its exact Jacobian from
 the same operators.
+
+All of a system but the seed values s_q depends only on the basis class,
+its parameter values and the problem class: it is built once per process,
+shared read-only (by a cone table's lambda rows on one basis, say) and kept
+within _DISCRETIZATION_BYTES, least recently used out first.
 """
 
+import collections
+import enum
 import math
 import warnings
 
-import enum
 import numpy as np
 
 from .core import Expansion, _as_points, _check_order, _real
@@ -348,48 +354,88 @@ class NonlinearSystem:
             problem_label(self.spec), self.dimension, self.boundary_rows)
 
 
-def build_system(spec):
-    """Collocation system of the pairing: nodes, operators D_q, seeds, axis rows, guess.
+class _Discretizations(collections.OrderedDict):
+    used = 0        # bytes held; key -> (entry, bytes), least recently used first
+
+
+# The bytes the discretizations kept in this process may hold together; an
+# entry at the sizes the presets use takes 1-120 kB.
+_DISCRETIZATION_BYTES = 16 * 2 ** 20
+_DISCRETIZATIONS = _Discretizations()
+
+
+def _discretization(basis, problem):
+    """Read-only (nodes, axis rows B, targets t, start c0, axis tables, *D_q)
+    of a pairing, memoized by value (basis class, its parameter values,
+    problem class); a failed build is not kept, so it raises on every call.
 
     Laguerre collocates at all but the last len(axis_conditions) nodes (the
-    least-resolved far ones) and imposes the axis conditions as explicit
-    rows.  Hermite and composite translates collocate at every node and
-    carry the axis conditions in the seed.  For the translates,
+    least-resolved far ones) and imposes the axis conditions as rows of its
+    axis tables (every order at x = 0; empty for the other families).
+    Hermite and composite translates collocate at every node and carry the
+    axis conditions in the seed.  For the translates,
     D_m = sum_q diag(A[m][q]) delta^(q)^T from the chain-rule tables.
     """
-    if not isinstance(spec, ProblemSpec):
-        raise ConfigurationError("build_system needs a ProblemSpec")
-    basis = spec.basis
-    orders = range(spec.max_order + 1)
+    key = (type(basis), tuple(sorted(vars(basis).items())), type(problem))
+    cache = _DISCRETIZATIONS
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key][0]
+    M = problem.order
     boundary = np.empty((0, basis.dimension))
     targets = np.empty(0)
     guess = np.zeros(basis.dimension)
+    axis = np.empty((M + 1, basis.dimension, 0))
     if isinstance(basis, SincBasis):
         nodes = sinc_nodes(basis).nodes
-        A = chain_tables(basis, spec.max_order)
-        deltas = [d.T for d in delta_matrices(basis, spec.max_order)]
+        A = chain_tables(basis, nodes, M)
+        deltas = [d.T for d in delta_matrices(basis, M)]
         operators = [sum(A[m][q][:, np.newaxis] * deltas[q] for q in range(m + 1))
-                     for m in orders]
+                     for m in range(M + 1)]
     elif isinstance(basis, HermiteBasis):
         nodes = hermite_nodes(basis).nodes
-        operators = [t.T for t in basis.tables(nodes, spec.max_order)]
+        operators = [t.T for t in basis.tables(nodes, M)]
     else:
-        conditions = spec.problem.axis_conditions
+        conditions = problem.axis_conditions
         if basis.N <= len(conditions):
             raise ConfigurationError(
                 "N = %d leaves no interior collocation nodes" % basis.N)
         nodes = laguerre_nodes(basis).nodes[: basis.N - len(conditions)]
-        operators = [t.T for t in basis.tables(nodes, spec.max_order)]
-        boundary = basis.tables([0.0], spec.max_order)[[q for q, _ in conditions], :, 0]
+        tables = basis.tables(np.append(nodes, 0.0), M)     # the axis last
+        operators = [t[:, :-1].T for t in tables]
+        axis = tables[:, :, -1:].copy()
+        boundary = axis[[q for q, _ in conditions], :, 0]
         targets = np.array([value for _, value in conditions])
-        if isinstance(spec.problem, ConeParams):
+        if isinstance(problem, ConeParams):
             start = SeedProfile(SeedKind.CONE_RATIONAL, _CONE_START_SCALE)
         else:
             start = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
         guess = np.linalg.solve(np.vstack([operators[0], boundary]),
                                 np.concatenate([start(nodes), targets]))
+    entry = (nodes, boundary, targets, guess, axis, *operators)
+    for a in entry:
+        a.setflags(write=False)        # views keep their layout, and so their bits
+    size = sum(a.nbytes for a in entry)
+    if size <= _DISCRETIZATION_BYTES:
+        cache.used += size
+        while cache.used > _DISCRETIZATION_BYTES:
+            cache.used -= cache.popitem(last=False)[1][1]
+        cache[key] = (entry, size)
+    return entry
+
+
+def build_system(spec):
+    """Collocation system of the pairing: nodes, operators D_q, seeds, axis rows, guess.
+
+    A fresh system on every call; all but the seed values s_q come shared
+    and read-only from the pairing's discretization (see _discretization).
+    """
+    if not isinstance(spec, ProblemSpec):
+        raise ConfigurationError("build_system needs a ProblemSpec")
+    nodes, boundary, targets, guess, _, *operators = _discretization(
+        spec.basis, spec.problem)
     seeds = [np.zeros(nodes.size) if spec.seed is None else spec.seed(nodes, q)
-             for q in orders]
+             for q in range(spec.max_order + 1)]
     return NonlinearSystem(spec, nodes, operators, seeds, boundary, targets, guess)
 
 
@@ -425,17 +471,20 @@ _SLOPE_DELTA = 1e-3
 def derived_slope(e, spec):
     """Initial slope f'(0) of a solved expansion.
 
-    Laguerre: analytic member derivatives at the axis.  Hermite: the basis
-    part vanishes at the axis to every order, so the seed's exact slope is
-    returned.  Composite translates approach the axis only in a slow
-    logarithmic limit, so the slope comes from one-sided difference
-    quotients through the exact axis value at d = 1e-3, extrapolated once
-    in the step (second order).  Wider stencils are counterproductive
-    here: the translate interpolant ripples on a log scale near the axis,
-    and high-order weights amplify that ripple far past the quotient's
-    own truncation error.
+    Laguerre: analytic member derivatives at the axis, from the axis tables
+    of its discretization.  Hermite: the basis part vanishes at the axis to
+    every order, so the seed's exact slope is returned.  Composite
+    translates approach the axis only in a slow logarithmic limit, so the
+    slope comes from one-sided difference quotients through the exact axis
+    value at d = 1e-3, extrapolated once in the step (second order).  Wider
+    stencils are counterproductive here: the translate interpolant ripples
+    on a log scale near the axis, and high-order weights amplify that
+    ripple far past the quotient's own truncation error.
     """
-    if isinstance(spec.basis, (LaguerreBasis, HermiteBasis)):
+    if isinstance(spec.basis, LaguerreBasis):
+        axis = _discretization(spec.basis, spec.problem)[4]
+        return float((e.coefficients @ axis[1])[0])
+    if isinstance(spec.basis, HermiteBasis):
         return e(0.0, 1)
     f0, f_full, f_half = e(np.array([0.0, _SLOPE_DELTA, 0.5 * _SLOPE_DELTA]), 0)
     q_full = (f_full - f0) / _SLOPE_DELTA

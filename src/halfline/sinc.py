@@ -332,18 +332,19 @@ def composite_matrix(basis, xs, order=0):
     return composite_tables(basis, xs, order)[order]
 
 
-def chain_tables(basis, max_order):
-    """Chain-rule coefficient arrays A[m][q] over the basis's own nodes.
+def chain_tables(basis, xs, max_order):
+    """Chain-rule coefficient arrays A[m][q] at the points xs, which are the
+    basis's own nodes (sinc_nodes) when they serve the nodal derivatives.
 
     An expansion u(x) = sum_k c_k W(x) S(k,h)(Phi(x)) has nodal derivatives
 
         u^(m)(x_j) = sum_{q=0}^{m} A[m][q][j] * (delta^(q)^T c)[j],
 
     where delta^(q) carries the mesh derivatives of the bare translates.
-    Under the LogSinh map, nodes below 1e-10 get zero entries.
+    At x = 0, and under the LogSinh map below 1e-10, the entries are zero.
     """
     max_order = _check_order(max_order)
-    nodes = sinc_nodes(basis).nodes
+    nodes = _as_points(xs).reshape(-1)
     live, _, A = _mapped(basis, nodes, max_order)
     tables = [[np.zeros(nodes.size) for _ in row] for row in A]
     for row, parts in zip(tables, A):

@@ -1,6 +1,7 @@
 """Normalized Hermite functions on the line and their log-mapped family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_axis_limit_at_largest_preset_map_constant():
             assert all(a > b for a, b in zip(seq, seq[1:]) if a > 0)
             assert seq[-1] <= 1e-10
         assert np.all(vals[:, 4] == 0.0)
+
+
+def test_far_field_gives_zeros_without_overflow():
+    # the Gaussian factor is 0 beyond |ln x| = 38.6 k, while 2/(k x^3) would
+    # overflow from x ~ 1e103 and divide by zero below x ~ 1e-109
+    basis = HermiteBasis(16, 1.2)
+    far = [1e-110, 1e103, 1e200, 1.7e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in range(4):
+            assert np.array_equal(basis.matrix(far, m), np.zeros((17, 4)))
+            mixed = basis.matrix([0.5, 1e200, 3.0], m)
+            assert np.array_equal(mixed[:, [0, 2]], basis.matrix([0.5, 3.0], m))
 
 
 def test_nodes_are_exponentials_of_line_nodes():

@@ -1,6 +1,7 @@
 """Scaled generalized-Laguerre functions: recurrence, nodes, quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,19 @@ def test_member_is_weighted_laguerre():
         for col, x in enumerate(xs):
             want = math.exp(-x / 1.4) * laguerre_eval(j, 1.0, x / 0.7)
             assert abs(got[j, col] - want) <= 1e-13 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("x", [1e29, 1e30, 1e100, 1e300])
+def test_far_field_is_exact_zero(x):
+    # exp(-y/2) is 0 from y ~ 1490, while L_11(y) ~ y^11 overflows from
+    # y ~ 1e28: their product was inf * 0 = NaN
+    basis = LaguerreBasis(12, 1.0, 0.99)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in range(4):
+            assert np.array_equal(basis.matrix([x], m), np.zeros((12, 1)))
+            mixed = basis.matrix([0.5, x, 3.0], m)
+            assert np.array_equal(mixed[:, [0, 2]], basis.matrix([0.5, 3.0], m))
 
 
 def test_constructor_validation():

@@ -1,6 +1,7 @@
 """Benchmark problem definitions: residuals, parameters, seeds, pairing
 rules, system assembly, and solved-profile invariants."""
 
+import copy
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from halfline.errors import (
     ConfigurationError,
     ConvergenceError,
     DomainError,
+    RangeOverflowError,
     UnsupportedOrderError,
 )
 from halfline.problems import (
@@ -35,7 +37,7 @@ from halfline.newton import fd_jacobian
 from halfline.reference import TABLE3
 from halfline.sinc import SincBasis, SincMap
 
-from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE
+from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE, _case_spec
 
 
 def const(c):
@@ -433,6 +435,145 @@ def test_fluid_point_values_from_published_table(solve_case):
 def test_screening_point_value_from_published_table(solve_case):
     spec, e, _ = solve_case("tf", "hf")
     assert abs(e(1.0, 0) - 0.423811) <= 5e-3
+
+
+# ---------------------------------------------------------------------------
+# discretizations memoized by value
+
+
+@pytest.fixture
+def discretizations(monkeypatch):
+    """An empty discretization cache for the test; the process's own is restored after."""
+    cache = halfline.problems._Discretizations()
+    monkeypatch.setattr(halfline.problems, "_DISCRETIZATIONS", cache)
+    return cache
+
+
+def counted(monkeypatch, name):
+    calls = []
+    real = getattr(halfline.problems, name)
+    monkeypatch.setattr(halfline.problems, name,
+                        lambda basis: calls.append(basis) or real(basis))
+    return calls
+
+
+@pytest.mark.parametrize("make,nodes", [
+    (lambda: LaguerreBasis(13, 0.655, 1.115), "laguerre_nodes"),
+    (lambda: HermiteBasis(20, 0.8), "hermite_nodes"),
+    (lambda: SincBasis(9, 0.6, SincMap.LOG), "sinc_nodes")])
+def test_equal_valued_bases_share_one_discretization(make, nodes, monkeypatch,
+                                                     discretizations):
+    calls = counted(monkeypatch, nodes)
+    seed = None if nodes == "laguerre_nodes" else SeedProfile(SeedKind.CONE_RATIONAL, 1.9)
+    first = build_system(ProblemSpec(ConeParams(0.25), make(), seed))
+    # another basis object with the same values, another lambda: one build
+    second = build_system(ProblemSpec(ConeParams(0.75), make(), seed))
+    assert len(calls) == 1 and len(discretizations) == 1
+    assert second is not first and second.operators[0] is first.operators[0]
+    # the problem class is part of the key
+    if nodes != "sinc_nodes":             # the cone pairs only with the Log map
+        seed = None if seed is None else SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.5)
+        build_system(ProblemSpec(ThomasFermiProblem(), make(), seed))
+        assert len(calls) == 2
+
+
+def other_pairing(spec):
+    """An equal-valued basis under another problem instance and seed parameter."""
+    problem = {FluidParams: FluidParams.from_b1_b3(0.3, 0.9),
+               ThomasFermiProblem: ThomasFermiProblem(),
+               ConeParams: ConeParams(0.75)}[type(spec.problem)]
+    seed = spec.seed and SeedProfile(spec.seed.kind, 2.0 * spec.seed.parameter)
+    return ProblemSpec(problem, copy.copy(spec.basis), seed)
+
+
+@pytest.mark.parametrize("key", BASE_KEYS, ids=lambda k: "-".join(map(str, k)))
+def test_a_warm_solve_is_bit_identical_to_a_cold_one(key, discretizations):
+    spec = _case_spec(key)
+    cold, cold_report = solve_problem(spec)
+    cold_slope = derived_slope(cold, spec)
+    discretizations.clear()
+    build_system(other_pairing(spec))      # the entry comes from another pairing
+    warm, warm_report = solve_problem(spec)
+    assert len(discretizations) == 1
+    assert np.array_equal(warm.coefficients, cold.coefficients)
+    assert warm_report.history == cold_report.history
+    assert derived_slope(warm, spec) == cold_slope
+
+
+def test_a_changed_basis_attribute_gets_its_own_discretization(discretizations):
+    basis = LaguerreBasis(20, 1.0, 0.99)
+    spec = ProblemSpec(FluidParams(*FLUID_B), basis)
+    stale = build_system(spec)
+    basis.L = 0.5
+    system = build_system(spec)
+    want = build_system(ProblemSpec(FluidParams(*FLUID_B), LaguerreBasis(20, 1.0, 0.5)))
+    assert not np.array_equal(system.collocation_nodes, stale.collocation_nodes)
+    assert np.array_equal(system.collocation_nodes, want.collocation_nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(system.operators, want.operators))
+    assert np.array_equal(system.initial_guess, want.initial_guess)
+    assert len(discretizations) == 2
+
+
+def test_shared_arrays_are_read_only():
+    spec = ProblemSpec(ConeParams(0.5), LaguerreBasis(13, 1.0, 1.1))
+    system = build_system(spec)
+    guess = system.initial_guess.copy()
+    for shared in (system.operators[0], system.boundary, system.initial_guess,
+                   system.collocation_nodes):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    assert np.array_equal(build_system(spec).initial_guess, guess)
+
+
+def test_a_failed_discretization_raises_on_every_call(monkeypatch, discretizations):
+    failing = [(ProblemSpec(ConeParams(0.5), LaguerreBasis(2, 1.0, 1.0)),
+                ConfigurationError, "no interior collocation nodes"),
+               (ProblemSpec(FluidParams(*FLUID_B), SincBasis(800, 1.0),
+                            SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.47)),
+                RangeOverflowError, "nodes leave double range")]
+    for spec, error, message in failing:
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                build_system(spec)
+    real = halfline.problems.hermite_nodes
+
+    def no_memory(basis):
+        raise MemoryError("faked")
+    monkeypatch.setattr(halfline.problems, "hermite_nodes", no_memory)
+    spec = ProblemSpec(FluidParams(*FLUID_B), HermiteBasis(16, 1.2),
+                       SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.678301))
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="does not fit in memory"):
+            solve_problem(spec)
+    assert not discretizations
+    monkeypatch.setattr(halfline.problems, "hermite_nodes", real)
+    assert solve_problem(spec)[1].converged and len(discretizations) == 1
+
+
+def test_the_byte_budget_holds(monkeypatch, discretizations):
+    budget = 100000
+    monkeypatch.setattr(halfline.problems, "_DISCRETIZATION_BYTES", budget)
+    fluid = FluidParams(*FLUID_B)
+
+    def kept():
+        held = sum(n for _, n in discretizations.values())
+        assert discretizations.used == held
+        return [k[1] for k in discretizations], held
+    for N in range(8, 30):
+        build_system(ProblemSpec(fluid, LaguerreBasis(N, 1.0, 0.99)))
+        assert kept()[1] <= budget
+    held, _ = kept()
+    assert 1 < len(held) < 22 and held[-1] == (("L", 0.99), ("N", 29), ("alpha", 1.0))
+    # a hit makes its entry the most recently used: the next eviction spares it
+    build_system(ProblemSpec(fluid, LaguerreBasis(held[0][1][1], 1.0, 0.99)))
+    build_system(ProblemSpec(fluid, LaguerreBasis(30, 1.0, 0.99)))
+    assert held[0] in kept()[0] and held[1] not in kept()[0]
+    assert kept()[1] <= budget
+    # an entry larger than the whole budget is built but not kept
+    before = kept()
+    big = build_system(ProblemSpec(fluid, SincBasis(60, 0.3),
+                                   SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.47)))
+    assert big.dimension == 121 and kept() == before
 
 
 # ---------------------------------------------------------------------------
