@@ -18,7 +18,6 @@ from halfline import (
 
 
 def show_nodes(label, nodes, limit=8):
-    nodes = np.asarray(nodes)
     head = ", ".join("%.4f" % x for x in nodes[:limit])
     print("  %-28s %d nodes: %s%s" % (label, nodes.size, head,
                                       ", ..." if nodes.size > limit else ""))
@@ -27,11 +26,11 @@ def show_nodes(label, nodes, limit=8):
 def main():
     print("== node layouts ==")
     lag = LaguerreBasis(12, 1.0, 0.8)
-    show_nodes("Laguerre functions (L=0.8)", lag.nodes().nodes)
+    show_nodes("Laguerre functions (L=0.8)", lag.nodes())
     herm = HermiteBasis(12, 0.9)
-    show_nodes("log-mapped Hermite (k=0.9)", herm.nodes().nodes)
+    show_nodes("log-mapped Hermite (k=0.9)", herm.nodes())
     comp = SincBasis(8, 0.7)
-    show_nodes("composite translates (h=0.7)", comp.nodes().nodes)
+    show_nodes("composite translates (h=0.7)", comp.nodes())
     print()
 
     print("== far-field decay of member 4 ==")
@@ -44,9 +43,9 @@ def main():
     print()
 
     print("== discrete orthogonality ==")
-    rule = lag.quadrature()
-    phi = mglf_matrix(lag, np.asarray(rule.nodes), 0)
-    gram = phi @ (np.asarray(rule.weights)[:, None] * phi.T)
+    nodes, weights = lag.quadrature()
+    phi = mglf_matrix(lag, nodes, 0)
+    gram = phi @ (weights[:, None] * phi.T)
     scale = np.array([math.gamma(n + 2) / (0.8 * 0.8 * math.factorial(n))
                       for n in range(12)])
     off = gram - np.diag(np.diag(gram))
@@ -54,10 +53,9 @@ def main():
           % float(np.max(np.abs(np.diag(gram) - scale) / scale)))
     print("            largest off-diagonal %.1e" % float(np.max(np.abs(off))))
 
-    rule = mapped_trapezoid_rule(herm)
-    w = np.asarray(rule.weights)
-    phi = herm.matrix(rule.nodes, 0)[:9]
-    gram = phi @ (w[:, None] * phi.T)
+    nodes, weights = mapped_trapezoid_rule(herm)
+    phi = herm.matrix(nodes, 0)[:9]
+    gram = phi @ (weights[:, None] * phi.T)
     err = float(np.max(np.abs(gram - math.sqrt(math.pi) * np.eye(9))))
     print("  hermite:  transformed members integrate to sqrt(pi)*delta "
           "within %.1e" % err)

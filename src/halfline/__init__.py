@@ -9,13 +9,7 @@ natural convection over a heated cone — together with an independent
 shooting integrator and embedded copies of the published comparison tables.
 """
 
-from .core import (
-    CollocationGrid,
-    DiscreteInnerProductRule,
-    Expansion,
-    eval_expansion,
-    project,
-)
+from .core import Expansion, eval_expansion, project
 from .errors import (
     BlowUpError,
     ConfigurationError,
@@ -29,30 +23,13 @@ from .errors import (
     SingularJacobianError,
     SolverError,
     UnsupportedOrderError,
-    UnsupportedParameterError,
     UsageError,
 )
-from .hermite import (
-    HermiteBasis,
-    hermite_fn_eval,
-    hermite_line_nodes,
-    hermite_matrix,
-    hermite_nodes,
-    mapped_trapezoid_rule,
-)
-from .laguerre import (
-    LaguerreBasis,
-    laguerre_eval,
-    laguerre_nodes,
-    mglf_matrix,
-    mglf_quadrature_weights,
-)
-from .newton import NewtonConfig, SolveReport, fd_jacobian, newton_solve
+from .hermite import HermiteBasis, mapped_trapezoid_rule
+from .laguerre import LaguerreBasis, mglf_matrix
 from .problems import (
     ConeParams,
     FluidParams,
-    NonlinearSystem,
-    ParameterConsistencyWarning,
     ProblemSpec,
     SeedKind,
     SeedProfile,
@@ -60,41 +37,31 @@ from .problems import (
     build_system,
     derived_slope,
     pointwise_residual,
-    problem_label,
     solve_problem,
 )
 from .reference import (
     AHMAD_SLOPE,
     KOBAYASHI_SLOPE,
-    REFERENCE_TABLES,
     TABLE1,
     TABLE2,
     TABLE3,
     TABLE4,
     TABLE5,
     TABLE6,
-    TABLE7,
-    ReferenceTable,
 )
 from .shooting import ShootConfig, integrate, shoot
-from .sinc import (
-    SincBasis,
-    SincMap,
-    composite_matrix,
-    delta_matrix,
-    sinc_nodes,
-)
+from .sinc import SincBasis, SincMap, delta_matrix
 
 __version__ = "0.1.0"
 
+# the names the command line, demos, benchmark, tests and README use from
+# the package; every other public name is imported from its module
 __all__ = [
     "AHMAD_SLOPE",
     "BlowUpError",
-    "CollocationGrid",
     "ConeParams",
     "ConfigurationError",
     "ConvergenceError",
-    "DiscreteInnerProductRule",
     "DomainError",
     "Expansion",
     "FluidParams",
@@ -102,23 +69,17 @@ __all__ = [
     "HermiteBasis",
     "KOBAYASHI_SLOPE",
     "LaguerreBasis",
-    "NewtonConfig",
     "NodeComputationError",
-    "NonlinearSystem",
     "NumericEvaluationError",
     "OracleError",
-    "ParameterConsistencyWarning",
     "ProblemSpec",
     "RangeOverflowError",
-    "REFERENCE_TABLES",
-    "ReferenceTable",
     "SeedKind",
     "SeedProfile",
     "ShootConfig",
     "SincBasis",
     "SincMap",
     "SingularJacobianError",
-    "SolveReport",
     "SolverError",
     "TABLE1",
     "TABLE2",
@@ -126,32 +87,18 @@ __all__ = [
     "TABLE4",
     "TABLE5",
     "TABLE6",
-    "TABLE7",
     "ThomasFermiProblem",
     "UnsupportedOrderError",
-    "UnsupportedParameterError",
     "UsageError",
     "build_system",
-    "composite_matrix",
     "delta_matrix",
     "derived_slope",
     "eval_expansion",
-    "fd_jacobian",
-    "hermite_fn_eval",
-    "hermite_line_nodes",
-    "hermite_matrix",
-    "hermite_nodes",
     "integrate",
-    "laguerre_eval",
-    "laguerre_nodes",
     "mapped_trapezoid_rule",
     "mglf_matrix",
-    "mglf_quadrature_weights",
-    "newton_solve",
     "pointwise_residual",
-    "problem_label",
     "project",
     "shoot",
-    "sinc_nodes",
     "solve_problem",
 ]

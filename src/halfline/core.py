@@ -1,4 +1,4 @@
-"""Shared trial-space machinery: expansions, grids, and discrete inner products.
+"""Shared trial-space machinery: expansions, node checks, and projection.
 
 A basis object (Laguerre, Hermite, or sinc family) exposes
 
@@ -9,9 +9,11 @@ A basis object (Laguerre, Hermite, or sinc family) exposes
 
 and this module supplies everything generic on top of that: evaluating a
 truncated series (optionally shifted by a closed-form seed profile),
-projecting a function onto the basis with a discrete inner-product rule,
-the Golub-Welsch node routine of the two polynomial families, and the
-order, point and member-index checks every family shares.
+projecting a function onto the basis with a discrete inner-product rule
+(a (nodes, weights) pair of arrays), the Golub-Welsch node routine of the
+two polynomial families, and the checks every family shares: derivative
+orders, evaluation points, member indices, and collocation nodes, which
+every family returns as a read-only, strictly increasing array.
 
 Every scalar parameter passes _real (a finite real scalar above a bound)
 or _count (an integer at least a bound); bools and strings fail both,
@@ -35,52 +37,16 @@ def _readonly(a):
     return arr
 
 
-class CollocationGrid:
-    """Strictly increasing collocation nodes on (0, inf)."""
-
-    def __init__(self, nodes):
-        nodes = _readonly(nodes)
-        if nodes.ndim != 1 or nodes.size == 0:
-            raise ConfigurationError("grid needs a non-empty 1-D node array")
-        if not np.all(np.isfinite(nodes)):
-            raise ConfigurationError("grid nodes must be finite")
-        if np.any(np.diff(nodes) <= 0):
-            raise ConfigurationError("grid nodes must be strictly increasing")
-        self.nodes = nodes
-
-    def __len__(self):
-        return self.nodes.size
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def __repr__(self):
-        return "CollocationGrid(%d nodes on [%g, %g])" % (
-            len(self), self.nodes[0], self.nodes[-1])
-
-
-class DiscreteInnerProductRule:
-    """Nodes and weights for <u, v> = sum_j u(x_j) v(x_j) w_j.
-
-    Nodes must be strictly increasing and positive.  Weight positivity is a
-    property of specific rules (the Laguerre-Radau rule guarantees it), not
-    of the container, so it is checked by the rule constructors.
-    """
-
-    def __init__(self, nodes, weights):
-        self.nodes = _readonly(nodes)
-        self.weights = _readonly(weights)
-        if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
-            raise ConfigurationError("nodes and weights must be 1-D and the same length")
-        if self.nodes.size == 0:
-            raise ConfigurationError("empty inner-product rule")
-        if not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.weights))):
-            raise ConfigurationError("rule nodes/weights must be finite")
-        if np.any(self.nodes <= 0) or np.any(np.diff(self.nodes) <= 0):
-            raise ConfigurationError("rule nodes must be positive and strictly increasing")
-
-    def __len__(self):
-        return self.nodes.size
+def _node_array(nodes):
+    """nodes as a read-only 1-D float array: non-empty, finite, strictly increasing."""
+    nodes = _readonly(nodes)
+    if nodes.ndim != 1 or nodes.size == 0:
+        raise ConfigurationError("grid needs a non-empty 1-D node array")
+    if not np.all(np.isfinite(nodes)):
+        raise ConfigurationError("grid nodes must be finite")
+    if np.any(np.diff(nodes) <= 0):
+        raise ConfigurationError("grid nodes must be strictly increasing")
+    return nodes
 
 
 class Expansion:
@@ -157,6 +123,16 @@ def _count(name, value, low):
     return int(value)
 
 
+def _config(name, cfg, kind):
+    """cfg if it is a kind, kind() for None; anything else raises ConfigurationError."""
+    if cfg is None:
+        return kind()
+    if not isinstance(cfg, kind):
+        raise ConfigurationError("%s must be a %s or None, got %r"
+                                 % (name, kind.__name__, cfg))
+    return cfg
+
+
 def _check_index(i, dimension):
     if _count("member index", i, 0) >= dimension:
         raise ConfigurationError("member index %r outside 0..%d" % (i, dimension - 1))
@@ -198,15 +174,22 @@ def _tridiagonal_roots(diag, off, value, derivative, family):
 def project(f, basis, rule):
     """Expansion of f with coefficients <f, B_i> / <B_i, B_i> under the rule.
 
-    The rule must resolve the basis: it needs at least as many nodes as the
-    basis has members (the Laguerre-Radau rule pairs one node per member,
-    the mapped trapezoid rule for Hermite uses many more).
+    rule is a (nodes, weights) pair for <u, v> = sum_j u(x_j) v(x_j) w_j,
+    as quadrature() and mapped_trapezoid_rule return: positive, strictly
+    increasing nodes and as many finite weights.  It must resolve the
+    basis: it needs at least as many nodes as the basis has members (the
+    Laguerre-Radau rule pairs one node per member, the mapped trapezoid
+    rule for Hermite uses many more).
     """
-    if len(rule) < basis.dimension:
+    nodes, weights = rule
+    nodes, weights = _node_array(nodes), np.asarray(weights, dtype=float)
+    if weights.shape != nodes.shape or not np.all(np.isfinite(weights)) or nodes[0] <= 0:
+        raise ConfigurationError("a rule needs positive nodes and as many finite weights")
+    if nodes.size < basis.dimension:
         raise ConfigurationError(
             "rule with %d nodes cannot resolve a %d-member basis"
-            % (len(rule), basis.dimension))
-    fvals = np.array([f(xj) for xj in rule.nodes])
-    B = basis.matrix(rule.nodes, 0)
-    coefficients = (B @ (fvals * rule.weights)) / ((B * B) @ rule.weights)
+            % (nodes.size, basis.dimension))
+    fvals = np.array([f(xj) for xj in nodes])
+    B = basis.matrix(nodes, 0)
+    coefficients = (B @ (fvals * weights)) / ((B * B) @ weights)
     return Expansion(basis, coefficients)

@@ -3,6 +3,8 @@
 Every error raised deliberately by this package derives from HalflineError,
 so callers can catch one base class.  Several types double as the matching
 builtin (ValueError, OverflowError) so generic numeric code keeps working.
+A bad argument, an impossible pairing and a parameter value that has no
+formula (Laguerre quadrature at alpha != 1) are all ConfigurationError.
 """
 
 
@@ -11,7 +13,8 @@ class HalflineError(Exception):
 
 
 class ConfigurationError(HalflineError):
-    """Inconsistent object pairing or dimensions (basis/rule/problem/method)."""
+    """Inconsistent object pairing or dimensions (basis/rule/problem/method), a
+    bad argument, or a parameter value with no formula (quadrature at alpha != 1)."""
 
 
 class UsageError(HalflineError):
@@ -24,10 +27,6 @@ class DomainError(HalflineError, ValueError):
 
 class UnsupportedOrderError(HalflineError, ValueError):
     """Derivative order outside the supported range 0..3."""
-
-
-class UnsupportedParameterError(HalflineError, ValueError):
-    """Parameter value for which no formula is available (e.g. quadrature with alpha != 1)."""
 
 
 class RangeOverflowError(HalflineError, OverflowError):

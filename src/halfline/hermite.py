@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .core import (CollocationGrid, DiscreteInnerProductRule, _as_points,
-                   _check_index, _check_order, _count, _real, _tridiagonal_roots)
+from .core import (_as_points, _check_index, _check_order, _count, _node_array,
+                   _readonly, _real, _tridiagonal_roots)
 
 
 def _line_tables(nmax, t, max_order):
@@ -46,18 +46,14 @@ def _line_tables(nmax, t, max_order):
     return D
 
 
-def hermite_fn_eval(n, t, order=0):
-    """G_n(t) or a t-derivative of it (orders 0..3)."""
-    n, m = _count("degree n", n, 0), _check_order(order)
-    return float(_line_tables(n, float(t), m)[m][n])
-
-
 class HermiteBasis:
     """Descriptor for the log-mapped Hermite family.
 
     N -- top index; members 0..N, dimension N+1
     k -- map constant in t = ln(x) / k  (k > 0)
     """
+
+    label = "hermite"
 
     def __init__(self, N, k=1.0):
         self.N = _count("N", N, 1)
@@ -128,11 +124,13 @@ def hermite_line_nodes(N):
 def hermite_nodes(basis):
     """The N+1 half-line collocation points exp(k * t_j), ascending."""
     t = hermite_line_nodes(basis.N)
-    return CollocationGrid(np.exp(basis.k * t))
+    with np.errstate(over="ignore"):        # inf past the double range, refused
+        return _node_array(np.exp(basis.k * t))
 
 
 def mapped_trapezoid_rule(basis, t_span=8.0, dt=0.05):
-    """Trapezoid rule in t = ln(x)/k over [-t_span, t_span], folded to x-space.
+    """The rule (nodes, weights), read-only arrays: the trapezoid rule in
+    t = ln(x)/k over [-t_span, t_span], folded to x-space.
 
     The measure dx/(k x) = dt is absorbed into the weights, so plain nodal
     sums approximate integral u(x) v(x) / (k x) dx.  Used by property tests
@@ -143,4 +141,5 @@ def mapped_trapezoid_rule(basis, t_span=8.0, dt=0.05):
     t = -t_span + dt * np.arange(n + 1)
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt
-    return DiscreteInnerProductRule(np.exp(basis.k * t), w)
+    with np.errstate(over="ignore"):        # inf past the double range, refused
+        return _node_array(np.exp(basis.k * t)), _readonly(w)

@@ -6,9 +6,11 @@ The trial family on [0, inf) is
 
 i.e. generalized Laguerre polynomials with parameter 1, scaled by L and
 damped by a half-exponential so every member decays at infinity.
-Collocation nodes are the N roots of L_N^alpha(x / L); the companion
-quadrature weights make the nodal inner product reproduce the family's
-orthogonality constants Gamma(n+2) / (L^2 n!) exactly for degrees < N.
+Collocation nodes are the N roots of L_N^alpha(x / L), a read-only array;
+at alpha = 1 the companion quadrature weights make the nodal inner product
+reproduce the family's orthogonality constants Gamma(n+2) / (L^2 n!)
+exactly for degrees < N, and quadrature() returns the rule as the pair
+(nodes, weights).
 
 The alpha parameter moves only the nodes; the trial members themselves are
 always the parameter-1 family.
@@ -18,9 +20,9 @@ import math
 
 import numpy as np
 
-from .core import (CollocationGrid, DiscreteInnerProductRule, _as_points,
-                   _check_index, _check_order, _count, _real, _tridiagonal_roots)
-from .errors import ConfigurationError, NodeComputationError, UnsupportedParameterError
+from .core import (_as_points, _check_index, _check_order, _count, _node_array,
+                   _readonly, _real, _tridiagonal_roots)
+from .errors import ConfigurationError, NodeComputationError
 
 
 def laguerre_table(nmax, alpha, y):
@@ -42,21 +44,6 @@ def laguerre_table(nmax, alpha, y):
     return out
 
 
-def laguerre_eval(n, alpha, x, order=0):
-    """L_n^alpha(x) or its order-th derivative.
-
-    Derivatives use the exact shift d/dx L_n^alpha = -L_{n-1}^{alpha+1},
-    applied repeatedly: the m-th derivative is (-1)^m L_{n-m}^{alpha+m},
-    zero once the degree is exhausted.
-    """
-    n, alpha = _count("degree n", n, 0), _real("alpha", alpha, -1.0)
-    m = _check_order(order)
-    if m > n:
-        return 0.0
-    sign = -1.0 if m % 2 else 1.0
-    return sign * float(laguerre_table(n - m, alpha + m, float(x))[n - m])
-
-
 class LaguerreBasis:
     """Descriptor for the decaying Laguerre trial family.
 
@@ -64,6 +51,8 @@ class LaguerreBasis:
     alpha  -- node-placement parameter of L_N^alpha (> -1)
     L      -- length scale (> 0)
     """
+
+    label = "laguerre"
 
     def __init__(self, N, alpha=1.0, L=1.0):
         self.N = _count("N", N, 1)
@@ -146,11 +135,13 @@ def laguerre_nodes(basis):
         lambda y: np.exp(-0.5 * y) * laguerre_table(N, alpha, y)[N],
         lambda y: -np.exp(-0.5 * y) * laguerre_table(N - 1, alpha + 1, y)[N - 1],
         "Laguerre")
-    return CollocationGrid(basis.L * y)
+    with np.errstate(over="ignore"):        # inf past the double range, refused
+        return _node_array(basis.L * y)
 
 
-def mglf_quadrature_weights(basis, grid):
-    """Radau-type weights paired with the parameter-1 node set.
+def mglf_quadrature_weights(basis, nodes):
+    """The rule (nodes, weights), read-only arrays: Radau-type weights paired
+    with the parameter-1 node set.
 
     w_j = x_j * Gamma(N+2) / (L^3 * N! * [(N+1) * phi_{N+1}(x_j)]^2)
 
@@ -160,16 +151,16 @@ def mglf_quadrature_weights(basis, grid):
     family, which fixes the parameter.
     """
     if basis.alpha != 1.0:
-        raise UnsupportedParameterError(
-            "quadrature weights are defined only for alpha = 1, got alpha=%g" % basis.alpha)
-    if len(grid) != basis.N:
         raise ConfigurationError(
-            "grid has %d nodes, expected %d" % (len(grid), basis.N))
+            "quadrature weights are defined only for alpha = 1, got alpha=%g" % basis.alpha)
+    x = _node_array(nodes)
+    if x.size != basis.N:
+        raise ConfigurationError(
+            "grid has %d nodes, expected %d" % (x.size, basis.N))
     N, L = basis.N, basis.L
-    x = grid.nodes
     # Gamma(N+2)/N! = N+1
     phi_next = np.exp(-0.5 * x / L) * laguerre_table(N + 1, 1.0, x / L)[N + 1]
     w = x * (N + 1.0) / (L ** 3 * ((N + 1.0) * phi_next) ** 2)
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise NodeComputationError("quadrature weights must be positive and finite")
-    return DiscreteInnerProductRule(x, w)
+    return x, _readonly(w)

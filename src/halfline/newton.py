@@ -13,7 +13,7 @@ Damping is plain step halving on the residual max-norm.
 
 import numpy as np
 
-from .core import _count, _real
+from .core import _config, _count, _real
 from .errors import (ConfigurationError, NumericEvaluationError,
                      SingularJacobianError)
 
@@ -113,8 +113,7 @@ def newton_solve(F, J, x0, cfg=None):
     identity equations (they carry no information and would otherwise
     poison the factorization).
     """
-    if cfg is None:
-        cfg = NewtonConfig()
+    cfg = _config("cfg", cfg, NewtonConfig)
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size == 0:
         raise ConfigurationError("x0 must be a non-empty 1-D array")

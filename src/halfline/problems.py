@@ -73,6 +73,7 @@ class FluidParams:
     is violated beyond 1e-12.
     """
 
+    label = "fluid film"
     order = 2
     axis_conditions = ((0, 1.0),)
 
@@ -123,6 +124,7 @@ class ThomasFermiProblem:
     converged nonnegative profile the extension is inactive.
     """
 
+    label = "atomic screening"
     order = 2
     axis_conditions = ((0, 1.0),)
 
@@ -153,6 +155,7 @@ class ThomasFermiProblem:
 class ConeParams:
     """Heat-flux exponent of the heated-cone boundary layer."""
 
+    label = "heated cone"
     order = 3
     axis_conditions = ((0, 0.0), (2, -1.0))
 
@@ -270,6 +273,7 @@ class ProblemSpec:
         self.problem = problem
         self.basis = basis
         self.seed = seed
+        self.label = "%s / %s" % (problem.label, basis.label)
 
     @property
     def max_order(self):
@@ -277,23 +281,6 @@ class ProblemSpec:
 
     def __repr__(self):
         return "ProblemSpec(%r, %r, seed=%r)" % (self.problem, self.basis, self.seed)
-
-
-def problem_label(spec):
-    """Short human-readable tag used in error context and reports."""
-    if isinstance(spec.problem, FluidParams):
-        p = "fluid film"
-    elif isinstance(spec.problem, ThomasFermiProblem):
-        p = "atomic screening"
-    else:
-        p = "heated cone"
-    if isinstance(spec.basis, LaguerreBasis):
-        m = "laguerre"
-    elif isinstance(spec.basis, HermiteBasis):
-        m = "hermite"
-    else:
-        m = "sinc"
-    return "%s / %s" % (p, m)
 
 
 def pointwise_residual(spec, approx, x):
@@ -351,7 +338,7 @@ class NonlinearSystem:
 
     def __repr__(self):
         return "NonlinearSystem(%s, dimension %d, %d boundary rows)" % (
-            problem_label(self.spec), self.dimension, self.boundary_rows)
+            self.spec.label, self.dimension, self.boundary_rows)
 
 
 class _Discretizations(collections.OrderedDict):
@@ -387,20 +374,20 @@ def _discretization(basis, problem):
     guess = np.zeros(basis.dimension)
     axis = np.empty((M + 1, basis.dimension, 0))
     if isinstance(basis, SincBasis):
-        nodes = sinc_nodes(basis).nodes
+        nodes = sinc_nodes(basis)
         A = chain_tables(basis, nodes, M)
         deltas = [d.T for d in delta_matrices(basis, M)]
         operators = [sum(A[m][q][:, np.newaxis] * deltas[q] for q in range(m + 1))
                      for m in range(M + 1)]
     elif isinstance(basis, HermiteBasis):
-        nodes = hermite_nodes(basis).nodes
+        nodes = hermite_nodes(basis)
         operators = [t.T for t in basis.tables(nodes, M)]
     else:
         conditions = problem.axis_conditions
         if basis.N <= len(conditions):
             raise ConfigurationError(
                 "N = %d leaves no interior collocation nodes" % basis.N)
-        nodes = laguerre_nodes(basis).nodes[: basis.N - len(conditions)]
+        nodes = laguerre_nodes(basis)[: basis.N - len(conditions)]
         tables = basis.tables(np.append(nodes, 0.0), M)     # the axis last
         operators = [t[:, :-1].T for t in tables]
         axis = tables[:, :, -1:].copy()
@@ -457,10 +444,10 @@ def solve_problem(spec, cfg=None):
     except MemoryError:
         raise ConfigurationError(
             "%s: basis dimension %d does not fit in memory"
-            % (problem_label(spec), spec.basis.dimension)) from None
+            % (spec.label, spec.basis.dimension)) from None
     except SolverError as exc:
         head = exc.args[0] if exc.args else str(exc)
-        exc.args = ("%s: %s" % (problem_label(spec), head),) + tuple(exc.args[1:])
+        exc.args = ("%s: %s" % (spec.label, head),) + tuple(exc.args[1:])
         raise
     return system.make_expansion(report.solution), report
 

@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .core import _real
+from .core import _config, _real
 from .errors import BlowUpError, ConfigurationError, OracleError, RangeOverflowError
 from .problems import ConeParams, FluidParams, ThomasFermiProblem
 
@@ -309,8 +309,7 @@ def shoot(problem, cfg=None, launch_x0=1e-6):
     at cfg.z_max.  A bracket whose top is not too high or whose bottom is
     not too low, or a walk that aborts unclassified, raises OracleError.
     """
-    if cfg is None:
-        cfg = ShootConfig()
+    cfg = _config("cfg", cfg, ShootConfig)
     x0 = grid0 = 0.0
     x1, far, h0, classify = cfg.z_max, 0, cfg.step, _film_class
     if isinstance(problem, FluidParams):
@@ -319,10 +318,10 @@ def shoot(problem, cfg=None, launch_x0=1e-6):
         start, bracket, far = (lambda s: (0.0, s, -1.0)), (0.0, 2.0), 1
         classify = _cone_class
     elif isinstance(problem, ThomasFermiProblem):
-        if not (0 < launch_x0 < _TF_PRELUDE_END):
+        x0 = h0 = _real("launch_x0", launch_x0, -math.inf)
+        if not 0 < x0 < _TF_PRELUDE_END:
             raise ConfigurationError("launch_x0 must sit in (0, %g)" % _TF_PRELUDE_END)
-        start, bracket = (lambda s: _tf_launch(s, launch_x0)), (-2.0, 0.0)
-        x0 = h0 = launch_x0
+        start, bracket = (lambda s: _tf_launch(s, x0)), (-2.0, 0.0)
         grid0, x1 = _TF_PRELUDE_END, _TF_FAR_FIELD
     else:
         raise ConfigurationError("unknown problem kind: %r" % (problem,))

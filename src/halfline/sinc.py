@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import (CollocationGrid, _as_points, _check_index, _check_order, _count,
+from .core import (_as_points, _check_index, _check_order, _count, _node_array,
                    _readonly, _real)
 from .errors import ConfigurationError, RangeOverflowError
 
@@ -87,6 +87,8 @@ class SincBasis:
     h           -- mesh size in the mapped variable
     map_kind    -- SincMap.LOG_SINH or SincMap.LOG; the weight follows it
     """
+
+    label = "sinc"
 
     def __init__(self, N, h, map_kind=SincMap.LOG_SINH):
         self.N = _count("N", N, 1)
@@ -182,7 +184,7 @@ def sinc_nodes(basis):
         nodes = _asinh_exp(ts)
     else:
         nodes = np.exp(ts)
-    return CollocationGrid(nodes)
+    return _node_array(nodes)
 
 
 # ---------------------------------------------------------------------------

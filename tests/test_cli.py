@@ -287,6 +287,16 @@ def test_out_of_memory_exits_2_without_csv(monkeypatch, tmp_path):
     assert "basis dimension 100000000000" in err
 
 
+def test_overflowing_hermite_nodes_exit_2():
+    # exp(300 t) overflows at the outer nodes; the suite's warning filter
+    # would turn an overflow warning into an uncaught error
+    code, out, err = run_main(
+        "solve", "--problem", "fluid", "--method", "hf", "--n", "40",
+        "--map-k", "300", "--seed-lambda", "0.7", "--b1", "0.6", "--b2", "0.1",
+        "--b3", "0.5")
+    assert (code, out, err) == (2, "", "error: grid nodes must be finite\n")
+
+
 # ---------------------------------------------------------------------------
 # solve / verify / oracle flows (cheapest preset: table2-mglf)
 

@@ -1,4 +1,4 @@
-"""Expansion evaluation, grids, inner-product rules, and projection."""
+"""Expansion evaluation, node checks, inner-product rules, and projection."""
 
 import math
 
@@ -7,9 +7,7 @@ import pytest
 
 import halfline
 from halfline import (
-    CollocationGrid,
     ConfigurationError,
-    DiscreteInnerProductRule,
     DomainError,
     Expansion,
     HermiteBasis,
@@ -116,33 +114,39 @@ def test_evaluation_point_and_order_checks():
 
 
 def test_collocation_grid_validation():
-    with pytest.raises(ConfigurationError):
-        CollocationGrid([])
-    with pytest.raises(ConfigurationError):
-        CollocationGrid([1.0, 1.0])
-    with pytest.raises(ConfigurationError):
-        CollocationGrid([2.0, 1.0])
-    with pytest.raises(ConfigurationError):
-        CollocationGrid([0.0, np.inf])
-    g = CollocationGrid([0.5, 1.5, 2.5])
-    assert len(g) == 3
-    assert list(g) == [0.5, 1.5, 2.5]
-    with pytest.raises(ValueError):
-        g.nodes[0] = 9.0  # grids are immutable
+    # empty, repeated, decreasing, non-finite: as a rule's nodes, and from
+    # the node routines of bases whose nodes collide or overflow
+    basis = LaguerreBasis(1, 1.0, 1.0)
+    for nodes in ([], [1.0, 1.0], [2.0, 1.0], [0.5, np.inf], [[0.5, 1.5]]):
+        with pytest.raises(ConfigurationError, match="^grid "):
+            project(lambda x: 1.0, basis, (nodes, np.ones(np.shape(nodes))))
+    for bad in (SincBasis(3, 1e-300), HermiteBasis(5, 1e-300),
+                SincBasis(3, 1e-300, SincMap.LOG), LaguerreBasis(12, 1.0, 1e307)):
+        with pytest.raises(ConfigurationError, match="^grid nodes must be"):
+            bad.nodes()
+    for good in FAMILIES:
+        nodes = good.nodes()
+        assert type(nodes) is np.ndarray and nodes.shape == (good.dimension,)
+        assert np.all(np.diff(nodes) > 0) and np.all(nodes > 0)
+        with pytest.raises(ValueError):
+            nodes[0] = 9.0  # node arrays are read-only
 
 
 def test_inner_product_rule_validation():
-    with pytest.raises(ConfigurationError):
-        DiscreteInnerProductRule([1.0, 2.0], [1.0])
-    with pytest.raises(ConfigurationError):
-        DiscreteInnerProductRule([0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ConfigurationError):
-        DiscreteInnerProductRule([2.0, 1.0], [1.0, 1.0])
+    basis = LaguerreBasis(1, 1.0, 1.0)
+    for rule in (([1.0, 2.0], [1.0]), ([0.0, 1.0], [1.0, 1.0]),
+                 ([2.0, 1.0], [1.0, 1.0]), ([1.0, 2.0], [1.0, np.nan])):
+        with pytest.raises(ConfigurationError):
+            project(lambda x: 1.0, basis, rule)
+    for rule in (basis.quadrature(), mapped_trapezoid_rule(HermiteBasis(3))):
+        nodes, weights = rule
+        assert nodes.shape == weights.shape
+        assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 def test_projection_needs_enough_nodes():
     basis = LaguerreBasis(8, 1.0, 1.0)
-    small = DiscreteInnerProductRule([1.0, 2.0], [1.0, 1.0])
+    small = ([1.0, 2.0], [1.0, 1.0])
     with pytest.raises(ConfigurationError):
         project(lambda x: 1.0, basis, small)
 
@@ -193,7 +197,7 @@ def test_array_evaluation(basis):
     SincBasis(4, 0.7, SincMap.LOG)], ids=lambda b: repr(b))
 def test_multi_order_tabulation_is_bit_identical(basis, seeded):
     # the axis, points on and off the nodes, and the far field
-    xs = np.concatenate([[0.0, 1e-12, 1e-3], basis.nodes().nodes,
+    xs = np.concatenate([[0.0, 1e-12, 1e-3], basis.nodes(),
                          np.linspace(0.05, 12.0, 17), [80.0, 700.0, 1e6]])
     rng = np.random.default_rng(7)
     seed = SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.6) if seeded else None

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import halfline.hermite
-from halfline import ConfigurationError, HermiteBasis, NodeComputationError
-from halfline.hermite import (
-    hermite_fn_eval,
-    hermite_line_nodes,
-    mapped_trapezoid_rule,
-)
+from halfline import (ConfigurationError, FluidParams, HermiteBasis,
+                      NodeComputationError, ProblemSpec, SeedKind, SeedProfile,
+                      solve_problem)
+from halfline.hermite import hermite_line_nodes, mapped_trapezoid_rule
+from scalar_reference import hermite_fn_eval
 
 
 def test_low_order_closed_forms():
@@ -43,10 +42,9 @@ def test_line_derivative_identity():
 
 def test_transformed_orthogonality():
     basis = HermiteBasis(8, 0.9)
-    rule = mapped_trapezoid_rule(basis)
-    phi = basis.matrix(rule.nodes, 0)
-    # rule.weights already absorb the 1/(k x) measure of the map
-    w = np.asarray(rule.weights)
+    nodes, w = mapped_trapezoid_rule(basis)
+    phi = basis.matrix(nodes, 0)
+    # the weights already absorb the 1/(k x) measure of the map
     root_pi = math.sqrt(math.pi)
     for n in range(9):
         for m in range(9):
@@ -120,9 +118,24 @@ def test_far_field_gives_zeros_without_overflow():
 def test_nodes_are_exponentials_of_line_nodes():
     basis = HermiteBasis(10, 0.9)
     t = np.asarray(hermite_line_nodes(10))
-    x = np.asarray(basis.nodes().nodes)
+    x = basis.nodes()
     assert x.shape == t.shape
     assert np.max(np.abs(x - np.exp(0.9 * t))) <= 1e-12 * np.max(x)
+
+
+def test_large_map_constants_raise_a_typed_error_without_warning():
+    # exp(k t) passes the largest double at the outer line nodes; that is a
+    # configuration error, with no overflow warning on the way
+    spec = ProblemSpec(FluidParams(0.6, 0.1, 0.5), HermiteBasis(40, 90.0),
+                       SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.7))
+    calls = (HermiteBasis(40, 300.0).nodes,
+             lambda: mapped_trapezoid_rule(HermiteBasis(4, 100.0)),
+             lambda: solve_problem(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="nodes must be finite"):
+                call()
 
 
 @pytest.mark.parametrize("derivative,message", [

@@ -12,7 +12,10 @@ from halfline.errors import (
     NumericEvaluationError,
     SingularJacobianError,
 )
+from halfline.laguerre import LaguerreBasis
 from halfline.newton import NewtonConfig, SolveReport, fd_jacobian, newton_solve
+from halfline.problems import FluidParams, ProblemSpec, solve_problem
+from halfline.shooting import ShootConfig
 
 
 def fd_of(F):
@@ -247,6 +250,13 @@ def test_config_validation():
     for bad in (0.0, -1e-7, math.nan, math.inf, True, "1e-7", None):
         with pytest.raises(ConfigurationError):
             fd_jacobian(lambda v: v.copy(), np.array([1.0]), bad)
+    # a solve's cfg is a NewtonConfig or None
+    spec = ProblemSpec(FluidParams(0.6, 0.1, 0.5), LaguerreBasis(8, 1.0, 0.99))
+    for bad in ("x", {}, 1e-10, ShootConfig()):
+        with pytest.raises(ConfigurationError, match="cfg must be a NewtonConfig"):
+            newton_solve(lambda v: v.copy(), lambda v: np.eye(1), np.array([1.0]), bad)
+        with pytest.raises(ConfigurationError, match="cfg must be a NewtonConfig"):
+            solve_problem(spec, bad)
     cfg = NewtonConfig(max_iter=np.int64(5), max_halvings=0)
     assert (cfg.max_iter, cfg.max_halvings) == (5, 0)
     cfg = NewtonConfig()

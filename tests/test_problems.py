@@ -28,7 +28,6 @@ from halfline.problems import (
     build_system,
     derived_slope,
     pointwise_residual,
-    problem_label,
     solve_problem,
 )
 from halfline.hermite import HermiteBasis
@@ -285,15 +284,13 @@ def test_max_order_property():
 
 def test_problem_labels():
     fluid, cone = fluid_spec_parts()
-    assert problem_label(ProblemSpec(fluid, LaguerreBasis(8, 1.0, 1.0))) \
+    assert ProblemSpec(fluid, LaguerreBasis(8, 1.0, 1.0)).label \
         == "fluid film / laguerre"
-    assert problem_label(
-        ProblemSpec(ThomasFermiProblem(), HermiteBasis(8, 0.9),
-                    SeedProfile(SeedKind.RATIONAL_QUADRATIC, 1.5))) \
+    assert ProblemSpec(ThomasFermiProblem(), HermiteBasis(8, 0.9),
+                       SeedProfile(SeedKind.RATIONAL_QUADRATIC, 1.5)).label \
         == "atomic screening / hermite"
-    assert problem_label(
-        ProblemSpec(cone, SincBasis(8, 1.0, SincMap.LOG),
-                    SeedProfile(SeedKind.CONE_RATIONAL, 1.8))) \
+    assert ProblemSpec(cone, SincBasis(8, 1.0, SincMap.LOG),
+                       SeedProfile(SeedKind.CONE_RATIONAL, 1.8)).label \
         == "heated cone / sinc"
 
 
@@ -374,7 +371,7 @@ BASE_KEYS = [("fluid", "mglf"), ("fluid", "hf"), ("fluid", "sf"),
 def test_converged_with_small_nodal_residual(key, solve_case):
     spec, e, report = solve_case(*key)
     assert report.converged
-    nodes = np.asarray(spec.basis.nodes().nodes)
+    nodes = spec.basis.nodes()
     if key[1] == "mglf":
         sys = build_system(spec)
         nodes = sys.collocation_nodes

@@ -8,6 +8,7 @@ import pytest
 
 from halfline.errors import (BlowUpError, ConfigurationError, OracleError,
                              RangeOverflowError)
+from halfline.newton import NewtonConfig
 from halfline.problems import ConeParams, FluidParams, ThomasFermiProblem
 from halfline.shooting import ShootConfig, integrate, shoot
 
@@ -308,3 +309,10 @@ def test_shoot_rejects_unknown_problem_and_bad_launch():
         shoot(ThomasFermiProblem(), launch_x0=0.0)
     with pytest.raises(ConfigurationError):
         shoot(ThomasFermiProblem(), launch_x0=1.0)
+    # launch_x0 is a finite real scalar, and cfg a ShootConfig or None
+    for bad in ("x", None, math.nan, math.inf, True):
+        with pytest.raises(ConfigurationError, match="launch_x0 must"):
+            shoot(ThomasFermiProblem(), launch_x0=bad)
+    for bad in ({}, "x", NewtonConfig()):
+        with pytest.raises(ConfigurationError, match="cfg must be a ShootConfig"):
+            shoot(FLUID, cfg=bad)

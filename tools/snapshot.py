@@ -1,0 +1,134 @@
+"""Print the outputs that a behaviour-preserving change must keep byte for byte.
+
+Run from the root of a checkout (halfline is imported from ./src):
+
+    python3 tools/snapshot.py > snapshot.txt
+
+and compare the files of two checkouts with ``cmp``.  Each section starts
+with a ``####`` header line and shows exit codes and both output streams:
+
+  - ``verify`` on every preset case: the fixed presets once, the cone
+    presets at each tabulated cone-lambda;
+  - ``oracle`` for the film, screening and cone problems, and
+    ``list-presets``;
+  - command lines that must fail, and failing ``solve_problem`` calls, with
+    their error types and messages;
+  - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
+    iteration count and slope, as exact hexadecimal floats;
+  - the standard output of every demo.
+
+The tool is not part of the test suite; a full run takes a few seconds.
+"""
+
+import io
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path.cwd()
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import halfline  # noqa: E402
+from halfline import (ConeParams, FluidParams, HermiteBasis,  # noqa: E402
+                      LaguerreBasis, ProblemSpec, SeedKind, SeedProfile,
+                      SincBasis, TABLE3, solve_problem)
+from halfline.cli import PRESET_NAMES, main  # noqa: E402
+
+import workloads  # noqa: E402  (perfbench's seeded sweep)
+
+CONE_PRESETS = ("table3", "table4", "table5")
+FILM = ["--problem", "fluid", "--b1", "0.6", "--b2", "0.1", "--b3", "0.5"]
+
+FAILING_COMMANDS = [
+    ["bogus"],
+    ["oracle"],
+    ["verify", "--preset", "nope"],
+    ["verify", "--preset", "table3", "--cone-lambda", "0.3"],
+    ["solve", "--preset", "table1-mglf", "--n", "0"],
+    ["solve", *FILM, "--method", "mglf", "--n", "20", "--alpha", "nan"],
+    ["solve", *FILM, "--method", "hf", "--n", "40", "--map-k", "300",
+     "--seed-lambda", "0.7"],
+    ["solve", *FILM, "--method", "hf", "--n", "16", "--map-k", "4",
+     "--seed-lambda", "0.678301"],
+    ["solve", *FILM, "--method", "sf", "--n", "800", "--mesh-h", "1",
+     "--seed-lambda", "0.47"],
+    ["solve", *FILM, "--method", "sf", "--n", "3", "--mesh-h", "1e-300",
+     "--seed-lambda", "0.47"],
+    ["solve", "--problem", "cone", "--cone-lambda", "0.5", "--method", "mglf",
+     "--n", "2", "--alpha", "1", "--scale-L", "1"],
+]
+
+
+def _film_seed(a):
+    return SeedProfile(SeedKind.RATIONAL_QUADRATIC, a)
+
+
+FAILING_SOLVES = [
+    ProblemSpec(FluidParams.from_b1_b3(0.6, 0.5), HermiteBasis(16, 4.0),
+                _film_seed(0.678301)),
+    ProblemSpec(FluidParams.from_b1_b3(0.6, 0.5), HermiteBasis(5, 1e-300),
+                _film_seed(0.678301)),
+    ProblemSpec(FluidParams.from_b1_b3(0.6, 0.5), SincBasis(3, 1e-300),
+                _film_seed(0.47)),
+    ProblemSpec(FluidParams.from_b1_b3(0.6, 0.5), SincBasis(800, 1.0),
+                _film_seed(0.47)),
+    ProblemSpec(ConeParams(0.5), LaguerreBasis(2, 1.0, 1.0)),
+]
+
+
+def header(title):
+    print("#### %s" % title)
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = main(list(argv), stdout=out, stderr=err)
+    header(" ".join(argv))
+    print("exit %d" % code)
+    sys.stdout.write(out.getvalue())
+    sys.stdout.write(err.getvalue())
+
+
+def hexes(values):
+    return " ".join(float(v).hex() for v in values)
+
+
+def main_snapshot():
+    for name in PRESET_NAMES:
+        lams = TABLE3.abscissas() if name in CONE_PRESETS else [None]
+        for lam in lams:
+            extra = [] if lam is None else ["--cone-lambda", repr(lam)]
+            run_cli("verify", "--preset", name, *extra)
+    run_cli("oracle", *FILM)
+    run_cli("oracle", "--problem", "thomas-fermi")
+    run_cli("oracle", "--problem", "cone", "--cone-lambda", "0.5")
+    run_cli("list-presets")
+    for argv in FAILING_COMMANDS:
+        run_cli(*argv)
+    for spec in FAILING_SOLVES:
+        header("solve_problem(%r)" % spec)
+        try:
+            solve_problem(spec)
+            print("no error")
+        except halfline.HalflineError as exc:
+            print("%s: %s" % (type(exc).__name__, exc))
+    for seed in (1, 3, 5):
+        header("sweep seed %d" % seed)
+        for case in workloads.sweep_cases(seed):
+            reports, s_lag, s_sinc, gap = workloads.run_sweep(case)
+            print(hexes(case[:2]), case[2], hexes([s_lag, s_sinc, gap]))
+            for r in reports:
+                print("  %d %s" % (r.iterations, hexes(r.solution)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        header("demos/%s" % demo.name)
+        sys.stdout.flush()
+        run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                             capture_output=True, text=True, timeout=300)
+        print("exit %d" % run.returncode)
+        sys.stdout.write(run.stdout)
+
+
+if __name__ == "__main__":
+    main_snapshot()
