@@ -123,16 +123,6 @@ def _count(name, value, low):
     return int(value)
 
 
-def _config(name, cfg, kind):
-    """cfg if it is a kind, kind() for None; anything else raises ConfigurationError."""
-    if cfg is None:
-        return kind()
-    if not isinstance(cfg, kind):
-        raise ConfigurationError("%s must be a %s or None, got %r"
-                                 % (name, kind.__name__, cfg))
-    return cfg
-
-
 def _check_index(i, dimension):
     if _count("member index", i, 0) >= dimension:
         raise ConfigurationError("member index %r outside 0..%d" % (i, dimension - 1))
@@ -179,10 +169,14 @@ def project(f, basis, rule):
     increasing nodes and as many finite weights.  It must resolve the
     basis: it needs at least as many nodes as the basis has members (the
     Laguerre-Radau rule pairs one node per member, the mapped trapezoid
-    rule for Hermite uses many more).
+    rule for Hermite uses many more).  f must return a finite real at
+    every node.
     """
-    nodes, weights = rule
-    nodes, weights = _node_array(nodes), np.asarray(weights, dtype=float)
+    try:
+        nodes, weights = rule
+        nodes, weights = _node_array(nodes), np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError("a rule is a (nodes, weights) pair of arrays") from None
     if weights.shape != nodes.shape or not np.all(np.isfinite(weights)) or nodes[0] <= 0:
         raise ConfigurationError("a rule needs positive nodes and as many finite weights")
     if nodes.size < basis.dimension:
@@ -190,6 +184,8 @@ def project(f, basis, rule):
             "rule with %d nodes cannot resolve a %d-member basis"
             % (nodes.size, basis.dimension))
     fvals = np.array([f(xj) for xj in nodes])
+    if fvals.dtype.kind not in "iuf" or fvals.shape != nodes.shape or not np.isfinite(fvals).all():
+        raise ConfigurationError("f must return a finite real at every node")
     B = basis.matrix(nodes, 0)
     coefficients = (B @ (fvals * weights)) / ((B * B) @ weights)
     return Expansion(basis, coefficients)

@@ -21,7 +21,7 @@ from .core import (_as_points, _check_index, _check_order, _count, _node_array,
 def _line_tables(nmax, t, max_order):
     """Values and t-derivatives of G_0..G_nmax over an array t.
 
-    Returns a list D with D[m][n] = d^m/dt^m G_n(t), each of shape
+    Returns a list D with D[m][n] = G_n^(m)(t), each of shape
     (nmax+1,) + t.shape, for m = 0..max_order.  The derivative recurrence
     G_n' = sqrt(2n) G_{n-1} - t G_n differentiates into one extra -G term
     per order.
@@ -128,18 +128,16 @@ def hermite_nodes(basis):
         return _node_array(np.exp(basis.k * t))
 
 
-def mapped_trapezoid_rule(basis, t_span=8.0, dt=0.05):
+def mapped_trapezoid_rule(basis):
     """The rule (nodes, weights), read-only arrays: the trapezoid rule in
-    t = ln(x)/k over [-t_span, t_span], folded to x-space.
+    t = ln(x)/k over [-8, 8] at step 0.05, folded to x-space.
 
-    The measure dx/(k x) = dt is absorbed into the weights, so plain nodal
+    The t measure dx/(k x) is absorbed into the weights, so plain nodal
     sums approximate integral u(x) v(x) / (k x) dx.  Used by property tests
     (orthogonality, projection); the solver path never needs it.
     """
-    t_span, dt = _real("t_span", t_span, 0.0), _real("dt", dt, 0.0)
-    n = int(round(2 * t_span / dt))
-    t = -t_span + dt * np.arange(n + 1)
-    w = np.full(n + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
+    t = -8.0 + 0.05 * np.arange(321)
+    w = np.full(321, 0.05)
+    w[0] = w[-1] = 0.025
     with np.errstate(over="ignore"):        # inf past the double range, refused
         return _node_array(np.exp(basis.k * t)), _readonly(w)

@@ -76,7 +76,7 @@ class LaguerreBasis:
         return laguerre_nodes(self)
 
     def quadrature(self):
-        return mglf_quadrature_weights(self, self.nodes())
+        return mglf_quadrature_weights(self)
 
     def __repr__(self):
         return "LaguerreBasis(N=%d, alpha=%g, L=%g)" % (self.N, self.alpha, self.L)
@@ -139,28 +139,26 @@ def laguerre_nodes(basis):
         return _node_array(basis.L * y)
 
 
-def mglf_quadrature_weights(basis, nodes):
+def mglf_quadrature_weights(basis):
     """The rule (nodes, weights), read-only arrays: Radau-type weights paired
-    with the parameter-1 node set.
+    with the basis's parameter-1 node set.
 
     w_j = x_j * Gamma(N+2) / (L^3 * N! * [(N+1) * phi_{N+1}(x_j)]^2)
 
     These make the nodal inner product reproduce the continuous constants
     <phi_m, phi_n> = Gamma(n+2)/(L^2 n!) * delta_mn for all m, n < N.
     Only alpha = 1 is supported: the weight formula belongs to the phi
-    family, which fixes the parameter.
+    family, which fixes the parameter.  Weights that leave the double range
+    (L^3 overflows or underflows) raise NodeComputationError.
     """
     if basis.alpha != 1.0:
         raise ConfigurationError(
             "quadrature weights are defined only for alpha = 1, got alpha=%g" % basis.alpha)
-    x = _node_array(nodes)
-    if x.size != basis.N:
-        raise ConfigurationError(
-            "grid has %d nodes, expected %d" % (x.size, basis.N))
-    N, L = basis.N, basis.L
+    x, N, L = laguerre_nodes(basis), basis.N, np.float64(basis.L)
     # Gamma(N+2)/N! = N+1
     phi_next = np.exp(-0.5 * x / L) * laguerre_table(N + 1, 1.0, x / L)[N + 1]
-    w = x * (N + 1.0) / (L ** 3 * ((N + 1.0) * phi_next) ** 2)
+    with np.errstate(all="ignore"):
+        w = x * (N + 1.0) / (L ** 3 * ((N + 1.0) * phi_next) ** 2)
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise NodeComputationError("quadrature weights must be positive and finite")
     return x, _readonly(w)

@@ -9,32 +9,23 @@ That inverse gives the step and the exact condition number
 kappa_1 = |Jeq|_1 |Jeq^-1|_1; above 1e14 the solve aborts.  The largest
 kappa_1 is 1.4e8 over the 24 presets and 1.2e3 over the benchmark sweep.
 Damping is plain step halving on the residual max-norm.
+
+No caller changes the settings, so they are constants: stop once max|F|
+<= 1e-10 or an accepted (damped) step is <= 1e-12 in the max norm, within
+200 iterations of at most 30 halvings each.
 """
 
 import numpy as np
 
-from .core import _config, _count, _real
+from .core import _real
 from .errors import (ConfigurationError, NumericEvaluationError,
                      SingularJacobianError)
 
 _COND_LIMIT = 1e14
-
-
-class NewtonConfig:
-    """Solver knobs.
-
-    tol_residual -- stop when max|F| drops to this
-    tol_step     -- stop when the accepted (damped) step is this small
-    max_iter     -- Newton iteration budget
-    max_halvings -- line-search depth; each halving must still decrease max|F|
-    """
-
-    def __init__(self, tol_residual=1e-10, tol_step=1e-12, max_iter=200,
-                 max_halvings=30):
-        self.tol_residual = _real("tol_residual", tol_residual, 0.0)
-        self.tol_step = _real("tol_step", tol_step, 0.0)
-        self.max_iter = _count("max_iter", max_iter, 1)
-        self.max_halvings = _count("max_halvings", max_halvings, 0)
+_TOL_RESIDUAL = 1e-10
+_TOL_STEP = 1e-12
+_MAX_ITER = 200
+_MAX_HALVINGS = 30
 
 
 class SolveReport:
@@ -98,7 +89,7 @@ def fd_jacobian(F, x, fd_step=1e-7):
     return J
 
 
-def newton_solve(F, J, x0, cfg=None):
+def newton_solve(F, J, x0):
     """Damped Newton iteration for F(x) = 0 from x0; returns a SolveReport.
 
     J(x) returns the square Jacobian of F at x; a non-finite entry raises
@@ -109,11 +100,10 @@ def newton_solve(F, J, x0, cfg=None):
     row-equilibrated system; an equilibrated kappa_1 beyond 1e14 (inf for
     an exactly singular matrix) aborts with the current iterate attached.
     Rows that are identically zero in the Jacobian while their residual
-    entry is already below the residual tolerance are replaced by trivial
-    identity equations (they carry no information and would otherwise
-    poison the factorization).
+    entry is already at most 1e-10 are replaced by trivial identity
+    equations (they carry no information and would otherwise poison the
+    factorization).
     """
-    cfg = _config("cfg", cfg, NewtonConfig)
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size == 0:
         raise ConfigurationError("x0 must be a non-empty 1-D array")
@@ -125,16 +115,16 @@ def newton_solve(F, J, x0, cfg=None):
             "system is not square: %d equations for %d unknowns" % (f.size, x.size))
     rnorm = float(np.max(np.abs(f)))
     history = [rnorm]
-    if rnorm <= cfg.tol_residual:
+    if rnorm <= _TOL_RESIDUAL:
         return SolveReport(x, 0, rnorm, True, history)
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         jac = _eval_jacobian(J, x)
         # row equilibration in the max norm
         scale = np.max(np.abs(jac), axis=1)
         dead = scale == 0.0
         if dead.any():
             idx = np.nonzero(dead)[0]
-            if np.all(np.abs(f[idx]) <= cfg.tol_residual):
+            if np.all(np.abs(f[idx]) <= _TOL_RESIDUAL):
                 jac[idx, idx] = 1.0
                 f = f.copy()
                 f[idx] = 0.0
@@ -160,7 +150,7 @@ def newton_solve(F, J, x0, cfg=None):
         # halving line search: accept the first damped step that decreases max|F|
         lam = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
             ft = _eval(F, trial, "residual during line search")
             tnorm = float(np.max(np.abs(ft)))
@@ -172,10 +162,10 @@ def newton_solve(F, J, x0, cfg=None):
         step_size = float(np.max(np.abs(lam * step)))
         if not accepted:
             # stalled at the residual floor; tiny proposed steps mean done
-            converged = float(np.max(np.abs(step))) * lam * 2.0 <= cfg.tol_step
+            converged = float(np.max(np.abs(step))) * lam * 2.0 <= _TOL_STEP
             history.append(rnorm)
-            return SolveReport(x, it, rnorm, converged or rnorm <= cfg.tol_residual, history)
+            return SolveReport(x, it, rnorm, converged or rnorm <= _TOL_RESIDUAL, history)
         history.append(rnorm)
-        if rnorm <= cfg.tol_residual or step_size <= cfg.tol_step:
+        if rnorm <= _TOL_RESIDUAL or step_size <= _TOL_STEP:
             return SolveReport(x, it, rnorm, True, history)
-    return SolveReport(x, cfg.max_iter, rnorm, rnorm <= cfg.tol_residual, history)
+    return SolveReport(x, _MAX_ITER, rnorm, rnorm <= _TOL_RESIDUAL, history)

@@ -145,12 +145,6 @@ class ThomasFermiProblem:
     def __repr__(self):
         return "ThomasFermiProblem()"
 
-    def __eq__(self, other):
-        return isinstance(other, ThomasFermiProblem)
-
-    def __hash__(self):
-        return hash(type(self))
-
 
 class ConeParams:
     """Heat-flux exponent of the heated-cone boundary layer."""
@@ -426,7 +420,7 @@ def build_system(spec):
     return NonlinearSystem(spec, nodes, operators, seeds, boundary, targets, guess)
 
 
-def solve_problem(spec, cfg=None):
+def solve_problem(spec):
     """Solve the pairing's collocation system; returns (Expansion, SolveReport).
 
     Newton gets the system's analytic Jacobian.  A solve that stops
@@ -436,7 +430,7 @@ def solve_problem(spec, cfg=None):
     try:
         system = build_system(spec)
         report = newton_solve(system.residual_map, system.jacobian,
-                              system.initial_guess, cfg)
+                              system.initial_guess)
         if not report.converged:
             raise ConvergenceError(
                 "Newton stopped unconverged after %d iterations at max|F| = %.3e"

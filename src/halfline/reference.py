@@ -218,9 +218,3 @@ TABLE7 = ReferenceTable(
         (4.5, 0.000237, 0.0006565451, 0.064292470, -0.0050431),
     ),
 )
-
-REFERENCE_TABLES = MappingProxyType({
-    "T1": TABLE1, "T2": TABLE2, "T3": TABLE3, "T4": TABLE4,
-    "T5": TABLE5, "T6": TABLE6, "T7": TABLE7,
-    "AhmadSlope": AHMAD_SLOPE, "KobayashiSlope": KOBAYASHI_SLOPE,
-})

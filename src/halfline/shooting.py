@@ -20,6 +20,8 @@ step**4 (1e-12 at the default 1e-3) for every walk, the global error of a
 fixed-step fourth-order method at that step, so halving the step still
 asks for 16 times the accuracy.  The step is also the spacing of the
 reported trajectory, which the stepper's continuous extension fills in.
+ShootConfig also holds z_max and the slope bracket; the bisection
+tolerance 1e-10 and the screening launch point 1e-6 are constants.
 
 A trial slope takes the class of the first event on its walk, at the
 launch state or an accepted one: too low once f < 0 and too high once
@@ -37,11 +39,13 @@ import math
 
 import numpy as np
 
-from .core import _config, _real
+from .core import _real
 from .errors import BlowUpError, ConfigurationError, OracleError, RangeOverflowError
 from .problems import ConeParams, FluidParams, ThomasFermiProblem
 
 _BOUND = 1e6
+_BISECT_TOL = 1e-10
+_TF_LAUNCH = 1e-6
 _TF_FAR_FIELD = 30.0
 _TF_PRELUDE_END = 0.05
 
@@ -66,21 +70,20 @@ _TABLEAU = (
 
 
 class ShootConfig:
-    """Far-field truncation, accuracy step, bisection tolerance, bracket.
+    """Far-field truncation, accuracy step, bracket.
 
     step sets the local error tolerance step**4 of every walk, the spacing
     of the reported trajectory, and the first trial step.  A walk with no
-    event by z_max takes its class from the far-field sign.  Bisection
-    stops at a bracket width of secant_tol (1 + |midpoint|) and returns the
-    midpoint.  bracket = None picks the per-problem default: (-2, 0) for the
-    fluid and Thomas-Fermi problems (their slopes are negative), (0, 2) for
-    the cone, which holds the root for every lam in [0, 2] (steps of 0.1).
+    event by z_max takes its class from the far-field sign.  bracket = None
+    picks the per-problem default: (-2, 0) for the fluid and Thomas-Fermi
+    problems (their slopes are negative), (0, 2) for the cone, which holds
+    the root for every lam in [0, 2] (steps of 0.1).  Bisection stops at a
+    bracket width of 1e-10 (1 + |midpoint|) and returns the midpoint.
     """
 
-    def __init__(self, z_max=40.0, step=1e-3, secant_tol=1e-10, bracket=None):
+    def __init__(self, z_max=40.0, step=1e-3, bracket=None):
         self.z_max = _real("z_max", z_max, 0.0)
         self.step = _real("step", step, 0.0)
-        self.secant_tol = _real("secant_tol", secant_tol, 0.0)
         if bracket is not None:
             lo = _real("bracket lo", bracket[0], -math.inf)
             bracket = (lo, _real("bracket hi", bracket[1], lo))
@@ -297,19 +300,21 @@ def _tf_launch(s, x0):
             s + 2.0 * r + s * x0 * r)
 
 
-def shoot(problem, cfg=None, launch_x0=1e-6):
+def shoot(problem, cfg=None):
     """Reference initial slope and trajectory for one model problem.
 
     problem is a FluidParams, ConeParams, or ThomasFermiProblem instance.
     Returns (slope, (abscissas, states)); states columns are the integrated
     components (f, f') / (f, f', f'') / (y, y') on a grid of spacing
     cfg.step.  The Thomas-Fermi problem launches from the small-x series at
-    launch_x0 (also its first trial step), reports from 0.05 on, and
-    imposes its far-field condition at 30; the other problems impose theirs
-    at cfg.z_max.  A bracket whose top is not too high or whose bottom is
+    x = 1e-6 (also its first trial step), reports from 0.05 on, and imposes
+    its far-field condition at 30; the other problems impose theirs at
+    cfg.z_max.  A bracket whose top is not too high or whose bottom is
     not too low, or a walk that aborts unclassified, raises OracleError.
     """
-    cfg = _config("cfg", cfg, ShootConfig)
+    cfg = ShootConfig() if cfg is None else cfg
+    if not isinstance(cfg, ShootConfig):
+        raise ConfigurationError("cfg must be a ShootConfig or None, got %r" % (cfg,))
     x0 = grid0 = 0.0
     x1, far, h0, classify = cfg.z_max, 0, cfg.step, _film_class
     if isinstance(problem, FluidParams):
@@ -318,9 +323,7 @@ def shoot(problem, cfg=None, launch_x0=1e-6):
         start, bracket, far = (lambda s: (0.0, s, -1.0)), (0.0, 2.0), 1
         classify = _cone_class
     elif isinstance(problem, ThomasFermiProblem):
-        x0 = h0 = _real("launch_x0", launch_x0, -math.inf)
-        if not 0 < x0 < _TF_PRELUDE_END:
-            raise ConfigurationError("launch_x0 must sit in (0, %g)" % _TF_PRELUDE_END)
+        x0 = h0 = _TF_LAUNCH
         start, bracket = (lambda s: _tf_launch(s, x0)), (-2.0, 0.0)
         grid0, x1 = _TF_PRELUDE_END, _TF_FAR_FIELD
     else:
@@ -342,8 +345,7 @@ def shoot(problem, cfg=None, launch_x0=1e-6):
     if side(lo) > 0:
         raise OracleError("no far-field root found inside the bracket")
     mid = 0.5 * (lo + hi)
-    # the second test stops on a bracket of adjacent doubles
-    while hi - lo > cfg.secant_tol * (1.0 + abs(mid)) and lo < mid < hi:
+    while hi - lo > _BISECT_TOL * (1.0 + abs(mid)):
         lo, hi = (mid, hi) if side(mid) < 0 else (lo, mid)
         mid = 0.5 * (lo + hi)
     return mid, (grid, _trajectory(accel, start(mid), x0, grid, tol, h0))

@@ -162,7 +162,7 @@ def test_bad_cone_lambda_with_a_preset_is_a_usage_error():
 ], ids=["negative-abscissa", "nan-abscissa", "infinite-alpha", "infinite-tol"])
 def test_non_finite_or_negative_values_exit_2_before_solving(argv,
                                                              monkeypatch):
-    def solve_not_expected(spec, cfg=None):
+    def solve_not_expected(spec):
         raise AssertionError("the solver ran on a rejected configuration")
     monkeypatch.setattr(cli, "solve_problem", solve_not_expected)
     code, out, err = run_main(*argv)
@@ -255,7 +255,7 @@ def test_list_presets_names_all_nine():
 
 
 def test_solver_failures_exit_3(monkeypatch):
-    def boom(spec, cfg=None):
+    def boom(spec):
         raise SolverError("synthetic failure")
     monkeypatch.setattr(cli, "solve_problem", boom)
     code, out, err = run_main("solve", "--preset", "table2-mglf")

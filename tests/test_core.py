@@ -138,6 +138,14 @@ def test_inner_product_rule_validation():
                  ([2.0, 1.0], [1.0, 1.0]), ([1.0, 2.0], [1.0, np.nan])):
         with pytest.raises(ConfigurationError):
             project(lambda x: 1.0, basis, rule)
+    # a rule that is not a (nodes, weights) pair, and f values that are not
+    # finite reals
+    for rule in (5, ([1.0], [1.0], [1.0]), (["a"], [1.0])):
+        with pytest.raises(ConfigurationError, match="pair"):
+            project(lambda x: 1.0, basis, rule)
+    for f in (lambda x: "1.0", lambda x: math.nan, lambda x: None, lambda x: [x, x]):
+        with pytest.raises(ConfigurationError, match="finite real"):
+            project(f, basis, basis.quadrature())
     for rule in (basis.quadrature(), mapped_trapezoid_rule(HermiteBasis(3))):
         nodes, weights = rule
         assert nodes.shape == weights.shape

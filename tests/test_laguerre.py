@@ -189,3 +189,11 @@ def test_constructor_validation():
 def test_quadrature_only_for_alpha_one():
     with pytest.raises(ConfigurationError, match="only for alpha = 1"):
         LaguerreBasis(4, 0.0, 1.0).quadrature()
+
+
+@pytest.mark.parametrize("L", [1e300, 1e-300])
+def test_quadrature_at_extreme_scales_is_a_typed_error(L):
+    # L^3 leaves the double range; under the suite's error::RuntimeWarning
+    # filter a warning would fail this test before the weight check runs
+    with pytest.raises(NodeComputationError, match="positive and finite"):
+        LaguerreBasis(12, 1.0, L).quadrature()

@@ -91,11 +91,6 @@ def test_cone_params():
     assert ConeParams(0).lam == 0.0 and ConeParams(np.float64(0.5)).lam == 0.5
 
 
-def test_thomas_fermi_problem_is_a_singleton_value():
-    assert ThomasFermiProblem() == ThomasFermiProblem()
-    assert hash(ThomasFermiProblem()) == hash(ThomasFermiProblem())
-
-
 # ---------------------------------------------------------------------------
 # residuals (hand-checked point values)
 

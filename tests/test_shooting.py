@@ -8,7 +8,7 @@ import pytest
 
 from halfline.errors import (BlowUpError, ConfigurationError, OracleError,
                              RangeOverflowError)
-from halfline.newton import NewtonConfig
+from halfline import shooting
 from halfline.problems import ConeParams, FluidParams, ThomasFermiProblem
 from halfline.shooting import ShootConfig, integrate, shoot
 
@@ -226,19 +226,12 @@ def test_cone_classifies_every_lambda_up_to_two():
     assert all(a > b for a, b in zip(slopes, slopes[1:]))
 
 
-def test_bisection_stops_on_adjacent_doubles(oracle):
-    # a tolerance below the spacing of doubles ends the bisection when no
-    # midpoint lies strictly inside the bracket; the slope stays inside the
-    # default run's last bracket, which is 1.7e-10 wide
-    base, _ = oracle(FLUID)
-    fine, _ = shoot(FLUID, ShootConfig(secant_tol=1e-300))
-    assert abs(fine - base) <= 1e-10
-
-
-def test_screening_launch_point_insensitivity(oracle):
+def test_screening_launch_point_insensitivity(oracle, monkeypatch):
     base, _ = oracle(ThomasFermiProblem())
-    lo, _ = shoot(ThomasFermiProblem(), launch_x0=1e-7)
-    hi, _ = shoot(ThomasFermiProblem(), launch_x0=1e-5)
+    monkeypatch.setattr(shooting, "_TF_LAUNCH", 1e-7)
+    lo, _ = shoot(ThomasFermiProblem())
+    monkeypatch.setattr(shooting, "_TF_LAUNCH", 1e-5)
+    hi, _ = shoot(ThomasFermiProblem())
     assert abs(lo - base) <= 1e-8
     assert abs(hi - base) <= 1e-8
 
@@ -283,12 +276,12 @@ def test_shoot_refuses_tiny_steps_before_any_walk():
 
 
 def test_shoot_config_validation():
-    for kwargs in (dict(z_max=0.0), dict(step=-1e-3), dict(secant_tol=0.0),
+    for kwargs in (dict(z_max=0.0), dict(step=-1e-3),
                    dict(bracket=(2.0, 1.0)), dict(bracket=(float("nan"), 0.0))):
         with pytest.raises(ConfigurationError):
             ShootConfig(**kwargs)
     for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
-        for key in ("z_max", "step", "secant_tol"):
+        for key in ("z_max", "step"):
             with pytest.raises(ConfigurationError):
                 ShootConfig(**{key: bad})
         for bracket in ((bad, 0.0), (-2.0, bad)):
@@ -299,20 +292,13 @@ def test_shoot_config_validation():
     assert ShootConfig(bracket=(np.float64(-2), 0)).bracket == (-2.0, 0.0)
     cfg = ShootConfig()
     assert cfg.z_max == 40.0 and cfg.step == 1e-3
-    assert cfg.secant_tol == 1e-10 and cfg.bracket is None
+    assert cfg.bracket is None and shooting._BISECT_TOL == 1e-10
 
 
 def test_shoot_rejects_unknown_problem_and_bad_launch():
     with pytest.raises(ConfigurationError):
         shoot("fluid")
-    with pytest.raises(ConfigurationError):
-        shoot(ThomasFermiProblem(), launch_x0=0.0)
-    with pytest.raises(ConfigurationError):
-        shoot(ThomasFermiProblem(), launch_x0=1.0)
-    # launch_x0 is a finite real scalar, and cfg a ShootConfig or None
-    for bad in ("x", None, math.nan, math.inf, True):
-        with pytest.raises(ConfigurationError, match="launch_x0 must"):
-            shoot(ThomasFermiProblem(), launch_x0=bad)
-    for bad in ({}, "x", NewtonConfig()):
+    # cfg is a ShootConfig or None
+    for bad in ({}, "x", FLUID):
         with pytest.raises(ConfigurationError, match="cfg must be a ShootConfig"):
             shoot(FLUID, cfg=bad)

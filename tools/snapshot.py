@@ -15,6 +15,9 @@ with a ``####`` header line and shows exit codes and both output streams:
     their error types and messages;
   - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
     iteration count and slope, as exact hexadecimal floats;
+  - two Laguerre quadrature rules, two mapped trapezoid rules, and one
+    small Newton solve (iterations, residual history, solution), likewise
+    as hexadecimal floats;
   - the standard output of every demo.
 
 The tool is not part of the test suite; a full run takes a few seconds.
@@ -26,6 +29,8 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = pathlib.Path.cwd()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
@@ -34,6 +39,8 @@ from halfline import (ConeParams, FluidParams, HermiteBasis,  # noqa: E402
                       LaguerreBasis, ProblemSpec, SeedKind, SeedProfile,
                       SincBasis, TABLE3, solve_problem)
 from halfline.cli import PRESET_NAMES, main  # noqa: E402
+from halfline.hermite import mapped_trapezoid_rule  # noqa: E402
+from halfline.newton import newton_solve  # noqa: E402
 
 import workloads  # noqa: E402  (perfbench's seeded sweep)
 
@@ -120,6 +127,22 @@ def main_snapshot():
             print(hexes(case[:2]), case[2], hexes([s_lag, s_sinc, gap]))
             for r in reports:
                 print("  %d %s" % (r.iterations, hexes(r.solution)))
+    for N, L in ((8, 1.0), (20, 0.99)):
+        header("LaguerreBasis(%d, 1.0, %g).quadrature()" % (N, L))
+        for values in LaguerreBasis(N, 1.0, L).quadrature():
+            print(hexes(values))
+    for N, k in ((6, 0.9), (16, 4.0)):
+        header("mapped_trapezoid_rule(HermiteBasis(%d, %g))" % (N, k))
+        for values in mapped_trapezoid_rule(HermiteBasis(N, k)):
+            print(hexes(values))
+    header("newton_solve on tanh(x) = 0.3, y^3 + y = 1.5")
+    report = newton_solve(
+        lambda v: np.array([np.tanh(v[0]) - 0.3, v[1] ** 3 + v[1] - 1.5]),
+        lambda v: np.diag([1.0 - np.tanh(v[0]) ** 2, 3.0 * v[1] ** 2 + 1.0]),
+        np.array([2.0, 1.0]))
+    print(report.iterations, report.converged)
+    print(hexes(report.history))
+    print(hexes(report.solution))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         header("demos/%s" % demo.name)
