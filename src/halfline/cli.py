@@ -285,7 +285,7 @@ def _expand_preset(name, cone_lambda):
 
 
 # ---------------------------------------------------------------------------
-# parsing and rendering
+# parsing
 
 def parse_kv_text(text):
     """Parse ``key=value`` lines (# comments, blank lines allowed)."""
@@ -318,19 +318,6 @@ def parse_config(text=None, flags=None, need_method=True):
     cfg = RunConfig(**dict(fields, **given))
     _validate(cfg, need_method)
     return cfg
-
-
-def render_config(cfg):
-    """Canonical key=value text; parse_config(render_config(cfg)) == cfg."""
-    lines = []
-    for key in _KEY_TYPES:
-        value = _value(cfg, key)
-        if value is None:
-            continue
-        if key == "abscissas":
-            value = ",".join(repr(x) for x in value)
-        lines.append("%s=%s" % (key, value))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ abscissas x (partials gives dR/df_q for every q); top_derivative(x, f0, ...,
 f_{order-1}) is the equation solved for f_order at one point, the form the
 shooting oracle integrates.  axis_conditions lists the (derivative order,
 value) pairs imposed at x = 0.  build_system reduces every pairing to nodal
-derivatives that are affine in the coefficients, f_q = s_q + D_q c, so the
-damped Newton driver gets the residual map and its exact Jacobian from
-the same operators.
+derivatives that are affine in the coefficients, f_q = s_q + D_q c, where
+D_q is the family's order-q table at its collocation nodes, so the damped
+Newton driver gets the residual map and its exact Jacobian from the same
+operators.
 
 All of a system but the seed values s_q depends only on the basis class,
 its parameter values and the problem class: it is built once per process,
@@ -40,10 +41,10 @@ import numpy as np
 
 from .core import Expansion, _as_points, _check_order, _real
 from .errors import ConfigurationError, ConvergenceError, DomainError, SolverError
-from .hermite import HermiteBasis, hermite_nodes
-from .laguerre import LaguerreBasis, laguerre_nodes
+from .hermite import HermiteBasis
+from .laguerre import LaguerreBasis
 from .newton import newton_solve
-from .sinc import SincBasis, SincMap, chain_tables, delta_matrices, sinc_nodes
+from .sinc import SincBasis, SincMap
 
 # Newton starts of the Laguerre pairings: a closed-form profile taken at the
 # collocation nodes, with the axis rows completing a square linear system.
@@ -350,12 +351,13 @@ def _discretization(basis, problem):
     of a pairing, memoized by value (basis class, its parameter values,
     problem class); a failed build is not kept, so it raises on every call.
 
-    Laguerre collocates at all but the last len(axis_conditions) nodes (the
-    least-resolved far ones) and imposes the axis conditions as rows of its
-    axis tables (every order at x = 0; empty for the other families).
-    Hermite and composite translates collocate at every node and carry the
-    axis conditions in the seed.  For the translates,
-    D_m = sum_q diag(A[m][q]) delta^(q)^T from the chain-rule tables.
+    Every family takes its operators from one tabulation at its own nodes
+    with the axis appended: D_q is the order-q table at the nodes, and the
+    axis tables are every order at x = 0.  Laguerre imposes the axis
+    conditions as rows of its axis tables, so it collocates at all but its
+    last len(axis_conditions) nodes (the least-resolved far ones) and starts
+    Newton from a closed-form profile.  Hermite and composite translates
+    collocate at every node and carry the axis conditions in the seed.
     """
     key = (type(basis), tuple(sorted(vars(basis).items())), type(problem))
     cache = _DISCRETIZATIONS
@@ -363,30 +365,19 @@ def _discretization(basis, problem):
         cache.move_to_end(key)
         return cache[key][0]
     M = problem.order
-    boundary = np.empty((0, basis.dimension))
-    targets = np.empty(0)
+    rows = problem.axis_conditions if isinstance(basis, LaguerreBasis) else ()
+    if basis.N <= len(rows):
+        raise ConfigurationError(
+            "N = %d leaves no interior collocation nodes" % basis.N)
+    nodes = basis.nodes()
+    nodes = nodes[: nodes.size - len(rows)]
+    tables = basis.tables(np.append(nodes, 0.0), M)         # the axis last
+    operators = [t[:, :-1].T for t in tables]
+    axis = tables[:, :, -1:].copy()     # a strided view moves derived_slope's last bits
+    boundary = axis[[q for q, _ in rows], :, 0]
+    targets = np.array([value for _, value in rows])
     guess = np.zeros(basis.dimension)
-    axis = np.empty((M + 1, basis.dimension, 0))
-    if isinstance(basis, SincBasis):
-        nodes = sinc_nodes(basis)
-        A = chain_tables(basis, nodes, M)
-        deltas = [d.T for d in delta_matrices(basis, M)]
-        operators = [sum(A[m][q][:, np.newaxis] * deltas[q] for q in range(m + 1))
-                     for m in range(M + 1)]
-    elif isinstance(basis, HermiteBasis):
-        nodes = hermite_nodes(basis)
-        operators = [t.T for t in basis.tables(nodes, M)]
-    else:
-        conditions = problem.axis_conditions
-        if basis.N <= len(conditions):
-            raise ConfigurationError(
-                "N = %d leaves no interior collocation nodes" % basis.N)
-        nodes = laguerre_nodes(basis)[: basis.N - len(conditions)]
-        tables = basis.tables(np.append(nodes, 0.0), M)     # the axis last
-        operators = [t[:, :-1].T for t in tables]
-        axis = tables[:, :, -1:].copy()
-        boundary = axis[[q for q, _ in conditions], :, 0]
-        targets = np.array([value for _, value in conditions])
+    if rows:
         if isinstance(problem, ConeParams):
             start = SeedProfile(SeedKind.CONE_RATIONAL, _CONE_START_SCALE)
         else:

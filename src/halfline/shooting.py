@@ -77,7 +77,8 @@ class ShootConfig:
     event by z_max takes its class from the far-field sign.  bracket = None
     picks the per-problem default: (-2, 0) for the fluid and Thomas-Fermi
     problems (their slopes are negative), (0, 2) for the cone, which holds
-    the root for every lam in [0, 2] (steps of 0.1).  Bisection stops at a
+    the root for every lam in [0, 2] (steps of 0.1); any other bracket is a
+    pair (lo, hi) of finite reals, lo < hi.  Bisection stops at a
     bracket width of 1e-10 (1 + |midpoint|) and returns the midpoint.
     """
 
@@ -85,8 +86,13 @@ class ShootConfig:
         self.z_max = _real("z_max", z_max, 0.0)
         self.step = _real("step", step, 0.0)
         if bracket is not None:
-            lo = _real("bracket lo", bracket[0], -math.inf)
-            bracket = (lo, _real("bracket hi", bracket[1], lo))
+            try:
+                lo, hi = bracket
+            except (TypeError, ValueError):
+                raise ConfigurationError("bracket must be a pair (lo, hi), got %r"
+                                         % (bracket,)) from None
+            lo = _real("bracket lo", lo, -math.inf)
+            bracket = (lo, _real("bracket hi", hi, lo))
         self.bracket = bracket
 
 

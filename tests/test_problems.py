@@ -442,9 +442,12 @@ def discretizations(monkeypatch):
 
 
 def counted(monkeypatch, name):
+    """Calls of the node function name (family_nodes) in its own module, which
+    the basis's nodes() resolves."""
     calls = []
-    real = getattr(halfline.problems, name)
-    monkeypatch.setattr(halfline.problems, name,
+    module = getattr(halfline, name.split("_")[0])
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
                         lambda basis: calls.append(basis) or real(basis))
     return calls
 
@@ -527,18 +530,18 @@ def test_a_failed_discretization_raises_on_every_call(monkeypatch, discretizatio
         for _ in range(2):
             with pytest.raises(error, match=message):
                 build_system(spec)
-    real = halfline.problems.hermite_nodes
+    real = halfline.hermite.hermite_nodes
 
     def no_memory(basis):
         raise MemoryError("faked")
-    monkeypatch.setattr(halfline.problems, "hermite_nodes", no_memory)
+    monkeypatch.setattr(halfline.hermite, "hermite_nodes", no_memory)
     spec = ProblemSpec(FluidParams(*FLUID_B), HermiteBasis(16, 1.2),
                        SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.678301))
     for _ in range(2):
         with pytest.raises(ConfigurationError, match="does not fit in memory"):
             solve_problem(spec)
     assert not discretizations
-    monkeypatch.setattr(halfline.problems, "hermite_nodes", real)
+    monkeypatch.setattr(halfline.hermite, "hermite_nodes", real)
     assert solve_problem(spec)[1].converged and len(discretizations) == 1
 
 

@@ -277,7 +277,9 @@ def test_shoot_refuses_tiny_steps_before_any_walk():
 
 def test_shoot_config_validation():
     for kwargs in (dict(z_max=0.0), dict(step=-1e-3),
-                   dict(bracket=(2.0, 1.0)), dict(bracket=(float("nan"), 0.0))):
+                   dict(bracket=(2.0, 1.0)), dict(bracket=(float("nan"), 0.0)),
+                   dict(bracket=5), dict(bracket=(1.0,)),
+                   dict(bracket=(-1.0, 0.0, 3.0))):
         with pytest.raises(ConfigurationError):
             ShootConfig(**kwargs)
     for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):

@@ -16,7 +16,10 @@ from halfline.errors import (
 from halfline.sinc import (
     SincBasis,
     SincMap,
+    chain_tables,
     composite_matrix,
+    composite_tables,
+    delta_matrices,
     delta_matrix,
     sinc_derivatives,
     sinc_nodes,
@@ -247,6 +250,21 @@ def test_delta_matrix_entries_are_immutable():
         ent = delta_matrix(SincBasis(3, 1.0), m)
         with pytest.raises(ValueError):
             ent[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("basis", [SincBasis(17, 1.0), SincBasis(60, 0.3),
+                                   SincBasis(30, 0.3, SincMap.LOG),
+                                   SincBasis(9, 0.6, SincMap.LOG)], ids=repr)
+def test_nodal_tables_match_the_delta_matrices(basis):
+    # the collocation operators are the tables at the nodes; the classical
+    # route D_m = sum_q diag(A[m][q]) delta^(q)^T must give the same matrices
+    nodes = sinc_nodes(basis)
+    tables = composite_tables(basis, nodes, 3)
+    A = chain_tables(basis, nodes, 3)
+    deltas = delta_matrices(basis, 3)
+    for m in range(4):
+        want = sum(A[m][q][:, np.newaxis] * deltas[q].T for q in range(m + 1))
+        assert np.max(np.abs(tables[m].T - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
