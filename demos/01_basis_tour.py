@@ -13,7 +13,6 @@ from halfline import (
     LaguerreBasis,
     SincBasis,
     mapped_trapezoid_rule,
-    mglf_matrix,
 )
 
 
@@ -35,8 +34,8 @@ def main():
 
     print("== far-field decay of member 4 ==")
     xs = (5.0, 20.0, 80.0)
-    rows = zip(xs, lag.matrix(xs, 0)[4], herm.matrix(xs, 0)[4],
-               comp.matrix(xs, 0)[0])
+    rows = zip(xs, lag.tables(xs, 0)[0][4], herm.tables(xs, 0)[0][4],
+               comp.tables(xs, 0)[0][0])
     for x, lag_val, herm_val, comp_val in rows:
         print("  x=%6.1f   laguerre %10.3e   hermite %10.3e   "
               "translate %10.3e" % (x, lag_val, herm_val, comp_val))
@@ -44,7 +43,7 @@ def main():
 
     print("== discrete orthogonality ==")
     nodes, weights = lag.quadrature()
-    phi = mglf_matrix(lag, nodes, 0)
+    phi = lag.tables(nodes, 0)[0]
     gram = phi @ (weights[:, None] * phi.T)
     scale = np.array([math.gamma(n + 2) / (0.8 * 0.8 * math.factorial(n))
                       for n in range(12)])
@@ -54,7 +53,7 @@ def main():
     print("            largest off-diagonal %.1e" % float(np.max(np.abs(off))))
 
     nodes, weights = mapped_trapezoid_rule(herm)
-    phi = herm.matrix(nodes, 0)[:9]
+    phi = herm.tables(nodes, 0)[0][:9]
     gram = phi @ (weights[:, None] * phi.T)
     err = float(np.max(np.abs(gram - math.sqrt(math.pi) * np.eye(9))))
     print("  hermite:  transformed members integrate to sqrt(pi)*delta "

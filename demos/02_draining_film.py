@@ -1,7 +1,7 @@
 """Draining film of a third-grade fluid, solved three ways.
 
-The film profile satisfies f'' = b1 f + b2 f^2 + b3 (f')^2 f on [0, inf)
-with f(0) = 1 and decay at infinity.  All three collocation families solve
+The film profile satisfies f'' + b1 (f')^2 f'' - b2 f (f')^2 - b3 f = 0 on
+[0, inf) with f(0) = 1 and decay at infinity.  All three collocation families solve
 the same case b = (0.6, 0.1, 0.5); the published columns and initial
 slopes are reproduced side by side.
 """

@@ -26,7 +26,7 @@ from .errors import (
     UsageError,
 )
 from .hermite import HermiteBasis, mapped_trapezoid_rule
-from .laguerre import LaguerreBasis, mglf_matrix
+from .laguerre import LaguerreBasis
 from .problems import (
     ConeParams,
     FluidParams,
@@ -50,7 +50,7 @@ from .reference import (
     TABLE6,
 )
 from .shooting import ShootConfig, integrate, shoot
-from .sinc import SincBasis, SincMap, delta_matrix
+from .sinc import SincBasis, SincMap
 
 __version__ = "0.1.0"
 
@@ -91,12 +91,10 @@ __all__ = [
     "UnsupportedOrderError",
     "UsageError",
     "build_system",
-    "delta_matrix",
     "derived_slope",
     "eval_expansion",
     "integrate",
     "mapped_trapezoid_rule",
-    "mglf_matrix",
     "pointwise_residual",
     "project",
     "shoot",

@@ -344,7 +344,7 @@ def run_case(cfg):
     e, report = solve_problem(spec)
     xs = np.asarray(cfg.abscissas if cfg.abscissas is not None
                     else _PROBLEMS[cfg.problem].grid.abscissas(), dtype=float)
-    f = e.derivatives(xs, spec.max_order)
+    f = e.derivatives(xs, spec.problem.order)
     res = spec.problem.residual(xs, f)
     rows = list(zip(xs, f[0], f[1], res))
     slope = derived_slope(e, spec)

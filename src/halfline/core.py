@@ -4,8 +4,8 @@ A basis object (Laguerre, Hermite, or sinc family) exposes
 
     dimension          -- number of coefficients in a truncated expansion
     tables(xs, M)      -- derivatives of orders 0..M of every member at the
-                          points xs >= 0, shape (M+1, dimension, len(xs))
-    matrix(xs, m)      -- the last entry of tables(xs, m), bit for bit
+                          points xs >= 0, shape (M+1, dimension, len(xs));
+                          its entry m does not depend on M, bit for bit
 
 and this module supplies everything generic on top of that: evaluating a
 truncated series (optionally shifted by a closed-form seed profile),
@@ -186,6 +186,6 @@ def project(f, basis, rule):
     fvals = np.array([f(xj) for xj in nodes])
     if fvals.dtype.kind not in "iuf" or fvals.shape != nodes.shape or not np.isfinite(fvals).all():
         raise ConfigurationError("f must return a finite real at every node")
-    B = basis.matrix(nodes, 0)
+    B = basis.tables(nodes, 0)[0]
     coefficients = (B @ (fvals * weights)) / ((B * B) @ weights)
     return Expansion(basis, coefficients)

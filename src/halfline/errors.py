@@ -4,7 +4,8 @@ Every error raised deliberately by this package derives from HalflineError,
 so callers can catch one base class.  Several types double as the matching
 builtin (ValueError, OverflowError) so generic numeric code keeps working.
 A bad argument, an impossible pairing and a parameter value that has no
-formula (Laguerre quadrature at alpha != 1) are all ConfigurationError.
+formula (Laguerre quadrature at alpha != 1) are all ConfigurationError, as
+are the bad inputs DomainError, UnsupportedOrderError and RangeOverflowError.
 """
 
 
@@ -21,15 +22,15 @@ class UsageError(HalflineError):
     """Bad command-line or config-file input."""
 
 
-class DomainError(HalflineError, ValueError):
+class DomainError(ConfigurationError, ValueError):
     """Evaluation point outside the function's domain (negative, zero, or non-finite x)."""
 
 
-class UnsupportedOrderError(HalflineError, ValueError):
+class UnsupportedOrderError(ConfigurationError, ValueError):
     """Derivative order outside the supported range 0..3."""
 
 
-class RangeOverflowError(HalflineError, OverflowError):
+class RangeOverflowError(ConfigurationError, OverflowError):
     """Sinc nodes or mesh powers leave double precision (|j*h| > 700, or
     h**order subnormal or beyond the largest double)."""
 

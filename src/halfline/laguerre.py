@@ -63,55 +63,70 @@ class LaguerreBasis:
     def dimension(self):
         return self.N
 
-    def matrix(self, xs, order=0):
-        return mglf_matrix(self, xs, order)
-
     def tables(self, xs, max_order):
-        return mglf_tables(self, xs, max_order)
+        """Values phi_j^(m)(x_i) for m = 0..max_order, shape (max_order+1, N, len(xs)).
 
+        Leibniz over the damping factor and the shifted polynomial part
+        d^q/dx^q L_j^1(x/L) = (-1/L)^q L_{j-q}^(1+q)(x/L), from one recurrence
+        table holding every shift q <= max_order.
+        """
+        M = _check_order(max_order)
+        xs = _as_points(xs).reshape(-1)
+        with np.errstate(over="ignore"):               # y = inf past the largest double
+            y = xs / self.L
+        damp = np.exp(-0.5 * y)
+        N = self.N
+        out = np.zeros((M + 1, N, xs.size))
+        # tables[n, q] = L_n^(1+q)(y) for the q-fold differentiated polynomial part;
+        # where the damping is 0 the polynomials (about y^(N-1)) may overflow, so
+        # they are formed at y = 0 there, and every entry comes out 0
+        tables = laguerre_table(N - 1, 1.0 + np.arange(M + 1)[:, np.newaxis],
+                                np.where(damp > 0.0, y, 0.0))
+        for m in range(M + 1):
+            for q in range(min(m, N - 1), -1, -1):
+                c = math.comb(m, q) * (-0.5 / self.L) ** (m - q) * (-1.0 / self.L) ** q
+                out[m, q:] += c * tables[:N - q, q]
+        out *= damp
+        return out
+
+    # perfbench looks this up; drop it when the harness next changes
     def member(self, i, x, order=0):
-        return float(self.matrix([x], order)[_check_index(i, self.N), 0])
+        return float(self.tables([x], order)[order, _check_index(i, self.N), 0])
 
     def nodes(self):
         return laguerre_nodes(self)
 
     def quadrature(self):
-        return mglf_quadrature_weights(self)
+        """The rule (nodes, weights), read-only arrays: Radau-type weights paired
+        with the basis's parameter-1 node set.
+
+        w_j = x_j * Gamma(N+2) / (L^3 * N! * [(N+1) * phi_{N+1}(x_j)]^2)
+
+        These make the nodal inner product reproduce the continuous constants
+        <phi_m, phi_n> = Gamma(n+2)/(L^2 n!) * delta_mn for all m, n < N.
+        Only alpha = 1 is supported: the weight formula belongs to the phi
+        family, which fixes the parameter.  Weights that leave the double range
+        (L^3 overflows or underflows) raise NodeComputationError.
+        """
+        if self.alpha != 1.0:
+            raise ConfigurationError("quadrature weights are defined only for "
+                                     "alpha = 1, got alpha=%g" % self.alpha)
+        x, N, L = self.nodes(), self.N, np.float64(self.L)
+        # Gamma(N+2)/N! = N+1
+        phi_next = np.exp(-0.5 * x / L) * laguerre_table(N + 1, 1.0, x / L)[N + 1]
+        with np.errstate(all="ignore"):
+            w = x * (N + 1.0) / (L ** 3 * ((N + 1.0) * phi_next) ** 2)
+        if np.any(w <= 0) or not np.all(np.isfinite(w)):
+            raise NodeComputationError("quadrature weights must be positive and finite")
+        return x, _readonly(w)
 
     def __repr__(self):
         return "LaguerreBasis(N=%d, alpha=%g, L=%g)" % (self.N, self.alpha, self.L)
 
 
-def mglf_tables(basis, xs, max_order):
-    """Values phi_j^(m)(x_i) for m = 0..max_order, shape (max_order+1, N, len(xs)).
-
-    Leibniz over the damping factor and the shifted polynomial part
-    d^q/dx^q L_j^1(x/L) = (-1/L)^q L_{j-q}^(1+q)(x/L), from one recurrence
-    table holding every shift q <= max_order.
-    """
-    M = _check_order(max_order)
-    xs = _as_points(xs).reshape(-1)
-    with np.errstate(over="ignore"):               # y = inf past the largest double
-        y = xs / basis.L
-    damp = np.exp(-0.5 * y)
-    N = basis.N
-    out = np.zeros((M + 1, N, xs.size))
-    # tables[n, q] = L_n^(1+q)(y) for the q-fold differentiated polynomial part;
-    # where the damping is 0 the polynomials (about y^(N-1)) may overflow, so
-    # they are formed at y = 0 there, and every entry comes out 0
-    tables = laguerre_table(N - 1, 1.0 + np.arange(M + 1)[:, np.newaxis],
-                            np.where(damp > 0.0, y, 0.0))
-    for m in range(M + 1):
-        for q in range(min(m, N - 1), -1, -1):
-            c = math.comb(m, q) * (-0.5 / basis.L) ** (m - q) * (-1.0 / basis.L) ** q
-            out[m, q:] += c * tables[:N - q, q]
-    out *= damp
-    return out
-
-
+# perfbench looks this up; drop it when the harness next changes
 def mglf_matrix(basis, xs, order=0):
-    """Values phi_j^(order)(x_i) for all members, shape (N, len(xs))."""
-    return mglf_tables(basis, xs, order)[order]
+    return basis.tables(xs, order)[order]
 
 
 def laguerre_nodes(basis):
@@ -137,28 +152,3 @@ def laguerre_nodes(basis):
         "Laguerre")
     with np.errstate(over="ignore"):        # inf past the double range, refused
         return _node_array(basis.L * y)
-
-
-def mglf_quadrature_weights(basis):
-    """The rule (nodes, weights), read-only arrays: Radau-type weights paired
-    with the basis's parameter-1 node set.
-
-    w_j = x_j * Gamma(N+2) / (L^3 * N! * [(N+1) * phi_{N+1}(x_j)]^2)
-
-    These make the nodal inner product reproduce the continuous constants
-    <phi_m, phi_n> = Gamma(n+2)/(L^2 n!) * delta_mn for all m, n < N.
-    Only alpha = 1 is supported: the weight formula belongs to the phi
-    family, which fixes the parameter.  Weights that leave the double range
-    (L^3 overflows or underflows) raise NodeComputationError.
-    """
-    if basis.alpha != 1.0:
-        raise ConfigurationError(
-            "quadrature weights are defined only for alpha = 1, got alpha=%g" % basis.alpha)
-    x, N, L = laguerre_nodes(basis), basis.N, np.float64(basis.L)
-    # Gamma(N+2)/N! = N+1
-    phi_next = np.exp(-0.5 * x / L) * laguerre_table(N + 1, 1.0, x / L)[N + 1]
-    with np.errstate(all="ignore"):
-        w = x * (N + 1.0) / (L ** 3 * ((N + 1.0) * phi_next) ** 2)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise NodeComputationError("quadrature weights must be positive and finite")
-    return x, _readonly(w)

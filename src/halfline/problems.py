@@ -270,17 +270,13 @@ class ProblemSpec:
         self.seed = seed
         self.label = "%s / %s" % (problem.label, basis.label)
 
-    @property
-    def max_order(self):
-        return self.problem.order
-
     def __repr__(self):
         return "ProblemSpec(%r, %r, seed=%r)" % (self.problem, self.basis, self.seed)
 
 
 def pointwise_residual(spec, approx, x):
     """Governing-equation residual of an evaluator at an abscissa or an array of them."""
-    return spec.problem.residual(x, [approx(x, m) for m in range(spec.max_order + 1)])
+    return spec.problem.residual(x, [approx(x, m) for m in range(spec.problem.order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +323,6 @@ class NonlinearSystem:
         rows = sum(np.reshape(p, (-1, 1)) * D
                    for p, D in zip(partials, self.operators))
         return np.vstack([rows, self.boundary])
-
-    def make_expansion(self, coefficients):
-        return Expansion(self.spec.basis, coefficients, seed=self.spec.seed)
 
     def __repr__(self):
         return "NonlinearSystem(%s, dimension %d, %d boundary rows)" % (
@@ -407,7 +400,7 @@ def build_system(spec):
     nodes, boundary, targets, guess, _, *operators = _discretization(
         spec.basis, spec.problem)
     seeds = [np.zeros(nodes.size) if spec.seed is None else spec.seed(nodes, q)
-             for q in range(spec.max_order + 1)]
+             for q in range(spec.problem.order + 1)]
     return NonlinearSystem(spec, nodes, operators, seeds, boundary, targets, guess)
 
 
@@ -434,7 +427,7 @@ def solve_problem(spec):
         head = exc.args[0] if exc.args else str(exc)
         exc.args = ("%s: %s" % (spec.label, head),) + tuple(exc.args[1:])
         raise
-    return system.make_expansion(report.solution), report
+    return Expansion(spec.basis, report.solution, seed=spec.seed), report
 
 
 _SLOPE_DELTA = 1e-3

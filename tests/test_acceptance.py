@@ -211,7 +211,7 @@ def test_criterion_10_property_suites():
     # log-mapped Hermite transformed orthogonality: sqrt(pi) * delta
     basis = HermiteBasis(8, 0.9)
     nodes, w = mapped_trapezoid_rule(basis)
-    phi = basis.matrix(nodes, 0)
+    phi = basis.tables(nodes, 0)[0]
     gram = phi @ (w[:, None] * phi.T)
     err = float(np.max(np.abs(gram - math.sqrt(math.pi) * np.eye(9))))
     worst["hermite orthogonality (tol 1e-6)"] = (err, 1e-6)
@@ -247,13 +247,13 @@ def test_criterion_10_property_suites():
     fd3_at = lambda f, x, s: (f(x + 2 * s) - 2 * f(x + s) + 2 * f(x - s)
                               - f(x - 2 * s)) / (2 * s**3)
     x = np.array([0.9, 4.0])
-    f = lambda t: lag.matrix(t, 0)[[2, 7]]      # members 2 and 7
-    err = max(err, np.max(np.abs(lag.matrix(x, 1)[[2, 7]]
+    f = lambda t: lag.tables(t, 0)[0][[2, 7]]      # members 2 and 7
+    err = max(err, np.max(np.abs(lag.tables(x, 1)[1][[2, 7]]
                                  - (f(x + 1e-6) - f(x - 1e-6)) / 2e-6)))
-    err = max(err, np.max(np.abs(lag.matrix(x, 2)[[2, 7]]
+    err = max(err, np.max(np.abs(lag.tables(x, 2)[2][[2, 7]]
                                  - (f(x + 1e-4) - 2 * f(x) + f(x - 1e-4))
                                  / 1e-8)))
-    err = max(err, np.max(np.abs(lag.matrix(x, 3)[[2, 7]]
+    err = max(err, np.max(np.abs(lag.tables(x, 3)[3][[2, 7]]
                                  - (4 * fd3_at(f, x, 1e-3)
                                     - fd3_at(f, x, 2e-3)) / 3)))
     herm = HermiteBasis(8, 1.2)
@@ -263,8 +263,8 @@ def test_criterion_10_property_suites():
         x = np.array([0.5, 2.0])
         s = 1e-6
         for m in (1, 2, 3):
-            lower = lambda t: fam.matrix(t, m - 1)[rows]
-            err = max(err, np.max(np.abs(fam.matrix(x, m)[rows]
+            lower = lambda t: fam.tables(t, m - 1)[m - 1][rows]
+            err = max(err, np.max(np.abs(fam.tables(x, m)[m][rows]
                                          - (lower(x + s) - lower(x - s))
                                          / (2 * s))))
     worst["derivatives orders 1-3 (tol 1e-5)"] = (err, 1e-5)

@@ -297,6 +297,22 @@ def test_overflowing_hermite_nodes_exit_2():
     assert (code, out, err) == (2, "", "error: grid nodes must be finite\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--problem", "fluid", "--b1", "0.6", "--b2", "0.1", "--b3", "0.5",
+      "--method", "sf", "--n", "800", "--mesh-h", "1", "--seed-lambda", "0.47"),
+     "nodes leave double range"),
+    (("--preset", "table2-mglf", "--abscissas", "0,1"),
+     "needs x > 0"),
+], ids=["sinc-nodes-overflow", "screening-abscissa-at-axis"])
+def test_bad_inputs_raised_in_the_library_exit_2(argv, message, tmp_path):
+    # RangeOverflowError and DomainError are ConfigurationErrors
+    target = tmp_path / "bad.csv"
+    code, out, err = run_main("solve", *argv, "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # solve / verify / oracle flows (cheapest preset: table2-mglf)
 

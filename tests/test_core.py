@@ -110,7 +110,7 @@ def test_evaluation_point_and_order_checks():
     with pytest.raises(UnsupportedOrderError):
         e(1.0, True)
     with pytest.raises(UnsupportedOrderError):
-        basis.matrix([1.0], True)
+        basis.tables([1.0], True)
 
 
 def test_collocation_grid_validation():
@@ -166,7 +166,7 @@ def test_single_member_expansion_matches_member():
             c[i] = 1.0
             e = Expansion(basis, c)
             for m in (0, 1, 2, 3):
-                row = basis.matrix([0.7, 2.2], m)[i]
+                row = basis.tables([0.7, 2.2], m)[m][i]
                 assert e(0.7, m) == row[0] and e(2.2, m) == row[1]
                 assert basis.member(i, 2.2, m) == row[1]
 
@@ -188,15 +188,15 @@ def test_array_evaluation(basis):
         want = np.array([[e(x, m) for x in row] for row in xs])
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
         assert e([1.1], m).shape == (1,)
-        assert basis.matrix(xs.ravel(), m).shape == (basis.dimension, xs.size)
+        assert basis.tables(xs.ravel(), m)[m].shape == (basis.dimension, xs.size)
         if not isinstance(basis, LaguerreBasis):
             # the basis part vanishes at the axis to every order
-            assert np.all(basis.matrix([0.0], m) == 0.0)
+            assert np.all(basis.tables([0.0], m)[m] == 0.0)
         for bad in (-1e-300, -2.0, math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 e(np.array([0.5, bad, 1.0]), m)
             with pytest.raises(DomainError):
-                basis.matrix([bad], m)
+                basis.tables([bad], m)
 
 
 @pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
@@ -216,7 +216,7 @@ def test_multi_order_tabulation_is_bit_identical(basis, seeded):
         values = e.derivatives(xs, m)
         scalars = e.derivatives(1.3, m)
         for q in range(m + 1):
-            assert np.array_equal(stack[q], basis.matrix(xs, q))
+            assert np.array_equal(stack[q], basis.tables(xs, q)[q])
             assert np.array_equal(values[q], e(xs, q))
             assert scalars[q] == e(1.3, q)
 

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion and prints something."""
+"""Smoke test: every narrative demo runs to completion and prints something,
+under the suite's own warning filter (a RuntimeWarning is an error)."""
 
 import os
 import pathlib
@@ -18,7 +19,8 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip()

@@ -43,7 +43,7 @@ def test_line_derivative_identity():
 def test_transformed_orthogonality():
     basis = HermiteBasis(8, 0.9)
     nodes, w = mapped_trapezoid_rule(basis)
-    phi = basis.matrix(nodes, 0)
+    phi = basis.tables(nodes, 0)[0]
     # the weights already absorb the 1/(k x) measure of the map
     root_pi = math.sqrt(math.pi)
     for n in range(9):
@@ -57,7 +57,7 @@ def test_mapped_members_match_line_functions():
     # member n at x equals the line function at t = ln(x)/k
     basis = HermiteBasis(6, 1.2)
     xs = (0.3, 1.0, 2.6)
-    got = basis.matrix(xs, 0)
+    got = basis.tables(xs, 0)[0]
     for n in range(7):
         for col, x in enumerate(xs):
             t = math.log(x) / 1.2
@@ -73,16 +73,16 @@ def test_member_derivatives_match_central_differences():
     # higher derivatives reach ~1e8, which puts direct stencils
     # outside 1e-5 at any step size.
     for m in (1, 2, 3):
-        lower = lambda t: basis.matrix(t, m - 1)   # all 9 members at once
+        lower = lambda t: basis.tables(t, m - 1)[m - 1]   # all 9 members at once
         fd = (lower(x + s) - lower(x - s)) / (2 * s)
-        assert np.max(np.abs(basis.matrix(x, m) - fd)) <= 1e-5
+        assert np.max(np.abs(basis.tables(x, m)[m] - fd)) <= 1e-5
 
 
 @pytest.mark.parametrize("k", [0.5, 0.9, 1.0])
 def test_axis_limit_is_zero(k):
     basis = HermiteBasis(8, k)
     for m in range(4):
-        near, axis = basis.matrix([1e-6, 0.0], m).T
+        near, axis = basis.tables([1e-6, 0.0], m)[m].T
         assert np.max(np.abs(near)) <= 1e-8
         assert np.all(axis == 0.0)
 
@@ -95,7 +95,7 @@ def test_axis_limit_at_largest_preset_map_constant():
     # assert the decay trend along x -> 0 and exact zero at x = 0.
     basis = HermiteBasis(8, 1.2)
     for m in range(4):
-        vals = np.abs(basis.matrix([1e-4, 1e-8, 1e-12, 1e-16, 0.0], m))
+        vals = np.abs(basis.tables([1e-4, 1e-8, 1e-12, 1e-16, 0.0], m)[m])
         for seq in vals[:, :4]:             # one member along x -> 0
             assert all(a > b for a, b in zip(seq, seq[1:]) if a > 0)
             assert seq[-1] <= 1e-10
@@ -110,9 +110,9 @@ def test_far_field_gives_zeros_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for m in range(4):
-            assert np.array_equal(basis.matrix(far, m), np.zeros((17, 4)))
-            mixed = basis.matrix([0.5, 1e200, 3.0], m)
-            assert np.array_equal(mixed[:, [0, 2]], basis.matrix([0.5, 3.0], m))
+            assert np.array_equal(basis.tables(far, m)[m], np.zeros((17, 4)))
+            mixed = basis.tables([0.5, 1e200, 3.0], m)[m]
+            assert np.array_equal(mixed[:, [0, 2]], basis.tables([0.5, 3.0], m)[m])
 
 
 def test_nodes_are_exponentials_of_line_nodes():

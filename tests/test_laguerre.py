@@ -111,24 +111,24 @@ def test_member_derivatives_match_central_differences():
         return (f(x + 2 * s) - 2 * f(x + s) + 2 * f(x - s)
                 - f(x - 2 * s)) / (2 * s**3)
     x = np.array([0.1, 0.9, 4.0, 12.0, 20.0])
-    f = lambda t: basis.matrix(t, 0)        # all 9 members at once
+    f = lambda t: basis.tables(t, 0)[0]        # all 9 members at once
     fd1 = (f(x + h[1]) - f(x - h[1])) / (2 * h[1])
-    assert np.max(np.abs(basis.matrix(x, 1) - fd1)) <= 1e-5
+    assert np.max(np.abs(basis.tables(x, 1)[1] - fd1)) <= 1e-5
     s = h[2]
     fd2 = (f(x + s) - 2 * f(x) + f(x - s)) / s**2
-    assert np.max(np.abs(basis.matrix(x, 2) - fd2)) <= 1e-5
+    assert np.max(np.abs(basis.tables(x, 2)[2] - fd2)) <= 1e-5
     # Richardson-extrapolated third difference: a plain stencil
     # cannot reach 1e-5 absolute in double precision here.
     s = h[3]
     fd3 = (4 * fd3_at(f, x, s / 2) - fd3_at(f, x, s)) / 3
-    assert np.max(np.abs(basis.matrix(x, 3) - fd3)) <= 1e-5
+    assert np.max(np.abs(basis.tables(x, 3)[3] - fd3)) <= 1e-5
 
 
 def test_member_is_weighted_laguerre():
     # member j is e^{-x/2L} L_j^1(x/L)
     basis = LaguerreBasis(6, 1.0, 0.7)
     xs = (0.0, 0.4, 2.1)
-    got = basis.matrix(xs, 0)
+    got = basis.tables(xs, 0)[0]
     assert got.shape == (6, 3)
     assert np.array_equal(got, mglf_matrix(basis, xs, 0))
     for j in range(6):
@@ -145,9 +145,9 @@ def test_far_field_is_exact_zero(x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for m in range(4):
-            assert np.array_equal(basis.matrix([x], m), np.zeros((12, 1)))
-            mixed = basis.matrix([0.5, x, 3.0], m)
-            assert np.array_equal(mixed[:, [0, 2]], basis.matrix([0.5, 3.0], m))
+            assert np.array_equal(basis.tables([x], m)[m], np.zeros((12, 1)))
+            mixed = basis.tables([0.5, x, 3.0], m)[m]
+            assert np.array_equal(mixed[:, [0, 2]], basis.tables([0.5, 3.0], m)[m])
 
 
 def test_constructor_validation():

@@ -269,12 +269,12 @@ def test_sinc_map_is_matched_to_the_problem():
                 SeedProfile(SeedKind.CONE_RATIONAL, 1.8))
 
 
-def test_max_order_property():
+def test_problem_order():
     fluid, cone = fluid_spec_parts()
-    assert ProblemSpec(fluid, LaguerreBasis(8, 1.0, 1.0)).max_order == 2
+    assert ProblemSpec(fluid, LaguerreBasis(8, 1.0, 1.0)).problem.order == 2
     assert ProblemSpec(ThomasFermiProblem(),
-                       LaguerreBasis(8, 1.0, 1.0)).max_order == 2
-    assert ProblemSpec(cone, LaguerreBasis(8, 1.0, 1.0)).max_order == 3
+                       LaguerreBasis(8, 1.0, 1.0)).problem.order == 2
+    assert ProblemSpec(cone, LaguerreBasis(8, 1.0, 1.0)).problem.order == 3
 
 
 def test_problem_labels():

@@ -17,8 +17,6 @@ from halfline.sinc import (
     SincBasis,
     SincMap,
     chain_tables,
-    composite_matrix,
-    composite_tables,
     delta_matrices,
     delta_matrix,
     sinc_derivatives,
@@ -101,27 +99,27 @@ def test_extreme_mesh_nodes_stay_finite():
     xs = basis.nodes()
     assert np.all(np.isfinite(xs))
     for order in range(4):
-        vals = basis.matrix(xs[[0, 30, 60]], order)
+        vals = basis.tables(xs[[0, 30, 60]], order)[order]
         assert np.all(np.isfinite(vals[[0, 30, 60], [0, 1, 2]]))
     big = SincBasis(30, 5.0)  # LogSinh pairing
     xs = big.nodes()
     assert np.all(np.isfinite(xs))
-    assert math.isfinite(big.matrix(xs[60:], 3)[60, 0])
+    assert math.isfinite(big.tables(xs[60:], 3)[3][60, 0])
     # far out on the LogSinh map the mapped variable is as large as x itself;
     # no power of it may overflow (the filter turns a RuntimeWarning into a
     # failure), and the members decay to zero or a subnormal, up to the
     # largest doubles
     far = np.array([1e80, 1e160, 1e300, 1.7e308])
     for order in range(4):
-        vals = SincBasis(17, 1.0).matrix(far, order)
+        vals = SincBasis(17, 1.0).tables(far, order)[order]
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) < 1e-150
     # nor may the translate argument (Phi - k h) / h once Phi / h passes
     # the largest double.
     for order in range(4):
-        assert np.all(np.isfinite(SincBasis(17, 0.3).matrix([9e307], order)))
+        assert np.all(np.isfinite(SincBasis(17, 0.3).tables([9e307], order)[order]))
     for order in range(2):
-        assert np.all(np.isfinite(SincBasis(3, 1e-300).matrix([1e300], order)))
+        assert np.all(np.isfinite(SincBasis(3, 1e-300).tables([1e300], order)[order]))
     # Orders 2 and 3 divide by h^2 and h^3, which underflow to zero on the
     # 1e-300 mesh: a typed error on both maps and both evaluation paths.
     # h^3 = 1e-306 is still a normal double, and stays finite.
@@ -130,25 +128,25 @@ def test_extreme_mesh_nodes_stay_finite():
         for order in (2, 3):
             for x in (1.0, 1e300):
                 with pytest.raises(RangeOverflowError):
-                    fine.matrix([x], order)
+                    fine.tables([x], order)
             with pytest.raises(RangeOverflowError):
                 delta_matrix(fine, order)
         coarse = SincBasis(3, 1e-102, map_kind)
-        assert np.all(np.isfinite(coarse.matrix([1e-5, 1.0, 1e300], 3)))
+        assert np.all(np.isfinite(coarse.tables([1e-5, 1.0, 1e300], 3)[3]))
         assert np.all(np.isfinite(delta_matrix(coarse, 3)))
         # h^order beyond the largest double is refused the same way
         with pytest.raises(RangeOverflowError):
-            SincBasis(3, 1e200, map_kind).matrix([1.0], 2)
+            SincBasis(3, 1e200, map_kind).tables([1.0], 2)
         with pytest.raises(RangeOverflowError):
             delta_matrix(SincBasis(3, 1e110, map_kind), 3)
-        assert np.all(np.isfinite(SincBasis(3, 1e200, map_kind).matrix([1.0], 1)))
+        assert np.all(np.isfinite(SincBasis(3, 1e200, map_kind).tables([1.0], 1)[1]))
     # down to the smallest subnormal the Log-map members stay finite: the
     # weight's zero and the map's pole never meet as 0 * inf.  Orders 0-2
     # vanish with x; order 3 tends to 6 S(ln x), which decays like 1/ln x.
     cone = SincBasis(4, 1.0, SincMap.LOG)
     tiny = np.array([1e-150, 1e-200, 1e-300, 5e-324])
     for order in range(4):
-        vals = cone.matrix(tiny, order)
+        vals = cone.tables(tiny, order)[order]
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) <= (1e-100 if order < 3 else 0.1)
 
@@ -168,7 +166,7 @@ def test_mesh_beyond_double_range_is_rejected():
 def test_interpolation_property(map_kind, weight_kind, N, h):
     basis = SincBasis(N, h, map_kind)
     xs = basis.nodes()
-    got = basis.matrix(xs, 0)               # got[k + N, j + N]: translate k at node j
+    got = basis.tables(xs, 0)[0]               # got[k + N, j + N]: translate k at node j
     want = np.diag([weight_value(weight_kind, x) for x in xs])
     assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -176,11 +174,11 @@ def test_interpolation_property(map_kind, weight_kind, N, h):
 def test_composite_point_examples():
     x0 = math.log(1.0 + math.sqrt(2.0))
     basis = SincBasis(4, 1.0)
-    at_x0 = basis.matrix([x0], 0)[:, 0]     # row k + 4 holds translate k
+    at_x0 = basis.tables([x0], 0)[0][:, 0]     # row k + 4 holds translate k
     assert abs(at_x0[4] - x0 / (x0**2 + 1.0)) <= 1e-13
     assert abs(at_x0[5]) <= 1e-14
     cone = SincBasis(4, 1.0, SincMap.LOG)
-    assert abs(cone.matrix([1.0], 0)[4, 0] - 0.5) <= 1e-15
+    assert abs(cone.tables([1.0], 0)[0][4, 0] - 0.5) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,7 @@ def test_nodal_tables_match_the_delta_matrices(basis):
     # the collocation operators are the tables at the nodes; the classical
     # route D_m = sum_q diag(A[m][q]) delta^(q)^T must give the same matrices
     nodes = sinc_nodes(basis)
-    tables = composite_tables(basis, nodes, 3)
+    tables = basis.tables(nodes, 3)
     A = chain_tables(basis, nodes, 3)
     deltas = delta_matrices(basis, 3)
     for m in range(4):
@@ -279,9 +277,9 @@ def test_member_derivatives_match_central_differences(map_kind, weight_kind):
     # orders 2 and 3 difference the next-lower analytic order, as in
     # the Hermite suite, to stay inside 1e-5 absolute
     for m in (1, 2, 3):
-        lower = lambda t: basis.matrix(t, m - 1)   # all 9 translates at once
+        lower = lambda t: basis.tables(t, m - 1)[m - 1]   # all 9 translates at once
         fd = (lower(x + s) - lower(x - s)) / (2 * s)
-        assert np.max(np.abs(basis.matrix(x, m) - fd)) <= 1e-5
+        assert np.max(np.abs(basis.tables(x, m)[m] - fd)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +300,7 @@ def test_weight_far_field():
 
 def test_member_far_field_decay_comes_from_sinc_factor():
     cone = SincBasis(4, 1.0, SincMap.LOG)
-    at_1e4, at_1e8 = np.abs(cone.matrix([1e4, 1e8], 0)).T
+    at_1e4, at_1e8 = np.abs(cone.tables([1e4, 1e8], 0)[0]).T
     assert np.all(at_1e4 <= 0.2)
     assert np.all(at_1e8 <= 1e-1)
 
@@ -311,15 +309,15 @@ def test_axis_values_are_zero():
     for map_kind, weight_kind in PAIRS:
         basis = SincBasis(3, 1.0, map_kind)
         for order in range(4):
-            assert np.all(basis.matrix([0.0], order) == 0.0)
+            assert np.all(basis.tables([0.0], order)[order] == 0.0)
 
 
 def test_logsinh_cutoff_below_1e10():
     basis = SincBasis(3, 1.0)
     for order in range(4):
-        assert np.all(basis.matrix([1e-12], order) == 0.0)
+        assert np.all(basis.tables([1e-12], order)[order] == 0.0)
     # just above the cutoff evaluation proceeds and stays tiny
-    assert abs(basis.matrix([1e-9], 0)[3, 0]) <= 1e-8
+    assert abs(basis.tables([1e-9], 0)[0][3, 0]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ def test_member_view_matches_translate_view():
     basis = SincBasis(4, 1.0)
     assert basis.dimension == 9
     x = 0.7
-    rows = composite_matrix(basis, [x], 1)[:, 0]
+    rows = basis.tables([x], 1)[1][:, 0]
     for i in range(9):
         assert basis.member(i, x, 1) == rows[i]
     with pytest.raises(ConfigurationError):
@@ -372,10 +370,10 @@ def test_member_view_matches_translate_view():
 def test_domain_and_order_validation():
     basis = SincBasis(4, 1.0)
     with pytest.raises(DomainError):
-        basis.matrix([1.0, -1.0], 0)
+        basis.tables([1.0, -1.0], 0)
     with pytest.raises(DomainError):
-        basis.matrix([float("inf")], 0)
+        basis.tables([float("inf")], 0)
     with pytest.raises(DomainError):
         basis.member(0, float("nan"), 0)
     with pytest.raises(UnsupportedOrderError):
-        basis.matrix([1.0], 4)
+        basis.tables([1.0], 4)

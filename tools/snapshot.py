@@ -15,9 +15,11 @@ with a ``####`` header line and shows exit codes and both output streams:
     their error types and messages;
   - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
     iteration count and slope, as exact hexadecimal floats;
-  - two Laguerre quadrature rules, two mapped trapezoid rules, and one
-    small Newton solve (iterations, residual history, solution), likewise
-    as hexadecimal floats;
+  - two Laguerre quadrature rules, two mapped trapezoid rules, the
+    derivative tables of orders 0..3 of four bases (the axis, points near
+    it, the nodes, a grid and the far field), and one small Newton solve
+    (iterations, residual history, solution), likewise as hexadecimal
+    floats;
   - the standard output of every demo.
 
 The tool is not part of the test suite; a full run takes a few seconds.
@@ -37,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import halfline  # noqa: E402
 from halfline import (ConeParams, FluidParams, HermiteBasis,  # noqa: E402
                       LaguerreBasis, ProblemSpec, SeedKind, SeedProfile,
-                      SincBasis, TABLE3, solve_problem)
+                      SincBasis, SincMap, TABLE3, solve_problem)
 from halfline.cli import PRESET_NAMES, main  # noqa: E402
 from halfline.hermite import mapped_trapezoid_rule  # noqa: E402
 from halfline.newton import newton_solve  # noqa: E402
@@ -82,6 +84,9 @@ FAILING_SOLVES = [
                 _film_seed(0.47)),
     ProblemSpec(ConeParams(0.5), LaguerreBasis(2, 1.0, 1.0)),
 ]
+
+TABULATED = [LaguerreBasis(12, 1.0, 0.8), HermiteBasis(12, 0.9), SincBasis(8, 0.7),
+             SincBasis(8, 0.7, SincMap.LOG)]
 
 
 def header(title):
@@ -135,6 +140,13 @@ def main_snapshot():
         header("mapped_trapezoid_rule(HermiteBasis(%d, %g))" % (N, k))
         for values in mapped_trapezoid_rule(HermiteBasis(N, k)):
             print(hexes(values))
+    for basis in TABULATED:
+        header("%r.tables(xs, 3)" % basis)
+        xs = np.concatenate([[0.0, 1e-12, 1e-3], basis.nodes(),
+                             np.linspace(0.05, 12.0, 17), [80.0, 700.0, 1e6]])
+        for order in basis.tables(xs, 3):
+            for row in order:
+                print(hexes(row))
     header("newton_solve on tanh(x) = 0.3, y^3 + y = 1.5")
     report = newton_solve(
         lambda v: np.array([np.tanh(v[0]) - 0.3, v[1] ** 3 + v[1] - 1.5]),
