@@ -15,13 +15,14 @@ sequential, and a numpy stepper advancing a batch of 8 to 65 trial slopes
 in lockstep measured 65-90 us per step, against a few us per step for this
 loop.
 
-Accuracy is one knob, ShootConfig.step.  The local error tolerance is
-step**4 (1e-12 at the default 1e-3) for every walk, the global error of a
-fixed-step fourth-order method at that step, so halving the step still
-asks for 16 times the accuracy.  The step is also the spacing of the
-reported trajectory, which the stepper's continuous extension fills in.
-ShootConfig also holds z_max and the slope bracket; the bisection
-tolerance 1e-10 and the screening launch point 1e-6 are constants.
+Accuracy is one knob, ShootConfig.step.  The reported trajectory runs at
+local error tolerance step**4 (1e-12 at the default 1e-3), the global
+error of a fixed-step fourth-order method at that step, so halving the
+step still asks for 16 times the accuracy.  The step is also the spacing
+of the reported trajectory, which the stepper's continuous extension
+fills in.  ShootConfig also holds z_max and the slope bracket; the
+bisection tolerance 1e-10 and the screening launch point 1e-6 are
+constants.
 
 A trial slope takes the class of the first event on its walk, at the
 launch state or an accepted one: too low once f < 0 and too high once
@@ -33,6 +34,14 @@ y(30) (screening), which keeps each root where its far-field condition
 puts it: near the root, screening's events lie near x = 195, and above
 the cone root f'' can stay at the error floor, about -1e-12.  A walk
 that aborts before it has a class raises OracleError.
+
+The bisection walks run looser, at max(step**4, min(1e-6, 1e-4 w)) at
+bracket width w.  A tolerance tau moved the class boundary by up to 3.5 tau
+at 1e-6 and 14 tau at 1e-9 (screening; film and cone 0.2 tau), so a wrong
+class falls within about 1.4e-3 w of the root and leaves the root outside
+the bracket.  Each end of the final bracket set by a loose walk is walked
+again at step**4; if its class changes, the bisection reruns with every
+walk at step**4.  Loose walks that abort are repeated at step**4.
 """
 
 import math
@@ -45,6 +54,9 @@ from .problems import ConeParams, FluidParams, ThomasFermiProblem
 
 _BOUND = 1e6
 _BISECT_TOL = 1e-10
+# bisection walk tolerance max(step**4, min(_LOOSE_CAP, _LOOSE_SCALE * width))
+_LOOSE_CAP = 1e-6
+_LOOSE_SCALE = 1e-4
 _TF_LAUNCH = 1e-6
 _TF_FAR_FIELD = 30.0
 _TF_PRELUDE_END = 0.05
@@ -72,14 +84,16 @@ _TABLEAU = (
 class ShootConfig:
     """Far-field truncation, accuracy step, bracket.
 
-    step sets the local error tolerance step**4 of every walk, the spacing
-    of the reported trajectory, and the first trial step.  A walk with no
-    event by z_max takes its class from the far-field sign.  bracket = None
-    picks the per-problem default: (-2, 0) for the fluid and Thomas-Fermi
-    problems (their slopes are negative), (0, 2) for the cone, which holds
-    the root for every lam in [0, 2] (steps of 0.1); any other bracket is a
-    pair (lo, hi) of finite reals, lo < hi.  Bisection stops at a
-    bracket width of 1e-10 (1 + |midpoint|) and returns the midpoint.
+    step sets the local error tolerance step**4 of the reported trajectory
+    and of every check of a class (early bisection walks run looser, see
+    the module docstring), the spacing of the reported trajectory, and the
+    first trial step.  A walk with no event by z_max takes its class from
+    the far-field sign.
+    bracket = None picks the per-problem default: (-2, 0) for the fluid and
+    Thomas-Fermi problems (their slopes are negative), (0, 2) for the cone,
+    which holds the root for every lam in [0, 2] (steps of 0.1); any other
+    bracket is a pair (lo, hi) of finite reals, lo < hi.  Bisection stops
+    at a bracket width of 1e-10 (1 + |midpoint|) and returns the midpoint.
     """
 
     def __init__(self, z_max=40.0, step=1e-3, bracket=None):
@@ -152,19 +166,21 @@ def _trajectory(accel, state, x, grid, tol, h):
         raise BlowUpError("trajectory left the state bound", abscissa=reached)
     # per accepted step, the coefficients of Hairer's DOPRI5 dense output
     # y(x + t h) = y0 + t (diff + u (slope0 + t (curve + u tail))), u = 1 - t
+    # with the five blocks stacked component-major, one gather reads them all
     m = len(state)
-    rows = np.array(trail)
-    starts, hs = rows[:, 0], rows[:, 1:2]
-    y0, k1 = rows[:, 2:2 + m], rows[:, 3:3 + m]
-    y1, k7 = rows[:, 3 + m:3 + 2 * m], rows[:, 4 + m:4 + 2 * m]
+    rows = np.array(trail).T
+    starts, hs = rows[0], rows[1]
+    y0, k1 = rows[2:2 + m], rows[3:3 + m]
+    y1, k7 = rows[3 + m:3 + 2 * m], rows[4 + m:4 + 2 * m]
     diff = y1 - y0
     slope0 = hs * k1 - diff
     curve = diff - hs * k7 - slope0
-    tail = hs * rows[:, 4 + 2 * m:4 + 3 * m]
-    j = np.clip(np.searchsorted(starts, grid, side="right") - 1, 0, len(rows) - 1)
-    t = ((grid - starts[j]) / hs[j, 0])[:, np.newaxis]
+    coef = np.concatenate((y0, diff, slope0, curve, hs * rows[4 + 2 * m:4 + 3 * m]))
+    j = np.clip(np.searchsorted(starts, grid, side="right") - 1, 0, len(starts) - 1)
+    t = (grid - starts[j]) / hs[j]
     u = 1.0 - t
-    return y0[j] + t * (diff[j] + u * (slope0[j] + t * (curve[j] + u * tail[j])))
+    y0, diff, slope0, curve, tail = np.take(coef, j, axis=1).reshape(5, m, -1)
+    return (y0 + t * (diff + u * (slope0 + t * (curve + u * tail)))).T.copy()
 
 
 def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
@@ -338,20 +354,34 @@ def shoot(problem, cfg=None):
     lo, hi = cfg.bracket if cfg.bracket is not None else bracket
     tol, grid = _tol_and_grid(grid0, x1, cfg.step)
 
-    def side(s):
-        reached, y, outcome = _dp45(accel, start(s), x0, x1, tol, h0,
+    def side(s, walk_tol):
+        reached, y, outcome = _dp45(accel, start(s), x0, x1, walk_tol, h0,
                                     classify=classify)
         if outcome is None:
+            if walk_tol > tol:
+                return side(s, tol)
             raise OracleError("the walk from trial slope %.17g aborted at x = %g "
                               "before it had a class" % (s, reached))
         return outcome or math.copysign(1.0, y[far])
 
-    if side(hi) < 0:
+    def bisect(walk_tol):
+        """Walks at walk_tol(width): (midpoint, ends as (s, class, tol))."""
+        a, b, tol_a, tol_b = lo, hi, tol, tol
+        mid = 0.5 * (a + b)
+        while b - a > _BISECT_TOL * (1.0 + abs(mid)):
+            mid_tol = walk_tol(b - a)
+            if side(mid, mid_tol) < 0:
+                a, tol_a = mid, mid_tol
+            else:
+                b, tol_b = mid, mid_tol
+            mid = 0.5 * (a + b)
+        return mid, ((a, -1, tol_a), (b, 1, tol_b))
+
+    if side(hi, tol) < 0:
         raise OracleError("far-field mismatch is not positive at the top of the bracket")
-    if side(lo) > 0:
+    if side(lo, tol) > 0:
         raise OracleError("no far-field root found inside the bracket")
-    mid = 0.5 * (lo + hi)
-    while hi - lo > _BISECT_TOL * (1.0 + abs(mid)):
-        lo, hi = (mid, hi) if side(mid) < 0 else (lo, mid)
-        mid = 0.5 * (lo + hi)
+    mid, ends = bisect(lambda width: max(tol, min(_LOOSE_CAP, _LOOSE_SCALE * width)))
+    if any(end_tol > tol and side(end, tol) != cls for end, cls, end_tol in ends):
+        mid, _ = bisect(lambda width: tol)
     return mid, (grid, _trajectory(accel, start(mid), x0, grid, tol, h0))

@@ -60,10 +60,10 @@ def test_rk4_final_step_lands_exactly():
 def test_rk4_trajectory_shape():
     xs, states = integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 1.0, 0.1)
     assert xs.shape == (11,)
-    assert states.shape == (11, 2)
+    assert states.shape == (11, 2) and states.flags.c_contiguous
     xs, states = integrate(lambda x, f, fp, fpp: -fp, (1.0, 0.0, -1.0),
                            0.0, 1.0, 0.1)
-    assert states.shape == (11, 3)
+    assert states.shape == (11, 3) and states.flags.c_contiguous
 
 
 def test_rk4_blow_up_reports_abscissa():
@@ -234,6 +234,64 @@ def test_screening_launch_point_insensitivity(oracle, monkeypatch):
     hi, _ = shoot(ThomasFermiProblem())
     assert abs(lo - base) <= 1e-8
     assert abs(hi - base) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# bisection walks at a tolerance matched to the bracket
+
+STRICT_TOL = 1e-3 ** 4  # the default step**4
+
+
+@pytest.mark.parametrize("step", [1e-3, 5e-4])
+def test_loose_walks_leave_every_bit_of_the_oracle(oracle, monkeypatch, step):
+    # with the loose cap at 0 every walk runs at step**4
+    problems = [FLUID, ThomasFermiProblem()] + \
+        [ConeParams(lam) for lam in CONE_LAMBDAS]
+    cfg = ShootConfig(step=step)
+    loose = [oracle(prob) if step == 1e-3 else shoot(prob, cfg) for prob in problems]
+    monkeypatch.setattr(shooting, "_LOOSE_CAP", 0.0)
+    for prob, (slope, (xs, states)) in zip(problems, loose):
+        strict, (strict_xs, strict_states) = shoot(prob, cfg)
+        assert slope == strict
+        assert np.array_equal(xs, strict_xs)
+        assert np.array_equal(states, strict_states)
+
+
+def test_a_wrong_loose_class_reruns_the_bisection_strictly(oracle, monkeypatch):
+    # the first loose walk within 1e-2 of the film root (s = -0.6875, at
+    # bracket width 0.125) reports the wrong class; the check of the final
+    # bracket catches it, and the rerun walks every midpoint at step**4
+    base, _ = oracle(FLUID)
+    walk, tols, forced = shooting._dp45, [], []
+
+    def wrong_once(accel, state, x, x1, tol, h, trail=None, classify=None):
+        reached, y, outcome = walk(accel, state, x, x1, tol, h, trail, classify)
+        tols.append(tol)
+        if tol > STRICT_TOL and abs(state[1] - base) < 1e-2 and not forced:
+            forced.append(state[1])
+            return reached, y, -(outcome or math.copysign(1.0, y[0]))
+        return reached, y, outcome
+    monkeypatch.setattr(shooting, "_dp45", wrong_once)
+    slope, _ = shoot(FLUID)
+    assert forced == [-0.6875] and slope == base
+    assert tols.count(STRICT_TOL) > 40  # 44 here, 9 without the rerun
+
+
+def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
+    base, (xs, states) = oracle(FLUID)
+    walk, calls = shooting._dp45, []
+
+    def loose_aborts(accel, state, x, x1, tol, h, trail=None, classify=None):
+        calls.append((tol, state))
+        if tol > STRICT_TOL:
+            return x, state, None
+        return walk(accel, state, x, x1, tol, h, trail, classify)
+    monkeypatch.setattr(shooting, "_dp45", loose_aborts)
+    slope, (_, retried) = shoot(FLUID)
+    assert slope == base and np.array_equal(retried, states)
+    loose = [i for i, (tol, _) in enumerate(calls) if tol > STRICT_TOL]
+    assert len(loose) > 20
+    assert all(calls[i + 1] == (STRICT_TOL, calls[i][1]) for i in loose)
 
 
 # ---------------------------------------------------------------------------

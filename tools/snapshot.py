@@ -11,6 +11,9 @@ with a ``####`` header line and shows exit codes and both output streams:
     presets at each tabulated cone-lambda;
   - ``oracle`` for the film, screening and cone problems, and
     ``list-presets``;
+  - the default ``shoot`` slope of the film, screening and cone
+    (lambda = 0, 1/2, 1) problems, and its trajectory at ten fixed grid
+    indices, as exact hexadecimal floats;
   - command lines that must fail, and failing ``solve_problem`` calls, with
     their error types and messages;
   - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
@@ -39,7 +42,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import halfline  # noqa: E402
 from halfline import (ConeParams, FluidParams, HermiteBasis,  # noqa: E402
                       LaguerreBasis, ProblemSpec, SeedKind, SeedProfile,
-                      SincBasis, SincMap, TABLE3, solve_problem)
+                      SincBasis, SincMap, TABLE3, ThomasFermiProblem, shoot,
+                      solve_problem)
 from halfline.cli import PRESET_NAMES, main  # noqa: E402
 from halfline.hermite import mapped_trapezoid_rule  # noqa: E402
 from halfline.newton import newton_solve  # noqa: E402
@@ -85,6 +89,13 @@ FAILING_SOLVES = [
     ProblemSpec(ConeParams(0.5), LaguerreBasis(2, 1.0, 1.0)),
 ]
 
+SHOT = [("film", FluidParams(0.6, 0.1, 0.5)),
+        ("screening", ThomasFermiProblem()),
+        ("cone 0", ConeParams(0.0)), ("cone 0.5", ConeParams(0.5)),
+        ("cone 1", ConeParams(1.0))]
+# every grid holds at least 29,951 points (screening, 0.05 to 30)
+TRAJECTORY_INDICES = (0, 1, 2, 10, 100, 1000, 5000, 10000, 20000, -1)
+
 TABULATED = [LaguerreBasis(12, 1.0, 0.8), HermiteBasis(12, 0.9), SincBasis(8, 0.7),
              SincBasis(8, 0.7, SincMap.LOG)]
 
@@ -116,6 +127,12 @@ def main_snapshot():
     run_cli("oracle", "--problem", "thomas-fermi")
     run_cli("oracle", "--problem", "cone", "--cone-lambda", "0.5")
     run_cli("list-presets")
+    for name, problem in SHOT:
+        header("shoot(%s)" % name)
+        slope, (xs, states) = shoot(problem)
+        print(float(slope).hex())
+        for i in TRAJECTORY_INDICES:
+            print("  %d %s %s" % (i, float(xs[i]).hex(), hexes(states[i])))
     for argv in FAILING_COMMANDS:
         run_cli(*argv)
     for spec in FAILING_SOLVES:
