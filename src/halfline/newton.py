@@ -10,9 +10,10 @@ kappa_1 = |Jeq|_1 |Jeq^-1|_1; above 1e14 the solve aborts.  The largest
 kappa_1 is 1.4e8 over the 24 presets and 1.2e3 over the benchmark sweep.
 Damping is plain step halving on the residual max-norm.
 
-No caller changes the settings, so they are constants: stop once max|F|
-<= 1e-10 or an accepted (damped) step is <= 1e-12 in the max norm, within
-200 iterations of at most 30 halvings each.
+No caller changes the settings, so they are constants.  The loop stops when
+max|F| <= 1e-10, an accepted step is <= 1e-12, no step halved up to 30 times
+decreases max|F|, or 200 iterations are spent.  Converged means max|F| or
+max_i |F_i|/s_i is <= 1e-10, s_i = max_j |J_ij| in the last Jacobian formed.
 """
 
 import numpy as np
@@ -96,13 +97,16 @@ def newton_solve(F, J, x0):
     NumericEvaluationError (component = its row) and a wrong shape
     ConfigurationError, as for the residual.
 
-    Accepted steps strictly decrease max|F|.  The Newton step solves the
-    row-equilibrated system; an equilibrated kappa_1 beyond 1e14 (inf for
-    an exactly singular matrix) aborts with the current iterate attached.
-    Rows that are identically zero in the Jacobian while their residual
-    entry is already at most 1e-10 are replaced by trivial identity
-    equations (they carry no information and would otherwise poison the
-    factorization).
+    Accepted steps strictly decrease max|F|.  The report is converged iff
+    max|F| <= 1e-10 or the equilibrated residual max_i |F_i| / s_i <= 1e-10,
+    s_i being the largest |entry| of row i of the last Jacobian formed (1 for
+    a patched dead row): a rounding floor in badly scaled rows passes, a stall
+    away from a root fails.  The Newton step solves the row-equilibrated
+    system; an equilibrated kappa_1 beyond 1e14 (inf for an exactly singular
+    matrix) aborts with the current iterate attached.  Jacobian rows that are
+    identically zero while their residual entry is at most 1e-10 become
+    trivial identity equations (they carry no information and would
+    otherwise poison the factorization).
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size == 0:
@@ -159,13 +163,9 @@ def newton_solve(F, J, x0):
                 accepted = True
                 break
             lam *= 0.5
-        step_size = float(np.max(np.abs(lam * step)))
-        if not accepted:
-            # stalled at the residual floor; tiny proposed steps mean done
-            converged = float(np.max(np.abs(step))) * lam * 2.0 <= _TOL_STEP
-            history.append(rnorm)
-            return SolveReport(x, it, rnorm, converged or rnorm <= _TOL_RESIDUAL, history)
         history.append(rnorm)
-        if rnorm <= _TOL_RESIDUAL or step_size <= _TOL_STEP:
-            return SolveReport(x, it, rnorm, True, history)
-    return SolveReport(x, _MAX_ITER, rnorm, rnorm <= _TOL_RESIDUAL, history)
+        if (not accepted or rnorm <= _TOL_RESIDUAL
+                or float(np.max(np.abs(lam * step))) <= _TOL_STEP):
+            break
+    converged = rnorm <= _TOL_RESIDUAL or float(np.max(np.abs(f) / scale)) <= _TOL_RESIDUAL
+    return SolveReport(x, it, rnorm, converged, history)

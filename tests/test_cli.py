@@ -263,14 +263,18 @@ def test_solver_failures_exit_3(monkeypatch):
     assert "solver failure" in err
 
 
-def test_unconverged_solve_exits_3_without_csv(tmp_path):
+@pytest.mark.parametrize("argv", [
     # map constant 4 stalls the Hermite film solve after one iteration
-    code, out, err = run_main("solve", "--preset", "table1-hf", "--map-k", "4")
+    ("--preset", "table1-hf", "--map-k", "4"),
+    # stalls at max|F| = 7.4e-6, 3.0e-5 relative to its Jacobian rows
+    ("--preset", "table2-hf", "--map-k", "3.5", "--seed-lambda", "5"),
+], ids=("table1-hf-k4", "table2-hf-k3.5-seed5"))
+def test_unconverged_solve_exits_3_without_csv(tmp_path, argv):
+    code, out, err = run_main("solve", *argv)
     assert code == 3 and out == ""
     assert "solver failure" in err and "unconverged" in err
     target = tmp_path / "stalled.csv"
-    code, out, err = run_main("solve", "--preset", "table1-hf", "--map-k", "4",
-                              "--out", str(target))
+    code, out, err = run_main("solve", *argv, "--out", str(target))
     assert code == 3 and not target.exists()
 
 

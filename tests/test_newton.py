@@ -117,6 +117,15 @@ def test_max_iter_budget_is_honored(monkeypatch):
     assert len(report.history) == 4
 
 
+def test_stall_away_from_a_root_is_unconverged():
+    # |x| + 1e-4 has no root: no halving of the first step decreases it
+    report = newton_solve(lambda v: np.array([abs(v[0]) + 1e-4]),
+                          lambda v: np.array([[1.0 if v[0] >= 0 else -1.0]]),
+                          np.array([0.0]))
+    assert report.converged is False and report.iterations == 1
+    assert report.final_residual_norm == 1e-4
+
+
 def test_accepted_residuals_decrease_monotonically():
     F = lambda v: np.array([np.tanh(v[0]) - 0.3, v[1] ** 3 + v[1] - 1.5])
     h = newton_solve(F, fd_of(F), np.array([2.0, 1.0])).history

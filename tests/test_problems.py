@@ -339,6 +339,15 @@ def test_unconverged_solve_raises_with_the_report():
     assert str(info.value).startswith("fluid film / hermite: ")
 
 
+def test_rounding_floor_converges_on_the_equilibrated_residual():
+    # seed 9 stops at max|F| = 4.2e-8, where no step decreases max|F|; the
+    # residual relative to its Jacobian rows is 1.7e-15
+    spec = ProblemSpec(FluidParams(*FLUID_B), SincBasis(17, 1.0),
+                       SeedProfile(SeedKind.RATIONAL_QUADRATIC, 9.0))
+    report = solve_problem(spec)[1]
+    assert report.converged and report.final_residual_norm > 1e-10
+
+
 @pytest.mark.parametrize("stage,N", [("build_system", 100000000000),
                                      ("newton_solve", 7)])
 def test_out_of_memory_is_a_configuration_error(monkeypatch, stage, N):

@@ -16,6 +16,8 @@ with a ``####`` header line and shows exit codes and both output streams:
     indices, as exact hexadecimal floats;
   - command lines that must fail, and failing ``solve_problem`` calls, with
     their error types and messages;
+  - the exit code and last output or error line of four ``solve`` runs
+    that stop at max|F| above 1e-10, where Newton's verdict decides;
   - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
     iteration count and slope, as exact hexadecimal floats;
   - two Laguerre quadrature rules, two mapped trapezoid rules, the
@@ -73,6 +75,16 @@ FAILING_COMMANDS = [
 ]
 
 
+# max|F| 4.2e-8, 7.4e-6, 8.3e-4 and 2.0e-8; relative to the rows of the
+# last Jacobian 1.7e-15, 3.0e-5, 7.1e-10 and 1.6e-10
+VERDICT_RUNS = [
+    ["--preset", "table1-sf", "--seed-lambda", "9"],
+    ["--preset", "table2-hf", "--map-k", "3.5", "--seed-lambda", "5"],
+    ["--preset", "table1-hf", "--map-k", "2.5", "--seed-lambda", "9"],
+    ["--preset", "table2-sf", "--mesh-h", "2", "--seed-lambda", "1"],
+]
+
+
 def _film_seed(a):
     return SeedProfile(SeedKind.RATIONAL_QUADRATIC, a)
 
@@ -104,13 +116,18 @@ def header(title):
     print("#### %s" % title)
 
 
-def run_cli(*argv):
+def call_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(*argv):
+    code, out, err = call_cli(argv)
     header(" ".join(argv))
     print("exit %d" % code)
-    sys.stdout.write(out.getvalue())
-    sys.stdout.write(err.getvalue())
+    sys.stdout.write(out)
+    sys.stdout.write(err)
 
 
 def hexes(values):
@@ -135,6 +152,11 @@ def main_snapshot():
             print("  %d %s %s" % (i, float(xs[i]).hex(), hexes(states[i])))
     for argv in FAILING_COMMANDS:
         run_cli(*argv)
+    for argv in VERDICT_RUNS:
+        code, out, err = call_cli(["solve", *argv])
+        header("solve %s (last line)" % " ".join(argv))
+        print("exit %d" % code)
+        print((err or out).splitlines()[-1])
     for spec in FAILING_SOLVES:
         header("solve_problem(%r)" % spec)
         try:
