@@ -5,7 +5,7 @@ Every collocation answer in this package can be cross-examined by an
 oracle that never sees a basis function: integrate the ODE from the origin
 with a guessed initial slope, call the guess too low or too high by the
 first telltale event on its walk (the profile crossing zero, or turning
-back up), and bisect the bracket on that verdict.
+back up), and bisect the interval of trial slopes on that verdict.
 """
 
 from halfline import (
@@ -32,8 +32,8 @@ def main():
     slope, (xs, states) = shoot(ConeParams(0.0))
     print("heated cone:     f'(0) = %.9f  (lam = 0)" % slope)
 
-    # the far-field truncation, the accuracy step (local tolerance
-    # step**4) and the bracket are adjustable when a problem needs them
+    # the far-field truncation and the accuracy step (local tolerance
+    # step**4) are adjustable when a problem needs them
     cfg = ShootConfig(z_max=60.0, step=1e-3)
     slope60, _ = shoot(ConeParams(0.0), cfg)
     print("                 z_max 60 in place of 40 moves it by %.1e" %

@@ -7,10 +7,12 @@ with the parameters printed alongside it; ``verify`` re-solves the case and
 checks the result against the embedded copy of that table.
 
 Exit codes: 0 success / verification PASS, 1 verification FAIL, 2 usage or
-configuration error, 3 solver or integrator failure.
+configuration error (an unwritable --out path included), 3 solver or
+integrator failure.  A run that exits 2 or 3 writes no CSV.
 """
 
 import dataclasses
+import io
 import math
 import sys
 import textwrap
@@ -315,6 +317,8 @@ def parse_config(text=None, flags=None, need_method=True):
     fields = {}
     if given.get("preset") is not None:
         fields = _expand_preset(given["preset"], given.get("cone_lambda"))
+        if "cone_lambda" in fields:     # the matched row is the lambda solved
+            given["cone_lambda"] = fields["cone_lambda"]
     cfg = RunConfig(**dict(fields, **given))
     _validate(cfg, need_method)
     return cfg
@@ -375,8 +379,14 @@ def emit_csv(table, stream):
 
 
 def write_csv(table, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        emit_csv(table, fh)
+    """Write the table to path; a table that cannot be formatted leaves no file."""
+    text = io.StringIO()
+    emit_csv(table, text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text.getvalue())
+    except OSError as exc:
+        raise ConfigurationError("cannot write %r: %s" % (path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +408,8 @@ def verify_case(cfg, table):
         profile, idx = _PROBLEMS[preset.fields["problem"]].grid, 1
         slope_ref = profile.slopes[column]
     else:
-        lam = _cone_row(preset.cone, cfg.cone_lambda, cfg.preset)
-        profile, idx = _CONE_PROFILES.get(lam), 2
-        slope_ref = preset.cone.value(lam, column)
+        profile, idx = _CONE_PROFILES.get(cfg.cone_lambda), 2
+        slope_ref = preset.cone.value(cfg.cone_lambda, column)
     profile_tol, slope_tol = preset.tols
     if cfg.tol is not None:
         profile_tol, slope_tol = cfg.tol, cfg.tol
@@ -494,9 +503,9 @@ def _cmd_solve(cfg, stdout):
 
 def _cmd_verify(cfg, stdout):
     table = run_case(cfg)
+    lines, passed = verify_case(cfg, table)
     if cfg.out:
         write_csv(table, cfg.out)
-    lines, passed = verify_case(cfg, table)
     stdout.write("\n".join(lines) + "\n")
     return 0 if passed else 1
 

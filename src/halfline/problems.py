@@ -436,21 +436,20 @@ _SLOPE_DELTA = 1e-3
 def derived_slope(e, spec):
     """Initial slope f'(0) of a solved expansion.
 
-    Laguerre: analytic member derivatives at the axis, from the axis tables
-    of its discretization.  Hermite: the basis part vanishes at the axis to
-    every order, so the seed's exact slope is returned.  Composite
-    translates approach the axis only in a slow logarithmic limit, so the
-    slope comes from one-sided difference quotients through the exact axis
-    value at d = 1e-3, extrapolated once in the step (second order).  Wider
-    stencils are counterproductive here: the translate interpolant ripples
-    on a log scale near the axis, and high-order weights amplify that
-    ripple far past the quotient's own truncation error.
+    Laguerre and Hermite: the coefficients times the first-derivative axis
+    table of the pairing's discretization, plus the seed's exact slope if
+    the pairing is seeded (Hermite's axis tables vanish to every order).
+    Composite translates approach the axis only in a slow logarithmic
+    limit, so the slope comes from one-sided difference quotients through
+    the exact axis value at d = 1e-3, extrapolated once in the step (second
+    order).  Wider stencils are counterproductive here: the translate
+    interpolant ripples on a log scale near the axis, and high-order
+    weights amplify that ripple far past the quotient's own truncation error.
     """
-    if isinstance(spec.basis, LaguerreBasis):
+    if not isinstance(spec.basis, SincBasis):
         axis = _discretization(spec.basis, spec.problem)[4]
-        return float((e.coefficients @ axis[1])[0])
-    if isinstance(spec.basis, HermiteBasis):
-        return e(0.0, 1)
+        slope = (e.coefficients @ axis[1])[0]
+        return float(slope if spec.seed is None else slope + spec.seed(0.0, 1))
     f0, f_full, f_half = e(np.array([0.0, _SLOPE_DELTA, 0.5 * _SLOPE_DELTA]), 0)
     q_full = (f_full - f0) / _SLOPE_DELTA
     q_half = (f_half - f0) / (0.5 * _SLOPE_DELTA)

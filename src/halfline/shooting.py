@@ -20,9 +20,8 @@ local error tolerance step**4 (1e-12 at the default 1e-3), the global
 error of a fixed-step fourth-order method at that step, so halving the
 step still asks for 16 times the accuracy.  The step is also the spacing
 of the reported trajectory, which the stepper's continuous extension
-fills in.  ShootConfig also holds z_max and the slope bracket; the
-bisection tolerance 1e-10 and the screening launch point 1e-6 are
-constants.
+fills in.  ShootConfig also holds z_max; the bisection tolerance 1e-10
+and the screening launch point 1e-6 are constants.
 
 A trial slope takes the class of the first event on its walk, at the
 launch state or an accepted one: too low once f < 0 and too high once
@@ -54,6 +53,7 @@ from .problems import ConeParams, FluidParams, ThomasFermiProblem
 
 _BOUND = 1e6
 _BISECT_TOL = 1e-10
+_MAX_WIDTH = 1e3        # the widest bracket searched for a too-low bottom
 # bisection walk tolerance max(step**4, min(_LOOSE_CAP, _LOOSE_SCALE * width))
 _LOOSE_CAP = 1e-6
 _LOOSE_SCALE = 1e-4
@@ -82,32 +82,18 @@ _TABLEAU = (
 
 
 class ShootConfig:
-    """Far-field truncation, accuracy step, bracket.
+    """Far-field truncation and accuracy step.
 
     step sets the local error tolerance step**4 of the reported trajectory
     and of every check of a class (early bisection walks run looser, see
     the module docstring), the spacing of the reported trajectory, and the
     first trial step.  A walk with no event by z_max takes its class from
     the far-field sign.
-    bracket = None picks the per-problem default: (-2, 0) for the fluid and
-    Thomas-Fermi problems (their slopes are negative), (0, 2) for the cone,
-    which holds the root for every lam in [0, 2] (steps of 0.1); any other
-    bracket is a pair (lo, hi) of finite reals, lo < hi.  Bisection stops
-    at a bracket width of 1e-10 (1 + |midpoint|) and returns the midpoint.
     """
 
-    def __init__(self, z_max=40.0, step=1e-3, bracket=None):
+    def __init__(self, z_max=40.0, step=1e-3):
         self.z_max = _real("z_max", z_max, 0.0)
         self.step = _real("step", step, 0.0)
-        if bracket is not None:
-            try:
-                lo, hi = bracket
-            except (TypeError, ValueError):
-                raise ConfigurationError("bracket must be a pair (lo, hi), got %r"
-                                         % (bracket,)) from None
-            lo = _real("bracket lo", lo, -math.inf)
-            bracket = (lo, _real("bracket hi", hi, lo))
-        self.bracket = bracket
 
 
 def integrate(accel, y0, x0, x1, step):
@@ -331,8 +317,11 @@ def shoot(problem, cfg=None):
     cfg.step.  The Thomas-Fermi problem launches from the small-x series at
     x = 1e-6 (also its first trial step), reports from 0.05 on, and imposes
     its far-field condition at 30; the other problems impose theirs at
-    cfg.z_max.  A bracket whose top is not too high or whose bottom is
-    not too low, or a walk that aborts unclassified, raises OracleError.
+    cfg.z_max.  The bracket (lo, hi) starts at (-2, 0), or (0, 2) for the
+    cone (its root for every lam in [0, 2]), and moves to (lo - 2 (hi - lo),
+    lo) while lo walks too high; bisection returns its midpoint at a width
+    of 1e-10 (1 + |midpoint|).  A top end not too high, a bracket past 1e3
+    wide or a walk that aborts unclassified raises OracleError.
     """
     cfg = ShootConfig() if cfg is None else cfg
     if not isinstance(cfg, ShootConfig):
@@ -340,18 +329,17 @@ def shoot(problem, cfg=None):
     x0 = grid0 = 0.0
     x1, far, h0, classify = cfg.z_max, 0, cfg.step, _film_class
     if isinstance(problem, FluidParams):
-        start, bracket = (lambda s: (1.0, s)), (-2.0, 0.0)
+        start, lo, hi = (lambda s: (1.0, s)), -2.0, 0.0
     elif isinstance(problem, ConeParams):
-        start, bracket, far = (lambda s: (0.0, s, -1.0)), (0.0, 2.0), 1
+        start, lo, hi, far = (lambda s: (0.0, s, -1.0)), 0.0, 2.0, 1
         classify = _cone_class
     elif isinstance(problem, ThomasFermiProblem):
         x0 = h0 = _TF_LAUNCH
-        start, bracket = (lambda s: _tf_launch(s, x0)), (-2.0, 0.0)
+        start, lo, hi = (lambda s: _tf_launch(s, x0)), -2.0, 0.0
         grid0, x1 = _TF_PRELUDE_END, _TF_FAR_FIELD
     else:
         raise ConfigurationError("unknown problem kind: %r" % (problem,))
     accel = problem.top_derivative
-    lo, hi = cfg.bracket if cfg.bracket is not None else bracket
     tol, grid = _tol_and_grid(grid0, x1, cfg.step)
 
     def side(s, walk_tol):
@@ -379,8 +367,10 @@ def shoot(problem, cfg=None):
 
     if side(hi, tol) < 0:
         raise OracleError("far-field mismatch is not positive at the top of the bracket")
-    if side(lo, tol) > 0:
-        raise OracleError("no far-field root found inside the bracket")
+    while side(lo, tol) > 0:
+        if hi - lo > _MAX_WIDTH:
+            raise OracleError("no far-field root found above %.17g" % lo)
+        lo, hi = lo - 2.0 * (hi - lo), lo
     mid, ends = bisect(lambda width: max(tol, min(_LOOSE_CAP, _LOOSE_SCALE * width)))
     if any(end_tol > tol and side(end, tol) != cls for end, cls, end_tol in ends):
         mid, _ = bisect(lambda width: tol)

@@ -18,6 +18,7 @@ from halfline.cli import (
     parse_kv_text,
     run_case,
     verify_case,
+    write_csv,
 )
 from halfline.errors import ConfigurationError, SolverError, UsageError
 from halfline.reference import TABLE3
@@ -106,10 +107,12 @@ def test_preset_expansion_table3_defaults_and_row_lookup():
 
 
 def test_cone_lambda_override_uses_tolerant_row_match():
+    # the matched row is also the lambda that gets solved
     cfg = parse_config(flags={"preset": "table3",
                               "cone-lambda": "0.3333334"})
     assert cfg.alpha == TABLE3.value(1.0 / 3.0, "alpha")
     assert cfg.scale_L == TABLE3.value(1.0 / 3.0, "L")
+    assert cfg.cone_lambda == 1.0 / 3.0
 
 
 def test_cone_lambda_off_table_is_a_usage_error():
@@ -315,6 +318,48 @@ def test_bad_inputs_raised_in_the_library_exit_2(argv, message, tmp_path):
     assert code == 2 and out == "" and not target.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--preset", "table2-mglf"),
+    ("verify", "--preset", "table2-mglf"),
+    ("oracle", "--problem", "thomas-fermi"),
+], ids=("solve", "verify", "oracle"))
+def test_unwritable_out_path_exits_2(tmp_path, argv):
+    target = tmp_path / "absent" / "x.csv"
+    code, out, err = run_main(*argv, "--out", str(target))
+    assert code == 2 and not target.exists()
+    assert err.startswith("error: cannot write %r: " % str(target))
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--problem", "thomas-fermi", "--method", "mglf", "--n", "7",
+      "--alpha", "1", "--scale-L", "0.675"), "needs a preset"),
+    (("--preset", "table1-mglf", "--abscissas", "0.5"),
+     "missing from the solution table"),
+], ids=("no-preset", "off-grid-abscissas"))
+def test_rejected_verify_writes_no_csv(tmp_path, argv, message):
+    target = tmp_path / "rejected.csv"
+    code, out, err = run_main("verify", *argv, "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error: ") and message in err
+
+
+def test_unformattable_table_writes_no_csv(tmp_path):
+    target = tmp_path / "nan.csv"
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        write_csv(SolutionTable([(1.0, float("nan"), 0.0, 0.0)], 0.0), target)
+    assert not target.exists()
+
+
+def test_oracle_failure_exits_3():
+    # the slope -3 of f'' = 9 f is found, but the trajectory to z = 40
+    # follows the e^{3 z} mode out of range
+    code, out, err = run_main("oracle", "--problem", "fluid", "--b1", "0",
+                              "--b2", "0", "--b3", "9")
+    assert code == 3 and out == ""
+    assert err.startswith("failure: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

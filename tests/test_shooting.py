@@ -167,8 +167,10 @@ def test_cone_slope_identity_table(oracle):
 
 
 def test_step_halving_leaves_slopes_unchanged(oracle):
+    # cone lam = 1.2 and 2 walk stiff probes near the top s = 2 of the
+    # cone bracket, and still find the root
     problems = [FLUID, ThomasFermiProblem()] + \
-        [ConeParams(lam) for lam in CONE_LAMBDAS]
+        [ConeParams(lam) for lam in CONE_LAMBDAS + (1.2, 2.0)]
     fine = ShootConfig(step=5e-4)
     for prob in problems:
         base, _ = oracle(prob)
@@ -209,17 +211,8 @@ def test_default_slopes_match_fixed_step_values(oracle):
         assert abs(slope - FIXED_STEP_SLOPES[key]) <= 1e-8
 
 
-def test_cone_default_bracket_beyond_lambda_one():
-    # the stiff probes near the top s = 2 of the default bracket stay
-    # stable, so it finds the same root as a bracket narrowed around it
-    narrow = ShootConfig(bracket=(0.0, 1.2))
-    for lam in (1.2, 2.0):
-        slope, _ = shoot(ConeParams(lam))
-        assert abs(slope - shoot(ConeParams(lam), narrow)[0]) <= 1e-8
-
-
 def test_cone_classifies_every_lambda_up_to_two():
-    # the default bracket (0, 2) holds the root on the whole lam grid, and
+    # the bracket (0, 2) holds the root on the whole lam grid, and
     # the slope falls as the heat-flux exponent grows
     slopes = [shoot(ConeParams(i / 10))[0] for i in range(21)]
     assert all(0.0 < s < 2.0 for s in slopes)
@@ -298,14 +291,31 @@ def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
 # failure modes and validation
 
 
+def test_steep_film_below_the_start_bracket_is_found():
+    # f'' = 9 f has the slope -3, below the bracket (-2, 0): the walk at -2
+    # is too high, so the bracket moves down to (-6, -2)
+    slope, _ = shoot(FluidParams(0.0, 0.0, 9.0), ShootConfig(z_max=10.0))
+    assert abs(slope + 3.0) <= 1e-8
+
+
 def test_bracket_with_negative_far_field_top_is_rejected():
+    # f'' = -1 bends every walk down through f = 0: every slope is too low
+    class SinkingFilm(FluidParams):
+        def top_derivative(self, x, f, fp):
+            return -1.0
     with pytest.raises(OracleError, match="not positive at the top"):
-        shoot(FLUID, ShootConfig(z_max=10.0, step=5e-2, bracket=(-3.0, -2.5)))
+        shoot(SinkingFilm(*FLUID_B), ShootConfig(z_max=10.0, step=5e-2))
 
 
 def test_bracket_without_root_is_reported():
-    with pytest.raises(OracleError, match="no far-field root"):
-        shoot(FLUID, ShootConfig(z_max=8.0, step=2e-2, bracket=(-0.05, -0.01)))
+    # f'' = 1e7 turns f' positive while f > 0 for every slope above -4472:
+    # the bracket widens to (-2046, -1022), past the width cap 1e3, with
+    # every bottom end too high
+    class SoaringFilm(FluidParams):
+        def top_derivative(self, x, f, fp):
+            return 1e7
+    with pytest.raises(OracleError, match="no far-field root found above -2046$"):
+        shoot(SoaringFilm(*FLUID_B), ShootConfig(z_max=8.0, step=2e-2))
 
 
 def test_walk_that_aborts_before_its_class_is_an_oracle_error():
@@ -334,25 +344,16 @@ def test_shoot_refuses_tiny_steps_before_any_walk():
 
 
 def test_shoot_config_validation():
-    for kwargs in (dict(z_max=0.0), dict(step=-1e-3),
-                   dict(bracket=(2.0, 1.0)), dict(bracket=(float("nan"), 0.0)),
-                   dict(bracket=5), dict(bracket=(1.0,)),
-                   dict(bracket=(-1.0, 0.0, 3.0))):
+    for kwargs in (dict(z_max=0.0), dict(step=-1e-3)):
         with pytest.raises(ConfigurationError):
             ShootConfig(**kwargs)
     for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
         for key in ("z_max", "step"):
             with pytest.raises(ConfigurationError):
                 ShootConfig(**{key: bad})
-        for bracket in ((bad, 0.0), (-2.0, bad)):
-            with pytest.raises(ConfigurationError):
-                ShootConfig(bracket=bracket)
-    with pytest.raises(ConfigurationError):
-        ShootConfig(bracket=(1.0, 1.0))
-    assert ShootConfig(bracket=(np.float64(-2), 0)).bracket == (-2.0, 0.0)
     cfg = ShootConfig()
     assert cfg.z_max == 40.0 and cfg.step == 1e-3
-    assert cfg.bracket is None and shooting._BISECT_TOL == 1e-10
+    assert shooting._BISECT_TOL == 1e-10
 
 
 def test_shoot_rejects_unknown_problem_and_bad_launch():

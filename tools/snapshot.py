@@ -7,15 +7,19 @@ Run from the root of a checkout (halfline is imported from ./src):
 and compare the files of two checkouts with ``cmp``.  Each section starts
 with a ``####`` header line and shows exit codes and both output streams:
 
-  - ``verify`` on every preset case: the fixed presets once, the cone
-    presets at each tabulated cone-lambda;
+  - ``verify`` and ``solve`` (its CSV) on every preset case: the fixed
+    presets once, the cone presets at each tabulated cone-lambda, and
+    ``verify`` once more at a cone-lambda matched by tolerance;
   - ``oracle`` for the film, screening and cone problems, and
     ``list-presets``;
   - the default ``shoot`` slope of the film, screening and cone
     (lambda = 0, 1/2, 1) problems, and its trajectory at ten fixed grid
-    indices, as exact hexadecimal floats;
+    indices, as exact hexadecimal floats, and the slope of a steep film
+    whose root lies below the starting bracket;
   - command lines that must fail, and failing ``solve_problem`` calls, with
-    their error types and messages;
+    their error types and messages; among them ``--out`` paths that cannot
+    be written and ``verify`` runs refused after their solve, each with
+    whether it left a CSV behind;
   - the exit code and last output or error line of four ``solve`` runs
     that stop at max|F| above 1e-10, where Newton's verdict decides;
   - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
@@ -35,6 +39,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -44,8 +49,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import halfline  # noqa: E402
 from halfline import (ConeParams, FluidParams, HermiteBasis,  # noqa: E402
                       LaguerreBasis, ProblemSpec, SeedKind, SeedProfile,
-                      SincBasis, SincMap, TABLE3, ThomasFermiProblem, shoot,
-                      solve_problem)
+                      ShootConfig, SincBasis, SincMap, TABLE3,
+                      ThomasFermiProblem, shoot, solve_problem)
 from halfline.cli import PRESET_NAMES, main  # noqa: E402
 from halfline.hermite import mapped_trapezoid_rule  # noqa: E402
 from halfline.newton import newton_solve  # noqa: E402
@@ -72,6 +77,19 @@ FAILING_COMMANDS = [
      "--seed-lambda", "0.47"],
     ["solve", "--problem", "cone", "--cone-lambda", "0.5", "--method", "mglf",
      "--n", "2", "--alpha", "1", "--scale-L", "1"],
+]
+
+# with an --out path in a missing directory
+UNWRITABLE_OUT = [
+    ["solve", "--preset", "table2-mglf"],
+    ["verify", "--preset", "table2-mglf"],
+    ["oracle", "--problem", "thomas-fermi"],
+]
+# verify runs refused after the solve, with a writable --out path
+REFUSED_VERIFY = [
+    ["verify", "--problem", "thomas-fermi", "--method", "mglf", "--n", "7",
+     "--alpha", "1", "--scale-L", "0.675"],
+    ["verify", "--preset", "table1-mglf", "--abscissas", "0.5"],
 ]
 
 
@@ -130,16 +148,32 @@ def run_cli(*argv):
     sys.stdout.write(err)
 
 
+def run_cli_out(argv, target, tmp):
+    """Run argv with --out target and say whether the file was left; the
+    temporary directory tmp reads $TMP, and an exception that escapes main
+    is printed, so every later section still runs."""
+    header(" ".join(argv + ["--out", target.replace(tmp, "$TMP")]))
+    try:
+        code, out, err = call_cli(argv + ["--out", target])
+        print("exit %d" % code)
+        sys.stdout.write((out + err).replace(tmp, "$TMP"))
+    except Exception as exc:
+        print("uncaught %s: %s" % (type(exc).__name__, str(exc).replace(tmp, "$TMP")))
+    print("csv left behind: %s" % os.path.exists(target))
+
+
 def hexes(values):
     return " ".join(float(v).hex() for v in values)
 
 
 def main_snapshot():
-    for name in PRESET_NAMES:
-        lams = TABLE3.abscissas() if name in CONE_PRESETS else [None]
-        for lam in lams:
-            extra = [] if lam is None else ["--cone-lambda", repr(lam)]
-            run_cli("verify", "--preset", name, *extra)
+    for command in ("verify", "solve"):
+        for name in PRESET_NAMES:
+            lams = TABLE3.abscissas() if name in CONE_PRESETS else [None]
+            for lam in lams:
+                extra = [] if lam is None else ["--cone-lambda", repr(lam)]
+                run_cli(command, "--preset", name, *extra)
+    run_cli("verify", "--preset", "table3", "--cone-lambda", "0.333333")
     run_cli("oracle", *FILM)
     run_cli("oracle", "--problem", "thomas-fermi")
     run_cli("oracle", "--problem", "cone", "--cone-lambda", "0.5")
@@ -150,8 +184,18 @@ def main_snapshot():
         print(float(slope).hex())
         for i in TRAJECTORY_INDICES:
             print("  %d %s %s" % (i, float(xs[i]).hex(), hexes(states[i])))
+    header("shoot(FluidParams(0, 0, 9), ShootConfig(z_max=10.0))")
+    try:
+        print(float(shoot(FluidParams(0, 0, 9), ShootConfig(z_max=10.0))[0]).hex())
+    except halfline.HalflineError as exc:
+        print("%s: %s" % (type(exc).__name__, exc))
     for argv in FAILING_COMMANDS:
         run_cli(*argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in UNWRITABLE_OUT:
+            run_cli_out(argv, os.path.join(tmp, "absent", "x.csv"), tmp)
+        for argv in REFUSED_VERIFY:
+            run_cli_out(argv, os.path.join(tmp, "x.csv"), tmp)
     for argv in VERDICT_RUNS:
         code, out, err = call_cli(["solve", *argv])
         header("solve %s (last line)" % " ".join(argv))
