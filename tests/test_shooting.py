@@ -167,10 +167,8 @@ def test_cone_slope_identity_table(oracle):
 
 
 def test_step_halving_leaves_slopes_unchanged(oracle):
-    # cone lam = 1.2 and 2 walk stiff probes near the top s = 2 of the
-    # cone bracket, and still find the root
     problems = [FLUID, ThomasFermiProblem()] + \
-        [ConeParams(lam) for lam in CONE_LAMBDAS + (1.2, 2.0)]
+        [ConeParams(lam) for lam in CONE_LAMBDAS]
     fine = ShootConfig(step=5e-4)
     for prob in problems:
         base, _ = oracle(prob)
@@ -209,6 +207,17 @@ def test_default_slopes_match_fixed_step_values(oracle):
     for key, prob in problems.items():
         slope, _ = oracle(prob)
         assert abs(slope - FIXED_STEP_SLOPES[key]) <= 1e-8
+
+
+def test_cone_default_bracket_beyond_lambda_one():
+    # the stiff probes near the top s = 2 of the start bracket (0, 2) stay
+    # stable, so it finds the root inside it, the same as a shoot at half
+    # the step
+    fine = ShootConfig(step=5e-4)
+    for lam in (1.2, 2.0):
+        slope, _ = shoot(ConeParams(lam))
+        assert 0.0 < slope < 2.0
+        assert abs(slope - shoot(ConeParams(lam), fine)[0]) <= 1e-8
 
 
 def test_cone_classifies_every_lambda_up_to_two():
