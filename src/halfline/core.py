@@ -13,13 +13,15 @@ projecting a function onto the basis with a discrete inner-product rule
 (a (nodes, weights) pair of arrays), the Golub-Welsch node routine of the
 two polynomial families, and the checks every family shares: derivative
 orders, evaluation points, member indices, and collocation nodes, which
-every family returns as a read-only, strictly increasing array.
+every family returns as a read-only, strictly increasing array.  One private
+memo, _memo, keeps each discretization and each point tabulation by value.
 
 Every scalar parameter passes _real (a finite real scalar above a bound)
 or _count (an integer at least a bound); bools and strings fail both,
 which raise ConfigurationError naming the argument.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -74,12 +76,13 @@ class Expansion:
         return eval_expansion(self, x, order)
 
     def derivatives(self, x, max_order, lowest=0):
-        """[self(x, lowest), ..., self(x, max_order)]: one basis tabulation, then per
+        """[self(x, lowest), ..., self(x, max_order)]: one kept basis tabulation, then per
         order one product with the coefficients plus the seed's derivative."""
         max_order = _check_order(max_order)
         xs = _as_points(x)
         flat = xs.reshape(-1)
-        tables = self.basis.tables(flat, max_order)
+        tables, = _memo(self.basis, (flat.tobytes(), max_order),
+                        lambda: (self.basis.tables(flat, max_order),))
         out = []
         for q in range(lowest, max_order + 1):
             vals = self.coefficients @ tables[q]
@@ -87,6 +90,33 @@ class Expansion:
                 vals = vals + self.seed(flat, q)
             out.append(float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape))
         return out
+
+
+class _Memo(collections.OrderedDict):
+    used = 0        # bytes held; key -> (entry, bytes), least recently used first
+
+
+_MEMO_BYTES = 16 * 2 ** 20      # a preset's discretization takes 1-120 kB
+_MEMO = _Memo()
+
+
+def _memo(basis, detail, build):
+    """build()'s tuple of arrays, read-only, kept by value (basis class, its parameter
+    values, *detail) within _MEMO_BYTES; not kept if over budget or if build raises."""
+    key = (type(basis), tuple(sorted(vars(basis).items())), *detail)
+    if key in _MEMO:
+        _MEMO.move_to_end(key)
+        return _MEMO[key][0]
+    entry = build()
+    for a in entry:
+        a.setflags(write=False)        # views keep their layout, and so their bits
+    size = sum(a.nbytes for a in entry)
+    if size <= _MEMO_BYTES:
+        _MEMO.used += size
+        while _MEMO.used > _MEMO_BYTES:
+            _MEMO.used -= _MEMO.popitem(last=False)[1][1]
+        _MEMO[key] = (entry, size)
+    return entry
 
 
 def _check_order(order):

@@ -29,17 +29,16 @@ operators.
 All of a system but the seed values s_q depends only on the basis class,
 its parameter values and the problem class: it is built once per process,
 shared read-only (by a cone table's lambda rows on one basis, say) and kept
-within _DISCRETIZATION_BYTES, least recently used out first.
+in core's memo beside the point tables that expansions are evaluated at.
 """
 
-import collections
 import enum
 import math
 import warnings
 
 import numpy as np
 
-from .core import Expansion, _as_points, _check_order, _real
+from .core import Expansion, _as_points, _check_order, _memo, _real
 from .errors import ConfigurationError, ConvergenceError, DomainError, SolverError
 from .hermite import HermiteBasis
 from .laguerre import LaguerreBasis
@@ -192,6 +191,12 @@ class SeedProfile:
     makes seed-forced slopes and curvatures exact in the reports.
     """
 
+    # derivatives of 1/q by order, given q and q1 = q'
+    _QUADRATIC = (lambda q, q1: 1.0 / q,
+                  lambda q, q1: -q1 / q ** 2,
+                  lambda q, q1: -2.0 / q ** 2 + 2.0 * q1 * q1 / q ** 3,
+                  lambda q, q1: 12.0 * q1 / q ** 3 - 6.0 * q1 ** 3 / q ** 4)
+
     def __init__(self, kind, parameter):
         if not isinstance(kind, SeedKind):
             raise ConfigurationError("kind must be a SeedKind, got %r" % (kind,))
@@ -204,15 +209,14 @@ class SeedProfile:
         x = _as_points(x)
         a = self.parameter
         if self.kind is SeedKind.RATIONAL_QUADRATIC:
-            q = 1.0 + a * x + x * x
-            q1 = a + 2.0 * x
-            if order == 0:
-                return 1.0 / q
-            if order == 1:
-                return -q1 / q ** 2
-            if order == 2:
-                return -2.0 / q ** 2 + 2.0 * q1 * q1 / q ** 3
-            return 12.0 * q1 / q ** 3 - 6.0 * q1 ** 3 / q ** 4
+            rq = self._QUADRATIC[order]
+            if not (x > 1e38).any():        # x, a <= 1e38: no power of q overflows
+                return rq(1.0 + a * x + x * x, a + 2.0 * x)
+            with np.errstate(all="ignore"):     # where it does, the form in u = 1/x:
+                q, u = 1.0 + a * x + x * x, 1.0 / x     # q/x^2 = 1 + a u + u^2, q'/x = a u + 2
+                return np.where(np.isinf(q ** (order + 1)),
+                                rq(1.0 + a * u + u * u, a * u + 2.0) * u ** (order + 2),
+                                rq(q, a + 2.0 * x))[()]
         if self.kind is SeedKind.RATIONAL_LINEAR:
             return (-1.0) ** order * math.factorial(order) * a / (a + x) ** (order + 1)
         # CONE_RATIONAL
@@ -329,20 +333,9 @@ class NonlinearSystem:
             self.spec.label, self.dimension, self.boundary_rows)
 
 
-class _Discretizations(collections.OrderedDict):
-    used = 0        # bytes held; key -> (entry, bytes), least recently used first
-
-
-# The bytes the discretizations kept in this process may hold together; an
-# entry at the sizes the presets use takes 1-120 kB.
-_DISCRETIZATION_BYTES = 16 * 2 ** 20
-_DISCRETIZATIONS = _Discretizations()
-
-
 def _discretization(basis, problem):
     """Read-only (nodes, axis rows B, targets t, start c0, axis tables, *D_q)
-    of a pairing, memoized by value (basis class, its parameter values,
-    problem class); a failed build is not kept, so it raises on every call.
+    of a pairing, kept in core's memo (see _memo) under its problem class.
 
     Every family takes its operators from one tabulation at its own nodes
     with the axis appended: D_q is the order-q table at the nodes, and the
@@ -352,41 +345,28 @@ def _discretization(basis, problem):
     Newton from a closed-form profile.  Hermite and composite translates
     collocate at every node and carry the axis conditions in the seed.
     """
-    key = (type(basis), tuple(sorted(vars(basis).items())), type(problem))
-    cache = _DISCRETIZATIONS
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key][0]
-    M = problem.order
-    rows = problem.axis_conditions if isinstance(basis, LaguerreBasis) else ()
-    if basis.N <= len(rows):
-        raise ConfigurationError(
-            "N = %d leaves no interior collocation nodes" % basis.N)
-    nodes = basis.nodes()
-    nodes = nodes[: nodes.size - len(rows)]
-    tables = basis.tables(np.append(nodes, 0.0), M)         # the axis last
-    operators = [t[:, :-1].T for t in tables]
-    axis = tables[:, :, -1:].copy()     # a strided view moves derived_slope's last bits
-    boundary = axis[[q for q, _ in rows], :, 0]
-    targets = np.array([value for _, value in rows])
-    guess = np.zeros(basis.dimension)
-    if rows:
-        if isinstance(problem, ConeParams):
-            start = SeedProfile(SeedKind.CONE_RATIONAL, _CONE_START_SCALE)
-        else:
-            start = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
-        guess = np.linalg.solve(np.vstack([operators[0], boundary]),
-                                np.concatenate([start(nodes), targets]))
-    entry = (nodes, boundary, targets, guess, axis, *operators)
-    for a in entry:
-        a.setflags(write=False)        # views keep their layout, and so their bits
-    size = sum(a.nbytes for a in entry)
-    if size <= _DISCRETIZATION_BYTES:
-        cache.used += size
-        while cache.used > _DISCRETIZATION_BYTES:
-            cache.used -= cache.popitem(last=False)[1][1]
-        cache[key] = (entry, size)
-    return entry
+    def build():
+        rows = problem.axis_conditions if isinstance(basis, LaguerreBasis) else ()
+        if basis.N <= len(rows):
+            raise ConfigurationError(
+                "N = %d leaves no interior collocation nodes" % basis.N)
+        nodes = basis.nodes()
+        nodes = nodes[: nodes.size - len(rows)]
+        tables = basis.tables(np.append(nodes, 0.0), problem.order)     # the axis last
+        operators = [t[:, :-1].T for t in tables]
+        axis = tables[:, :, -1:].copy()     # a strided view moves derived_slope's last bits
+        boundary = axis[[q for q, _ in rows], :, 0]
+        targets = np.array([value for _, value in rows])
+        guess = np.zeros(basis.dimension)
+        if rows:
+            if isinstance(problem, ConeParams):
+                start = SeedProfile(SeedKind.CONE_RATIONAL, _CONE_START_SCALE)
+            else:
+                start = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
+            guess = np.linalg.solve(np.vstack([operators[0], boundary]),
+                                    np.concatenate([start(nodes), targets]))
+        return (nodes, boundary, targets, guess, axis, *operators)
+    return _memo(basis, (type(problem),), build)
 
 
 def build_system(spec):
@@ -447,10 +427,14 @@ def derived_slope(e, spec):
     weights amplify that ripple far past the quotient's own truncation error.
     """
     if not isinstance(spec.basis, SincBasis):
-        axis = _discretization(spec.basis, spec.problem)[4]
-        slope = (e.coefficients @ axis[1])[0]
-        return float(slope if spec.seed is None else slope + spec.seed(0.0, 1))
+        return _axis_value(e, spec, 1)
     f0, f_full, f_half = e(np.array([0.0, _SLOPE_DELTA, 0.5 * _SLOPE_DELTA]), 0)
     q_full = (f_full - f0) / _SLOPE_DELTA
     q_half = (f_half - f0) / (0.5 * _SLOPE_DELTA)
     return float(2.0 * q_half - q_full)
+
+
+def _axis_value(e, spec, q):
+    """f^(q)(0): the coefficients times the discretization's axis table, plus the seed's."""
+    value = (e.coefficients @ _discretization(spec.basis, spec.problem)[4][q])[0]
+    return float(value if spec.seed is None else value + spec.seed(0.0, q))

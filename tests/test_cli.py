@@ -3,9 +3,11 @@ verification flow, and exit codes."""
 
 import io
 
+import numpy as np
 import pytest
 
 import halfline.cli as cli
+import halfline.core
 import halfline.problems
 from halfline.cli import (
     PRESET_NAMES,
@@ -423,6 +425,40 @@ def test_verify_detects_corrupted_values():
     lines_bad, passed_bad = verify_case(cfg, broken)
     assert passed_ok and not passed_bad
     assert any("exceeds" in l for l in lines_bad)
+
+
+@pytest.mark.parametrize("preset", ["table1-mglf", "table1-hf", "table1-sf"])
+def test_a_warm_run_case_tabulates_each_point_set_once(preset, monkeypatch):
+    # the slope row's f(0) comes from the discretization's axis tables and
+    # the seed, as the slope does, never from a tabulation at x = 0
+    cfg = parse_config(flags={"preset": preset})
+    spec = cli.to_problem_spec(cfg)
+    monkeypatch.setattr(halfline.core, "_MEMO", halfline.core._Memo())
+    halfline.problems._discretization(spec.basis, spec.problem)
+    calls = []
+    real = type(spec.basis).tables
+    monkeypatch.setattr(type(spec.basis), "tables", lambda basis, xs, M:
+                        calls.append(np.array(xs)) or real(basis, xs, M))
+    table = run_case(cfg)
+    want = [np.asarray(cli._PROBLEMS[cfg.problem].grid.abscissas(), dtype=float)]
+    if preset.endswith("sf"):                  # the translates' slope stencil
+        want.append(np.array([0.0, 1e-3, 5e-4]))
+    assert len(calls) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(calls, want))
+    assert run_case(cfg).rows == table.rows and len(calls) == len(want)
+    e, _ = halfline.problems.solve_problem(spec)
+    assert table.rows[-1][:3] == (0.0, e(0.0, 0), table.slope)
+
+
+def test_solve_far_out_runs_clean():
+    # under the suite's error::RuntimeWarning filter: the seed's far field
+    # neither overflows nor warns
+    code, out, err = run_main("solve", "--preset", "table1-sf",
+                              "--abscissas", "1e154,1e200,1e300")
+    assert code == 0 and err == ""     # fmt9 refuses a non-finite value
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1.00000000e+154", "1.00000000e+200",
+                                    "1.00000000e+300", "0.00000000"]
 
 
 def test_verify_table3_lambda1_reports_the_printed_slope_misprint():

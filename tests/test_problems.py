@@ -17,6 +17,7 @@ from halfline.errors import (
     RangeOverflowError,
     UnsupportedOrderError,
 )
+from halfline.core import Expansion
 from halfline.problems import (
     ConeParams,
     FluidParams,
@@ -162,6 +163,24 @@ def test_rational_quadratic_seed_identities():
         for x in (0.0, 0.4, 2.0, 9.0):
             q = 1.0 + lam * x + x * x
             assert abs(p(x, 0) - 1.0 / q) <= 1e-15
+
+
+def test_rational_quadratic_seed_is_finite_where_x_squared_overflows():
+    # runs under the suite's error::RuntimeWarning filter: no overflow warns
+    p = SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.47)
+    far = (1e154, 1e200, 1e300)
+    for m in range(4):
+        for x in far:
+            # far out p^(m) = (-1)^m (m+1)! / x^(m+2) (1 + O(1/x))
+            want = (-1.0) ** m * math.factorial(m + 1) * x ** -(m + 2)
+            assert math.isfinite(p(x, m)) and p(x, m) == pytest.approx(want, rel=1e-12)
+        # points where nothing overflows keep the direct form's bits (a scalar
+        # 0.5 takes it whole) next to far ones
+        mixed = p(np.array((0.0, 0.5) + far), m)
+        assert np.array_equal(mixed, [p(x, m) for x in (0.0, 0.5) + far])
+    # where q^4 overflows but x^2 does not, the third derivative keeps its
+    # sign: -24 / x^5 at x = 1e39
+    assert p(1e39, 3) == pytest.approx(-24.0 / 1e39 ** 5, rel=1e-12)
 
 
 def test_rational_linear_seed_identities():
@@ -439,14 +458,14 @@ def test_screening_point_value_from_published_table(solve_case):
 
 
 # ---------------------------------------------------------------------------
-# discretizations memoized by value
+# discretizations and point tables memoized by value
 
 
 @pytest.fixture
 def discretizations(monkeypatch):
-    """An empty discretization cache for the test; the process's own is restored after."""
-    cache = halfline.problems._Discretizations()
-    monkeypatch.setattr(halfline.problems, "_DISCRETIZATIONS", cache)
+    """An empty memo for the test; the process's own is restored after."""
+    cache = halfline.core._Memo()
+    monkeypatch.setattr(halfline.core, "_MEMO", cache)
     return cache
 
 
@@ -481,6 +500,51 @@ def test_equal_valued_bases_share_one_discretization(make, nodes, monkeypatch,
         assert len(calls) == 2
 
 
+def counted_tables(monkeypatch, cls):
+    """The point sets cls.tables is called at."""
+    calls = []
+    real = cls.tables
+    monkeypatch.setattr(cls, "tables", lambda basis, xs, M:
+                        calls.append(np.array(xs)) or real(basis, xs, M))
+    return calls
+
+
+def point_entries(memo):
+    """Keys of the memo's point tables: their last item is an order, not a class."""
+    return [k for k in memo if not isinstance(k[-1], type)]
+
+
+MEMO_FAMILIES = [(lambda: LaguerreBasis(13, 0.655, 1.115), "L"),
+                 (lambda: HermiteBasis(20, 0.8), "k"),
+                 (lambda: SincBasis(9, 0.6, SincMap.LOG), "h")]
+
+
+@pytest.mark.parametrize("make,attribute", MEMO_FAMILIES, ids=["laguerre", "hermite", "sinc"])
+def test_equal_valued_bases_share_one_point_entry(make, attribute, monkeypatch,
+                                                  discretizations):
+    basis = make()
+    calls = counted_tables(monkeypatch, type(basis))
+    c = np.random.default_rng(5).standard_normal(basis.dimension)
+    xs = np.array([0.5, 1.0, 2.0])
+    first = Expansion(basis, c)(xs, 1)
+    # another basis object with the same values, other coefficients: one tabulation
+    second = Expansion(make(), 2.0 * c)(xs, 1)
+    assert len(calls) == 1 and len(point_entries(discretizations)) == 1
+    assert np.array_equal(second, 2.0 * first)
+    # the order and the points' bytes are part of the key
+    Expansion(basis, c)(xs, 2)
+    Expansion(basis, c)(xs[::-1], 1)
+    assert len(calls) == 3
+    # a changed attribute gets its own entry, equal to an equal-valued fresh basis's
+    setattr(basis, attribute, 1.25 * getattr(basis, attribute))
+    changed = Expansion(basis, c)(xs, 1)
+    assert len(calls) == 4 and len(point_entries(discretizations)) == 4
+    fresh = make()
+    setattr(fresh, attribute, getattr(basis, attribute))
+    assert np.array_equal(Expansion(fresh, c)(xs, 1), changed)
+    assert len(calls) == 4 and not np.array_equal(changed, first)
+
+
 def other_pairing(spec):
     """An equal-valued basis under another problem instance and seed parameter."""
     problem = {FluidParams: FluidParams.from_b1_b3(0.3, 0.9),
@@ -502,6 +566,40 @@ def test_a_warm_solve_is_bit_identical_to_a_cold_one(key, discretizations):
     assert np.array_equal(warm.coefficients, cold.coefficients)
     assert warm_report.history == cold_report.history
     assert derived_slope(warm, spec) == cold_slope
+
+
+@pytest.mark.parametrize("make", [m for m, _ in MEMO_FAMILIES],
+                         ids=["laguerre", "hermite", "sinc"])
+def test_warm_evaluations_are_bit_identical_to_cold_ones(make, discretizations):
+    basis = make()
+    seed = None if isinstance(basis, LaguerreBasis) else \
+        SeedProfile(SeedKind.CONE_RATIONAL, 1.9)
+    c = np.random.default_rng(9).standard_normal(basis.dimension)
+    grid = np.array([[0.0, 1e-3, 0.3], [1.7, 9.0, 80.0]])
+
+    def evaluations(e):
+        return ([lambda x=x, q=q: e(x, q) for x in (0.0, 0.7, 3.1) for q in range(4)]
+                + [lambda: e(grid, 2), lambda: e.derivatives(grid, 3),
+                   lambda: e.derivatives(0.7, 3, lowest=1)])
+
+    def same(a, b):
+        if isinstance(a, list):
+            return len(a) == len(b) and all(map(same, a, b))
+        return type(a) is type(b) and np.array_equal(a, b)
+    e = Expansion(basis, c, seed)
+    cold = []
+    for evaluate in evaluations(e):
+        discretizations.clear()
+        discretizations.used = 0
+        cold.append(evaluate())
+    # warm: every entry comes from another, equal-valued basis object
+    for evaluate in evaluations(Expansion(copy.copy(basis), np.zeros(basis.dimension), seed)):
+        evaluate()
+    held = list(discretizations)       # 3 x 4 scalar keys, 2 at the grid
+    assert len(held) == 14
+    for _ in range(2):
+        assert same([evaluate() for evaluate in evaluations(e)], cold)
+        assert list(discretizations) == held       # all hits, in the same order
 
 
 def test_a_changed_basis_attribute_gets_its_own_discretization(discretizations):
@@ -529,6 +627,21 @@ def test_shared_arrays_are_read_only():
     assert np.array_equal(build_system(spec).initial_guess, guess)
 
 
+def test_kept_point_tables_are_read_only(discretizations):
+    basis = HermiteBasis(6, 0.9)
+    e = Expansion(basis, np.ones(basis.dimension))
+    xs = np.array([0.5, 1.5, 4.0])
+    got = e(xs, 2)
+    (tables,), size = discretizations[point_entries(discretizations)[0]]
+    assert tables.shape == (3, basis.dimension, 3) and size == tables.nbytes
+    with pytest.raises(ValueError):
+        tables[2, 0, 0] = 1.0
+    # what a caller gets is its own array
+    want = got.copy()
+    got[0] = 1.0
+    assert np.array_equal(e(xs, 2), want)
+
+
 def test_a_failed_discretization_raises_on_every_call(monkeypatch, discretizations):
     failing = [(ProblemSpec(ConeParams(0.5), LaguerreBasis(2, 1.0, 1.0)),
                 ConfigurationError, "no interior collocation nodes"),
@@ -554,9 +667,35 @@ def test_a_failed_discretization_raises_on_every_call(monkeypatch, discretizatio
     assert solve_problem(spec)[1].converged and len(discretizations) == 1
 
 
+def test_bad_points_and_orders_raise_on_a_warm_key(discretizations):
+    e = Expansion(LaguerreBasis(6, 1.0, 0.8), np.ones(6))
+    for x in (0.5, np.array([0.5, 1.0])):
+        e(x, 1)
+    held = list(discretizations)
+    # each compares and hashes equal to the warm order 1
+    for order in (True, 1.0, np.float64(1.0)):
+        with pytest.raises(UnsupportedOrderError):
+            e(0.5, order)
+        with pytest.raises(UnsupportedOrderError):
+            e.derivatives(np.array([0.5, 1.0]), order)
+    for bad in (-0.5, -1e-300, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            e(np.array([0.5, bad]), 1)
+        with pytest.raises(DomainError):
+            e(bad, 1)
+    assert list(discretizations) == held
+    # a tabulation that raises is never kept, so it raises on every call
+    coarse = Expansion(SincBasis(3, 1e200), np.ones(7))
+    for _ in range(2):
+        with pytest.raises(RangeOverflowError):
+            coarse(1.0, 2)
+    assert list(discretizations) == held
+    assert math.isfinite(coarse(1.0, 1)) and len(discretizations) == len(held) + 1
+
+
 def test_the_byte_budget_holds(monkeypatch, discretizations):
     budget = 100000
-    monkeypatch.setattr(halfline.problems, "_DISCRETIZATION_BYTES", budget)
+    monkeypatch.setattr(halfline.core, "_MEMO_BYTES", budget)
     fluid = FluidParams(*FLUID_B)
 
     def kept():
@@ -578,6 +717,36 @@ def test_the_byte_budget_holds(monkeypatch, discretizations):
     big = build_system(ProblemSpec(fluid, SincBasis(60, 0.3),
                                    SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.47)))
     assert big.dimension == 121 and kept() == before
+
+
+def test_point_entries_share_the_byte_budget(monkeypatch, discretizations):
+    budget = 100000
+    monkeypatch.setattr(halfline.core, "_MEMO_BYTES", budget)
+    e, _ = solve_problem(ProblemSpec(FluidParams(*FLUID_B), LaguerreBasis(20, 1.0, 0.99)))
+    (system,) = list(discretizations)
+
+    def kept():
+        held = sum(n for _, n in discretizations.values())
+        assert discretizations.used == held
+        return list(discretizations), held
+    # a point entry counts toward used: two orders x 20 members x 50 points
+    xs = np.linspace(0.1, 10.0, 50)
+    e(xs, 1)
+    before = kept()
+    assert len(before[0]) == 2 and before[1] == discretizations[system][1] + 16000
+    # point entries and discretizations leave least recently used first
+    for shift in range(1, 7):
+        e(xs + shift, 1)
+        assert kept()[1] <= budget
+    assert system not in discretizations and len(discretizations) == 6
+    e(xs + 1, 1)                             # a hit: the next eviction spares it
+    e(xs + 7, 1)
+    assert point_entries(discretizations)[0][2] == (xs + 3).tobytes()
+    assert (xs + 1).tobytes() in [k[2] for k in discretizations]
+    # an evaluation larger than the whole budget is returned but not kept
+    before = kept()
+    big = e(np.linspace(0.0, 50.0, 3000), 1)
+    assert big.shape == (3000,) and kept() == before
 
 
 # ---------------------------------------------------------------------------
