@@ -72,6 +72,8 @@ class HermiteBasis:
         faster than any power of the diverging map derivatives grows.  Where
         it underflows (|ln x| beyond about 38.6 k) every line table is 0 and the
         map derivatives, which may overflow there, are formed at x = 1 instead.
+        Only the orders asked for form their map derivative, and one whose k x^2
+        or k x^3 overflows (far out, at large k) is 0.
         """
         M = _check_order(max_order)
         xs = _as_points(xs).reshape(-1)
@@ -80,7 +82,12 @@ class HermiteBasis:
         x, k = xs[live], self.k
         D = _line_tables(self.N, np.log(x) / k, M)
         x = np.where(D[0][0] > 0.0, x, 1.0)
-        p1, p2, p3 = 1.0 / (k * x), -1.0 / (k * x * x), 2.0 / (k * x * x * x)
+        p, kx = [], k
+        for c in (1.0, -1.0, 2.0)[:M]:
+            with np.errstate(over="ignore"):    # only far out, where c / kx is then 0
+                kx = kx * x
+            p.append(c / kx)
+        p1, p2, p3 = p + [None] * (3 - M)
         out[0][:, live] = D[0]
         if M >= 1:
             out[1][:, live] = D[1] * p1

@@ -2,19 +2,23 @@
 
 The caller supplies the Jacobian with the residual map; fd_jacobian, a
 forward-difference approximation, is kept as the oracle tests check
-Jacobians against.  Each iteration equilibrates the rows in the max norm
-(the collocation systems mix rows whose natural scales differ by many
-orders of magnitude) and inverts the small equilibrated matrix Jeq once.
-That inverse gives the step and the exact condition number
-kappa_1 = |Jeq|_1 |Jeq^-1|_1; above 1e14 the solve aborts.  The largest
-kappa_1 is 1.4e8 over the 24 presets and 1.2e3 over the benchmark sweep.
-Damping is plain step halving on the residual max-norm.
+Jacobians against.  One iteration forms each of its arrays once: the
+Jacobian J, its row maxima s (the equilibration: the collocation systems
+mix rows whose natural scales differ by many orders of magnitude),
+Jeq = J / s and F / s, the inverse of Jeq, which gives both the step and
+the exact condition number kappa_1 = |Jeq|_1 |Jeq^-1|_1 (above 1e14 the
+solve aborts; the largest is 1.4e8 over the 24 presets and 1.2e3 over the
+benchmark sweep), and then one residual F with its max|F| per trial of the
+damping, plain step halving on max|F|.  The accepted trial's F and max|F|
+carry into the next iteration.
 
 No caller changes the settings, so they are constants.  The loop stops when
 max|F| <= 1e-10, an accepted step is <= 1e-12, no step halved up to 30 times
 decreases max|F|, or 200 iterations are spent.  Converged means max|F| or
 max_i |F_i|/s_i is <= 1e-10, s_i = max_j |J_ij| in the last Jacobian formed.
 """
+
+import math
 
 import numpy as np
 
@@ -47,25 +51,17 @@ class SolveReport:
 
 
 def _eval(F, x, what):
+    """(F(x), max|F(x)|); a residual of the wrong size or a non-finite entry raises."""
     r = np.asarray(F(np.asarray(x, dtype=float)), dtype=float)
-    bad = ~np.isfinite(r)
-    if bad.any():
-        comp = int(np.nonzero(bad)[0][0])
+    if r.size != x.size:
+        raise ConfigurationError(
+            "system is not square: %d equations for %d unknowns" % (r.size, x.size))
+    rnorm = float(np.abs(r).max())
+    if not math.isfinite(rnorm):
+        comp = int(np.nonzero(~np.isfinite(r))[0][0])
         raise NumericEvaluationError(
             "%s produced a non-finite value" % what, component=comp)
-    return r
-
-
-def _eval_jacobian(J, x):
-    m = np.array(J(x), dtype=float)        # a copy: dead rows get patched
-    if m.shape != (x.size, x.size):
-        raise ConfigurationError(
-            "Jacobian has shape %s, expected (%d, %d)" % (m.shape, x.size, x.size))
-    bad = ~np.isfinite(m)
-    if bad.any():
-        raise NumericEvaluationError(
-            "Jacobian produced a non-finite value", component=int(np.nonzero(bad)[0][0]))
-    return m
+    return r, rnorm
 
 
 def fd_jacobian(F, x, fd_step=1e-7):
@@ -76,16 +72,13 @@ def fd_jacobian(F, x, fd_step=1e-7):
     """
     fd_step = _real("fd_step", fd_step, 0.0)
     x = np.asarray(x, dtype=float)
-    f0 = _eval(F, x, "residual at base point")
-    if f0.size != x.size:
-        raise ConfigurationError(
-            "system is not square: %d equations for %d unknowns" % (f0.size, x.size))
+    f0 = _eval(F, x, "residual at base point")[0]
     J = np.empty((f0.size, x.size))
     for i in range(x.size):
         s = fd_step * (1.0 + abs(x[i]))
         xp = x.copy()
         xp[i] += s
-        fi = _eval(F, xp, "residual at perturbed component %d" % i)
+        fi = _eval(F, xp, "residual at perturbed component %d" % i)[0]
         J[:, i] = (fi - f0) / s
     return J
 
@@ -113,22 +106,24 @@ def newton_solve(F, J, x0):
         raise ConfigurationError("x0 must be a non-empty 1-D array")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("x0 must be finite")
-    f = _eval(F, x, "residual at initial guess")
-    if f.size != x.size:
-        raise ConfigurationError(
-            "system is not square: %d equations for %d unknowns" % (f.size, x.size))
-    rnorm = float(np.max(np.abs(f)))
+    f, rnorm = _eval(F, x, "residual at initial guess")
     history = [rnorm]
     if rnorm <= _TOL_RESIDUAL:
         return SolveReport(x, 0, rnorm, True, history)
     for it in range(1, _MAX_ITER + 1):
-        jac = _eval_jacobian(J, x)
-        # row equilibration in the max norm
-        scale = np.max(np.abs(jac), axis=1)
-        dead = scale == 0.0
-        if dead.any():
-            idx = np.nonzero(dead)[0]
+        jac = np.asarray(J(x), dtype=float)
+        if jac.shape != (x.size, x.size):
+            raise ConfigurationError(
+                "Jacobian has shape %s, expected (%d, %d)" % (jac.shape, x.size, x.size))
+        # row equilibration in the max norm; a NaN or inf makes its row's max non-finite
+        scale = np.abs(jac).max(axis=1)
+        if not np.isfinite(scale).all():
+            raise NumericEvaluationError("Jacobian produced a non-finite value",
+                                         component=int(np.nonzero(~np.isfinite(scale))[0][0]))
+        if not scale.all():
+            idx = np.nonzero(scale == 0.0)[0]
             if np.all(np.abs(f[idx]) <= _TOL_RESIDUAL):
+                jac = jac.copy()        # J's array stays as J made it
                 jac[idx, idx] = 1.0
                 f = f.copy()
                 f[idx] = 0.0
@@ -145,7 +140,8 @@ def newton_solve(F, J, x0):
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 "linear solve failed: %s" % exc, iterate=x.copy(), condition=np.inf)
-        cond = float(np.linalg.norm(Jeq, 1) * np.linalg.norm(inv, 1))
+        # |A|_1 as np.linalg.norm(A, 1) reduces it: the largest column sum of |A|
+        cond = float(np.abs(Jeq).sum(0).max() * np.abs(inv).sum(0).max())
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularJacobianError(
                 "equilibrated Jacobian condition %.3e exceeds %.1e" % (cond, _COND_LIMIT),
@@ -156,8 +152,7 @@ def newton_solve(F, J, x0):
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
-            ft = _eval(F, trial, "residual during line search")
-            tnorm = float(np.max(np.abs(ft)))
+            ft, tnorm = _eval(F, trial, "residual during line search")
             if tnorm < rnorm:
                 x, f, rnorm = trial, ft, tnorm
                 accepted = True
@@ -165,7 +160,7 @@ def newton_solve(F, J, x0):
             lam *= 0.5
         history.append(rnorm)
         if (not accepted or rnorm <= _TOL_RESIDUAL
-                or float(np.max(np.abs(lam * step))) <= _TOL_STEP):
+                or lam * float(np.abs(step).max()) <= _TOL_STEP):
             break
     converged = rnorm <= _TOL_RESIDUAL or float(np.max(np.abs(f) / scale)) <= _TOL_RESIDUAL
     return SolveReport(x, it, rnorm, converged, history)

@@ -218,7 +218,13 @@ class SeedProfile:
                                 rq(1.0 + a * u + u * u, a * u + 2.0) * u ** (order + 2),
                                 rq(q, a + 2.0 * x))[()]
         if self.kind is SeedKind.RATIONAL_LINEAR:
-            return (-1.0) ** order * math.factorial(order) * a / (a + x) ** (order + 1)
+            c = (-1.0) ** order * math.factorial(order) * a
+            if not (x > 1e38).any():        # likewise (a + x)^(order+1) stays finite
+                return c / (a + x) ** (order + 1)
+            with np.errstate(all="ignore"):     # (a + x) u = a u + 1
+                q, u = (a + x) ** (order + 1), 1.0 / x
+                return np.where(np.isinf(q), c * u ** (order + 1) / (a * u + 1.0) ** (order + 1),
+                                c / q)[()]
         # CONE_RATIONAL
         q = a / (a + x)
         if order == 0:
@@ -296,7 +302,9 @@ class NonlinearSystem:
 
         F(c) = [R(x, s + D c); B c - t],   J(c) = [sum_q diag(dR/df_q) D_q; B]
 
-    with the axis rows B and their targets t.
+    with the axis rows B and their targets t.  The nodal derivatives that
+    residual_map forms at c are kept, read-only, under c's bytes, so a
+    Jacobian taken at the iterate Newton just accepted reuses them.
     """
 
     def __init__(self, spec, nodes, operators, seeds, boundary, targets,
@@ -310,9 +318,18 @@ class NonlinearSystem:
         self.initial_guess = np.asarray(initial_guess, dtype=float)
         self.boundary_rows = self.targets.size
         self.dimension = self.initial_guess.size
+        self._kept = (None, None)
 
     def nodal_derivatives(self, c):
-        return [s + D @ c for s, D in zip(self.seeds, self.operators)]
+        """The arrays s_q + D_q c, read-only; kept until c's bytes change."""
+        c = np.asarray(c, dtype=float)
+        key = c.tobytes()
+        if key != self._kept[0]:
+            f = tuple(s + D @ c for s, D in zip(self.seeds, self.operators))
+            for fq in f:
+                fq.setflags(write=False)
+            self._kept = (key, f)
+        return self._kept[1]
 
     def residual_map(self, c):
         c = np.asarray(c, dtype=float)
@@ -321,12 +338,17 @@ class NonlinearSystem:
         return np.concatenate([rows, self.boundary @ c - self.targets])
 
     def jacobian(self, c):
-        c = np.asarray(c, dtype=float)
+        """J(c) in one array; the terms diag(dR/df_q) D_q add in the order q = 0, 1, ..."""
         partials = self.spec.problem.partials(self.collocation_nodes,
                                               self.nodal_derivatives(c))
-        rows = sum(np.reshape(p, (-1, 1)) * D
-                   for p, D in zip(partials, self.operators))
-        return np.vstack([rows, self.boundary])
+        n = self.collocation_nodes.size
+        jac = np.empty((n + self.boundary_rows, self.dimension))
+        rows = jac[:n]
+        jac[n:] = self.boundary
+        np.multiply(np.asarray(partials[0])[..., None], self.operators[0], out=rows)
+        for p, D in zip(partials[1:], self.operators[1:]):
+            rows += np.asarray(p)[..., None] * D        # p: one value per node, or one
+        return jac
 
     def __repr__(self):
         return "NonlinearSystem(%s, dimension %d, %d boundary rows)" % (

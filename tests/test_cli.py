@@ -461,6 +461,17 @@ def test_solve_far_out_runs_clean():
                                     "1.00000000e+300", "0.00000000"]
 
 
+def test_solve_far_out_runs_clean_on_the_linear_seed():
+    # the screening translates' seed a/(a + x) under the same filter
+    code, out, err = run_main("solve", "--preset", "table2-sf",
+                              "--abscissas", "1e103,1e155,1e300")
+    assert code == 0 and err == ""
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1.00000000e+103", "1.00000000e+155",
+                                    "1.00000000e+300", "0.00000000"]
+    assert rows[0][1] == "7.70000000e-104"      # f ~ a / x, a = 0.77
+
+
 def test_verify_table3_lambda1_reports_the_printed_slope_misprint():
     # the lam = 1 row's printed Laguerre slope is not reproduced by its own
     # (alpha, L); verify still diffs against the printed column and fails

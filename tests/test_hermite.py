@@ -115,6 +115,27 @@ def test_far_field_gives_zeros_without_overflow():
             assert np.array_equal(mixed[:, [0, 2]], basis.tables([0.5, 3.0], m)[m])
 
 
+def test_far_field_at_large_k_is_finite_without_overflow():
+    # at large k the Gaussian factor is still nonzero where k x^2 and k x^3
+    # overflow: those map derivatives are 0 there, and an order not asked
+    # for forms none
+    far = [1e103, 1e155, 1e200, 1e300]
+    near = [0.5, 3.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (6.0, 8.0, 20.0):
+            basis = HermiteBasis(16, k)
+            whole = basis.tables(near + far, 3)
+            assert np.isfinite(whole).all()
+            # below 1e-100 at every order past the value
+            assert np.abs(whole[1:, :, 2:]).max() <= 1e-100
+            for m in range(4):
+                tables = basis.tables(near + far, m)
+                assert np.array_equal(tables, whole[: m + 1])
+                # the points where nothing overflows keep their bits beside far ones
+                assert np.array_equal(tables[:, :, :2], basis.tables(near, m))
+
+
 def test_nodes_are_exponentials_of_line_nodes():
     basis = HermiteBasis(10, 0.9)
     t = np.asarray(hermite_line_nodes(10))

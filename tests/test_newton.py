@@ -235,6 +235,28 @@ def test_non_finite_residual_is_reported():
             newton_solve(F, fd_of(F), np.array([-1.0]))
 
 
+def test_non_finite_residual_names_its_first_bad_component():
+    J = lambda v: np.eye(4)
+    for bad in (math.nan, math.inf, -math.inf):
+        F = lambda v, bad=bad: np.array([v[0] - 1.0, 2.0, bad, math.nan])
+        with pytest.raises(NumericEvaluationError, match="initial guess") as info:
+            newton_solve(F, J, np.zeros(4))
+        assert info.value.component == 2
+    # finite at the start, NaN from component 1 on at the first trial
+    F = lambda v: np.array([v[0] - 1.0] + ([v[1], v[2]] if v[0] == 0.0 else [math.nan] * 2))
+    with pytest.raises(NumericEvaluationError, match="line search") as info:
+        newton_solve(F, lambda v: np.eye(3), np.zeros(3))
+    assert info.value.component == 1
+
+
+def test_residual_of_the_wrong_size_is_refused_before_its_norm():
+    # an empty residual or a non-finite one of the wrong size is a
+    # configuration error, not a failed reduction or a numeric one
+    for r in (np.array([]), np.array([math.nan, math.nan])):
+        with pytest.raises(ConfigurationError, match="not square"):
+            newton_solve(lambda v, r=r: r, lambda v: np.eye(1), np.array([1.0]))
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import halfline.cli as cli
 import halfline.problems
 from halfline import shooting
 from halfline.errors import (
@@ -33,11 +34,12 @@ from halfline.problems import (
 )
 from halfline.hermite import HermiteBasis
 from halfline.laguerre import LaguerreBasis
-from halfline.newton import fd_jacobian
+from halfline.newton import fd_jacobian, newton_solve
 from halfline.reference import TABLE3
 from halfline.sinc import SincBasis, SincMap
 
 from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE, _case_spec
+from scalar_reference import summed_jacobian
 
 
 def const(c):
@@ -173,14 +175,34 @@ def test_rational_quadratic_seed_is_finite_where_x_squared_overflows():
         for x in far:
             # far out p^(m) = (-1)^m (m+1)! / x^(m+2) (1 + O(1/x))
             want = (-1.0) ** m * math.factorial(m + 1) * x ** -(m + 2)
-            assert math.isfinite(p(x, m)) and p(x, m) == pytest.approx(want, rel=1e-12)
+            assert math.isfinite(p(x, m)) and p(x, m) == pytest.approx(want, rel=1e-12, abs=0)
         # points where nothing overflows keep the direct form's bits (a scalar
         # 0.5 takes it whole) next to far ones
         mixed = p(np.array((0.0, 0.5) + far), m)
         assert np.array_equal(mixed, [p(x, m) for x in (0.0, 0.5) + far])
     # where q^4 overflows but x^2 does not, the third derivative keeps its
     # sign: -24 / x^5 at x = 1e39
-    assert p(1e39, 3) == pytest.approx(-24.0 / 1e39 ** 5, rel=1e-12)
+    assert p(1e39, 3) == pytest.approx(-24.0 / 1e39 ** 5, rel=1e-12, abs=0)
+
+
+def test_rational_linear_seed_is_finite_where_its_power_overflows():
+    # runs under the suite's error::RuntimeWarning filter: no overflow warns
+    a = 0.77
+    p = SeedProfile(SeedKind.RATIONAL_LINEAR, a)
+    far = (1e103, 1e155, 1e300)
+    for m in range(4):
+        for x in far:
+            # far out p^(m) = (-1)^m m! a / x^(m+1) (1 + O(1/x)); 0 past the
+            # double range
+            want = (-1.0) ** m * math.factorial(m) * a * x ** -(m + 1)
+            assert math.isfinite(p(x, m)) and p(x, m) == pytest.approx(want, rel=1e-12, abs=0)
+        # points where (a + x)^(m+1) stays finite keep the direct form's bits
+        # next to far ones
+        near = (0.0, 0.5, 1e38)
+        mixed = p(np.array(near + far), m)
+        assert np.array_equal(mixed, [p(x, m) for x in near + far])
+        direct = (-1.0) ** m * math.factorial(m) * a / (a + np.array(near)) ** (m + 1)
+        assert np.array_equal(mixed[:3], direct)
 
 
 def test_rational_linear_seed_identities():
@@ -346,6 +368,36 @@ def test_square_residual_map():
     assert np.all(np.isfinite(out))
 
 
+PRESET_SPECS = [
+    (name, lam) for name in cli.PRESET_NAMES
+    for lam in (TABLE3.abscissas() if name in ("table3", "table4", "table5") else [None])]
+
+
+def preset_spec(name, lam):
+    flags = {"preset": name}
+    if lam is not None:
+        flags["cone-lambda"] = repr(lam)
+    return cli.to_problem_spec(cli.parse_config(flags=flags))
+
+
+@pytest.mark.parametrize("case", PRESET_SPECS,
+                         ids=lambda c: c[0] if c[1] is None else "%s-%g" % c)
+def test_jacobian_is_bit_equal_to_the_summed_form_along_the_solve(case):
+    # every Jacobian Newton forms, at the iterate it just accepted, equals
+    # the generator sum over q stacked on the axis rows, from fresh nodal
+    # derivatives, bit for bit
+    system = build_system(preset_spec(*case))
+    checked = []
+
+    def jacobian(c):
+        J = system.jacobian(c)
+        checked.append(np.array_equal(J, summed_jacobian(system, c)))
+        return J
+
+    report = newton_solve(system.residual_map, jacobian, system.initial_guess)
+    assert report.converged and checked == [True] * report.iterations
+
+
 def test_unconverged_solve_raises_with_the_report():
     # map constant 4 stalls the Hermite film solve after one iteration
     spec = ProblemSpec(FluidParams(*FLUID_B), HermiteBasis(16, 4.0),
@@ -416,6 +468,24 @@ def test_analytic_jacobian_matches_finite_differences(key, solve_case):
         # on the Hermite film operators (entries up to 4e5) is 1.5e-5
         err = np.max(np.abs(J - fd_jacobian(system.residual_map, c, fd_step=1e-8)))
         assert err <= 1e-5 * np.max(np.abs(J))
+
+
+@pytest.mark.parametrize("key", BASE_KEYS,
+                         ids=lambda k: "-".join(map(str, k)))
+def test_a_c_changed_in_place_gets_fresh_nodal_derivatives(key):
+    spec = _case_spec(key)
+    system = build_system(spec)
+    c = system.initial_guess.copy()
+    system.residual_map(c)
+    c *= 1.01                       # same object, new bytes
+    assert np.array_equal(system.jacobian(c), build_system(spec).jacobian(c))
+    assert np.array_equal(system.residual_map(c), build_system(spec).residual_map(c))
+    # kept under c's bytes, not its identity, and read-only
+    kept = system.nodal_derivatives(c)
+    assert system.nodal_derivatives(c.copy()) is kept
+    for fq in kept:
+        with pytest.raises(ValueError):
+            fq[0] = 0.0
 
 
 @pytest.mark.parametrize("key", BASE_KEYS, ids=lambda k: "-".join(map(str, k)))

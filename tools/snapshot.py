@@ -23,7 +23,8 @@ with a ``####`` header line and shows exit codes and both output streams:
   - the exit code and last output or error line of four ``solve`` runs
     that stop at max|F| above 1e-10, where Newton's verdict decides;
   - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
-    iteration count and slope, as exact hexadecimal floats;
+    iteration count, residual history and slope, as exact hexadecimal
+    floats;
   - two Laguerre quadrature rules, two mapped trapezoid rules, the
     derivative tables of orders 0..3 of four bases (the axis, points near
     it, the nodes, a grid and the far field), and one small Newton solve
@@ -215,6 +216,7 @@ def main_snapshot():
             print(hexes(case[:2]), case[2], hexes([s_lag, s_sinc, gap]))
             for r in reports:
                 print("  %d %s" % (r.iterations, hexes(r.solution)))
+                print("    history %s" % hexes(r.history))
     for N, L in ((8, 1.0), (20, 0.99)):
         header("LaguerreBasis(%d, 1.0, %g).quadrature()" % (N, L))
         for values in LaguerreBasis(N, 1.0, L).quadrature():
