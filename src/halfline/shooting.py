@@ -34,16 +34,24 @@ puts it: near the root, screening's events lie near x = 195, and above
 the cone root f'' can stay at the error floor, about -1e-12.  A walk
 that aborts before it has a class raises OracleError.
 
-The bisection walks run looser, at max(step**4, min(1e-6, 1e-4 w)) at
-bracket width w.  A tolerance tau moved the class boundary by up to 3.5 tau
-at 1e-6 and 14 tau at 1e-9 (screening; film and cone 0.2 tau), so a wrong
-class falls within about 1.4e-3 w of the root and leaves the root outside
-the bracket.  Each end of the final bracket set by a loose walk is walked
-again at step**4; if its class changes, the bisection reruns with every
-walk at step**4.  Loose walks that abort are repeated at step**4.
+The bisection walks run looser, at max(step**4, min(1e-6, scale w)) at
+bracket width w.  A tolerance tau moved the class boundary by at most
+0.2 tau on the film and the cone, and by up to 3.5 tau at 1e-6 and 14 tau
+at 1e-9 on screening (Hairer, Norsett & Wanner, sec. II.4, on tolerance
+proportionality), so scale is 0.1 on the film and the cone and 1e-3 on
+screening: only a slope within about 2% of w of the root can take the
+wrong class.  Each end of the final bracket set by a loose walk is walked
+again at step**4; if its class changes, the bisection goes on from the
+bracket that end's walk split, with the strict class, and the ends are
+checked again.  A wrong class leaves the root outside the bracket, so its
+walk ends as an end of the final bracket, where the check catches it; and
+a midpoint depends only on the classes before it, so the slope and the
+trajectory are bit for bit those of a bisection with every walk at
+step**4.  Loose walks that abort are repeated at step**4.
 """
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -54,9 +62,9 @@ from .problems import ConeParams, FluidParams, ThomasFermiProblem
 _BOUND = 1e6
 _BISECT_TOL = 1e-10
 _MAX_WIDTH = 1e3        # the widest bracket searched for a too-low bottom
-# bisection walk tolerance max(step**4, min(_LOOSE_CAP, _LOOSE_SCALE * width))
+# bisection walk tolerance max(step**4, min(_LOOSE_CAP, scale * width)), the
+# scale set per problem kind in shoot
 _LOOSE_CAP = 1e-6
-_LOOSE_SCALE = 1e-4
 _TF_LAUNCH = 1e-6
 _TF_FAR_FIELD = 30.0
 _TF_PRELUDE_END = 0.05
@@ -85,9 +93,9 @@ class ShootConfig:
     """Far-field truncation and accuracy step.
 
     step sets the local error tolerance step**4 of the reported trajectory
-    and of every check of a class (early bisection walks run looser, see
-    the module docstring), the spacing of the reported trajectory, and the
-    first trial step.  A walk with no event by z_max takes its class from
+    and of every check of a class (bisection walks run looser, at a scale of
+    the bracket width set per problem kind, see the module docstring), the
+    spacing of the reported trajectory, and the first trial step.  A walk with no event by z_max takes its class from
     the far-field sign.
     """
 
@@ -105,14 +113,17 @@ def integrate(accel, y0, x0, x1, step):
     shape (n+1,) and (n+1, len(y0)) on x0 + k step, the last point on x1.
     An accepted state that leaves +-1e6, or a step size that collapses,
     aborts with a blow-up error carrying the abscissa.  Before any walk, a
+    y0 that is not a tuple, list or 1-d array of 2 or 3 finite reals, a
     step with tol**2 outside the normal doubles, or a grid beyond memory,
     raises a typed error.
     """
     step, x0 = _real("step", step, 0.0), _real("x0", x0, -math.inf)
-    if len(y0) not in (2, 3):
-        raise ConfigurationError("the state holds 2 or 3 derivatives, got %d"
-                                 % len(y0))
-    state = tuple(float(v) for v in y0)
+    if isinstance(y0, np.ndarray) and y0.ndim == 1:
+        y0 = tuple(y0)
+    if not isinstance(y0, (tuple, list)) or len(y0) not in (2, 3):
+        raise ConfigurationError("the state holds 2 or 3 derivatives, got %s"
+                                 % reprlib.repr(y0))
+    state = tuple(_real("y0[%d]" % i, v, -math.inf) for i, v in enumerate(y0))
     tol, grid = _tol_and_grid(x0, _real("x1", x1, x0), step)
     return grid, _trajectory(accel, state, x0, grid, tol, step)
 
@@ -161,11 +172,16 @@ def _trajectory(accel, state, x, grid, tol, h):
     diff = y1 - y0
     slope0 = hs * k1 - diff
     curve = diff - hs * k7 - slope0
-    coef = np.concatenate((y0, diff, slope0, curve, hs * rows[4 + 2 * m:4 + 3 * m]))
-    j = np.clip(np.searchsorted(starts, grid, side="right") - 1, 0, len(starts) - 1)
-    t = (grid - starts[j]) / hs[j]
+    coef = np.concatenate((y0, diff, slope0, curve, hs * rows[4 + 2 * m:4 + 3 * m],
+                           rows[:2]))
+    # grid points from the one at or after each step's start to the next
+    # step's belong to that step; those before the first start to the first
+    first = np.searchsorted(grid, starts)
+    first[0] = 0
+    coef = np.repeat(coef, np.diff(first, append=len(grid)), axis=1)
+    t = (grid - coef[-2]) / coef[-1]
     u = 1.0 - t
-    y0, diff, slope0, curve, tail = np.take(coef, j, axis=1).reshape(5, m, -1)
+    y0, diff, slope0, curve, tail = coef[:-2].reshape(5, m, -1)
     return (y0 + t * (diff + u * (slope0 + t * (curve + u * tail)))).T.copy()
 
 
@@ -329,49 +345,54 @@ def shoot(problem, cfg=None):
     x0 = grid0 = 0.0
     x1, far, h0, classify = cfg.z_max, 0, cfg.step, _film_class
     if isinstance(problem, FluidParams):
-        start, lo, hi = (lambda s: (1.0, s)), -2.0, 0.0
+        start, lo, hi, scale = (lambda s: (1.0, s)), -2.0, 0.0, 0.1
     elif isinstance(problem, ConeParams):
-        start, lo, hi, far = (lambda s: (0.0, s, -1.0)), 0.0, 2.0, 1
+        start, lo, hi, far, scale = (lambda s: (0.0, s, -1.0)), 0.0, 2.0, 1, 0.1
         classify = _cone_class
     elif isinstance(problem, ThomasFermiProblem):
         x0 = h0 = _TF_LAUNCH
-        start, lo, hi = (lambda s: _tf_launch(s, x0)), -2.0, 0.0
+        start, lo, hi, scale = (lambda s: _tf_launch(s, x0)), -2.0, 0.0, 1e-3
         grid0, x1 = _TF_PRELUDE_END, _TF_FAR_FIELD
     else:
         raise ConfigurationError("unknown problem kind: %r" % (problem,))
     accel = problem.top_derivative
     tol, grid = _tol_and_grid(grid0, x1, cfg.step)
+    known = {}  # trial slope -> its class at tol
 
-    def side(s, walk_tol):
+    def side(s, walk_tol=tol):
+        if s in known:
+            return known[s]
         reached, y, outcome = _dp45(accel, start(s), x0, x1, walk_tol, h0,
                                     classify=classify)
         if outcome is None:
             if walk_tol > tol:
-                return side(s, tol)
+                return side(s)
             raise OracleError("the walk from trial slope %.17g aborted at x = %g "
                               "before it had a class" % (s, reached))
-        return outcome or math.copysign(1.0, y[far])
+        cls = outcome or math.copysign(1.0, y[far])
+        if walk_tol == tol:
+            known[s] = cls
+        return cls
 
-    def bisect(walk_tol):
-        """Walks at walk_tol(width): (midpoint, ends as (s, class, tol))."""
-        a, b, tol_a, tol_b = lo, hi, tol, tol
-        mid = 0.5 * (a + b)
-        while b - a > _BISECT_TOL * (1.0 + abs(mid)):
-            mid_tol = walk_tol(b - a)
-            if side(mid, mid_tol) < 0:
-                a, tol_a = mid, mid_tol
-            else:
-                b, tol_b = mid, mid_tol
-            mid = 0.5 * (a + b)
-        return mid, ((a, -1, tol_a), (b, 1, tol_b))
-
-    if side(hi, tol) < 0:
+    if side(hi) < 0:
         raise OracleError("far-field mismatch is not positive at the top of the bracket")
-    while side(lo, tol) > 0:
+    while side(lo) > 0:
         if hi - lo > _MAX_WIDTH:
             raise OracleError("no far-field root found above %.17g" % lo)
         lo, hi = lo - 2.0 * (hi - lo), lo
-    mid, ends = bisect(lambda width: max(tol, min(_LOOSE_CAP, _LOOSE_SCALE * width)))
-    if any(end_tol > tol and side(end, tol) != cls for end, cls, end_tol in ends):
-        mid, _ = bisect(lambda width: tol)
-    return mid, (grid, _trajectory(accel, start(mid), x0, grid, tol, h0))
+    # each bracket on the path is split by its midpoint's walk into the next;
+    # an end whose strict class contradicts its loose one sends the search
+    # back to the bracket it split, where its class is now the strict one
+    path = [(lo, hi)]
+    while True:
+        a, b = path[-1]
+        mid = 0.5 * (a + b)
+        if b - a > _BISECT_TOL * (1.0 + abs(mid)):
+            walk_tol = max(tol, min(_LOOSE_CAP, scale * (b - a)))
+            path.append((mid, b) if side(mid, walk_tol) < 0 else (a, mid))
+            continue
+        wrong = next((end for end, cls in ((a, -1), (b, 1)) if side(end) != cls), None)
+        if wrong is None:
+            return mid, (grid, _trajectory(accel, start(mid), x0, grid, tol, h0))
+        while 0.5 * (path[-1][0] + path[-1][1]) != wrong:
+            path.pop()

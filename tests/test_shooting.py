@@ -123,7 +123,9 @@ def test_rk4_step_validation():
 
 
 def test_rk4_state_must_hold_two_or_three_derivatives():
-    for y0 in ((1.0,), (1.0, 0.0, 0.0, 0.0)):
+    # and each of them a finite real: no scalar, string, None or nan
+    for y0 in ((1.0,), (1.0, 0.0, 0.0, 0.0), 5, (1.0, "a"), (1.0, None),
+               (math.nan, 0.0)):
         with pytest.raises(ConfigurationError):
             integrate(lambda x, *f: 0.0, y0, 0.0, 1.0, 0.1)
 
@@ -247,8 +249,9 @@ STRICT_TOL = 1e-3 ** 4  # the default step**4
 @pytest.mark.parametrize("step", [1e-3, 5e-4])
 def test_loose_walks_leave_every_bit_of_the_oracle(oracle, monkeypatch, step):
     # with the loose cap at 0 every walk runs at step**4
-    problems = [FLUID, ThomasFermiProblem()] + \
-        [ConeParams(lam) for lam in CONE_LAMBDAS]
+    problems = [FLUID, ThomasFermiProblem(), FluidParams.from_b1_b3(0.3, 0.9),
+                FluidParams.from_b1_b3(0.9, 0.3)] + \
+        [ConeParams(lam) for lam in CONE_LAMBDAS + (1.2, 2.0)]
     cfg = ShootConfig(step=step)
     loose = [oracle(prob) if step == 1e-3 else shoot(prob, cfg) for prob in problems]
     monkeypatch.setattr(shooting, "_LOOSE_CAP", 0.0)
@@ -259,24 +262,55 @@ def test_loose_walks_leave_every_bit_of_the_oracle(oracle, monkeypatch, step):
         assert np.array_equal(states, strict_states)
 
 
-def test_a_wrong_loose_class_reruns_the_bisection_strictly(oracle, monkeypatch):
-    # the first loose walk within 1e-2 of the film root (s = -0.6875, at
-    # bracket width 0.125) reports the wrong class; the check of the final
-    # bracket catches it, and the rerun walks every midpoint at step**4
-    base, _ = oracle(FLUID)
-    walk, tols, forced = shooting._dp45, [], []
+def _walks(monkeypatch, prob, force=None):
+    """(slope, classification walks as (trial slope, tol, flipped)) of
+    shoot(prob); the first loose walk from trial slope force reports the
+    wrong class."""
+    walk, walks = shooting._dp45, []
 
-    def wrong_once(accel, state, x, x1, tol, h, trail=None, classify=None):
+    def recorded(accel, state, x, x1, tol, h, trail=None, classify=None):
         reached, y, outcome = walk(accel, state, x, x1, tol, h, trail, classify)
-        tols.append(tol)
-        if tol > STRICT_TOL and abs(state[1] - base) < 1e-2 and not forced:
-            forced.append(state[1])
-            return reached, y, -(outcome or math.copysign(1.0, y[0]))
+        if classify is None:  # the reported trajectory
+            return reached, y, outcome
+        wrong = (tol > STRICT_TOL and state[1] == force
+                 and not any(flipped for *_, flipped in walks))
+        walks.append((state[1], tol, wrong))
+        if wrong:
+            far = y[len(state) - 2]  # f (film) or f' (cone)
+            return reached, y, -(outcome or math.copysign(1.0, far))
         return reached, y, outcome
-    monkeypatch.setattr(shooting, "_dp45", wrong_once)
-    slope, _ = shoot(FLUID)
-    assert forced == [-0.6875] and slope == base
-    assert tols.count(STRICT_TOL) > 40  # 44 here, 9 without the rerun
+    with monkeypatch.context() as patch:
+        patch.setattr(shooting, "_dp45", recorded)
+        slope, _ = shoot(prob)
+    return slope, walks
+
+
+def test_a_wrong_loose_class_reruns_the_bisection_strictly(oracle, monkeypatch):
+    # the film's first loose walk within 1e-2 of its root (s = -0.6875, at
+    # bracket width 0.125), or late, the cone's last loose walk, reports the
+    # wrong class; the strict check of the final bracket catches it, and the
+    # bisection goes on from the bracket that walk split: its later
+    # midpoints are the all-strict run's, then at most two ends are checked
+    for prob in (FLUID, ConeParams(0.5)):
+        base, _ = oracle(prob)
+        _, loose = _walks(monkeypatch, prob)
+        with monkeypatch.context() as patch:
+            patch.setattr(shooting, "_LOOSE_CAP", 0.0)
+            _, strict = _walks(monkeypatch, prob)
+        strict = [s for s, *_ in strict]
+        loose = [s for s, tol, _ in loose if tol > STRICT_TOL]
+        if prob is FLUID:
+            target = next(s for s in loose if abs(s - base) < 1e-2)
+            assert target == -0.6875
+        else:
+            target = loose[-1]
+        slope, walks = _walks(monkeypatch, prob, target)
+        assert [s for s, *_, flipped in walks if flipped] == [target] and slope == base
+        after = walks[walks.index((target, STRICT_TOL, False)) + 1:]
+        later = strict[strict.index(target) + 1:]
+        assert [s for s, *_ in after[:len(later)]] == later
+        assert len(after) - len(later) <= 2
+        assert all(tol == STRICT_TOL for _, tol, _ in after[len(later):])
 
 
 def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
