@@ -14,8 +14,10 @@ carry into the next iteration.
 
 No caller changes the settings, so they are constants.  The loop stops when
 max|F| <= 1e-10, an accepted step is <= 1e-12, no step halved up to 30 times
-decreases max|F|, or 200 iterations are spent.  Converged means max|F| or
-max_i |F_i|/s_i is <= 1e-10, s_i = max_j |J_ij| in the last Jacobian formed.
+decreases max|F| (the halving ends at a trial that rounds to the iterate, as
+every later trial does too), or 200 iterations are spent.  Converged means
+max|F| or max_i |F_i|/s_i is <= 1e-10, s_i = max_j |J_ij| in the last
+Jacobian formed.
 """
 
 import math
@@ -147,11 +149,14 @@ def newton_solve(F, J, x0):
                 "equilibrated Jacobian condition %.3e exceeds %.1e" % (cond, _COND_LIMIT),
                 iterate=x.copy(), condition=cond)
         step = -(inv @ feq)
-        # halving line search: accept the first damped step that decreases max|F|
+        # halving line search: accept the first damped step that decreases
+        # max|F|; a trial that rounds to x ends it, as every later one does too
         lam = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
+            if trial.tobytes() == x.tobytes():
+                break
             ft, tnorm = _eval(F, trial, "residual during line search")
             if tnorm < rnorm:
                 x, f, rnorm = trial, ft, tnorm

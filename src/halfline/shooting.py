@@ -40,14 +40,17 @@ bracket width w.  A tolerance tau moved the class boundary by at most
 at 1e-9 on screening (Hairer, Norsett & Wanner, sec. II.4, on tolerance
 proportionality), so scale is 0.1 on the film and the cone and 1e-3 on
 screening: only a slope within about 2% of w of the root can take the
-wrong class.  Each end of the final bracket set by a loose walk is walked
-again at step**4; if its class changes, the bisection goes on from the
-bracket that end's walk split, with the strict class, and the ends are
-checked again.  A wrong class leaves the root outside the bracket, so its
-walk ends as an end of the final bracket, where the check catches it; and
-a midpoint depends only on the classes before it, so the slope and the
-trajectory are bit for bit those of a bisection with every walk at
-step**4.  Loose walks that abort are repeated at step**4.
+wrong class.  The final midpoint's trajectory walk is its strict walk, so
+its first event gives the midpoint's class, which the end on its side
+shares (the classes change once, at the root); the end across, if a loose
+walk set it, is walked again at step**4.  If its class changes, the
+bisection goes on from the bracket that end's walk split, with the strict
+class.  A wrong class leaves the root outside the bracket on its side, so
+its walk ends as the end across from the final midpoint, where the check
+catches it; and a midpoint depends only on the classes before it, so the
+slope and the trajectory are bit for bit those of a bisection with every
+walk at step**4.  Loose walks that abort are repeated at step**4; if the
+trajectory walk aborts, both ends are checked before the blow-up raises.
 """
 
 import math
@@ -125,7 +128,11 @@ def integrate(accel, y0, x0, x1, step):
                                  % reprlib.repr(y0))
     state = tuple(_real("y0[%d]" % i, v, -math.inf) for i, v in enumerate(y0))
     tol, grid = _tol_and_grid(x0, _real("x1", x1, x0), step)
-    return grid, _trajectory(accel, state, x0, grid, tol, step)
+    trail = []
+    reached, _, outcome = _dp45(accel, state, x0, grid[-1], tol, step, trail)
+    if outcome is None:
+        raise BlowUpError("trajectory left the state bound", abscissa=reached)
+    return grid, _dense(trail, grid, len(state))
 
 
 # perfbench (spans.py and its tests) looks the integrator up under its former
@@ -154,18 +161,13 @@ def _tol_and_grid(x0, x1, step):
     return tol, grid
 
 
-def _trajectory(accel, state, x, grid, tol, h):
-    """Walk from (x, state) to grid[-1] with first trial step h, and read the
-    continuous extension on grid, which starts at or after x."""
-    trail = []
-    reached, _, outcome = _dp45(accel, state, x, grid[-1], tol, h, trail)
-    if outcome is None:
-        raise BlowUpError("trajectory left the state bound", abscissa=reached)
+def _dense(trail, grid, m):
+    """States on grid, which starts at or after the first step's start, read
+    from the continuous extension of the accepted steps in trail."""
     # per accepted step, the coefficients of Hairer's DOPRI5 dense output
     # y(x + t h) = y0 + t (diff + u (slope0 + t (curve + u tail))), u = 1 - t
     # with the five blocks stacked component-major, one gather reads them all
-    m = len(state)
-    rows = np.array(trail).T
+    rows = np.fromiter(trail, np.dtype((float, 4 + 3 * m)), len(trail)).T
     starts, hs = rows[0], rows[1]
     y0, k1 = rows[2:2 + m], rows[3:3 + m]
     y1, k7 = rows[3 + m:3 + 2 * m], rows[4 + m:4 + 2 * m]
@@ -181,8 +183,12 @@ def _trajectory(accel, state, x, grid, tol, h):
     coef = np.repeat(coef, np.diff(first, append=len(grid)), axis=1)
     t = (grid - coef[-2]) / coef[-1]
     u = 1.0 - t
-    y0, diff, slope0, curve, tail = coef[:-2].reshape(5, m, -1)
-    return (y0 + t * (diff + u * (slope0 + t * (curve + u * tail)))).T.copy()
+    # the quartic from the inside out, in place on the tail block
+    y0, diff, slope0, curve, y = coef[:-2].reshape(5, m, -1)
+    for factor, term in ((u, curve), (t, slope0), (u, diff), (t, y0)):
+        y *= factor
+        y += term
+    return y.T.copy()
 
 
 def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
@@ -391,8 +397,21 @@ def shoot(problem, cfg=None):
             walk_tol = max(tol, min(_LOOSE_CAP, scale * (b - a)))
             path.append((mid, b) if side(mid, walk_tol) < 0 else (a, mid))
             continue
-        wrong = next((end for end, cls in ((a, -1), (b, 1)) if side(end) != cls), None)
-        if wrong is None:
-            return mid, (grid, _trajectory(accel, start(mid), x0, grid, tol, h0))
+        # the trajectory walk is mid's strict walk, so its trail gives mid's
+        # class and the end on mid's side shares it; the end across is checked
+        trail = []
+        reached, y, outcome = _dp45(accel, start(mid), x0, x1, tol, h0, trail)
+        if outcome is None:
+            wrong = next((end for end, cls in ((a, -1), (b, 1)) if side(end) != cls), None)
+            if wrong is None:
+                raise BlowUpError("trajectory left the state bound", abscissa=reached)
+        else:
+            m = len(y)
+            events = (classify(*row[3 + m:3 + 2 * m]) for row in trail)
+            cls = (classify(*start(mid)) or next(filter(None, events), 0)
+                   or math.copysign(1.0, y[far]))
+            wrong = b if cls < 0 else a
+            if side(wrong) == -cls:
+                return mid, (grid, _dense(trail, grid, m))
         while 0.5 * (path[-1][0] + path[-1][1]) != wrong:
             path.pop()

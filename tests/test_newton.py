@@ -126,6 +126,22 @@ def test_stall_away_from_a_root_is_unconverged():
     assert report.final_residual_norm == 1e-4
 
 
+def test_stall_at_the_rounding_floor_ends_its_halving_at_the_iterate():
+    # 1e6 (x^2 - 2) stops at sqrt(2) with max|F| = 4.4e-10 from rounding
+    # alone; the next full step rounds back to x, so no trial is evaluated
+    calls = []
+
+    def F(v):
+        calls.append(1)
+        return np.array([1e6 * (v[0] ** 2 - 2.0)])
+    report = newton_solve(F, lambda v: np.array([[2e6 * v[0]]]), np.array([1.0]))
+    assert report.converged and report.iterations == 6
+    assert report.solution[0] == math.sqrt(2.0)
+    assert report.history[-2] == report.history[-1] == 4.440892098500626e-10
+    # the start and five accepted trials; the stalled iteration calls none
+    assert len(calls) == 7
+
+
 def test_accepted_residuals_decrease_monotonically():
     F = lambda v: np.array([np.tanh(v[0]) - 0.3, v[1] ** 3 + v[1] - 1.5])
     h = newton_solve(F, fd_of(F), np.array([2.0, 1.0])).history

@@ -262,16 +262,19 @@ def test_loose_walks_leave_every_bit_of_the_oracle(oracle, monkeypatch, step):
         assert np.array_equal(states, strict_states)
 
 
-def _walks(monkeypatch, prob, force=None):
+def _walks(monkeypatch, prob, force=None, abort=False):
     """(slope, classification walks as (trial slope, tol, flipped)) of
     shoot(prob); the first loose walk from trial slope force reports the
-    wrong class."""
-    walk, walks = shooting._dp45, []
+    wrong class, and with abort the first trajectory walk aborts at once."""
+    walk, walks, trajectories = shooting._dp45, [], []
 
     def recorded(accel, state, x, x1, tol, h, trail=None, classify=None):
-        reached, y, outcome = walk(accel, state, x, x1, tol, h, trail, classify)
         if classify is None:  # the reported trajectory
-            return reached, y, outcome
+            trajectories.append(state)
+            if abort and len(trajectories) == 1:
+                return x, state, None
+            return walk(accel, state, x, x1, tol, h, trail, classify)
+        reached, y, outcome = walk(accel, state, x, x1, tol, h, trail, classify)
         wrong = (tol > STRICT_TOL and state[1] == force
                  and not any(flipped for *_, flipped in walks))
         walks.append((state[1], tol, wrong))
@@ -290,7 +293,7 @@ def test_a_wrong_loose_class_reruns_the_bisection_strictly(oracle, monkeypatch):
     # bracket width 0.125), or late, the cone's last loose walk, reports the
     # wrong class; the strict check of the final bracket catches it, and the
     # bisection goes on from the bracket that walk split: its later
-    # midpoints are the all-strict run's, then at most two ends are checked
+    # midpoints are the all-strict run's, then at most one end is checked
     for prob in (FLUID, ConeParams(0.5)):
         base, _ = oracle(prob)
         _, loose = _walks(monkeypatch, prob)
@@ -309,8 +312,52 @@ def test_a_wrong_loose_class_reruns_the_bisection_strictly(oracle, monkeypatch):
         after = walks[walks.index((target, STRICT_TOL, False)) + 1:]
         later = strict[strict.index(target) + 1:]
         assert [s for s, *_ in after[:len(later)]] == later
-        assert len(after) - len(later) <= 2
+        assert len(after) - len(later) <= 1
         assert all(tol == STRICT_TOL for _, tol, _ in after[len(later):])
+
+
+def test_the_final_bracket_walks_at_most_one_end_strictly(monkeypatch):
+    # the trajectory walk is the midpoint's strict walk, so it gives the
+    # midpoint's class, and only the end across from it is walked again
+    for prob in (FLUID, ConeParams(0.0), ConeParams(0.5), ConeParams(1.0)):
+        _, walks = _walks(monkeypatch, prob)
+        last = max(i for i, (_, tol, _) in enumerate(walks) if tol > STRICT_TOL)
+        earlier = [s for s, *_ in walks[:last + 1]]
+        ends = walks[last + 1:]
+        assert len(ends) <= 1
+        assert all(tol == STRICT_TOL and s in earlier for s, tol, _ in ends)
+
+
+def test_the_midpoint_takes_the_class_of_its_first_event(monkeypatch):
+    # f'' = f has the root -1 (f = e^-z), and f'' = 1 past 15 makes f(40)
+    # positive near it; the final midpoint of a bracket left below the root
+    # by a wrong loose class is too low by its first event, so the end
+    # across, the wrong one, is checked, and not the end its far field names
+    class BentFilm(FluidParams):
+        def top_derivative(self, x, f, fp):
+            return 1.0 if x > 15.0 else f
+    prob = BentFilm(*FLUID_B)
+    base, _ = shoot(prob)
+    _, walks = _walks(monkeypatch, prob)
+    target = [s for s, tol, _ in walks if tol > STRICT_TOL and s < base][-1]
+    slope, walks = _walks(monkeypatch, prob, target)
+    assert slope == base
+    assert [s for s, *_, flipped in walks if flipped] == [target]
+
+
+def test_an_aborted_trajectory_checks_both_ends_first(oracle, monkeypatch):
+    # f'' = 9 f: both ends keep their class, and the trajectory follows the
+    # e^{3z} growth mode out of range before the far field at 40
+    with pytest.raises(BlowUpError, match="^trajectory left the state bound$") as info:
+        shoot(FluidParams(0.0, 0.0, 9.0))
+    assert info.value.abscissa == 12.465345582461804
+    # a wrong loose class at -0.6875 and an aborted first trajectory: the
+    # check of both ends finds the wrong one, and the bisection resumes
+    base, _ = oracle(FLUID)
+    slope, walks = _walks(monkeypatch, FLUID, -0.6875, abort=True)
+    assert slope == base
+    assert [s for s, *_, flipped in walks if flipped] == [-0.6875]
+    assert (-0.6875, STRICT_TOL, False) in walks
 
 
 def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
