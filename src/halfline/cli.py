@@ -351,7 +351,7 @@ def run_case(cfg):
                     else _PROBLEMS[cfg.problem].grid.abscissas(), dtype=float)
     f = e.derivatives(xs, spec.problem.order)
     res = spec.problem.residual(xs, f)
-    rows = list(zip(xs, f[0], f[1], res))
+    rows = np.column_stack((xs, f[0], f[1], res)).tolist()
     slope = derived_slope(e, spec)
     rows.append((0.0, _axis_value(e, spec, 0), slope, report.final_residual_norm))
     return SolutionTable(rows, slope)

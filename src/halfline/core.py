@@ -76,18 +76,19 @@ class Expansion:
         return eval_expansion(self, x, order)
 
     def derivatives(self, x, max_order, lowest=0):
-        """[self(x, lowest), ..., self(x, max_order)]: one kept basis tabulation, then per
-        order one product with the coefficients plus the seed's derivative."""
+        """[self(x, lowest), ..., self(x, max_order)]: one kept basis tabulation and one
+        seed tabulation, then per order one product with the coefficients plus the seed's."""
         max_order = _check_order(max_order)
         xs = _as_points(x)
         flat = xs.reshape(-1)
         tables, = _memo(self.basis, (flat.tobytes(), max_order),
                         lambda: (self.basis.tables(flat, max_order),))
+        seed = None if self.seed is None else self.seed.tables(flat, max_order)
         out = []
         for q in range(lowest, max_order + 1):
             vals = self.coefficients @ tables[q]
-            if self.seed is not None:
-                vals = vals + self.seed(flat, q)
+            if seed is not None:
+                vals = vals + seed[q]
             out.append(float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape))
         return out
 
@@ -129,7 +130,8 @@ def _check_order(order):
 def _as_points(x):
     """x as a float array of its own shape; every point finite and >= 0."""
     xs = np.asarray(x, dtype=float)
-    if not ((xs >= 0.0) & (xs < np.inf)).all():        # NaN fails both
+    if not (np.minimum.reduce(xs, axis=None, initial=np.inf) >= 0.0
+            and np.maximum.reduce(xs, axis=None, initial=0.0) < np.inf):     # a NaN fails both
         raise DomainError("evaluation points must be finite and >= 0, got %r" % (x,))
     return xs
 

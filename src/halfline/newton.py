@@ -58,7 +58,7 @@ def _eval(F, x, what):
     if r.size != x.size:
         raise ConfigurationError(
             "system is not square: %d equations for %d unknowns" % (r.size, x.size))
-    rnorm = float(np.abs(r).max())
+    rnorm = float(np.maximum.reduce(np.abs(r)))
     if not math.isfinite(rnorm):
         comp = int(np.nonzero(~np.isfinite(r))[0][0])
         raise NumericEvaluationError(
@@ -118,11 +118,11 @@ def newton_solve(F, J, x0):
             raise ConfigurationError(
                 "Jacobian has shape %s, expected (%d, %d)" % (jac.shape, x.size, x.size))
         # row equilibration in the max norm; a NaN or inf makes its row's max non-finite
-        scale = np.abs(jac).max(axis=1)
-        if not np.isfinite(scale).all():
+        scale = np.maximum.reduce(np.abs(jac), axis=1)
+        if not math.isfinite(np.maximum.reduce(scale)):
             raise NumericEvaluationError("Jacobian produced a non-finite value",
                                          component=int(np.nonzero(~np.isfinite(scale))[0][0]))
-        if not scale.all():
+        if not np.minimum.reduce(scale):
             idx = np.nonzero(scale == 0.0)[0]
             if np.all(np.abs(f[idx]) <= _TOL_RESIDUAL):
                 jac = jac.copy()        # J's array stays as J made it
@@ -143,19 +143,21 @@ def newton_solve(F, J, x0):
             raise SingularJacobianError(
                 "linear solve failed: %s" % exc, iterate=x.copy(), condition=np.inf)
         # |A|_1 as np.linalg.norm(A, 1) reduces it: the largest column sum of |A|
-        cond = float(np.abs(Jeq).sum(0).max() * np.abs(inv).sum(0).max())
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
+        cond = float(np.maximum.reduce(np.add.reduce(np.abs(Jeq), 0))
+                     * np.maximum.reduce(np.add.reduce(np.abs(inv), 0)))
+        if not math.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularJacobianError(
                 "equilibrated Jacobian condition %.3e exceeds %.1e" % (cond, _COND_LIMIT),
                 iterate=x.copy(), condition=cond)
-        step = -(inv @ feq)
+        correction = inv @ feq      # the Newton step is -correction
         # halving line search: accept the first damped step that decreases
         # max|F|; a trial that rounds to x ends it, as every later one does too
         lam = 1.0
         accepted = False
+        here = x.tobytes()
         for _ in range(_MAX_HALVINGS + 1):
-            trial = x + lam * step
-            if trial.tobytes() == x.tobytes():
+            trial = x - lam * correction
+            if trial.tobytes() == here:
                 break
             ft, tnorm = _eval(F, trial, "residual during line search")
             if tnorm < rnorm:
@@ -165,7 +167,8 @@ def newton_solve(F, J, x0):
             lam *= 0.5
         history.append(rnorm)
         if (not accepted or rnorm <= _TOL_RESIDUAL
-                or lam * float(np.abs(step).max()) <= _TOL_STEP):
+                or lam * float(np.maximum.reduce(np.abs(correction))) <= _TOL_STEP):
             break
-    converged = rnorm <= _TOL_RESIDUAL or float(np.max(np.abs(f) / scale)) <= _TOL_RESIDUAL
+    converged = (rnorm <= _TOL_RESIDUAL
+                 or float(np.maximum.reduce(np.abs(f) / scale)) <= _TOL_RESIDUAL)
     return SolveReport(x, it, rnorm, converged, history)

@@ -13,7 +13,8 @@ Each problem pairs with one of the three trial families (modified Laguerre,
 mapped Hermite, weighted composite translates).  The Laguerre family imposes
 axis conditions through explicit boundary equations; the other two carry
 them exactly in a closed-form seed profile whose residual the basis part
-corrects.
+corrects.  A seed is evaluated as a basis is, through tables(xs, M): its
+derivatives of orders 0..M at the points in one pass.
 
 Each problem class holds its equation in two forms.  residual(x, f) and
 partials(x, f) take the derivative arrays f = [f0, ..., f_order] at the
@@ -22,9 +23,9 @@ f_{order-1}) is the equation solved for f_order at one point, the form the
 shooting oracle integrates.  axis_conditions lists the (derivative order,
 value) pairs imposed at x = 0.  build_system reduces every pairing to nodal
 derivatives that are affine in the coefficients, f_q = s_q + D_q c, where
-D_q is the family's order-q table at its collocation nodes, so the damped
-Newton driver gets the residual map and its exact Jacobian from the same
-operators.
+D_q is the family's order-q table at its collocation nodes and s_q the
+seed's (or 0), so the damped Newton driver gets the residual map and its
+exact Jacobian from the same operators.
 
 All of a system but the seed values s_q depends only on the basis class,
 its parameter values and the problem class: it is built once per process,
@@ -32,6 +33,7 @@ shared read-only (by a cone table's lambda rows on one basis, say) and kept
 in core's memo beside the point tables that expansions are evaluated at.
 """
 
+import contextlib
 import enum
 import math
 import warnings
@@ -189,6 +191,12 @@ class SeedProfile:
                                                     p''(0) = -1
     All boundary identities hold exactly in floating point, which is what
     makes seed-forced slopes and curvatures exact in the reports.
+
+    A seed is evaluated as a basis is, through tables(xs, M): orders 0..M in
+    one pass that checks the points, picks the far-field form and forms the
+    shared factors once.  Its entry m is seed(x, m), bit for bit, whatever M.
+    So a call for order m also forms orders 0..m-1 and warns wherever one of
+    them overflows: the cone seed's order 0 does where a x / 2 does.
     """
 
     # derivatives of 1/q by order, given q and q1 = q'
@@ -196,6 +204,11 @@ class SeedProfile:
                   lambda q, q1: -q1 / q ** 2,
                   lambda q, q1: -2.0 / q ** 2 + 2.0 * q1 * q1 / q ** 3,
                   lambda q, q1: 12.0 * q1 / q ** 3 - 6.0 * q1 ** 3 / q ** 4)
+    # derivatives of a^2 x / (2(a + x)) by order, given q = a/(a + x)
+    _CONE = (lambda a, x, q: 0.5 * a * x * q,
+             lambda a, x, q: 0.5 * a * q * q,
+             lambda a, x, q: -q ** 3,
+             lambda a, x, q: 3.0 * q ** 3 / (a + x))
 
     def __init__(self, kind, parameter):
         if not isinstance(kind, SeedKind):
@@ -206,34 +219,41 @@ class SeedProfile:
     def __call__(self, x, order=0):
         """order-th derivative at x >= 0; x may be a scalar or an array."""
         order = _check_order(order)
-        x = _as_points(x)
+        return self.tables(x, order)[order]
+
+    def tables(self, xs, M):
+        """Derivatives of orders 0..M at the points xs >= 0, shape (M + 1,) +
+        the shape of xs; entry m does not depend on M, bit for bit."""
+        M = _check_order(M)
+        x = _as_points(xs)
         a = self.parameter
-        if self.kind is SeedKind.RATIONAL_QUADRATIC:
-            rq = self._QUADRATIC[order]
-            if not (x > 1e38).any():        # x, a <= 1e38: no power of q overflows
-                return rq(1.0 + a * x + x * x, a + 2.0 * x)
-            with np.errstate(all="ignore"):     # where it does, the form in u = 1/x:
-                q, u = 1.0 + a * x + x * x, 1.0 / x     # q/x^2 = 1 + a u + u^2, q'/x = a u + 2
-                return np.where(np.isinf(q ** (order + 1)),
-                                rq(1.0 + a * u + u * u, a * u + 2.0) * u ** (order + 2),
-                                rq(q, a + 2.0 * x))[()]
-        if self.kind is SeedKind.RATIONAL_LINEAR:
-            c = (-1.0) ** order * math.factorial(order) * a
-            if not (x > 1e38).any():        # likewise (a + x)^(order+1) stays finite
-                return c / (a + x) ** (order + 1)
-            with np.errstate(all="ignore"):     # (a + x) u = a u + 1
-                q, u = (a + x) ** (order + 1), 1.0 / x
-                return np.where(np.isinf(q), c * u ** (order + 1) / (a * u + 1.0) ** (order + 1),
-                                c / q)[()]
-        # CONE_RATIONAL
-        q = a / (a + x)
-        if order == 0:
-            return 0.5 * a * x * q
-        if order == 1:
-            return 0.5 * a * q * q
-        if order == 2:
-            return -q ** 3
-        return 3.0 * q ** 3 / (a + x)
+        out = np.empty((M + 1,) + x.shape)
+        if self.kind is SeedKind.CONE_RATIONAL:
+            q = a / (a + x)
+            for m in range(M + 1):
+                out[m] = self._CONE[m](a, x, q)
+            return out
+        # no power of q overflows while every x <= 1e38; where one does, the form in u = 1/x
+        far = np.maximum.reduce(x, axis=None, initial=0.0) > 1e38
+        with np.errstate(all="ignore") if far else contextlib.nullcontext():
+            u = 1.0 / x if far else None
+            if self.kind is SeedKind.RATIONAL_QUADRATIC:
+                q, q1 = 1.0 + a * x + x * x, (a + 2.0 * x if M else None)
+                for m in range(M + 1):
+                    rq = self._QUADRATIC[m]
+                    out[m] = rq(q, q1)
+                    if far:     # q/x^2 = 1 + a u + u^2, q'/x = a u + 2
+                        far_m = rq(1.0 + a * u + u * u, a * u + 2.0) * u ** (m + 2)
+                        out[m] = np.where(np.isinf(q ** (m + 1)), far_m, out[m])
+            else:
+                q = a + x
+                for m in range(M + 1):
+                    c = (-1.0) ** m * math.factorial(m) * a
+                    out[m] = c / q ** (m + 1)
+                    if far:     # (a + x) u = a u + 1
+                        far_m = c * u ** (m + 1) / (a * u + 1.0) ** (m + 1)
+                        out[m] = np.where(np.isinf(q ** (m + 1)), far_m, out[m])
+        return out
 
     def __repr__(self):
         return "SeedProfile(%s, %g)" % (self.kind.value, self.parameter)
@@ -262,8 +282,9 @@ class ProblemSpec:
         elif isinstance(basis, (HermiteBasis, SincBasis)):
             if not isinstance(seed, SeedProfile):
                 raise ConfigurationError("this trial family requires a SeedProfile")
+            axis = seed.tables(0.0, max(q for q, _ in problem.axis_conditions))
             for q, value in problem.axis_conditions:
-                if seed(0.0, q) != value:
+                if axis[q] != value:
                     raise ConfigurationError(
                         "%r does not meet the axis condition f^(%d)(0) = %g of %r"
                         % (seed, q, value, problem))
@@ -302,7 +323,8 @@ class NonlinearSystem:
 
         F(c) = [R(x, s + D c); B c - t],   J(c) = [sum_q diag(dR/df_q) D_q; B]
 
-    with the axis rows B and their targets t.  The nodal derivatives that
+    with the axis rows B and their targets t; a seeded pairing has none, and
+    F and J carry no axis block.  The nodal derivatives that
     residual_map forms at c are kept, read-only, under c's bytes, so a
     Jacobian taken at the iterate Newton just accepted reuses them.
     """
@@ -335,7 +357,8 @@ class NonlinearSystem:
         c = np.asarray(c, dtype=float)
         rows = self.spec.problem.residual(self.collocation_nodes,
                                           self.nodal_derivatives(c))
-        return np.concatenate([rows, self.boundary @ c - self.targets])
+        return (np.concatenate([rows, self.boundary @ c - self.targets])
+                if self.boundary_rows else rows)
 
     def jacobian(self, c):
         """J(c) in one array; the terms diag(dR/df_q) D_q add in the order q = 0, 1, ..."""
@@ -344,7 +367,8 @@ class NonlinearSystem:
         n = self.collocation_nodes.size
         jac = np.empty((n + self.boundary_rows, self.dimension))
         rows = jac[:n]
-        jac[n:] = self.boundary
+        if self.boundary_rows:
+            jac[n:] = self.boundary
         np.multiply(np.asarray(partials[0])[..., None], self.operators[0], out=rows)
         for p, D in zip(partials[1:], self.operators[1:]):
             rows += np.asarray(p)[..., None] * D        # p: one value per node, or one
@@ -401,8 +425,9 @@ def build_system(spec):
         raise ConfigurationError("build_system needs a ProblemSpec")
     nodes, boundary, targets, guess, _, *operators = _discretization(
         spec.basis, spec.problem)
-    seeds = [np.zeros(nodes.size) if spec.seed is None else spec.seed(nodes, q)
-             for q in range(spec.problem.order + 1)]
+    order = spec.problem.order
+    seeds = (np.zeros((order + 1, nodes.size)) if spec.seed is None
+             else spec.seed.tables(nodes, order))
     return NonlinearSystem(spec, nodes, operators, seeds, boundary, targets, guess)
 
 

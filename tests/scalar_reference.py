@@ -2,15 +2,20 @@
 
 The scalar ones run the same recurrences as the library's array
 tabulators, one degree and one point at a time, so a test can check a
-tabulated value against an independent single evaluation.  summed_jacobian
-is a collocation system's Jacobian in its summed and stacked form.
+tabulated value against an independent single evaluation; seed_eval does
+the same for a seed profile, one order at a time.  concatenated_residual
+and summed_jacobian are a collocation system's residual map and Jacobian in
+their concatenated and summed forms.
 """
+
+import math
 
 import numpy as np
 
-from halfline.core import _check_order, _count, _real
+from halfline.core import _as_points, _check_order, _count, _real
 from halfline.hermite import _line_tables
 from halfline.laguerre import laguerre_table
+from halfline.problems import SeedKind
 
 
 def laguerre_eval(n, alpha, x, order=0):
@@ -42,3 +47,46 @@ def summed_jacobian(system, c):
     partials = system.spec.problem.partials(system.collocation_nodes, f)
     rows = sum(np.reshape(p, (-1, 1)) * D for p, D in zip(partials, system.operators))
     return np.vstack([rows, system.boundary])
+
+
+def seed_eval(seed, x, order=0):
+    """The order-th derivative of a SeedProfile at x, that order alone: the
+    closed form in x, or in u = 1/x at the points where a power of its
+    denominator overflows."""
+    order = _check_order(order)
+    x = _as_points(x)
+    a = seed.parameter
+    if seed.kind is SeedKind.RATIONAL_QUADRATIC:
+        rq = type(seed)._QUADRATIC[order]
+        if not (x > 1e38).any():
+            return rq(1.0 + a * x + x * x, a + 2.0 * x)
+        with np.errstate(all="ignore"):
+            q, u = 1.0 + a * x + x * x, 1.0 / x
+            return np.where(np.isinf(q ** (order + 1)),
+                            rq(1.0 + a * u + u * u, a * u + 2.0) * u ** (order + 2),
+                            rq(q, a + 2.0 * x))[()]
+    if seed.kind is SeedKind.RATIONAL_LINEAR:
+        c = (-1.0) ** order * math.factorial(order) * a
+        if not (x > 1e38).any():
+            return c / (a + x) ** (order + 1)
+        with np.errstate(all="ignore"):
+            q, u = (a + x) ** (order + 1), 1.0 / x
+            return np.where(np.isinf(q), c * u ** (order + 1) / (a * u + 1.0) ** (order + 1),
+                            c / q)[()]
+    q = a / (a + x)
+    if order == 0:
+        return 0.5 * a * x * q
+    if order == 1:
+        return 0.5 * a * q * q
+    if order == 2:
+        return -q ** 3
+    return 3.0 * q ** 3 / (a + x)
+
+
+def concatenated_residual(system, c):
+    """F(c) = [R(x, s + D c); B c - t] of a NonlinearSystem, from fresh nodal
+    derivatives, with the axis block concatenated even when it is empty."""
+    c = np.asarray(c, dtype=float)
+    f = [s + D @ c for s, D in zip(system.seeds, system.operators)]
+    rows = system.spec.problem.residual(system.collocation_nodes, f)
+    return np.concatenate([rows, system.boundary @ c - system.targets])

@@ -39,7 +39,7 @@ from halfline.reference import TABLE3
 from halfline.sinc import SincBasis, SincMap
 
 from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE, _case_spec
-from scalar_reference import summed_jacobian
+from scalar_reference import concatenated_residual, seed_eval, summed_jacobian
 
 
 def const(c):
@@ -241,6 +241,45 @@ def test_seed_derivatives_match_finite_differences():
                 assert abs(p(x, m) - fd) <= 1e-5
 
 
+def _preset_nodes(name, lam=None):
+    return build_system(preset_spec(name, lam)).collocation_nodes
+
+
+@pytest.mark.parametrize("seed", [SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.678301),
+                                  SeedProfile(SeedKind.RATIONAL_LINEAR, 0.77),
+                                  SeedProfile(SeedKind.CONE_RATIONAL, 1.8947)],
+                         ids=lambda s: s.kind.value)
+def test_seed_tables_are_each_order_alone_bit_for_bit(seed):
+    # on the axis, next to it, at two presets' nodes and where a power of the
+    # denominator overflows (the u = 1/x form), as one array and point by point
+    nodes = np.concatenate([_preset_nodes("table1-hf"), _preset_nodes("table5", 0.5)])
+    xs = np.concatenate([[0.0, 1e-300], nodes, [1e39, 1e300]])
+    for points in [xs] + list(xs) + [float(x) for x in xs]:
+        for M in range(4):
+            tables = seed.tables(points, M)
+            assert tables.shape == (M + 1,) + np.shape(points)
+            for m in range(M + 1):
+                want, got = np.asarray(seed_eval(seed, points, m)), seed(points, m)
+                assert tables[m].tobytes() == want.tobytes() == np.asarray(got).tobytes()
+                assert np.ndim(got) == want.ndim
+
+
+def test_a_seed_call_warns_where_a_lower_order_overflows():
+    # a call for order m forms orders 0..m: where the cone seed's a x / 2
+    # overflows, its order 0 is inf, and so every call there warns, though
+    # orders 1..3 alone are finite and come out unchanged
+    seed, x = SeedProfile(SeedKind.CONE_RATIONAL, 3.0), 1.7e308
+    for m in range(4):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = seed(x, m)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            tables = seed.tables(x, m)
+        if m:
+            assert np.asarray(got).tobytes() == np.asarray(seed_eval(seed, x, m)).tobytes()
+        assert tables[m].tobytes() == np.asarray(got).tobytes()
+    assert math.isinf(tables[0])
+
+
 def test_seed_validation():
     with pytest.raises(ConfigurationError):
         SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.0)
@@ -252,13 +291,16 @@ def test_seed_validation():
         with pytest.raises(ConfigurationError):
             SeedProfile(SeedKind.RATIONAL_LINEAR, bad)
     p = SeedProfile(SeedKind.RATIONAL_QUADRATIC, 1.0)
-    with pytest.raises(DomainError):
-        p(-0.5, 0)
-    with pytest.raises(DomainError):
-        p(np.array([1.0, math.inf]), 0)
-    # a bad order is the same typed error every evaluator raises
-    with pytest.raises(UnsupportedOrderError):
-        p(1.0, 4)
+    # a seed call and a seed tabulation refuse the same points and orders
+    for evaluate in (p, p.tables):
+        for bad in (-0.5, math.nan, math.inf, np.array([1.0, math.inf]),
+                    np.array([0.0, -1e-300]), np.array([0.0, math.nan])):
+            with pytest.raises(DomainError):
+                evaluate(bad, 1)
+        # a bad order is the same typed error every evaluator raises
+        for order in (4, -1, True, 1.0, None):
+            with pytest.raises(UnsupportedOrderError):
+                evaluate(1.0, order)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +438,27 @@ def test_jacobian_is_bit_equal_to_the_summed_form_along_the_solve(case):
 
     report = newton_solve(system.residual_map, jacobian, system.initial_guess)
     assert report.converged and checked == [True] * report.iterations
+
+
+@pytest.mark.parametrize("case", [("table1-hf", None), ("table1-sf", None),
+                                  ("table4", 0.5), ("table5", 0.5)],
+                         ids=lambda c: c[0] if c[1] is None else "%s-%g" % c)
+def test_seeded_residual_is_bit_equal_to_the_concatenated_form_along_the_solve(case):
+    # a seeded pairing has no axis rows; every residual Newton takes, at every
+    # trial, equals the rows concatenated with the empty axis block, bit for bit
+    system = build_system(preset_spec(*case))
+    assert system.boundary_rows == 0
+    checked = []
+
+    def residual(c):
+        F = system.residual_map(c)
+        want = concatenated_residual(system, c)
+        checked.append(F.shape == want.shape and F.tobytes() == want.tobytes())
+        return F
+
+    report = newton_solve(residual, system.jacobian, system.initial_guess)
+    assert report.converged and len(checked) > report.iterations
+    assert checked == [True] * len(checked)
 
 
 def test_unconverged_solve_raises_with_the_report():
