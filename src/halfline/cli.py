@@ -30,7 +30,6 @@ from .problems import (
     SeedKind,
     SeedProfile,
     ThomasFermiProblem,
-    _axis_value,
     derived_slope,
     solve_problem,
 )
@@ -353,7 +352,7 @@ def run_case(cfg):
     res = spec.problem.residual(xs, f)
     rows = np.column_stack((xs, f[0], f[1], res)).tolist()
     slope = derived_slope(e, spec)
-    rows.append((0.0, _axis_value(e, spec, 0), slope, report.final_residual_norm))
+    rows.append((0.0, e(0.0, 0), slope, report.final_residual_norm))
     return SolutionTable(rows, slope)
 
 

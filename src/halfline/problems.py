@@ -324,20 +324,20 @@ class NonlinearSystem:
         F(c) = [R(x, s + D c); B c - t],   J(c) = [sum_q diag(dR/df_q) D_q; B]
 
     with the axis rows B and their targets t; a seeded pairing has none, and
-    F and J carry no axis block.  The nodal derivatives that
-    residual_map forms at c are kept, read-only, under c's bytes, so a
+    F and J carry no axis block.  x, D_q, B, t and Newton's start come shared
+    and read-only from the pairing's discretization (see _discretization);
+    the system tabulates only the seed values s_q.  The nodal derivatives
+    that residual_map forms at c are kept, read-only, under c's bytes, so a
     Jacobian taken at the iterate Newton just accepted reuses them.
     """
 
-    def __init__(self, spec, nodes, operators, seeds, boundary, targets,
-                 initial_guess):
+    def __init__(self, spec):
         self.spec = spec
-        self.collocation_nodes = np.asarray(nodes, dtype=float)
-        self.operators = operators
-        self.seeds = seeds
-        self.boundary = np.asarray(boundary, dtype=float)
-        self.targets = np.asarray(targets, dtype=float)
-        self.initial_guess = np.asarray(initial_guess, dtype=float)
+        (self.collocation_nodes, self.boundary, self.targets, self.initial_guess,
+         *self.operators) = _discretization(spec.basis, spec.problem)
+        order = spec.problem.order
+        self.seeds = (np.zeros((order + 1, self.collocation_nodes.size)) if spec.seed is None
+                      else spec.seed.tables(self.collocation_nodes, order))
         self.boundary_rows = self.targets.size
         self.dimension = self.initial_guess.size
         self._kept = (None, None)
@@ -380,13 +380,13 @@ class NonlinearSystem:
 
 
 def _discretization(basis, problem):
-    """Read-only (nodes, axis rows B, targets t, start c0, axis tables, *D_q)
-    of a pairing, kept in core's memo (see _memo) under its problem class.
+    """Read-only (nodes, axis rows B, targets t, start c0, *D_q) of a
+    pairing, kept in core's memo (see _memo) under its problem class.
 
     Every family takes its operators from one tabulation at its own nodes
-    with the axis appended: D_q is the order-q table at the nodes, and the
-    axis tables are every order at x = 0.  Laguerre imposes the axis
-    conditions as rows of its axis tables, so it collocates at all but its
+    with the axis appended: D_q is the order-q table at the nodes, and each
+    axis row of B is an order's table at x = 0, the last column.  Laguerre
+    imposes the axis conditions as those rows, so it collocates at all but its
     last len(axis_conditions) nodes (the least-resolved far ones) and starts
     Newton from a closed-form profile.  Hermite and composite translates
     collocate at every node and carry the axis conditions in the seed.
@@ -400,8 +400,7 @@ def _discretization(basis, problem):
         nodes = nodes[: nodes.size - len(rows)]
         tables = basis.tables(np.append(nodes, 0.0), problem.order)     # the axis last
         operators = [t[:, :-1].T for t in tables]
-        axis = tables[:, :, -1:].copy()     # a strided view moves derived_slope's last bits
-        boundary = axis[[q for q, _ in rows], :, 0]
+        boundary = tables[[q for q, _ in rows], :, -1]
         targets = np.array([value for _, value in rows])
         guess = np.zeros(basis.dimension)
         if rows:
@@ -411,24 +410,15 @@ def _discretization(basis, problem):
                 start = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
             guess = np.linalg.solve(np.vstack([operators[0], boundary]),
                                     np.concatenate([start(nodes), targets]))
-        return (nodes, boundary, targets, guess, axis, *operators)
+        return (nodes, boundary, targets, guess, *operators)
     return _memo(basis, (type(problem),), build)
 
 
 def build_system(spec):
-    """Collocation system of the pairing: nodes, operators D_q, seeds, axis rows, guess.
-
-    A fresh system on every call; all but the seed values s_q come shared
-    and read-only from the pairing's discretization (see _discretization).
-    """
+    """A fresh NonlinearSystem of the pairing (see NonlinearSystem)."""
     if not isinstance(spec, ProblemSpec):
         raise ConfigurationError("build_system needs a ProblemSpec")
-    nodes, boundary, targets, guess, _, *operators = _discretization(
-        spec.basis, spec.problem)
-    order = spec.problem.order
-    seeds = (np.zeros((order + 1, nodes.size)) if spec.seed is None
-             else spec.seed.tables(nodes, order))
-    return NonlinearSystem(spec, nodes, operators, seeds, boundary, targets, guess)
+    return NonlinearSystem(spec)
 
 
 def solve_problem(spec):
@@ -463,9 +453,9 @@ _SLOPE_DELTA = 1e-3
 def derived_slope(e, spec):
     """Initial slope f'(0) of a solved expansion.
 
-    Laguerre and Hermite: the coefficients times the first-derivative axis
-    table of the pairing's discretization, plus the seed's exact slope if
-    the pairing is seeded (Hermite's axis tables vanish to every order).
+    Laguerre and Hermite: the expansion's own derivative at the axis,
+    e(0.0, 1), which adds the seed's exact slope if the pairing is seeded
+    (Hermite's axis tables vanish to every order).
     Composite translates approach the axis only in a slow logarithmic
     limit, so the slope comes from one-sided difference quotients through
     the exact axis value at d = 1e-3, extrapolated once in the step (second
@@ -474,14 +464,9 @@ def derived_slope(e, spec):
     weights amplify that ripple far past the quotient's own truncation error.
     """
     if not isinstance(spec.basis, SincBasis):
-        return _axis_value(e, spec, 1)
+        return e(0.0, 1)
     f0, f_full, f_half = e(np.array([0.0, _SLOPE_DELTA, 0.5 * _SLOPE_DELTA]), 0)
     q_full = (f_full - f0) / _SLOPE_DELTA
     q_half = (f_half - f0) / (0.5 * _SLOPE_DELTA)
     return float(2.0 * q_half - q_full)
 
-
-def _axis_value(e, spec, q):
-    """f^(q)(0): the coefficients times the discretization's axis table, plus the seed's."""
-    value = (e.coefficients @ _discretization(spec.basis, spec.problem)[4][q])[0]
-    return float(value if spec.seed is None else value + spec.seed(0.0, q))

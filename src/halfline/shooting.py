@@ -98,8 +98,8 @@ class ShootConfig:
     step sets the local error tolerance step**4 of the reported trajectory
     and of every check of a class (bisection walks run looser, at a scale of
     the bracket width set per problem kind, see the module docstring), the
-    spacing of the reported trajectory, and the first trial step.  A walk with no event by z_max takes its class from
-    the far-field sign.
+    spacing of the reported trajectory, and the first trial step.  A walk
+    with no event by z_max takes its class from the far-field sign.
     """
 
     def __init__(self, z_max=40.0, step=1e-3):

@@ -429,25 +429,32 @@ def test_verify_detects_corrupted_values():
 
 @pytest.mark.parametrize("preset", ["table1-mglf", "table1-hf", "table1-sf"])
 def test_a_warm_run_case_tabulates_each_point_set_once(preset, monkeypatch):
-    # the slope row's f(0) comes from the discretization's axis tables and
-    # the seed, as the slope does, never from a tabulation at x = 0
+    # the slope row reads f(0) and f'(0) through the expansion, so a cold
+    # run tabulates the output grid, the axis and (translates) the slope
+    # stencil once each, and a warm run tabulates nothing
     cfg = parse_config(flags={"preset": preset})
     spec = cli.to_problem_spec(cfg)
     monkeypatch.setattr(halfline.core, "_MEMO", halfline.core._Memo())
-    halfline.problems._discretization(spec.basis, spec.problem)
+    halfline.problems.build_system(spec)       # the discretization's own tabulation
     calls = []
     real = type(spec.basis).tables
     monkeypatch.setattr(type(spec.basis), "tables", lambda basis, xs, M:
-                        calls.append(np.array(xs)) or real(basis, xs, M))
+                        calls.append((np.array(xs), M)) or real(basis, xs, M))
     table = run_case(cfg)
-    want = [np.asarray(cli._PROBLEMS[cfg.problem].grid.abscissas(), dtype=float)]
+    grid = np.asarray(cli._PROBLEMS[cfg.problem].grid.abscissas(), dtype=float)
+    want = [(grid, spec.problem.order)]
     if preset.endswith("sf"):                  # the translates' slope stencil
-        want.append(np.array([0.0, 1e-3, 5e-4]))
+        want.append((np.array([0.0, 1e-3, 5e-4]), 0))
+    else:                                      # f'(0) through the expansion
+        want.append((np.array([0.0]), 1))
+    want.append((np.array([0.0]), 0))          # the slope row's f(0)
     assert len(calls) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(calls, want))
+    assert all(np.array_equal(x, y) and m == n for (x, m), (y, n) in zip(calls, want))
     assert run_case(cfg).rows == table.rows and len(calls) == len(want)
-    e, _ = halfline.problems.solve_problem(spec)
-    assert table.rows[-1][:3] == (0.0, e(0.0, 0), table.slope)
+    e, report = halfline.problems.solve_problem(spec)
+    slope = halfline.problems.derived_slope(e, spec)
+    assert table.rows[-1] == (0.0, e(0.0, 0), slope, report.final_residual_norm)
+    assert table.slope == table.rows[-1][2]
 
 
 def test_solve_far_out_runs_clean():

@@ -10,6 +10,9 @@ with a ``####`` header line and shows exit codes and both output streams:
   - ``verify`` and ``solve`` (its CSV) on every preset case: the fixed
     presets once, the cone presets at each tabulated cone-lambda, and
     ``verify`` once more at a cone-lambda matched by tolerance;
+  - every preset case's Newton solution, iteration count and residual
+    history, and its slope row (abscissa, f(0), f'(0), residual), as exact
+    hexadecimal floats;
   - ``oracle`` for the film, screening and cone problems, and
     ``list-presets``;
   - the default ``shoot`` slope of the film, screening and cone
@@ -52,7 +55,8 @@ from halfline import (ConeParams, FluidParams, HermiteBasis,  # noqa: E402
                       LaguerreBasis, ProblemSpec, SeedKind, SeedProfile,
                       ShootConfig, SincBasis, SincMap, TABLE3,
                       ThomasFermiProblem, shoot, solve_problem)
-from halfline.cli import PRESET_NAMES, main  # noqa: E402
+from halfline.cli import (PRESET_NAMES, main, parse_config,  # noqa: E402
+                          run_case, to_problem_spec)
 from halfline.hermite import mapped_trapezoid_rule  # noqa: E402
 from halfline.newton import newton_solve  # noqa: E402
 
@@ -167,13 +171,29 @@ def hexes(values):
     return " ".join(float(v).hex() for v in values)
 
 
+def preset_cases():
+    """(preset, cone-lambda or None) of every preset case: the fixed presets
+    once, the cone presets at each tabulated cone-lambda."""
+    return [(name, lam) for name in PRESET_NAMES
+            for lam in (TABLE3.abscissas() if name in CONE_PRESETS else [None])]
+
+
 def main_snapshot():
     for command in ("verify", "solve"):
-        for name in PRESET_NAMES:
-            lams = TABLE3.abscissas() if name in CONE_PRESETS else [None]
-            for lam in lams:
-                extra = [] if lam is None else ["--cone-lambda", repr(lam)]
-                run_cli(command, "--preset", name, *extra)
+        for name, lam in preset_cases():
+            extra = [] if lam is None else ["--cone-lambda", repr(lam)]
+            run_cli(command, "--preset", name, *extra)
+    for name, lam in preset_cases():
+        flags = {"preset": name}
+        if lam is not None:
+            flags["cone-lambda"] = repr(lam)
+        header("preset %s%s: solution, history and slope row"
+               % (name, "" if lam is None else " --cone-lambda %r" % lam))
+        cfg = parse_config(flags=flags)
+        report = solve_problem(to_problem_spec(cfg))[1]
+        print("%d %s" % (report.iterations, hexes(report.solution)))
+        print("  history %s" % hexes(report.history))
+        print("  slope row %s" % hexes(run_case(cfg).rows[-1]))
     run_cli("verify", "--preset", "table3", "--cone-lambda", "0.333333")
     run_cli("oracle", *FILM)
     run_cli("oracle", "--problem", "thomas-fermi")
