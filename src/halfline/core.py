@@ -76,10 +76,10 @@ class Expansion:
         return eval_expansion(self, x, order)
 
     def derivatives(self, x, max_order, lowest=0):
-        """[self(x, lowest), ..., self(x, max_order)]: one kept basis tabulation and one
-        seed tabulation, then per order one product with the coefficients plus the seed's."""
+        """[self(x, lowest), ..., self(x, max_order)]: per order, the coefficients times one
+        kept basis tabulation, plus one seed tabulation; those check x (a kept x passed once)."""
         max_order = _check_order(max_order)
-        xs = _as_points(x)
+        xs = np.asarray(x, dtype=float)
         flat = xs.reshape(-1)
         tables, = _memo(self.basis, (flat.tobytes(), max_order),
                         lambda: (self.basis.tables(flat, max_order),))

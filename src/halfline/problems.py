@@ -218,7 +218,6 @@ class SeedProfile:
 
     def __call__(self, x, order=0):
         """order-th derivative at x >= 0; x may be a scalar or an array."""
-        order = _check_order(order)
         return self.tables(x, order)[order]
 
     def tables(self, xs, M):

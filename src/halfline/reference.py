@@ -35,9 +35,8 @@ KOBAYASHI_SLOPE = -1.588071    # atomic screening y'(0), classical value
 class ReferenceTable:
     """Immutable published table: abscissa column plus named value columns."""
 
-    def __init__(self, table_id, abscissa_name, columns, rows, slopes=None):
+    def __init__(self, table_id, columns, rows, slopes=None):
         self.table_id = table_id
-        self.abscissa_name = abscissa_name
         self.columns = tuple(columns)
         for row in rows:
             if len(row) != len(self.columns) + 1:
@@ -68,7 +67,7 @@ class ReferenceTable:
 
 # fluid film profile f(z), four methods against two published solutions
 TABLE1 = ReferenceTable(
-    "T1", "z", ("ahmad", "mglf", "hf", "sf", "numerical"),
+    "T1", ("ahmad", "mglf", "hf", "sf", "numerical"),
     (
         (0.0, 1.00000, 1.00000, 1.00000, 1.00000, 1.00000),
         (0.2, 0.87220, 0.87261, 0.87261, 0.87278, 0.87260),
@@ -97,7 +96,7 @@ TABLE1 = ReferenceTable(
 # atomic screening profile y(x); the last two printed liao entries repeat
 # (0.005784940 at both 20 and 30), so verification windows stop at x = 15
 TABLE2 = ReferenceTable(
-    "T2", "x", ("liao", "mglf", "hf", "sf"),
+    "T2", ("liao", "mglf", "hf", "sf"),
     (
         (0.25, 0.755202000, 0.765698401, 0.754795330, 0.755501513),
         (0.50, 0.606987000, 0.611094841, 0.606658908, 0.606591374),
@@ -124,7 +123,7 @@ TABLE2 = ReferenceTable(
 
 # heated cone f'(0) by Laguerre method: slope, tuned (alpha, L) per exponent
 TABLE3 = ReferenceTable(
-    "T3", "lam", ("rk", "mglf", "alpha", "L"),
+    "T3", ("rk", "mglf", "alpha", "L"),
     (
         (0.0, 0.94760, 0.947697256, 1.0, 1.2985),
         (0.25, 0.91130, 0.911292295, 0.94869, 1.24093),
@@ -137,7 +136,7 @@ TABLE3 = ReferenceTable(
 
 # heated cone f'(0) by Hermite method: map scale k and seed parameter beta
 TABLE4 = ReferenceTable(
-    "T4", "lam", ("rk", "hf", "k", "beta"),
+    "T4", ("rk", "hf", "k", "beta"),
     (
         (0.0, 0.94760, 0.947350000, 0.00005, 1.8947),
         (0.25, 0.91130, 0.911300000, 0.00005, 1.8226),
@@ -150,7 +149,7 @@ TABLE4 = ReferenceTable(
 
 # heated cone f'(0) by composite translates: mesh h and seed parameter beta
 TABLE5 = ReferenceTable(
-    "T5", "lam", ("rk", "sf", "h", "beta"),
+    "T5", ("rk", "sf", "h", "beta"),
     (
         (0.0, 0.94760, 0.94749990, 5.0, 1.895),
         (0.25, 0.91130, 0.9100000, 5.0, 1.787),
@@ -163,7 +162,7 @@ TABLE5 = ReferenceTable(
 
 # heated cone derivative profile f'(eta) at lam = 1/4
 TABLE6 = ReferenceTable(
-    "T6", "eta", ("rk", "mglf", "hf", "sf"),
+    "T6", ("rk", "mglf", "hf", "sf"),
     (
         (0.0, 0.911295, 0.911292295, 0.911300000, 0.9100000),
         (0.1, 0.813604, 0.8136045732, 0.818966668, 0.8249495),
@@ -192,7 +191,7 @@ TABLE6 = ReferenceTable(
 
 # heated cone derivative profile f'(eta) at lam = 3/4
 TABLE7 = ReferenceTable(
-    "T7", "eta", ("rk", "mglf", "hf", "sf"),
+    "T7", ("rk", "mglf", "hf", "sf"),
     (
         (0.0, 0.852193, 0.852287074, 0.852100000, 0.8522499),
         (0.1, 0.755377, 0.7553472043, 0.760260331, 0.7663430),

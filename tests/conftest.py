@@ -2,37 +2,17 @@
 
 The benchmark cases are solved once per test session and reused across the
 unit, problem, and acceptance tests; likewise each shooting integration runs
-once.
+once.  Each case is the configuration of a CLI preset (``verify --preset``),
+built through the CLI's own config path, so the acceptance gate solves the
+presets' own configurations and states none of them a second time.
 """
 
-import numpy as np
 import pytest
 
-from halfline import (
-    ConeParams,
-    FluidParams,
-    HermiteBasis,
-    LaguerreBasis,
-    ProblemSpec,
-    SeedKind,
-    SeedProfile,
-    SincBasis,
-    SincMap,
-    TABLE3,
-    TABLE4,
-    TABLE5,
-    ThomasFermiProblem,
-    shoot,
-    solve_problem,
-)
+from halfline import ConeParams, FluidParams, TABLE3, shoot, solve_problem
+from halfline.cli import parse_config, to_problem_spec
 
 FLUID_B = (0.6, 0.1, 0.5)
-
-# the printed seed parameter of the lam = 1/4 translate row contradicts the
-# row's own slope column; the consistent value is used (see the
-# halfline.reference module docstring)
-T5_BETA = {row: (1.8200 if row == 0.25 else TABLE5.value(row, "beta"))
-           for row in TABLE5.abscissas()}
 
 # the printed Laguerre slope of the lam = 1 cone row is not what the row's own
 # (N, alpha, L) produce: that solve lands on the row's RK entry, and the
@@ -43,40 +23,21 @@ T3_SLOPE = {row: TABLE3.value(row, "rk" if row == 1.0 else "mglf")
 
 CONE_LAMBDAS = TABLE3.abscissas()
 
+# the cone preset of each method; the film and screening presets are
+# table1-<method> and table2-<method>
+_CONE_PRESETS = {"mglf": "table3", "hf": "table4", "sf": "table5"}
+
 
 def _case_spec(key):
+    """The ProblemSpec of ("fluid" | "tf", method) or ("cone", method, lam),
+    as the matching preset configures it."""
     problem, method = key[0], key[1]
-    if problem == "fluid":
-        prob = FluidParams(*FLUID_B)
-        if method == "mglf":
-            return ProblemSpec(prob, LaguerreBasis(20, 1.0, 0.99))
-        if method == "hf":
-            return ProblemSpec(prob, HermiteBasis(16, 1.2),
-                               SeedProfile(SeedKind.RATIONAL_QUADRATIC,
-                                           0.678301))
-        return ProblemSpec(prob, SincBasis(17, 1.0),
-                           SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.47))
-    if problem == "tf":
-        prob = ThomasFermiProblem()
-        if method == "mglf":
-            return ProblemSpec(prob, LaguerreBasis(7, 1.0, 0.675))
-        if method == "hf":
-            return ProblemSpec(prob, HermiteBasis(15, 0.9),
-                               SeedProfile(SeedKind.RATIONAL_QUADRATIC,
-                                           1.588071))
-        return ProblemSpec(prob, SincBasis(11, 1.0),
-                           SeedProfile(SeedKind.RATIONAL_LINEAR, 0.77))
-    lam = key[2]
-    prob = ConeParams(lam)
-    if method == "mglf":
-        return ProblemSpec(prob, LaguerreBasis(13, TABLE3.value(lam, "alpha"),
-                                               TABLE3.value(lam, "L")))
-    if method == "hf":
-        return ProblemSpec(prob, HermiteBasis(20, TABLE4.value(lam, "k")),
-                           SeedProfile(SeedKind.CONE_RATIONAL,
-                                       TABLE4.value(lam, "beta")))
-    return ProblemSpec(prob, SincBasis(30, TABLE5.value(lam, "h"), SincMap.LOG),
-                       SeedProfile(SeedKind.CONE_RATIONAL, T5_BETA[lam]))
+    if problem == "cone":
+        flags = {"preset": _CONE_PRESETS[method], "cone-lambda": repr(key[2])}
+    else:
+        table = "table1" if problem == "fluid" else "table2"
+        flags = {"preset": "%s-%s" % (table, method)}
+    return to_problem_spec(parse_config(flags=flags))
 
 
 _SHOOT_CACHE = {}

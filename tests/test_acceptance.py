@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 import conftest
-from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE, T5_BETA
+from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE
 from halfline.hermite import HermiteBasis, mapped_trapezoid_rule
 from halfline.laguerre import LaguerreBasis, mglf_matrix
 from halfline.newton import fd_jacobian, newton_solve

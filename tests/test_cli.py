@@ -11,7 +11,6 @@ import halfline.core
 import halfline.problems
 from halfline.cli import (
     PRESET_NAMES,
-    RunConfig,
     SolutionTable,
     emit_csv,
     fmt9,
