@@ -328,9 +328,9 @@ def parse_config(text=None, flags=None, need_method=True):
 # solution tables and CSV emission
 
 class SolutionTable:
-    """Rows of (abscissa, f, fprime, residual); the last row is the slope
+    """Rows of (abscissa, f, fprime, residual).  A solve's table ends in a slope
     row: abscissa 0, the boundary value, the derived initial slope, and the
-    final collocation residual norm."""
+    final collocation residual norm; an oracle's table has none."""
 
     header = ("abscissa", "f", "fprime", "residual")
 

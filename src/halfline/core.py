@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NodeComputationError,
-                     UnsupportedOrderError)
+                     RangeOverflowError, UnsupportedOrderError)
 
 MAX_ORDER = 3
 _POLISH_TOL = 1e-9
@@ -75,8 +75,8 @@ class Expansion:
     def __call__(self, x, order=0):
         return eval_expansion(self, x, order)
 
-    def derivatives(self, x, max_order, lowest=0):
-        """[self(x, lowest), ..., self(x, max_order)]: per order, the coefficients times one
+    def derivatives(self, x, max_order):
+        """[self(x, 0), ..., self(x, max_order)]: per order, the coefficients times one
         kept basis tabulation, plus one seed tabulation; those check x (a kept x passed once)."""
         max_order = _check_order(max_order)
         xs = np.asarray(x, dtype=float)
@@ -85,7 +85,7 @@ class Expansion:
                         lambda: (self.basis.tables(flat, max_order),))
         seed = None if self.seed is None else self.seed.tables(flat, max_order)
         out = []
-        for q in range(lowest, max_order + 1):
+        for q in range(max_order + 1):
             vals = self.coefficients @ tables[q]
             if seed is not None:
                 vals = vals + seed[q]
@@ -136,6 +136,16 @@ def _as_points(x):
     return xs
 
 
+def _check_power(symbol, value, order, bounded=True):
+    """Order-th derivatives divide by value**order: refuse a power below the smallest
+    normal double and, if bounded, one beyond the largest."""
+    with np.errstate(over="ignore"):
+        power = np.float64(value) ** order
+    if power < np.finfo(float).tiny or (bounded and power == np.inf):
+        raise RangeOverflowError("%s^%d leaves the double range for %s = %g"
+                                 % (symbol, order, symbol, value))
+
+
 def _real(name, value, low, strict=True):
     """value as a float: a finite real scalar, > low (>= low if not strict)."""
     if (isinstance(value, bool)
@@ -164,22 +174,26 @@ def _check_index(i, dimension):
 def eval_expansion(e, x, order=0):
     """Value of the expansion's order-th derivative at x >= 0: a float for a
     scalar x, an array of its shape for an array x."""
-    return e.derivatives(x, order, lowest=order)[0]
+    return e.derivatives(x, order)[order]
 
 
 def _tridiagonal_roots(diag, off, value, derivative, family):
     """Roots of value, ascending: the eigenvalues of the symmetric tridiagonal
     (Jacobi) matrix (diag, off), then at most five Newton steps, accepted once
     every |value(t)| <= 1e-9 (Golub & Welsch 1969).  derivative is called only
-    for a step that is taken.  A failed eigen-solve, a zero derivative or a
-    fifth step short of the bound raises NodeComputationError naming family.
+    for a step that is taken.  A failed eigen-solve, a non-finite value, a zero
+    derivative or a fifth step short of the bound raises NodeComputationError
+    naming family.
     """
     try:
         t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:
         raise NodeComputationError("eigen-solve for %s nodes failed: %s" % (family, exc))
     for _ in range(5):
-        vals = value(t)
+        with np.errstate(over="ignore", invalid="ignore"):     # refused just below
+            vals = value(t)
+        if not np.all(np.isfinite(vals)):
+            raise NodeComputationError("%s node polish met a non-finite value" % family)
         if np.all(np.abs(vals) <= _POLISH_TOL):
             return t
         derivs = derivative(t)

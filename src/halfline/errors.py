@@ -31,8 +31,9 @@ class UnsupportedOrderError(ConfigurationError, ValueError):
 
 
 class RangeOverflowError(ConfigurationError, OverflowError):
-    """Sinc nodes or mesh powers leave double precision (|j*h| > 700, or
-    h**order subnormal or beyond the largest double)."""
+    """Sinc nodes or mesh powers leave double precision (|j*h| > 700, or h**order
+    subnormal or beyond the largest double), or a Laguerre scale L or Hermite map
+    constant k has L**order or k**order below the smallest normal double."""
 
 
 class NodeComputationError(HalflineError):

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .core import (_as_points, _check_index, _check_order, _count, _node_array,
-                   _readonly, _real, _tridiagonal_roots)
+from .core import (_as_points, _check_index, _check_order, _check_power, _count,
+                   _node_array, _readonly, _real, _tridiagonal_roots)
 
 
 def _line_tables(nmax, t, max_order):
@@ -76,6 +76,7 @@ class HermiteBasis:
         or k x^3 overflows (far out, at large k) is 0.
         """
         M = _check_order(max_order)
+        _check_power("k", self.k, M, bounded=False)
         xs = _as_points(xs).reshape(-1)
         out = np.zeros((M + 1, self.N + 1, xs.size))
         live = xs > 0.0

@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .core import (_as_points, _check_index, _check_order, _count, _node_array,
-                   _readonly, _real, _tridiagonal_roots)
+from .core import (_as_points, _check_index, _check_order, _check_power, _count,
+                   _node_array, _readonly, _real, _tridiagonal_roots)
 from .errors import ConfigurationError, NodeComputationError
 
 
@@ -71,6 +71,7 @@ class LaguerreBasis:
         table holding every shift q <= max_order.
         """
         M = _check_order(max_order)
+        _check_power("L", self.L, M, bounded=False)
         xs = _as_points(xs).reshape(-1)
         with np.errstate(over="ignore"):               # y = inf past the largest double
             y = xs / self.L

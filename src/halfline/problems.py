@@ -304,9 +304,9 @@ class ProblemSpec:
         return "ProblemSpec(%r, %r, seed=%r)" % (self.problem, self.basis, self.seed)
 
 
-def pointwise_residual(spec, approx, x):
-    """Governing-equation residual of an evaluator at an abscissa or an array of them."""
-    return spec.problem.residual(x, [approx(x, m) for m in range(spec.problem.order + 1)])
+def pointwise_residual(spec, e, x):
+    """Governing-equation residual of an expansion at an abscissa or an array of them."""
+    return spec.problem.residual(x, e.derivatives(x, spec.problem.order))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from .core import (_as_points, _check_index, _check_order, _count, _node_array,
-                   _readonly, _real)
+from .core import (_as_points, _check_index, _check_order, _check_power, _count,
+                   _node_array, _readonly, _real)
 from .errors import ConfigurationError, RangeOverflowError
 
 _LOGSINH_CUTOFF = 1e-10   # below this x the weight zero dominates every order
@@ -117,7 +117,7 @@ class SincBasis:
         M = _check_order(max_order)
         xs = _as_points(xs).reshape(-1)
         h = self.h
-        _check_mesh_power(h, M)
+        _check_power("h", h, M)
         out = np.zeros((M + 1, self.dimension, xs.size))
         live, phi, A = _mapped(self, xs, M)
         k = np.arange(-self.N, self.N + 1)[:, np.newaxis]
@@ -143,18 +143,6 @@ class SincBasis:
         return "SincBasis(N=%d, h=%g, %s)" % (self.N, self.h, self.map_kind.value)
 
 
-def _check_mesh_power(h, order):
-    """Order-th derivatives divide by h ** order; refuse it subnormal, zero
-    or beyond the largest double."""
-    try:
-        power = h ** order
-    except OverflowError:
-        power = math.inf
-    if not np.finfo(float).tiny <= power < math.inf:
-        raise RangeOverflowError("h^%d leaves the double range for mesh size h = %g"
-                                 % (order, h))
-
-
 def delta_matrices(basis, max_order):
     """Read-only delta^(0)..delta^(max_order) on the 2N+1 mesh points: [k, j] = S(k,h)^(m)(j h).
 
@@ -166,7 +154,7 @@ def delta_matrices(basis, max_order):
     M = _check_order(max_order)
     n = basis.dimension
     h = basis.h
-    _check_mesh_power(h, M)
+    _check_power("h", h, M)
     idx = np.arange(n)
     d = idx[np.newaxis, :] - idx[:, np.newaxis]        # d[k, j] = j - k
     sign = np.where(d % 2 == 0, 1.0, -1.0)

@@ -1,16 +1,17 @@
-"""Shared fixtures: session-scoped caches for solves and shooting runs.
+"""Shared fixtures: session-scoped caches for solves and shooting runs, and
+the one list of preset cases.
 
 The benchmark cases are solved once per test session and reused across the
 unit, problem, and acceptance tests; likewise each shooting integration runs
 once.  Each case is the configuration of a CLI preset (``verify --preset``),
-built through the CLI's own config path, so the acceptance gate solves the
-presets' own configurations and states none of them a second time.
+built through the CLI's own config path by preset_spec, so the acceptance gate
+solves the presets' own configurations and states none of them a second time.
 """
 
 import pytest
 
 from halfline import ConeParams, FluidParams, TABLE3, shoot, solve_problem
-from halfline.cli import parse_config, to_problem_spec
+from halfline.cli import PRESET_NAMES, parse_config, to_problem_spec
 
 FLUID_B = (0.6, 0.1, 0.5)
 
@@ -27,17 +28,35 @@ CONE_LAMBDAS = TABLE3.abscissas()
 # table1-<method> and table2-<method>
 _CONE_PRESETS = {"mglf": "table3", "hf": "table4", "sf": "table5"}
 
+# the 24 preset cases (name, lam): each fixed preset once, each cone preset at
+# every row
+PRESET_CASES = [(name, lam) for name in PRESET_NAMES
+                for lam in (CONE_LAMBDAS if name in _CONE_PRESETS.values() else [None])]
+
+
+def preset_id(case):
+    """A preset case's test id: the name, and its cone row if it has one."""
+    name, lam = case
+    return name if lam is None else "%s-%g" % (name, lam)
+
+
+def preset_flags(name, lam=None):
+    """The flags that select a preset, at its cone row lam if one is given."""
+    return {"preset": name} if lam is None else {"preset": name, "cone-lambda": repr(lam)}
+
+
+def preset_spec(name, lam=None):
+    """The ProblemSpec a preset configures, through the CLI's own config path."""
+    return to_problem_spec(parse_config(flags=preset_flags(name, lam)))
+
 
 def _case_spec(key):
     """The ProblemSpec of ("fluid" | "tf", method) or ("cone", method, lam),
     as the matching preset configures it."""
     problem, method = key[0], key[1]
     if problem == "cone":
-        flags = {"preset": _CONE_PRESETS[method], "cone-lambda": repr(key[2])}
-    else:
-        table = "table1" if problem == "fluid" else "table2"
-        flags = {"preset": "%s-%s" % (table, method)}
-    return to_problem_spec(parse_config(flags=flags))
+        return preset_spec(_CONE_PRESETS[method], key[2])
+    return preset_spec("%s-%s" % ("table1" if problem == "fluid" else "table2", method))
 
 
 _SHOOT_CACHE = {}

@@ -5,15 +5,12 @@ PASS/FAIL line with the measured errors, then asserts.  Solves and shooting
 integrations are shared through the session-scoped conftest caches.
 """
 
-import math
-
 import numpy as np
 
 import conftest
 from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE
-from halfline.hermite import HermiteBasis, mapped_trapezoid_rule
-from halfline.laguerre import LaguerreBasis, mglf_matrix
-from halfline.newton import fd_jacobian, newton_solve
+from halfline.hermite import HermiteBasis
+from halfline.laguerre import LaguerreBasis
 from halfline.problems import (
     ConeParams,
     FluidParams,
@@ -23,6 +20,8 @@ from halfline.problems import (
     pointwise_residual,
 )
 from halfline.reference import (
+    AHMAD_SLOPE,
+    KOBAYASHI_SLOPE,
     TABLE1,
     TABLE2,
     TABLE3,
@@ -31,7 +30,9 @@ from halfline.reference import (
     TABLE6,
     TABLE7,
 )
-from halfline.sinc import SincBasis, delta_matrix
+from halfline.sinc import SincBasis
+from properties import (delta_stencil_pairs, difference_error, direct_difference_error,
+                        hermite_gram_error, laguerre_gram_error, newton_contraction)
 
 
 def record(name, ok, detail):
@@ -181,8 +182,8 @@ def test_criterion_08_cone_translates_sweep(solve_case):
 def test_criterion_09_shooting_oracle(oracle):
     cone_errs = [abs(oracle(ConeParams(lam))[0] - TABLE3.value(lam, "rk"))
                  for lam in CONE_LAMBDAS]
-    fluid_err = abs(oracle(FluidParams(*FLUID_B))[0] - (-0.678301))
-    tf_err = abs(oracle(ThomasFermiProblem())[0] - (-1.588071))
+    fluid_err = abs(oracle(FluidParams(*FLUID_B))[0] - AHMAD_SLOPE)
+    tf_err = abs(oracle(ThomasFermiProblem())[0] - KOBAYASHI_SLOPE)
     ok = max(cone_errs) <= 1e-4 and fluid_err <= 1e-5 and tf_err <= 5e-4
     record("criterion 09 independent shooting oracle", ok,
            "cone slope err max %.2e over 6 rows (tol 1e-4), film %.2e "
@@ -192,96 +193,28 @@ def test_criterion_09_shooting_oracle(oracle):
 
 
 def test_criterion_10_property_suites():
-    worst = {}
-
-    # modified Laguerre-function discrete orthogonality, N=12, L in {.5,1,2}
-    err = 0.0
-    for L in (0.5, 1.0, 2.0):
-        basis = LaguerreBasis(12, 1.0, L)
-        nodes, weights = basis.quadrature()
-        phi = mglf_matrix(basis, nodes, 0)
-        gram = phi @ (weights[:, None] * phi.T)
-        for m in range(12):
-            for n in range(12):
-                scale = math.gamma(n + 2) / (L * L * math.factorial(n))
-                want = scale if m == n else 0.0
-                err = max(err, abs(gram[m, n] - want) / scale)
-    worst["laguerre orthogonality (tol 1e-8 rel)"] = (err, 1e-8)
-
-    # log-mapped Hermite transformed orthogonality: sqrt(pi) * delta
-    basis = HermiteBasis(8, 0.9)
-    nodes, w = mapped_trapezoid_rule(basis)
-    phi = basis.tables(nodes, 0)[0]
-    gram = phi @ (w[:, None] * phi.T)
-    err = float(np.max(np.abs(gram - math.sqrt(math.pi) * np.eye(9))))
-    worst["hermite orthogonality (tol 1e-6)"] = (err, 1e-6)
-
-    # translate derivative matrices vs finite differences (relative)
-    sb = SincBasis(3, 1.0)
-    sinc_fn = lambda t: 1.0 if t == 0.0 else math.sin(math.pi * t) / (math.pi * t)
-    err = 0.0
-    for m in (1, 2, 3):
-        ent = delta_matrix(sb, m)
-        s = 1e-3 if m <= 2 else 1e-2
-        for k in range(-3, 4):
-            g = lambda p: sinc_fn(p - k)
-            for j in range(-3, 4):
-                p = float(j)
-                if m == 1:
-                    fd = (-g(p + 2 * s) + 8 * g(p + s)
-                          - 8 * g(p - s) + g(p - 2 * s)) / (12 * s)
-                elif m == 2:
-                    fd = (-g(p + 2 * s) + 16 * g(p + s) - 30 * g(p)
-                          + 16 * g(p - s) - g(p - 2 * s)) / (12 * s**2)
-                else:
-                    fd = (-g(p + 3 * s) + 8 * g(p + 2 * s) - 13 * g(p + s)
-                          + 13 * g(p - s) - 8 * g(p - 2 * s)
-                          + g(p - 3 * s)) / (8 * s**3)
-                err = max(err, abs(ent[k + 3, j + 3] - fd)
-                          / max(abs(fd), 1e-2))
-    worst["translate derivative matrices (tol 1e-6 rel)"] = (err, 1e-6)
-
-    # orders 1..3 of every family vs central differences
-    err = 0.0
+    # orders 1-3 of every family against differences: Laguerre members 2 and 7
+    # directly from order 0, Hermite members 1 and 5 and translates k = -2 and 3
+    # (rows k + 6) each from the order below
     lag = LaguerreBasis(9, 1.0, 0.8)
-    fd3_at = lambda f, x, s: (f(x + 2 * s) - 2 * f(x + s) + 2 * f(x - s)
-                              - f(x - 2 * s)) / (2 * s**3)
-    x = np.array([0.9, 4.0])
-    f = lambda t: lag.tables(t, 0)[0][[2, 7]]      # members 2 and 7
-    err = max(err, np.max(np.abs(lag.tables(x, 1)[1][[2, 7]]
-                                 - (f(x + 1e-6) - f(x - 1e-6)) / 2e-6)))
-    err = max(err, np.max(np.abs(lag.tables(x, 2)[2][[2, 7]]
-                                 - (f(x + 1e-4) - 2 * f(x) + f(x - 1e-4))
-                                 / 1e-8)))
-    err = max(err, np.max(np.abs(lag.tables(x, 3)[3][[2, 7]]
-                                 - (4 * fd3_at(f, x, 1e-3)
-                                    - fd3_at(f, x, 2e-3)) / 3)))
-    herm = HermiteBasis(8, 1.2)
-    comp = SincBasis(6, 0.8)
-    # Hermite members 1 and 5; translates k = -2 and 3 (rows k + 6)
-    for fam, rows in ((herm, [1, 5]), (comp, [4, 9])):
-        x = np.array([0.5, 2.0])
-        s = 1e-6
-        for m in (1, 2, 3):
-            lower = lambda t: fam.tables(t, m - 1)[m - 1][rows]
-            err = max(err, np.max(np.abs(fam.tables(x, m)[m][rows]
-                                         - (lower(x + s) - lower(x - s))
-                                         / (2 * s))))
-    worst["derivatives orders 1-3 (tol 1e-5)"] = (err, 1e-5)
-
-    # Newton quadratic convergence on the scalar test problem
-    F = lambda v: np.array([v[0] ** 2 - 4.0])
-    h = newton_solve(F, lambda v: fd_jacobian(F, v), np.array([3.0])).history
-    checked = 0
-    ratio = 0.0
-    for a, b in zip(h, h[1:]):
-        if 1e-8 < a < 1.0:
-            ratio = max(ratio, b / (a * a))
-            checked += 1
-    quad_ok = checked >= 2 and ratio <= 0.1
-    worst["newton quadratic contraction (ratio tol 0.1)"] = (ratio, 0.1)
-
-    ok = quad_ok and all(e <= tol for e, tol in worst.values())
+    derivs = direct_difference_error(lambda t, m: lag.tables(t, m)[m][[2, 7]],
+                                     np.array([0.9, 4.0]))
+    for fam, rows in ((HermiteBasis(8, 1.2), [1, 5]), (SincBasis(6, 0.8), [4, 9])):
+        derivs = max(derivs, difference_error(lambda t, m: fam.tables(t, m)[m][rows],
+                                              np.array([0.5, 2.0]), 1e-6))
+    stencils = [delta_stencil_pairs(SincBasis(3, 1.0), m) for m in (1, 2, 3)]
+    worst = {
+        "laguerre orthogonality (tol 1e-8 rel)":
+            (max(laguerre_gram_error(LaguerreBasis(12, 1.0, L)) for L in (0.5, 1.0, 2.0)),
+             1e-8),
+        "hermite orthogonality (tol 1e-6)": (hermite_gram_error(HermiteBasis(8, 0.9)), 1e-6),
+        "translate derivative matrices (tol 1e-6 rel)":
+            (max(np.max(np.abs(ent - fd) / np.maximum(np.abs(fd), 1e-2))
+                 for ent, fd in stencils), 1e-6),
+        "derivatives orders 1-3 (tol 1e-5)": (derivs, 1e-5),
+        "newton quadratic contraction (ratio tol 0.1)": (newton_contraction(), 0.1),
+    }
+    ok = all(e <= tol for e, tol in worst.values())
     record("criterion 10 property suites", ok,
            "; ".join("%s %.2e" % (k, e) for k, (e, tol) in worst.items()))
     assert ok

@@ -24,32 +24,13 @@ from halfline.cli import (
 from halfline.errors import ConfigurationError, SolverError, UsageError
 from halfline.reference import TABLE3
 
+from conftest import PRESET_CASES, preset_flags, preset_id
+
 
 def run_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
-
-
-CONE_PRESETS = ("table3", "table4", "table5")
-
-# every preset case: the fixed presets once, the cone presets at each row
-PRESET_CASES = ([(name, None) for name in PRESET_NAMES
-                 if name not in CONE_PRESETS]
-                + [(name, lam) for name in CONE_PRESETS
-                   for lam in TABLE3.abscissas()])
-
-
-def _case_id(case):
-    name, lam = case
-    return name if lam is None else "%s-%g" % (name, lam)
-
-
-def _preset_flags(name, lam):
-    flags = {"preset": name}
-    if lam is not None:
-        flags["cone-lambda"] = repr(lam)
-    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +160,10 @@ def test_abscissas_flag_parses_to_floats():
     assert cfg.abscissas == (0.5, 1.0, 2.5)
 
 
-@pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
+@pytest.mark.parametrize("case", PRESET_CASES, ids=preset_id)
 def test_render_config_round_trip(case):
     # the same keys as config-file text and as flags give one config
-    flags = dict(_preset_flags(*case), abscissas="0.5,1.0")
+    flags = dict(preset_flags(*case), abscissas="0.5,1.0")
     cfg = parse_config(flags=flags)
     again = parse_config("".join("%s=%s\n" % item for item in flags.items()))
     assert again == cfg
@@ -306,16 +287,21 @@ def test_overflowing_hermite_nodes_exit_2():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--problem", "fluid", "--b1", "0.6", "--b2", "0.1", "--b3", "0.5",
+    (("solve", "--problem", "fluid", "--b1", "0.6", "--b2", "0.1", "--b3", "0.5",
       "--method", "sf", "--n", "800", "--mesh-h", "1", "--seed-lambda", "0.47"),
      "nodes leave double range"),
-    (("--preset", "table2-mglf", "--abscissas", "0,1"),
+    (("solve", "--preset", "table2-mglf", "--abscissas", "0,1"),
      "needs x > 0"),
-], ids=["sinc-nodes-overflow", "screening-abscissa-at-axis"])
+    (("solve", "--preset", "table1-mglf", "--scale-L", "1e-160"),
+     "L^2 leaves the double range"),
+    (("verify", "--preset", "table3", "--scale-L", "1e-110"),
+     "L^3 leaves the double range"),
+], ids=["sinc-nodes-overflow", "screening-abscissa-at-axis", "laguerre-scale-order-2",
+        "laguerre-scale-order-3"])
 def test_bad_inputs_raised_in_the_library_exit_2(argv, message, tmp_path):
     # RangeOverflowError and DomainError are ConfigurationErrors
     target = tmp_path / "bad.csv"
-    code, out, err = run_main("solve", *argv, "--out", str(target))
+    code, out, err = run_main(*argv, "--out", str(target))
     assert code == 2 and out == "" and not target.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
@@ -532,7 +518,7 @@ def test_oracle_still_validates_problem_and_configured_method():
 PROFILE_ROWS = {"table1": 19, "table2": 16, "table3": 17, "table4": 22}
 
 
-@pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
+@pytest.mark.parametrize("case", PRESET_CASES, ids=preset_id)
 def test_every_preset_case_verifies(case):
     name, lam = case
     rows = PROFILE_ROWS.get(name.split("-")[0])

@@ -12,6 +12,7 @@ from halfline import (
     Expansion,
     HermiteBasis,
     LaguerreBasis,
+    RangeOverflowError,
     SeedKind,
     SeedProfile,
     SincBasis,
@@ -21,6 +22,7 @@ from halfline import (
     project,
 )
 from halfline.hermite import mapped_trapezoid_rule
+from properties import difference_error
 
 FAMILIES = [
     LaguerreBasis(6, 1.0, 0.8),
@@ -69,10 +71,26 @@ def test_first_derivative_matches_central_difference(basis):
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(basis.dimension)
     e = Expansion(basis, coeffs)
-    h = 1e-6
-    for x in (0.4, 1.3, 2.9, 6.1):
-        fd = (e(x + h) - e(x - h)) / (2 * h)
-        assert abs(e(x, 1) - fd) <= 1e-5
+    assert difference_error(e, np.array([0.4, 1.3, 2.9, 6.1]), 1e-6, orders=(1,)) <= 1e-5
+
+
+@pytest.mark.parametrize("basis, order", [(LaguerreBasis(5, 1.0, 1e-160), 2),
+                                          (LaguerreBasis(5, 1.0, 1e-110), 3),
+                                          (HermiteBasis(5, 1e-200), 2)], ids=repr)
+def test_scale_whose_power_leaves_the_double_range_is_refused(basis, order):
+    # the order-th derivatives carry 1/L^order or 1/k^order: below the smallest
+    # normal double that power overflows (a Python OverflowError for Laguerre,
+    # an overflow warning for Hermite), so the tabulation refuses it by type;
+    # one order lower stays finite
+    with pytest.raises(RangeOverflowError, match=r"\^%d leaves the double range" % order):
+        basis.tables([1.0], order)
+    assert np.all(np.isfinite(basis.tables([1.0], order - 1)))
+
+
+def test_large_scales_are_not_refused():
+    # the rule is one-sided: 1/L^3 underflows harmlessly
+    for basis in (LaguerreBasis(5, 1.0, 1e300), HermiteBasis(5, 1e300)):
+        assert np.all(np.isfinite(basis.tables([1.0], 3)))
 
 
 def test_expansion_with_seed_adds_profile():

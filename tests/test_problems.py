@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-import halfline.cli as cli
 import halfline.problems
 from halfline import shooting
 from halfline.errors import (
@@ -38,7 +37,9 @@ from halfline.newton import fd_jacobian, newton_solve
 from halfline.reference import TABLE3
 from halfline.sinc import SincBasis, SincMap
 
-from conftest import CONE_LAMBDAS, FLUID_B, T3_SLOPE, _case_spec
+from conftest import (CONE_LAMBDAS, FLUID_B, PRESET_CASES, T3_SLOPE, _case_spec, preset_id,
+                      preset_spec)
+from properties import difference_error
 from scalar_reference import concatenated_residual, seed_eval, summed_jacobian
 
 
@@ -232,13 +233,8 @@ def test_seed_derivatives_match_finite_differences():
     seeds = [SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.7),
              SeedProfile(SeedKind.RATIONAL_LINEAR, 1.3),
              SeedProfile(SeedKind.CONE_RATIONAL, 1.8)]
-    s = 1e-6
     for p in seeds:
-        for x in (0.2, 1.0, 4.0):
-            for m in (1, 2, 3):
-                lower = lambda t: p(t, m - 1)
-                fd = (lower(x + s) - lower(x - s)) / (2 * s)
-                assert abs(p(x, m) - fd) <= 1e-5
+        assert difference_error(p, np.array([0.2, 1.0, 4.0]), 1e-6) <= 1e-5
 
 
 def _preset_nodes(name, lam=None):
@@ -410,20 +406,7 @@ def test_square_residual_map():
     assert np.all(np.isfinite(out))
 
 
-PRESET_SPECS = [
-    (name, lam) for name in cli.PRESET_NAMES
-    for lam in (TABLE3.abscissas() if name in ("table3", "table4", "table5") else [None])]
-
-
-def preset_spec(name, lam):
-    flags = {"preset": name}
-    if lam is not None:
-        flags["cone-lambda"] = repr(lam)
-    return cli.to_problem_spec(cli.parse_config(flags=flags))
-
-
-@pytest.mark.parametrize("case", PRESET_SPECS,
-                         ids=lambda c: c[0] if c[1] is None else "%s-%g" % c)
+@pytest.mark.parametrize("case", PRESET_CASES, ids=preset_id)
 def test_jacobian_is_bit_equal_to_the_summed_form_along_the_solve(case):
     # every Jacobian Newton forms, at the iterate it just accepted, equals
     # the generator sum over q stacked on the axis rows, from fresh nodal
@@ -442,7 +425,7 @@ def test_jacobian_is_bit_equal_to_the_summed_form_along_the_solve(case):
 
 @pytest.mark.parametrize("case", [("table1-hf", None), ("table1-sf", None),
                                   ("table4", 0.5), ("table5", 0.5)],
-                         ids=lambda c: c[0] if c[1] is None else "%s-%g" % c)
+                         ids=preset_id)
 def test_seeded_residual_is_bit_equal_to_the_concatenated_form_along_the_solve(case):
     # a seeded pairing has no axis rows; every residual Newton takes, at every
     # trial, equals the rows concatenated with the empty axis block, bit for bit
@@ -713,7 +696,7 @@ def test_warm_evaluations_are_bit_identical_to_cold_ones(make, discretizations):
     def evaluations(e):
         return ([lambda x=x, q=q: e(x, q) for x in (0.0, 0.7, 3.1) for q in range(4)]
                 + [lambda: e(grid, 2), lambda: e.derivatives(grid, 3),
-                   lambda: e.derivatives(0.7, 3, lowest=1)])
+                   lambda: e.derivatives(0.7, 3)[1:]])
 
     def same(a, b):
         if isinstance(a, list):

@@ -24,6 +24,7 @@ from halfline.sinc import (
     _log_chain,
     _rational_x_derivs,
 )
+from properties import delta_stencil_pairs, difference_error
 
 
 class SincWeight(enum.Enum):
@@ -64,11 +65,7 @@ def test_sinc_derivatives_across_the_series_switch():
     vals = sinc_derivatives(y, 3)
     assert all(v.shape == y.shape for v in vals)
     assert np.max(np.abs(vals[0] - np.sinc(y))) <= 1e-15
-    s = 1e-5
-    for m in (1, 2, 3):
-        lower = lambda t: sinc_derivatives(t, m - 1)[m - 1]
-        fd = (lower(y + s) - lower(y - s)) / (2 * s)
-        assert np.max(np.abs(vals[m] - fd)) <= 1e-8
+    assert difference_error(lambda t, m: sinc_derivatives(t, m)[m], y, 1e-5) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +206,11 @@ def test_delta_matrix_h_scaling():
 
 @pytest.mark.parametrize("h", [0.7, 1.0])
 def test_delta_matrix_matches_finite_differences(h):
-    # fourth-order centered stencils at the stated steps: second-order
-    # ones leave ~7e-7 truncation, outside the 1e-6 relative budget
-    basis = SincBasis(6, h)
+    # fourth-order centred stencils: second-order ones leave ~7e-7
+    # truncation, outside the 1e-6 relative budget
     for m in (1, 2, 3):
-        ent = delta_matrix(basis, m)
-        s = 1e-3 if m <= 2 else 1e-2
-        for k in range(-6, 7):
-            g = lambda phi: sinc((phi - k * h) / h)
-            for j in range(-6, 7):
-                p = j * h
-                if m == 1:
-                    fd = (-g(p + 2 * s) + 8 * g(p + s)
-                          - 8 * g(p - s) + g(p - 2 * s)) / (12 * s)
-                elif m == 2:
-                    fd = (-g(p + 2 * s) + 16 * g(p + s) - 30 * g(p)
-                          + 16 * g(p - s) - g(p - 2 * s)) / (12 * s**2)
-                else:
-                    fd = (-g(p + 3 * s) + 8 * g(p + 2 * s) - 13 * g(p + s)
-                          + 13 * g(p - s) - 8 * g(p - 2 * s)
-                          + g(p - 3 * s)) / (8 * s**3)
-                got = ent[k + 6, j + 6]
-                assert abs(got - fd) <= 1e-6 * abs(fd) + 1e-8
+        ent, fd = delta_stencil_pairs(SincBasis(6, h), m)
+        assert np.all(np.abs(ent - fd) <= 1e-6 * np.abs(fd) + 1e-8)
 
 
 def test_delta_matrix_symmetries_exact():
@@ -273,13 +253,9 @@ def test_nodal_tables_match_the_delta_matrices(basis):
 def test_member_derivatives_match_central_differences(map_kind, weight_kind):
     basis = SincBasis(4, 0.9, map_kind)
     x = np.array([0.3, 0.9, 2.1, 5.0, 8.0])
-    s = 1e-6
     # orders 2 and 3 difference the next-lower analytic order, as in
-    # the Hermite suite, to stay inside 1e-5 absolute
-    for m in (1, 2, 3):
-        lower = lambda t: basis.tables(t, m - 1)[m - 1]   # all 9 translates at once
-        fd = (lower(x + s) - lower(x - s)) / (2 * s)
-        assert np.max(np.abs(basis.tables(x, m)[m] - fd)) <= 1e-5
+    # the Hermite suite, to stay inside 1e-5 absolute; all 9 translates at once
+    assert difference_error(lambda t, m: basis.tables(t, m)[m], x, 1e-6) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,16 @@ median, quartiles and sorted runs, the pairs the change won (ties count
 for neither), the change of the median in percent and the parent's
 interquartile range, plus one verdict line per workload and every run's
 own result.  The parent and change fields record each checkout's git
-revision, with "+changes" when its tracked files differ from it.  The file
+revision, with "+changes" when its tracked files differ from it, and the
+lines field each checkout's line counts of src/halfline/*.py and tests/*.py
+(as ``cat src/halfline/*.py | wc -l`` counts them).  The file
 is written whole by this script; nothing in it is filled in by hand.
 """
 
 import argparse
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -43,6 +46,12 @@ def revision(root):
                               text=True, check=False).stdout.strip()
     rev = git("rev-parse", "--short", "HEAD") or "unknown"
     return rev + ("+changes" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def line_counts(root):
+    """Newlines in src/halfline/*.py and in tests/*.py, as ``cat ... | wc -l`` counts them."""
+    return {part: sum(path.read_bytes().count(b"\n") for path in pathlib.Path(root).glob(part))
+            for part in ("src/halfline/*.py", "tests/*.py")}
 
 
 def run(root, workload, seed, seconds, trace):
@@ -129,6 +138,7 @@ def main(argv=None):
                  "numpy": np.__version__},
         "parent": revision(sides["parent"]),
         "change": revision(sides["change"]),
+        "lines": {side: line_counts(root) for side, root in sides.items()},
         "command": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0, "
                    "alternating which side runs first; seeds %s%s; one run at a time"
                    % (SECONDS, seeds, "" if args.trace_seed is None else
