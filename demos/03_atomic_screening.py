@@ -9,32 +9,18 @@ true slope at the origin -- a good reminder that a tiny residual does not
 certify every derived quantity equally well.
 """
 
-from halfline import (
-    KOBAYASHI_SLOPE,
-    HermiteBasis,
-    LaguerreBasis,
-    ProblemSpec,
-    SeedKind,
-    SeedProfile,
-    TABLE2,
-    ThomasFermiProblem,
-    derived_slope,
-    pointwise_residual,
-    solve_problem,
-)
+from halfline import KOBAYASHI_SLOPE, TABLE2, derived_slope, solve_problem
+from halfline.cli import preset_spec
 
 
 def main():
-    prob = ThomasFermiProblem()
-
-    spec_h = ProblemSpec(prob, HermiteBasis(15, 0.9),
-                         SeedProfile(SeedKind.RATIONAL_QUADRATIC, 1.588071))
+    spec_h = preset_spec("table2-hf")
     e_h, rep_h = solve_problem(spec_h)
     print("log-mapped Hermite, N=15, k=0.9 (seeded):")
     print("  y'(0) = %.6f, matches Kobayashi by construction" %
           derived_slope(e_h, spec_h))
 
-    spec_l = ProblemSpec(prob, LaguerreBasis(7, 1.0, 0.675))
+    spec_l = preset_spec("table2-mglf")
     e_l, rep_l = solve_problem(spec_l)
     slope_l = derived_slope(e_l, spec_l)
     print("Laguerre functions, N=7, L=0.675 (no seed):")
@@ -55,9 +41,9 @@ def main():
     print()
     print("  hermite column reproduced within %.2e; laguerre tracks the "
           "Liao profile within %.2e up to x = 4" % (worst_h, worst_l))
-    print("  residual at a mid-domain point x=2: hermite %.1e, "
-          "laguerre %.1e" % (abs(pointwise_residual(spec_h, e_h, 2.0)),
-                             abs(pointwise_residual(spec_l, e_l, 2.0))))
+    print("  residual at a mid-domain point x=2: hermite %.1e, laguerre %.1e"
+          % tuple(abs(s.problem.residual(2.0, e.derivatives(2.0, s.problem.order)))
+                  for s, e in ((spec_h, e_h), (spec_l, e_l))))
 
 
 if __name__ == "__main__":

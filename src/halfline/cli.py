@@ -148,13 +148,12 @@ def _row(table, what, name):
     return table[name]
 
 
-def _validate(cfg, need_method=True):
-    """Require every key of the problem, method and seed; reject every other
-    key that is not general.  ``need_method=False`` (the oracle path) leaves
-    the method out unless one is configured anyway."""
+def _validate(cfg):
+    """Require every key of the problem, and of the method and its seed if a
+    method is configured; reject every other key that is not general."""
     problem = _row(_PROBLEMS, "problem", cfg.problem)
     label, required = "problem %r" % cfg.problem, problem.keys
-    if cfg.method is not None or need_method:
+    if cfg.method is not None:
         required += _row(_METHODS, "method", cfg.method)[1]
         if cfg.method in problem.seeds:
             required += (problem.seed_key,)
@@ -181,7 +180,7 @@ def _equation(cfg):
 def to_problem_spec(cfg):
     """Materialize the validated RunConfig as a solvable ProblemSpec."""
     problem = _PROBLEMS[cfg.problem]
-    basis, keys = _METHODS[cfg.method]
+    basis, keys = _row(_METHODS, "method", cfg.method)
     basis = basis(*(_value(cfg, k) for k in keys),
                   *problem.basis_args.get(cfg.method, ()))
     kind = problem.seeds.get(cfg.method)
@@ -306,12 +305,9 @@ def parse_kv_text(text):
     return store
 
 
-def parse_config(text=None, flags=None, need_method=True):
-    """Assemble a RunConfig from config text plus flag overrides.
-
-    Every value is coerced before the preset expands.  ``need_method=False``
-    is the oracle path (see ``_validate``).
-    """
+def parse_config(text=None, flags=None):
+    """Assemble a RunConfig from config text plus flag overrides; every value
+    is coerced before the preset expands."""
     given = dict(parse_kv_text(text) if text else {}, **(flags or {}))
     given = {k.replace("-", "_"): _coerce(k, v) for k, v in given.items()}
     fields = {}
@@ -320,8 +316,17 @@ def parse_config(text=None, flags=None, need_method=True):
         if "cone_lambda" in fields:     # the matched row is the lambda solved
             given["cone_lambda"] = fields["cone_lambda"]
     cfg = RunConfig(**dict(fields, **given))
-    _validate(cfg, need_method)
+    _validate(cfg)
     return cfg
+
+
+def preset_spec(name, cone_lambda=None):
+    """The ProblemSpec a named preset configures, at its cone row cone_lambda
+    if one is given."""
+    flags = {"preset": name}
+    if cone_lambda is not None:
+        flags["cone-lambda"] = cone_lambda
+    return to_problem_spec(parse_config(flags=flags))
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +558,7 @@ def main(argv=None, stdout=None, stderr=None):
     try:
         if command == "list-presets":
             return handler(argv[1:], stdout)
-        cfg = parse_config(*_parse_argv(argv[1:]),
-                           need_method=command != "oracle")
-        return handler(cfg, stdout)
+        return handler(parse_config(*_parse_argv(argv[1:])), stdout)
     except (UsageError, ConfigurationError) as exc:
         stderr.write("error: %s\n" % exc)
         return 2

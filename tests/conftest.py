@@ -4,14 +4,15 @@ the one list of preset cases.
 The benchmark cases are solved once per test session and reused across the
 unit, problem, and acceptance tests; likewise each shooting integration runs
 once.  Each case is the configuration of a CLI preset (``verify --preset``),
-built through the CLI's own config path by preset_spec, so the acceptance gate
-solves the presets' own configurations and states none of them a second time.
+built by halfline.cli.preset_spec through the CLI's own config path, so the
+acceptance gate solves the presets' own configurations and states none of them
+a second time.
 """
 
 import pytest
 
 from halfline import ConeParams, FluidParams, TABLE3, shoot, solve_problem
-from halfline.cli import PRESET_NAMES, parse_config, to_problem_spec
+from halfline.cli import PRESET_NAMES, preset_spec
 
 FLUID_B = (0.6, 0.1, 0.5)
 
@@ -43,11 +44,6 @@ def preset_id(case):
 def preset_flags(name, lam=None):
     """The flags that select a preset, at its cone row lam if one is given."""
     return {"preset": name} if lam is None else {"preset": name, "cone-lambda": repr(lam)}
-
-
-def preset_spec(name, lam=None):
-    """The ProblemSpec a preset configures, through the CLI's own config path."""
-    return to_problem_spec(parse_config(flags=preset_flags(name, lam)))
 
 
 def _case_spec(key):

@@ -178,6 +178,8 @@ def test_validation_catches_missing_and_contradictory_keys():
         parse_config(flags={"preset": "table2-mglf", "map-k": "0.9"})
     with pytest.raises(UsageError):
         parse_config(flags={"preset": "table1-mglf", "cone-lambda": "0.25"})
+    with pytest.raises(UsageError, match="unknown key 'frob'"):
+        parse_config(flags={"frob": "1"})
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +327,13 @@ def test_unwritable_out_path_exits_2(tmp_path, argv):
       "--alpha", "1", "--scale-L", "0.675"), "needs a preset"),
     (("--preset", "table1-mglf", "--abscissas", "0.5"),
      "missing from the solution table"),
-], ids=("no-preset", "off-grid-abscissas"))
+    (("--problem", "nope"),
+     "unknown problem 'nope' (expected one of fluid, thomas-fermi, cone)"),
+    (("--preset", "table1-mglf", "--method", "nope"),
+     "unknown method 'nope' (expected one of mglf, hf, sf)"),
+    (("--preset", "table1-mglf", "--n", "0"), "n must be a positive integer"),
+], ids=("no-preset", "off-grid-abscissas", "unknown-problem", "unknown-method",
+        "zero-n"))
 def test_rejected_verify_writes_no_csv(tmp_path, argv, message):
     target = tmp_path / "rejected.csv"
     code, out, err = run_main("verify", *argv, "--out", str(target))
@@ -509,6 +517,21 @@ def test_oracle_still_validates_problem_and_configured_method():
     code, out, err = run_main("oracle", "--problem", "thomas-fermi",
                               "--n", "7")
     assert code == 2 and "'n' does not apply" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_solve_and_verify_need_a_method_before_any_solve(command, monkeypatch):
+    def solve_not_expected(spec):
+        raise AssertionError("the solver ran on a rejected configuration")
+    monkeypatch.setattr(cli, "solve_problem", solve_not_expected)
+    code, out, err = run_main(command, "--problem", "thomas-fermi")
+    assert (code, out, err) == (
+        2, "", "error: missing required key 'method' (mglf, hf, sf)\n")
+    # a method key without a method is rejected as the oracle rejects it
+    code, out, err = run_main(command, "--problem", "fluid", "--b1", "0.6",
+                              "--b2", "0.1", "--b3", "0.5", "--n", "7")
+    assert (code, out, err) == (
+        2, "", "error: key 'n' does not apply to problem 'fluid'\n")
 
 
 # printed profile rows each case compares: the film table whole, the

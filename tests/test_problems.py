@@ -17,6 +17,7 @@ from halfline.errors import (
     RangeOverflowError,
     UnsupportedOrderError,
 )
+from halfline.cli import preset_spec
 from halfline.core import Expansion
 from halfline.problems import (
     ConeParams,
@@ -37,8 +38,7 @@ from halfline.newton import fd_jacobian, newton_solve
 from halfline.reference import TABLE3
 from halfline.sinc import SincBasis, SincMap
 
-from conftest import (CONE_LAMBDAS, FLUID_B, PRESET_CASES, T3_SLOPE, _case_spec, preset_id,
-                      preset_spec)
+from conftest import CONE_LAMBDAS, FLUID_B, PRESET_CASES, T3_SLOPE, _case_spec, preset_id
 from properties import difference_error
 from scalar_reference import concatenated_residual, seed_eval, summed_jacobian
 

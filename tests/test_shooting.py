@@ -64,6 +64,10 @@ def test_rk4_trajectory_shape():
     xs, states = integrate(lambda x, f, fp, fpp: -fp, (1.0, 0.0, -1.0),
                            0.0, 1.0, 0.1)
     assert states.shape == (11, 3) and states.flags.c_contiguous
+    # a 1-d array is a state as its tuple is
+    again = integrate(lambda x, f, fp, fpp: -fp, np.array([1.0, 0.0, -1.0]),
+                      0.0, 1.0, 0.1)
+    assert np.array_equal(again[0], xs) and np.array_equal(again[1], states)
 
 
 def test_rk4_blow_up_reports_abscissa():
@@ -71,6 +75,20 @@ def test_rk4_blow_up_reports_abscissa():
     with pytest.raises(BlowUpError) as info:
         integrate(lambda x, f, fp: 6.0 * f * f, (1.0, 2.0), 0.0, 2.0, 1e-3)
     assert 0.9 < info.value.abscissa <= 1.1
+    # f''' = 1e9 is integrated exactly, and f'' = 1e7 after the first step
+    # is already past the bound
+    with pytest.raises(BlowUpError) as info:
+        integrate(lambda x, f, p, q: 1e9, (0.0, 0.0, 0.0), 0.0, 10.0, 1e-2)
+    assert info.value.abscissa == 0.01
+
+
+def test_integrate_reports_a_collapsed_step():
+    # every error estimate is NaN, so each trial step is cut by 5 until it
+    # falls below 1e-14 at the start (the order-2 walk meets this in
+    # test_walk_that_aborts_before_its_class_is_an_oracle_error)
+    with pytest.raises(BlowUpError) as info:
+        integrate(lambda x, f, p, q: math.nan, (1.0, 0.0, 0.0), 0.0, 1.0, 1e-2)
+    assert info.value.abscissa == 0.0
 
 
 def test_integrate_fills_the_grid_from_the_continuous_extension():

@@ -18,8 +18,8 @@ for neither), the change of the median in percent and the parent's
 interquartile range, plus one verdict line per workload and every run's
 own result.  The parent and change fields record each checkout's git
 revision, with "+changes" when its tracked files differ from it, and the
-lines field each checkout's line counts of src/halfline/*.py and tests/*.py
-(as ``cat src/halfline/*.py | wc -l`` counts them).  The file
+lines field each checkout's line counts of src/halfline/*.py, tests/*.py and
+demos/*.py (as ``cat src/halfline/*.py | wc -l`` counts them).  The file
 is written whole by this script; nothing in it is filled in by hand.
 """
 
@@ -49,9 +49,10 @@ def revision(root):
 
 
 def line_counts(root):
-    """Newlines in src/halfline/*.py and in tests/*.py, as ``cat ... | wc -l`` counts them."""
+    """Newlines in src/halfline/*.py, tests/*.py and demos/*.py, as ``cat ... | wc -l``
+    counts them."""
     return {part: sum(path.read_bytes().count(b"\n") for path in pathlib.Path(root).glob(part))
-            for part in ("src/halfline/*.py", "tests/*.py")}
+            for part in ("src/halfline/*.py", "tests/*.py", "demos/*.py")}
 
 
 def run(root, workload, seed, seconds, trace):
