@@ -8,11 +8,11 @@ checks the result against the embedded copy of that table.
 
 Exit codes: 0 success / verification PASS, 1 verification FAIL, 2 usage or
 configuration error (an unwritable --out path included), 3 solver or
-integrator failure.  A run that exits 2 or 3 writes no CSV.
+integrator failure.  A run that exits 2 or 3 writes no CSV, to a file or to
+standard output.
 """
 
 import dataclasses
-import io
 import math
 import sys
 import textwrap
@@ -254,6 +254,11 @@ _PRESETS = {
 
 PRESET_NAMES = tuple(_PRESETS)
 
+# the 24 preset cases (name, cone-lambda or None): each fixed preset once, each
+# cone preset at every row of its table
+PRESET_CASES = [(name, lam) for name, preset in _PRESETS.items()
+                for lam in (preset.cone.abscissas() if preset.cone else [None])]
+
 # the printed cone profiles f'(eta), by cone-lambda row
 _CONE_PROFILES = {0.25: TABLE6, 0.75: TABLE7}
 
@@ -330,35 +335,26 @@ def preset_spec(name, cone_lambda=None):
 
 
 # ---------------------------------------------------------------------------
-# solution tables and CSV emission
+# solution rows and CSV
 
-class SolutionTable:
-    """Rows of (abscissa, f, fprime, residual).  A solve's table ends in a slope
-    row: abscissa 0, the boundary value, the derived initial slope, and the
-    final collocation residual norm; an oracle's table has none."""
-
-    header = ("abscissa", "f", "fprime", "residual")
-
-    def __init__(self, rows, slope):
-        self.rows = tuple(tuple(float(v) for v in r) for r in rows)
-        self.slope = float(slope)
-
-    def __len__(self):
-        return len(self.rows)
+CSV_HEADER = ("abscissa", "f", "fprime", "residual")
 
 
 def run_case(cfg):
-    """Solve the configured case and tabulate it at the evaluation grid."""
+    """Solve the configured case; its rows at the evaluation grid, then the
+    slope row: abscissa 0, the boundary value, the derived initial slope and
+    the final collocation residual norm."""
     spec = to_problem_spec(cfg)
     e, report = solve_problem(spec)
     xs = np.asarray(cfg.abscissas if cfg.abscissas is not None
                     else _PROBLEMS[cfg.problem].grid.abscissas(), dtype=float)
     f = e.derivatives(xs, spec.problem.order)
-    res = spec.problem.residual(xs, f)
-    rows = np.column_stack((xs, f[0], f[1], res)).tolist()
-    slope = derived_slope(e, spec)
-    rows.append((0.0, e(0.0, 0), slope, report.final_residual_norm))
-    return SolutionTable(rows, slope)
+    rows = list(zip(xs.tolist(), f[0].tolist(), f[1].tolist(),
+                    spec.problem.residual(xs, f).tolist()))
+    # f(0) from the order-1 axis tables that derived_slope reads
+    rows.append((0.0, e.derivatives(0.0, 1)[0], derived_slope(e, spec),
+                 report.final_residual_norm))
+    return rows
 
 
 def fmt9(v):
@@ -368,28 +364,27 @@ def fmt9(v):
         return "0.00000000"
     if not math.isfinite(v):
         raise ConfigurationError("refusing to format non-finite value %r" % v)
-    m = int(math.floor(math.log10(abs(v))))
+    m = int(("%.8e" % v).split("e")[1])     # the decade after rounding
     if -5 <= m <= 8:
         return "%.*f" % (8 - m, v)
     return "%.8e" % v
 
 
-def emit_csv(table, stream):
-    """Write the table as deterministic CSV (LF line endings)."""
-    if not table.rows:
+def csv_text(rows):
+    """The rows as deterministic CSV (LF line endings) under CSV_HEADER; a row
+    that cannot be formatted raises before any text exists."""
+    if not rows:
         raise ConfigurationError("refusing to emit an empty solution table")
-    stream.write(",".join(table.header) + "\n")
-    for row in table.rows:
-        stream.write(",".join(fmt9(v) for v in row) + "\n")
+    lines = [",".join(CSV_HEADER)] + [",".join(map(fmt9, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def write_csv(table, path):
-    """Write the table to path; a table that cannot be formatted leaves no file."""
-    text = io.StringIO()
-    emit_csv(table, text)
+def write_csv(rows, path):
+    """Write the rows to path; rows that cannot be formatted leave no file."""
+    text = csv_text(rows)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text.getvalue())
+            fh.write(text)
     except OSError as exc:
         raise ConfigurationError("cannot write %r: %s" % (path, exc)) from None
 
@@ -397,17 +392,15 @@ def write_csv(table, path):
 # ---------------------------------------------------------------------------
 # verification against the embedded tables
 
-def verify_case(cfg, table):
-    """Compare a solved table against its preset's reference column.
+def verify_case(cfg, rows):
+    """Compare run_case's rows for a preset's cfg against its reference column.
 
     Film and screening presets compare f with their problem's table; cone
     presets compare f' with the printed profile of their cone-lambda row, if
-    there is one.  Returns (report_lines, passed).
+    there is one; every preset compares the slope row's f'.  Returns
+    (report_lines, passed).
     """
-    if cfg.preset is None:
-        raise ConfigurationError(
-            "verify needs a preset naming the reference table")
-    preset = _PRESETS[cfg.preset]
+    preset = _row(_PRESETS, "preset", cfg.preset)
     column = preset.fields["method"]
     if preset.cone is None:
         profile, idx = _PROBLEMS[preset.fields["problem"]].grid, 1
@@ -425,7 +418,7 @@ def verify_case(cfg, table):
     lines = ["verify %s" % label]
     failures = 0
     if profile is not None and preset.x_max is not None:
-        by_x = {row[0]: row[idx] for row in table.rows[:-1]}
+        by_x = {row[0]: row[idx] for row in rows[:-1]}
         errs = []
         for x, ref in profile.column(column):
             if x > preset.x_max:
@@ -436,7 +429,7 @@ def verify_case(cfg, table):
                     "(evaluate on the default grid to verify)" % x)
             errs.append((x, by_x[x], ref, abs(by_x[x] - ref)))
         lines.append("column %s: max abs error %.3e over %d rows (tol %.1e)"
-                     % (table.header[idx], max(e[3] for e in errs), len(errs),
+                     % (CSV_HEADER[idx], max(e[3] for e in errs), len(errs),
                         profile_tol))
         for x, got, ref, err in errs:
             if err > profile_tol:
@@ -444,9 +437,10 @@ def verify_case(cfg, table):
                 lines.append("  row %g: |%.9g - %.9g| = %.3e exceeds %.1e"
                              % (x, got, ref, err, profile_tol))
 
-    slope_err = abs(table.slope - slope_ref)
+    slope = rows[-1][2]
+    slope_err = abs(slope - slope_ref)
     lines.append("slope: %.9g vs reference %.9g, abs error %.3e (tol %.1e)"
-                 % (table.slope, slope_ref, slope_err, slope_tol))
+                 % (slope, slope_ref, slope_err, slope_tol))
     if slope_err > slope_tol:
         failures += 1
         lines.append("  slope error %.3e exceeds %.1e" % (slope_err, slope_tol))
@@ -497,20 +491,23 @@ def _parse_argv(args):
 
 
 def _cmd_solve(cfg, stdout):
-    table = run_case(cfg)
+    rows = run_case(cfg)
     if cfg.out:
-        write_csv(table, cfg.out)
-        stdout.write("wrote %d rows to %s\n" % (len(table), cfg.out))
+        write_csv(rows, cfg.out)
+        stdout.write("wrote %d rows to %s\n" % (len(rows), cfg.out))
     else:
-        emit_csv(table, stdout)
+        stdout.write(csv_text(rows))
     return 0
 
 
 def _cmd_verify(cfg, stdout):
-    table = run_case(cfg)
-    lines, passed = verify_case(cfg, table)
+    if cfg.preset is None:
+        raise ConfigurationError(
+            "verify needs a preset naming the reference table")
+    rows = run_case(cfg)
+    lines, passed = verify_case(cfg, rows)
     if cfg.out:
-        write_csv(table, cfg.out)
+        write_csv(rows, cfg.out)
     stdout.write("\n".join(lines) + "\n")
     return 0 if passed else 1
 
@@ -519,11 +516,10 @@ def _cmd_oracle(cfg, stdout):
     slope, (xs, states) = shoot(_equation(cfg))
     stdout.write("oracle slope: %s\n" % fmt9(slope))
     if cfg.out:
-        table = SolutionTable([(xs[i], states[i, 0], states[i, 1], 0.0)
-                               for i in range(0, len(xs), 100)], slope)
-        write_csv(table, cfg.out)
-        stdout.write("wrote %d trajectory rows to %s\n"
-                     % (len(table), cfg.out))
+        rows = [(xs[i], states[i, 0], states[i, 1], 0.0)
+                for i in range(0, len(xs), 100)]
+        write_csv(rows, cfg.out)
+        stdout.write("wrote %d trajectory rows to %s\n" % (len(rows), cfg.out))
     return 0
 
 

@@ -12,7 +12,7 @@ a second time.
 import pytest
 
 from halfline import ConeParams, FluidParams, TABLE3, shoot, solve_problem
-from halfline.cli import PRESET_NAMES, preset_spec
+from halfline.cli import PRESET_CASES, preset_spec
 
 FLUID_B = (0.6, 0.1, 0.5)
 
@@ -29,10 +29,7 @@ CONE_LAMBDAS = TABLE3.abscissas()
 # table1-<method> and table2-<method>
 _CONE_PRESETS = {"mglf": "table3", "hf": "table4", "sf": "table5"}
 
-# the 24 preset cases (name, lam): each fixed preset once, each cone preset at
-# every row
-PRESET_CASES = [(name, lam) for name in PRESET_NAMES
-                for lam in (CONE_LAMBDAS if name in _CONE_PRESETS.values() else [None])]
+__all__ = ["PRESET_CASES"]     # the 24 preset cases, re-exported for the suites
 
 
 def preset_id(case):

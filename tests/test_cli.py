@@ -11,8 +11,7 @@ import halfline.core
 import halfline.problems
 from halfline.cli import (
     PRESET_NAMES,
-    SolutionTable,
-    emit_csv,
+    csv_text,
     fmt9,
     main,
     parse_config,
@@ -46,6 +45,12 @@ def test_fmt9_examples():
     assert fmt9(1234567890.0) == "1.23456789e+09"
     assert fmt9(1e-5) == "0.0000100000000"
     assert fmt9(1e-6) == "1.00000000e-06"
+    # rounding that carries into the next decade
+    assert fmt9(0.9999999999) == "1.00000000"
+    assert fmt9(-0.99999999996) == "-1.00000000"
+    assert fmt9(99999999.96) == "100000000"
+    assert fmt9(999999999.96) == "1.00000000e+09"
+    assert fmt9(9.99999999996e-6) == "0.0000100000000"
 
 
 def test_fmt9_rejects_non_finite():
@@ -56,17 +61,14 @@ def test_fmt9_rejects_non_finite():
 
 
 def test_emit_csv_exact_bytes():
-    table = SolutionTable([(0.0, 1.0, -0.678297, 1e-12)], -0.678297)
-    buf = io.StringIO()
-    emit_csv(table, buf)
-    assert buf.getvalue() == ("abscissa,f,fprime,residual\n"
-                              "0.00000000,1.00000000,-0.678297000,"
-                              "1.00000000e-12\n")
+    assert csv_text([(0.0, 1.0, -0.678297, 1e-12)]) == (
+        "abscissa,f,fprime,residual\n"
+        "0.00000000,1.00000000,-0.678297000,1.00000000e-12\n")
 
 
 def test_emit_csv_refuses_empty_table():
     with pytest.raises(ConfigurationError):
-        emit_csv(SolutionTable([], 0.0), io.StringIO())
+        csv_text([])
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +343,16 @@ def test_rejected_verify_writes_no_csv(tmp_path, argv, message):
     assert err.startswith("error: ") and message in err
 
 
-def test_unformattable_table_writes_no_csv(tmp_path):
+def test_unformattable_table_writes_no_csv(tmp_path, monkeypatch):
     target = tmp_path / "nan.csv"
     with pytest.raises(ConfigurationError, match="non-finite"):
-        write_csv(SolutionTable([(1.0, float("nan"), 0.0, 0.0)], 0.0), target)
+        write_csv([(1.0, float("nan"), 0.0, 0.0)], target)
     assert not target.exists()
+    # nor does solve print the rows before the one it cannot format
+    monkeypatch.setattr(cli, "run_case", lambda cfg: [(0.5, 1.0, 0.0, 0.0),
+                                                      (1.0, float("nan"), 0.0, 0.0)])
+    code, out, err = run_main("solve", "--preset", "table2-mglf")
+    assert (code, out) == (2, "") and "non-finite" in err
 
 
 def test_oracle_failure_exits_3():
@@ -409,12 +416,11 @@ def test_verify_with_impossible_tolerance_fails(tmp_path):
 
 def test_verify_detects_corrupted_values():
     cfg = parse_config(flags={"preset": "table2-mglf"})
-    table = run_case(cfg)
-    rows = list(table.rows)
+    rows = run_case(cfg)
+    broken = list(rows)
     x, f, fp, res = rows[3]
-    rows[3] = (x, f + 0.01, fp, res)
-    broken = SolutionTable(rows, table.slope)
-    lines_ok, passed_ok = verify_case(cfg, table)
+    broken[3] = (x, f + 0.01, fp, res)
+    lines_ok, passed_ok = verify_case(cfg, rows)
     lines_bad, passed_bad = verify_case(cfg, broken)
     assert passed_ok and not passed_bad
     assert any("exceeds" in l for l in lines_bad)
@@ -423,8 +429,9 @@ def test_verify_detects_corrupted_values():
 @pytest.mark.parametrize("preset", ["table1-mglf", "table1-hf", "table1-sf"])
 def test_a_warm_run_case_tabulates_each_point_set_once(preset, monkeypatch):
     # the slope row reads f(0) and f'(0) through the expansion, so a cold
-    # run tabulates the output grid, the axis and (translates) the slope
-    # stencil once each, and a warm run tabulates nothing
+    # run tabulates the output grid, the axis (at order 1, for f(0) and f'(0)
+    # alike) and (translates) the slope stencil once each, and a warm run
+    # tabulates nothing
     cfg = parse_config(flags={"preset": preset})
     spec = cli.to_problem_spec(cfg)
     monkeypatch.setattr(halfline.core, "_MEMO", halfline.core._Memo())
@@ -433,21 +440,17 @@ def test_a_warm_run_case_tabulates_each_point_set_once(preset, monkeypatch):
     real = type(spec.basis).tables
     monkeypatch.setattr(type(spec.basis), "tables", lambda basis, xs, M:
                         calls.append((np.array(xs), M)) or real(basis, xs, M))
-    table = run_case(cfg)
+    rows = run_case(cfg)
     grid = np.asarray(cli._PROBLEMS[cfg.problem].grid.abscissas(), dtype=float)
-    want = [(grid, spec.problem.order)]
+    want = [(grid, spec.problem.order), (np.array([0.0]), 1)]
     if preset.endswith("sf"):                  # the translates' slope stencil
         want.append((np.array([0.0, 1e-3, 5e-4]), 0))
-    else:                                      # f'(0) through the expansion
-        want.append((np.array([0.0]), 1))
-    want.append((np.array([0.0]), 0))          # the slope row's f(0)
     assert len(calls) == len(want)
     assert all(np.array_equal(x, y) and m == n for (x, m), (y, n) in zip(calls, want))
-    assert run_case(cfg).rows == table.rows and len(calls) == len(want)
+    assert run_case(cfg) == rows and len(calls) == len(want)
     e, report = halfline.problems.solve_problem(spec)
     slope = halfline.problems.derived_slope(e, spec)
-    assert table.rows[-1] == (0.0, e(0.0, 0), slope, report.final_residual_norm)
-    assert table.slope == table.rows[-1][2]
+    assert rows[-1] == (0.0, e(0.0, 0), slope, report.final_residual_norm)
 
 
 def test_solve_far_out_runs_clean():
@@ -525,13 +528,19 @@ def test_solve_and_verify_need_a_method_before_any_solve(command, monkeypatch):
         raise AssertionError("the solver ran on a rejected configuration")
     monkeypatch.setattr(cli, "solve_problem", solve_not_expected)
     code, out, err = run_main(command, "--problem", "thomas-fermi")
-    assert (code, out, err) == (
-        2, "", "error: missing required key 'method' (mglf, hf, sf)\n")
+    assert (code, out, err) == (2, "", "error: %s\n" % {
+        "solve": "missing required key 'method' (mglf, hf, sf)",
+        "verify": "verify needs a preset naming the reference table"}[command])
     # a method key without a method is rejected as the oracle rejects it
     code, out, err = run_main(command, "--problem", "fluid", "--b1", "0.6",
                               "--b2", "0.1", "--b3", "0.5", "--n", "7")
     assert (code, out, err) == (
         2, "", "error: key 'n' does not apply to problem 'fluid'\n")
+    if command == "verify":     # a complete case without a preset, unsolved
+        code, out, err = run_main(command, "--problem", "thomas-fermi", "--method",
+                                  "mglf", "--n", "7", "--alpha", "1", "--scale-L", "0.675")
+        assert (code, out, err) == (
+            2, "", "error: verify needs a preset naming the reference table\n")
 
 
 # printed profile rows each case compares: the film table whole, the

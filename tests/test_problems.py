@@ -348,6 +348,17 @@ def test_sinc_map_is_matched_to_the_problem():
                 SeedProfile(SeedKind.CONE_RATIONAL, 1.8))
 
 
+def test_an_unknown_problem_basis_or_spec_is_refused():
+    fluid, _ = fluid_spec_parts()
+    with pytest.raises(ConfigurationError, match="^unknown problem kind: 'fluid'$"):
+        ProblemSpec("fluid", LaguerreBasis(8, 1.0, 1.0))
+    with pytest.raises(ConfigurationError, match="^unknown basis kind: 'mglf'$"):
+        ProblemSpec(fluid, "mglf")
+    for build in (build_system, solve_problem):
+        with pytest.raises(ConfigurationError, match="^build_system needs a ProblemSpec$"):
+            build("x")
+
+
 def test_problem_order():
     fluid, cone = fluid_spec_parts()
     assert ProblemSpec(fluid, LaguerreBasis(8, 1.0, 1.0)).problem.order == 2

@@ -21,8 +21,8 @@ with a ``####`` header line and shows exit codes and both output streams:
     whose root lies below the starting bracket;
   - command lines that must fail, and failing ``solve_problem`` calls, with
     their error types and messages; among them ``--out`` paths that cannot
-    be written and ``verify`` runs refused after their solve, each with
-    whether it left a CSV behind;
+    be written and refused ``verify`` runs, each with whether it left a
+    CSV behind;
   - the exit code and last output or error line of four ``solve`` runs
     that stop at max|F| above 1e-10, where Newton's verdict decides;
   - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
@@ -53,16 +53,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import halfline  # noqa: E402
 from halfline import (ConeParams, FluidParams, HermiteBasis,  # noqa: E402
                       LaguerreBasis, ProblemSpec, SeedKind, SeedProfile,
-                      ShootConfig, SincBasis, SincMap, TABLE3,
-                      ThomasFermiProblem, shoot, solve_problem)
-from halfline.cli import (PRESET_NAMES, main, parse_config,  # noqa: E402
+                      ShootConfig, SincBasis, SincMap, ThomasFermiProblem,
+                      shoot, solve_problem)
+from halfline.cli import (PRESET_CASES, main, parse_config,  # noqa: E402
                           run_case, to_problem_spec)
 from halfline.hermite import mapped_trapezoid_rule  # noqa: E402
 from halfline.newton import newton_solve  # noqa: E402
 
 import workloads  # noqa: E402  (perfbench's seeded sweep)
 
-CONE_PRESETS = ("table3", "table4", "table5")
 FILM = ["--problem", "fluid", "--b1", "0.6", "--b2", "0.1", "--b3", "0.5"]
 
 FAILING_COMMANDS = [
@@ -90,7 +89,7 @@ UNWRITABLE_OUT = [
     ["verify", "--preset", "table2-mglf"],
     ["oracle", "--problem", "thomas-fermi"],
 ]
-# verify runs refused after the solve, with a writable --out path
+# refused verify runs, with a writable --out path
 REFUSED_VERIFY = [
     ["verify", "--problem", "thomas-fermi", "--method", "mglf", "--n", "7",
      "--alpha", "1", "--scale-L", "0.675"],
@@ -171,19 +170,12 @@ def hexes(values):
     return " ".join(float(v).hex() for v in values)
 
 
-def preset_cases():
-    """(preset, cone-lambda or None) of every preset case: the fixed presets
-    once, the cone presets at each tabulated cone-lambda."""
-    return [(name, lam) for name in PRESET_NAMES
-            for lam in (TABLE3.abscissas() if name in CONE_PRESETS else [None])]
-
-
 def main_snapshot():
     for command in ("verify", "solve"):
-        for name, lam in preset_cases():
+        for name, lam in PRESET_CASES:
             extra = [] if lam is None else ["--cone-lambda", repr(lam)]
             run_cli(command, "--preset", name, *extra)
-    for name, lam in preset_cases():
+    for name, lam in PRESET_CASES:
         flags = {"preset": name}
         if lam is not None:
             flags["cone-lambda"] = repr(lam)
@@ -193,7 +185,7 @@ def main_snapshot():
         report = solve_problem(to_problem_spec(cfg))[1]
         print("%d %s" % (report.iterations, hexes(report.solution)))
         print("  history %s" % hexes(report.history))
-        print("  slope row %s" % hexes(run_case(cfg).rows[-1]))
+        print("  slope row %s" % hexes(run_case(cfg)[-1]))
     run_cli("verify", "--preset", "table3", "--cone-lambda", "0.333333")
     run_cli("oracle", *FILM)
     run_cli("oracle", "--problem", "thomas-fermi")
