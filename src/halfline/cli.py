@@ -514,12 +514,12 @@ def _cmd_verify(cfg, stdout):
 
 def _cmd_oracle(cfg, stdout):
     slope, (xs, states) = shoot(_equation(cfg))
-    stdout.write("oracle slope: %s\n" % fmt9(slope))
+    text = "oracle slope: %s\n" % fmt9(slope)
     if cfg.out:
-        rows = [(xs[i], states[i, 0], states[i, 1], 0.0)
-                for i in range(0, len(xs), 100)]
+        rows = [(x, y[0], y[1], 0.0) for x, y in zip(xs[::100], states[::100])]
         write_csv(rows, cfg.out)
-        stdout.write("wrote %d trajectory rows to %s\n" % (len(rows), cfg.out))
+        text += "wrote %d trajectory rows to %s\n" % (len(rows), cfg.out)
+    stdout.write(text)
     return 0
 
 

@@ -40,17 +40,17 @@ bracket width w.  A tolerance tau moved the class boundary by at most
 at 1e-9 on screening (Hairer, Norsett & Wanner, sec. II.4, on tolerance
 proportionality), so scale is 0.1 on the film and the cone and 1e-3 on
 screening: only a slope within about 2% of w of the root can take the
-wrong class.  The final midpoint's trajectory walk is its strict walk, so
-its first event gives the midpoint's class, which the end on its side
-shares (the classes change once, at the root); the end across, if a loose
-walk set it, is walked again at step**4.  If its class changes, the
-bisection goes on from the bracket that end's walk split, with the strict
-class.  A wrong class leaves the root outside the bracket on its side, so
-its walk ends as the end across from the final midpoint, where the check
-catches it; and a midpoint depends only on the classes before it, so the
-slope and the trajectory are bit for bit those of a bisection with every
-walk at step**4.  Loose walks that abort are repeated at step**4; if the
-trajectory walk aborts, both ends are checked before the blow-up raises.
+wrong class.  The final midpoint's strict walk stops at its first event,
+like every trial; the end on its side shares its class (the classes change
+once, at the root), and the end across, if a loose walk set it, is walked
+again at step**4.  If its class changes, the bisection goes on from the
+bracket that end's walk split.  A wrong class leaves the root outside the
+bracket on its side, so its walk ends as the end across, where the check
+catches it.  Only once the check holds does the final walk resume to the
+far field for the trajectory; a midpoint depends only on the classes
+before it, so both are bit for bit those of an all-strict bisection.
+Aborted loose walks are repeated at step**4; if the final walk aborts,
+before its class or after, both ends are checked before the blow-up raises.
 """
 
 import math
@@ -129,7 +129,7 @@ def integrate(accel, y0, x0, x1, step):
     state = tuple(_real("y0[%d]" % i, v, -math.inf) for i, v in enumerate(y0))
     tol, grid = _tol_and_grid(x0, _real("x1", x1, x0), step)
     trail = []
-    reached, _, outcome = _dp45(accel, state, x0, grid[-1], tol, step, trail)
+    reached, _, outcome, _ = _dp45(accel, state, x0, grid[-1], tol, step, trail)
     if outcome is None:
         raise BlowUpError("trajectory left the state bound", abscissa=reached)
     return grid, _dense(trail, grid, len(state))
@@ -192,21 +192,23 @@ def _dense(trail, grid, m):
 
 
 def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
-    """Dormand-Prince 5(4) in companion form from x to x1: (x, state, outcome).
+    """Dormand-Prince 5(4) in companion form from x to x1: (x, state, outcome, h).
 
     state is (f, f') or (f, f', f''), and accel gives the top derivative.
     Seven stages, the last one reused as the next step's first (FSAL): six
     accel calls per step.  A step is accepted when the RMS over components
     of err_i / (tol (1 + |y_i|)), y the new state, is <= 1; the next trial
-    step is h clamp(0.9 err^(-1/5), 0.2, 10), and a non-finite error
+    step h is h clamp(0.9 err^(-1/5), 0.2, 10), and a non-finite error
     divides h by 5.  The walk aborts, with outcome None, after the first
     accepted state that leaves +-_BOUND, or when a rejection drives h below
     1e-14 (1 + |x|).  Each accepted step appends (x, h, state, top
     derivative, new state, new top derivative, dense-output weights) to
     trail, if given.  The walk stops at the first state, the starting one
     included, that classify (if given) maps to a nonzero class, which is
-    the outcome; otherwise the outcome is 0.  The body is written once per
-    order because a loop over a state tuple costs several times more per step.
+    the outcome; otherwise the outcome is 0.  A walk stopped at an accepted
+    state and restarted from (x, state, h) goes on bit for bit, for one
+    accel call more: the FSAL derivative.  The body is written once per
+    order, as a loop over a state tuple costs several times more per step.
     """
     (c2, c3, c4, c5, a21, a31, a32, a41, a42, a43, a51, a52, a53, a54,
      a61, a62, a63, a64, a65, b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7,
@@ -215,7 +217,7 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
     # RMS to the power -1/5
     scale = 1.0 / (len(state) * tol * tol)
     if classify is not None and classify(*state):
-        return x, state, classify(*state)
+        return x, state, classify(*state), h
     if len(state) == 2:
         f, p = state
         k = accel(x, f, p)
@@ -246,21 +248,21 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
             err = h * h * (sf * sf + sp * sp) * scale
             if err <= 1.0:
                 if not (abs(fn) <= _BOUND and abs(pn) <= _BOUND):
-                    return xn, (fn, pn), None
+                    return xn, (fn, pn), None, h
                 if trail is not None:
                     trail.append((
                         x, h, f, p, k, fn, pn, kn,
                         d1 * p + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * pn,
                         d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
                 x, f, p, k = xn, fn, pn, kn
-                if classify is not None and classify(f, p):
-                    return x, (f, p), classify(f, p)
                 h *= 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.1)
+                if classify is not None and classify(f, p):
+                    return x, (f, p), classify(f, p), h
             else:
                 h *= max(0.2, 0.9 * err ** -0.1) if err < math.inf else 0.2
                 if h < 1e-14 * (1.0 + abs(x)):
-                    return x, (f, p), None
-        return x, (f, p), 0
+                    return x, (f, p), None, h
+        return x, (f, p), 0, h
     f, p, q = state
     k = accel(x, f, p, q)
     while x < x1:
@@ -296,7 +298,7 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
         err = h * h * (sf * sf + sp * sp + sq * sq) * scale
         if err <= 1.0:
             if not (abs(fn) <= _BOUND and abs(pn) <= _BOUND and abs(qn) <= _BOUND):
-                return xn, (fn, pn, qn), None
+                return xn, (fn, pn, qn), None, h
             if trail is not None:
                 trail.append((
                     x, h, f, p, q, k, fn, pn, qn, kn,
@@ -304,14 +306,14 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
                     d1 * q + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * qn,
                     d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
             x, f, p, q, k = xn, fn, pn, qn, kn
-            if classify is not None and classify(f, p, q):
-                return x, (f, p, q), classify(f, p, q)
             h *= 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.1)
+            if classify is not None and classify(f, p, q):
+                return x, (f, p, q), classify(f, p, q), h
         else:
             h *= max(0.2, 0.9 * err ** -0.1) if err < math.inf else 0.2
             if h < 1e-14 * (1.0 + abs(x)):
-                return x, (f, p, q), None
-    return x, (f, p, q), 0
+                return x, (f, p, q), None, h
+    return x, (f, p, q), 0, h
 
 
 # the class of a state: -1 for a slope too low, +1 too high, 0 undecided
@@ -368,8 +370,7 @@ def shoot(problem, cfg=None):
     def side(s, walk_tol=tol):
         if s in known:
             return known[s]
-        reached, y, outcome = _dp45(accel, start(s), x0, x1, walk_tol, h0,
-                                    classify=classify)
+        reached, y, outcome, _ = _dp45(accel, start(s), x0, x1, walk_tol, h0, None, classify)
         if outcome is None:
             if walk_tol > tol:
                 return side(s)
@@ -397,21 +398,20 @@ def shoot(problem, cfg=None):
             walk_tol = max(tol, min(_LOOSE_CAP, scale * (b - a)))
             path.append((mid, b) if side(mid, walk_tol) < 0 else (a, mid))
             continue
-        # the trajectory walk is mid's strict walk, so its trail gives mid's
-        # class and the end on mid's side shares it; the end across is checked
+        # mid's strict walk stops at its first event, like every trial; once
+        # the end across agrees, it resumes to x1 for the reported trajectory
         trail = []
-        reached, y, outcome = _dp45(accel, start(mid), x0, x1, tol, h0, trail)
+        reached, y, outcome, h = _dp45(accel, start(mid), x0, x1, tol, h0, trail, classify)
+        if outcome is not None:
+            cls = outcome or math.copysign(1.0, y[far])
+            wrong = b if cls < 0 else a
+            if side(wrong) == -cls:
+                reached, y, outcome, _ = _dp45(accel, y, reached, x1, tol, h, trail)
+                if outcome is not None:
+                    return mid, (grid, _dense(trail, grid, len(y)))
         if outcome is None:
             wrong = next((end for end, cls in ((a, -1), (b, 1)) if side(end) != cls), None)
             if wrong is None:
                 raise BlowUpError("trajectory left the state bound", abscissa=reached)
-        else:
-            m = len(y)
-            events = (classify(*row[3 + m:3 + 2 * m]) for row in trail)
-            cls = (classify(*start(mid)) or next(filter(None, events), 0)
-                   or math.copysign(1.0, y[far]))
-            wrong = b if cls < 0 else a
-            if side(wrong) == -cls:
-                return mid, (grid, _dense(trail, grid, m))
         while 0.5 * (path[-1][0] + path[-1][1]) != wrong:
             path.pop()

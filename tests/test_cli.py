@@ -2,6 +2,8 @@
 verification flow, and exit codes."""
 
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -317,9 +319,10 @@ def test_bad_inputs_raised_in_the_library_exit_2(argv, message, tmp_path):
     ("oracle", "--problem", "thomas-fermi"),
 ], ids=("solve", "verify", "oracle"))
 def test_unwritable_out_path_exits_2(tmp_path, argv):
+    # each command writes its CSV before it prints anything
     target = tmp_path / "absent" / "x.csv"
     code, out, err = run_main(*argv, "--out", str(target))
-    assert code == 2 and not target.exists()
+    assert code == 2 and out == "" and not target.exists()
     assert err.startswith("error: cannot write %r: " % str(target))
     assert err.count("\n") == 1
 
@@ -570,3 +573,18 @@ def test_every_preset_case_verifies(case):
     counts = [int(l.split(" over ")[1].split()[0]) for l in lines
               if l.startswith("column ")]
     assert counts == ([] if rows is None else [rows])
+
+
+@pytest.mark.parametrize("case", PRESET_CASES, ids=preset_id)
+def test_verify_fails_from_its_largest_printed_error_down(case):
+    # m, the largest abs error the default verify prints: a tol 1% below m
+    # fails and 1% above it passes.  The Hermite cone rows without a printed
+    # profile print m = 0 (their slope is the seed-forced beta/2), so only
+    # the smallest positive tol is tried there
+    argv = ["verify"] + [t for key, value in preset_flags(*case).items()
+                         for t in ("--" + key, value)]
+    out = run_main(*argv)[1]
+    m = max(float(v) for v in re.findall(r"abs error (\S+)", out))
+    if m > 0:
+        assert run_main(*argv, "--tol", repr(0.99 * m))[0] == 1
+    assert run_main(*argv, "--tol", repr(max(1.01 * m, math.ulp(0.0))))[0] == 0

@@ -153,6 +153,18 @@ def test_exact_jacobian_costs_one_residual_call_per_trial():
     assert len(calls) == report.iterations + 1
 
 
+def test_a_rejected_full_step_is_halved():
+    # arctan from 1.5: the full Newton step overshoots to -1.69, where
+    # |F| = 1.04 exceeds 0.98 at the start; the half step is accepted (a
+    # quartered one would leave |F| = 0.612 instead)
+    report = newton_solve(lambda v: np.arctan(v),
+                          lambda v: np.array([[1.0 / (1.0 + v[0] ** 2)]]),
+                          np.array([1.5]))
+    assert report.converged
+    assert report.history[1] == abs(math.atan(1.5 - 0.5 * math.atan(1.5) * 3.25))
+    assert report.history[1] == 0.09673691081185895
+
+
 # ---------------------------------------------------------------------------
 # determinism and equivariance
 

@@ -283,23 +283,23 @@ def test_loose_walks_leave_every_bit_of_the_oracle(oracle, monkeypatch, step):
 def _walks(monkeypatch, prob, force=None, abort=False):
     """(slope, classification walks as (trial slope, tol, flipped)) of
     shoot(prob); the first loose walk from trial slope force reports the
-    wrong class, and with abort the first trajectory walk aborts at once."""
+    wrong class, and with abort the first final-midpoint walk aborts at once."""
     walk, walks, trajectories = shooting._dp45, [], []
 
     def recorded(accel, state, x, x1, tol, h, trail=None, classify=None):
-        if classify is None:  # the reported trajectory
+        if trail is not None:  # the reported trajectory
             trajectories.append(state)
             if abort and len(trajectories) == 1:
-                return x, state, None
+                return x, state, None, h
             return walk(accel, state, x, x1, tol, h, trail, classify)
-        reached, y, outcome = walk(accel, state, x, x1, tol, h, trail, classify)
+        reached, y, outcome, h = walk(accel, state, x, x1, tol, h, trail, classify)
         wrong = (tol > STRICT_TOL and state[1] == force
                  and not any(flipped for *_, flipped in walks))
         walks.append((state[1], tol, wrong))
         if wrong:
             far = y[len(state) - 2]  # f (film) or f' (cone)
-            return reached, y, -(outcome or math.copysign(1.0, far))
-        return reached, y, outcome
+            return reached, y, -(outcome or math.copysign(1.0, far)), h
+        return reached, y, outcome, h
     with monkeypatch.context() as patch:
         patch.setattr(shooting, "_dp45", recorded)
         slope, _ = shoot(prob)
@@ -334,9 +334,27 @@ def test_a_wrong_loose_class_reruns_the_bisection_strictly(oracle, monkeypatch):
         assert all(tol == STRICT_TOL for _, tol, _ in after[len(later):])
 
 
+def test_a_wrong_loose_class_walks_no_trajectory_on_the_bracket_it_leaves(
+        oracle, monkeypatch):
+    # the film forced wrong at -0.6875: each final midpoint's walk stops at
+    # its first event, and only the midpoint of the bracket that holds the
+    # root walks on to the far field (14,367 accel calls unforced; 26,290
+    # when every final midpoint walked its whole trajectory first)
+    class CountingFilm(FluidParams):
+        calls = 0
+
+        def top_derivative(self, x, f, fp):
+            CountingFilm.calls += 1
+            return super().top_derivative(x, f, fp)
+    slope, walks = _walks(monkeypatch, CountingFilm(*FLUID_B), -0.6875)
+    assert slope == oracle(FLUID)[0]
+    assert [s for s, *_, flipped in walks if flipped] == [-0.6875]
+    assert CountingFilm.calls <= 20_000
+
+
 def test_the_final_bracket_walks_at_most_one_end_strictly(monkeypatch):
-    # the trajectory walk is the midpoint's strict walk, so it gives the
-    # midpoint's class, and only the end across from it is walked again
+    # the midpoint's strict walk, the head of the reported trajectory, gives
+    # the midpoint's class, and only the end across from it is walked again
     for prob in (FLUID, ConeParams(0.0), ConeParams(0.5), ConeParams(1.0)):
         _, walks = _walks(monkeypatch, prob)
         last = max(i for i, (_, tol, _) in enumerate(walks) if tol > STRICT_TOL)
@@ -385,7 +403,7 @@ def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
     def loose_aborts(accel, state, x, x1, tol, h, trail=None, classify=None):
         calls.append((tol, state))
         if tol > STRICT_TOL:
-            return x, state, None
+            return x, state, None, h
         return walk(accel, state, x, x1, tol, h, trail, classify)
     monkeypatch.setattr(shooting, "_dp45", loose_aborts)
     slope, (_, retried) = shoot(FLUID)
