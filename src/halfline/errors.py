@@ -2,7 +2,7 @@
 
 Every error raised deliberately by this package derives from HalflineError,
 so callers can catch one base class.  Several types double as the matching
-builtin (ValueError, OverflowError) so generic numeric code keeps working.
+builtin (ValueError, OverflowError, KeyError) so generic code keeps working.
 A bad argument, an impossible pairing and a parameter value that has no
 formula (Laguerre quadrature at alpha != 1) are all ConfigurationError, as
 are the bad inputs DomainError, UnsupportedOrderError and RangeOverflowError.
@@ -24,6 +24,10 @@ class UsageError(HalflineError):
 
 class DomainError(ConfigurationError, ValueError):
     """Evaluation point outside the function's domain (negative, zero, or non-finite x)."""
+
+
+class ReferenceLookupError(ConfigurationError, KeyError):
+    """No row at that abscissa, or no column of that name, in a reference table."""
 
 
 class UnsupportedOrderError(ConfigurationError, ValueError):

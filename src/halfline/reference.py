@@ -28,6 +28,8 @@ Known internal inconsistencies kept as printed:
 
 from types import MappingProxyType
 
+from .errors import ConfigurationError, ReferenceLookupError
+
 AHMAD_SLOPE = -0.678301        # fluid film f'(0), shooting, six decimals
 KOBAYASHI_SLOPE = -1.588071    # atomic screening y'(0), classical value
 
@@ -40,7 +42,7 @@ class ReferenceTable:
         self.columns = tuple(columns)
         for row in rows:
             if len(row) != len(self.columns) + 1:
-                raise ValueError("row %r does not match columns %r" % (row, columns))
+                raise ConfigurationError("row %r does not match columns %r" % (row, columns))
         self.rows = tuple((float(r[0]),
                            MappingProxyType(dict(zip(self.columns, map(float, r[1:])))))
                           for r in rows)
@@ -52,14 +54,14 @@ class ReferenceTable:
     def column(self, name):
         """(abscissa, value) pairs down one named column."""
         if name not in self.columns:
-            raise KeyError("no column %r in %s" % (name, self.table_id))
+            raise ReferenceLookupError("no column %r in %s" % (name, self.table_id))
         return tuple((a, vals[name]) for a, vals in self.rows)
 
     def value(self, abscissa, name):
         for a, vals in self.rows:
-            if a == abscissa:
-                return vals[name]
-        raise KeyError("no row at abscissa %r in %s" % (abscissa, self.table_id))
+            if a == abscissa:   # column raises on a name it lacks
+                return vals[name] if name in vals else self.column(name)
+        raise ReferenceLookupError("no row at abscissa %r in %s" % (abscissa, self.table_id))
 
     def __repr__(self):
         return "ReferenceTable(%s, %d rows)" % (self.table_id, len(self.rows))

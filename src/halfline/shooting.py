@@ -51,6 +51,7 @@ far field for the trajectory; a midpoint depends only on the classes
 before it, so both are bit for bit those of an all-strict bisection.
 Aborted loose walks are repeated at step**4; if the final walk aborts,
 before its class or after, both ends are checked before the blow-up raises.
+The trajectory's states are formed from its trail on their first read.
 """
 
 import math
@@ -189,6 +190,17 @@ def _dense(trail, grid, m):
         y *= factor
         y += term
     return y.T.copy()
+
+
+# the (abscissas, states) of a shoot, its states formed on their first read
+class _Trajectory:
+    def __init__(self, grid, trail, m):
+        self._grid, self._trail, self._m, self._states = grid, trail, m, None
+
+    def __getitem__(self, i):
+        if self._trail is not None and i not in (0, -2):
+            self._states, self._trail = _dense(self._trail, self._grid, self._m), None
+        return (self._grid, self._states)[i]
 
 
 def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
@@ -345,7 +357,9 @@ def shoot(problem, cfg=None):
     cone (its root for every lam in [0, 2]), and moves to (lo - 2 (hi - lo),
     lo) while lo walks too high; bisection returns its midpoint at a width
     of 1e-10 (1 + |midpoint|).  A top end not too high, a bracket past 1e3
-    wide or a walk that aborts unclassified raises OracleError.
+    wide or a walk that aborts unclassified raises OracleError.  The states
+    are formed on their first read, so a caller that reads only the slope
+    never pays for them; every error is raised by shoot, none by that read.
     """
     cfg = ShootConfig() if cfg is None else cfg
     if not isinstance(cfg, ShootConfig):
@@ -408,7 +422,7 @@ def shoot(problem, cfg=None):
             if side(wrong) == -cls:
                 reached, y, outcome, _ = _dp45(accel, y, reached, x1, tol, h, trail)
                 if outcome is not None:
-                    return mid, (grid, _dense(trail, grid, len(y)))
+                    return mid, _Trajectory(grid, trail, len(y))
         if outcome is None:
             wrong = next((end for end, cls in ((a, -1), (b, 1)) if side(end) != cls), None)
             if wrong is None:

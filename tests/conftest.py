@@ -43,6 +43,15 @@ def preset_flags(name, lam=None):
     return {"preset": name} if lam is None else {"preset": name, "cone-lambda": repr(lam)}
 
 
+def case_key(case):
+    """The solve_case key of a preset case (name, lam)."""
+    name, lam = case
+    if lam is None:
+        table, method = name.split("-")
+        return ("fluid" if table == "table1" else "tf", method)
+    return ("cone", next(m for m, preset in _CONE_PRESETS.items() if preset == name), lam)
+
+
 def _case_spec(key):
     """The ProblemSpec of ("fluid" | "tf", method) or ("cone", method, lam),
     as the matching preset configures it."""

@@ -22,8 +22,8 @@ from halfline.cli import (
     verify_case,
     write_csv,
 )
-from halfline.errors import ConfigurationError, SolverError, UsageError
-from halfline.reference import TABLE3
+from halfline.errors import ConfigurationError, ReferenceLookupError, SolverError, UsageError
+from halfline.reference import TABLE1, TABLE3, ReferenceTable
 
 from conftest import PRESET_CASES, preset_flags, preset_id
 
@@ -104,6 +104,22 @@ def test_cone_lambda_override_uses_tolerant_row_match():
 def test_cone_lambda_off_table_is_a_usage_error():
     with pytest.raises(UsageError, match="tabulated"):
         parse_config(flags={"preset": "table3", "cone-lambda": "0.4"})
+
+
+@pytest.mark.parametrize("lookup, message", [
+    (lambda: TABLE1.value(99.0, "ahmad"), "no row at abscissa 99.0 in T1"),
+    (lambda: TABLE1.value(0.0, "nope"), "no column 'nope' in T1"),
+    (lambda: TABLE1.column("nope"), "no column 'nope' in T1")])
+def test_a_reference_lookup_miss_is_typed_and_a_key_error(lookup, message):
+    with pytest.raises(KeyError, match=re.escape(message)) as info:
+        lookup()
+    assert isinstance(info.value, ReferenceLookupError)
+    assert isinstance(info.value, ConfigurationError)
+
+
+def test_a_malformed_reference_row_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match=r"row \(1\.0,\) does not match"):
+        ReferenceTable("X", ("a",), [(1.0,)])
 
 
 def test_unknown_preset_is_a_usage_error():

@@ -38,7 +38,8 @@ from halfline.newton import fd_jacobian, newton_solve
 from halfline.reference import TABLE3
 from halfline.sinc import SincBasis, SincMap
 
-from conftest import CONE_LAMBDAS, FLUID_B, PRESET_CASES, T3_SLOPE, _case_spec, preset_id
+from conftest import (CONE_LAMBDAS, FLUID_B, PRESET_CASES, T3_SLOPE, _case_spec, case_key,
+                      preset_id)
 from properties import difference_error
 from scalar_reference import concatenated_residual, seed_eval, summed_jacobian
 
@@ -509,6 +510,17 @@ def test_converged_with_small_nodal_residual(key, solve_case):
         nodes = sys.collocation_nodes
     worst = max(abs(pointwise_residual(spec, e, x)) for x in nodes)
     assert worst <= 1e-8
+
+
+# Newton's iteration count on each preset case in PRESET_CASES order, as
+# tools/snapshot.py prints it: film and screening, then the cone rows of
+# table3, table4 and table5
+PRESET_ITERATIONS = [4, 4, 5, 4, 4, 4] + [5] + [6] * 5 + [2] * 6 + [3] * 6
+
+
+def test_every_preset_case_takes_its_pinned_newton_iterations(solve_case):
+    counts = [solve_case(*case_key(case))[2].iterations for case in PRESET_CASES]
+    assert counts == PRESET_ITERATIONS
 
 
 @pytest.mark.parametrize("key", BASE_KEYS, ids=lambda k: "-".join(map(str, k)))

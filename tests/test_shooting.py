@@ -274,10 +274,34 @@ def test_loose_walks_leave_every_bit_of_the_oracle(oracle, monkeypatch, step):
     loose = [oracle(prob) if step == 1e-3 else shoot(prob, cfg) for prob in problems]
     monkeypatch.setattr(shooting, "_LOOSE_CAP", 0.0)
     for prob, (slope, (xs, states)) in zip(problems, loose):
-        strict, (strict_xs, strict_states) = shoot(prob, cfg)
-        assert slope == strict
-        assert np.array_equal(xs, strict_xs)
-        assert np.array_equal(states, strict_states)
+        assert_all_strict_bits(prob, cfg, slope, xs, states)
+
+
+def assert_all_strict_bits(prob, cfg, slope, xs, states):
+    """shoot(prob, cfg), its walks at step**4 under _LOOSE_CAP = 0, returns
+    these very bits."""
+    strict, (strict_xs, strict_states) = shoot(prob, cfg)
+    assert slope == strict
+    assert np.array_equal(xs, strict_xs)
+    assert np.array_equal(states, strict_states)
+
+
+def test_the_states_are_formed_once_and_only_when_read(monkeypatch):
+    dense, calls = shooting._dense, []
+
+    def counted(*args):
+        calls.append(args)
+        return dense(*args)
+    monkeypatch.setattr(shooting, "_dense", counted)
+    slope, _ = shoot(FLUID)
+    assert calls == []
+    slope, trajectory = shoot(FLUID)
+    xs = trajectory[0]
+    assert calls == []
+    _, states = trajectory
+    assert trajectory[1] is states and len(calls) == 1
+    monkeypatch.setattr(shooting, "_LOOSE_CAP", 0.0)
+    assert_all_strict_bits(FLUID, ShootConfig(), slope, xs, states)
 
 
 def _walks(monkeypatch, prob, force=None, abort=False):
