@@ -24,15 +24,16 @@ fills in.  ShootConfig also holds z_max; the bisection tolerance 1e-10
 and the screening launch point 1e-6 are constants.
 
 A trial slope takes the class of the first event on its walk, at the
-launch state or an accepted one: too low once f < 0 and too high once
-f' > 0 (film, screening), too low once f' < 0 and too high once f'' > 0
-(cone: above its root f' levels off positive and b f'^2 drives f'' up).
-So no walk runs into a blow-up or a stiff stretch.  A walk with no event
-by the far field takes the sign of f(z_max) (film), f'(z_max) (cone) or
-y(30) (screening), which keeps each root where its far-field condition
-puts it: near the root, screening's events lie near x = 195, and above
-the cone root f'' can stay at the error floor, about -1e-12.  A walk
-that aborts before it has a class raises OracleError.
+launch state or an accepted one.  With (u, v) the state's last two
+components, (f, f') on the film and screening and (f', f'') on the cone,
+it is too low once u < 0 and too high once v > 0 (on the cone, above its
+root f' levels off positive and b f'^2 drives f'' up).  So no walk runs
+into a blow-up or a stiff stretch.  A walk with no event by the far field
+takes the sign of u there, f(z_max) (film), f'(z_max) (cone) or y(30)
+(screening), which keeps each root where its far-field condition puts it:
+near the root, screening's events lie near x = 195, and above the cone
+root f'' can stay at the error floor, about -1e-12.  A walk that aborts
+before it has a class raises OracleError.
 
 The bisection walks run looser, at max(step**4, min(1e-6, scale w)) at
 bracket width w.  A tolerance tau moved the class boundary by at most
@@ -203,7 +204,7 @@ class _Trajectory:
         return (self._grid, self._states)[i]
 
 
-def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
+def _dp45(accel, state, x, x1, tol, h, trail=None, events=False):
     """Dormand-Prince 5(4) in companion form from x to x1: (x, state, outcome, h).
 
     state is (f, f') or (f, f', f''), and accel gives the top derivative.
@@ -215,12 +216,13 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
     accepted state that leaves +-_BOUND, or when a rejection drives h below
     1e-14 (1 + |x|).  Each accepted step appends (x, h, state, top
     derivative, new state, new top derivative, dense-output weights) to
-    trail, if given.  The walk stops at the first state, the starting one
-    included, that classify (if given) maps to a nonzero class, which is
-    the outcome; otherwise the outcome is 0.  A walk stopped at an accepted
-    state and restarted from (x, state, h) goes on bit for bit, for one
-    accel call more: the FSAL derivative.  The body is written once per
-    order, as a loop over a state tuple costs several times more per step.
+    trail, if given.  With events, the walk stops at its first state, the
+    starting one included, whose last two components (u, v) have u < 0
+    (outcome -1) or v > 0 (outcome +1); else the outcome is 0.  A walk
+    stopped at an accepted state and restarted from (x, state, h) goes on
+    bit for bit, for one accel call more: the FSAL derivative.  The body is
+    written once per order: a loop over a state tuple costs several times
+    more per step.
     """
     (c2, c3, c4, c5, a21, a31, a32, a41, a42, a43, a51, a52, a53, a54,
      a61, a62, a63, a64, a65, b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7,
@@ -228,8 +230,8 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
     # err is the mean square of the scaled errors, so err ** -0.1 is the
     # RMS to the power -1/5
     scale = 1.0 / (len(state) * tol * tol)
-    if classify is not None and classify(*state):
-        return x, state, classify(*state), h
+    if events and (state[-2] < 0 or state[-1] > 0):
+        return x, state, -1 if state[-2] < 0 else 1, h
     if len(state) == 2:
         f, p = state
         k = accel(x, f, p)
@@ -238,7 +240,8 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
                 h, xn = x1 - x, x1
             else:
                 xn = x + h
-            f2, p2 = f + h * a21 * p, p + h * a21 * k
+            ha = h * a21
+            f2, p2 = f + ha * p, p + ha * k
             k2 = accel(x + c2 * h, f2, p2)
             f3 = f + h * (a31 * p + a32 * p2)
             p3 = p + h * (a31 * k + a32 * k2)
@@ -255,11 +258,12 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
             fn = f + h * (b1 * p + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
             pn = p + h * (b1 * k + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
             kn = accel(xn, fn, pn)
-            sf = (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * pn) / (1.0 + abs(fn))
-            sp = (e1 * k + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * kn) / (1.0 + abs(pn))
+            af, ap = abs(fn), abs(pn)
+            sf = (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * pn) / (1.0 + af)
+            sp = (e1 * k + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * kn) / (1.0 + ap)
             err = h * h * (sf * sf + sp * sp) * scale
             if err <= 1.0:
-                if not (abs(fn) <= _BOUND and abs(pn) <= _BOUND):
+                if not (af <= _BOUND and ap <= _BOUND):
                     return xn, (fn, pn), None, h
                 if trail is not None:
                     trail.append((
@@ -267,11 +271,11 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
                         d1 * p + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * pn,
                         d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
                 x, f, p, k = xn, fn, pn, kn
-                h *= 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.1)
-                if classify is not None and classify(f, p):
-                    return x, (f, p), classify(f, p), h
+                h *= 10.0 if err == 0.0 or (g := 0.9 * err ** -0.1) >= 10.0 else g
+                if events and (f < 0 or p > 0):
+                    return x, (f, p), -1 if f < 0 else 1, h
             else:
-                h *= max(0.2, 0.9 * err ** -0.1) if err < math.inf else 0.2
+                h *= g if err < math.inf and (g := 0.9 * err ** -0.1) > 0.2 else 0.2
                 if h < 1e-14 * (1.0 + abs(x)):
                     return x, (f, p), None, h
         return x, (f, p), 0, h
@@ -282,7 +286,8 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
             h, xn = x1 - x, x1
         else:
             xn = x + h
-        f2, p2, q2 = f + h * a21 * p, p + h * a21 * q, q + h * a21 * k
+        ha = h * a21
+        f2, p2, q2 = f + ha * p, p + ha * q, q + ha * k
         k2 = accel(x + c2 * h, f2, p2, q2)
         f3 = f + h * (a31 * p + a32 * p2)
         p3 = p + h * (a31 * q + a32 * q2)
@@ -304,12 +309,13 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
         pn = p + h * (b1 * q + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
         qn = q + h * (b1 * k + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
         kn = accel(xn, fn, pn, qn)
-        sf = (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * pn) / (1.0 + abs(fn))
-        sp = (e1 * q + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * qn) / (1.0 + abs(pn))
-        sq = (e1 * k + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * kn) / (1.0 + abs(qn))
+        af, ap, aq = abs(fn), abs(pn), abs(qn)
+        sf = (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * pn) / (1.0 + af)
+        sp = (e1 * q + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * qn) / (1.0 + ap)
+        sq = (e1 * k + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * kn) / (1.0 + aq)
         err = h * h * (sf * sf + sp * sp + sq * sq) * scale
         if err <= 1.0:
-            if not (abs(fn) <= _BOUND and abs(pn) <= _BOUND and abs(qn) <= _BOUND):
+            if not (af <= _BOUND and ap <= _BOUND and aq <= _BOUND):
                 return xn, (fn, pn, qn), None, h
             if trail is not None:
                 trail.append((
@@ -318,23 +324,14 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, classify=None):
                     d1 * q + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * qn,
                     d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
             x, f, p, q, k = xn, fn, pn, qn, kn
-            h *= 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.1)
-            if classify is not None and classify(f, p, q):
-                return x, (f, p, q), classify(f, p, q), h
+            h *= 10.0 if err == 0.0 or (g := 0.9 * err ** -0.1) >= 10.0 else g
+            if events and (p < 0 or q > 0):
+                return x, (f, p, q), -1 if p < 0 else 1, h
         else:
-            h *= max(0.2, 0.9 * err ** -0.1) if err < math.inf else 0.2
+            h *= g if err < math.inf and (g := 0.9 * err ** -0.1) > 0.2 else 0.2
             if h < 1e-14 * (1.0 + abs(x)):
                 return x, (f, p, q), None, h
     return x, (f, p, q), 0, h
-
-
-# the class of a state: -1 for a slope too low, +1 too high, 0 undecided
-def _film_class(f, p):  # film and screening
-    return -1 if f < 0 else 1 if p > 0 else 0
-
-
-def _cone_class(f, p, q):
-    return -1 if p < 0 else 1 if q > 0 else 0
 
 
 def _tf_launch(s, x0):
@@ -356,21 +353,22 @@ def shoot(problem, cfg=None):
     cfg.z_max.  The bracket (lo, hi) starts at (-2, 0), or (0, 2) for the
     cone (its root for every lam in [0, 2]), and moves to (lo - 2 (hi - lo),
     lo) while lo walks too high; bisection returns its midpoint at a width
-    of 1e-10 (1 + |midpoint|).  A top end not too high, a bracket past 1e3
-    wide or a walk that aborts unclassified raises OracleError.  The states
-    are formed on their first read, so a caller that reads only the slope
-    never pays for them; every error is raised by shoot, none by that read.
+    of 1e-10 (1 + |midpoint|).  With (u, v) a state's last two components,
+    a trial slope is too low at its walk's first state with u < 0, too high
+    at its first with v > 0, and else takes the sign of u at the far field.  A
+    top end not too high, a bracket past 1e3 wide or a walk that aborts
+    unclassified raises OracleError.  The states are formed on their first
+    read, so a caller that reads only the slope never pays for them; every
+    error is raised by shoot, none by that read.
     """
     cfg = ShootConfig() if cfg is None else cfg
     if not isinstance(cfg, ShootConfig):
         raise ConfigurationError("cfg must be a ShootConfig or None, got %r" % (cfg,))
-    x0 = grid0 = 0.0
-    x1, far, h0, classify = cfg.z_max, 0, cfg.step, _film_class
+    x0, grid0, x1, h0 = 0.0, 0.0, cfg.z_max, cfg.step
     if isinstance(problem, FluidParams):
         start, lo, hi, scale = (lambda s: (1.0, s)), -2.0, 0.0, 0.1
     elif isinstance(problem, ConeParams):
-        start, lo, hi, far, scale = (lambda s: (0.0, s, -1.0)), 0.0, 2.0, 1, 0.1
-        classify = _cone_class
+        start, lo, hi, scale = (lambda s: (0.0, s, -1.0)), 0.0, 2.0, 0.1
     elif isinstance(problem, ThomasFermiProblem):
         x0 = h0 = _TF_LAUNCH
         start, lo, hi, scale = (lambda s: _tf_launch(s, x0)), -2.0, 0.0, 1e-3
@@ -384,13 +382,13 @@ def shoot(problem, cfg=None):
     def side(s, walk_tol=tol):
         if s in known:
             return known[s]
-        reached, y, outcome, _ = _dp45(accel, start(s), x0, x1, walk_tol, h0, None, classify)
+        reached, y, outcome, _ = _dp45(accel, start(s), x0, x1, walk_tol, h0, None, True)
         if outcome is None:
             if walk_tol > tol:
                 return side(s)
             raise OracleError("the walk from trial slope %.17g aborted at x = %g "
                               "before it had a class" % (s, reached))
-        cls = outcome or math.copysign(1.0, y[far])
+        cls = outcome or math.copysign(1.0, y[-2])
         if walk_tol == tol:
             known[s] = cls
         return cls
@@ -415,9 +413,9 @@ def shoot(problem, cfg=None):
         # mid's strict walk stops at its first event, like every trial; once
         # the end across agrees, it resumes to x1 for the reported trajectory
         trail = []
-        reached, y, outcome, h = _dp45(accel, start(mid), x0, x1, tol, h0, trail, classify)
+        reached, y, outcome, h = _dp45(accel, start(mid), x0, x1, tol, h0, trail, True)
         if outcome is not None:
-            cls = outcome or math.copysign(1.0, y[far])
+            cls = outcome or math.copysign(1.0, y[-2])
             wrong = b if cls < 0 else a
             if side(wrong) == -cls:
                 reached, y, outcome, _ = _dp45(accel, y, reached, x1, tol, h, trail)

@@ -21,14 +21,14 @@ FLUID = FluidParams(*FLUID_B)
 # Dormand-Prince 5(4) integrator: integrate(accel, (f, f'[, f'']), x0, x1, step)
 
 
-def test_rk4_exponential():
+def test_integrate_exponential():
     xs, states = integrate(lambda x, f, fp: f, (1.0, 1.0), 0.0, 1.0, 1e-3)
     assert abs(states[-1, 0] - math.e) <= 1e-10
     assert abs(states[-1, 1] - math.e) <= 1e-10
     assert xs[0] == 0.0 and xs[-1] == 1.0
 
 
-def test_rk4_constant_is_exact():
+def test_integrate_constant_is_exact():
     xs, states = integrate(lambda x, f, fp: 0.0, (0.7, 0.0), 0.0, 5.0, 0.1)
     assert np.all(states[:, 0] == 0.7)
     xs, states = integrate(lambda x, f, fp, fpp: 0.0, (0.7, 0.0, 0.0),
@@ -36,7 +36,7 @@ def test_rk4_constant_is_exact():
     assert np.all(states[:, 0] == 0.7)
 
 
-def test_rk4_exact_on_low_degree_polynomials():
+def test_integrate_exact_on_low_degree_polynomials():
     # f = x^3 through f'' = 6x, and f = x^3 + x^2 through f''' = 6
     xs, states = integrate(lambda x, f, fp: 6.0 * x, (0.0, 0.0),
                            0.0, 2.0, 1e-2)
@@ -49,7 +49,7 @@ def test_rk4_exact_on_low_degree_polynomials():
     assert abs(states[-1, 2] - 14.0) <= 1e-12
 
 
-def test_rk4_final_step_lands_exactly():
+def test_integrate_final_step_lands_exactly():
     xs, states = integrate(lambda x, f, fp: 0.0, (0.0, 1.0),
                            0.0, 0.0015, 1e-3)
     assert xs[-1] == 0.0015
@@ -57,7 +57,7 @@ def test_rk4_final_step_lands_exactly():
     assert abs(states[-1, 0] - 0.0015) <= 1e-15
 
 
-def test_rk4_trajectory_shape():
+def test_integrate_trajectory_shape():
     xs, states = integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 1.0, 0.1)
     assert xs.shape == (11,)
     assert states.shape == (11, 2) and states.flags.c_contiguous
@@ -70,7 +70,7 @@ def test_rk4_trajectory_shape():
     assert np.array_equal(again[0], xs) and np.array_equal(again[1], states)
 
 
-def test_rk4_blow_up_reports_abscissa():
+def test_integrate_blow_up_reports_abscissa():
     # f'' = 6 f^2 from f = 1, f' = 2 is f = (1 - x)^-2, with a pole at x = 1
     with pytest.raises(BlowUpError) as info:
         integrate(lambda x, f, fp: 6.0 * f * f, (1.0, 2.0), 0.0, 2.0, 1e-3)
@@ -114,7 +114,7 @@ def test_integrate_stays_stable_on_stiff_decay():
     assert abs(states[-1, 0] + states[-1, 1] / 1e3 - 1e-3) <= 1e-15
 
 
-def test_rk4_step_validation():
+def test_integrate_step_validation():
     for step in (0.0, -1e-3, math.inf, math.nan, True, None):
         with pytest.raises(ConfigurationError):
             integrate(lambda x, f, fp: 0.0, (1.0, 0.0), 0.0, 1.0, step)
@@ -140,7 +140,7 @@ def test_rk4_step_validation():
     assert calls == []
 
 
-def test_rk4_state_must_hold_two_or_three_derivatives():
+def test_integrate_state_must_hold_two_or_three_derivatives():
     # and each of them a finite real: no scalar, string, None or nan
     for y0 in ((1.0,), (1.0, 0.0, 0.0, 0.0), 5, (1.0, "a"), (1.0, None),
                (math.nan, 0.0)):
@@ -310,13 +310,13 @@ def _walks(monkeypatch, prob, force=None, abort=False):
     wrong class, and with abort the first final-midpoint walk aborts at once."""
     walk, walks, trajectories = shooting._dp45, [], []
 
-    def recorded(accel, state, x, x1, tol, h, trail=None, classify=None):
+    def recorded(accel, state, x, x1, tol, h, trail=None, events=False):
         if trail is not None:  # the reported trajectory
             trajectories.append(state)
             if abort and len(trajectories) == 1:
                 return x, state, None, h
-            return walk(accel, state, x, x1, tol, h, trail, classify)
-        reached, y, outcome, h = walk(accel, state, x, x1, tol, h, trail, classify)
+            return walk(accel, state, x, x1, tol, h, trail, events)
+        reached, y, outcome, h = walk(accel, state, x, x1, tol, h, trail, events)
         wrong = (tol > STRICT_TOL and state[1] == force
                  and not any(flipped for *_, flipped in walks))
         walks.append((state[1], tol, wrong))
@@ -424,17 +424,42 @@ def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
     base, (xs, states) = oracle(FLUID)
     walk, calls = shooting._dp45, []
 
-    def loose_aborts(accel, state, x, x1, tol, h, trail=None, classify=None):
+    def loose_aborts(accel, state, x, x1, tol, h, trail=None, events=False):
         calls.append((tol, state))
         if tol > STRICT_TOL:
             return x, state, None, h
-        return walk(accel, state, x, x1, tol, h, trail, classify)
+        return walk(accel, state, x, x1, tol, h, trail, events)
     monkeypatch.setattr(shooting, "_dp45", loose_aborts)
     slope, (_, retried) = shoot(FLUID)
     assert slope == base and np.array_equal(retried, states)
     loose = [i for i, (tol, _) in enumerate(calls) if tol > STRICT_TOL]
     assert len(loose) > 20
     assert all(calls[i + 1] == (STRICT_TOL, calls[i][1]) for i in loose)
+
+
+def test_the_default_shoots_keep_their_cost(monkeypatch):
+    # accel calls and _dp45 walks of the oracle benchmark's five shoots.
+    # Every loose class is checked strictly, so a loose-walk cap of 1e-3 in
+    # place of _LOOSE_CAP = 1e-6 keeps every bit of every shoot; only these
+    # counts see that mutant.
+    walk, walks = shooting._dp45, []
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+    monkeypatch.setattr(shooting, "_dp45", counted)
+    for prob, calls, n in ((FLUID, 14_367, 39), (ThomasFermiProblem(), 34_710, 37),
+                           (ConeParams(0.0), 15_213, 39), (ConeParams(0.5), 14_643, 39),
+                           (ConeParams(1.0), 14_703, 39)):
+        accel, made = prob.top_derivative, []
+
+        def counting(*args):
+            made.append(args)
+            return accel(*args)
+        monkeypatch.setattr(prob, "top_derivative", counting)
+        walks.clear()
+        shoot(prob)
+        assert (len(made), len(walks)) == (calls, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ matrices, chain-rule evaluation, weights, maps, and validation."""
 
 import enum
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -60,12 +61,38 @@ def test_sinc_point_values():
 
 
 def test_sinc_derivatives_across_the_series_switch():
-    # |y| <= 0.05 takes the tabulated series, the rest the closed forms
-    y = np.array([[-7.3, -0.0501, -0.05, -1e-9], [0.0, 0.02, 0.0500001, 2.5]])
+    # |y| <= 0.4 takes the tabulated series, the rest the closed forms
+    y = np.array([[-7.3, -0.4001, -0.4, -0.0501, -1e-9],
+                  [0.0, 0.02, 0.0500001, 0.4000001, 2.5]])
     vals = sinc_derivatives(y, 3)
     assert all(v.shape == y.shape for v in vals)
     assert np.max(np.abs(vals[0] - np.sinc(y))) <= 1e-15
     assert difference_error(lambda t, m: sinc_derivatives(t, m)[m], y, 1e-5) <= 1e-8
+
+
+def test_sinc_derivatives_keep_every_digit_near_the_switch():
+    # against the Taylor series summed in 50-digit decimals, every order d
+    # on [-1, 1] is within 1e-15 pi^d.  The quotient forms cancel inside
+    # |y| = 0.4 (order 3 is 5.5e-12 off at 0.055), and the series, truncated
+    # after (pi y)^20, loses digits beyond it (order 3 is 1.9e-12 off at 0.6)
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510582")
+    y = np.linspace(-1.0, 1.0, 801)
+    vals = sinc_derivatives(y, 3)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for d in range(4):
+            # sinc^(d)(y) = sum over 2m >= d of c_m y^(2m - d),
+            # c_m = (-1)^m pi^(2m) (2m)! / ((2m - d)! (2m + 1)!)
+            coef = [(-1) ** m * pi ** (2 * m) * math.factorial(2 * m)
+                    / (math.factorial(2 * m - d) * math.factorial(2 * m + 1))
+                    for m in range((d + 1) // 2, 41)]
+            ref = []
+            for t in map(Decimal, y):
+                s = Decimal(0)
+                for c in reversed(coef):
+                    s = s * t * t + c
+                ref.append(float(s * t if d % 2 else s))
+            assert np.max(np.abs(vals[d] - ref)) <= 1e-15 * math.pi ** d
 
 
 # ---------------------------------------------------------------------------
