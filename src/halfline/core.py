@@ -146,6 +146,14 @@ def _check_power(symbol, value, order, bounded=True):
                                  % (symbol, order, symbol, value))
 
 
+def _finite_tables(basis, tables):
+    """tables if every entry is finite; else RangeOverflowError naming the first bad order."""
+    bad = ~np.isfinite(tables).all(axis=(1, 2))
+    if bad.any():
+        raise RangeOverflowError("%r: order %d leaves the double range" % (basis, bad.argmax()))
+    return tables
+
+
 def _real(name, value, low, strict=True):
     """value as a float: a finite real scalar, > low (>= low if not strict)."""
     if (isinstance(value, bool)

@@ -35,9 +35,9 @@ class UnsupportedOrderError(ConfigurationError, ValueError):
 
 
 class RangeOverflowError(ConfigurationError, OverflowError):
-    """Sinc nodes or mesh powers leave double precision (|j*h| > 700, or h**order
-    subnormal or beyond the largest double), or a Laguerre scale L or Hermite map
-    constant k has L**order or k**order below the smallest normal double."""
+    """A value leaves double precision: sinc nodes (|j*h| > 700), a power h**order,
+    L**order or k**order of a sinc mesh, Laguerre scale or Hermite map constant, or
+    an entry of a Laguerre or Hermite table."""
 
 
 class NodeComputationError(HalflineError):
@@ -60,7 +60,8 @@ class SolverError(HalflineError):
 
 
 class SingularJacobianError(SolverError):
-    """Jacobian numerically singular (condition estimate > 1e14); carries the iterate."""
+    """Jacobian singular: equilibrated condition kappa_1 beyond 1e14, or an all-zero
+    row (condition inf); carries the iterate and the condition."""
 
     def __init__(self, message, iterate=None, condition=None):
         super().__init__(message)

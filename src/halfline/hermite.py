@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import (_as_points, _check_index, _check_order, _check_power, _count,
-                   _node_array, _readonly, _real, _tridiagonal_roots)
+                   _finite_tables, _node_array, _readonly, _real, _tridiagonal_roots)
 
 
 def _line_tables(nmax, t, max_order):
@@ -67,13 +67,13 @@ class HermiteBasis:
         """Derivatives 0..max_order of every member: shape (max_order+1, N+1, len(xs)).
 
         One set of line tables at t = ln(x)/k is chained with the map
-        derivatives 1/(k x), -1/(k x^2) and 2/(k x^3).  At x = 0 every order
-        gives the continuous-extension limit 0: the Gaussian factor decays
-        faster than any power of the diverging map derivatives grows.  Where
+        derivatives 1/(k x), -1/(k x^2) and 2/(k x^3), each formed only for an
+        order asked for.  At x = 0 every order is the limit 0: the Gaussian
+        factor decays faster than any power of the map derivatives grows.  Where
         it underflows (|ln x| beyond about 38.6 k) every line table is 0 and the
-        map derivatives, which may overflow there, are formed at x = 1 instead.
-        Only the orders asked for form their map derivative, and one whose k x^2
-        or k x^3 overflows (far out, at large k) is 0.
+        map derivatives are formed at x = 1; far out at large k, where k x^2 or
+        k x^3 overflows, they are 0.  An entry that is not finite (near the axis
+        at large k) raises RangeOverflowError.
         """
         M = _check_order(max_order)
         _check_power("k", self.k, M, bounded=False)
@@ -81,22 +81,22 @@ class HermiteBasis:
         out = np.zeros((M + 1, self.N + 1, xs.size))
         live = xs > 0.0
         x, k = xs[live], self.k
-        D = _line_tables(self.N, np.log(x) / k, M)
-        x = np.where(D[0][0] > 0.0, x, 1.0)
-        p, kx = [], k
-        for c in (1.0, -1.0, 2.0)[:M]:
-            with np.errstate(over="ignore"):    # only far out, where c / kx is then 0
-                kx = kx * x
-            p.append(c / kx)
-        p1, p2, p3 = p + [None] * (3 - M)
-        out[0][:, live] = D[0]
-        if M >= 1:
-            out[1][:, live] = D[1] * p1
-        if M >= 2:
-            out[2][:, live] = D[2] * p1 * p1 + D[1] * p2
-        if M >= 3:
-            out[3][:, live] = D[3] * p1 ** 3 + 3.0 * D[2] * p1 * p2 + D[1] * p3
-        return out
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):    # refused below
+            D = _line_tables(self.N, np.log(x) / k, M)
+            x = np.where(D[0][0] > 0.0, x, 1.0)
+            p, kx = [], k
+            for c in (1.0, -1.0, 2.0)[:M]:
+                kx = kx * x             # inf far out, where c / kx is then 0
+                p.append(c / kx)
+            p1, p2, p3 = p + [None] * (3 - M)
+            out[0][:, live] = D[0]
+            if M >= 1:
+                out[1][:, live] = D[1] * p1
+            if M >= 2:
+                out[2][:, live] = D[2] * p1 * p1 + D[1] * p2
+            if M >= 3:
+                out[3][:, live] = D[3] * p1 ** 3 + 3.0 * D[2] * p1 * p2 + D[1] * p3
+        return _finite_tables(self, out)
 
     # perfbench looks this up; drop it when the harness next changes
     def member(self, i, x, order=0):

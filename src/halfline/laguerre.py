@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import (_as_points, _check_index, _check_order, _check_power, _count,
-                   _node_array, _readonly, _real, _tridiagonal_roots)
+                   _finite_tables, _node_array, _readonly, _real, _tridiagonal_roots)
 from .errors import ConfigurationError, NodeComputationError
 
 
@@ -68,7 +68,8 @@ class LaguerreBasis:
 
         Leibniz over the damping factor and the shifted polynomial part
         d^q/dx^q L_j^1(x/L) = (-1/L)^q L_{j-q}^(1+q)(x/L), from one recurrence
-        table holding every shift q <= max_order.
+        table tables[n, q] = L_n^(1+q)(x/L) for every shift q <= max_order, at
+        the points of positive damping (0 elsewhere); overflow raises RangeOverflowError.
         """
         M = _check_order(max_order)
         _check_power("L", self.L, M, bounded=False)
@@ -76,19 +77,18 @@ class LaguerreBasis:
         with np.errstate(over="ignore"):               # y = inf past the largest double
             y = xs / self.L
         damp = np.exp(-0.5 * y)
-        N = self.N
+        live = damp > 0.0
+        N, y = self.N, y[live]
+        part = np.zeros((M + 1, N, y.size))
+        with np.errstate(over="ignore", invalid="ignore"):     # refused below
+            tables = laguerre_table(N - 1, 1.0 + np.arange(M + 1)[:, np.newaxis], y)
+            for m in range(M + 1):
+                for q in range(min(m, N - 1), -1, -1):
+                    c = math.comb(m, q) * (-0.5 / self.L) ** (m - q) * (-1.0 / self.L) ** q
+                    part[m, q:] += c * tables[:N - q, q]
         out = np.zeros((M + 1, N, xs.size))
-        # tables[n, q] = L_n^(1+q)(y) for the q-fold differentiated polynomial part;
-        # where the damping is 0 the polynomials (about y^(N-1)) may overflow, so
-        # they are formed at y = 0 there, and every entry comes out 0
-        tables = laguerre_table(N - 1, 1.0 + np.arange(M + 1)[:, np.newaxis],
-                                np.where(damp > 0.0, y, 0.0))
-        for m in range(M + 1):
-            for q in range(min(m, N - 1), -1, -1):
-                c = math.comb(m, q) * (-0.5 / self.L) ** (m - q) * (-1.0 / self.L) ** q
-                out[m, q:] += c * tables[:N - q, q]
-        out *= damp
-        return out
+        out[:, :, live] = part * damp[live]
+        return _finite_tables(self, out)
 
     # perfbench looks this up; drop it when the harness next changes
     def member(self, i, x, order=0):

@@ -6,11 +6,12 @@ Jacobians against.  One iteration forms each of its arrays once: the
 Jacobian J, its row maxima s (the equilibration: the collocation systems
 mix rows whose natural scales differ by many orders of magnitude),
 Jeq = J / s and F / s, the inverse of Jeq, which gives both the step and
-the exact condition number kappa_1 = |Jeq|_1 |Jeq^-1|_1 (above 1e14 the
-solve aborts; the largest is 1.4e8 over the 24 presets and 1.2e3 over the
-benchmark sweep), and then one residual F with its max|F| per trial of the
-damping, plain step halving on max|F|.  The accepted trial's F and max|F|
-carry into the next iteration.
+the exact condition number kappa_1 = |Jeq|_1 |Jeq^-1|_1 (the largest is
+1.4e8 over the 24 presets and 1.2e3 over the benchmark sweep), and then one
+residual F with its max|F| per trial of the damping, plain step halving on
+max|F|.  The accepted trial's F and max|F| carry into the next iteration.
+One rule aborts: kappa_1 beyond 1e14, or an all-zero row of J, raises
+SingularJacobianError, whatever the residual.
 
 No caller changes the settings, so they are constants.  The loop stops when
 max|F| <= 1e-10, an accepted step is <= 1e-12, no step halved up to 30 times
@@ -36,15 +37,15 @@ _MAX_HALVINGS = 30
 
 
 class SolveReport:
-    """Outcome of one newton_solve call."""
+    """Outcome of one newton_solve call; the iteration count and max|F| are read off history."""
 
-    def __init__(self, solution, iterations, final_residual_norm, converged, history):
+    def __init__(self, solution, converged, history):
         self.solution = np.asarray(solution, dtype=float).copy()
         self.solution.setflags(write=False)
-        self.iterations = int(iterations)
-        self.final_residual_norm = float(final_residual_norm)
         self.converged = bool(converged)
         self.history = list(history)
+        self.iterations = len(self.history) - 1
+        self.final_residual_norm = self.history[-1]
 
     def __repr__(self):
         tag = "converged" if self.converged else "stopped"
@@ -94,14 +95,13 @@ def newton_solve(F, J, x0):
 
     Accepted steps strictly decrease max|F|.  The report is converged iff
     max|F| <= 1e-10 or the equilibrated residual max_i |F_i| / s_i <= 1e-10,
-    s_i being the largest |entry| of row i of the last Jacobian formed (1 for
-    a patched dead row): a rounding floor in badly scaled rows passes, a stall
-    away from a root fails.  The Newton step solves the row-equilibrated
-    system; an equilibrated kappa_1 beyond 1e14 (inf for an exactly singular
-    matrix) aborts with the current iterate attached.  Jacobian rows that are
-    identically zero while their residual entry is at most 1e-10 become
-    trivial identity equations (they carry no information and would
-    otherwise poison the factorization).
+    s_i being the largest |entry| of row i of the last Jacobian formed: a
+    rounding floor in badly scaled rows passes, a stall away from a root
+    fails.  The Newton step solves the row-equilibrated system.  An
+    equilibrated kappa_1 beyond 1e14, or an all-zero row of J whatever its
+    residual ("Jacobian row i vanishes", the first such i; condition inf, as
+    for any exactly singular matrix), raises SingularJacobianError with the
+    current iterate and the condition attached.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size == 0:
@@ -111,8 +111,8 @@ def newton_solve(F, J, x0):
     f, rnorm = _eval(F, x, "residual at initial guess")
     history = [rnorm]
     if rnorm <= _TOL_RESIDUAL:
-        return SolveReport(x, 0, rnorm, True, history)
-    for it in range(1, _MAX_ITER + 1):
+        return SolveReport(x, True, history)
+    for _ in range(_MAX_ITER):
         jac = np.asarray(J(x), dtype=float)
         if jac.shape != (x.size, x.size):
             raise ConfigurationError(
@@ -123,18 +123,8 @@ def newton_solve(F, J, x0):
             raise NumericEvaluationError("Jacobian produced a non-finite value",
                                          component=int(np.nonzero(~np.isfinite(scale))[0][0]))
         if not np.minimum.reduce(scale):
-            idx = np.nonzero(scale == 0.0)[0]
-            if np.all(np.abs(f[idx]) <= _TOL_RESIDUAL):
-                jac = jac.copy()        # J's array stays as J made it
-                jac[idx, idx] = 1.0
-                f = f.copy()
-                f[idx] = 0.0
-                scale[idx] = 1.0
-            else:
-                comp = int(idx[np.argmax(np.abs(f[idx]))])
-                raise SingularJacobianError(
-                    "Jacobian row %d vanishes while its residual does not" % comp,
-                    iterate=x.copy())
+            raise SingularJacobianError("Jacobian row %d vanishes" % int(np.argmin(scale)),
+                                        iterate=x.copy(), condition=np.inf)
         Jeq = jac / scale[:, np.newaxis]
         feq = f / scale
         try:
@@ -171,4 +161,4 @@ def newton_solve(F, J, x0):
             break
     converged = (rnorm <= _TOL_RESIDUAL
                  or float(np.maximum.reduce(np.abs(f) / scale)) <= _TOL_RESIDUAL)
-    return SolveReport(x, it, rnorm, converged, history)
+    return SolveReport(x, converged, history)

@@ -285,6 +285,18 @@ def test_unconverged_solve_exits_3_without_csv(tmp_path, argv):
     assert code == 3 and not target.exists()
 
 
+def test_a_vanishing_jacobian_row_exits_3_without_csv(tmp_path):
+    # at N = 25 and h = 1 the first LogSinh node, 3.8e-11, lies below the map's
+    # axis cutoff 1e-10, so every table there is 0 and so is Jacobian row 0
+    argv = ("solve", "--preset", "table1-sf", "--n", "25", "--mesh-h", "1")
+    code, out, err = run_main(*argv)
+    assert code == 3 and out == ""
+    assert "solver failure" in err and "Jacobian row 0 vanishes" in err
+    target = tmp_path / "dead.csv"
+    code, out, err = run_main(*argv, "--out", str(target))
+    assert code == 3 and out == "" and not target.exists()
+
+
 def test_out_of_memory_exits_2_without_csv(monkeypatch, tmp_path):
     # the allocation is faked: a real one at n = 1e11 would need 745 GiB
     def no_memory(spec):

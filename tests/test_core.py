@@ -1,6 +1,7 @@
 """Expansion evaluation, node checks, inner-product rules, and projection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from halfline import (
     Expansion,
     HermiteBasis,
     LaguerreBasis,
+    NodeComputationError,
     RangeOverflowError,
     SeedKind,
     SeedProfile,
@@ -21,7 +23,7 @@ from halfline import (
     eval_expansion,
     project,
 )
-from halfline.hermite import mapped_trapezoid_rule
+from halfline.hermite import hermite_line_nodes, mapped_trapezoid_rule
 from properties import difference_error
 
 FAMILIES = [
@@ -91,6 +93,35 @@ def test_large_scales_are_not_refused():
     # the rule is one-sided: 1/L^3 underflows harmlessly
     for basis in (LaguerreBasis(5, 1.0, 1e300), HermiteBasis(5, 1e300)):
         assert np.all(np.isfinite(basis.tables([1.0], 3)))
+
+
+@pytest.mark.parametrize("basis, x, order, bad", [
+    (LaguerreBasis(5, 1.0, 1.5e-154), 1e-152, 2, 2),
+    (HermiteBasis(5, 1.5e-154), 1.0, 2, 2),
+    (HermiteBasis(5, 2.9e-103), 1.0, 3, 3),
+    (HermiteBasis(16, 20.0), 1e-110, 3, 3),
+    (HermiteBasis(16, 20.0), 1e-160, 2, 2),
+    (HermiteBasis(16, 20.0), 1e-300, 3, 2)], ids=repr)
+def test_a_table_entry_that_leaves_the_double_range_is_refused(basis, x, order, bad):
+    # just above the power refusal, 1/L^order or 1/k^order times a line or
+    # polynomial value still overflows, and near the axis at large k the map
+    # derivatives 1/(k x^q) do; the first order holding an inf or a NaN is
+    # named, and under the suite's error::RuntimeWarning filter a leaked
+    # warning would fail this test first
+    message = re.escape(repr(basis)) + ": order %d leaves the double range" % bad
+    with pytest.raises(RangeOverflowError, match=message):
+        basis.tables([x], order)
+
+
+def test_a_failed_eigen_solve_is_typed(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    for family, nodes in (("Laguerre", LaguerreBasis(5).nodes),
+                          ("Hermite", lambda: hermite_line_nodes(5))):
+        with pytest.raises(NodeComputationError,
+                           match="eigen-solve for %s nodes failed: Eigenvalues" % family):
+            nodes()
 
 
 def test_expansion_with_seed_adds_profile():

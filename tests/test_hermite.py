@@ -124,6 +124,13 @@ def test_far_field_at_large_k_is_finite_without_overflow():
                 assert np.array_equal(tables[:, :, :2], basis.tables(near, m))
 
 
+def test_tiny_map_constant_gives_zeros_away_from_one():
+    # at k = 1.5e-154, t = ln(x)/k squares past the largest double for x = 100
+    # and x = 1e-300: the Gaussian factor, and so every entry, is 0
+    assert np.array_equal(HermiteBasis(5, 1.5e-154).tables([100.0, 1e-300], 2),
+                          np.zeros((3, 6, 2)))
+
+
 def test_nodes_are_exponentials_of_line_nodes():
     basis = HermiteBasis(10, 0.9)
     t = np.asarray(hermite_line_nodes(10))

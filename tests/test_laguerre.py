@@ -75,6 +75,15 @@ def test_node_polish_overflow_is_typed_without_a_warning(N, alpha):
     assert LaguerreBasis(360, 1.0, 1.0).nodes().size == 360
 
 
+@pytest.mark.parametrize("L, order", [(1.5e-154, 2), (2.9e-103, 3)])
+def test_tables_are_zero_where_the_damping_underflows(L, order):
+    # at x = 1 the damping exp(-x/2L) is 0 while 1/L^order times a polynomial
+    # value would overflow: only points of positive damping are tabulated, so
+    # every entry is an exact 0, with no warning
+    assert np.array_equal(LaguerreBasis(5, 1.0, L).tables([1.0], order),
+                          np.zeros((order + 1, 5, 1)))
+
+
 @pytest.mark.parametrize("derivative,message", [
     (1.0, "Laguerre nodes failed to polish below 1e-09"),
     (0.0, "Laguerre node polish hit a zero derivative")])

@@ -228,10 +228,14 @@ def test_dead_row_with_live_residual_is_reported():
 
 
 def test_dead_row_with_satisfied_residual_is_tolerated():
+    # a satisfied residual does not excuse an all-zero row: it aborts like any
+    # exactly singular Jacobian, at the start, with the iterate and kappa_1 = inf
     F = lambda v: np.array([v[0] - 2.0, 0.0])
-    report = newton_solve(F, fd_of(F), np.array([0.0, 0.0]))
-    assert report.converged
-    assert abs(report.solution[0] - 2.0) <= 1e-10
+    x0 = np.array([0.0, 0.0])
+    with pytest.raises(SingularJacobianError, match="Jacobian row 1 vanishes") as info:
+        newton_solve(F, fd_of(F), x0)
+    assert info.value.condition == math.inf
+    assert np.array_equal(info.value.iterate, x0)
 
 
 def test_non_finite_jacobian_is_reported():
