@@ -5,7 +5,7 @@ tabulators, one degree and one point at a time, so a test can check a
 tabulated value against an independent single evaluation; seed_eval does
 the same for a seed profile, one order at a time.  concatenated_residual
 and summed_jacobian are a collocation system's residual map and Jacobian in
-their concatenated and summed forms.
+their concatenated and summed forms, with one product D_q @ c per order.
 """
 
 import math

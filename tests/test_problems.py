@@ -3,6 +3,7 @@ rules, system assembly, and solved-profile invariants."""
 
 import copy
 import math
+import random
 import warnings
 
 import numpy as np
@@ -435,14 +436,30 @@ def test_jacobian_is_bit_equal_to_the_summed_form_along_the_solve(case):
     assert report.converged and checked == [True] * report.iterations
 
 
-@pytest.mark.parametrize("case", [("table1-hf", None), ("table1-sf", None),
-                                  ("table4", 0.5), ("table5", 0.5)],
-                         ids=preset_id)
+def sweep_spec(family):
+    """The benchmark sweep's pairing of one random film with a family, built
+    as the sweep builds it: the Hermite seed takes the Laguerre |slope|."""
+    rng = random.Random(35)
+    fluid = FluidParams.from_b1_b3(rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
+    laguerre = ProblemSpec(fluid, LaguerreBasis(24, 1.0, 0.99))
+    if family == "laguerre":
+        return laguerre
+    if family == "hermite":
+        slope = derived_slope(solve_problem(laguerre)[0], laguerre)
+        return ProblemSpec(fluid, HermiteBasis(16, 1.2),
+                           SeedProfile(SeedKind.RATIONAL_QUADRATIC, abs(slope)))
+    return ProblemSpec(fluid, SincBasis(17, 1.0), SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.47))
+
+
+@pytest.mark.parametrize("case", PRESET_CASES + [("sweep", family) for family
+                                                 in ("laguerre", "hermite", "sinc")],
+                         ids=lambda case: "-".join(case) if case[0] == "sweep"
+                         else preset_id(case))
 def test_seeded_residual_is_bit_equal_to_the_concatenated_form_along_the_solve(case):
-    # a seeded pairing has no axis rows; every residual Newton takes, at every
-    # trial, equals the rows concatenated with the empty axis block, bit for bit
-    system = build_system(preset_spec(*case))
-    assert system.boundary_rows == 0
+    # every residual Newton takes, at every trial, from the stacked product
+    # s + D @ c, equals the rows from one D_q @ c per order concatenated with
+    # the axis block (empty when seeded), bit for bit
+    system = build_system(sweep_spec(case[1]) if case[0] == "sweep" else preset_spec(*case))
     checked = []
 
     def residual(c):
@@ -631,7 +648,7 @@ def test_equal_valued_bases_share_one_discretization(make, nodes, monkeypatch,
     # another basis object with the same values, another lambda: one build
     second = build_system(ProblemSpec(ConeParams(0.75), make(), seed))
     assert len(calls) == 1 and len(discretizations) == 1
-    assert second is not first and second.operators[0] is first.operators[0]
+    assert second is not first and second.operators is first.operators     # one shared stack
     # the problem class is part of the key
     if nodes != "sinc_nodes":             # the cone pairs only with the Log map
         seed = None if seed is None else SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.5)
@@ -753,6 +770,16 @@ def test_a_changed_basis_attribute_gets_its_own_discretization(discretizations):
     assert all(np.array_equal(a, b) for a, b in zip(system.operators, want.operators))
     assert np.array_equal(system.initial_guess, want.initial_guess)
     assert len(discretizations) == 2
+
+
+@pytest.mark.parametrize("shape", [(3,), (13, 1)], ids=["short", "column"])
+@pytest.mark.parametrize("call", ["residual_map", "jacobian"])
+def test_a_malformed_coefficient_vector_is_refused(call, shape):
+    system = build_system(preset_spec("table3", 0.5))
+    assert system.dimension == 13
+    with pytest.raises(ConfigurationError, match="expected 13 coefficients") as info:
+        getattr(system, call)(np.zeros(shape))
+    assert str(info.value).endswith("got shape %r" % (shape,))
 
 
 def test_shared_arrays_are_read_only():
