@@ -229,6 +229,31 @@ def test_default_slopes_match_fixed_step_values(oracle):
         assert abs(slope - FIXED_STEP_SLOPES[key]) <= 1e-8
 
 
+# every bit of the default slopes: the oracle benchmark's five shoots, the
+# rest of Table 3's cone rows, and the steep film at z_max = 10.  The
+# bisection midpoints are dyadic, so these change only if some walk near the
+# root changes its class; a change of stepper or tolerance that keeps every
+# class keeps every bit.
+SLOPE_BITS = {
+    "film": "-0x1.5b4a598f80000p-1",
+    "screening": "-0x1.968bd6a280000p+0",
+    0.0: "0x1.e52c777a80000p-1",
+    0.25: "0x1.d29399a480000p-1",
+    1.0 / 3.0: "0x1.ccf5176b80000p-1",
+    0.5: "0x1.c2755b7b80000p-1",
+    0.75: "0x1.b44dac5280000p-1",
+    1.0: "0x1.a7bc15d980000p-1",
+    "steep film": "-0x1.7fffffffc0000p+1",
+}
+
+
+def test_default_slopes_keep_every_bit(oracle):
+    slopes = {"film": oracle(FLUID)[0], "screening": oracle(ThomasFermiProblem())[0],
+              "steep film": shoot(FluidParams(0.0, 0.0, 9.0), ShootConfig(z_max=10.0))[0]}
+    slopes.update((lam, oracle(ConeParams(lam))[0]) for lam in CONE_LAMBDAS)
+    assert {key: float(s).hex() for key, s in slopes.items()} == SLOPE_BITS
+
+
 def test_cone_default_bracket_beyond_lambda_one():
     # the stiff probes near the top s = 2 of the start bracket (0, 2) stay
     # stable, so it finds the root inside it, the same as a shoot at half
