@@ -1,19 +1,22 @@
 """Independent reference solutions by shooting.
 
-An embedded Dormand-Prince 5(4) pair with step-size control integrates each
-model problem from the axis with a trial initial slope s, and bisection on
-the class of s, too low or too high, finds the slope that meets the
-far-field condition (Keller, Numerical Methods for Two-Point Boundary-Value
-Problems, 1968; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).
+Hairer's embedded DOP853 pair, of order 8 with error estimates of orders 5
+and 3, integrates each model problem from the axis with a trial initial
+slope s under step-size control, and bisection on the class of s, too low
+or too high, finds the slope that meets the far-field condition (Keller,
+Numerical Methods for Two-Point Boundary-Value Problems, 1968; Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.5-II.6).
 
-One scalar stepper, _dp45, serves every integration: the classification
+One scalar stepper, _dop853, serves every integration: the classification
 walks and the reported trajectory (integrate).  It works in companion form:
 the state is (f, f') or (f, f', f''), and the problem's top_derivative
 method, the same equation as its collocation residual, gives the highest
 derivative.  The stepping stays scalar on purpose: the slope search is
 sequential, and a numpy stepper advancing a batch of 8 to 65 trial slopes
-in lockstep measured 65-90 us per step, against a few us per step for this
-loop.
+in lockstep measured 65-90 us per step, against 10-12 us per step, twelve
+accel calls included, for this loop.  At tolerance 1e-12 it takes a fourth
+of the accel calls of the Dormand-Prince 5(4) pair (six calls per step, 4-5
+us per step) that it replaced, and about half over a whole shoot.
 
 Accuracy is one knob, ShootConfig.step.  The reported trajectory runs at
 local error tolerance step**4 (1e-12 at the default 1e-3), the global
@@ -36,20 +39,21 @@ root f'' can stay at the error floor, about -1e-12.  A walk that aborts
 before it has a class raises OracleError.
 
 The bisection walks run looser, at max(step**4, min(1e-6, scale w)) at
-bracket width w.  A tolerance tau moved the class boundary by at most
-0.2 tau on the film and the cone, and by up to 3.5 tau at 1e-6 and 14 tau
-at 1e-9 on screening (Hairer, Norsett & Wanner, sec. II.4, on tolerance
-proportionality), so scale is 0.1 on the film and the cone and 1e-3 on
-screening: only a slope within about 2% of w of the root can take the
-wrong class.  The final midpoint's strict walk stops at its first event,
-like every trial; the end on its side shares its class (the classes change
-once, at the root), and the end across, if a loose walk set it, is walked
-again at step**4.  If its class changes, the bisection goes on from the
-bracket that end's walk split.  A wrong class leaves the root outside the
-bracket on its side, so its walk ends as the end across, where the check
-catches it.  Only once the check holds does the final walk resume to the
-far field for the trajectory; a midpoint depends only on the classes
-before it, so both are bit for bit those of an all-strict bisection.
+bracket width w.  A tolerance tau from 1e-10 to 1e-6 moved the class
+boundary by at most 0.09 tau on the film and the cone, and on screening by
+0.08 tau at 1e-6, 0.8 tau at 1e-9 and 1.5 tau at 1e-10 (Hairer, Norsett &
+Wanner, sec. II.4, on tolerance proportionality).  So with scale 0.1 on
+the film and the cone and 1e-3 on screening, only a slope within about 1%
+of w of the root can take the wrong class.  The final midpoint's strict
+walk stops at its first event, like every trial; the end on its side
+shares its class (the classes change once, at the root), and the end
+across, if a loose walk set it, is walked again at step**4.  If its class
+changes, the bisection goes on from the bracket that end's walk split.  A
+wrong class leaves the root outside the bracket on its side, so its walk
+ends as the end across, where the check catches it.  Only once the check
+holds does the final walk resume to the far field for the trajectory; a
+midpoint depends only on the classes before it, so both are bit for bit
+those of an all-strict bisection.
 Aborted loose walks are repeated at step**4; if the final walk aborts,
 before its class or after, both ends are checked before the blow-up raises.
 The trajectory's states are formed from its trail on their first read.
@@ -74,24 +78,59 @@ _TF_LAUNCH = 1e-6
 _TF_FAR_FIELD = 30.0
 _TF_PRELUDE_END = 0.05
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table
-# II.5.2): stage nodes c2..c5 (c6 = c7 = 1), stage weights a_ij, the
-# fifth-order weights b_j (the seventh stage's row, so the pair is FSAL),
-# the error weights e_j = b_j - b^_j, and the weights d_j of the order-4
-# continuous extension (Hairer's DOPRI5 dense output); b2 = e2 = d2 = 0.
-_TABLEAU = (
-    1 / 5, 3 / 10, 4 / 5, 8 / 9,
-    1 / 5,
-    3 / 40, 9 / 40,
-    44 / 45, -56 / 15, 32 / 9,
-    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-    35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-    -12715105075 / 11282082432, 87487479700 / 32700410799,
-    -10690763975 / 1880347072, 701980252875 / 199316789632,
-    -1453857185 / 822651844, 69997945 / 29380423,
+# Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5; the
+# values of his dop853.f): stage nodes c2..c11 and c14..c16 (c12 = c13 = 1),
+# stage weights a_ij of stages 2-12, the eighth-order weights b_j (the
+# thirteenth stage's row, so the pair is FSAL), the fifth-order error weights
+# e_j, the weights bh_j of the third-order estimate b - bh, the weights of the
+# continuous extension's stages 14-16, and last its 4 x 12 weights d_rj on
+# stages 1, 6-16; only nonzero weights are listed
+_DOP853 = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    0.1, 0.2, 0.7777777777777778,
+    0.05260015195876773,
+    0.0197250569845379, 0.0591751709536137,
+    0.02958758547680685, 0.08876275643042054,
+    0.2413651341592667, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0.17082860872947386, 0.12546768756682242,
+    0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125,
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023,
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996,
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636,
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+    0.2440944881889764, 0.7338466882816118, 0.022058823529411766,
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894,
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408,
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279,
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+    -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564,
 )
+_DENSE = np.array(_DOP853[-48:]).reshape(4, 12)
 
 
 class ShootConfig:
@@ -112,15 +151,15 @@ class ShootConfig:
 def integrate(accel, y0, x0, x1, step):
     """Error-controlled trajectory of f^(m) = accel(x, f, ..., f^(m-1)).
 
-    y0 = (f, f') or (f, f', f'') at a finite x0; the Dormand-Prince 5(4)
-    pair runs to x1 > x0 at local error tolerance step**4, starting with a
-    trial step of size step > 0.  Returns (abscissas, states) as arrays of
-    shape (n+1,) and (n+1, len(y0)) on x0 + k step, the last point on x1.
-    An accepted state that leaves +-1e6, or a step size that collapses,
-    aborts with a blow-up error carrying the abscissa.  Before any walk, a
-    y0 that is not a tuple, list or 1-d array of 2 or 3 finite reals, a
-    step with tol**2 outside the normal doubles, or a grid beyond memory,
-    raises a typed error.
+    y0 = (f, f') or (f, f', f'') at a finite x0; the DOP853 pair runs to
+    x1 > x0 at local error tolerance step**4, starting with a trial step of
+    size step > 0.  Returns (abscissas, states) as arrays of shape (n+1,)
+    and (n+1, len(y0)) on x0 + k step, the last point on x1, read from the
+    pair's order-7 continuous extension.  An accepted state that leaves
+    +-1e6, or a step size that collapses, aborts with a blow-up error
+    carrying the abscissa.  Before any walk, a y0 that is not a tuple, list
+    or 1-d array of 2 or 3 finite reals, a step with tol**2 outside the
+    normal doubles, or a grid beyond memory, raises a typed error.
     """
     step, x0 = _real("step", step, 0.0), _real("x0", x0, -math.inf)
     if isinstance(y0, np.ndarray) and y0.ndim == 1:
@@ -131,7 +170,7 @@ def integrate(accel, y0, x0, x1, step):
     state = tuple(_real("y0[%d]" % i, v, -math.inf) for i, v in enumerate(y0))
     tol, grid = _tol_and_grid(x0, _real("x1", x1, x0), step)
     trail = []
-    reached, _, outcome, _ = _dp45(accel, state, x0, grid[-1], tol, step, trail)
+    reached, _, outcome, _ = _dop853(accel, state, x0, grid[-1], tol, step, trail)
     if outcome is None:
         raise BlowUpError("trajectory left the state bound", abscissa=reached)
     return grid, _dense(trail, grid, len(state))
@@ -166,18 +205,19 @@ def _tol_and_grid(x0, x1, step):
 def _dense(trail, grid, m):
     """States on grid, which starts at or after the first step's start, read
     from the continuous extension of the accepted steps in trail."""
-    # per accepted step, the coefficients of Hairer's DOPRI5 dense output
-    # y(x + t h) = y0 + t (diff + u (slope0 + t (curve + u tail))), u = 1 - t
-    # with the five blocks stacked component-major, one gather reads them all
-    rows = np.fromiter(trail, np.dtype((float, 4 + 3 * m)), len(trail)).T
+    # per accepted step, the blocks of Hairer's DOP853 dense output
+    # y(x + t h) = y0 + t (diff + u (slope0 + t (curve + u (d0 + t (d1 + u (d2
+    # + t d3)))))), u = 1 - t, with d_r = h sum_j D_rj k_j over the stored
+    # stage derivatives k_j; with the eight blocks stacked component-major,
+    # one gather reads them all
+    rows = np.fromiter(trail, np.dtype((float, 2 + 14 * m)), len(trail)).T
     starts, hs = rows[0], rows[1]
-    y0, k1 = rows[2:2 + m], rows[3:3 + m]
-    y1, k7 = rows[3 + m:3 + 2 * m], rows[4 + m:4 + 2 * m]
-    diff = y1 - y0
-    slope0 = hs * k1 - diff
-    curve = diff - hs * k7 - slope0
-    coef = np.concatenate((y0, diff, slope0, curve, hs * rows[4 + 2 * m:4 + 3 * m],
-                           rows[:2]))
+    y0, k = rows[2:2 + m], rows[2 + 2 * m:]
+    diff = rows[2 + m:2 + 2 * m] - y0
+    slope0 = hs * k[:m] - diff
+    curve = diff - hs * k[8 * m:9 * m] - slope0   # stage 13 is the step's end
+    d = hs * (_DENSE @ k.reshape(12, -1)).reshape(4 * m, -1)
+    coef = np.concatenate((y0, diff, slope0, curve, d, rows[:2]))
     # grid points from the one at or after each step's start to the next
     # step's belong to that step; those before the first start to the first
     first = np.searchsorted(grid, starts)
@@ -185,9 +225,10 @@ def _dense(trail, grid, m):
     coef = np.repeat(coef, np.diff(first, append=len(grid)), axis=1)
     t = (grid - coef[-2]) / coef[-1]
     u = 1.0 - t
-    # the quartic from the inside out, in place on the tail block
-    y0, diff, slope0, curve, y = coef[:-2].reshape(5, m, -1)
-    for factor, term in ((u, curve), (t, slope0), (u, diff), (t, y0)):
+    # the polynomial from the inside out, in place on the d3 block
+    y0, diff, slope0, curve, d0, d1, d2, y = coef[:-2].reshape(8, m, -1)
+    for factor, term in ((t, d2), (u, d1), (t, d0), (u, curve), (t, slope0), (u, diff),
+                         (t, y0)):
         y *= factor
         y += term
     return y.T.copy()
@@ -204,31 +245,40 @@ class _Trajectory:
         return (self._grid, self._states)[i]
 
 
-def _dp45(accel, state, x, x1, tol, h, trail=None, events=False):
-    """Dormand-Prince 5(4) in companion form from x to x1: (x, state, outcome, h).
+def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
+    """Hairer's DOP853 in companion form from x to x1: (x, state, outcome, h).
 
     state is (f, f') or (f, f', f''), and accel gives the top derivative.
-    Seven stages, the last one reused as the next step's first (FSAL): six
-    accel calls per step.  A step is accepted when the RMS over components
-    of err_i / (tol (1 + |y_i|)), y the new state, is <= 1; the next trial
-    step h is h clamp(0.9 err^(-1/5), 0.2, 10), and a non-finite error
-    divides h by 5.  The walk aborts, with outcome None, after the first
-    accepted state that leaves +-_BOUND, or when a rejection drives h below
-    1e-14 (1 + |x|).  Each accepted step appends (x, h, state, top
-    derivative, new state, new top derivative, dense-output weights) to
-    trail, if given.  With events, the walk stops at its first state, the
-    starting one included, whose last two components (u, v) have u < 0
-    (outcome -1) or v > 0 (outcome +1); else the outcome is 0.  A walk
-    stopped at an accepted state and restarted from (x, state, h) goes on
-    bit for bit, for one accel call more: the FSAL derivative.  The body is
-    written once per order: a loop over a state tuple costs several times
-    more per step.
+    Twelve stages, then the derivative at the new state, reused as the next
+    step's first (FSAL): twelve accel calls per accepted step, eleven per
+    rejected one.  With E5 and E3 the fifth- and third-order error
+    estimates, each component scaled by tol (1 + |y_i|), y the new state,
+    Hairer's error |h| |E5|^2 / sqrt(n (|E5|^2 + 0.01 |E3|^2)) over n
+    components, the RMS of E5 when E3 is small, must be <= 1 to accept the
+    step; the next trial step h is h clamp(0.9 err^(-1/8), 1/3, 6), a zero
+    error grows h sixfold and a non-finite one divides it by 3.  The walk
+    aborts, with outcome None, after the first accepted state that leaves
+    +-_BOUND, or when a rejection drives h below 1e-14 (1 + |x|).  With a
+    trail, each accepted step also forms the three extra stages of Hairer's
+    order-7 continuous extension, three accel calls more, and appends (x,
+    h, state, new state, and the derivatives of stages 1, 6-16) to it.
+    With events, the walk stops at its first state, the starting one
+    included, whose last two components (u, v) have u < 0 (outcome -1) or
+    v > 0 (outcome +1); else the outcome is 0.  A walk stopped at an
+    accepted state and restarted from (x, state, h) goes on bit for bit,
+    for one accel call more: the FSAL derivative.  The body is written once
+    per order: a loop over a state tuple costs several times more per step.
     """
-    (c2, c3, c4, c5, a21, a31, a32, a41, a42, a43, a51, a52, a53, a54,
-     a61, a62, a63, a64, a65, b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7,
-     d1, d3, d4, d5, d6, d7) = _TABLEAU
-    # err is the mean square of the scaled errors, so err ** -0.1 is the
-    # RMS to the power -1/5
+    (c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c14, c15, c16, a2_1, a3_1, a3_2, a4_1, a4_3,
+     a5_1, a5_3, a5_4, a6_1, a6_4, a6_5, a7_1, a7_4, a7_5, a7_6, a8_1, a8_4, a8_5, a8_6,
+     a8_7, a9_1, a9_4, a9_5, a9_6, a9_7, a9_8, a10_1, a10_4, a10_5, a10_6, a10_7, a10_8,
+     a10_9, a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10, a12_1, a12_4, a12_5,
+     a12_6, a12_7, a12_8, a12_9, a12_10, a12_11, b1, b6, b7, b8, b9, b10, b11, b12, e1, e6,
+     e7, e8, e9, e10, e11, e12, bh1, bh9, bh12, a14_1, a14_7, a14_8, a14_9, a14_10, a14_11,
+     a14_12, a14_13, a15_1, a15_6, a15_7, a15_8, a15_11, a15_12, a15_13, a15_14, a16_1,
+     a16_6, a16_7, a16_8, a16_9, a16_13, a16_14, a16_15) = _DOP853[:-48]
+    # err is the square of Hairer's estimate, so err ** -0.0625 is that
+    # estimate to the power -1/8
     scale = 1.0 / (len(state) * tol * tol)
     if events and (state[-2] < 0 or state[-1] > 0):
         return x, state, -1 if state[-2] < 0 else 1, h
@@ -240,42 +290,90 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, events=False):
                 h, xn = x1 - x, x1
             else:
                 xn = x + h
-            ha = h * a21
+            ha = h * a2_1
             f2, p2 = f + ha * p, p + ha * k
             k2 = accel(x + c2 * h, f2, p2)
-            f3 = f + h * (a31 * p + a32 * p2)
-            p3 = p + h * (a31 * k + a32 * k2)
+            f3 = f + h * (a3_1 * p + a3_2 * p2)
+            p3 = p + h * (a3_1 * k + a3_2 * k2)
             k3 = accel(x + c3 * h, f3, p3)
-            f4 = f + h * (a41 * p + a42 * p2 + a43 * p3)
-            p4 = p + h * (a41 * k + a42 * k2 + a43 * k3)
+            f4 = f + h * (a4_1 * p + a4_3 * p3)
+            p4 = p + h * (a4_1 * k + a4_3 * k3)
             k4 = accel(x + c4 * h, f4, p4)
-            f5 = f + h * (a51 * p + a52 * p2 + a53 * p3 + a54 * p4)
-            p5 = p + h * (a51 * k + a52 * k2 + a53 * k3 + a54 * k4)
+            f5 = f + h * (a5_1 * p + a5_3 * p3 + a5_4 * p4)
+            p5 = p + h * (a5_1 * k + a5_3 * k3 + a5_4 * k4)
             k5 = accel(x + c5 * h, f5, p5)
-            f6 = f + h * (a61 * p + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-            p6 = p + h * (a61 * k + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-            k6 = accel(xn, f6, p6)
-            fn = f + h * (b1 * p + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-            pn = p + h * (b1 * k + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            kn = accel(xn, fn, pn)
+            f6 = f + h * (a6_1 * p + a6_4 * p4 + a6_5 * p5)
+            p6 = p + h * (a6_1 * k + a6_4 * k4 + a6_5 * k5)
+            k6 = accel(x + c6 * h, f6, p6)
+            f7 = f + h * (a7_1 * p + a7_4 * p4 + a7_5 * p5 + a7_6 * p6)
+            p7 = p + h * (a7_1 * k + a7_4 * k4 + a7_5 * k5 + a7_6 * k6)
+            k7 = accel(x + c7 * h, f7, p7)
+            f8 = f + h * (a8_1 * p + a8_4 * p4 + a8_5 * p5 + a8_6 * p6 + a8_7 * p7)
+            p8 = p + h * (a8_1 * k + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7)
+            k8 = accel(x + c8 * h, f8, p8)
+            f9 = f + h * (a9_1 * p + a9_4 * p4 + a9_5 * p5 + a9_6 * p6 + a9_7 * p7
+                + a9_8 * p8)
+            p9 = p + h * (a9_1 * k + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7
+                + a9_8 * k8)
+            k9 = accel(x + c9 * h, f9, p9)
+            f10 = f + h * (a10_1 * p + a10_4 * p4 + a10_5 * p5 + a10_6 * p6 + a10_7 * p7
+                + a10_8 * p8 + a10_9 * p9)
+            p10 = p + h * (a10_1 * k + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
+                + a10_8 * k8 + a10_9 * k9)
+            k10 = accel(x + c10 * h, f10, p10)
+            f11 = f + h * (a11_1 * p + a11_4 * p4 + a11_5 * p5 + a11_6 * p6 + a11_7 * p7
+                + a11_8 * p8 + a11_9 * p9 + a11_10 * p10)
+            p11 = p + h * (a11_1 * k + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
+                + a11_8 * k8 + a11_9 * k9 + a11_10 * k10)
+            k11 = accel(x + c11 * h, f11, p11)
+            f12 = f + h * (a12_1 * p + a12_4 * p4 + a12_5 * p5 + a12_6 * p6 + a12_7 * p7
+                + a12_8 * p8 + a12_9 * p9 + a12_10 * p10 + a12_11 * p11)
+            p12 = p + h * (a12_1 * k + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
+                + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11)
+            k12 = accel(xn, f12, p12)
+            bf = (b1 * p + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10 + b11 * p11
+                + b12 * p12)
+            bp = (b1 * k + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
+                + b12 * k12)
+            fn, pn = f + h * bf, p + h * bp
             af, ap = abs(fn), abs(pn)
-            sf = (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * pn) / (1.0 + af)
-            sp = (e1 * k + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * kn) / (1.0 + ap)
-            err = h * h * (sf * sf + sp * sp) * scale
+            # the fifth-order error estimate s and the third-order one t, scaled
+            sf = (e1 * p + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10 + e11 * p11
+                + e12 * p12) / (1.0 + af)
+            sp = (e1 * k + e6 * k6 + e7 * k7 + e8 * k8 + e9 * k9 + e10 * k10 + e11 * k11
+                + e12 * k12) / (1.0 + ap)
+            tf = (bf - bh1 * p - bh9 * p9 - bh12 * p12) / (1.0 + af)
+            tp = (bp - bh1 * k - bh9 * k9 - bh12 * k12) / (1.0 + ap)
+            s5, s3 = sf * sf + sp * sp, tf * tf + tp * tp
+            err = h * h * s5 * s5 * scale / (s5 + 0.01 * s3) if s5 else 0.0
             if err <= 1.0:
                 if not (af <= _BOUND and ap <= _BOUND):
                     return xn, (fn, pn), None, h
+                kn = accel(xn, fn, pn)
                 if trail is not None:
-                    trail.append((
-                        x, h, f, p, k, fn, pn, kn,
-                        d1 * p + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * pn,
-                        d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
+                    f14 = f + h * (a14_1 * p + a14_7 * p7 + a14_8 * p8 + a14_9 * p9
+                        + a14_10 * p10 + a14_11 * p11 + a14_12 * p12 + a14_13 * pn)
+                    p14 = p + h * (a14_1 * k + a14_7 * k7 + a14_8 * k8 + a14_9 * k9
+                        + a14_10 * k10 + a14_11 * k11 + a14_12 * k12 + a14_13 * kn)
+                    k14 = accel(x + c14 * h, f14, p14)
+                    f15 = f + h * (a15_1 * p + a15_6 * p6 + a15_7 * p7 + a15_8 * p8
+                        + a15_11 * p11 + a15_12 * p12 + a15_13 * pn + a15_14 * p14)
+                    p15 = p + h * (a15_1 * k + a15_6 * k6 + a15_7 * k7 + a15_8 * k8
+                        + a15_11 * k11 + a15_12 * k12 + a15_13 * kn + a15_14 * k14)
+                    k15 = accel(x + c15 * h, f15, p15)
+                    f16 = f + h * (a16_1 * p + a16_6 * p6 + a16_7 * p7 + a16_8 * p8
+                        + a16_9 * p9 + a16_13 * pn + a16_14 * p14 + a16_15 * p15)
+                    p16 = p + h * (a16_1 * k + a16_6 * k6 + a16_7 * k7 + a16_8 * k8
+                        + a16_9 * k9 + a16_13 * kn + a16_14 * k14 + a16_15 * k15)
+                    k16 = accel(x + c16 * h, f16, p16)
+                    trail.append((x, h, f, p, fn, pn, p, k, p6, k6, p7, k7, p8, k8, p9, k9,
+                        p10, k10, p11, k11, p12, k12, pn, kn, p14, k14, p15, k15, p16, k16))
                 x, f, p, k = xn, fn, pn, kn
-                h *= 10.0 if err == 0.0 or (g := 0.9 * err ** -0.1) >= 10.0 else g
+                h *= 6.0 if err == 0.0 or (g := 0.9 * err ** -0.0625) >= 6.0 else g
                 if events and (f < 0 or p > 0):
                     return x, (f, p), -1 if f < 0 else 1, h
             else:
-                h *= g if err < math.inf and (g := 0.9 * err ** -0.1) > 0.2 else 0.2
+                h *= g if err < math.inf and (g := 0.9 * err ** -0.0625) > 1 / 3 else 1 / 3
                 if h < 1e-14 * (1.0 + abs(x)):
                     return x, (f, p), None, h
         return x, (f, p), 0, h
@@ -286,49 +384,113 @@ def _dp45(accel, state, x, x1, tol, h, trail=None, events=False):
             h, xn = x1 - x, x1
         else:
             xn = x + h
-        ha = h * a21
+        ha = h * a2_1
         f2, p2, q2 = f + ha * p, p + ha * q, q + ha * k
         k2 = accel(x + c2 * h, f2, p2, q2)
-        f3 = f + h * (a31 * p + a32 * p2)
-        p3 = p + h * (a31 * q + a32 * q2)
-        q3 = q + h * (a31 * k + a32 * k2)
+        f3 = f + h * (a3_1 * p + a3_2 * p2)
+        p3 = p + h * (a3_1 * q + a3_2 * q2)
+        q3 = q + h * (a3_1 * k + a3_2 * k2)
         k3 = accel(x + c3 * h, f3, p3, q3)
-        f4 = f + h * (a41 * p + a42 * p2 + a43 * p3)
-        p4 = p + h * (a41 * q + a42 * q2 + a43 * q3)
-        q4 = q + h * (a41 * k + a42 * k2 + a43 * k3)
+        f4 = f + h * (a4_1 * p + a4_3 * p3)
+        p4 = p + h * (a4_1 * q + a4_3 * q3)
+        q4 = q + h * (a4_1 * k + a4_3 * k3)
         k4 = accel(x + c4 * h, f4, p4, q4)
-        f5 = f + h * (a51 * p + a52 * p2 + a53 * p3 + a54 * p4)
-        p5 = p + h * (a51 * q + a52 * q2 + a53 * q3 + a54 * q4)
-        q5 = q + h * (a51 * k + a52 * k2 + a53 * k3 + a54 * k4)
+        f5 = f + h * (a5_1 * p + a5_3 * p3 + a5_4 * p4)
+        p5 = p + h * (a5_1 * q + a5_3 * q3 + a5_4 * q4)
+        q5 = q + h * (a5_1 * k + a5_3 * k3 + a5_4 * k4)
         k5 = accel(x + c5 * h, f5, p5, q5)
-        f6 = f + h * (a61 * p + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-        p6 = p + h * (a61 * q + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
-        q6 = q + h * (a61 * k + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-        k6 = accel(xn, f6, p6, q6)
-        fn = f + h * (b1 * p + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-        pn = p + h * (b1 * q + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
-        qn = q + h * (b1 * k + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-        kn = accel(xn, fn, pn, qn)
+        f6 = f + h * (a6_1 * p + a6_4 * p4 + a6_5 * p5)
+        p6 = p + h * (a6_1 * q + a6_4 * q4 + a6_5 * q5)
+        q6 = q + h * (a6_1 * k + a6_4 * k4 + a6_5 * k5)
+        k6 = accel(x + c6 * h, f6, p6, q6)
+        f7 = f + h * (a7_1 * p + a7_4 * p4 + a7_5 * p5 + a7_6 * p6)
+        p7 = p + h * (a7_1 * q + a7_4 * q4 + a7_5 * q5 + a7_6 * q6)
+        q7 = q + h * (a7_1 * k + a7_4 * k4 + a7_5 * k5 + a7_6 * k6)
+        k7 = accel(x + c7 * h, f7, p7, q7)
+        f8 = f + h * (a8_1 * p + a8_4 * p4 + a8_5 * p5 + a8_6 * p6 + a8_7 * p7)
+        p8 = p + h * (a8_1 * q + a8_4 * q4 + a8_5 * q5 + a8_6 * q6 + a8_7 * q7)
+        q8 = q + h * (a8_1 * k + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7)
+        k8 = accel(x + c8 * h, f8, p8, q8)
+        f9 = f + h * (a9_1 * p + a9_4 * p4 + a9_5 * p5 + a9_6 * p6 + a9_7 * p7 + a9_8 * p8)
+        p9 = p + h * (a9_1 * q + a9_4 * q4 + a9_5 * q5 + a9_6 * q6 + a9_7 * q7 + a9_8 * q8)
+        q9 = q + h * (a9_1 * k + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7 + a9_8 * k8)
+        k9 = accel(x + c9 * h, f9, p9, q9)
+        f10 = f + h * (a10_1 * p + a10_4 * p4 + a10_5 * p5 + a10_6 * p6 + a10_7 * p7
+            + a10_8 * p8 + a10_9 * p9)
+        p10 = p + h * (a10_1 * q + a10_4 * q4 + a10_5 * q5 + a10_6 * q6 + a10_7 * q7
+            + a10_8 * q8 + a10_9 * q9)
+        q10 = q + h * (a10_1 * k + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
+            + a10_8 * k8 + a10_9 * k9)
+        k10 = accel(x + c10 * h, f10, p10, q10)
+        f11 = f + h * (a11_1 * p + a11_4 * p4 + a11_5 * p5 + a11_6 * p6 + a11_7 * p7
+            + a11_8 * p8 + a11_9 * p9 + a11_10 * p10)
+        p11 = p + h * (a11_1 * q + a11_4 * q4 + a11_5 * q5 + a11_6 * q6 + a11_7 * q7
+            + a11_8 * q8 + a11_9 * q9 + a11_10 * q10)
+        q11 = q + h * (a11_1 * k + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
+            + a11_8 * k8 + a11_9 * k9 + a11_10 * k10)
+        k11 = accel(x + c11 * h, f11, p11, q11)
+        f12 = f + h * (a12_1 * p + a12_4 * p4 + a12_5 * p5 + a12_6 * p6 + a12_7 * p7
+            + a12_8 * p8 + a12_9 * p9 + a12_10 * p10 + a12_11 * p11)
+        p12 = p + h * (a12_1 * q + a12_4 * q4 + a12_5 * q5 + a12_6 * q6 + a12_7 * q7
+            + a12_8 * q8 + a12_9 * q9 + a12_10 * q10 + a12_11 * q11)
+        q12 = q + h * (a12_1 * k + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
+            + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11)
+        k12 = accel(xn, f12, p12, q12)
+        bf = (b1 * p + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10 + b11 * p11
+            + b12 * p12)
+        bp = (b1 * q + b6 * q6 + b7 * q7 + b8 * q8 + b9 * q9 + b10 * q10 + b11 * q11
+            + b12 * q12)
+        bq = (b1 * k + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
+            + b12 * k12)
+        fn, pn, qn = f + h * bf, p + h * bp, q + h * bq
         af, ap, aq = abs(fn), abs(pn), abs(qn)
-        sf = (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * pn) / (1.0 + af)
-        sp = (e1 * q + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * qn) / (1.0 + ap)
-        sq = (e1 * k + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * kn) / (1.0 + aq)
-        err = h * h * (sf * sf + sp * sp + sq * sq) * scale
+        # the fifth-order error estimate s and the third-order one t, scaled
+        sf = (e1 * p + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10 + e11 * p11
+            + e12 * p12) / (1.0 + af)
+        sp = (e1 * q + e6 * q6 + e7 * q7 + e8 * q8 + e9 * q9 + e10 * q10 + e11 * q11
+            + e12 * q12) / (1.0 + ap)
+        sq = (e1 * k + e6 * k6 + e7 * k7 + e8 * k8 + e9 * k9 + e10 * k10 + e11 * k11
+            + e12 * k12) / (1.0 + aq)
+        tf = (bf - bh1 * p - bh9 * p9 - bh12 * p12) / (1.0 + af)
+        tp = (bp - bh1 * q - bh9 * q9 - bh12 * q12) / (1.0 + ap)
+        tq = (bq - bh1 * k - bh9 * k9 - bh12 * k12) / (1.0 + aq)
+        s5, s3 = sf * sf + sp * sp + sq * sq, tf * tf + tp * tp + tq * tq
+        err = h * h * s5 * s5 * scale / (s5 + 0.01 * s3) if s5 else 0.0
         if err <= 1.0:
             if not (af <= _BOUND and ap <= _BOUND and aq <= _BOUND):
                 return xn, (fn, pn, qn), None, h
+            kn = accel(xn, fn, pn, qn)
             if trail is not None:
-                trail.append((
-                    x, h, f, p, q, k, fn, pn, qn, kn,
-                    d1 * p + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * pn,
-                    d1 * q + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * qn,
-                    d1 * k + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * kn))
+                f14 = f + h * (a14_1 * p + a14_7 * p7 + a14_8 * p8 + a14_9 * p9
+                    + a14_10 * p10 + a14_11 * p11 + a14_12 * p12 + a14_13 * pn)
+                p14 = p + h * (a14_1 * q + a14_7 * q7 + a14_8 * q8 + a14_9 * q9
+                    + a14_10 * q10 + a14_11 * q11 + a14_12 * q12 + a14_13 * qn)
+                q14 = q + h * (a14_1 * k + a14_7 * k7 + a14_8 * k8 + a14_9 * k9
+                    + a14_10 * k10 + a14_11 * k11 + a14_12 * k12 + a14_13 * kn)
+                k14 = accel(x + c14 * h, f14, p14, q14)
+                f15 = f + h * (a15_1 * p + a15_6 * p6 + a15_7 * p7 + a15_8 * p8
+                    + a15_11 * p11 + a15_12 * p12 + a15_13 * pn + a15_14 * p14)
+                p15 = p + h * (a15_1 * q + a15_6 * q6 + a15_7 * q7 + a15_8 * q8
+                    + a15_11 * q11 + a15_12 * q12 + a15_13 * qn + a15_14 * q14)
+                q15 = q + h * (a15_1 * k + a15_6 * k6 + a15_7 * k7 + a15_8 * k8
+                    + a15_11 * k11 + a15_12 * k12 + a15_13 * kn + a15_14 * k14)
+                k15 = accel(x + c15 * h, f15, p15, q15)
+                f16 = f + h * (a16_1 * p + a16_6 * p6 + a16_7 * p7 + a16_8 * p8 + a16_9 * p9
+                    + a16_13 * pn + a16_14 * p14 + a16_15 * p15)
+                p16 = p + h * (a16_1 * q + a16_6 * q6 + a16_7 * q7 + a16_8 * q8 + a16_9 * q9
+                    + a16_13 * qn + a16_14 * q14 + a16_15 * q15)
+                q16 = q + h * (a16_1 * k + a16_6 * k6 + a16_7 * k7 + a16_8 * k8 + a16_9 * k9
+                    + a16_13 * kn + a16_14 * k14 + a16_15 * k15)
+                k16 = accel(x + c16 * h, f16, p16, q16)
+                trail.append((x, h, f, p, q, fn, pn, qn, p, q, k, p6, q6, k6, p7, q7, k7,
+                    p8, q8, k8, p9, q9, k9, p10, q10, k10, p11, q11, k11, p12, q12, k12, pn,
+                    qn, kn, p14, q14, k14, p15, q15, k15, p16, q16, k16))
             x, f, p, q, k = xn, fn, pn, qn, kn
-            h *= 10.0 if err == 0.0 or (g := 0.9 * err ** -0.1) >= 10.0 else g
+            h *= 6.0 if err == 0.0 or (g := 0.9 * err ** -0.0625) >= 6.0 else g
             if events and (p < 0 or q > 0):
                 return x, (f, p, q), -1 if p < 0 else 1, h
         else:
-            h *= g if err < math.inf and (g := 0.9 * err ** -0.1) > 0.2 else 0.2
+            h *= g if err < math.inf and (g := 0.9 * err ** -0.0625) > 1 / 3 else 1 / 3
             if h < 1e-14 * (1.0 + abs(x)):
                 return x, (f, p, q), None, h
     return x, (f, p, q), 0, h
@@ -382,7 +544,7 @@ def shoot(problem, cfg=None):
     def side(s, walk_tol=tol):
         if s in known:
             return known[s]
-        reached, y, outcome, _ = _dp45(accel, start(s), x0, x1, walk_tol, h0, None, True)
+        reached, y, outcome, _ = _dop853(accel, start(s), x0, x1, walk_tol, h0, None, True)
         if outcome is None:
             if walk_tol > tol:
                 return side(s)
@@ -413,12 +575,12 @@ def shoot(problem, cfg=None):
         # mid's strict walk stops at its first event, like every trial; once
         # the end across agrees, it resumes to x1 for the reported trajectory
         trail = []
-        reached, y, outcome, h = _dp45(accel, start(mid), x0, x1, tol, h0, trail, True)
+        reached, y, outcome, h = _dop853(accel, start(mid), x0, x1, tol, h0, trail, True)
         if outcome is not None:
             cls = outcome or math.copysign(1.0, y[-2])
             wrong = b if cls < 0 else a
             if side(wrong) == -cls:
-                reached, y, outcome, _ = _dp45(accel, y, reached, x1, tol, h, trail)
+                reached, y, outcome, _ = _dop853(accel, y, reached, x1, tol, h, trail)
                 if outcome is not None:
                     return mid, _Trajectory(grid, trail, len(y))
         if outcome is None:

@@ -18,7 +18,7 @@ FLUID = FluidParams(*FLUID_B)
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) integrator: integrate(accel, (f, f'[, f'']), x0, x1, step)
+# DOP853 integrator: integrate(accel, (f, f'[, f'']), x0, x1, step)
 
 
 def test_integrate_exponential():
@@ -83,7 +83,7 @@ def test_integrate_blow_up_reports_abscissa():
 
 
 def test_integrate_reports_a_collapsed_step():
-    # every error estimate is NaN, so each trial step is cut by 5 until it
+    # every error estimate is NaN, so each trial step is cut by 3 until it
     # falls below 1e-14 at the start (the order-2 walk meets this in
     # test_walk_that_aborts_before_its_class_is_an_oracle_error)
     with pytest.raises(BlowUpError) as info:
@@ -93,12 +93,20 @@ def test_integrate_reports_a_collapsed_step():
 
 def test_integrate_fills_the_grid_from_the_continuous_extension():
     # f'' = -f is cos x; the accepted steps are far longer than the grid
-    # spacing, so almost every reported point comes from the order-4
-    # continuous extension, which holds the local tolerance 1e-8
+    # spacing, so almost every reported point comes from the order-7
+    # continuous extension, which holds the local tolerance: 1e-8 at step
+    # 1e-2 (19 steps), and 1e-12 at the default step 1e-3 (53 steps, 3.5e-12)
     xs, states = integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 10.0, 1e-2)
     assert np.array_equal(xs[:-1], 1e-2 * np.arange(1000)) and xs[-1] == 10.0
     assert np.max(np.abs(states[:, 0] - np.cos(xs))) <= 1e-7
     assert np.max(np.abs(states[:, 1] + np.sin(xs))) <= 1e-7
+    xs, states = integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 10.0, 1e-3)
+    assert len(xs) == 10_001
+    assert np.max(np.abs(states - np.column_stack((np.cos(xs), -np.sin(xs))))) <= 1e-11
+    # and f''' = -f' from (0, 1, 0) is sin x, through the three-component body
+    xs, states = integrate(lambda x, f, fp, fpp: -fp, (0.0, 1.0, 0.0), 0.0, 10.0, 1e-3)
+    exact = np.column_stack((np.sin(xs), np.cos(xs), -np.sin(xs)))
+    assert np.max(np.abs(states - exact)) <= 1e-11
 
 
 def test_integrate_stays_stable_on_stiff_decay():
@@ -333,7 +341,7 @@ def _walks(monkeypatch, prob, force=None, abort=False):
     """(slope, classification walks as (trial slope, tol, flipped)) of
     shoot(prob); the first loose walk from trial slope force reports the
     wrong class, and with abort the first final-midpoint walk aborts at once."""
-    walk, walks, trajectories = shooting._dp45, [], []
+    walk, walks, trajectories = shooting._dop853, [], []
 
     def recorded(accel, state, x, x1, tol, h, trail=None, events=False):
         if trail is not None:  # the reported trajectory
@@ -350,7 +358,7 @@ def _walks(monkeypatch, prob, force=None, abort=False):
             return reached, y, -(outcome or math.copysign(1.0, far)), h
         return reached, y, outcome, h
     with monkeypatch.context() as patch:
-        patch.setattr(shooting, "_dp45", recorded)
+        patch.setattr(shooting, "_dop853", recorded)
         slope, _ = shoot(prob)
     return slope, walks
 
@@ -387,8 +395,7 @@ def test_a_wrong_loose_class_walks_no_trajectory_on_the_bracket_it_leaves(
         oracle, monkeypatch):
     # the film forced wrong at -0.6875: each final midpoint's walk stops at
     # its first event, and only the midpoint of the bracket that holds the
-    # root walks on to the far field (14,367 accel calls unforced; 26,290
-    # when every final midpoint walked its whole trajectory first)
+    # root walks on to the far field (10,867 accel calls; 7,328 unforced)
     class CountingFilm(FluidParams):
         calls = 0
 
@@ -435,7 +442,7 @@ def test_an_aborted_trajectory_checks_both_ends_first(oracle, monkeypatch):
     # e^{3z} growth mode out of range before the far field at 40
     with pytest.raises(BlowUpError, match="^trajectory left the state bound$") as info:
         shoot(FluidParams(0.0, 0.0, 9.0))
-    assert info.value.abscissa == 12.465345582461804
+    assert info.value.abscissa == 12.472608043853416
     # a wrong loose class at -0.6875 and an aborted first trajectory: the
     # check of both ends finds the wrong one, and the bisection resumes
     base, _ = oracle(FLUID)
@@ -447,14 +454,14 @@ def test_an_aborted_trajectory_checks_both_ends_first(oracle, monkeypatch):
 
 def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
     base, (xs, states) = oracle(FLUID)
-    walk, calls = shooting._dp45, []
+    walk, calls = shooting._dop853, []
 
     def loose_aborts(accel, state, x, x1, tol, h, trail=None, events=False):
         calls.append((tol, state))
         if tol > STRICT_TOL:
             return x, state, None, h
         return walk(accel, state, x, x1, tol, h, trail, events)
-    monkeypatch.setattr(shooting, "_dp45", loose_aborts)
+    monkeypatch.setattr(shooting, "_dop853", loose_aborts)
     slope, (_, retried) = shoot(FLUID)
     assert slope == base and np.array_equal(retried, states)
     loose = [i for i, (tol, _) in enumerate(calls) if tol > STRICT_TOL]
@@ -463,19 +470,19 @@ def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
 
 
 def test_the_default_shoots_keep_their_cost(monkeypatch):
-    # accel calls and _dp45 walks of the oracle benchmark's five shoots.
+    # accel calls and _dop853 walks of the oracle benchmark's five shoots.
     # Every loose class is checked strictly, so a loose-walk cap of 1e-3 in
     # place of _LOOSE_CAP = 1e-6 keeps every bit of every shoot; only these
     # counts see that mutant.
-    walk, walks = shooting._dp45, []
+    walk, walks = shooting._dop853, []
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
-    monkeypatch.setattr(shooting, "_dp45", counted)
-    for prob, calls, n in ((FLUID, 14_367, 39), (ThomasFermiProblem(), 34_710, 37),
-                           (ConeParams(0.0), 15_213, 39), (ConeParams(0.5), 14_643, 39),
-                           (ConeParams(1.0), 14_703, 39)):
+    monkeypatch.setattr(shooting, "_dop853", counted)
+    for prob, calls, n in ((FLUID, 7_328, 39), (ThomasFermiProblem(), 25_857, 37),
+                           (ConeParams(0.0), 9_344, 39), (ConeParams(0.5), 9_130, 39),
+                           (ConeParams(1.0), 9_114, 39)):
         accel, made = prob.top_derivative, []
 
         def counting(*args):

@@ -8,7 +8,11 @@ Each workload gets 10 pairs of runs.  A pair runs ``perfbench/run.py
 --workload W --seed S --seconds 12 --trace 0`` once in each checkout, one run
 at a time, at the same seed; which side runs first alternates from pair to
 pair.  Pair i of a workload uses seed FIRST_SEED + i; pick seeds that were
-not used while the change was written.
+not used while the change was written.  Every run has
+PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to an empty
+directory of its side's own, made fresh for the comparison, so no run
+reads bytecode that an earlier run or a stale __pycache__ in a checkout
+left behind: both sides compile what they import from source.
 With --trace-seed, each side also makes one ``--trace 1`` run per workload
 at that seed.  Any run that fails stops the comparison.
 
@@ -31,6 +35,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -55,10 +60,12 @@ def line_counts(root):
             for part in ("src/halfline/*.py", "tests/*.py", "demos/*.py")}
 
 
-def run(root, workload, seed, seconds, trace):
+def run(root, workload, seed, seconds, trace, pycache):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
+                          check=False)
     if proc.returncode != 0:
         raise SystemExit("error: %s in %s exited with %d:\n%s"
                          % (" ".join(cmd), root, proc.returncode, proc.stderr))
@@ -109,29 +116,32 @@ def main(argv=None):
         plan.append((name, int(first)))
 
     runs, trace_runs, summary = [], [], {}
-    for name, first in plan:
-        results = {"parent": [], "change": []}
-        for i in range(PAIRS):
-            seed = first + i
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result = run(sides[side], name, seed, SECONDS, 0)
-                results[side].append(result)
-                runs.append({"side": side, "workload": name, "seed": seed,
-                             "trace": 0, "result": result})
-                print("%s %s seed %d: %s" % (name, side, seed, json.dumps(result["metrics"])),
-                      file=sys.stderr, flush=True)
-        summary[name] = {metric: compare(metric, *([r["metrics"][metric]["value"]
-                                                    for r in results[side]]
-                                                   for side in ("parent", "change")))
-                         for metric in LOWER_IS_BETTER}
-        for key in ("failed", "attempted"):
-            summary[name][key] = {side: sum(r[key] for r in results[side]) for side in results}
-        if args.trace_seed is not None:
-            for side in ("parent", "change"):
-                trace_runs.append({"side": side, "workload": name, "seed": args.trace_seed,
-                                   "trace": 1, "result": run(sides[side], name,
-                                                             args.trace_seed,
-                                                             SECONDS, 1)})
+    # each side's own empty bytecode cache, never written to (see run)
+    with tempfile.TemporaryDirectory() as scratch:
+        caches = {side: tempfile.mkdtemp(prefix=side + "-", dir=scratch) for side in sides}
+        for name, first in plan:
+            results = {"parent": [], "change": []}
+            for i in range(PAIRS):
+                seed = first + i
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    result = run(sides[side], name, seed, SECONDS, 0, caches[side])
+                    results[side].append(result)
+                    runs.append({"side": side, "workload": name, "seed": seed,
+                                 "trace": 0, "result": result})
+                    print("%s %s seed %d: %s" % (name, side, seed, json.dumps(result["metrics"])),
+                          file=sys.stderr, flush=True)
+            summary[name] = {metric: compare(metric, *([r["metrics"][metric]["value"]
+                                                        for r in results[side]]
+                                                       for side in ("parent", "change")))
+                             for metric in LOWER_IS_BETTER}
+            for key in ("failed", "attempted"):
+                summary[name][key] = {side: sum(r[key] for r in results[side]) for side in results}
+            if args.trace_seed is not None:
+                for side in ("parent", "change"):
+                    trace_runs.append({"side": side, "workload": name, "seed": args.trace_seed,
+                                       "trace": 1, "result": run(sides[side], name,
+                                                                 args.trace_seed, SECONDS,
+                                                                 1, caches[side])})
 
     seeds = ", ".join("%s %d-%d" % (name, first, first + PAIRS - 1) for name, first in plan)
     out = {
@@ -140,7 +150,8 @@ def main(argv=None):
         "parent": revision(sides["parent"]),
         "change": revision(sides["change"]),
         "lines": {side: line_counts(root) for side, root in sides.items()},
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0, "
+        "command": "PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX=<empty directory per side> "
+                   "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0, "
                    "alternating which side runs first; seeds %s%s; one run at a time"
                    % (SECONDS, seeds, "" if args.trace_seed is None else
                       "; one --trace 1 run per side and workload at seed %d" % args.trace_seed),
