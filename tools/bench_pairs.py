@@ -116,32 +116,33 @@ def main(argv=None):
         plan.append((name, int(first)))
 
     runs, trace_runs, summary = [], [], {}
-    # each side's own empty bytecode cache, never written to (see run)
-    with tempfile.TemporaryDirectory() as scratch:
-        caches = {side: tempfile.mkdtemp(prefix=side + "-", dir=scratch) for side in sides}
-        for name, first in plan:
-            results = {"parent": [], "change": []}
-            for i in range(PAIRS):
-                seed = first + i
-                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    result = run(sides[side], name, seed, SECONDS, 0, caches[side])
-                    results[side].append(result)
-                    runs.append({"side": side, "workload": name, "seed": seed,
-                                 "trace": 0, "result": result})
-                    print("%s %s seed %d: %s" % (name, side, seed, json.dumps(result["metrics"])),
-                          file=sys.stderr, flush=True)
-            summary[name] = {metric: compare(metric, *([r["metrics"][metric]["value"]
-                                                        for r in results[side]]
-                                                       for side in ("parent", "change")))
-                             for metric in LOWER_IS_BETTER}
-            for key in ("failed", "attempted"):
-                summary[name][key] = {side: sum(r[key] for r in results[side]) for side in results}
-            if args.trace_seed is not None:
-                for side in ("parent", "change"):
-                    trace_runs.append({"side": side, "workload": name, "seed": args.trace_seed,
-                                       "trace": 1, "result": run(sides[side], name,
-                                                                 args.trace_seed, SECONDS,
-                                                                 1, caches[side])})
+    # each side's own empty bytecode cache, never written to (see run), and
+    # removed when the comparison exits
+    caches = {side: tempfile.TemporaryDirectory(prefix="pycache-%s-" % side)
+              for side in sides}
+    for name, first in plan:
+        results = {"parent": [], "change": []}
+        for i in range(PAIRS):
+            seed = first + i
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                result = run(sides[side], name, seed, SECONDS, 0, caches[side].name)
+                results[side].append(result)
+                runs.append({"side": side, "workload": name, "seed": seed,
+                             "trace": 0, "result": result})
+                print("%s %s seed %d: %s" % (name, side, seed, json.dumps(result["metrics"])),
+                      file=sys.stderr, flush=True)
+        summary[name] = {metric: compare(metric, *([r["metrics"][metric]["value"]
+                                                    for r in results[side]]
+                                                   for side in ("parent", "change")))
+                         for metric in LOWER_IS_BETTER}
+        for key in ("failed", "attempted"):
+            summary[name][key] = {side: sum(r[key] for r in results[side]) for side in results}
+        if args.trace_seed is not None:
+            for side in ("parent", "change"):
+                trace_runs.append({"side": side, "workload": name, "seed": args.trace_seed,
+                                   "trace": 1, "result": run(sides[side], name,
+                                                             args.trace_seed, SECONDS,
+                                                             1, caches[side].name)})
 
     seeds = ", ".join("%s %d-%d" % (name, first, first + PAIRS - 1) for name, first in plan)
     out = {
