@@ -6,6 +6,8 @@ tabulated value against an independent single evaluation; seed_eval does
 the same for a seed profile, one order at a time.  concatenated_residual
 and summed_jacobian are a collocation system's residual map and Jacobian in
 their concatenated and summed forms, with one product D_q @ c per order.
+extension_points gives the points where the shooting oracle's continuous
+extension calls accel, one accepted step and one component at a time.
 """
 
 import math
@@ -16,6 +18,7 @@ from halfline.core import _as_points, _check_order, _count, _real
 from halfline.hermite import _line_tables
 from halfline.laguerre import laguerre_table
 from halfline.problems import SeedKind
+from halfline.shooting import _EXTRA_STAGES
 
 
 def laguerre_eval(n, alpha, x, order=0):
@@ -90,3 +93,28 @@ def concatenated_residual(system, c):
     f = [s + D @ c for s, D in zip(system.seeds, system.operators)]
     rows = system.spec.problem.residual(system.collocation_nodes, f)
     return np.concatenate([rows, system.boundary @ c - system.targets])
+
+
+def extension_points(accel, row):
+    """The points (x, state) of the three extra stages 14-16 of DOP853's
+    continuous extension on one accepted step, from its trail row (x, h,
+    start state, end state, the derivatives of stages 1 and 6-13), each
+    stage's weighted sum written out term by term in scalar Python."""
+    x, h = row[:2]
+    m = (len(row) - 2) // 11
+    y = row[2:2 + m]
+    k1, k6, k7, k8, k9, k10, k11, k12, k13 = (row[2 + m * j:2 + m * (j + 1)]
+                                              for j in range(2, 11))
+    (c14, a14), (c15, a15), (c16, a16) = _EXTRA_STAGES
+    y14 = tuple(y[i] + h * (a14[1] * k1[i] + a14[7] * k7[i] + a14[8] * k8[i]
+                            + a14[9] * k9[i] + a14[10] * k10[i] + a14[11] * k11[i]
+                            + a14[12] * k12[i] + a14[13] * k13[i]) for i in range(m))
+    k14 = y14[1:] + (accel(x + c14 * h, *y14),)
+    y15 = tuple(y[i] + h * (a15[1] * k1[i] + a15[6] * k6[i] + a15[7] * k7[i]
+                            + a15[8] * k8[i] + a15[11] * k11[i] + a15[12] * k12[i]
+                            + a15[13] * k13[i] + a15[14] * k14[i]) for i in range(m))
+    k15 = y15[1:] + (accel(x + c15 * h, *y15),)
+    y16 = tuple(y[i] + h * (a16[1] * k1[i] + a16[6] * k6[i] + a16[7] * k7[i]
+                            + a16[8] * k8[i] + a16[9] * k9[i] + a16[13] * k13[i]
+                            + a16[14] * k14[i] + a16[15] * k15[i]) for i in range(m))
+    return [(x + c14 * h,) + y14, (x + c15 * h,) + y15, (x + c16 * h,) + y16]

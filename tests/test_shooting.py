@@ -13,6 +13,7 @@ from halfline.problems import ConeParams, FluidParams, ThomasFermiProblem
 from halfline.shooting import ShootConfig, integrate, shoot
 
 from conftest import CONE_LAMBDAS, FLUID_B
+from scalar_reference import extension_points
 
 FLUID = FluidParams(*FLUID_B)
 
@@ -262,6 +263,26 @@ def test_default_slopes_keep_every_bit(oracle):
     assert {key: float(s).hex() for key, s in slopes.items()} == SLOPE_BITS
 
 
+# the film's and cone lam = 0, 1/2 and 1 slopes at their default far fields,
+# computed to 30 digits with mpmath; screening is left out, because its
+# far-field truncation at 30 alone moves its slope by 2.4e-7
+MPMATH_SLOPES = {
+    "film": -0.678301619352223238,
+    0.0: 0.947604879149179913,
+    0.5: 0.879801615516390628,
+    1.0: 0.827606852370022642,
+}
+
+
+def test_default_slopes_lie_within_the_bisection_width_of_independent_digits(oracle):
+    # off by 4.5e-11, 5.3e-11, 3.2e-11 and 2.9e-11
+    problems = {"film": FLUID, 0.0: ConeParams(0.0), 0.5: ConeParams(0.5),
+                1.0: ConeParams(1.0)}
+    for key, exact in MPMATH_SLOPES.items():
+        slope, _ = oracle(problems[key])
+        assert abs(slope - exact) <= shooting._BISECT_TOL * (1.0 + abs(exact))
+
+
 def test_cone_default_bracket_beyond_lambda_one():
     # the stiff probes near the top s = 2 of the start bracket (0, 2) stay
     # stable, so it finds the root inside it, the same as a shoot at half
@@ -337,6 +358,36 @@ def test_the_states_are_formed_once_and_only_when_read(monkeypatch):
     assert_all_strict_bits(FLUID, ShootConfig(), slope, xs, states)
 
 
+def test_the_extension_stages_match_the_scalar_reference(monkeypatch):
+    # reading the states forms the three extra stages of every step's
+    # continuous extension; the points where they call accel are the scalar
+    # reference's bit for bit, on the trails of the five default shoots and
+    # of integrate walks with 2 and 3 components
+    dense, seen = shooting._dense, []
+
+    def recorded(trail, grid, accel):
+        points = []
+
+        def counting(*point):
+            points.append(point)
+            return accel(*point)
+        seen.append((trail, accel, points))
+        return dense(trail, grid, counting)
+    monkeypatch.setattr(shooting, "_dense", recorded)
+    for prob in (FLUID, ThomasFermiProblem(), ConeParams(0.0), ConeParams(0.5),
+                 ConeParams(1.0)):
+        shoot(prob)[1][1]
+    integrate(FLUID.top_derivative, (1.0, -0.7), 0.0, 5.0, 1e-2)
+    integrate(ConeParams(0.5).top_derivative, (0.0, 0.88, -1.0), 0.0, 5.0, 1e-2)
+    assert len(seen) == 7
+    for trail, accel, points in seen:
+        reference = [extension_points(accel, row) for row in trail]
+        expected = [stages[j] for j in range(3) for stages in reference]
+        assert len(points) == 3 * len(trail)
+        assert [tuple(map(float.hex, p)) for p in points] == \
+            [tuple(map(float.hex, p)) for p in expected]
+
+
 def _walks(monkeypatch, prob, force=None, abort=False):
     """(slope, classification walks as (trial slope, tol, flipped)) of
     shoot(prob); the first loose walk from trial slope force reports the
@@ -395,7 +446,7 @@ def test_a_wrong_loose_class_walks_no_trajectory_on_the_bracket_it_leaves(
         oracle, monkeypatch):
     # the film forced wrong at -0.6875: each final midpoint's walk stops at
     # its first event, and only the midpoint of the bracket that holds the
-    # root walks on to the far field (10,867 accel calls; 7,328 unforced)
+    # root walks on to the far field (10,573 accel calls; 7,076 unforced)
     class CountingFilm(FluidParams):
         calls = 0
 
@@ -470,19 +521,23 @@ def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
 
 
 def test_the_default_shoots_keep_their_cost(monkeypatch):
-    # accel calls and _dop853 walks of the oracle benchmark's five shoots.
-    # Every loose class is checked strictly, so a loose-walk cap of 1e-3 in
-    # place of _LOOSE_CAP = 1e-6 keeps every bit of every shoot; only these
-    # counts see that mutant.
+    # accel calls and _dop853 walks of the oracle benchmark's five shoots,
+    # which read only the slope, and the accel calls that reading the states
+    # adds: three per accepted step of the reported trajectory.  Every loose
+    # class is checked strictly, so a loose-walk cap of 1e-3 in place of
+    # _LOOSE_CAP = 1e-6 keeps every bit of every shoot; only these counts see
+    # that mutant.
     walk, walks = shooting._dop853, []
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
     monkeypatch.setattr(shooting, "_dop853", counted)
-    for prob, calls, n in ((FLUID, 7_328, 39), (ThomasFermiProblem(), 25_857, 37),
-                           (ConeParams(0.0), 9_344, 39), (ConeParams(0.5), 9_130, 39),
-                           (ConeParams(1.0), 9_114, 39)):
+    for prob, calls, n, read in ((FLUID, 7_076, 39, 252),
+                                 (ThomasFermiProblem(), 22_027, 39, 384),
+                                 (ConeParams(0.0), 9_164, 39, 180),
+                                 (ConeParams(0.5), 8_953, 39, 177),
+                                 (ConeParams(1.0), 8_937, 39, 177)):
         accel, made = prob.top_derivative, []
 
         def counting(*args):
@@ -490,8 +545,10 @@ def test_the_default_shoots_keep_their_cost(monkeypatch):
             return accel(*args)
         monkeypatch.setattr(prob, "top_derivative", counting)
         walks.clear()
-        shoot(prob)
+        _, trajectory = shoot(prob)
         assert (len(made), len(walks)) == (calls, n)
+        trajectory[1]
+        assert len(made) - calls == read == 3 * len(walks[-1][6])
 
 
 # ---------------------------------------------------------------------------

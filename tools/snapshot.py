@@ -17,8 +17,9 @@ with a ``####`` header line and shows exit codes and both output streams:
     ``list-presets``;
   - the default ``shoot`` slope of the film, screening and cone
     (lambda = 0, 1/2, 1) problems, and its trajectory at ten fixed grid
-    indices, as exact hexadecimal floats, and the slope of a steep film
-    whose root lies below the starting bracket;
+    indices, as exact hexadecimal floats, with the SHA-256 of the whole
+    state array, so a change of any bit on the grid shows; and the slope of
+    a steep film whose root lies below the starting bracket;
   - command lines that must fail, and failing ``solve_problem`` calls, with
     their error types and messages; among them ``--out`` paths that cannot
     be written and refused ``verify`` runs, each with whether it left a
@@ -38,6 +39,7 @@ with a ``####`` header line and shows exit codes and both output streams:
 The tool is not part of the test suite; a full run takes a few seconds.
 """
 
+import hashlib
 import io
 import os
 import pathlib
@@ -195,6 +197,7 @@ def main_snapshot():
         header("shoot(%s)" % name)
         slope, (xs, states) = shoot(problem)
         print(float(slope).hex())
+        print("  states sha256 %s" % hashlib.sha256(states.tobytes()).hexdigest())
         for i in TRAJECTORY_INDICES:
             print("  %d %s %s" % (i, float(xs[i]).hex(), hexes(states[i])))
     header("shoot(FluidParams(0, 0, 9), ShootConfig(z_max=10.0))")
