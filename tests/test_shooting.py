@@ -280,7 +280,7 @@ def test_default_slopes_lie_within_the_bisection_width_of_independent_digits(ora
                 1.0: ConeParams(1.0)}
     for key, exact in MPMATH_SLOPES.items():
         slope, _ = oracle(problems[key])
-        assert abs(slope - exact) <= shooting._BISECT_TOL * (1.0 + abs(exact))
+        assert abs(slope - exact) <= 1e-10 * (1.0 + abs(exact))
 
 
 def test_cone_default_bracket_beyond_lambda_one():
