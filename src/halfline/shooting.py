@@ -2,63 +2,50 @@
 
 Hairer's embedded DOP853 pair, of order 8 with error estimates of orders 5
 and 3, integrates each model problem from the axis with a trial initial
-slope s under step-size control, and bisection on the class of s, too low
-or too high, finds the slope that meets the far-field condition (Keller,
-Numerical Methods for Two-Point Boundary-Value Problems, 1968; Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.5-II.6).
+slope s under step-size control.  Bisection on the class of s, too low or
+too high, brackets the root, and a secant on a far-field mismatch g(s),
+safeguarded by that bracket, finds it (Keller, Numerical Methods for
+Two-Point Boundary-Value Problems, 1968; Lentini & Keller, SIAM J. Numer.
+Anal. 17, 1980; Brent, Algorithms for Minimization without Derivatives,
+1973, ch. 4; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-II.6).
 
-One scalar stepper, _dop853, serves every integration: the classification
-walks and the reported trajectory (integrate).  It works in companion form:
-the state is (f, f') or (f, f', f''), and the problem's top_derivative
-method, the same equation as its collocation residual, gives the highest
-derivative.  The stepping stays scalar on purpose: the slope search is
-sequential, and a numpy stepper advancing a batch of 8 to 65 trial slopes
-in lockstep measured 65-90 us per step, against 10-12 us per step, twelve
-accel calls included, for this loop.  At tolerance 1e-12 it takes a fourth
-of the accel calls of the Dormand-Prince 5(4) pair (six calls per step, 4-5
-us per step) that it replaced, and about half over a whole shoot.
-
-Accuracy is one knob, ShootConfig.step.  The reported trajectory runs at
-local error tolerance step**4 (1e-12 at the default 1e-3), the global
-error of a fixed-step fourth-order method at that step, so halving the
-step still asks for 16 times the accuracy.  The step is also the spacing
-of the reported trajectory, which the pair's order-7 continuous extension
-fills in.  ShootConfig also holds z_max; the bisection tolerance 1e-10
-and the screening launch point 1e-6 are constants.
+One scalar stepper, _dop853, serves every walk and integrate, in companion
+form: the state is (f, f') or (f, f', f''), and the problem's
+top_derivative method, the same equation as its collocation residual,
+gives the highest derivative.  It stays scalar on purpose: a numpy stepper
+advancing a batch of 8 to 65 trial slopes in lockstep measured 65-90 us per
+step, against 10-12 us here.  Accuracy is one knob, ShootConfig.step: the
+mismatch walks and the reported trajectory run at local error tolerance
+step**4 (1e-12 at the default 1e-3).  The trajectory, one walk from the
+final slope, is spaced step apart by the pair's order-7 continuous
+extension, formed on first read; it takes no step longer than 4, so the
+extension holds the tolerance in the far field too.
 
 A trial slope takes the class of the first event on its walk, at the
 launch state or an accepted one.  With (u, v) the state's last two
 components, (f, f') on the film and screening and (f', f'') on the cone,
 it is too low once u < 0 and too high once v > 0 (on the cone, above its
-root f' levels off positive and b f'^2 drives f'' up).  So no walk runs
-into a blow-up or a stiff stretch.  A walk with no event by the far field
-takes the sign of u there, f(z_max) (film), f'(z_max) (cone) or y(30)
-(screening), which keeps each root where its far-field condition puts it:
-near the root, screening's events lie near x = 195, and above the cone
-root f'' can stay at the error floor, about -1e-12.  A walk that aborts
-before it has a class raises OracleError.
+root f' levels off positive and b f'^2 drives f'' up), so no walk runs
+into a blow-up or a stiff stretch.  A walk with no event by the far field,
+z_max or 30 on screening, takes the sign of g there: near the root,
+screening's events lie near x = 195, and above the cone root f'' can stay
+at the error floor, about -1e-12.  g vanishes on the decaying far-field
+mode and is negative too low: g = f' + sqrt(b3) f on the film (from
+f'' ~ b3 f), f'' + a f f' on the cone (from f''' ~ -a f f'',
+a = (lam + 5) / 2) and x y' + 3 y on screening (y ~ 144 / x^3).
 
-The bisection walks run looser, at max(step**4, min(1e-6, 0.1 w)) at
-bracket width w.  A tolerance tau from 1e-10 to 1e-6 moved the class
-boundary by at most 0.09 tau on the film and the cone, and on screening by
-0.08 tau at 1e-6, 0.8 tau at 1e-9 and 1.5 tau at 1e-10 (Hairer, Norsett &
-Wanner, sec. II.4, on tolerance proportionality).  So only a slope within
-about 1% of w of the root can take the wrong class on the film and the
-cone, and within about 15% on screening; a wrong class costs walks, never
-a bit, because the check below catches it.  The final midpoint's strict
-walk stops at its first event, like every trial; the end on its side
-shares its class (the classes change once, at the root), and the end
-across, if a loose walk set it, is walked again at step**4.  If its class
-changes, the bisection goes on from the bracket that end's walk split.  A
-wrong class leaves the root outside the bracket on its side, so its walk
-ends as the end across, where the check catches it.  Only once the check
-holds does the final walk resume to the far field for the trajectory; a
-midpoint depends only on the classes before it, so both are bit for bit
-those of an all-strict bisection.
-Aborted loose walks are repeated at step**4; if the final walk aborts,
-before its class or after, both ends are checked before the blow-up raises.
-The trajectory's states are formed from its trail on their first read,
-the extension's three extra stages for all its accepted steps at once.
+Bisection walks run loose, at max(step**4, min(1e-6, 0.1 w)) at bracket
+width w, down to w = 1e-6; as a tolerance tau moved the class boundary by
+at most 0.09 tau, only a slope within about 1% of w of the root can take
+the wrong class.  A loose walk that aborts is repeated at step**4.  The
+secant takes g at the end of a walk without events to X = 10 on the film
+and the cone (z_max if nearer) and X = 40 on screening.  A wrong loose
+class, or screening's class root at 30 (1.8e-8 from g's at 40), can leave
+g's root just outside the bracket, where both ends' g share a sign; the
+bracket then moves past the end that is off, doubling its width.  An
+iterate outside the bracket is its midpoint, each g sign narrows it, and
+the search stops at a step of at most 1e-13 (1 + |s|).  A g walk that
+aborts gives its slope's strict class instead, and a midpoint follows.
 """
 
 import math
@@ -73,14 +60,17 @@ from .errors import BlowUpError, ConfigurationError, OracleError, RangeOverflowE
 from .problems import ConeParams, FluidParams, ThomasFermiProblem
 
 _BOUND = 1e6
-_BISECT_TOL = 1e-10
-_MAX_WIDTH = 1e3        # the widest bracket searched for a too-low bottom
-# bisection walk tolerance max(step**4, min(_LOOSE_CAP, _LOOSE_SCALE * width))
-_LOOSE_CAP = 1e-6
+_MAX_WIDTH = 1e3        # the widest bracket searched
+_LOOSE_CAP = 1e-6       # bisection walks run at max(step**4, min(cap, scale * width))
 _LOOSE_SCALE = 0.1
+_SECANT_WIDTH = 1e-6    # the bracket width where the secant takes over
+_SECANT_TOL = 1e-13     # its stop, |ds| <= _SECANT_TOL (1 + |s|)
+_MISMATCH_X = 10.0      # where the film's and the cone's mismatch is taken
+_TRAIL_CAP = 4.0        # the longest step of a trail walk
 _TF_LAUNCH = 1e-6
 _TF_FAR_FIELD = 30.0
 _TF_PRELUDE_END = 0.05
+_TF_MISMATCH_X = 40.0
 
 # Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5; the
 # values of his dop853.f): stage nodes c2..c11 (c12 = c13 = 1), stage weights
@@ -147,11 +137,11 @@ _DENSE = np.array((
 class ShootConfig:
     """Far-field truncation and accuracy step.
 
-    step sets the local error tolerance step**4 of the reported trajectory
-    and of every check of a class (bisection walks run looser, at a tenth of
-    the bracket width up to 1e-6, see the module docstring), the spacing of
-    the reported trajectory, and the first trial step.  A walk with no event
-    by z_max takes its class from the far-field sign.
+    step sets the local error tolerance step**4 of the secant's walks and
+    of the reported trajectory (bisection walks run looser, see the module
+    docstring), the spacing of the reported trajectory, and the first trial
+    step.  z_max is where the reported trajectory ends and where a class
+    walk with no event takes the sign of the far-field mismatch.
     """
 
     def __init__(self, z_max=40.0, step=1e-3):
@@ -164,9 +154,10 @@ def integrate(accel, y0, x0, x1, step):
 
     y0 = (f, f') or (f, f', f'') at a finite x0; the DOP853 pair runs to
     x1 > x0 at local error tolerance step**4, starting with a trial step of
-    size step > 0.  Returns (abscissas, states) as arrays of shape (n+1,)
-    and (n+1, len(y0)) on x0 + k step, the last point on x1, read from the
-    pair's order-7 continuous extension.  An accepted state that leaves
+    size step > 0 and growing none past 4.  Returns (abscissas, states) as
+    arrays of shape (n+1,) and (n+1, len(y0)) on x0 + k step, the last point
+    on x1, read from the pair's order-7 continuous extension, which the step
+    cap keeps within the tolerance.  An accepted state that leaves
     +-1e6, or a step size that collapses, aborts with a blow-up error
     carrying the abscissa.  Before any walk, a y0 that is not a tuple, list
     or 1-d array of 2 or 3 finite reals, a step with tol**2 outside the
@@ -181,7 +172,7 @@ def integrate(accel, y0, x0, x1, step):
     state = tuple(_real("y0[%d]" % i, v, -math.inf) for i, v in enumerate(y0))
     tol, grid = _tol_and_grid(x0, _real("x1", x1, x0), step)
     trail = []
-    reached, _, outcome, _ = _dop853(accel, state, x0, grid[-1], tol, step, trail)
+    reached, _, outcome = _dop853(accel, state, x0, grid[-1], tol, step, trail)
     if outcome is None:
         raise BlowUpError("trajectory left the state bound", abscissa=reached)
     return grid, _dense(trail, grid, accel)
@@ -266,7 +257,7 @@ class _Trajectory:
 
 
 def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
-    """Hairer's DOP853 in companion form from x to x1: (x, state, outcome, h).
+    """Hairer's DOP853 in companion form from x to x1: (x, state, outcome).
 
     state is (f, f') or (f, f', f''), and accel gives the top derivative.
     Twelve stages, then the derivative at the new state, reused as the next
@@ -279,15 +270,13 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     error grows h sixfold and a non-finite one divides it by 3.  The walk
     aborts, with outcome None, after the first accepted state that leaves
     +-_BOUND, or when a rejection drives h below 1e-14 (1 + |x|).  With a
-    trail, each accepted step appends what it already holds, (x, h, state,
-    new state, and the derivatives of stages 1 and 6-13), from which _dense
-    forms the continuous extension.
-    With events, the walk stops at its first state, the starting one
-    included, whose last two components (u, v) have u < 0 (outcome -1) or
-    v > 0 (outcome +1); else the outcome is 0.  A walk stopped at an
-    accepted state and restarted from (x, state, h) goes on bit for bit,
-    for one accel call more: the FSAL derivative.  The body is written once
-    per order: a loop over a state tuple costs several times more per step.
+    trail, no step grows past _TRAIL_CAP, and each accepted one appends
+    (x, h, state, new state, the derivatives of stages 1 and 6-13), from
+    which _dense forms the continuous extension.  With events, the walk
+    stops at its first state, the starting one included, whose last two
+    components (u, v) have u < 0 (outcome -1) or v > 0 (outcome +1); else
+    the outcome is 0.  The body is written once per order: a loop over a
+    state tuple costs several times more per step.
     """
     (c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, a2_1, a3_1, a3_2, a4_1, a4_3, a5_1, a5_3,
      a5_4, a6_1, a6_4, a6_5, a7_1, a7_4, a7_5, a7_6, a8_1, a8_4, a8_5, a8_6, a8_7, a9_1,
@@ -298,8 +287,9 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     # err is the square of Hairer's estimate, so err ** -0.0625 is that
     # estimate to the power -1/8
     scale = 1.0 / (len(state) * tol * tol)
+    cap = math.inf if trail is None else _TRAIL_CAP
     if events and (state[-2] < 0 or state[-1] > 0):
-        return x, state, -1 if state[-2] < 0 else 1, h
+        return x, state, -1 if state[-2] < 0 else 1
     if len(state) == 2:
         f, p = state
         k = accel(x, f, p)
@@ -366,20 +356,20 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
             err = h * h * s5 * s5 * scale / (s5 + 0.01 * s3) if s5 else 0.0
             if err <= 1.0:
                 if not (af <= _BOUND and ap <= _BOUND):
-                    return xn, (fn, pn), None, h
+                    return xn, (fn, pn), None
                 kn = accel(xn, fn, pn)
                 if trail is not None:
                     trail.append((x, h, f, p, fn, pn, p, k, p6, k6, p7, k7, p8, k8, p9, k9,
                         p10, k10, p11, k11, p12, k12, pn, kn))
                 x, f, p, k = xn, fn, pn, kn
-                h *= 6.0 if err == 0.0 or (g := 0.9 * err ** -0.0625) >= 6.0 else g
+                h = min(cap, h * (6.0 if err == 0.0 or (g := 0.9 * err ** -0.0625) >= 6.0 else g))
                 if events and (f < 0 or p > 0):
-                    return x, (f, p), -1 if f < 0 else 1, h
+                    return x, (f, p), -1 if f < 0 else 1
             else:
                 h *= g if err < math.inf and (g := 0.9 * err ** -0.0625) > 1 / 3 else 1 / 3
                 if h < 1e-14 * (1.0 + abs(x)):
-                    return x, (f, p), None, h
-        return x, (f, p), 0, h
+                    return x, (f, p), None
+        return x, (f, p), 0
     f, p, q = state
     k = accel(x, f, p, q)
     while x < x1:
@@ -461,21 +451,21 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
         err = h * h * s5 * s5 * scale / (s5 + 0.01 * s3) if s5 else 0.0
         if err <= 1.0:
             if not (af <= _BOUND and ap <= _BOUND and aq <= _BOUND):
-                return xn, (fn, pn, qn), None, h
+                return xn, (fn, pn, qn), None
             kn = accel(xn, fn, pn, qn)
             if trail is not None:
                 trail.append((x, h, f, p, q, fn, pn, qn, p, q, k, p6, q6, k6, p7, q7, k7,
                     p8, q8, k8, p9, q9, k9, p10, q10, k10, p11, q11, k11, p12, q12, k12, pn,
                     qn, kn))
             x, f, p, q, k = xn, fn, pn, qn, kn
-            h *= 6.0 if err == 0.0 or (g := 0.9 * err ** -0.0625) >= 6.0 else g
+            h = min(cap, h * (6.0 if err == 0.0 or (g := 0.9 * err ** -0.0625) >= 6.0 else g))
             if events and (p < 0 or q > 0):
-                return x, (f, p, q), -1 if p < 0 else 1, h
+                return x, (f, p, q), -1 if p < 0 else 1
         else:
             h *= g if err < math.inf and (g := 0.9 * err ** -0.0625) > 1 / 3 else 1 / 3
             if h < 1e-14 * (1.0 + abs(x)):
-                return x, (f, p, q), None, h
-    return x, (f, p, q), 0, h
+                return x, (f, p, q), None
+    return x, (f, p, q), 0
 
 
 def _tf_launch(s, x0):
@@ -491,53 +481,58 @@ def shoot(problem, cfg=None):
     problem is a FluidParams, ConeParams, or ThomasFermiProblem instance.
     Returns (slope, (abscissas, states)); states columns are the integrated
     components (f, f') / (f, f', f'') / (y, y') on a grid of spacing
-    cfg.step.  The Thomas-Fermi problem launches from the small-x series at
-    x = 1e-6 (also its first trial step), reports from 0.05 on, and imposes
-    its far-field condition at 30; the other problems impose theirs at
-    cfg.z_max.  The bracket (lo, hi) starts at (-2, 0), or (0, 2) for the
-    cone (its root for every lam in [0, 2]), and moves to (lo - 2 (hi - lo),
-    lo) while lo walks too high; bisection returns its midpoint at a width
-    of 1e-10 (1 + |midpoint|).  With (u, v) a state's last two components,
-    a trial slope is too low at its walk's first state with u < 0, too high
-    at its first with v > 0, and else takes the sign of u at the far field.  A
-    top end not too high, a bracket past 1e3 wide or a walk that aborts
-    unclassified raises OracleError.  The states are formed on their first
-    read, so a caller that reads only the slope never pays for them.  That
-    read calls accel three times per accepted step, at points inside the
-    step, where the three problem classes' accel is finite arithmetic; so
-    every error is raised by shoot, none by that read.
+    cfg.step to cfg.z_max, or from 0.05 to 30 on screening, which launches
+    from its small-x series at x = 1e-6.  The bracket starts at (-2, 0), or
+    (0, 2) for the cone (its root for every lam in [0, 2]), and (lo, hi)
+    moves to (lo - 2 (hi - lo), lo) while lo walks too high.
+
+    The slope is g's root to within the error of its walks, and that root
+    is the infinite-domain slope to within 1e-13 (1 + |s|) on the film and
+    the cone and 3e-9 on screening, at the default step.  Past X the
+    trajectory's error grows like the unstable mode, on the film as
+    e^{sqrt(b3) z}.  A top end not too high, a bracket past 1e3 wide, a walk
+    that aborts unclassified, or a g that keeps its sign over 1e3 raises
+    OracleError; a trajectory that leaves +-1e6 raises BlowUpError.  Every
+    error is raised by shoot: reading the states calls accel only inside
+    accepted steps, where the problem classes' accel is finite arithmetic.
     """
     cfg = ShootConfig() if cfg is None else cfg
     if not isinstance(cfg, ShootConfig):
         raise ConfigurationError("cfg must be a ShootConfig or None, got %r" % (cfg,))
     x0, grid0, x1, h0 = 0.0, 0.0, cfg.z_max, cfg.step
+    far = min(_MISMATCH_X, x1)
     if isinstance(problem, FluidParams):
         start, lo, hi = (lambda s: (1.0, s)), -2.0, 0.0
+        mismatch = lambda x, y, rate=math.sqrt(problem.b3): y[1] + rate * y[0]
     elif isinstance(problem, ConeParams):
         start, lo, hi = (lambda s: (0.0, s, -1.0)), 0.0, 2.0
+        mismatch = lambda x, y, a=(problem.lam + 5.0) / 2.0: y[2] + a * y[0] * y[1]
     elif isinstance(problem, ThomasFermiProblem):
         x0 = h0 = _TF_LAUNCH
         start, lo, hi = (lambda s: _tf_launch(s, x0)), -2.0, 0.0
-        grid0, x1 = _TF_PRELUDE_END, _TF_FAR_FIELD
+        grid0, x1, far = _TF_PRELUDE_END, _TF_FAR_FIELD, _TF_MISMATCH_X
+        mismatch = lambda x, y: x * y[1] + 3.0 * y[0]
     else:
         raise ConfigurationError("unknown problem kind: %r" % (problem,))
     accel = problem.top_derivative
     tol, grid = _tol_and_grid(grid0, x1, cfg.step)
-    known = {}  # trial slope -> its class at tol
 
     def side(s, walk_tol=tol):
-        if s in known:
-            return known[s]
-        reached, y, outcome, _ = _dop853(accel, start(s), x0, x1, walk_tol, h0, None, True)
+        reached, y, outcome = _dop853(accel, start(s), x0, x1, walk_tol, h0, None, True)
         if outcome is None:
             if walk_tol > tol:
                 return side(s)
             raise OracleError("the walk from trial slope %.17g aborted at x = %g "
                               "before it had a class" % (s, reached))
-        cls = outcome or math.copysign(1.0, y[-2])
-        if walk_tol == tol:
-            known[s] = cls
-        return cls
+        return outcome or math.copysign(1.0, mismatch(reached, y))
+
+    def g(s):
+        """(s, g at far, its sign), or (s, None, strict class) if the walk aborts."""
+        _, y, outcome = _dop853(accel, start(s), x0, far, tol, h0)
+        if outcome is None:
+            return s, None, side(s)
+        value = mismatch(far, y)
+        return s, value, math.copysign(1.0, value)
 
     if side(hi) < 0:
         raise OracleError("far-field mismatch is not positive at the top of the bracket")
@@ -545,31 +540,34 @@ def shoot(problem, cfg=None):
         if hi - lo > _MAX_WIDTH:
             raise OracleError("no far-field root found above %.17g" % lo)
         lo, hi = lo - 2.0 * (hi - lo), lo
-    # each bracket on the path is split by its midpoint's walk into the next;
-    # an end whose strict class contradicts its loose one sends the search
-    # back to the bracket it split, where its class is now the strict one
-    path = [(lo, hi)]
+    while hi - lo > _SECANT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        walk_tol = max(tol, min(_LOOSE_CAP, _LOOSE_SCALE * (hi - lo)))
+        lo, hi = (mid, hi) if side(mid, walk_tol) < 0 else (lo, mid)
+    # where both ends' g share a sign, g's root lies past the end that is off
+    low, high = g(lo), g(hi)
+    while low[2] > 0 or high[2] < 0:
+        width = 2.0 * (high[0] - low[0])
+        if width > _MAX_WIDTH:
+            raise OracleError("the far-field mismatch keeps its sign from %.17g to %.17g"
+                              % (low[0], high[0]))
+        low, high = (g(low[0] - width), low) if low[2] > 0 else (high, g(high[0] + width))
+    # the secant through the last two walks, if it stays inside (lo, hi)
+    (s0, g0, _), (s1, g1, _) = low, high
+    lo, hi = s0, s1
     while True:
-        a, b = path[-1]
-        mid = 0.5 * (a + b)
-        if b - a > _BISECT_TOL * (1.0 + abs(mid)):
-            walk_tol = max(tol, min(_LOOSE_CAP, _LOOSE_SCALE * (b - a)))
-            path.append((mid, b) if side(mid, walk_tol) < 0 else (a, mid))
-            continue
-        # mid's strict walk stops at its first event, like every trial; once
-        # the end across agrees, it resumes to x1 for the reported trajectory
-        trail = []
-        reached, y, outcome, h = _dop853(accel, start(mid), x0, x1, tol, h0, trail, True)
-        if outcome is not None:
-            cls = outcome or math.copysign(1.0, y[-2])
-            wrong = b if cls < 0 else a
-            if side(wrong) == -cls:
-                reached, y, outcome, _ = _dop853(accel, y, reached, x1, tol, h, trail)
-                if outcome is not None:
-                    return mid, _Trajectory(grid, trail, accel)
-        if outcome is None:
-            wrong = next((end for end, cls in ((a, -1), (b, 1)) if side(end) != cls), None)
-            if wrong is None:
-                raise BlowUpError("trajectory left the state bound", abscissa=reached)
-        while 0.5 * (path[-1][0] + path[-1][1]) != wrong:
-            path.pop()
+        s = 0.5 * (lo + hi)
+        if g0 is not None and g1 is not None and g0 != g1:
+            t = s1 - g1 * (s1 - s0) / (g1 - g0)
+            if lo < t < hi or abs(t - s1) <= _SECANT_TOL * (1.0 + abs(t)):
+                s = t
+        if abs(s - s1) <= _SECANT_TOL * (1.0 + abs(s)):
+            break
+        _, gs, sign = g(s)
+        lo, hi = (s, hi) if sign < 0 else (lo, s)
+        (s0, g0), (s1, g1) = (s1, g1), (s, gs)
+    trail = []
+    reached, _, outcome = _dop853(accel, start(s), x0, x1, tol, h0, trail)
+    if outcome is None:
+        raise BlowUpError("trajectory left the state bound", abscissa=reached)
+    return s, _Trajectory(grid, trail, accel)

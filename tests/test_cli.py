@@ -525,7 +525,7 @@ def test_oracle_reports_slope_and_trajectory(tmp_path):
     code, out, err = run_main("oracle", "--problem", "thomas-fermi",
                               "--out", str(target))
     assert code == 0
-    assert out.startswith("oracle slope: -1.5880712")
+    assert out.startswith("oracle slope: -1.58807103\n")
     text = target.read_text(encoding="utf-8")
     assert text.startswith("abscissa,f,fprime,residual\n")
     assert len(text.splitlines()) > 100

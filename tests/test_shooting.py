@@ -178,7 +178,11 @@ def test_thomas_fermi_slope_matches_published_value(oracle):
     slope, (xs, states) = oracle(ThomasFermiProblem())
     assert abs(slope - (-1.588071)) <= 5e-4
     assert xs[-1] == 30.0
-    assert abs(states[-1, 0]) <= 1e-5
+    # y falls through the whole range towards Sommerfeld's y ~ 144 / x^3:
+    # its local decay exponent -x y' / y has reached 2.47 at 30
+    y, yp = states[:, 0], states[:, 1]
+    assert np.all(y > 0.0) and np.all(np.diff(y) < 0.0)
+    assert 2.4 <= -30.0 * yp[-1] / y[-1] <= 3.0
 
 
 def test_cone_slope_matches_published_value(oracle):
@@ -216,10 +220,12 @@ def test_far_field_extension_leaves_slopes_unchanged(oracle):
         assert abs(extended - base) <= 1e-7
 
 
-# the fixed-step RK4 slopes (step 1e-3) the error-controlled stepper replaced
+# the fixed-step RK4 slopes (step 1e-3) the error-controlled stepper
+# replaced; screening's is the secant's, on the far-field mismatch at 40 (the
+# fixed-step -1.588071265017559 solved the truncated y(30) = 0)
 FIXED_STEP_SLOPES = {
     "film": -0.678301619310756,
-    "screening": -1.588071265017559,
+    "screening": -1.588071025238939,
     0.0: 0.947604879149176,
     0.25: 0.911282349874943,
     1.0 / 3.0: 0.900307399588860,
@@ -239,20 +245,19 @@ def test_default_slopes_match_fixed_step_values(oracle):
 
 
 # every bit of the default slopes: the oracle benchmark's five shoots, the
-# rest of Table 3's cone rows, and the steep film at z_max = 10.  The
-# bisection midpoints are dyadic, so these change only if some walk near the
-# root changes its class; a change of stepper or tolerance that keeps every
-# class keeps every bit.
+# rest of Table 3's cone rows, and the steep film at z_max = 10.  A secant
+# iterate depends on every bit of the mismatch walks before it, so a change
+# of stepper, tolerance or far-field form shows here.
 SLOPE_BITS = {
-    "film": "-0x1.5b4a598f80000p-1",
-    "screening": "-0x1.968bd6a280000p+0",
-    0.0: "0x1.e52c777a80000p-1",
-    0.25: "0x1.d29399a480000p-1",
-    1.0 / 3.0: "0x1.ccf5176b80000p-1",
-    0.5: "0x1.c2755b7b80000p-1",
-    0.75: "0x1.b44dac5280000p-1",
-    1.0: "0x1.a7bc15d980000p-1",
-    "steep film": "-0x1.7fffffffc0000p+1",
+    "film": "-0x1.5b4a598fe2384p-1",
+    "screening": "-0x1.968bd29d205e0p+0",
+    0.0: "0x1.e52c777af384ap-1",
+    0.25: "0x1.d29399a444f36p-1",
+    1.0 / 3.0: "0x1.ccf5176b2950cp-1",
+    0.5: "0x1.c2755b7b389acp-1",
+    0.75: "0x1.b44dac520818ap-1",
+    1.0: "0x1.a7bc15d9bfaa4p-1",
+    "steep film": "-0x1.7ffffffffffffp+1",
 }
 
 
@@ -264,23 +269,40 @@ def test_default_slopes_keep_every_bit(oracle):
 
 
 # the film's and cone lam = 0, 1/2 and 1 slopes at their default far fields,
-# computed to 30 digits with mpmath; screening is left out, because its
-# far-field truncation at 30 alone moves its slope by 2.4e-7
+# computed to 30 digits with mpmath, and the classical screening slope
+# (Boyd, J. Comput. Appl. Math. 244, 2013)
 MPMATH_SLOPES = {
     "film": -0.678301619352223238,
     0.0: 0.947604879149179913,
     0.5: 0.879801615516390628,
     1.0: 0.827606852370022642,
 }
+SCREENING_SLOPE = -1.588071022611375
 
 
-def test_default_slopes_lie_within_the_bisection_width_of_independent_digits(oracle):
-    # off by 4.5e-11, 5.3e-11, 3.2e-11 and 2.9e-11
+def test_default_slopes_lie_within_1e_12_of_independent_digits(oracle):
+    # off by -4.6e-14, -3.2e-14, -7.2e-14 and -9.3e-14; screening, whose
+    # mismatch is taken at 40 on an asymptote with a slowly decaying
+    # correction, by -2.6e-9
     problems = {"film": FLUID, 0.0: ConeParams(0.0), 0.5: ConeParams(0.5),
                 1.0: ConeParams(1.0)}
     for key, exact in MPMATH_SLOPES.items():
         slope, _ = oracle(problems[key])
-        assert abs(slope - exact) <= 1e-10 * (1.0 + abs(exact))
+        assert abs(slope - exact) <= 1e-12 * (1.0 + abs(exact))
+    slope, _ = oracle(ThomasFermiProblem())
+    assert abs(slope - SCREENING_SLOPE) <= 1e-8
+
+
+def test_the_trajectory_holds_the_tolerance_in_the_far_field(oracle):
+    # the cone's far-field steps are capped at 4, so the continuous
+    # extension stays near the tolerance between them: 4.5e-12 from a walk
+    # at a quarter of the step (1.0e-10 at z = 30.3 with 7.57-long steps)
+    for lam in (0.0, 0.5):
+        slope, (xs, states) = oracle(ConeParams(lam))
+        fine_xs, fine = integrate(ConeParams(lam).top_derivative, (0.0, slope, -1.0),
+                                  0.0, 40.0, 2.5e-4)
+        assert np.array_equal(fine_xs[::4], xs)
+        assert np.max(np.abs(states - fine[::4])) <= 2e-11
 
 
 def test_cone_default_bracket_beyond_lambda_one():
@@ -313,14 +335,16 @@ def test_screening_launch_point_insensitivity(oracle, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# bisection walks at a tolerance matched to the bracket
+# the slope search: loose bisection walks, then the secant on g
 
 STRICT_TOL = 1e-3 ** 4  # the default step**4
 
 
 @pytest.mark.parametrize("step", [1e-3, 5e-4])
 def test_loose_walks_leave_every_bit_of_the_oracle(oracle, monkeypatch, step):
-    # with the loose cap at 0 every walk runs at step**4
+    # with the loose cap at 0 every walk runs at step**4; on these problems
+    # the loose classes give the strict run's last bracket, so the secant
+    # and the trajectory are bit for bit the same
     problems = [FLUID, ThomasFermiProblem(), FluidParams.from_b1_b3(0.3, 0.9),
                 FluidParams.from_b1_b3(0.9, 0.3)] + \
         [ConeParams(lam) for lam in CONE_LAMBDAS + (1.2, 2.0)]
@@ -388,119 +412,103 @@ def test_the_extension_stages_match_the_scalar_reference(monkeypatch):
             [tuple(map(float.hex, p)) for p in expected]
 
 
-def _walks(monkeypatch, prob, force=None, abort=False):
-    """(slope, classification walks as (trial slope, tol, flipped)) of
-    shoot(prob); the first loose walk from trial slope force reports the
-    wrong class, and with abort the first final-midpoint walk aborts at once."""
-    walk, walks, trajectories = shooting._dop853, [], []
+def _walks(monkeypatch, prob, force=None, abort=()):
+    """(slope, walks as (kind, trial slope, tol, outcome)) of shoot(prob),
+    kind "class", "g" or "trail".  The first loose class walk from trial
+    slope force reports the wrong class, and the g walks whose indices
+    (from 0) are in abort abort at once."""
+    walk, walks = shooting._dop853, []
 
     def recorded(accel, state, x, x1, tol, h, trail=None, events=False):
-        if trail is not None:  # the reported trajectory
-            trajectories.append(state)
-            if abort and len(trajectories) == 1:
-                return x, state, None, h
-            return walk(accel, state, x, x1, tol, h, trail, events)
-        reached, y, outcome, h = walk(accel, state, x, x1, tol, h, trail, events)
-        wrong = (tol > STRICT_TOL and state[1] == force
-                 and not any(flipped for *_, flipped in walks))
-        walks.append((state[1], tol, wrong))
-        if wrong:
-            far = y[len(state) - 2]  # f (film) or f' (cone)
-            return reached, y, -(outcome or math.copysign(1.0, far)), h
-        return reached, y, outcome, h
+        kind = "class" if events else "g" if trail is None else "trail"
+        count = sum(k == "g" for k, *_ in walks)
+        if kind == "g" and count in abort:
+            reached, y, outcome = x, state, None
+        else:
+            reached, y, outcome = walk(accel, state, x, x1, tol, h, trail, events)
+        s = state[1]  # the trial slope, f' on the film and on the cone
+        if (kind == "class" and tol > STRICT_TOL and s == force
+                and not any(w[1] == force and w[2] > STRICT_TOL for w in walks)):
+            assert outcome  # an event, far from the root
+            outcome = -outcome
+        walks.append((kind, s, tol, outcome))
+        return reached, y, outcome
     with monkeypatch.context() as patch:
         patch.setattr(shooting, "_dop853", recorded)
         slope, _ = shoot(prob)
     return slope, walks
 
 
-def test_a_wrong_loose_class_reruns_the_bisection_strictly(oracle, monkeypatch):
-    # the film's first loose walk within 1e-2 of its root (s = -0.6875, at
-    # bracket width 0.125), or late, the cone's last loose walk, reports the
-    # wrong class; the strict check of the final bracket catches it, and the
-    # bisection goes on from the bracket that walk split: its later
-    # midpoints are the all-strict run's, then at most one end is checked
-    for prob in (FLUID, ConeParams(0.5)):
-        base, _ = oracle(prob)
-        _, loose = _walks(monkeypatch, prob)
-        with monkeypatch.context() as patch:
-            patch.setattr(shooting, "_LOOSE_CAP", 0.0)
-            _, strict = _walks(monkeypatch, prob)
-        strict = [s for s, *_ in strict]
-        loose = [s for s, tol, _ in loose if tol > STRICT_TOL]
-        if prob is FLUID:
-            target = next(s for s in loose if abs(s - base) < 1e-2)
-            assert target == -0.6875
-        else:
-            target = loose[-1]
-        slope, walks = _walks(monkeypatch, prob, target)
-        assert [s for s, *_, flipped in walks if flipped] == [target] and slope == base
-        after = walks[walks.index((target, STRICT_TOL, False)) + 1:]
-        later = strict[strict.index(target) + 1:]
-        assert [s for s, *_ in after[:len(later)]] == later
-        assert len(after) - len(later) <= 1
-        assert all(tol == STRICT_TOL for _, tol, _ in after[len(later):])
-
-
-def test_a_wrong_loose_class_walks_no_trajectory_on_the_bracket_it_leaves(
-        oracle, monkeypatch):
-    # the film forced wrong at -0.6875: each final midpoint's walk stops at
-    # its first event, and only the midpoint of the bracket that holds the
-    # root walks on to the far field (10,573 accel calls; 7,076 unforced)
-    class CountingFilm(FluidParams):
-        calls = 0
-
-        def top_derivative(self, x, f, fp):
-            CountingFilm.calls += 1
-            return super().top_derivative(x, f, fp)
-    slope, walks = _walks(monkeypatch, CountingFilm(*FLUID_B), -0.6875)
-    assert slope == oracle(FLUID)[0]
-    assert [s for s, *_, flipped in walks if flipped] == [-0.6875]
-    assert CountingFilm.calls <= 20_000
-
-
-def test_the_final_bracket_walks_at_most_one_end_strictly(monkeypatch):
-    # the midpoint's strict walk, the head of the reported trajectory, gives
-    # the midpoint's class, and only the end across from it is walked again
+def test_the_secant_takes_over_at_the_bracket_width(monkeypatch):
+    # every class walk but the two strict checks of the start bracket runs
+    # loose, down to a bracket of width 1e-6; then the two ends' g walks
+    # and at most two secant iterates, and one trajectory walk
     for prob in (FLUID, ConeParams(0.0), ConeParams(0.5), ConeParams(1.0)):
         _, walks = _walks(monkeypatch, prob)
-        last = max(i for i, (_, tol, _) in enumerate(walks) if tol > STRICT_TOL)
-        earlier = [s for s, *_ in walks[:last + 1]]
-        ends = walks[last + 1:]
-        assert len(ends) <= 1
-        assert all(tol == STRICT_TOL and s in earlier for s, tol, _ in ends)
+        kinds = [kind for kind, *_ in walks]
+        assert kinds == ["class"] * 23 + ["g"] * (len(walks) - 24) + ["trail"]
+        assert 3 <= len(walks) - 24 <= 4
+        assert all(tol > STRICT_TOL for _, _, tol, _ in walks[2:23])
+        assert all(tol == STRICT_TOL for _, _, tol, _ in walks[23:])
+        ends = sorted(s for _, s, _, _ in walks[23:25])
+        assert 0.0 < ends[1] - ends[0] <= 1e-6
+        assert all(ends[0] < s < ends[1] for _, s, _, _ in walks[25:-1])
 
 
-def test_the_midpoint_takes_the_class_of_its_first_event(monkeypatch):
-    # f'' = f has the root -1 (f = e^-z), and f'' = 1 past 15 makes f(40)
-    # positive near it; the final midpoint of a bracket left below the root
-    # by a wrong loose class is too low by its first event, so the end
-    # across, the wrong one, is checked, and not the end its far field names
-    class BentFilm(FluidParams):
-        def top_derivative(self, x, f, fp):
-            return 1.0 if x > 15.0 else f
-    prob = BentFilm(*FLUID_B)
-    base, _ = shoot(prob)
-    _, walks = _walks(monkeypatch, prob)
-    target = [s for s, tol, _ in walks if tol > STRICT_TOL and s < base][-1]
-    slope, walks = _walks(monkeypatch, prob, target)
-    assert slope == base
-    assert [s for s, *_, flipped in walks if flipped] == [target]
+def test_a_wrong_loose_class_moves_the_bracket_past_its_end(oracle, monkeypatch):
+    # the last loose class walk, or the film's first within 1e-2 of its
+    # root (s = -0.6875, at bracket width 0.125), reports the wrong class, so
+    # the root lies outside the last bracket: both ends' g share a sign, and
+    # the bracket moves past the end that is off, doubling its width, until
+    # it holds the root again; the secant then finds the same slope
+    for prob in (FLUID, ConeParams(0.5)):
+        base, _ = oracle(prob)
+        _, walks = _walks(monkeypatch, prob)
+        loose = [s for kind, s, tol, _ in walks if kind == "class" and tol > STRICT_TOL]
+        targets = [loose[-1]]
+        if prob is FLUID:
+            targets.append(next(s for s in loose if abs(s - base) < 1e-2))
+            assert targets[1] == -0.6875
+        for target in targets:
+            slope, walks = _walks(monkeypatch, prob, target)
+            assert abs(slope - base) <= 1e-13 * (1.0 + abs(base))
+            g = [s for kind, s, _, _ in walks if kind == "g"]
+            lo, hi = sorted(g[:2])
+            assert not lo <= base <= hi
+            moves = _moves(g)
+            assert moves and all((s < lo) == (base < lo) for s in moves)
+    # -0.6875 is 0.0092 below the film's root: 13 moves from width 1e-6
+    _, walks = _walks(monkeypatch, FLUID, -0.6875)
+    assert len(_moves([s for kind, s, _, _ in walks if kind == "g"])) == 13
 
 
-def test_an_aborted_trajectory_checks_both_ends_first(oracle, monkeypatch):
-    # f'' = 9 f: both ends keep their class, and the trajectory follows the
-    # e^{3z} growth mode out of range before the far field at 40
+def _moves(g):
+    """The trial slopes of g walks that lie outside all earlier ones."""
+    return [s for i, s in enumerate(g[2:], 2) if not min(g[:i]) <= s <= max(g[:i])]
+
+
+def test_an_aborted_mismatch_walk_takes_the_strict_class(oracle, monkeypatch):
+    # an end's g walk, or the first secant iterate's, aborts: its slope is
+    # walked strictly with events for its class, the next iterate is a
+    # midpoint, and the secant still finds the slope
+    for prob in (FLUID, ConeParams(0.5)):
+        base, _ = oracle(prob)
+        for index in (0, 2):
+            slope, walks = _walks(monkeypatch, prob, abort=(index,))
+            assert abs(slope - base) <= 1e-13 * (1.0 + abs(base))
+            g = [w for w in walks if w[0] == "g"]
+            aborted = g[index][1]
+            assert g[index][3] is None
+            after = walks[walks.index(g[index]) + 1]
+            assert after[:3] == ("class", aborted, STRICT_TOL)
+
+
+def test_an_aborted_trajectory_is_a_blow_up():
+    # f'' = 9 f: the trajectory follows the e^{3z} growth mode out of range
+    # before the far field at 40, from a slope within 4.4e-16 of -3
     with pytest.raises(BlowUpError, match="^trajectory left the state bound$") as info:
         shoot(FluidParams(0.0, 0.0, 9.0))
-    assert info.value.abscissa == 12.472608043853416
-    # a wrong loose class at -0.6875 and an aborted first trajectory: the
-    # check of both ends finds the wrong one, and the bisection resumes
-    base, _ = oracle(FLUID)
-    slope, walks = _walks(monkeypatch, FLUID, -0.6875, abort=True)
-    assert slope == base
-    assert [s for s, *_, flipped in walks if flipped] == [-0.6875]
-    assert (-0.6875, STRICT_TOL, False) in walks
+    assert info.value.abscissa == 17.67690127616235
 
 
 def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
@@ -510,34 +518,33 @@ def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
     def loose_aborts(accel, state, x, x1, tol, h, trail=None, events=False):
         calls.append((tol, state))
         if tol > STRICT_TOL:
-            return x, state, None, h
+            return x, state, None
         return walk(accel, state, x, x1, tol, h, trail, events)
     monkeypatch.setattr(shooting, "_dop853", loose_aborts)
     slope, (_, retried) = shoot(FLUID)
     assert slope == base and np.array_equal(retried, states)
     loose = [i for i, (tol, _) in enumerate(calls) if tol > STRICT_TOL]
-    assert len(loose) > 20
+    assert len(loose) == 21
     assert all(calls[i + 1] == (STRICT_TOL, calls[i][1]) for i in loose)
 
 
 def test_the_default_shoots_keep_their_cost(monkeypatch):
     # accel calls and _dop853 walks of the oracle benchmark's five shoots,
     # which read only the slope, and the accel calls that reading the states
-    # adds: three per accepted step of the reported trajectory.  Every loose
-    # class is checked strictly, so a loose-walk cap of 1e-3 in place of
-    # _LOOSE_CAP = 1e-6 keeps every bit of every shoot; only these counts see
-    # that mutant.
+    # adds: three per accepted step of the reported trajectory.  A loose-walk
+    # cap of 1e-3 in place of _LOOSE_CAP = 1e-6 keeps every bit of these
+    # shoots; only these counts see that mutant.
     walk, walks = shooting._dop853, []
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
     monkeypatch.setattr(shooting, "_dop853", counted)
-    for prob, calls, n, read in ((FLUID, 7_076, 39, 252),
-                                 (ThomasFermiProblem(), 22_027, 39, 384),
-                                 (ConeParams(0.0), 9_164, 39, 180),
-                                 (ConeParams(0.5), 8_953, 39, 177),
-                                 (ConeParams(1.0), 8_937, 39, 177)):
+    for prob, calls, n, read in ((FLUID, 4_305, 27, 189),
+                                 (ThomasFermiProblem(), 21_300, 31, 375),
+                                 (ConeParams(0.0), 6_446, 28, 183),
+                                 (ConeParams(0.5), 6_432, 28, 180),
+                                 (ConeParams(1.0), 6_286, 28, 177)):
         accel, made = prob.top_derivative, []
 
         def counting(*args):
@@ -559,7 +566,7 @@ def test_steep_film_below_the_start_bracket_is_found():
     # f'' = 9 f has the slope -3, below the bracket (-2, 0): the walk at -2
     # is too high, so the bracket moves down to (-6, -2)
     slope, _ = shoot(FluidParams(0.0, 0.0, 9.0), ShootConfig(z_max=10.0))
-    assert abs(slope + 3.0) <= 1e-8
+    assert abs(slope + 3.0) <= 1e-14
 
 
 def test_bracket_with_negative_far_field_top_is_rejected():
@@ -580,6 +587,23 @@ def test_bracket_without_root_is_reported():
             return 1e7
     with pytest.raises(OracleError, match="no far-field root found above -2046$"):
         shoot(SoaringFilm(*FLUID_B), ShootConfig(z_max=8.0, step=2e-2))
+
+
+def test_a_mismatch_root_past_the_class_root_is_found(monkeypatch):
+    # f'' = 0 is f = 1 + s z: the class far field at 40 puts the root at
+    # -r / (1 + 40 r), and g = f' + r f at 10 puts it at -r / (1 + 10 r),
+    # r = sqrt(b3), 0.063 lower; the bracket moves down to g's root, and the
+    # secant meets it
+    class FlatFilm(FluidParams):
+        def top_derivative(self, x, f, fp):
+            return 0.0
+    r = math.sqrt(FLUID.b3)
+    slope, _ = shoot(FlatFilm(*FLUID_B))
+    assert abs(slope + r / (1.0 + 10.0 * r)) <= 1e-15
+    # no bracket up to 1e-2 wide holds it
+    monkeypatch.setattr(shooting, "_MAX_WIDTH", 1e-2)
+    with pytest.raises(OracleError, match="^the far-field mismatch keeps its sign from"):
+        shoot(FlatFilm(*FLUID_B))
 
 
 def test_walk_that_aborts_before_its_class_is_an_oracle_error():
@@ -617,7 +641,7 @@ def test_shoot_config_validation():
                 ShootConfig(**{key: bad})
     cfg = ShootConfig()
     assert cfg.z_max == 40.0 and cfg.step == 1e-3
-    assert shooting._BISECT_TOL == 1e-10
+    assert (shooting._SECANT_WIDTH, shooting._SECANT_TOL) == (1e-6, 1e-13)
 
 
 def test_shoot_rejects_unknown_problem_and_bad_launch():

@@ -1,11 +1,15 @@
 """Print the outputs that a behaviour-preserving change must keep byte for byte.
 
-Run from the root of a checkout (halfline is imported from ./src):
+halfline is imported from the src directory of the checkout that holds this
+file:
 
     python3 tools/snapshot.py > snapshot.txt
 
-and compare the files of two checkouts with ``cmp``.  Each section starts
-with a ``####`` header line and shows exit codes and both output streams:
+Compare the files of two checkouts with ``cmp``; tier-1 compares the output
+of snapshot_text() with the committed tests/golden/snapshot.txt
+(tests/test_golden.py).  The first line names the Python, numpy and BLAS
+build, because the bits depend on them.  Each section starts with a
+``####`` header line and shows exit codes and both output streams:
 
   - ``verify`` and ``solve`` (its CSV) on every preset case: the fixed
     presets once, the cone presets at each tabulated cone-lambda, and
@@ -26,9 +30,9 @@ with a ``####`` header line and shows exit codes and both output streams:
     CSV behind;
   - the exit code and last output or error line of four ``solve`` runs
     that stop at max|F| above 1e-10, where Newton's verdict decides;
-  - the benchmark's seeded sweep (seeds 1, 3, 5): every Newton solution,
-    iteration count, residual history and slope, as exact hexadecimal
-    floats;
+  - the benchmark's seeded sweep (seeds 1, 3, 5): the SHA-256 of every
+    Newton solution, iteration count, residual history and slope, as exact
+    hexadecimal floats, one digest per seed;
   - two Laguerre quadrature rules, two mapped trapezoid rules, the
     derivative tables of orders 0..3 of four bases (the axis, points near
     it, the nodes, a grid and the far field), and one small Newton solve
@@ -36,20 +40,22 @@ with a ``####`` header line and shows exit codes and both output streams:
     floats;
   - the standard output of every demo.
 
-The tool is not part of the test suite; a full run takes a few seconds.
+A full run takes a few seconds.
 """
 
+import contextlib
 import hashlib
 import io
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
-ROOT = pathlib.Path.cwd()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import halfline  # noqa: E402
@@ -172,7 +178,24 @@ def hexes(values):
     return " ".join(float(v).hex() for v in values)
 
 
+def environment():
+    """The header line: Python, numpy and the BLAS build numpy runs on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "#### Python %s, numpy %s, BLAS %s %s (%s)" % (
+        platform.python_version(), np.__version__, blas.get("name"), blas.get("version"),
+        blas.get("openblas configuration", "").strip())
+
+
+def snapshot_text():
+    """The whole snapshot, as main_snapshot prints it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main_snapshot()
+    return out.getvalue()
+
+
 def main_snapshot():
+    print(environment())
     for command in ("verify", "solve"):
         for name, lam in PRESET_CASES:
             extra = [] if lam is None else ["--cone-lambda", repr(lam)]
@@ -226,12 +249,15 @@ def main_snapshot():
             print("%s: %s" % (type(exc).__name__, exc))
     for seed in (1, 3, 5):
         header("sweep seed %d" % seed)
+        lines = []
         for case in workloads.sweep_cases(seed):
             reports, s_lag, s_sinc, gap = workloads.run_sweep(case)
-            print(hexes(case[:2]), case[2], hexes([s_lag, s_sinc, gap]))
+            lines.append("%s %d %s" % (hexes(case[:2]), case[2], hexes([s_lag, s_sinc, gap])))
             for r in reports:
-                print("  %d %s" % (r.iterations, hexes(r.solution)))
-                print("    history %s" % hexes(r.history))
+                lines.append("  %d %s" % (r.iterations, hexes(r.solution)))
+                lines.append("    history %s" % hexes(r.history))
+        print("sha256 %s of %d lines" % (
+            hashlib.sha256("\n".join(lines).encode()).hexdigest(), len(lines)))
     for N, L in ((8, 1.0), (20, 0.99)):
         header("LaguerreBasis(%d, 1.0, %g).quadrature()" % (N, L))
         for values in LaguerreBasis(N, 1.0, L).quadrature():
