@@ -34,18 +34,21 @@ mode and is negative too low: g = f' + sqrt(b3) f on the film (from
 f'' ~ b3 f), f'' + a f f' on the cone (from f''' ~ -a f f'',
 a = (lam + 5) / 2) and x y' + 3 y on screening (y ~ 144 / x^3).
 
-Bisection walks run loose, at max(step**4, min(1e-6, 0.1 w)) at bracket
-width w, down to w = 1e-6; as a tolerance tau moved the class boundary by
-at most 0.09 tau, only a slope within about 1% of w of the root can take
-the wrong class.  A loose walk that aborts is repeated at step**4.  The
-secant takes g at the end of a walk without events to X = 10 on the film
-and the cone (z_max if nearer) and X = 40 on screening.  A wrong loose
-class, or screening's class root at 30 (1.8e-8 from g's at 40), can leave
-g's root just outside the bracket, where both ends' g share a sign; the
-bracket then moves past the end that is off, doubling its width.  An
-iterate outside the bracket is its midpoint, each g sign narrows it, and
-the search stops at a step of at most 1e-13 (1 + |s|).  A g walk that
-aborts gives its slope's strict class instead, and a midpoint follows.
+Bisection walks run loose, at tau = max(step**4, min(1e-3, 0.1 w)) at
+bracket width w, down to w = 1e-6, each from a first trial step of step
+(tau / step**4)**(1/4), the rule that ties step to step**4; screening's
+start at its launch step, as y'' ~ x^(-1/2) there.  As a tau from 1e-7 to
+1e-3 moved the class boundary by at most 0.04 tau (0.16 tau on screening),
+only a slope within a few percent of w of the root can take the wrong
+class.  A loose walk that aborts is repeated at step**4.  The secant takes
+g at the end of a walk without events to X = 10 on the film and the cone
+(z_max if nearer) and X = 40 on screening.  A wrong loose class, or
+screening's class root at 30 (1.8e-8 from g's at 40), can leave g's root
+just outside the bracket, where both ends' g share a sign; the bracket
+then moves past the end that is off, doubling its width.  An iterate
+outside the bracket is its midpoint, each g sign narrows it, and the
+search stops at a step of at most 1e-13 (1 + |s|).  A g walk that aborts
+gives its slope's strict class instead, and a midpoint follows.
 """
 
 import math
@@ -61,7 +64,7 @@ from .problems import ConeParams, FluidParams, ThomasFermiProblem
 
 _BOUND = 1e6
 _MAX_WIDTH = 1e3        # the widest bracket searched
-_LOOSE_CAP = 1e-6       # bisection walks run at max(step**4, min(cap, scale * width))
+_LOOSE_CAP = 1e-3       # bisection walks run at max(step**4, min(cap, scale * width))
 _LOOSE_SCALE = 0.1
 _SECANT_WIDTH = 1e-6    # the bracket width where the secant takes over
 _SECANT_TOL = 1e-13     # its stop, |ds| <= _SECANT_TOL (1 + |s|)
@@ -140,8 +143,9 @@ class ShootConfig:
     step sets the local error tolerance step**4 of the secant's walks and
     of the reported trajectory (bisection walks run looser, see the module
     docstring), the spacing of the reported trajectory, and the first trial
-    step.  z_max is where the reported trajectory ends and where a class
-    walk with no event takes the sign of the far-field mismatch.
+    step of every walk at step**4 on the film and the cone (screening's
+    start at 1e-6).  z_max is where the reported trajectory ends and where
+    a class walk with no event takes the sign of the far-field mismatch.
     """
 
     def __init__(self, z_max=40.0, step=1e-3):
@@ -518,7 +522,8 @@ def shoot(problem, cfg=None):
     tol, grid = _tol_and_grid(grid0, x1, cfg.step)
 
     def side(s, walk_tol=tol):
-        reached, y, outcome = _dop853(accel, start(s), x0, x1, walk_tol, h0, None, True)
+        h = h0 if x0 else h0 * (walk_tol / tol) ** 0.25
+        reached, y, outcome = _dop853(accel, start(s), x0, x1, walk_tol, h, None, True)
         if outcome is None:
             if walk_tol > tol:
                 return side(s)

@@ -531,20 +531,20 @@ def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
 def test_the_default_shoots_keep_their_cost(monkeypatch):
     # accel calls and _dop853 walks of the oracle benchmark's five shoots,
     # which read only the slope, and the accel calls that reading the states
-    # adds: three per accepted step of the reported trajectory.  A loose-walk
-    # cap of 1e-3 in place of _LOOSE_CAP = 1e-6 keeps every bit of these
-    # shoots; only these counts see that mutant.
+    # adds: three per accepted step of the reported trajectory.  A loose
+    # walk's first step left at step, or _LOOSE_CAP back at 1e-6, keeps
+    # every bit of these shoots; these counts see both mutants.
     walk, walks = shooting._dop853, []
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
     monkeypatch.setattr(shooting, "_dop853", counted)
-    for prob, calls, n, read in ((FLUID, 4_305, 27, 189),
-                                 (ThomasFermiProblem(), 21_300, 31, 375),
-                                 (ConeParams(0.0), 6_446, 28, 183),
-                                 (ConeParams(0.5), 6_432, 28, 180),
-                                 (ConeParams(1.0), 6_286, 28, 177)):
+    for prob, calls, n, read in ((FLUID, 3_380, 27, 189),
+                                 (ThomasFermiProblem(), 19_533, 31, 375),
+                                 (ConeParams(0.0), 5_251, 28, 183),
+                                 (ConeParams(0.5), 5_039, 28, 180),
+                                 (ConeParams(1.0), 4_951, 28, 177)):
         accel, made = prob.top_derivative, []
 
         def counting(*args):
@@ -556,6 +556,33 @@ def test_the_default_shoots_keep_their_cost(monkeypatch):
         assert (len(made), len(walks)) == (calls, n)
         trajectory[1]
         assert len(made) - calls == read == 3 * len(walks[-1][6])
+
+
+@pytest.mark.parametrize("step", [1e-3, 5e-4])
+def test_each_walk_starts_at_the_step_of_its_kind(monkeypatch, step):
+    # a loose class walk at tolerance tau starts at step (tau / step**4)**(1/4);
+    # every strict walk (class, g and trajectory) starts at exactly step, and
+    # every screening walk at its launch step 1e-6, whatever its tolerance
+    walk, starts, strict = shooting._dop853, [], step ** 4
+
+    def recorded(accel, state, x, x1, tol, h, trail=None, events=False):
+        kind = "class" if events else "g" if trail is None else "trail"
+        starts.append((kind if tol == strict else "loose " + kind, tol, h))
+        return walk(accel, state, x, x1, tol, h, trail, events)
+    monkeypatch.setattr(shooting, "_dop853", recorded)
+    for prob in (FLUID, ConeParams(0.0), ConeParams(0.5), ThomasFermiProblem()):
+        starts.clear()
+        shoot(prob, ShootConfig(step=step))
+        kinds = [kind for kind, _, _ in starts]
+        assert set(kinds) == {"class", "loose class", "g", "trail"}
+        assert kinds.count("loose class") == 21
+        for kind, tol, h in starts:
+            if isinstance(prob, ThomasFermiProblem):
+                assert h == 1e-6
+            elif kind == "loose class":
+                assert h == step * (tol / strict) ** 0.25 and h > step
+            else:
+                assert h == step
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,14 @@ and gives its slope as float.hex and the SHA-256 of its state array.  With
 --against, the same census runs on DIR/src in a child process, and each
 line also gives the gap to that checkout's slope in units of the bisection
 width 1e-10 (1 + |s|) and whether the states are bit-identical; the last
-line gives the largest gap over the film and cone shoots, by config.  A
-shoot that raises prints its error type and message in place of the slope.
+lines give the largest gap over the film and cone shoots, by config, and
+how many slopes and state arrays are bit-identical.  A shoot that raises
+prints its error type and message in place of the slope.
+
+The census also counts the top_derivative calls each config's 57 shoots
+make before their states are read, the slope search and the trajectory
+walk, and prints the totals; with --against, next to the other checkout's
+totals and the ratio of this checkout's to theirs.
 """
 
 import argparse
@@ -41,20 +47,33 @@ def problems(halfline):
 
 
 def census(src):
-    """{(name, config): (slope hex or error, states SHA-256)} of halfline in src."""
+    """({(name, config): (slope hex or error, states SHA-256)}, {config: top_derivative
+    calls of its shoots before their states are read}) of halfline in src."""
     sys.path.insert(0, str(src))
     import halfline
-    out = {}
+    out, calls = {}, {}
     for config, kwargs in CONFIGS:
-        cfg = halfline.ShootConfig(**kwargs)
+        cfg, calls[config] = halfline.ShootConfig(**kwargs), 0
         for name, problem in problems(halfline):
+            made = []
+            problem.top_derivative = counted(problem.top_derivative, made)
             try:
-                slope, (_, states) = halfline.shoot(problem, cfg)
+                slope, trajectory = halfline.shoot(problem, cfg)
+                calls[config] += len(made)
                 out[name, config] = (float(slope).hex(),
-                                     hashlib.sha256(states.tobytes()).hexdigest())
+                                     hashlib.sha256(trajectory[1].tobytes()).hexdigest())
             except halfline.HalflineError as exc:
+                calls[config] += len(made)
                 out[name, config] = ("%s: %s" % (type(exc).__name__, exc), "-")
-    return out
+    return out, calls
+
+
+def counted(accel, made):
+    """accel, each call appending None to made."""
+    def accel_counted(*args):
+        made.append(None)
+        return accel(*args)
+    return accel_counted
 
 
 def main(argv=None):
@@ -63,21 +82,27 @@ def main(argv=None):
     ap.add_argument("--src", default=str(pathlib.Path.cwd() / "src"))
     ap.add_argument("--raw", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    here = census(args.src)
+    here, calls = census(args.src)
     if args.raw:
         for (name, config), (slope, digest) in here.items():
             print("%s\t%s\t%s\t%s" % (name, config, slope, digest))
+        for config, count in calls.items():
+            print("%s\t%d" % (config, count))
         return
-    other = {}
+    other, their_calls = {}, {}
     if args.against:
         child = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--raw",
              "--src", str(pathlib.Path(args.against) / "src")],
             capture_output=True, text=True, check=True)
         for line in child.stdout.splitlines():
-            name, config, slope, digest = line.split("\t")
-            other[name, config] = (slope, digest)
-    worst = {}
+            fields = line.split("\t")
+            if len(fields) == 2:
+                their_calls[fields[0]] = int(fields[1])
+            else:
+                name, config, slope, digest = fields
+                other[name, config] = (slope, digest)
+    worst, same = {}, [0, 0]
     for (name, config), (slope, digest) in here.items():
         line = "%-36s %-10s %-24s %s" % (name, config, slope, digest)
         if (name, config) in other:
@@ -91,10 +116,20 @@ def main(argv=None):
             except ValueError:
                 line += "  gap -"
             line += "  states %s" % ("same" if digest == their_digest else "differ")
+            same[0] += slope == theirs
+            same[1] += digest == their_digest
         print(line)
     if worst:
         print("largest film and cone gap: " + ", ".join(
             "%s %.3f" % item for item in worst.items()))
+    if other:
+        print("bit-identical: %d of %d slopes, %d of %d state arrays"
+              % (same[0], len(here), same[1], len(here)))
+    print("accel calls: " + ", ".join("%s %d" % item for item in calls.items()))
+    if their_calls:
+        print("theirs:      " + ", ".join("%s %d" % item for item in their_calls.items()))
+        print("ratio:       " + ", ".join("%s %.4f" % (config, count / their_calls[config])
+                                          for config, count in calls.items()))
 
 
 if __name__ == "__main__":
