@@ -102,7 +102,7 @@ def main(argv=None):
             else:
                 name, config, slope, digest = fields
                 other[name, config] = (slope, digest)
-    worst, same = {}, [0, 0]
+    worst = {}
     for (name, config), (slope, digest) in here.items():
         line = "%-36s %-10s %-24s %s" % (name, config, slope, digest)
         if (name, config) in other:
@@ -116,15 +116,15 @@ def main(argv=None):
             except ValueError:
                 line += "  gap -"
             line += "  states %s" % ("same" if digest == their_digest else "differ")
-            same[0] += slope == theirs
-            same[1] += digest == their_digest
         print(line)
     if worst:
         print("largest film and cone gap: " + ", ".join(
             "%s %.3f" % item for item in worst.items()))
     if other:
+        slopes, states = (sum(here[key][i] == other.get(key, ("", ""))[i] for key in here)
+                          for i in (0, 1))
         print("bit-identical: %d of %d slopes, %d of %d state arrays"
-              % (same[0], len(here), same[1], len(here)))
+              % (slopes, len(here), states, len(here)))
     print("accel calls: " + ", ".join("%s %d" % item for item in calls.items()))
     if their_calls:
         print("theirs:      " + ", ".join("%s %d" % item for item in their_calls.items()))
