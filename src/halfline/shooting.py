@@ -17,9 +17,9 @@ advancing a batch of 8 to 65 trial slopes in lockstep measured 65-90 us per
 step, against 10-12 us here.  Accuracy is one knob, ShootConfig.step: the
 mismatch walks and the reported trajectory run at local error tolerance
 step**4 (1e-12 at the default 1e-3).  The trajectory, one walk from the
-final slope, is spaced step apart by the pair's order-7 continuous
-extension, formed on first read; it takes no step longer than 4, so the
-extension holds the tolerance in the far field too.
+final slope, is walked on the first read of the states and spaced step
+apart by the pair's order-7 continuous extension; it takes no step longer
+than 4, so the extension holds the tolerance in the far field too.
 
 A trial slope takes the class of the first event on its walk, at the
 launch state or an accepted one.  With (u, v) the state's last two
@@ -34,13 +34,15 @@ mode and is negative too low: g = f' + sqrt(b3) f on the film (from
 f'' ~ b3 f), f'' + a f f' on the cone (from f''' ~ -a f f'',
 a = (lam + 5) / 2) and x y' + 3 y on screening (y ~ 144 / x^3).
 
-Bisection walks run loose, at tau = max(step**4, min(1e-3, 0.1 w)) at
-bracket width w, down to w = 1e-6, each from a first trial step of step
+Class walks run loose, at tau = max(step**4, min(1e-3, 0.1 w)) at bracket
+width w: the checks of the start bracket's ends and bisection down to
+w = 1e-6, each from a first trial step of step
 (tau / step**4)**(1/4), the rule that ties step to step**4; screening's
 start at its launch step, as y'' ~ x^(-1/2) there.  As a tau from 1e-7 to
 1e-3 moved the class boundary by at most 0.04 tau (0.16 tau on screening),
 only a slope within a few percent of w of the root can take the wrong
-class.  A loose walk that aborts is repeated at step**4.  The secant takes
+class.  A loose walk that aborts, or a top end found too low, is repeated
+at step**4.  The secant takes
 g at the end of a walk without events to X = 10 on the film and the cone
 (z_max if nearer) and X = 40 on screening.  A wrong loose class, or
 screening's class root at 30 (1.8e-8 from g's at 40), can leave g's root
@@ -51,6 +53,7 @@ search stops at a step of at most 1e-13 (1 + |s|).  A g walk that aborts
 gives its slope's strict class instead, and a midpoint follows.
 """
 
+import copy
 import math
 import reprlib
 from functools import reduce
@@ -141,7 +144,7 @@ class ShootConfig:
     """Far-field truncation and accuracy step.
 
     step sets the local error tolerance step**4 of the secant's walks and
-    of the reported trajectory (bisection walks run looser, see the module
+    of the reported trajectory (class walks run looser, see the module
     docstring), the spacing of the reported trajectory, and the first trial
     step of every walk at step**4 on the film and the cone (screening's
     start at 1e-6).  z_max is where the reported trajectory ends and where
@@ -175,11 +178,7 @@ def integrate(accel, y0, x0, x1, step):
                                  % reprlib.repr(y0))
     state = tuple(_real("y0[%d]" % i, v, -math.inf) for i, v in enumerate(y0))
     tol, grid = _tol_and_grid(x0, _real("x1", x1, x0), step)
-    trail = []
-    reached, _, outcome = _dop853(accel, state, x0, grid[-1], tol, step, trail)
-    if outcome is None:
-        raise BlowUpError("trajectory left the state bound", abscissa=reached)
-    return grid, _dense(trail, grid, accel)
+    return grid, _Trajectory(grid, (accel, state, x0, grid[-1], tol, step))[1]
 
 
 # perfbench (spans.py and its tests) looks the integrator up under its former
@@ -249,14 +248,23 @@ def _dense(trail, grid, accel):
     return y.T.copy()
 
 
-# the (abscissas, states) of a shoot, its states formed on their first read
+# (abscissas, states) on grid, the states walked, by _dop853's arguments walk,
+# and formed on their first read; a walk that aborts raises on every read
 class _Trajectory:
-    def __init__(self, grid, trail, accel):
-        self._grid, self._trail, self._accel, self._states = grid, trail, accel, None
+    def __init__(self, grid, walk):
+        self._grid, self._walk, self._states = grid, walk, None
 
     def __getitem__(self, i):
-        if self._trail is not None and i not in (0, -2):
-            self._states, self._trail = _dense(self._trail, self._grid, self._accel), None
+        if i in (0, -2):
+            return self._grid
+        if self._walk is not None:
+            trail = []
+            reached, _, outcome = _dop853(*self._walk, trail)
+            self._states = reached if outcome is None else _dense(trail, self._grid,
+                                                                  self._walk[0])
+            self._walk = None
+        if not isinstance(self._states, np.ndarray):
+            raise BlowUpError("trajectory left the state bound", abscissa=self._states)
         return (self._grid, self._states)[i]
 
 
@@ -496,9 +504,10 @@ def shoot(problem, cfg=None):
     trajectory's error grows like the unstable mode, on the film as
     e^{sqrt(b3) z}.  A top end not too high, a bracket past 1e3 wide, a walk
     that aborts unclassified, or a g that keeps its sign over 1e3 raises
-    OracleError; a trajectory that leaves +-1e6 raises BlowUpError.  Every
-    error is raised by shoot: reading the states calls accel only inside
-    accepted steps, where the problem classes' accel is finite arithmetic.
+    OracleError in shoot.  The trajectory is walked, on a copy of problem
+    taken by shoot, on the first read of the states, which unpacking the
+    pair makes; reading only the abscissas walks nothing.  A trajectory
+    that leaves +-1e6 raises BlowUpError on that read and on every later one.
     """
     cfg = ShootConfig() if cfg is None else cfg
     if not isinstance(cfg, ShootConfig):
@@ -518,10 +527,12 @@ def shoot(problem, cfg=None):
         mismatch = lambda x, y: x * y[1] + 3.0 * y[0]
     else:
         raise ConfigurationError("unknown problem kind: %r" % (problem,))
-    accel = problem.top_derivative
+    accel = copy.copy(problem).top_derivative
     tol, grid = _tol_and_grid(grid0, x1, cfg.step)
 
-    def side(s, walk_tol=tol):
+    def side(s, width=0.0):
+        """The class of s, walked at the tolerance of a bracket this wide."""
+        walk_tol = max(tol, min(_LOOSE_CAP, _LOOSE_SCALE * width))
         h = h0 if x0 else h0 * (walk_tol / tol) ** 0.25
         reached, y, outcome = _dop853(accel, start(s), x0, x1, walk_tol, h, None, True)
         if outcome is None:
@@ -539,16 +550,15 @@ def shoot(problem, cfg=None):
         value = mismatch(far, y)
         return s, value, math.copysign(1.0, value)
 
-    if side(hi) < 0:
+    if side(hi, hi - lo) < 0 and side(hi) < 0:
         raise OracleError("far-field mismatch is not positive at the top of the bracket")
-    while side(lo) > 0:
+    while side(lo, hi - lo) > 0:
         if hi - lo > _MAX_WIDTH:
             raise OracleError("no far-field root found above %.17g" % lo)
         lo, hi = lo - 2.0 * (hi - lo), lo
     while hi - lo > _SECANT_WIDTH:
         mid = 0.5 * (lo + hi)
-        walk_tol = max(tol, min(_LOOSE_CAP, _LOOSE_SCALE * (hi - lo)))
-        lo, hi = (mid, hi) if side(mid, walk_tol) < 0 else (lo, mid)
+        lo, hi = (mid, hi) if side(mid, hi - lo) < 0 else (lo, mid)
     # where both ends' g share a sign, g's root lies past the end that is off
     low, high = g(lo), g(hi)
     while low[2] > 0 or high[2] < 0:
@@ -571,8 +581,4 @@ def shoot(problem, cfg=None):
         _, gs, sign = g(s)
         lo, hi = (s, hi) if sign < 0 else (lo, s)
         (s0, g0), (s1, g1) = (s1, g1), (s, gs)
-    trail = []
-    reached, _, outcome = _dop853(accel, start(s), x0, x1, tol, h0, trail)
-    if outcome is None:
-        raise BlowUpError("trajectory left the state bound", abscissa=reached)
-    return s, _Trajectory(grid, trail, accel)
+    return s, _Trajectory(grid, (accel, start(s), x0, x1, tol, h0))

@@ -220,6 +220,23 @@ def test_far_field_extension_leaves_slopes_unchanged(oracle):
         assert abs(extended - base) <= 1e-7
 
 
+def test_a_far_field_past_the_growth_mode_still_gives_the_slope():
+    # past X these films' trajectories follow the e^{sqrt(b3) z} growth mode
+    # out of +-1e6 before z = 60; the slope needs no trajectory, so shoot
+    # returns it, and only reading the states raises, on every read
+    far = ShootConfig(z_max=60.0)
+    for b, abscissa in (((0.8618729262948603, 0.9852375172970218), 59.46662189245423),
+                        ((0.9434921427204597, 0.9994613990339944), 58.991532808548115)):
+        film = FluidParams.from_b1_b3(*b)
+        slope, trajectory = shoot(film, far)
+        assert slope == shoot(film)[0]
+        assert trajectory[0][-1] == 60.0
+        for _ in range(2):
+            with pytest.raises(BlowUpError, match="^trajectory left the state bound$") as info:
+                trajectory[1]
+            assert info.value.abscissa == abscissa
+
+
 # the fixed-step RK4 slopes (step 1e-3) the error-controlled stepper
 # replaced; screening's is the secant's, on the far-field mismatch at 40 (the
 # fixed-step -1.588071265017559 solved the truncated y(30) = 0)
@@ -382,6 +399,33 @@ def test_the_states_are_formed_once_and_only_when_read(monkeypatch):
     assert_all_strict_bits(FLUID, ShootConfig(), slope, xs, states)
 
 
+def test_reading_the_abscissas_walks_nothing(monkeypatch):
+    walk, calls = shooting._dop853, []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+    monkeypatch.setattr(shooting, "_dop853", counted)
+    _, trajectory = shoot(FLUID)
+    searched = len(calls)
+    assert trajectory[0] is trajectory[-2] and trajectory[0][-1] == 40.0
+    assert len(calls) == searched
+    trajectory[1]
+    assert len(calls) == searched + 1 and calls[-1][6] is not None
+
+
+def test_the_states_are_those_of_the_problem_when_shot():
+    # the trajectory is walked on the first read, from a copy of the problem
+    # taken by shoot, so changing the problem in between changes no bit
+    film = FluidParams(*FLUID_B)
+    slope, trajectory = shoot(film)
+    film.b3 = 0.9
+    fresh, (fresh_xs, fresh_states) = shoot(FluidParams(*FLUID_B))
+    assert slope == fresh
+    assert np.array_equal(trajectory[0], fresh_xs)
+    assert np.array_equal(trajectory[1], fresh_states)
+
+
 def test_the_extension_stages_match_the_scalar_reference(monkeypatch):
     # reading the states forms the three extra stages of every step's
     # continuous extension; the points where they call accel are the scalar
@@ -414,7 +458,7 @@ def test_the_extension_stages_match_the_scalar_reference(monkeypatch):
 
 def _walks(monkeypatch, prob, force=None, abort=()):
     """(slope, walks as (kind, trial slope, tol, outcome)) of shoot(prob),
-    kind "class", "g" or "trail".  The first loose class walk from trial
+    its states unread, kind "class" or "g".  The first loose class walk from trial
     slope force reports the wrong class, and the g walks whose indices
     (from 0) are in abort abort at once."""
     walk, walks = shooting._dop853, []
@@ -440,19 +484,21 @@ def _walks(monkeypatch, prob, force=None, abort=()):
 
 
 def test_the_secant_takes_over_at_the_bracket_width(monkeypatch):
-    # every class walk but the two strict checks of the start bracket runs
-    # loose, down to a bracket of width 1e-6; then the two ends' g walks
-    # and at most two secant iterates, and one trajectory walk
+    # every class walk runs loose, the two checks of the start bracket at
+    # its width 2, and the bisection down to a bracket of width 1e-6; then
+    # the two ends' g walks and at most two secant iterates.  The trajectory
+    # is walked only when the states are read.
     for prob in (FLUID, ConeParams(0.0), ConeParams(0.5), ConeParams(1.0)):
         _, walks = _walks(monkeypatch, prob)
         kinds = [kind for kind, *_ in walks]
-        assert kinds == ["class"] * 23 + ["g"] * (len(walks) - 24) + ["trail"]
-        assert 3 <= len(walks) - 24 <= 4
+        assert kinds == ["class"] * 23 + ["g"] * (len(walks) - 23)
+        assert 3 <= len(walks) - 23 <= 4
+        assert [tol for _, _, tol, _ in walks[:2]] == [1e-3, 1e-3]
         assert all(tol > STRICT_TOL for _, _, tol, _ in walks[2:23])
         assert all(tol == STRICT_TOL for _, _, tol, _ in walks[23:])
         ends = sorted(s for _, s, _, _ in walks[23:25])
         assert 0.0 < ends[1] - ends[0] <= 1e-6
-        assert all(ends[0] < s < ends[1] for _, s, _, _ in walks[25:-1])
+        assert all(ends[0] < s < ends[1] for _, s, _, _ in walks[25:])
 
 
 def test_a_wrong_loose_class_moves_the_bracket_past_its_end(oracle, monkeypatch):
@@ -482,6 +528,16 @@ def test_a_wrong_loose_class_moves_the_bracket_past_its_end(oracle, monkeypatch)
     assert len(_moves([s for kind, s, _, _ in walks if kind == "g"])) == 13
 
 
+def test_a_top_end_too_low_when_loose_is_walked_again_strictly(oracle, monkeypatch):
+    # the loose check of the film's top end s = 0 reports too low; before
+    # that raises, the end is walked strictly, found too high, and the
+    # search goes on to the same slope
+    base, _ = oracle(FLUID)
+    slope, walks = _walks(monkeypatch, FLUID, 0.0)
+    assert slope == base
+    assert walks[:2] == [("class", 0.0, 1e-3, -1), ("class", 0.0, STRICT_TOL, 1)]
+
+
 def _moves(g):
     """The trial slopes of g walks that lie outside all earlier ones."""
     return [s for i, s in enumerate(g[2:], 2) if not min(g[:i]) <= s <= max(g[:i])]
@@ -505,10 +561,17 @@ def test_an_aborted_mismatch_walk_takes_the_strict_class(oracle, monkeypatch):
 
 def test_an_aborted_trajectory_is_a_blow_up():
     # f'' = 9 f: the trajectory follows the e^{3z} growth mode out of range
-    # before the far field at 40, from a slope within 4.4e-16 of -3
+    # before the far field at 40, from a slope within 4.4e-16 of -3; shoot
+    # returns that slope, and reading the states raises, as unpacking does
+    slope, trajectory = shoot(FluidParams(0.0, 0.0, 9.0))
+    assert abs(slope + 3.0) <= 4.5e-16
     with pytest.raises(BlowUpError, match="^trajectory left the state bound$") as info:
-        shoot(FluidParams(0.0, 0.0, 9.0))
+        slope, (xs, states) = shoot(FluidParams(0.0, 0.0, 9.0))
     assert info.value.abscissa == 17.67690127616235
+    for _ in range(2):
+        with pytest.raises(BlowUpError) as info:
+            trajectory[1]
+        assert info.value.abscissa == 17.67690127616235
 
 
 def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
@@ -524,27 +587,28 @@ def test_loose_walks_that_abort_are_repeated_strictly(oracle, monkeypatch):
     slope, (_, retried) = shoot(FLUID)
     assert slope == base and np.array_equal(retried, states)
     loose = [i for i, (tol, _) in enumerate(calls) if tol > STRICT_TOL]
-    assert len(loose) == 21
+    assert len(loose) == 23
     assert all(calls[i + 1] == (STRICT_TOL, calls[i][1]) for i in loose)
 
 
 def test_the_default_shoots_keep_their_cost(monkeypatch):
     # accel calls and _dop853 walks of the oracle benchmark's five shoots,
     # which read only the slope, and the accel calls that reading the states
-    # adds: three per accepted step of the reported trajectory.  A loose
-    # walk's first step left at step, or _LOOSE_CAP back at 1e-6, keeps
-    # every bit of these shoots; these counts see both mutants.
+    # adds: one trajectory walk, then three per accepted step of it.  A
+    # loose walk's first step left at step, _LOOSE_CAP back at 1e-6, or
+    # strict checks of the start bracket keep every bit of these shoots;
+    # these counts see each mutant.
     walk, walks = shooting._dop853, []
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
     monkeypatch.setattr(shooting, "_dop853", counted)
-    for prob, calls, n, read in ((FLUID, 3_380, 27, 189),
-                                 (ThomasFermiProblem(), 19_533, 31, 375),
-                                 (ConeParams(0.0), 5_251, 28, 183),
-                                 (ConeParams(0.5), 5_039, 28, 180),
-                                 (ConeParams(1.0), 4_951, 28, 177)):
+    for prob, calls, n, read in ((FLUID, 2_521, 26, 1_012),
+                                 (ThomasFermiProblem(), 16_968, 30, 1_898),
+                                 (ConeParams(0.0), 4_343, 27, 927),
+                                 (ConeParams(0.5), 4_213, 27, 912),
+                                 (ConeParams(1.0), 4_149, 27, 897)):
         accel, made = prob.top_derivative, []
 
         def counting(*args):
@@ -555,14 +619,17 @@ def test_the_default_shoots_keep_their_cost(monkeypatch):
         _, trajectory = shoot(prob)
         assert (len(made), len(walks)) == (calls, n)
         trajectory[1]
-        assert len(made) - calls == read == 3 * len(walks[-1][6])
+        assert len(walks) == n + 1 and walks[-1][6] is not None
+        assert len(made) - calls == read
 
 
 @pytest.mark.parametrize("step", [1e-3, 5e-4])
 def test_each_walk_starts_at_the_step_of_its_kind(monkeypatch, step):
     # a loose class walk at tolerance tau starts at step (tau / step**4)**(1/4);
-    # every strict walk (class, g and trajectory) starts at exactly step, and
-    # every screening walk at its launch step 1e-6, whatever its tolerance
+    # every strict walk (g and trajectory; these shoots repeat no class walk
+    # strictly) starts at exactly step, and every screening walk at its
+    # launch step 1e-6, whatever its tolerance.  The trajectory is walked
+    # when the states are read.
     walk, starts, strict = shooting._dop853, [], step ** 4
 
     def recorded(accel, state, x, x1, tol, h, trail=None, events=False):
@@ -572,10 +639,12 @@ def test_each_walk_starts_at_the_step_of_its_kind(monkeypatch, step):
     monkeypatch.setattr(shooting, "_dop853", recorded)
     for prob in (FLUID, ConeParams(0.0), ConeParams(0.5), ThomasFermiProblem()):
         starts.clear()
-        shoot(prob, ShootConfig(step=step))
+        _, trajectory = shoot(prob, ShootConfig(step=step))
+        assert "trail" not in [kind for kind, _, _ in starts]
+        trajectory[1]
         kinds = [kind for kind, _, _ in starts]
-        assert set(kinds) == {"class", "loose class", "g", "trail"}
-        assert kinds.count("loose class") == 21
+        assert set(kinds) == {"loose class", "g", "trail"}
+        assert kinds.count("loose class") == 23
         for kind, tol, h in starts:
             if isinstance(prob, ThomasFermiProblem):
                 assert h == 1e-6

@@ -20,9 +20,11 @@ how many slopes and state arrays are bit-identical.  A shoot that raises
 prints its error type and message in place of the slope.
 
 The census also counts the top_derivative calls each config's 57 shoots
-make before their states are read, the slope search and the trajectory
-walk, and prints the totals; with --against, next to the other checkout's
-totals and the ratio of this checkout's to theirs.
+make before their states are read, and those that reading the states
+adds, and prints both totals per config; with --against, next to the
+other checkout's totals and the ratios of this checkout's to theirs.  A
+checkout that walks the trajectory on the first read of the states counts
+that walk in the second total, one that walks it in shoot in the first.
 """
 
 import argparse
@@ -47,24 +49,28 @@ def problems(halfline):
 
 
 def census(src):
-    """({(name, config): (slope hex or error, states SHA-256)}, {config: top_derivative
-    calls of its shoots before their states are read}) of halfline in src."""
+    """({(name, config): (slope hex or error, states SHA-256 or error)}, {config:
+    [top_derivative calls of its shoots before their states are read, calls that
+    reading them adds]}) of halfline in src."""
     sys.path.insert(0, str(src))
     import halfline
     out, calls = {}, {}
     for config, kwargs in CONFIGS:
-        cfg, calls[config] = halfline.ShootConfig(**kwargs), 0
+        cfg, calls[config] = halfline.ShootConfig(**kwargs), [0, 0]
         for name, problem in problems(halfline):
-            made = []
+            made, slope = [], None
             problem.top_derivative = counted(problem.top_derivative, made)
             try:
                 slope, trajectory = halfline.shoot(problem, cfg)
-                calls[config] += len(made)
-                out[name, config] = (float(slope).hex(),
+                slope, before = float(slope).hex(), len(made)
+                out[name, config] = (slope,
                                      hashlib.sha256(trajectory[1].tobytes()).hexdigest())
             except halfline.HalflineError as exc:
-                calls[config] += len(made)
-                out[name, config] = ("%s: %s" % (type(exc).__name__, exc), "-")
+                error = "%s: %s" % (type(exc).__name__, exc)
+                before = len(made) if slope is None else before
+                out[name, config] = (error, "-") if slope is None else (slope, error)
+            calls[config][0] += before
+            calls[config][1] += len(made) - before
     return out, calls
 
 
@@ -86,8 +92,8 @@ def main(argv=None):
     if args.raw:
         for (name, config), (slope, digest) in here.items():
             print("%s\t%s\t%s\t%s" % (name, config, slope, digest))
-        for config, count in calls.items():
-            print("%s\t%d" % (config, count))
+        for config, (before, read) in calls.items():
+            print("%s\t%d\t%d" % (config, before, read))
         return
     other, their_calls = {}, {}
     if args.against:
@@ -97,8 +103,8 @@ def main(argv=None):
             capture_output=True, text=True, check=True)
         for line in child.stdout.splitlines():
             fields = line.split("\t")
-            if len(fields) == 2:
-                their_calls[fields[0]] = int(fields[1])
+            if len(fields) == 3:
+                their_calls[fields[0]] = [int(fields[1]), int(fields[2])]
             else:
                 name, config, slope, digest = fields
                 other[name, config] = (slope, digest)
@@ -125,11 +131,16 @@ def main(argv=None):
                           for i in (0, 1))
         print("bit-identical: %d of %d slopes, %d of %d state arrays"
               % (slopes, len(here), states, len(here)))
-    print("accel calls: " + ", ".join("%s %d" % item for item in calls.items()))
-    if their_calls:
-        print("theirs:      " + ", ".join("%s %d" % item for item in their_calls.items()))
-        print("ratio:       " + ", ".join("%s %.4f" % (config, count / their_calls[config])
-                                          for config, count in calls.items()))
+    for i, label in enumerate(("accel calls before the states are read",
+                               "accel calls that reading the states adds")):
+        print(label + ":")
+        print("  ours:   " + ", ".join("%s %d" % (config, count[i])
+                                       for config, count in calls.items()))
+        if their_calls:
+            print("  theirs: " + ", ".join("%s %d" % (config, count[i])
+                                           for config, count in their_calls.items()))
+            print("  ratio:  " + ", ".join("%s %.4f" % (config, count[i] / their_calls[config][i])
+                                           for config, count in calls.items()))
 
 
 if __name__ == "__main__":
