@@ -248,8 +248,9 @@ def _dense(trail, grid, accel):
     return y.T.copy()
 
 
-# (abscissas, states) on grid, the states walked, by _dop853's arguments walk,
-# and formed on their first read; a walk that aborts raises on every read
+# (abscissas, states) on grid; the states are walked, by _dop853 from the
+# arguments walk, and formed on their first read, and an aborted walk raises on
+# every read
 class _Trajectory:
     def __init__(self, grid, walk):
         self._grid, self._walk, self._states = grid, walk, None

@@ -17,7 +17,8 @@ line also gives the gap to that checkout's slope in units of the bisection
 width 1e-10 (1 + |s|) and whether the states are bit-identical; the last
 lines give the largest gap over the film and cone shoots, by config, and
 how many slopes and state arrays are bit-identical.  A shoot that raises
-prints its error type and message in place of the slope.
+prints its error type and message in place of the slope, and a read of the
+states that raises, in place of their SHA-256.
 
 The census also counts the top_derivative calls each config's 57 shoots
 make before their states are read, and those that reading the states
@@ -63,12 +64,12 @@ def census(src):
             try:
                 slope, trajectory = halfline.shoot(problem, cfg)
                 slope, before = float(slope).hex(), len(made)
-                out[name, config] = (slope,
-                                     hashlib.sha256(trajectory[1].tobytes()).hexdigest())
+                digest = hashlib.sha256(trajectory[1].tobytes()).hexdigest()
             except halfline.HalflineError as exc:
-                error = "%s: %s" % (type(exc).__name__, exc)
-                before = len(made) if slope is None else before
-                out[name, config] = (error, "-") if slope is None else (slope, error)
+                digest = "%s: %s" % (type(exc).__name__, exc)
+                if slope is None:
+                    slope, digest, before = digest, "-", len(made)
+            out[name, config] = (slope, digest)
             calls[config][0] += before
             calls[config][1] += len(made) - before
     return out, calls
