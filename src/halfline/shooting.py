@@ -10,16 +10,18 @@ Anal. 17, 1980; Brent, Algorithms for Minimization without Derivatives,
 1973, ch. 4; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-II.6).
 
 One scalar stepper, _dop853, serves every walk and integrate, in companion
-form: the state is (f, f') or (f, f', f''), and the problem's
-top_derivative method, the same equation as its collocation residual,
-gives the highest derivative.  It stays scalar on purpose: a numpy stepper
-advancing a batch of 8 to 65 trial slopes in lockstep measured 65-90 us per
-step, against 10-12 us here.  Accuracy is one knob, ShootConfig.step: the
-mismatch walks and the reported trajectory run at local error tolerance
-step**4 (1e-12 at the default 1e-3).  The trajectory, one walk from the
-final slope, is walked on the first read of the states and spaced step
-apart by the pair's order-7 continuous extension; it takes no step longer
-than 4, so the extension holds the tolerance in the far field too.
+form: the state is (f, f') or (f, f', f''), and the problem's top_derivative
+method, the same equation as its collocation residual, gives the highest
+derivative.  It stays scalar on purpose: a numpy stepper advancing a batch
+of 8 to 65 trial slopes in lockstep measured 65-90 us per step, against
+10-12 us here, and its walk is generated per state length from the tableau,
+because a loop over a state tuple measured several times slower.  Accuracy
+is one knob, ShootConfig.step: the mismatch walks and the reported
+trajectory run at local error tolerance step**4 (1e-12 at the default 1e-3).
+The trajectory, one walk from the final slope, is walked on the first read
+of the states and spaced step apart by the pair's order-7 continuous
+extension; it takes no step longer than 4, so the extension holds the
+tolerance in the far field too.
 
 A trial slope takes the class of the first event on its walk, at the
 launch state or an accepted one.  With (u, v) the state's last two
@@ -56,7 +58,7 @@ gives its slope's strict class instead, and a midpoint follows.
 import copy
 import math
 import reprlib
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 
 import numpy as np
@@ -79,36 +81,40 @@ _TF_PRELUDE_END = 0.05
 _TF_MISMATCH_X = 40.0
 
 # Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5; the
-# values of his dop853.f): stage nodes c2..c11 (c12 = c13 = 1), stage weights
-# a_ij of stages 2-12, the eighth-order weights b_j (the thirteenth stage's
-# row, so the pair is FSAL), the fifth-order error weights e_j and the weights
-# bh_j of the third-order estimate b - bh; only nonzero weights are listed
-_DOP853 = (
-    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
-    0.05260015195876773,
-    0.0197250569845379, 0.0591751709536137,
-    0.02958758547680685, 0.08876275643042054,
-    0.2413651341592667, -0.8845494793282861, 0.924834003261792,
-    0.037037037037037035, 0.17082860872947386, 0.12546768756682242,
-    0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125,
-    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
-    0.008273789163814023,
-    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
-    20.154067550477894, -43.48988418106996,
-    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
-    15.279233632882423, -33.28821096898486, -0.020331201708508627,
-    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
-    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
-    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
-    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
-    0.6433927460157636,
-    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
-    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
-    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
-    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
-    0.2440944881889764, 0.7338466882816118, 0.022058823529411766,
+# values of his dop853.f): stages 2-12, each a node and the nonzero weights
+# a_ij on earlier stages j in summation order (stage 12's node 1 is the
+# step's end), the eighth-order weights b_j (the thirteenth stage's row, so
+# the pair is FSAL), the fifth-order error weights e_j and the weights bh_j
+# of the third-order estimate b - bh
+_STAGES = (
+    (0.05260015195876773, {1: 0.05260015195876773}),
+    (0.0789002279381516, {1: 0.0197250569845379, 2: 0.0591751709536137}),
+    (0.1183503419072274, {1: 0.02958758547680685, 3: 0.08876275643042054}),
+    (0.2816496580927726, {1: 0.2413651341592667, 3: -0.8845494793282861, 4: 0.924834003261792}),
+    (0.3333333333333333, {1: 0.037037037037037035, 4: 0.17082860872947386,
+                          5: 0.12546768756682242}),
+    (0.25, {1: 0.037109375, 4: 0.17025221101954405, 5: 0.06021653898045596, 6: -0.017578125}),
+    (0.3076923076923077, {1: 0.03709200011850479, 4: 0.17038392571223998, 5: 0.10726203044637328,
+                          6: -0.015319437748624402, 7: 0.008273789163814023}),
+    (0.6512820512820513, {1: 0.6241109587160757, 4: -3.3608926294469414, 5: -0.868219346841726,
+                          6: 27.59209969944671, 7: 20.154067550477894, 8: -43.48988418106996}),
+    (0.6, {1: 0.47766253643826434, 4: -2.4881146199716677, 5: -0.590290826836843,
+           6: 21.230051448181193, 7: 15.279233632882423, 8: -33.28821096898486,
+           9: -0.020331201708508627}),
+    (0.8571428571428571, {1: -0.9371424300859873, 4: 5.186372428844064, 5: 1.0914373489967295,
+                          6: -8.149787010746927, 7: -18.52006565999696, 8: 22.739487099350505,
+                          9: 2.4936055526796523, 10: -3.0467644718982196}),
+    (1.0, {1: 2.273310147516538, 4: -10.53449546673725, 5: -2.0008720582248625,
+           6: -17.9589318631188, 7: 27.94888452941996, 8: -2.8589982771350235,
+           9: -8.87285693353063, 10: 12.360567175794303, 11: 0.6433927460157636}),
 )
+_B = {1: 0.054293734116568765, 6: 4.450312892752409, 7: 1.8915178993145003, 8: -5.801203960010585,
+      9: 0.3111643669578199, 10: -0.1521609496625161, 11: 0.20136540080403034,
+      12: 0.04471061572777259}
+_E = {1: 0.01312004499419488, 6: -1.2251564463762044, 7: -0.4957589496572502,
+      8: 1.6643771824549864, 9: -0.35032884874997366, 10: 0.3341791187130175,
+      11: 0.08192320648511571, 12: -0.022355307863886294}
+_BH = {1: 0.2440944881889764, 9: 0.7338466882816118, 12: 0.022058823529411766}
 # its order-7 continuous extension (sec. II.6): the three extra stages 14-16,
 # each a node and the nonzero weights a_ij on earlier stages j (13 is the
 # step's end) in summation order, and the 4 x 12 weights d_rj on stages 1, 6-16
@@ -272,7 +278,7 @@ class _Trajectory:
 def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     """Hairer's DOP853 in companion form from x to x1: (x, state, outcome).
 
-    state is (f, f') or (f, f', f''), and accel gives the top derivative.
+    state is (f, f', ...), and accel gives the top derivative.
     Twelve stages, then the derivative at the new state, reused as the next
     step's first (FSAL): twelve accel calls per accepted step, eleven per
     rejected one.  With E5 and E3 the fifth- and third-order error
@@ -288,197 +294,93 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     which _dense forms the continuous extension.  With events, the walk
     stops at its first state, the starting one included, whose last two
     components (u, v) have u < 0 (outcome -1) or v > 0 (outcome +1); else
-    the outcome is 0.  The body is written once per order: a loop over a
-    state tuple costs several times more per step.
+    the outcome is 0.  The walk is generated per state length, by
+    _walk_source, because a loop over a state tuple measured several times
+    slower.
     """
-    (c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, a2_1, a3_1, a3_2, a4_1, a4_3, a5_1, a5_3,
-     a5_4, a6_1, a6_4, a6_5, a7_1, a7_4, a7_5, a7_6, a8_1, a8_4, a8_5, a8_6, a8_7, a9_1,
-     a9_4, a9_5, a9_6, a9_7, a9_8, a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9, a11_1,
-     a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10, a12_1, a12_4, a12_5, a12_6, a12_7,
-     a12_8, a12_9, a12_10, a12_11, b1, b6, b7, b8, b9, b10, b11, b12, e1, e6, e7, e8, e9,
-     e10, e11, e12, bh1, bh9, bh12) = _DOP853
-    # err is the square of Hairer's estimate, so err ** -0.0625 is that
-    # estimate to the power -1/8
-    scale = 1.0 / (len(state) * tol * tol)
-    cap = math.inf if trail is None else _TRAIL_CAP
     if events and (state[-2] < 0 or state[-1] > 0):
         return x, state, -1 if state[-2] < 0 else 1
-    if len(state) == 2:
-        f, p = state
-        k = accel(x, f, p)
-        while x < x1:
-            if x + 1.01 * h >= x1:
-                h, xn = x1 - x, x1
-            else:
-                xn = x + h
-            ha = h * a2_1
-            f2, p2 = f + ha * p, p + ha * k
-            k2 = accel(x + c2 * h, f2, p2)
-            f3 = f + h * (a3_1 * p + a3_2 * p2)
-            p3 = p + h * (a3_1 * k + a3_2 * k2)
-            k3 = accel(x + c3 * h, f3, p3)
-            f4 = f + h * (a4_1 * p + a4_3 * p3)
-            p4 = p + h * (a4_1 * k + a4_3 * k3)
-            k4 = accel(x + c4 * h, f4, p4)
-            f5 = f + h * (a5_1 * p + a5_3 * p3 + a5_4 * p4)
-            p5 = p + h * (a5_1 * k + a5_3 * k3 + a5_4 * k4)
-            k5 = accel(x + c5 * h, f5, p5)
-            f6 = f + h * (a6_1 * p + a6_4 * p4 + a6_5 * p5)
-            p6 = p + h * (a6_1 * k + a6_4 * k4 + a6_5 * k5)
-            k6 = accel(x + c6 * h, f6, p6)
-            f7 = f + h * (a7_1 * p + a7_4 * p4 + a7_5 * p5 + a7_6 * p6)
-            p7 = p + h * (a7_1 * k + a7_4 * k4 + a7_5 * k5 + a7_6 * k6)
-            k7 = accel(x + c7 * h, f7, p7)
-            f8 = f + h * (a8_1 * p + a8_4 * p4 + a8_5 * p5 + a8_6 * p6 + a8_7 * p7)
-            p8 = p + h * (a8_1 * k + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7)
-            k8 = accel(x + c8 * h, f8, p8)
-            f9 = f + h * (a9_1 * p + a9_4 * p4 + a9_5 * p5 + a9_6 * p6 + a9_7 * p7
-                + a9_8 * p8)
-            p9 = p + h * (a9_1 * k + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7
-                + a9_8 * k8)
-            k9 = accel(x + c9 * h, f9, p9)
-            f10 = f + h * (a10_1 * p + a10_4 * p4 + a10_5 * p5 + a10_6 * p6 + a10_7 * p7
-                + a10_8 * p8 + a10_9 * p9)
-            p10 = p + h * (a10_1 * k + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
-                + a10_8 * k8 + a10_9 * k9)
-            k10 = accel(x + c10 * h, f10, p10)
-            f11 = f + h * (a11_1 * p + a11_4 * p4 + a11_5 * p5 + a11_6 * p6 + a11_7 * p7
-                + a11_8 * p8 + a11_9 * p9 + a11_10 * p10)
-            p11 = p + h * (a11_1 * k + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
-                + a11_8 * k8 + a11_9 * k9 + a11_10 * k10)
-            k11 = accel(x + c11 * h, f11, p11)
-            f12 = f + h * (a12_1 * p + a12_4 * p4 + a12_5 * p5 + a12_6 * p6 + a12_7 * p7
-                + a12_8 * p8 + a12_9 * p9 + a12_10 * p10 + a12_11 * p11)
-            p12 = p + h * (a12_1 * k + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
-                + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11)
-            k12 = accel(xn, f12, p12)
-            bf = (b1 * p + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10 + b11 * p11
-                + b12 * p12)
-            bp = (b1 * k + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
-                + b12 * k12)
-            fn, pn = f + h * bf, p + h * bp
-            af, ap = abs(fn), abs(pn)
-            # the fifth-order error estimate s and the third-order one t, scaled
-            sf = (e1 * p + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10 + e11 * p11
-                + e12 * p12) / (1.0 + af)
-            sp = (e1 * k + e6 * k6 + e7 * k7 + e8 * k8 + e9 * k9 + e10 * k10 + e11 * k11
-                + e12 * k12) / (1.0 + ap)
-            tf = (bf - bh1 * p - bh9 * p9 - bh12 * p12) / (1.0 + af)
-            tp = (bp - bh1 * k - bh9 * k9 - bh12 * k12) / (1.0 + ap)
-            s5, s3 = sf * sf + sp * sp, tf * tf + tp * tp
-            err = h * h * s5 * s5 * scale / (s5 + 0.01 * s3) if s5 else 0.0
-            if err <= 1.0:
-                if not (af <= _BOUND and ap <= _BOUND):
-                    return xn, (fn, pn), None
-                kn = accel(xn, fn, pn)
-                if trail is not None:
-                    trail.append((x, h, f, p, fn, pn, p, k, p6, k6, p7, k7, p8, k8, p9, k9,
-                        p10, k10, p11, k11, p12, k12, pn, kn))
-                x, f, p, k = xn, fn, pn, kn
-                h = min(cap, h * (6.0 if err == 0.0 or (g := 0.9 * err ** -0.0625) >= 6.0 else g))
-                if events and (f < 0 or p > 0):
-                    return x, (f, p), -1 if f < 0 else 1
-            else:
-                h *= g if err < math.inf and (g := 0.9 * err ** -0.0625) > 1 / 3 else 1 / 3
-                if h < 1e-14 * (1.0 + abs(x)):
-                    return x, (f, p), None
-        return x, (f, p), 0
-    f, p, q = state
-    k = accel(x, f, p, q)
+    return _walker(len(state))(accel, state, x, x1, 1.0 / (len(state) * tol * tol), h,
+                               math.inf if trail is None else _TRAIL_CAP, trail, events)
+
+
+@cache
+def _walker(n):
+    """The n-component walk, compiled on its first use."""
+    namespace = {}
+    exec(compile(_walk_source(n), "<dop853 walk, %d components>" % n, "exec"), globals(),
+         namespace)
+    return namespace["walk"]
+
+
+def _walk_source(n):
+    """Source of the body of _dop853 for n components, as scalar Python:
+    y<i>_<j> is component i at stage j (1 the step's start, 13 its end) and
+    k<j> the top derivative there; each weight is a literal, each sum in
+    the tableau's order."""
+    def state(j):
+        return ", ".join("y%d_%d" % (i, j) for i in range(n))
+
+    def slope(i, j):
+        return "y%d_%d" % (i + 1, j) if i + 1 < n else "k%d" % j
+
+    def dot(weights, i):
+        return " + ".join("%r * %s" % (a, slope(i, j)) for j, a in weights.items())
+
+    lines = []
+    for j, (c, weights) in enumerate(_STAGES, 2):
+        for i in range(n):
+            # a lone weight meets h first, (h a21) y', as in dop853.f
+            terms = dot(weights, i) if len(weights) == 1 else "(%s)" % dot(weights, i)
+            lines.append("y%d_%d = y%d_1 + h * %s" % (i, j, i, terms))
+        node = "xn" if c == 1.0 else "x + %r * h" % c
+        lines.append("k%d = accel(%s, %s)" % (j, node, state(j)))
+    # the new state, then the fifth-order error estimate s and the
+    # third-order one t, scaled
+    for i in range(n):
+        bh = "".join(" - %r * %s" % (a, slope(i, j)) for j, a in _BH.items())
+        lines += ["b%d = %s" % (i, dot(_B, i)), "y%d_13 = y%d_1 + h * b%d" % (i, i, i),
+                  "a%d = abs(y%d_13)" % (i, i), "s%d = (%s) / (1.0 + a%d)" % (i, dot(_E, i), i),
+                  "t%d = (b%d%s) / (1.0 + a%d)" % (i, i, bh, i)]
+    return _WALK.format(
+        start=state(1), end=state(13), u="y%d_1" % (n - 2), v="y%d_1" % (n - 1),
+        stages="\n".join(" " * 8 + line for line in lines),
+        s5=" + ".join("s%d * s%d" % (i, i) for i in range(n)),
+        s3=" + ".join("t%d * t%d" % (i, i) for i in range(n)),
+        bounded=" and ".join("a%d <= _BOUND" % i for i in range(n)),
+        slopes=", ".join(slope(i, j) for j in (*_B, 13) for i in range(n)))
+
+
+# err is the square of Hairer's estimate, so err ** -0.0625 is that estimate
+# to the power -1/8
+_WALK = """\
+def walk(accel, state, x, x1, scale, h, cap, trail, events):
+    {start} = state
+    k1 = accel(x, {start})
     while x < x1:
         if x + 1.01 * h >= x1:
             h, xn = x1 - x, x1
         else:
             xn = x + h
-        ha = h * a2_1
-        f2, p2, q2 = f + ha * p, p + ha * q, q + ha * k
-        k2 = accel(x + c2 * h, f2, p2, q2)
-        f3 = f + h * (a3_1 * p + a3_2 * p2)
-        p3 = p + h * (a3_1 * q + a3_2 * q2)
-        q3 = q + h * (a3_1 * k + a3_2 * k2)
-        k3 = accel(x + c3 * h, f3, p3, q3)
-        f4 = f + h * (a4_1 * p + a4_3 * p3)
-        p4 = p + h * (a4_1 * q + a4_3 * q3)
-        q4 = q + h * (a4_1 * k + a4_3 * k3)
-        k4 = accel(x + c4 * h, f4, p4, q4)
-        f5 = f + h * (a5_1 * p + a5_3 * p3 + a5_4 * p4)
-        p5 = p + h * (a5_1 * q + a5_3 * q3 + a5_4 * q4)
-        q5 = q + h * (a5_1 * k + a5_3 * k3 + a5_4 * k4)
-        k5 = accel(x + c5 * h, f5, p5, q5)
-        f6 = f + h * (a6_1 * p + a6_4 * p4 + a6_5 * p5)
-        p6 = p + h * (a6_1 * q + a6_4 * q4 + a6_5 * q5)
-        q6 = q + h * (a6_1 * k + a6_4 * k4 + a6_5 * k5)
-        k6 = accel(x + c6 * h, f6, p6, q6)
-        f7 = f + h * (a7_1 * p + a7_4 * p4 + a7_5 * p5 + a7_6 * p6)
-        p7 = p + h * (a7_1 * q + a7_4 * q4 + a7_5 * q5 + a7_6 * q6)
-        q7 = q + h * (a7_1 * k + a7_4 * k4 + a7_5 * k5 + a7_6 * k6)
-        k7 = accel(x + c7 * h, f7, p7, q7)
-        f8 = f + h * (a8_1 * p + a8_4 * p4 + a8_5 * p5 + a8_6 * p6 + a8_7 * p7)
-        p8 = p + h * (a8_1 * q + a8_4 * q4 + a8_5 * q5 + a8_6 * q6 + a8_7 * q7)
-        q8 = q + h * (a8_1 * k + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7)
-        k8 = accel(x + c8 * h, f8, p8, q8)
-        f9 = f + h * (a9_1 * p + a9_4 * p4 + a9_5 * p5 + a9_6 * p6 + a9_7 * p7 + a9_8 * p8)
-        p9 = p + h * (a9_1 * q + a9_4 * q4 + a9_5 * q5 + a9_6 * q6 + a9_7 * q7 + a9_8 * q8)
-        q9 = q + h * (a9_1 * k + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7 + a9_8 * k8)
-        k9 = accel(x + c9 * h, f9, p9, q9)
-        f10 = f + h * (a10_1 * p + a10_4 * p4 + a10_5 * p5 + a10_6 * p6 + a10_7 * p7
-            + a10_8 * p8 + a10_9 * p9)
-        p10 = p + h * (a10_1 * q + a10_4 * q4 + a10_5 * q5 + a10_6 * q6 + a10_7 * q7
-            + a10_8 * q8 + a10_9 * q9)
-        q10 = q + h * (a10_1 * k + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
-            + a10_8 * k8 + a10_9 * k9)
-        k10 = accel(x + c10 * h, f10, p10, q10)
-        f11 = f + h * (a11_1 * p + a11_4 * p4 + a11_5 * p5 + a11_6 * p6 + a11_7 * p7
-            + a11_8 * p8 + a11_9 * p9 + a11_10 * p10)
-        p11 = p + h * (a11_1 * q + a11_4 * q4 + a11_5 * q5 + a11_6 * q6 + a11_7 * q7
-            + a11_8 * q8 + a11_9 * q9 + a11_10 * q10)
-        q11 = q + h * (a11_1 * k + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
-            + a11_8 * k8 + a11_9 * k9 + a11_10 * k10)
-        k11 = accel(x + c11 * h, f11, p11, q11)
-        f12 = f + h * (a12_1 * p + a12_4 * p4 + a12_5 * p5 + a12_6 * p6 + a12_7 * p7
-            + a12_8 * p8 + a12_9 * p9 + a12_10 * p10 + a12_11 * p11)
-        p12 = p + h * (a12_1 * q + a12_4 * q4 + a12_5 * q5 + a12_6 * q6 + a12_7 * q7
-            + a12_8 * q8 + a12_9 * q9 + a12_10 * q10 + a12_11 * q11)
-        q12 = q + h * (a12_1 * k + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
-            + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11)
-        k12 = accel(xn, f12, p12, q12)
-        bf = (b1 * p + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10 + b11 * p11
-            + b12 * p12)
-        bp = (b1 * q + b6 * q6 + b7 * q7 + b8 * q8 + b9 * q9 + b10 * q10 + b11 * q11
-            + b12 * q12)
-        bq = (b1 * k + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
-            + b12 * k12)
-        fn, pn, qn = f + h * bf, p + h * bp, q + h * bq
-        af, ap, aq = abs(fn), abs(pn), abs(qn)
-        # the fifth-order error estimate s and the third-order one t, scaled
-        sf = (e1 * p + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10 + e11 * p11
-            + e12 * p12) / (1.0 + af)
-        sp = (e1 * q + e6 * q6 + e7 * q7 + e8 * q8 + e9 * q9 + e10 * q10 + e11 * q11
-            + e12 * q12) / (1.0 + ap)
-        sq = (e1 * k + e6 * k6 + e7 * k7 + e8 * k8 + e9 * k9 + e10 * k10 + e11 * k11
-            + e12 * k12) / (1.0 + aq)
-        tf = (bf - bh1 * p - bh9 * p9 - bh12 * p12) / (1.0 + af)
-        tp = (bp - bh1 * q - bh9 * q9 - bh12 * q12) / (1.0 + ap)
-        tq = (bq - bh1 * k - bh9 * k9 - bh12 * k12) / (1.0 + aq)
-        s5, s3 = sf * sf + sp * sp + sq * sq, tf * tf + tp * tp + tq * tq
+{stages}
+        s5, s3 = {s5}, {s3}
         err = h * h * s5 * s5 * scale / (s5 + 0.01 * s3) if s5 else 0.0
         if err <= 1.0:
-            if not (af <= _BOUND and ap <= _BOUND and aq <= _BOUND):
-                return xn, (fn, pn, qn), None
-            kn = accel(xn, fn, pn, qn)
+            if not ({bounded}):
+                return xn, ({end}), None
+            k13 = accel(xn, {end})
             if trail is not None:
-                trail.append((x, h, f, p, q, fn, pn, qn, p, q, k, p6, q6, k6, p7, q7, k7,
-                    p8, q8, k8, p9, q9, k9, p10, q10, k10, p11, q11, k11, p12, q12, k12, pn,
-                    qn, kn))
-            x, f, p, q, k = xn, fn, pn, qn, kn
+                trail.append((x, h, {start}, {end}, {slopes}))
+            x, {start}, k1 = xn, {end}, k13
             h = min(cap, h * (6.0 if err == 0.0 or (g := 0.9 * err ** -0.0625) >= 6.0 else g))
-            if events and (p < 0 or q > 0):
-                return x, (f, p, q), -1 if p < 0 else 1
+            if events and ({u} < 0 or {v} > 0):
+                return x, ({start}), -1 if {u} < 0 else 1
         else:
             h *= g if err < math.inf and (g := 0.9 * err ** -0.0625) > 1 / 3 else 1 / 3
             if h < 1e-14 * (1.0 + abs(x)):
-                return x, (f, p, q), None
-    return x, (f, p, q), 0
+                return x, ({start}), None
+    return x, ({start}), 0
+"""
 
 
 def _tf_launch(s, x0):

@@ -2,6 +2,7 @@
 companion form, slope search, and robustness of the reported slopes."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -104,10 +105,34 @@ def test_integrate_fills_the_grid_from_the_continuous_extension():
     xs, states = integrate(lambda x, f, fp: -f, (1.0, 0.0), 0.0, 10.0, 1e-3)
     assert len(xs) == 10_001
     assert np.max(np.abs(states - np.column_stack((np.cos(xs), -np.sin(xs))))) <= 1e-11
-    # and f''' = -f' from (0, 1, 0) is sin x, through the three-component body
+    # and f''' = -f' from (0, 1, 0) is sin x, through the three-component walk
     xs, states = integrate(lambda x, f, fp, fpp: -fp, (0.0, 1.0, 0.0), 0.0, 10.0, 1e-3)
     exact = np.column_stack((np.sin(xs), np.cos(xs), -np.sin(xs)))
     assert np.max(np.abs(states - exact)) <= 1e-11
+
+
+def test_the_walk_is_generated_for_any_state_length():
+    # y'''' = y from (1, 0, -1, 0) is cos x: a four-component walk, which no
+    # model problem takes, at tolerance 1e-12 with a trail, and its
+    # continuous extension on the grid of step 1e-3 (errors of 3.5e-12 on
+    # the grid and 7.6e-13 at the end were measured)
+    accel, trail = (lambda x, *y: y[0]), []
+    tol, grid = shooting._tol_and_grid(0.0, 5.0, 1e-3)
+    x, end, outcome = shooting._dop853(accel, (1.0, 0.0, -1.0, 0.0), 0.0, 5.0, tol, 1e-3,
+                                       trail)
+    exact = np.column_stack((np.cos(grid), -np.sin(grid), -np.cos(grid), np.sin(grid)))
+    assert x == 5.0 and outcome == 0
+    assert np.max(np.abs(np.array(end) - exact[-1])) <= 1e-10
+    assert np.max(np.abs(shooting._dense(trail, grid, accel) - exact)) <= 1e-10
+
+
+def test_an_error_in_accel_names_the_generated_walk():
+    def accel(x, f, fp):
+        raise ZeroDivisionError
+    with pytest.raises(ZeroDivisionError) as info:
+        integrate(accel, (1.0, 0.0), 0.0, 1.0, 0.1)
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert ("<dop853 walk, 2 components>", "walk") in [(f.filename, f.name) for f in frames]
 
 
 def test_integrate_stays_stable_on_stiff_decay():

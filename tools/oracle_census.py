@@ -36,6 +36,7 @@ import random
 import subprocess
 import sys
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = (("default", {}), ("step=5e-4", {"step": 5e-4}), ("z_max=25", {"z_max": 25.0}))
 
 
@@ -49,71 +50,88 @@ def problems(halfline):
                ("screening", halfline.ThomasFermiProblem())])
 
 
-def census(src):
-    """({(name, config): (slope hex or error, states SHA-256 or error)}, {config:
-    [top_derivative calls of its shoots before their states are read, calls that
-    reading them adds]}) of halfline in src."""
+def census(src, configs=CONFIGS):
+    """{(name, config): (slope hex or error, states SHA-256 or error, walks
+    before the states are read, walks that reading them adds, top_derivative
+    calls before, calls that reading adds)} of halfline in src, in census
+    order; a walk is a call of halfline.shooting._dop853."""
     sys.path.insert(0, str(src))
     import halfline
-    out, calls = {}, {}
-    for config, kwargs in CONFIGS:
-        cfg, calls[config] = halfline.ShootConfig(**kwargs), [0, 0]
-        for name, problem in problems(halfline):
-            made, slope = [], None
-            problem.top_derivative = counted(problem.top_derivative, made)
-            try:
-                slope, trajectory = halfline.shoot(problem, cfg)
-                slope, before = float(slope).hex(), len(made)
-                digest = hashlib.sha256(trajectory[1].tobytes()).hexdigest()
-            except halfline.HalflineError as exc:
-                digest = "%s: %s" % (type(exc).__name__, exc)
-                if slope is None:
-                    slope, digest, before = digest, "-", len(made)
-            out[name, config] = (slope, digest)
-            calls[config][0] += before
-            calls[config][1] += len(made) - before
-    return out, calls
+    from halfline import shooting
+    out, walks, walk = {}, [], shooting._dop853
+    shooting._dop853 = counted(walk, walks)
+    try:
+        for config, kwargs in configs:
+            cfg = halfline.ShootConfig(**kwargs)
+            for name, problem in problems(halfline):
+                made, slope = [], None
+                walks.clear()
+                problem.top_derivative = counted(problem.top_derivative, made)
+                try:
+                    slope, trajectory = halfline.shoot(problem, cfg)
+                    slope, before = float(slope).hex(), (len(walks), len(made))
+                    digest = hashlib.sha256(trajectory[1].tobytes()).hexdigest()
+                except halfline.HalflineError as exc:
+                    digest = "%s: %s" % (type(exc).__name__, exc)
+                    if slope is None:
+                        slope, digest, before = digest, "-", (len(walks), len(made))
+                out[name, config] = (slope, digest, before[0], len(walks) - before[0],
+                                     before[1], len(made) - before[1])
+    finally:
+        shooting._dop853 = walk
+    return out
 
 
-def counted(accel, made):
-    """accel, each call appending None to made."""
-    def accel_counted(*args):
+def counted(function, made):
+    """function, each call appending None to made."""
+    def function_counted(*args):
         made.append(None)
-        return accel(*args)
-    return accel_counted
+        return function(*args)
+    return function_counted
+
+
+def golden_text(src=ROOT / "src"):
+    """The census golden: the environment header of tools/snapshot.py, then
+    one line per shoot of the default config: its name, slope, states
+    SHA-256, and its walks and top_derivative calls, each as those before
+    the states are read + those that reading them adds."""
+    shoots = census(src, CONFIGS[:1])
+    from snapshot import environment  # after census, which picks the halfline
+    return "".join(["%s\n" % environment()] + [
+        "%-36s %-24s %s  walks %d+%d  accel %d+%d\n" % (name, *record)
+        for (name, _), record in shoots.items()])
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--against", help="checkout to compare with")
     ap.add_argument("--src", default=str(pathlib.Path.cwd() / "src"))
+    ap.add_argument("--golden", action="store_true",
+                    help="print the census golden instead (default config)")
     ap.add_argument("--raw", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    here, calls = census(args.src)
-    if args.raw:
-        for (name, config), (slope, digest) in here.items():
-            print("%s\t%s\t%s\t%s" % (name, config, slope, digest))
-        for config, (before, read) in calls.items():
-            print("%s\t%d\t%d" % (config, before, read))
+    if args.golden:
+        sys.stdout.write(golden_text(args.src))
         return
-    other, their_calls = {}, {}
+    here = census(args.src)
+    if args.raw:
+        for key, record in here.items():
+            print("\t".join(map(str, key + record)))
+        return
+    other = {}
     if args.against:
         child = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--raw",
              "--src", str(pathlib.Path(args.against) / "src")],
             capture_output=True, text=True, check=True)
         for line in child.stdout.splitlines():
-            fields = line.split("\t")
-            if len(fields) == 3:
-                their_calls[fields[0]] = [int(fields[1]), int(fields[2])]
-            else:
-                name, config, slope, digest = fields
-                other[name, config] = (slope, digest)
+            name, config, slope, digest, *counts = line.split("\t")
+            other[name, config] = (slope, digest, *map(int, counts))
     worst = {}
-    for (name, config), (slope, digest) in here.items():
+    for (name, config), (slope, digest, *_) in here.items():
         line = "%-36s %-10s %-24s %s" % (name, config, slope, digest)
         if (name, config) in other:
-            theirs, their_digest = other[name, config]
+            theirs, their_digest, *_ = other[name, config]
             try:
                 s, t = float.fromhex(slope), float.fromhex(theirs)
                 gap = (s - t) / (1e-10 * (1.0 + abs(t)))
@@ -132,16 +150,23 @@ def main(argv=None):
                           for i in (0, 1))
         print("bit-identical: %d of %d slopes, %d of %d state arrays"
               % (slopes, len(here), states, len(here)))
-    for i, label in enumerate(("accel calls before the states are read",
-                               "accel calls that reading the states adds")):
+    for i, label in ((4, "accel calls before the states are read"),
+                     (5, "accel calls that reading the states adds")):
+        ours, theirs = totals(here, i), totals(other, i)
         print(label + ":")
-        print("  ours:   " + ", ".join("%s %d" % (config, count[i])
-                                       for config, count in calls.items()))
-        if their_calls:
-            print("  theirs: " + ", ".join("%s %d" % (config, count[i])
-                                           for config, count in their_calls.items()))
-            print("  ratio:  " + ", ".join("%s %.4f" % (config, count[i] / their_calls[config][i])
-                                           for config, count in calls.items()))
+        print("  ours:   " + ", ".join("%s %d" % item for item in ours.items()))
+        if theirs:
+            print("  theirs: " + ", ".join("%s %d" % item for item in theirs.items()))
+            print("  ratio:  " + ", ".join("%s %.4f" % (config, count / theirs[config])
+                                           for config, count in ours.items()))
+
+
+def totals(shoots, i):
+    """{config: the sum of field i over its shoots}."""
+    out = {}
+    for (_, config), record in shoots.items():
+        out[config] = out.get(config, 0) + record[i]
+    return out
 
 
 if __name__ == "__main__":
