@@ -1,6 +1,7 @@
 """Shoot 171 problems and compare the slopes and states with another checkout.
 
     python3 tools/oracle_census.py [--against DIR] [--src SRC]
+    python3 tools/oracle_census.py --golden > tests/golden/oracle_census.txt
 
 The census is 57 problems, each shot at the default ShootConfig, at
 step=5e-4 and at z_max=25:
@@ -26,6 +27,14 @@ adds, and prints both totals per config; with --against, next to the
 other checkout's totals and the ratios of this checkout's to theirs.  A
 checkout that walks the trajectory on the first read of the states counts
 that walk in the second total, one that walks it in shoot in the first.
+
+With --golden, it prints instead the census golden that tier-1 compares
+with tests/golden/oracle_census.txt (tests/test_golden.py, by the same
+golden_text): the environment line of tools/snapshot.py, then one line per
+shoot of the default config with its slope, the SHA-256 of its states,
+and its walks (calls of halfline.shooting._dop853) and top_derivative
+calls, each written as those before the states are read + those that
+reading them adds.
 """
 
 import argparse
@@ -91,12 +100,9 @@ def counted(function, made):
 
 
 def golden_text(src=ROOT / "src"):
-    """The census golden: the environment header of tools/snapshot.py, then
-    one line per shoot of the default config: its name, slope, states
-    SHA-256, and its walks and top_derivative calls, each as those before
-    the states are read + those that reading them adds."""
+    """The census golden of halfline in src, as --golden prints it."""
     shoots = census(src, CONFIGS[:1])
-    from snapshot import environment  # after census, which picks the halfline
+    from snapshot import environment  # after census has imported halfline from src
     return "".join(["%s\n" % environment()] + [
         "%-36s %-24s %s  walks %d+%d  accel %d+%d\n" % (name, *record)
         for (name, _), record in shoots.items()])
