@@ -54,11 +54,13 @@ class SolveReport:
 
 
 def _eval(F, x, what):
-    """(F(x), max|F(x)|); a residual of the wrong size or a non-finite entry raises."""
+    """(F(x), max|F(x)|); a residual of the wrong size or shape or a non-finite entry raises."""
     r = np.asarray(F(np.asarray(x, dtype=float)), dtype=float)
     if r.size != x.size:
         raise ConfigurationError(
             "system is not square: %d equations for %d unknowns" % (r.size, x.size))
+    if r.ndim > 1:
+        raise ConfigurationError("residual has shape %s, expected (%d,)" % (r.shape, x.size))
     rnorm = float(np.maximum.reduce(np.abs(r)))
     if not math.isfinite(rnorm):
         comp = int(np.nonzero(~np.isfinite(r))[0][0])

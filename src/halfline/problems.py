@@ -327,10 +327,10 @@ class NonlinearSystem:
     (order + 1, nodes, dimension), B, t and Newton's start come shared and
     read-only from the pairing's discretization (see _discretization); the
     system tabulates only the seed values s.  The nodal derivatives s + D @ c
-    are one batched product, kept read-only under c's bytes, so a Jacobian
-    taken at the iterate Newton just accepted reuses them.  The Jacobian
-    stacks the partials dR/df_q into one (order + 1, nodes, 1) array and adds
-    its terms over q in one reduction.
+    are one batched product, formed afresh on every call, so the system holds
+    no state between calls.  The Jacobian stacks the partials dR/df_q into
+    one (order + 1, nodes, 1) array and adds its terms over q in one
+    reduction.
     """
 
     def __init__(self, spec):
@@ -342,20 +342,14 @@ class NonlinearSystem:
                       else spec.seed.tables(self.collocation_nodes, order))
         self.boundary_rows = self.targets.size
         self.dimension = self.initial_guess.size
-        self._kept = (None, None)
 
     def nodal_derivatives(self, c):
-        """s + D @ c, row q the order-q derivatives; read-only, kept until c's bytes change."""
+        """s + D @ c, row q the order-q derivatives at the collocation nodes."""
         c = np.asarray(c, dtype=float)
         if c.shape != (self.dimension,):
             raise ConfigurationError("%s: expected %d coefficients, got shape %r"
                                      % (self.spec.label, self.dimension, c.shape))
-        key = c.tobytes()
-        if key != self._kept[0]:
-            f = self.seeds + self.operators @ c
-            f.setflags(write=False)
-            self._kept = (key, f)
-        return self._kept[1]
+        return self.seeds + self.operators @ c
 
     def residual_map(self, c):
         c = np.asarray(c, dtype=float)

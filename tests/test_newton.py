@@ -3,6 +3,7 @@ and failure modes.  The behaviour tests give the solver the
 forward-difference Jacobian of their test map."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,15 @@ def test_residual_of_the_wrong_size_is_refused_before_its_norm():
     for r in (np.array([]), np.array([math.nan, math.nan])):
         with pytest.raises(ConfigurationError, match="not square"):
             newton_solve(lambda v, r=r: r, lambda v: np.eye(1), np.array([1.0]))
+    # so is one of the right size but more than one dimension, from either
+    # caller; a 0-d residual for one unknown is accepted
+    for shape in ((2, 1), (1, 2)):
+        F = lambda v, shape=shape: np.ones(shape)
+        with pytest.raises(ConfigurationError, match=re.escape("shape %s" % (shape,))):
+            newton_solve(F, lambda v: np.eye(2), np.ones(2))
+        with pytest.raises(ConfigurationError, match=re.escape("shape %s" % (shape,))):
+            fd_jacobian(F, np.ones(2))
+    assert newton_solve(lambda v: v[0] - 2.0, lambda v: np.eye(1), np.ones(1)).converged
 
 
 # ---------------------------------------------------------------------------

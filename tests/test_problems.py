@@ -566,12 +566,6 @@ def test_a_c_changed_in_place_gets_fresh_nodal_derivatives(key):
     c *= 1.01                       # same object, new bytes
     assert np.array_equal(system.jacobian(c), build_system(spec).jacobian(c))
     assert np.array_equal(system.residual_map(c), build_system(spec).residual_map(c))
-    # kept under c's bytes, not its identity, and read-only
-    kept = system.nodal_derivatives(c)
-    assert system.nodal_derivatives(c.copy()) is kept
-    for fq in kept:
-        with pytest.raises(ValueError):
-            fq[0] = 0.0
 
 
 @pytest.mark.parametrize("key", BASE_KEYS, ids=lambda k: "-".join(map(str, k)))

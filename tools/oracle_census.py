@@ -14,8 +14,8 @@ step=5e-4 and at z_max=25:
 halfline is imported from SRC (default ./src).  Each line names the shoot
 and gives its slope as float.hex and the SHA-256 of its state array.  With
 --against, the same census runs on DIR/src in a child process, and each
-line also gives the gap to that checkout's slope in units of the bisection
-width 1e-10 (1 + |s|) and whether the states are bit-identical; the last
+line also gives the gap to that checkout's slope in units of
+1e-10·(1 + |s|) and whether the states are bit-identical; the last
 lines give the largest gap over the film and cone shoots, by config, and
 how many slopes and state arrays are bit-identical.  A shoot that raises
 prints its error type and message in place of the slope, and a read of the
