@@ -568,6 +568,22 @@ def test_a_c_changed_in_place_gets_fresh_nodal_derivatives(key):
     assert np.array_equal(system.residual_map(c), build_system(spec).residual_map(c))
 
 
+def test_the_nodal_derivatives_are_fresh_on_every_call():
+    # the system keeps nothing between calls: each call returns a new array,
+    # and writing into one leaves the next call and the residual unchanged
+    for key in BASE_KEYS:
+        system = build_system(_case_spec(key))
+        c = system.initial_guess
+        r = system.residual_map(c)
+        f = system.nodal_derivatives(c)
+        again = system.nodal_derivatives(c.copy())
+        assert again is not f and not np.shares_memory(again, f)
+        assert np.array_equal(again, f)
+        f[...] = math.nan
+        assert np.array_equal(system.nodal_derivatives(c), again)
+        assert np.array_equal(system.residual_map(c), r)
+
+
 @pytest.mark.parametrize("key", BASE_KEYS, ids=lambda k: "-".join(map(str, k)))
 def test_boundary_exactness(key, solve_case):
     spec, e, report = solve_case(*key)
