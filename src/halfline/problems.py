@@ -111,6 +111,16 @@ class FluidParams:
         return "FluidParams(b1=%g, b2=%g, b3=%g)" % (self.b1, self.b2, self.b3)
 
 
+def _require_decay(problem):
+    """Refuse the film with b2 = b3 = 0, whose equation f''(1 + b1 f'^2) = 0
+    leaves f linear, so that no solution decays.  (b3 = 0 with b2 > 0 is not
+    refused: whether it has a decaying solution was not checked.)"""
+    if isinstance(problem, FluidParams) and problem.b2 == 0.0 and problem.b3 == 0.0:
+        raise ConfigurationError(
+            "%r has no decaying solution: with b2 = b3 = 0 the film equation is "
+            "f''(1 + b1 f'^2) = 0" % (problem,))
+
+
 def _positive(x):
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
@@ -274,6 +284,7 @@ class ProblemSpec:
     def __init__(self, problem, basis, seed=None):
         if not isinstance(problem, (FluidParams, ThomasFermiProblem, ConeParams)):
             raise ConfigurationError("unknown problem kind: %r" % (problem,))
+        _require_decay(problem)
         cone = isinstance(problem, ConeParams)
         if isinstance(basis, LaguerreBasis):
             if seed is not None:

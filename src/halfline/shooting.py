@@ -65,7 +65,7 @@ import numpy as np
 
 from .core import _real
 from .errors import BlowUpError, ConfigurationError, OracleError, RangeOverflowError
-from .problems import ConeParams, FluidParams, ThomasFermiProblem
+from .problems import ConeParams, FluidParams, ThomasFermiProblem, _require_decay
 
 _BOUND = 1e6
 _MAX_WIDTH = 1e3        # the widest bracket searched
@@ -411,6 +411,8 @@ def shoot(problem, cfg=None):
     taken by shoot, on the first read of the states, which unpacking the
     pair makes; reading only the abscissas walks nothing.  A trajectory
     that leaves +-1e6 raises BlowUpError on that read and on every later one.
+    A film with b2 = b3 = 0, which has no decaying solution, raises
+    ConfigurationError.
     """
     cfg = ShootConfig() if cfg is None else cfg
     if not isinstance(cfg, ShootConfig):
@@ -418,6 +420,7 @@ def shoot(problem, cfg=None):
     x0, grid0, x1, h0 = 0.0, 0.0, cfg.z_max, cfg.step
     far = min(_MISMATCH_X, x1)
     if isinstance(problem, FluidParams):
+        _require_decay(problem)
         start, lo, hi = (lambda s: (1.0, s)), -2.0, 0.0
         mismatch = lambda x, y, rate=math.sqrt(problem.b3): y[1] + rate * y[0]
     elif isinstance(problem, ConeParams):

@@ -320,6 +320,10 @@ def test_overflowing_hermite_nodes_exit_2():
     assert (code, out, err) == (2, "", "error: grid nodes must be finite\n")
 
 
+# b2 = b3 = 0: no solution decays
+ILL_POSED_FILM = ("--problem", "fluid", "--b1", "0.6", "--b2", "0", "--b3", "0")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("solve", "--problem", "fluid", "--b1", "0.6", "--b2", "0.1", "--b3", "0.5",
       "--method", "sf", "--n", "800", "--mesh-h", "1", "--seed-lambda", "0.47"),
@@ -330,8 +334,14 @@ def test_overflowing_hermite_nodes_exit_2():
      "L^2 leaves the double range"),
     (("verify", "--preset", "table3", "--scale-L", "1e-110"),
      "L^3 leaves the double range"),
+    (("oracle", *ILL_POSED_FILM), "no decaying solution"),
+    (("solve", *ILL_POSED_FILM, "--method", "mglf", "--n", "20", "--alpha", "1",
+      "--scale-L", "0.99"), "no decaying solution"),
+    (("solve", *ILL_POSED_FILM, "--method", "hf", "--n", "16", "--map-k", "1.2",
+      "--seed-lambda", "0.7"), "no decaying solution"),
 ], ids=["sinc-nodes-overflow", "screening-abscissa-at-axis", "laguerre-scale-order-2",
-        "laguerre-scale-order-3"])
+        "laguerre-scale-order-3", "ill-posed-film-oracle", "ill-posed-film-mglf",
+        "ill-posed-film-hf"])
 def test_bad_inputs_raised_in_the_library_exit_2(argv, message, tmp_path):
     # RangeOverflowError and DomainError are ConfigurationErrors
     target = tmp_path / "bad.csv"

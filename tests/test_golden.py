@@ -1,16 +1,11 @@
-"""The goldens: the whole output of tools/snapshot.py, and the oracle census
-golden of tools/oracle_census.py (one line per shoot of its default
-config: slope, states, walks and top_derivative calls), each regenerated in
-process by its own generator and compared line by line with the committed
-file in tests/golden.
+"""The golden: the whole output of tools/snapshot.py, the oracle census of
+tools/oracle_census.py among it, regenerated in process by the same
+generator and compared line by line with tests/golden/snapshot.txt.
 
-The bits depend on Python, numpy and the BLAS build, which each golden's
-first line names; on any other environment the test is skipped, naming
-both.  The two goldens must name the same environment, so that neither is
-skipped where the other runs.  A change that moves any output regenerates
-the golden with ``python3 tools/snapshot.py > tests/golden/snapshot.txt`` or
-``python3 tools/oracle_census.py --golden > tests/golden/oracle_census.txt``
-and says so.
+The bits depend on Python, numpy and the BLAS build, which the golden's
+first line names; on any other environment the comparison is skipped,
+naming both.  A change that moves any output regenerates the golden with
+``python3 tools/snapshot.py > tests/golden/snapshot.txt`` and says so.
 """
 
 import difflib
@@ -19,37 +14,33 @@ import sys
 
 import pytest
 
+import halfline
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden"
+GOLDEN = ROOT / "tests" / "golden" / "snapshot.txt"
 sys.path.insert(0, str(ROOT / "tools"))
 
 import oracle_census  # noqa: E402
 import snapshot  # noqa: E402
 
 
-def assert_matches(golden_path, generate):
-    golden = golden_path.read_text().splitlines()
+def test_the_snapshot_matches_the_golden():
+    golden = GOLDEN.read_text().splitlines()
     here = snapshot.environment()
     if golden[0] != here:
         pytest.skip("the golden was recorded on %r, this is %r" % (golden[0][5:], here[5:]))
-    now = generate().splitlines()
+    now = snapshot.snapshot_text().splitlines()
     diff = list(difflib.unified_diff(golden, now, "golden", "now", n=0, lineterm=""))
     changed = sum(line[:1] == "+" for line in diff[2:])
-    assert not diff, "%d %s lines changed:\n%s" % (changed, golden_path.stem,
-                                                  "\n".join(diff[:80]))
+    assert not diff, "%d lines changed:\n%s" % (changed, "\n".join(diff[:80]))
 
 
-def test_the_snapshot_matches_the_golden():
-    assert_matches(GOLDEN / "snapshot.txt", snapshot.snapshot_text)
-
-
-def test_the_oracle_census_matches_its_golden():
-    assert_matches(GOLDEN / "oracle_census.txt", oracle_census.golden_text)
-
-
-def test_the_goldens_name_one_environment():
-    # the census golden alone holds the oracle's slope bits and cost counts;
-    # regenerated on another build, it would be skipped without a word
-    snap, census = ((GOLDEN / name).read_text().splitlines()[0]
-                    for name in ("snapshot.txt", "oracle_census.txt"))
-    assert snap == census
+def test_the_golden_census_names_every_problem_in_order():
+    # runs on any build: only the shoots' numbers depend on it
+    section = GOLDEN.read_text().split("\n#### oracle census (default ShootConfig)\n")
+    assert len(section) == 2
+    rows = section[1].split("\n####")[0].splitlines()
+    names = [name for name, _ in oracle_census.problems(halfline)]
+    assert len(rows) == len(names)
+    for row, name in zip(rows, names):
+        assert row.startswith(name + " "), (row, name)

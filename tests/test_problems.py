@@ -82,8 +82,12 @@ def test_fluid_params_validation():
             b[slot] = bad
             with pytest.raises(ConfigurationError):
                 FluidParams(*b)
-    # b = 0 is the boundary, and stays valid
+    # b = 0 is the boundary, and stays valid; but with b2 = b3 = 0 the equation
+    # is f''(1 + b1 f'^2) = 0, no solution decays, and no solver takes it
     assert (FluidParams(0.0, 0.0, 0.0).b1, FluidParams(0, 0, 0).b3) == (0.0, 0.0)
+    for solve in (lambda p: ProblemSpec(p, LaguerreBasis(20, 1.0, 0.99)), shooting.shoot):
+        with pytest.raises(ConfigurationError, match="no decaying solution"):
+            solve(FluidParams(0, 0, 0))
 
 
 def test_cone_params():

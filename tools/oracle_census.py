@@ -1,7 +1,6 @@
 """Shoot 171 problems and compare the slopes and states with another checkout.
 
     python3 tools/oracle_census.py [--against DIR] [--src SRC]
-    python3 tools/oracle_census.py --golden > tests/golden/oracle_census.txt
 
 The census is 57 problems, each shot at the default ShootConfig, at
 step=5e-4 and at z_max=25:
@@ -28,13 +27,11 @@ other checkout's totals and the ratios of this checkout's to theirs.  A
 checkout that walks the trajectory on the first read of the states counts
 that walk in the second total, one that walks it in shoot in the first.
 
-With --golden, it prints instead the census golden that tier-1 compares
-with tests/golden/oracle_census.txt (tests/test_golden.py, by the same
-golden_text): the environment line of tools/snapshot.py, then one line per
-shoot of the default config with its slope, the SHA-256 of its states,
-and its walks (calls of halfline.shooting._dop853) and top_derivative
-calls, each written as those before the states are read + those that
-reading them adds.
+tools/snapshot.py prints the default config's 57 shoots as the oracle
+census section of the snapshot golden, one line per shoot with its slope,
+the SHA-256 of its states, and its walks (calls of
+halfline.shooting._dop853) and top_derivative calls, each written as those
+before the states are read + those that reading them adds.
 """
 
 import argparse
@@ -45,7 +42,6 @@ import random
 import subprocess
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = (("default", {}), ("step=5e-4", {"step": 5e-4}), ("z_max=25", {"z_max": 25.0}))
 
 
@@ -99,26 +95,12 @@ def counted(function, made):
     return function_counted
 
 
-def golden_text(src=ROOT / "src"):
-    """The census golden of halfline in src, as --golden prints it."""
-    shoots = census(src, CONFIGS[:1])
-    from snapshot import environment  # after census has imported halfline from src
-    return "".join(["%s\n" % environment()] + [
-        "%-36s %-24s %s  walks %d+%d  accel %d+%d\n" % (name, *record)
-        for (name, _), record in shoots.items()])
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--against", help="checkout to compare with")
     ap.add_argument("--src", default=str(pathlib.Path.cwd() / "src"))
-    ap.add_argument("--golden", action="store_true",
-                    help="print the census golden instead (default config)")
     ap.add_argument("--raw", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.golden:
-        sys.stdout.write(golden_text(args.src))
-        return
     here = census(args.src)
     if args.raw:
         for key, record in here.items():

@@ -1,13 +1,14 @@
 """Print the outputs that a behaviour-preserving change must keep byte for byte.
 
 halfline is imported from the src directory of the checkout that holds this
-file:
+file.  The output is tier-1's one golden: tests/test_golden.py compares
+snapshot_text() with the committed file, and a change that moves any output
+regenerates it with
 
-    python3 tools/snapshot.py > snapshot.txt
+    python3 tools/snapshot.py > tests/golden/snapshot.txt
 
-Compare the files of two checkouts with ``cmp``; tier-1 compares the output
-of snapshot_text() with the committed tests/golden/snapshot.txt
-(tests/test_golden.py).  The first line names the Python, numpy and BLAS
+and says so.  To compare two checkouts, print each one's snapshot and
+``cmp`` the files.  The first line names the Python, numpy and BLAS
 build, because the bits depend on them.  Each section starts with a
 ``####`` header line and shows exit codes and both output streams:
 
@@ -24,6 +25,10 @@ build, because the bits depend on them.  Each section starts with a
     indices, as exact hexadecimal floats, with the SHA-256 of the whole
     state array, so a change of any bit on the grid shows; and the slope of
     a steep film whose root lies below the starting bracket;
+  - the default-config oracle census of tools/oracle_census.py: for each of
+    its 57 shoots, the slope as float.hex, the SHA-256 of the states, and
+    the walks and top_derivative calls, each written as those before the
+    states are read + those that reading them adds;
   - command lines that must fail, and failing ``solve_problem`` calls, with
     their error types and messages; among them ``--out`` paths that cannot
     be written and refused ``verify`` runs, each with whether it left a
@@ -68,6 +73,7 @@ from halfline.cli import (PRESET_CASES, main, parse_config,  # noqa: E402
 from halfline.hermite import mapped_trapezoid_rule  # noqa: E402
 from halfline.newton import newton_solve  # noqa: E402
 
+import oracle_census  # noqa: E402
 import workloads  # noqa: E402  (perfbench's seeded sweep)
 
 FILM = ["--problem", "fluid", "--b1", "0.6", "--b2", "0.1", "--b3", "0.5"]
@@ -228,6 +234,9 @@ def main_snapshot():
         print(float(shoot(FluidParams(0, 0, 9), ShootConfig(z_max=10.0))[0]).hex())
     except halfline.HalflineError as exc:
         print("%s: %s" % (type(exc).__name__, exc))
+    header("oracle census (default ShootConfig)")
+    for (name, _), record in oracle_census.census(ROOT / "src", oracle_census.CONFIGS[:1]).items():
+        print("%-36s %-24s %s  walks %d+%d  accel %d+%d" % (name, *record))
     for argv in FAILING_COMMANDS:
         run_cli(*argv)
     with tempfile.TemporaryDirectory() as tmp:
