@@ -112,13 +112,14 @@ class FluidParams:
 
 
 def _require_decay(problem):
-    """Refuse the film with b2 = b3 = 0, whose equation f''(1 + b1 f'^2) = 0
-    leaves f linear, so that no solution decays.  (b3 = 0 with b2 > 0 is not
-    refused: whether it has a decaying solution was not checked.)"""
-    if isinstance(problem, FluidParams) and problem.b2 == 0.0 and problem.b3 == 0.0:
+    """Refuse the film with b3 = 0, which has no decaying solution: its
+    equation f''(1 + b1 f'^2) = b2 f f'^2 makes f convex while f > 0, so a
+    decaying f has p = f' a function of f, dp/df = b2 f p / (1 + b1 p^2),
+    and p = 0 is the only solution of that through (f, p) = (0, 0)."""
+    if isinstance(problem, FluidParams) and problem.b3 == 0.0:
         raise ConfigurationError(
-            "%r has no decaying solution: with b2 = b3 = 0 the film equation is "
-            "f''(1 + b1 f'^2) = 0" % (problem,))
+            "%r has no decaying solution: with b3 = 0 the film equation is "
+            "f''(1 + b1 f'^2) = b2 f f'^2" % (problem,))
 
 
 def _positive(x):

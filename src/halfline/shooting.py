@@ -15,7 +15,10 @@ method, the same equation as its collocation residual, gives the highest
 derivative.  It stays scalar on purpose: a numpy stepper advancing a batch
 of 8 to 65 trial slopes in lockstep measured 65-90 us per step, against
 10-12 us here, and its walk is generated per state length from the tableau,
-because a loop over a state tuple measured several times slower.  Accuracy
+because a loop over a state tuple measured several times slower.  For the
+three model problems' own top_derivative, the walk evaluates the method's
+return expression, read from its source, in place of each call, which took
+a film shoot from 1.5 to 1.1 ms and a cone shoot from 2.8 to 2.3.  Accuracy
 is one knob, ShootConfig.step: the mismatch walks and the reported
 trajectory run at local error tolerance step**4 (1e-12 at the default 1e-3).
 The trajectory, one walk from the final slope, is walked on the first read
@@ -55,9 +58,12 @@ search stops at a step of at most 1e-13 (1 + |s|).  A g walk that aborts
 gives its slope's strict class instead, and a midpoint follows.
 """
 
+import ast
 import copy
+import inspect
 import math
 import reprlib
+import textwrap
 from functools import cache, reduce
 from operator import add
 
@@ -68,6 +74,7 @@ from .errors import BlowUpError, ConfigurationError, OracleError, RangeOverflowE
 from .problems import ConeParams, FluidParams, ThomasFermiProblem, _require_decay
 
 _BOUND = 1e6
+_MODELS = (FluidParams, ConeParams, ThomasFermiProblem)   # whose top_derivative a walk inlines
 _MAX_WIDTH = 1e3        # the widest bracket searched
 _LOOSE_CAP = 1e-3       # bisection walks run at max(step**4, min(cap, scale * width))
 _LOOSE_SCALE = 0.1
@@ -278,48 +285,92 @@ class _Trajectory:
 def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     """Hairer's DOP853 in companion form from x to x1: (x, state, outcome).
 
-    state is (f, f', ...), and accel gives the top derivative.
-    Twelve stages, then the derivative at the new state, reused as the next
-    step's first (FSAL): twelve accel calls per accepted step, eleven per
-    rejected one.  With E5 and E3 the fifth- and third-order error
-    estimates, each component scaled by tol (1 + |y_i|), y the new state,
-    Hairer's error |h| |E5|^2 / sqrt(n (|E5|^2 + 0.01 |E3|^2)) over n
-    components, the RMS of E5 when E3 is small, must be <= 1 to accept the
-    step; the next trial step h is h clamp(0.9 err^(-1/8), 1/3, 6), a zero
-    error grows h sixfold and a non-finite one divides it by 3.  The walk
-    aborts, with outcome None, after the first accepted state that leaves
-    +-_BOUND, or when a rejection drives h below 1e-14 (1 + |x|).  With a
-    trail, no step grows past _TRAIL_CAP, and each accepted one appends
-    (x, h, state, new state, the derivatives of stages 1 and 6-13), from
-    which _dense forms the continuous extension.  With events, the walk
-    stops at its first state, the starting one included, whose last two
-    components (u, v) have u < 0 (outcome -1) or v > 0 (outcome +1); else
-    the outcome is 0.  The walk is generated per state length, by
-    _walk_source, because a loop over a state tuple measured several times
-    slower.
+    state is (f, f', ...), and accel gives the top derivative.  Twelve
+    stages, then the derivative at the new state, reused as the next step's
+    first (FSAL): twelve top-derivative evaluations per accepted step,
+    eleven per rejected one, each a call of accel or, for a FluidParams,
+    ConeParams or ThomasFermiProblem's own top_derivative, its expression
+    written into the walk.  With E5 and E3 the fifth- and third-order
+    error estimates, each component scaled by tol (1 + |y_i|), y the new
+    state, Hairer's error |h| |E5|^2 / sqrt(n (|E5|^2 + 0.01 |E3|^2)) over
+    n components, the RMS of E5 when E3 is small, must be <= 1 to accept
+    the step; the next trial step h is h clamp(0.9 err^(-1/8), 1/3, 6), a
+    zero error grows h sixfold and a non-finite one divides it by 3.  The
+    walk aborts, with outcome None, after the first accepted state that
+    leaves +-_BOUND, or when a rejection drives h below 1e-14 (1 + |x|).
+    With a trail, no step grows past _TRAIL_CAP, and each accepted one
+    appends (x, h, state, new state, the derivatives of stages 1 and 6-13),
+    from which _dense forms the continuous extension.  With events, the
+    walk stops at its first state, the starting one included, whose last
+    two components (u, v) have u < 0 (outcome -1) or v > 0 (outcome +1);
+    else the outcome is 0.  _walk_source generates the walk per state
+    length and class.
     """
     if events and (state[-2] < 0 or state[-1] > 0):
         return x, state, -1 if state[-2] < 0 else 1
-    return _walker(len(state))(accel, state, x, x1, 1.0 / (len(state) * tol * tol), h,
-                               math.inf if trail is None else _TRAIL_CAP, trail, events)
+    kind = type(getattr(accel, "__self__", None))
+    kind = kind if kind in _MODELS and accel.__func__ is kind.top_derivative else None
+    return _walker(kind, len(state))(accel, state, x, x1, 1.0 / (len(state) * tol * tol), h,
+                                     math.inf if trail is None else _TRAIL_CAP, trail, events)
 
 
 @cache
-def _walker(n):
-    """The n-component walk, compiled on its first use."""
+def _walker(kind, n):
+    """The n-component walk for kind's top_derivative (None: any accel), compiled once."""
     namespace = {}
-    exec(compile(_walk_source(n), "<dop853 walk, %d components>" % n, "exec"), globals(),
-         namespace)
+    exec(compile(_walk_source(n, kind), "<dop853 walk, %d components>" % n, "exec"),
+         globals(), namespace)
     return namespace["walk"]
 
 
-def _walk_source(n):
+class _Stage(ast.NodeTransformer):
+    """A top_derivative's return expression at one stage: each argument in
+    names as its value there, each self.<attr> as the local self_<attr>."""
+    def __init__(self, names):
+        self.names, self.attrs = names, set()
+
+    def visit_Name(self, node):
+        return ast.parse(self.names.get(node.id, node.id), mode="eval").body
+
+    def visit_Attribute(self, node):
+        if getattr(node.value, "id", None) != "self":
+            return self.generic_visit(node)
+        self.attrs.add(node.attr)
+        return ast.Name("self_" + node.attr)
+
+
+def _inline(kind, n):
+    """(the lines binding self_<attr> for each self.<attr> that
+    kind.top_derivative reads, a function writing its return expression at
+    a stage's node and index), or None unless the method is a docstring and
+    one return over self, x and n components that reads no walk local."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(kind.top_derivative))).body[0]
+    *doc, last = tree.body
+    args = [arg.arg for arg in tree.args.args][1:]
+    if (len(args) != n + 1 or not isinstance(last, ast.Return)
+            or len(doc) != (ast.get_docstring(tree) is not None)
+            or any(isinstance(node, ast.Name) and node.id not in args
+                   and node.id in _walker(None, n).__code__.co_varnames
+                   for node in ast.walk(last.value))):
+        return None
+    stage = lambda node, j: _Stage(dict(zip(args, (node, *("y%d_%d" % (i, j) for i in range(n))))))
+    probe = stage("x", 1)
+    probe.visit(copy.deepcopy(last.value))
+    return ("".join("    self_%s = accel.__self__.%s\n" % (a, a) for a in sorted(probe.attrs)),
+            lambda node, j: ast.unparse(stage(node, j).visit(copy.deepcopy(last.value))))
+
+
+def _walk_source(n, kind=None):
     """Source of the body of _dop853 for n components, as scalar Python:
     y<i>_<j> is component i at stage j (1 the step's start, 13 its end) and
-    k<j> the top derivative there; each weight is a literal, each sum in
-    the tableau's order."""
+    k<j> the top derivative there, a call of accel or, by _inline, kind's
+    top_derivative written out; each weight is a literal, each sum in the
+    tableau's order."""
     def state(j):
         return ", ".join("y%d_%d" % (i, j) for i in range(n))
+
+    bind, top = (kind and _inline(kind, n)) or (
+        "", lambda node, j: "accel(%s, %s)" % (node, state(j)))
 
     def slope(i, j):
         return "y%d_%d" % (i + 1, j) if i + 1 < n else "k%d" % j
@@ -334,7 +385,7 @@ def _walk_source(n):
             terms = dot(weights, i) if len(weights) == 1 else "(%s)" % dot(weights, i)
             lines.append("y%d_%d = y%d_1 + h * %s" % (i, j, i, terms))
         node = "xn" if c == 1.0 else "x + %r * h" % c
-        lines.append("k%d = accel(%s, %s)" % (j, node, state(j)))
+        lines.append("k%d = %s" % (j, top(node, j)))
     # the new state, then the fifth-order error estimate s and the
     # third-order one t, scaled
     for i in range(n):
@@ -343,6 +394,7 @@ def _walk_source(n):
                   "a%d = abs(y%d_13)" % (i, i), "s%d = (%s) / (1.0 + a%d)" % (i, dot(_E, i), i),
                   "t%d = (b%d%s) / (1.0 + a%d)" % (i, i, bh, i)]
     return _WALK.format(
+        bind=bind, k1=top("x", 1), k13=top("xn", 13),
         start=state(1), end=state(13), u="y%d_1" % (n - 2), v="y%d_1" % (n - 1),
         stages="\n".join(" " * 8 + line for line in lines),
         s5=" + ".join("s%d * s%d" % (i, i) for i in range(n)),
@@ -355,8 +407,8 @@ def _walk_source(n):
 # to the power -1/8
 _WALK = """\
 def walk(accel, state, x, x1, scale, h, cap, trail, events):
-    {start} = state
-    k1 = accel(x, {start})
+{bind}    {start} = state
+    k1 = {k1}
     while x < x1:
         if x + 1.01 * h >= x1:
             h, xn = x1 - x, x1
@@ -368,7 +420,7 @@ def walk(accel, state, x, x1, scale, h, cap, trail, events):
         if err <= 1.0:
             if not ({bounded}):
                 return xn, ({end}), None
-            k13 = accel(xn, {end})
+            k13 = {k13}
             if trail is not None:
                 trail.append((x, h, {start}, {end}, {slopes}))
             x, {start}, k1 = xn, {end}, k13
@@ -411,7 +463,7 @@ def shoot(problem, cfg=None):
     taken by shoot, on the first read of the states, which unpacking the
     pair makes; reading only the abscissas walks nothing.  A trajectory
     that leaves +-1e6 raises BlowUpError on that read and on every later one.
-    A film with b2 = b3 = 0, which has no decaying solution, raises
+    A film with b3 = 0, which has no decaying solution, raises
     ConfigurationError.
     """
     cfg = ShootConfig() if cfg is None else cfg

@@ -120,6 +120,7 @@ def test_a_reference_lookup_miss_is_typed_and_a_key_error(lookup, message):
 def test_a_malformed_reference_row_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match=r"row \(1\.0,\) does not match"):
         ReferenceTable("X", ("a",), [(1.0,)])
+    assert repr(TABLE1) == "ReferenceTable(T1, 19 rows)"
 
 
 def test_unknown_preset_is_a_usage_error():
@@ -320,8 +321,9 @@ def test_overflowing_hermite_nodes_exit_2():
     assert (code, out, err) == (2, "", "error: grid nodes must be finite\n")
 
 
-# b2 = b3 = 0: no solution decays
+# b3 = 0: no solution decays, whatever b2
 ILL_POSED_FILM = ("--problem", "fluid", "--b1", "0.6", "--b2", "0", "--b3", "0")
+CONVEX_FILM = ("--problem", "fluid", "--b1", "0.6", "--b2", "0.2", "--b3", "0")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -339,9 +341,16 @@ ILL_POSED_FILM = ("--problem", "fluid", "--b1", "0.6", "--b2", "0", "--b3", "0")
       "--scale-L", "0.99"), "no decaying solution"),
     (("solve", *ILL_POSED_FILM, "--method", "hf", "--n", "16", "--map-k", "1.2",
       "--seed-lambda", "0.7"), "no decaying solution"),
+    (("oracle", *CONVEX_FILM), "no decaying solution"),
+    (("solve", *CONVEX_FILM, "--method", "mglf", "--n", "20", "--alpha", "1",
+      "--scale-L", "0.99"), "no decaying solution"),
+    (("solve", *CONVEX_FILM, "--method", "hf", "--n", "16", "--map-k", "1.2",
+      "--seed-lambda", "0.7"), "no decaying solution"),
 ], ids=["sinc-nodes-overflow", "screening-abscissa-at-axis", "laguerre-scale-order-2",
         "laguerre-scale-order-3", "ill-posed-film-oracle", "ill-posed-film-mglf",
-        "ill-posed-film-hf"])
+        "ill-posed-film-hf", "convex-film-oracle", "convex-film-mglf", "convex-film-hf"])
+# the convex film's b2 = 0.2 is not b1 b3 / 3 = 0, which FluidParams warns of
+@pytest.mark.filterwarnings("ignore::halfline.problems.ParameterConsistencyWarning")
 def test_bad_inputs_raised_in_the_library_exit_2(argv, message, tmp_path):
     # RangeOverflowError and DomainError are ConfigurationErrors
     target = tmp_path / "bad.csv"

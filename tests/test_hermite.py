@@ -10,7 +10,7 @@ import halfline.hermite
 from halfline import (ConfigurationError, FluidParams, HermiteBasis,
                       NodeComputationError, ProblemSpec, SeedKind, SeedProfile,
                       solve_problem)
-from halfline.hermite import hermite_line_nodes, mapped_trapezoid_rule
+from halfline.hermite import hermite_line_nodes, hermite_matrix, mapped_trapezoid_rule
 from properties import difference_error, hermite_gram_error
 from scalar_reference import hermite_fn_eval
 
@@ -50,6 +50,7 @@ def test_mapped_members_match_line_functions():
     basis = HermiteBasis(6, 1.2)
     xs = (0.3, 1.0, 2.6)
     got = basis.tables(xs, 0)[0]
+    assert np.array_equal(got, hermite_matrix(basis, xs, 0))
     for n in range(7):
         for col, x in enumerate(xs):
             t = math.log(x) / 1.2

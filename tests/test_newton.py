@@ -73,6 +73,7 @@ def test_scalar_quadratic_root():
     assert report.iterations <= 8
     assert report.history[0] == 5.0
     assert report.final_residual_norm <= 1e-10
+    assert repr(report) == "SolveReport(converged, 5 iterations, max|F| = 0.000e+00)"
 
 
 def test_scalar_quadratic_convergence_is_quadratic():
@@ -118,6 +119,7 @@ def test_stall_away_from_a_root_is_unconverged():
                           np.array([0.0]))
     assert report.converged is False and report.iterations == 1
     assert report.final_residual_norm == 1e-4
+    assert repr(report) == "SolveReport(stopped, 1 iterations, max|F| = 1.000e-04)"
 
 
 def test_stall_at_the_rounding_floor_ends_its_halving_at_the_iterate():

@@ -82,12 +82,16 @@ def test_fluid_params_validation():
             b[slot] = bad
             with pytest.raises(ConfigurationError):
                 FluidParams(*b)
-    # b = 0 is the boundary, and stays valid; but with b2 = b3 = 0 the equation
-    # is f''(1 + b1 f'^2) = 0, no solution decays, and no solver takes it
+    # b = 0 is the boundary, and stays valid; but with b3 = 0 no solution
+    # decays, f''(1 + b1 f'^2) = 0 at b2 = 0 and convex f at b2 > 0, and no
+    # solver takes it
     assert (FluidParams(0.0, 0.0, 0.0).b1, FluidParams(0, 0, 0).b3) == (0.0, 0.0)
+    with pytest.warns(ParameterConsistencyWarning):
+        convex = FluidParams(0.6, 0.2, 0)
     for solve in (lambda p: ProblemSpec(p, LaguerreBasis(20, 1.0, 0.99)), shooting.shoot):
-        with pytest.raises(ConfigurationError, match="no decaying solution"):
-            solve(FluidParams(0, 0, 0))
+        for film in (FluidParams(0, 0, 0), convex):
+            with pytest.raises(ConfigurationError, match="no decaying solution"):
+                solve(film)
 
 
 def test_cone_params():
@@ -394,6 +398,7 @@ def test_system_dimensions():
     sys1 = build_system(ProblemSpec(fluid, LaguerreBasis(20, 1.0, 0.99)))
     assert sys1.dimension == 20
     assert sys1.boundary_rows == 1
+    assert repr(sys1) == "NonlinearSystem(fluid film / laguerre, dimension 20, 1 boundary rows)"
     assert sys1.collocation_nodes.size == 19
     sys2 = build_system(
         ProblemSpec(cone, HermiteBasis(20, 0.00005),

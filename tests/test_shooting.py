@@ -1,6 +1,7 @@
 """Reference shooting integrator: error-controlled Runge-Kutta behavior in
 companion form, slope search, and robustness of the reported slopes."""
 
+import copy
 import math
 import traceback
 
@@ -425,6 +426,60 @@ def test_the_states_are_those_of_the_problem_when_shot():
     assert slope == fresh
     assert np.array_equal(trajectory[0], fresh_xs)
     assert np.array_equal(trajectory[1], fresh_states)
+
+
+@pytest.mark.parametrize("problem, cfg", [
+    (FLUID, ShootConfig()), (ThomasFermiProblem(), ShootConfig()),
+    *((ConeParams(lam), ShootConfig()) for lam in (0.0, 0.5, 1.0)),
+    (FluidParams(0.0, 0.0, 9.0), ShootConfig(z_max=10.0))],
+    ids=["film", "screening", "cone-0", "cone-0.5", "cone-1", "steep-film"])
+def test_the_inlined_walk_equals_the_call_path(problem, cfg, monkeypatch):
+    # the walk writes each model problem's top_derivative into its stages;
+    # a plain function in its place is called at every stage, and every bit
+    # of the slope and the states stays
+    walker, kinds = shooting._walker, set()
+
+    def recorded(kind, n):
+        kinds.add(kind)
+        return walker(kind, n)
+    monkeypatch.setattr(shooting, "_walker", recorded)
+    slope, (_, states) = shoot(problem, cfg)
+    assert type(problem) in kinds     # beside None, if its walk is compiled here
+    called = copy.copy(problem)
+    method = problem.top_derivative
+    called.top_derivative = lambda *args: method(*args)
+    kinds.clear()
+    called_slope, (_, called_states) = shoot(called, cfg)
+    assert kinds == {None}
+    assert slope.hex() == called_slope.hex()
+    assert np.array_equal(states, called_states)
+    # so a top_derivative that stops being one return expression fails here
+    for kind, n in ((FluidParams, 2), (ConeParams, 3), (ThomasFermiProblem, 2)):
+        assert "accel(" not in shooting._walk_source(n, kind)
+        assert shooting._walk_source(n).count("accel(") == 13
+
+
+def test_a_top_derivative_that_cannot_be_written_out_is_called():
+    # the walk writes out only a docstring and one return over self, x and
+    # the state, reading no name of the walk's own; else it calls accel
+    class Statements:
+        def top_derivative(self, x, f, fp):
+            g = f
+            return g
+
+    class WalkLocal:
+        def top_derivative(self, x, f, fp):
+            return h * f    # h: the walk's step size, not a global
+
+    class Written:
+        def top_derivative(self, x, f, fp):
+            return self.b * f * math.sqrt(x)
+    for kind, n in ((Statements, 2), (WalkLocal, 2), (Written, 3), (FluidParams, 3)):
+        assert shooting._inline(kind, n) is None
+        assert shooting._walk_source(n, kind).count("accel(") == 13
+    bind, top = shooting._inline(Written, 2)
+    assert bind == "    self_b = accel.__self__.b\n"
+    assert top("x + 0.5 * h", 2) == "self_b * y0_2 * math.sqrt(x + 0.5 * h)"
 
 
 def test_the_extension_stages_match_the_scalar_reference(monkeypatch):

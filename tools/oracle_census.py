@@ -20,12 +20,18 @@ how many slopes and state arrays are bit-identical.  A shoot that raises
 prints its error type and message in place of the slope, and a read of the
 states that raises, in place of their SHA-256.
 
-The census also counts the top_derivative calls each config's 57 shoots
-make before their states are read, and those that reading the states
-adds, and prints both totals per config; with --against, next to the
-other checkout's totals and the ratios of this checkout's to theirs.  A
+The census also counts the top_derivative evaluations each config's 57
+shoots make before their states are read, and those that reading the
+states adds, and prints both totals per config; with --against, next to
+the other checkout's totals and the ratios of this checkout's to theirs.  A
 checkout that walks the trajectory on the first read of the states counts
 that walk in the second total, one that walks it in shoot in the first.
+It counts them by wrapping each problem's top_derivative method, and the
+walk calls such a wrapper at every stage where it would otherwise write the
+method's expression in, so the census's shoots take the call path.  The
+counts are still those of the written-out walk, whose steps are the same,
+and tests/test_shooting.py's test_the_inlined_walk_equals_the_call_path
+shows that both paths give the same slope and states bit for bit.
 
 tools/snapshot.py prints the default config's 57 shoots as the oracle
 census section of the snapshot golden, one line per shoot with its slope,
