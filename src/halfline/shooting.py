@@ -18,7 +18,7 @@ of 8 to 65 trial slopes in lockstep measured 65-90 us per step, against
 because a loop over a state tuple measured several times slower.  For the
 three model problems' own top_derivative, the walk evaluates the method's
 return expression, read from its source, in place of each call, which took
-a film shoot from 1.5 to 1.1 ms and a cone shoot from 2.8 to 2.3.  Accuracy
+a film shoot from 1.5 to 1.1 ms and a cone shoot from 2.8 to 2.3 ms.  Accuracy
 is one knob, ShootConfig.step: the mismatch walks and the reported
 trajectory run at local error tolerance step**4 (1e-12 at the default 1e-3).
 The trajectory, one walk from the final slope, is walked on the first read

@@ -453,15 +453,17 @@ def test_the_inlined_walk_equals_the_call_path(problem, cfg, monkeypatch):
     assert kinds == {None}
     assert slope.hex() == called_slope.hex()
     assert np.array_equal(states, called_states)
-    # so a top_derivative that stops being one return expression fails here
+
+
+def test_only_one_return_expression_is_written_out():
+    # the walk writes out a top_derivative that is a docstring and one return
+    # over self, x and the state, reading no name of the walk's own, so one
+    # of the model problems' that stops being so fails here; else it calls
+    # accel at each of the 13 points of a step
     for kind, n in ((FluidParams, 2), (ConeParams, 3), (ThomasFermiProblem, 2)):
         assert "accel(" not in shooting._walk_source(n, kind)
         assert shooting._walk_source(n).count("accel(") == 13
 
-
-def test_a_top_derivative_that_cannot_be_written_out_is_called():
-    # the walk writes out only a docstring and one return over self, x and
-    # the state, reading no name of the walk's own; else it calls accel
     class Statements:
         def top_derivative(self, x, f, fp):
             g = f
