@@ -9,13 +9,14 @@ checks the result against the embedded copy of that table.
 Exit codes: 0 success / verification PASS, 1 verification FAIL, 2 usage or
 configuration error (an unwritable --out path included), 3 solver or
 integrator failure.  A run that exits 2 or 3 writes no CSV, to a file or to
-standard output.
+standard output.  Each library warning is one ``warning:`` line on stderr.
 """
 
 import dataclasses
 import math
 import sys
 import textwrap
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -551,19 +552,21 @@ def main(argv=None, stdout=None, stderr=None):
     if handler is None:
         stderr.write("error: unknown command %r\n%s" % (command, _USAGE))
         return 2
-    try:
-        if command == "list-presets":
-            return handler(argv[1:], stdout)
-        return handler(parse_config(*_parse_argv(argv[1:])), stdout)
-    except (UsageError, ConfigurationError) as exc:
-        stderr.write("error: %s\n" % exc)
-        return 2
-    except SolverError as exc:
-        stderr.write("solver failure: %s\n" % exc)
-        return 3
-    except HalflineError as exc:
-        stderr.write("failure: %s\n" % exc)
-        return 3
+    with warnings.catch_warnings():     # each library warning as one line
+        warnings.showwarning = lambda message, *_: stderr.write("warning: %s\n" % message)
+        try:
+            if command == "list-presets":
+                return handler(argv[1:], stdout)
+            return handler(parse_config(*_parse_argv(argv[1:])), stdout)
+        except (UsageError, ConfigurationError) as exc:
+            stderr.write("error: %s\n" % exc)
+            return 2
+        except SolverError as exc:
+            stderr.write("solver failure: %s\n" % exc)
+            return 3
+        except HalflineError as exc:
+            stderr.write("failure: %s\n" % exc)
+            return 3
 
 
 if __name__ == "__main__":

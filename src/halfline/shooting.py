@@ -17,8 +17,9 @@ of 8 to 65 trial slopes in lockstep measured 65-90 us per step, against
 10-12 us here, and its walk is generated per state length from the tableau,
 because a loop over a state tuple measured several times slower.  For the
 three model problems' own top_derivative, the walk evaluates the method's
-return expression, read from its source, in place of each call, which took
-a film shoot from 1.5 to 1.1 ms and a cone shoot from 2.8 to 2.3 ms.  Accuracy
+return expression, read from its lines in linecache, in place of each call
+(a film shoot 1.5 -> 1.1 ms, a cone 2.8 -> 2.3 ms); without those lines, as
+in a bytecode-only install, or with stale ones, it calls the method.  Accuracy
 is one knob, ShootConfig.step: the mismatch walks and the reported
 trajectory run at local error tolerance step**4 (1e-12 at the default 1e-3).
 The trajectory, one walk from the final slope, is walked on the first read
@@ -60,12 +61,12 @@ gives its slope's strict class instead, and a midpoint follows.
 
 import ast
 import copy
-import inspect
+import linecache
 import math
 import reprlib
 import textwrap
 from functools import cache, reduce
-from operator import add
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -290,7 +291,7 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     first (FSAL): twelve top-derivative evaluations per accepted step,
     eleven per rejected one, each a call of accel or, for a FluidParams,
     ConeParams or ThomasFermiProblem's own top_derivative, its expression
-    written into the walk.  With E5 and E3 the fifth- and third-order
+    where _inline reads it.  With E5 and E3 the fifth- and third-order
     error estimates, each component scaled by tol (1 + |y_i|), y the new
     state, Hairer's error |h| |E5|^2 / sqrt(n (|E5|^2 + 0.01 |E3|^2)) over
     n components, the RMS of E5 when E3 is small, must be <= 1 to accept
@@ -324,13 +325,14 @@ def _walker(kind, n):
 
 
 class _Stage(ast.NodeTransformer):
-    """A top_derivative's return expression at one stage: each argument in
-    names as its value there, each self.<attr> as the local self_<attr>."""
+    """A return expression with each name in names as its text (x as chr(1) and
+    component i as y<i>_chr(0) for a stage's node and index), each
+    self.<attr> as the local self_<attr> and each other name as free_<name>."""
     def __init__(self, names):
         self.names, self.attrs = names, set()
 
     def visit_Name(self, node):
-        return ast.parse(self.names.get(node.id, node.id), mode="eval").body
+        return ast.Name(self.names.get(node.id, "free_" + node.id))
 
     def visit_Attribute(self, node):
         if getattr(node.value, "id", None) != "self":
@@ -340,24 +342,38 @@ class _Stage(ast.NodeTransformer):
 
 
 def _inline(kind, n):
-    """(the lines binding self_<attr> for each self.<attr> that
-    kind.top_derivative reads, a function writing its return expression at
-    a stage's node and index), or None unless the method is a docstring and
-    one return over self, x and n components that reads no walk local."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(kind.top_derivative))).body[0]
-    *doc, last = tree.body
-    args = [arg.arg for arg in tree.args.args][1:]
-    if (len(args) != n + 1 or not isinstance(last, ast.Return)
-            or len(doc) != (ast.get_docstring(tree) is not None)
-            or any(isinstance(node, ast.Name) and node.id not in args
-                   and node.id in _walker(None, n).__code__.co_varnames
-                   for node in ast.walk(last.value))):
+    """(the lines binding self_<attr> and free_<name> for each self.<attr> and
+    other name that kind.top_derivative reads, a function writing its return
+    expression at a stage's node and index), or None, the call path, unless the
+    method's lines compile to its loaded names and arguments (self, x and n
+    components) and are a docstring and one return binding no name and reading
+    only what its globals or builtins hold."""
+    method = kind.top_derivative
+    code, key = method.__code__, attrgetter("co_names", "co_varnames", "co_argcount")
+    end = max((pos[1] or 0 for pos in getattr(code, "co_positions", tuple)()), default=0)
+    try:
+        module = ast.parse(textwrap.dedent(
+            "".join(linecache.getlines(code.co_filename)[code.co_firstlineno - 1:end])))
+        read = [key(c) for c in compile(module, "", "exec").co_consts if isinstance(c, type(code))]
+    except SyntaxError:
         return None
-    stage = lambda node, j: _Stage(dict(zip(args, (node, *("y%d_%d" % (i, j) for i in range(n))))))
-    probe = stage("x", 1)
-    probe.visit(copy.deepcopy(last.value))
-    return ("".join("    self_%s = accel.__self__.%s\n" % (a, a) for a in sorted(probe.attrs)),
-            lambda node, j: ast.unparse(stage(node, j).visit(copy.deepcopy(last.value))))
+    if read != [key(code)] or not isinstance(tree := module.body[0], ast.FunctionDef):
+        return None
+    *doc, last = tree.body
+    free = {node.id for node in ast.walk(last) if isinstance(node, ast.Name)} - {*code.co_varnames}
+    if (not code.co_argcount == len(code.co_varnames) == n + 2 or not isinstance(last, ast.Return)
+            or len(doc) != (ast.get_docstring(tree) is not None)
+            or free - method.__globals__.keys() - method.__builtins__.keys()
+            or any(isinstance(node, (ast.Lambda, ast.NamedExpr)) for node in ast.walk(last))):
+        return None
+    stage = _Stage(dict(zip(code.co_varnames, ("accel.__self__", "\1",
+                                               *("y%d_\0" % i for i in range(n))))))
+    text = ast.unparse(stage.visit(last.value))
+    return ("".join("    self_%s = accel.__self__.%s\n" % (a, a) for a in sorted(stage.attrs))
+            + "".join("    free_%s = accel.__globals__.get(%r, accel.__builtins__.get(%r))\n"
+                      % (name, name, name) for name in sorted(free)),
+            lambda node, j: text.replace("\0", str(j)).replace(
+                "\1", node if node.isidentifier() else "(%s)" % node))
 
 
 def _walk_source(n, kind=None):

@@ -550,6 +550,16 @@ def test_oracle_reports_slope_and_trajectory(tmp_path):
     assert len(text.splitlines()) > 100
 
 
+def test_a_library_warning_is_one_line_on_stderr():
+    # b2 = 0.11 is not b1 b3 / 3 = 0.1, which FluidParams warns of; the
+    # warning names neither cli.py nor a line of its source
+    code, out, err = run_main("oracle", "--problem", "fluid", "--b1", "0.6",
+                              "--b2", "0.11", "--b3", "0.5")
+    assert code == 0 and out.startswith("oracle slope: ")
+    assert err == ("warning: b2 = 0.11 is not b1*b3/3 = 0.1; proceeding with "
+                   "the values as given\n")
+
+
 def test_oracle_still_validates_problem_and_configured_method():
     code, out, err = run_main("oracle")
     assert code == 2

@@ -2,6 +2,8 @@
 companion form, slope search, and robustness of the reported slopes."""
 
 import copy
+import inspect
+import linecache
 import math
 import traceback
 
@@ -18,6 +20,7 @@ from conftest import CONE_LAMBDAS, FLUID_B
 from scalar_reference import extension_points
 
 FLUID = FluidParams(*FLUID_B)
+MODELS = ((FluidParams, 2), (ConeParams, 3), (ThomasFermiProblem, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +460,10 @@ def test_the_inlined_walk_equals_the_call_path(problem, cfg, monkeypatch):
 
 def test_only_one_return_expression_is_written_out():
     # the walk writes out a top_derivative that is a docstring and one return
-    # over self, x and the state, reading no name of the walk's own, so one
-    # of the model problems' that stops being so fails here; else it calls
-    # accel at each of the 13 points of a step
-    for kind, n in ((FluidParams, 2), (ConeParams, 3), (ThomasFermiProblem, 2)):
+    # over self, x and the state, binding no name and reading only names its
+    # globals or builtins hold, so one of the model problems' that stops being
+    # so fails here; else it calls accel at each of the 13 points of a step
+    for kind, n in MODELS:
         assert "accel(" not in shooting._walk_source(n, kind)
         assert shooting._walk_source(n).count("accel(") == 13
 
@@ -469,19 +472,110 @@ def test_only_one_return_expression_is_written_out():
             g = f
             return g
 
-    class WalkLocal:
+    class Unresolved:
         def top_derivative(self, x, f, fp):
-            return h * f    # h: the walk's step size, not a global
+            return h * f    # h: neither a global here nor a builtin
+
+    class Walrus:
+        def top_derivative(self, x, f, fp):
+            return (f := 2.0 * f) * f
+
+    class Lambda:
+        def top_derivative(self, x, f, fp):
+            return (lambda fp: fp * x)(f)
+
+    class Starred:
+        def top_derivative(self, x, f, *fp):
+            return f
 
     class Written:
         def top_derivative(self, x, f, fp):
             return self.b * f * math.sqrt(x)
-    for kind, n in ((Statements, 2), (WalkLocal, 2), (Written, 3), (FluidParams, 3)):
+    for kind, n in ((Statements, 2), (Unresolved, 2), (Walrus, 2), (Lambda, 2),
+                    (Starred, 2), (Written, 3), (FluidParams, 3)):
         assert shooting._inline(kind, n) is None
         assert shooting._walk_source(n, kind).count("accel(") == 13
     bind, top = shooting._inline(Written, 2)
-    assert bind == "    self_b = accel.__self__.b\n"
-    assert top("x + 0.5 * h", 2) == "self_b * y0_2 * math.sqrt(x + 0.5 * h)"
+    assert bind == ("    self_b = accel.__self__.b\n"
+                    "    free_math = accel.__globals__.get('math', "
+                    "accel.__builtins__.get('math'))\n")
+    assert top("x + 0.5 * h", 2) == "self_b * y0_2 * free_math.sqrt((x + 0.5 * h))"
+    assert top("xn", 13) == "self_b * y0_13 * free_math.sqrt(xn)"
+
+
+scale = 0.81    # the name of a walk local, read below as this module's global
+
+
+class Scaled:
+    def top_derivative(self, x, f, fp):
+        """f'' = scale f - |f'| sin x."""
+        return scale * f - abs(fp) * math.sin(x)
+
+
+def test_the_walk_binds_the_names_of_the_method_once(monkeypatch):
+    # each name the expression reads is bound at the walk's start from the
+    # method's globals, else its builtins, so a global named like a walk
+    # local is written out with the call path's bits
+    source = shooting._walk_source(2, Scaled)
+    assert "accel(" not in source
+    assert "    free_scale = accel.__globals__.get('scale', " in source
+    walker, kinds = shooting._walker, []
+    monkeypatch.setattr(shooting, "_walker", lambda kind, n: kinds.append(kind) or walker(kind, n))
+    monkeypatch.setattr(shooting, "_MODELS", (*shooting._MODELS, Scaled))
+    method = Scaled().top_derivative
+    _, written = integrate(method, (1.0, -0.9), 0.0, 6.0, 1e-2)
+    _, called = integrate(lambda *args: method(*args), (1.0, -0.9), 0.0, 6.0, 1e-2)
+    assert kinds == [Scaled, None]
+    assert np.array_equal(written, called)
+    # one walk is compiled per (kind, n), and no other to look at
+    monkeypatch.undo()
+    shooting._walker.cache_clear()
+    sources = []
+    monkeypatch.setattr(shooting, "_walk_source",
+                        lambda n, kind=None, source=shooting._walk_source:
+                        sources.append((n, kind)) or source(n, kind))
+    shooting._walker(ConeParams, 3)
+    assert sources == [(3, ConeParams)]
+
+
+@pytest.fixture
+def fresh_walks():
+    # walks compiled while the source is hidden must not outlive the test
+    shooting._walker.cache_clear()
+    yield
+    shooting._walker.cache_clear()
+
+
+def test_the_walk_needs_no_source(monkeypatch, fresh_walks):
+    # without the .py files, as in a bytecode-only install, linecache has no
+    # lines, and each model problem takes the call path with the same bits
+    shots = [(problem, shoot(problem)) for problem in (FLUID, ThomasFermiProblem(),
+                                                        ConeParams(0.5))]
+    monkeypatch.setattr(linecache, "getlines", lambda *args: [])
+    shooting._walker.cache_clear()
+    for kind, n in MODELS:
+        assert shooting._inline(kind, n) is None
+    for problem, (slope, (_, states)) in shots:
+        called_slope, (_, called_states) = shoot(problem)
+        assert called_slope.hex() == slope.hex()
+        assert np.array_equal(called_states, states)
+
+
+def test_the_walk_reads_the_lines_the_method_was_compiled_from(monkeypatch):
+    # the lines are read by linecache, not inspect, and lines that no longer
+    # compile to the loaded method's names and arguments take the call path
+    def hidden(*args):
+        raise OSError("could not get source code")
+    monkeypatch.setattr(inspect, "getsource", hidden)
+    for kind, n in MODELS:
+        assert "accel(" not in shooting._walk_source(n, kind)
+    text = "class Edited:\n    def top_derivative(self, x, f, fp):\n        return %s\n"
+    namespace = {}
+    exec(compile(text % "self.b * f", "<edited>", "exec"), namespace)
+    for body, written in (("self.b * f", True), ("self.c * f", False), ("f * fp", False)):
+        lines = (text % body).splitlines(True)
+        monkeypatch.setitem(linecache.cache, "<edited>", (1, None, lines, "<edited>"))
+        assert (shooting._inline(namespace["Edited"], 2) is not None) == written
 
 
 def test_the_extension_stages_match_the_scalar_reference(monkeypatch):

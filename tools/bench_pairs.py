@@ -9,10 +9,11 @@ Each workload gets 10 pairs of runs.  A pair runs ``perfbench/run.py
 at a time, at the same seed; which side runs first alternates from pair to
 pair.  Pair i of a workload uses seed FIRST_SEED + i; pick seeds that were
 not used while the change was written.  Every run has
-PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to an empty
-directory of its side's own, made fresh for the comparison, so no run
-reads bytecode that an earlier run or a stale __pycache__ in a checkout
-left behind: both sides compile what they import from source.
+PYTHONDONTWRITEBYTECODE=1, and a checkout that holds a __pycache__ under
+src/ or perfbench/ is refused, so no run reads bytecode that an earlier run
+left behind, and PYTHONPYCACHEPREFIX is unset: both sides compile halfline
+and the harness from source and import numpy and the standard library from
+their installed bytecode, as a run in a fresh checkout does.
 With --trace-seed, each side also makes one ``--trace 1`` run per workload
 at that seed.  Any run that fails stops the comparison.
 
@@ -35,7 +36,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 
 import numpy as np
 
@@ -60,10 +60,11 @@ def line_counts(root):
             for part in ("src/halfline/*.py", "tests/*.py", "demos/*.py")}
 
 
-def run(root, workload, seed, seconds, trace, pycache):
+def run(root, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
                           check=False)
     if proc.returncode != 0:
@@ -108,6 +109,11 @@ def main(argv=None):
     ap.add_argument("--claim", default="")
     args = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    for root in sides.values():
+        stale = [str(path) for part in ("src", "perfbench")
+                 for path in pathlib.Path(root, part).rglob("__pycache__")]
+        if stale:
+            ap.error("remove the bytecode caches in the checkout first: %s" % ", ".join(stale))
     plan = []
     for item in args.workload:
         name, _, first = item.partition(":")
@@ -116,16 +122,12 @@ def main(argv=None):
         plan.append((name, int(first)))
 
     runs, trace_runs, summary = [], [], {}
-    # each side's own empty bytecode cache, never written to (see run), and
-    # removed when the comparison exits
-    caches = {side: tempfile.TemporaryDirectory(prefix="pycache-%s-" % side)
-              for side in sides}
     for name, first in plan:
         results = {"parent": [], "change": []}
         for i in range(PAIRS):
             seed = first + i
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result = run(sides[side], name, seed, SECONDS, 0, caches[side].name)
+                result = run(sides[side], name, seed, SECONDS, 0)
                 results[side].append(result)
                 runs.append({"side": side, "workload": name, "seed": seed,
                              "trace": 0, "result": result})
@@ -141,8 +143,7 @@ def main(argv=None):
             for side in ("parent", "change"):
                 trace_runs.append({"side": side, "workload": name, "seed": args.trace_seed,
                                    "trace": 1, "result": run(sides[side], name,
-                                                             args.trace_seed, SECONDS,
-                                                             1, caches[side].name)})
+                                                             args.trace_seed, SECONDS, 1)})
 
     seeds = ", ".join("%s %d-%d" % (name, first, first + PAIRS - 1) for name, first in plan)
     out = {
@@ -151,8 +152,7 @@ def main(argv=None):
         "parent": revision(sides["parent"]),
         "change": revision(sides["change"]),
         "lines": {side: line_counts(root) for side, root in sides.items()},
-        "command": "PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX=<empty directory per side> "
-                   "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0, "
+        "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0, "
                    "alternating which side runs first; seeds %s%s; one run at a time"
                    % (SECONDS, seeds, "" if args.trace_seed is None else
                       "; one --trace 1 run per side and workload at seed %d" % args.trace_seed),
