@@ -290,8 +290,8 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     stages, then the derivative at the new state, reused as the next step's
     first (FSAL): twelve top-derivative evaluations per accepted step,
     eleven per rejected one, each a call of accel or, for a FluidParams,
-    ConeParams or ThomasFermiProblem's own top_derivative, its expression
-    where _inline reads it.  With E5 and E3 the fifth- and third-order
+    ConeParams or ThomasFermiProblem's own top_derivative that _inline
+    reads, its expression inline.  With E5 and E3 the fifth- and third-order
     error estimates, each component scaled by tol (1 + |y_i|), y the new
     state, Hairer's error |h| |E5|^2 / sqrt(n (|E5|^2 + 0.01 |E3|^2)) over
     n components, the RMS of E5 when E3 is small, must be <= 1 to accept
