@@ -30,6 +30,7 @@ from .laguerre import LaguerreBasis
 from .problems import (
     ConeParams,
     FluidParams,
+    Problem,
     ProblemSpec,
     SeedKind,
     SeedProfile,
@@ -72,6 +73,7 @@ __all__ = [
     "NodeComputationError",
     "NumericEvaluationError",
     "OracleError",
+    "Problem",
     "ProblemSpec",
     "RangeOverflowError",
     "SeedKind",

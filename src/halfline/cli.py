@@ -36,7 +36,7 @@ from .problems import (
 )
 from .reference import TABLE1, TABLE2, TABLE3, TABLE4, TABLE5, TABLE6, TABLE7
 from .shooting import shoot
-from .sinc import SincBasis, SincMap
+from .sinc import SincBasis
 
 # ---------------------------------------------------------------------------
 # the key table
@@ -113,7 +113,6 @@ class _Problem(NamedTuple):
     grid: object        # reference table: default grid and verify profile
     seed_key: str       # the seed parameter of the seeded methods
     seeds: dict         # seeded method -> SeedKind
-    basis_args: dict = {}   # method -> basis arguments after its keys
 
 
 _PROBLEMS = {
@@ -127,8 +126,7 @@ _PROBLEMS = {
                               "sf": SeedKind.RATIONAL_LINEAR}),
     "cone": _Problem(ConeParams, ("cone-lambda",), TABLE6, "seed-beta",
                      {"hf": SeedKind.CONE_RATIONAL,
-                      "sf": SeedKind.CONE_RATIONAL},
-                     {"sf": (SincMap.LOG,)}),
+                      "sf": SeedKind.CONE_RATIONAL}),
 }
 
 # method -> (basis class, the keys of its leading arguments)
@@ -183,7 +181,7 @@ def to_problem_spec(cfg):
     problem = _PROBLEMS[cfg.problem]
     basis, keys = _row(_METHODS, "method", cfg.method)
     basis = basis(*(_value(cfg, k) for k in keys),
-                  *problem.basis_args.get(cfg.method, ()))
+                  *(problem.equation.sinc_map,) if basis is SincBasis else ())
     kind = problem.seeds.get(cfg.method)
     seed = SeedProfile(kind, _value(cfg, problem.seed_key)) if kind else None
     return ProblemSpec(_equation(cfg), basis, seed)

@@ -16,14 +16,15 @@ them exactly in a closed-form seed profile whose residual the basis part
 corrects.  A seed is evaluated as a basis is, through tables(xs, M): its
 derivatives of orders 0..M at the points in one pass.
 
-Each problem class holds its equation in two forms.  residual(x, f) and
-partials(x, f) take the derivative arrays f = [f0, ..., f_order] at the
+Each problem is a Problem, holding its equation in two forms.  residual(x, f)
+and partials(x, f) take the derivative arrays f = [f0, ..., f_order] at the
 abscissas x (partials gives dR/df_q for every q); top_derivative(x, f0, ...,
 f_{order-1}) is the equation solved for f_order at one point, the form the
 shooting oracle integrates.  axis_conditions lists the (derivative order,
-value) pairs imposed at x = 0.  build_system reduces every pairing to nodal
-derivatives that are affine in the coefficients, f_q = s_q + D_q c, where
-D_q is the family's order-q table at its collocation nodes and s_q the
+value) pairs imposed at x = 0; the rest of what shoot and a pairing read of
+a problem is the protocol of Problem.  build_system reduces every pairing to
+nodal derivatives that are affine in the coefficients, f_q = s_q + D_q c,
+where D_q is the family's order-q table at its collocation nodes and s_q the
 seed's (or 0), so the damped Newton driver gets the residual map and its
 exact Jacobian from the same operators, held as one stack D with D[q] = D_q.
 
@@ -47,144 +48,9 @@ from .laguerre import LaguerreBasis
 from .newton import newton_solve
 from .sinc import SincBasis, SincMap
 
-# Newton starts of the Laguerre pairings: a closed-form profile taken at the
-# collocation nodes, with the axis rows completing a square linear system.
-# The film and screening start from RATIONAL_QUADRATIC(0.7), the cone from
-# CONE_RATIONAL(1.6).  The cone system has several isolated roots whose
-# initial slopes differ by a few times 1e-3.  Measured on the six tabulated
-# rows, every scale tried in [0.9, 3.0] reaches the physical root, scales of
-# 0.8 and below land on a spurious one about 9e-3 away, and larger scales
-# take more Newton iterations (35 over the six rows at 1.6, 39 at 2.0).  The
-# axis rows are required: interpolating the profile through every node
-# instead leaves Newton unconverged on all six rows.
-_GUESS_DECAY_LAMBDA = 0.7
-_CONE_START_SCALE = 1.6
-
 
 class ParameterConsistencyWarning(UserWarning):
     """Material parameters supplied directly instead of derived consistently."""
-
-
-class FluidParams:
-    """Coefficients (b1, b2, b3) of the fluid film equation.
-
-    Physically the three derive from two material constants and satisfy
-    b2 = b1 b3 / 3; from_b1_b3 builds the consistent triple.  Direct
-    construction accepts any nonnegative values (several published tables
-    use rounded, slightly inconsistent triples) but warns when the identity
-    is violated beyond 1e-12.
-    """
-
-    label = "fluid film"
-    order = 2
-    axis_conditions = ((0, 1.0),)
-
-    def __init__(self, b1, b2, b3):
-        self.b1, self.b2, self.b3 = (_real(name, v, 0.0, strict=False) for name, v
-                                     in (("b1", b1), ("b2", b2), ("b3", b3)))
-        if abs(self.b2 - self.b1 * self.b3 / 3.0) > 1e-12:
-            warnings.warn(
-                "b2 = %g is not b1*b3/3 = %g; proceeding with the values as given"
-                % (self.b2, self.b1 * self.b3 / 3.0),
-                ParameterConsistencyWarning, stacklevel=2)
-
-    @classmethod
-    def from_b1_b3(cls, b1, b3):
-        return cls(b1, b1 * b3 / 3.0, b3)
-
-    def residual(self, x, f):
-        """f'' + b1 (f')^2 f'' - b2 f (f')^2 - b3 f."""
-        return (f[2] + self.b1 * f[1] * f[1] * f[2]
-                - self.b2 * f[0] * f[1] * f[1] - self.b3 * f[0])
-
-    def top_derivative(self, x, f, fp):
-        """f'' from the equation at one point (the shooting form)."""
-        return (self.b2 * f * fp * fp + self.b3 * f) / (1.0 + self.b1 * fp * fp)
-
-    def partials(self, x, f):
-        f1f1 = f[1] * f[1]
-        return [-self.b2 * f1f1 - self.b3,
-                2.0 * f[1] * (self.b1 * f[2] - self.b2 * f[0]),
-                1.0 + self.b1 * f1f1]
-
-    def __repr__(self):
-        return "FluidParams(b1=%g, b2=%g, b3=%g)" % (self.b1, self.b2, self.b3)
-
-
-def _require_decay(problem):
-    """Refuse the film with b3 = 0, which has no decaying solution: its
-    equation f''(1 + b1 f'^2) = b2 f f'^2 makes f convex while f > 0, so a
-    decaying f has p = f' a function of f, dp/df = b2 f p / (1 + b1 p^2),
-    and p = 0 is the only solution of that through (f, p) = (0, 0)."""
-    if isinstance(problem, FluidParams) and problem.b3 == 0.0:
-        raise ConfigurationError(
-            "%r has no decaying solution: with b3 = 0 the film equation is "
-            "f''(1 + b1 f'^2) = b2 f f'^2" % (problem,))
-
-
-def _positive(x):
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
-        raise DomainError("the screening residual needs x > 0, got %r" % (x,))
-    return x
-
-
-class ThomasFermiProblem:
-    """The atomic screening equation; carries no free parameters.
-
-    The 3/2 power is extended odd-symmetrically (sign(u) |u|^{3/2}) so
-    Newton iterates that dip below zero stay real and differentiable; at a
-    converged nonnegative profile the extension is inactive.
-    """
-
-    label = "atomic screening"
-    order = 2
-    axis_conditions = ((0, 1.0),)
-
-    def residual(self, x, f):
-        """y'' - y^(3/2) / sqrt(x) at x > 0."""
-        x = _positive(x)
-        return f[2] - np.copysign(np.abs(f[0]) ** 1.5, f[0]) / np.sqrt(x)
-
-    def top_derivative(self, x, f, fp):
-        """y'' at one point x > 0, in scalar math: numpy's vector ** 1.5
-        can differ from it in the last bit."""
-        return math.copysign(abs(f) ** 1.5, f) / math.sqrt(x)
-
-    def partials(self, x, f):
-        x = _positive(x)
-        return [-1.5 * np.sqrt(np.abs(f[0])) / np.sqrt(x), 0.0, 1.0]
-
-    def __repr__(self):
-        return "ThomasFermiProblem()"
-
-
-class ConeParams:
-    """Heat-flux exponent of the heated-cone boundary layer."""
-
-    label = "heated cone"
-    order = 3
-    axis_conditions = ((0, 0.0), (2, -1.0))
-
-    def __init__(self, lam):
-        self.lam = _real("lam", lam, 0.0, strict=False)
-        self._a = (self.lam + 5.0) / 2.0
-        self._b = (2.0 * self.lam + 1.0) / 3.0
-
-    def residual(self, eta, f):
-        """f''' + ((lam+5)/2) f f'' - ((2 lam+1)/3) (f')^2."""
-        return f[3] + self._a * f[0] * f[2] - self._b * f[1] * f[1]
-
-    def top_derivative(self, eta, f, fp, fpp):
-        """f''' from the equation at one point (the shooting form)."""
-        return self._b * fp * fp - self._a * f * fpp
-
-    def partials(self, eta, f):
-        a, b = self._a, self._b
-        return [a * f[2], -2.0 * b * f[1], a * f[0], 1.0]
-
-    def __repr__(self):
-        return "ConeParams(lam=%g)" % self.lam
 
 
 class SeedKind(enum.Enum):
@@ -269,24 +135,207 @@ class SeedProfile:
         return "SeedProfile(%s, %g)" % (self.kind.value, self.parameter)
 
 
-class ProblemSpec:
-    """One benchmark problem paired with a trial family and optional seed.
+class Problem:
+    """A model problem on (0, inf), as shoot and ProblemSpec read it.
 
-    Pairing rules enforced here:
+    Beside label, order, axis_conditions, residual, partials and
+    top_derivative, each problem declares launch(s), the walks' start state
+    at launch_x for initial slope s, and mismatch(x, y), the far-field
+    mismatch g at x of the state y: zero on the decaying far-field mode and
+    negative too low.  It may override these defaults, the film's: launch_x,
+    where walks start (a positive one is also their first trial step);
+    bracket, the slope's start bracket; far(z_max), (trajectory start, walk
+    end, where g is taken); newton_start, the SeedProfile that Laguerre's
+    Newton start fits; sinc_map, the composite translates' map; and
+    require_posed(), which raises ConfigurationError if no solution decays.
+    newton_start and sinc_map are class attributes, as a pairing's
+    discretization is kept per problem class.
+    """
+
+    launch_x = 0.0
+    bracket = (-2.0, 0.0)
+    newton_start = SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.7)
+    sinc_map = SincMap.LOG_SINH
+
+    def far(self, z_max):
+        """The trajectory from 0 to z_max, g at 10 or z_max if nearer."""
+        return 0.0, z_max, min(10.0, z_max)
+
+    def require_posed(self):
+        pass
+
+
+class FluidParams(Problem):
+    """Coefficients (b1, b2, b3) of the fluid film equation.
+
+    Physically the three derive from two material constants and satisfy
+    b2 = b1 b3 / 3; from_b1_b3 builds the consistent triple.  Direct
+    construction accepts any nonnegative values (several published tables
+    use rounded, slightly inconsistent triples) but warns when the identity
+    is violated beyond 1e-12.
+    """
+
+    label = "fluid film"
+    order = 2
+    axis_conditions = ((0, 1.0),)
+
+    def __init__(self, b1, b2, b3):
+        self.b1, self.b2, self.b3 = (_real(name, v, 0.0, strict=False) for name, v
+                                     in (("b1", b1), ("b2", b2), ("b3", b3)))
+        if abs(self.b2 - self.b1 * self.b3 / 3.0) > 1e-12:
+            warnings.warn(
+                "b2 = %g is not b1*b3/3 = %g; proceeding with the values as given"
+                % (self.b2, self.b1 * self.b3 / 3.0),
+                ParameterConsistencyWarning, stacklevel=2)
+
+    @classmethod
+    def from_b1_b3(cls, b1, b3):
+        return cls(b1, b1 * b3 / 3.0, b3)
+
+    def residual(self, x, f):
+        """f'' + b1 (f')^2 f'' - b2 f (f')^2 - b3 f."""
+        return (f[2] + self.b1 * f[1] * f[1] * f[2]
+                - self.b2 * f[0] * f[1] * f[1] - self.b3 * f[0])
+
+    def top_derivative(self, x, f, fp):
+        """f'' from the equation at one point (the shooting form)."""
+        return (self.b2 * f * fp * fp + self.b3 * f) / (1.0 + self.b1 * fp * fp)
+
+    def partials(self, x, f):
+        f1f1 = f[1] * f[1]
+        return [-self.b2 * f1f1 - self.b3,
+                2.0 * f[1] * (self.b1 * f[2] - self.b2 * f[0]),
+                1.0 + self.b1 * f1f1]
+
+    def launch(self, s):
+        return 1.0, s
+
+    def mismatch(self, x, y):
+        """f' + sqrt(b3) f, from f'' ~ b3 f."""
+        return y[1] + math.sqrt(self.b3) * y[0]
+
+    def require_posed(self):
+        """Refuse b3 = 0, which has no decaying solution: the equation
+        f''(1 + b1 f'^2) = b2 f f'^2 makes f convex while f > 0, so a
+        decaying f has p = f' a function of f, dp/df = b2 f p / (1 + b1 p^2),
+        and p = 0 is the only solution of that through (f, p) = (0, 0)."""
+        if self.b3 == 0.0:
+            raise ConfigurationError(
+                "%r has no decaying solution: with b3 = 0 the film equation is "
+                "f''(1 + b1 f'^2) = b2 f f'^2" % (self,))
+
+    def __repr__(self):
+        return "FluidParams(b1=%g, b2=%g, b3=%g)" % (self.b1, self.b2, self.b3)
+
+
+def _positive(x):
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
+        raise DomainError("the screening residual needs x > 0, got %r" % (x,))
+    return x
+
+
+class ThomasFermiProblem(Problem):
+    """The atomic screening equation; carries no free parameters.
+
+    The 3/2 power is extended odd-symmetrically (sign(u) |u|^{3/2}) so
+    Newton iterates that dip below zero stay real and differentiable; at a
+    converged nonnegative profile the extension is inactive.
+    """
+
+    label = "atomic screening"
+    order = 2
+    axis_conditions = ((0, 1.0),)
+    launch_x = 1e-6     # y'' ~ x^(-1/2) there, so walks start at this step too
+
+    def residual(self, x, f):
+        """y'' - y^(3/2) / sqrt(x) at x > 0."""
+        x = _positive(x)
+        return f[2] - np.copysign(np.abs(f[0]) ** 1.5, f[0]) / np.sqrt(x)
+
+    def top_derivative(self, x, f, fp):
+        """y'' at one point x > 0, in scalar math: numpy's vector ** 1.5
+        can differ from it in the last bit."""
+        return math.copysign(abs(f) ** 1.5, f) / math.sqrt(x)
+
+    def partials(self, x, f):
+        x = _positive(x)
+        return [-1.5 * np.sqrt(np.abs(f[0])) / np.sqrt(x), 0.0, 1.0]
+
+    def launch(self, s):
+        """The series y = 1 + s x + (4/3) x^{3/2} + (2s/5) x^{5/2} and y'."""
+        x, r = self.launch_x, math.sqrt(self.launch_x)
+        return (1.0 + s * x + (4.0 / 3.0) * x * r + (2.0 * s / 5.0) * x * x * r,
+                s + 2.0 * r + s * x * r)
+
+    def mismatch(self, x, y):
+        """x y' + 3 y, from y ~ 144 / x^3."""
+        return x * y[1] + 3.0 * y[0]
+
+    def far(self, z_max):
+        """From 0.05 to 30 whatever z_max, g at 40 (near the root, class events
+        lie near x = 195; the class root at 30 is 1.8e-8 from g's)."""
+        return 0.05, 30.0, 40.0
+
+    def __repr__(self):
+        return "ThomasFermiProblem()"
+
+
+class ConeParams(Problem):
+    """Heat-flux exponent of the heated-cone boundary layer."""
+
+    label = "heated cone"
+    order = 3
+    axis_conditions = ((0, 0.0), (2, -1.0))
+    bracket = (0.0, 2.0)    # holds the root for every lam in [0, 2]
+    # its Laguerre systems have roots a few 1e-3 apart in slope: on the six
+    # tabulated rows, start scales in [0.9, 3.0] reach the physical one, 0.8 and
+    # below one 9e-3 away, larger ones take more iterations (35 at 1.6, 39 at 2)
+    newton_start = SeedProfile(SeedKind.CONE_RATIONAL, 1.6)
+    sinc_map = SincMap.LOG
+
+    def __init__(self, lam):
+        self.lam = _real("lam", lam, 0.0, strict=False)
+        self._a = (self.lam + 5.0) / 2.0
+        self._b = (2.0 * self.lam + 1.0) / 3.0
+
+    def residual(self, eta, f):
+        """f''' + ((lam+5)/2) f f'' - ((2 lam+1)/3) (f')^2."""
+        return f[3] + self._a * f[0] * f[2] - self._b * f[1] * f[1]
+
+    def top_derivative(self, eta, f, fp, fpp):
+        """f''' from the equation at one point (the shooting form)."""
+        return self._b * fp * fp - self._a * f * fpp
+
+    def partials(self, eta, f):
+        a, b = self._a, self._b
+        return [a * f[2], -2.0 * b * f[1], a * f[0], 1.0]
+
+    def launch(self, s):
+        return 0.0, s, -1.0
+
+    def mismatch(self, eta, y):
+        """f'' + ((lam+5)/2) f f', from f''' ~ -((lam+5)/2) f f''."""
+        return y[2] + self._a * y[0] * y[1]
+
+    def __repr__(self):
+        return "ConeParams(lam=%g)" % self.lam
+
+
+class ProblemSpec:
+    """One Problem paired with a trial family and optional seed.
+
+    Pairing rules enforced here, after the problem's require_posed:
       - Laguerre never takes a seed (boundary rows do the work).
       - Hermite and composite-translate families always take one, and it
-        must meet the problem's axis_conditions exactly at x = 0: the cone
-        problem takes CONE_RATIONAL, the other two RATIONAL_QUADRATIC or
-        RATIONAL_LINEAR.
-      - Composite translates use the LogSinh map for the fluid/screening
-        problems and the Log map for the cone problem.
+        must meet the problem's axis_conditions exactly at x = 0.
+      - Composite translates use the problem's sinc_map.
     """
 
     def __init__(self, problem, basis, seed=None):
-        if not isinstance(problem, (FluidParams, ThomasFermiProblem, ConeParams)):
+        if not isinstance(problem, Problem):
             raise ConfigurationError("unknown problem kind: %r" % (problem,))
-        _require_decay(problem)
-        cone = isinstance(problem, ConeParams)
+        problem.require_posed()
         if isinstance(basis, LaguerreBasis):
             if seed is not None:
                 raise ConfigurationError("the Laguerre family is never seeded")
@@ -299,12 +348,9 @@ class ProblemSpec:
                     raise ConfigurationError(
                         "%r does not meet the axis condition f^(%d)(0) = %g of %r"
                         % (seed, q, value, problem))
-            if isinstance(basis, SincBasis):
-                want = SincMap.LOG if cone else SincMap.LOG_SINH
-                if basis.map_kind is not want:
-                    raise ConfigurationError(
-                        "this problem pairs with the %s map, got %s"
-                        % (want.value, basis.map_kind.value))
+            if isinstance(basis, SincBasis) and basis.map_kind is not problem.sinc_map:
+                raise ConfigurationError("this problem pairs with the %s map, got %s"
+                                         % (problem.sinc_map.value, basis.map_kind.value))
         else:
             raise ConfigurationError("unknown basis kind: %r" % (basis,))
         self.problem = problem
@@ -402,7 +448,9 @@ def _discretization(basis, problem):
     their concatenation missed 6,800 (numpy 2.4, OpenBLAS 0.3.31).  Laguerre
     imposes the axis conditions as those rows, so it collocates at all but its
     last len(axis_conditions) nodes (the least-resolved far ones) and starts
-    Newton from a closed-form profile.  Hermite and composite translates
+    Newton from the problem's newton_start fitted at those nodes and by the
+    axis rows; fitted at every node, it left Newton unconverged on all six
+    cone rows.  Hermite and composite translates
     collocate at every node and carry the axis conditions in the seed.
     """
     def build():
@@ -418,12 +466,8 @@ def _discretization(basis, problem):
         targets = np.array([value for _, value in rows])
         guess = np.zeros(basis.dimension)
         if rows:
-            if isinstance(problem, ConeParams):
-                start = SeedProfile(SeedKind.CONE_RATIONAL, _CONE_START_SCALE)
-            else:
-                start = SeedProfile(SeedKind.RATIONAL_QUADRATIC, _GUESS_DECAY_LAMBDA)
             guess = np.linalg.solve(np.vstack([operators[0], boundary]),
-                                    np.concatenate([start(nodes), targets]))
+                                    np.concatenate([problem.newton_start(nodes), targets]))
         return (nodes, boundary, targets, guess, operators)
     return _memo(basis, (type(problem),), build)
 

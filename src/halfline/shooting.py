@@ -15,48 +15,42 @@ method, the same equation as its collocation residual, gives the highest
 derivative.  It stays scalar on purpose: a numpy stepper advancing a batch
 of 8 to 65 trial slopes in lockstep measured 65-90 us per step, against
 10-12 us here, and its walk is generated per state length from the tableau,
-because a loop over a state tuple measured several times slower.  For the
-three model problems' own top_derivative, the walk evaluates the method's
-return expression, read from its lines in linecache, in place of each call
-(a film shoot 1.5 -> 1.1 ms, a cone 2.8 -> 2.3 ms); without those lines, as
-in a bytecode-only install, or with stale ones, it calls the method.  Accuracy
-is one knob, ShootConfig.step: the mismatch walks and the reported
-trajectory run at local error tolerance step**4 (1e-12 at the default 1e-3).
-The trajectory, one walk from the final slope, is walked on the first read
-of the states and spaced step apart by the pair's order-7 continuous
-extension; it takes no step longer than 4, so the extension holds the
-tolerance in the far field too.
+because a loop over a state tuple measured several times slower.  For a
+class's own top_derivative, the walk evaluates the method's return
+expression, read from its lines in linecache, in place of each call (a film
+shoot 1.5 -> 1.1 ms, a cone 2.8 -> 2.3 ms), and calls the method where
+_inline refuses it.  Accuracy is one knob, ShootConfig.step: the mismatch
+walks and the reported trajectory run at local error tolerance step**4
+(1e-12 at the default 1e-3).  The trajectory, one walk from the final
+slope, is walked on the first read of the states and spaced step apart by
+the pair's order-7 continuous extension; it takes no step longer than 4, so
+the extension holds the tolerance in the far field too.
 
-A trial slope takes the class of the first event on its walk, at the
-launch state or an accepted one.  With (u, v) the state's last two
-components, (f, f') on the film and screening and (f', f'') on the cone,
-it is too low once u < 0 and too high once v > 0 (on the cone, above its
-root f' levels off positive and b f'^2 drives f'' up), so no walk runs
-into a blow-up or a stiff stretch.  A walk with no event by the far field,
-z_max or 30 on screening, takes the sign of g there: near the root,
-screening's events lie near x = 195, and above the cone root f'' can stay
-at the error floor, about -1e-12.  g vanishes on the decaying far-field
-mode and is negative too low: g = f' + sqrt(b3) f on the film (from
-f'' ~ b3 f), f'' + a f f' on the cone (from f''' ~ -a f f'',
-a = (lam + 5) / 2) and x y' + 3 y on screening (y ~ 144 / x^3).
+A problem gives what a shoot needs through the Problem protocol: launch
+point and state, start bracket, far fields and the far-field mismatch g.  A
+trial slope takes the class of the first event on its walk, at the launch
+state or an accepted one.  With (u, v) the state's last two components, it
+is too low once u < 0 and too high once v > 0 (on the cone, above its root
+f' levels off positive and b f'^2 drives f'' up), so no walk runs into a
+blow-up or a stiff stretch.  A walk with no event by the walk end takes the
+sign of g there: above the cone root f'' can stay at the error floor, about
+-1e-12.
 
 Class walks run loose, at tau = max(step**4, min(1e-3, 0.1 w)) at bracket
 width w: the checks of the start bracket's ends and bisection down to
-w = 1e-6, each from a first trial step of step
-(tau / step**4)**(1/4), the rule that ties step to step**4; screening's
-start at its launch step, as y'' ~ x^(-1/2) there.  As a tau from 1e-7 to
-1e-3 moved the class boundary by at most 0.04 tau (0.16 tau on screening),
-only a slope within a few percent of w of the root can take the wrong
-class.  A loose walk that aborts, or a top end found too low, is repeated
-at step**4.  The secant takes
-g at the end of a walk without events to X = 10 on the film and the cone
-(z_max if nearer) and X = 40 on screening.  A wrong loose class, or
-screening's class root at 30 (1.8e-8 from g's at 40), can leave g's root
-just outside the bracket, where both ends' g share a sign; the bracket
-then moves past the end that is off, doubling its width.  An iterate
-outside the bracket is its midpoint, each g sign narrows it, and the
-search stops at a step of at most 1e-13 (1 + |s|).  A g walk that aborts
-gives its slope's strict class instead, and a midpoint follows.
+w = 1e-6, each from a first trial step of step (tau / step**4)**(1/4), the
+rule that ties step to step**4, or from a positive launch point.  As a tau
+from 1e-7 to 1e-3 moved the class boundary by at most 0.04 tau (0.16 tau on
+screening), only a slope within a few percent of w of the root can take the
+wrong class.  A loose walk that aborts, or a top end found too low, is
+repeated at step**4.  The secant takes g where the problem's far field puts
+it, at the end of a walk without events.  A wrong loose class, or a class
+root apart from g's, can leave g's root just outside the bracket, where
+both ends' g share a sign; the bracket then moves past the end that is off,
+doubling its width.  An iterate outside the bracket is its midpoint, each g
+sign narrows it, and the search stops at a step of at most 1e-13 (1 + |s|).
+A g walk that aborts gives its slope's strict class instead, and a midpoint
+follows.
 """
 
 import ast
@@ -72,21 +66,15 @@ import numpy as np
 
 from .core import _real
 from .errors import BlowUpError, ConfigurationError, OracleError, RangeOverflowError
-from .problems import ConeParams, FluidParams, ThomasFermiProblem, _require_decay
+from .problems import Problem
 
 _BOUND = 1e6
-_MODELS = (FluidParams, ConeParams, ThomasFermiProblem)   # whose top_derivative a walk inlines
 _MAX_WIDTH = 1e3        # the widest bracket searched
 _LOOSE_CAP = 1e-3       # bisection walks run at max(step**4, min(cap, scale * width))
 _LOOSE_SCALE = 0.1
 _SECANT_WIDTH = 1e-6    # the bracket width where the secant takes over
 _SECANT_TOL = 1e-13     # its stop, |ds| <= _SECANT_TOL (1 + |s|)
-_MISMATCH_X = 10.0      # where the film's and the cone's mismatch is taken
 _TRAIL_CAP = 4.0        # the longest step of a trail walk
-_TF_LAUNCH = 1e-6
-_TF_FAR_FIELD = 30.0
-_TF_PRELUDE_END = 0.05
-_TF_MISMATCH_X = 40.0
 
 # Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5; the
 # values of his dop853.f): stages 2-12, each a node and the nonzero weights
@@ -160,9 +148,9 @@ class ShootConfig:
     step sets the local error tolerance step**4 of the secant's walks and
     of the reported trajectory (class walks run looser, see the module
     docstring), the spacing of the reported trajectory, and the first trial
-    step of every walk at step**4 on the film and the cone (screening's
-    start at 1e-6).  z_max is where the reported trajectory ends and where
-    a class walk with no event takes the sign of the far-field mismatch.
+    step of every walk at step**4 from a launch point at 0.  z_max is what
+    each problem's far takes: where the film's and the cone's trajectory
+    and class walks end.
     """
 
     def __init__(self, z_max=40.0, step=1e-3):
@@ -289,28 +277,27 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     state is (f, f', ...), and accel gives the top derivative.  Twelve
     stages, then the derivative at the new state, reused as the next step's
     first (FSAL): twelve top-derivative evaluations per accepted step,
-    eleven per rejected one, each a call of accel or, for a FluidParams,
-    ConeParams or ThomasFermiProblem's own top_derivative that _inline
-    reads, its expression inline.  With E5 and E3 the fifth- and third-order
-    error estimates, each component scaled by tol (1 + |y_i|), y the new
-    state, Hairer's error |h| |E5|^2 / sqrt(n (|E5|^2 + 0.01 |E3|^2)) over
-    n components, the RMS of E5 when E3 is small, must be <= 1 to accept
-    the step; the next trial step h is h clamp(0.9 err^(-1/8), 1/3, 6), a
-    zero error grows h sixfold and a non-finite one divides it by 3.  The
-    walk aborts, with outcome None, after the first accepted state that
-    leaves +-_BOUND, or when a rejection drives h below 1e-14 (1 + |x|).
-    With a trail, no step grows past _TRAIL_CAP, and each accepted one
-    appends (x, h, state, new state, the derivatives of stages 1 and 6-13),
-    from which _dense forms the continuous extension.  With events, the
-    walk stops at its first state, the starting one included, whose last
-    two components (u, v) have u < 0 (outcome -1) or v > 0 (outcome +1);
-    else the outcome is 0.  _walk_source generates the walk per state
-    length and class.
+    eleven per rejected one, each a call of accel or, for a class's own
+    top_derivative that _inline reads, its expression inline.  With E5 and
+    E3 the fifth- and third-order error estimates, each component scaled by
+    tol (1 + |y_i|), y the new state, Hairer's error
+    |h| |E5|^2 / sqrt(n (|E5|^2 + 0.01 |E3|^2)) over n components, the RMS
+    of E5 when E3 is small, must be <= 1 to accept the step; the next trial
+    step h is h clamp(0.9 err^(-1/8), 1/3, 6), a zero error grows h sixfold
+    and a non-finite one divides it by 3.  The walk aborts, with outcome None,
+    after the first accepted state that leaves +-_BOUND, or when a rejection
+    drives h below 1e-14 (1 + |x|).  With a trail, no step grows past
+    _TRAIL_CAP, and each accepted one appends (x, h, state, new state, the
+    derivatives of stages 1 and 6-13), from which _dense forms the
+    continuous extension.  With events, the walk stops at its first state,
+    the starting one included, whose last two components (u, v) have u < 0
+    (outcome -1) or v > 0 (outcome +1); else the outcome is 0.  _walk_source
+    generates the walk per state length and class.
     """
     if events and (state[-2] < 0 or state[-1] > 0):
         return x, state, -1 if state[-2] < 0 else 1
     kind = type(getattr(accel, "__self__", None))
-    kind = kind if kind in _MODELS and accel.__func__ is kind.top_derivative else None
+    kind = kind if getattr(accel, "__func__", None) is getattr(kind, "top_derivative", 0) else None
     return _walker(kind, len(state))(accel, state, x, x1, 1.0 / (len(state) * tol * tol), h,
                                      math.inf if trail is None else _TRAIL_CAP, trail, events)
 
@@ -345,9 +332,9 @@ def _inline(kind, n):
     """(the lines binding self_<attr> and free_<name> for each self.<attr> and
     other name that kind.top_derivative reads, a function writing its return
     expression at a stage's node and index), or None, the call path, unless the
-    method's lines compile to its loaded names and arguments (self, x and n
-    components) and are a docstring and one return binding no name and reading
-    only what its globals or builtins hold."""
+    method, with no cell such as super()'s, has lines compiling to its loaded
+    names and arguments (self, x and n components) that are a docstring and
+    one return binding no name and reading only what its globals or builtins hold."""
     method = kind.top_derivative
     code, key = method.__code__, attrgetter("co_names", "co_varnames", "co_argcount")
     end = max((pos[1] or 0 for pos in getattr(code, "co_positions", tuple)()), default=0)
@@ -361,7 +348,8 @@ def _inline(kind, n):
         return None
     *doc, last = tree.body
     free = {node.id for node in ast.walk(last) if isinstance(node, ast.Name)} - {*code.co_varnames}
-    if (not code.co_argcount == len(code.co_varnames) == n + 2 or not isinstance(last, ast.Return)
+    if (not code.co_argcount == len(code.co_varnames) == n + 2 or code.co_freevars
+            or not isinstance(last, ast.Return)
             or len(doc) != (ast.get_docstring(tree) is not None)
             or free - method.__globals__.keys() - method.__builtins__.keys()
             or any(isinstance(node, (ast.Lambda, ast.NamedExpr)) for node in ast.walk(last))):
@@ -451,57 +439,40 @@ def walk(accel, state, x, x1, scale, h, cap, trail, events):
 """
 
 
-def _tf_launch(s, x0):
-    """Series state (y, y') at small x0: y = 1 + s x + (4/3) x^{3/2} + (2s/5) x^{5/2}."""
-    r = math.sqrt(x0)
-    return (1.0 + s * x0 + (4.0 / 3.0) * x0 * r + (2.0 * s / 5.0) * x0 * x0 * r,
-            s + 2.0 * r + s * x0 * r)
-
-
 def shoot(problem, cfg=None):
-    """Reference initial slope and trajectory for one model problem.
+    """Reference initial slope and trajectory of a Problem.
 
-    problem is a FluidParams, ConeParams, or ThomasFermiProblem instance.
-    Returns (slope, (abscissas, states)); states columns are the integrated
-    components (f, f') / (f, f', f'') / (y, y') on a grid of spacing
-    cfg.step to cfg.z_max, or from 0.05 to 30 on screening, which launches
-    from its small-x series at x = 1e-6.  The bracket starts at (-2, 0), or
-    (0, 2) for the cone (its root for every lam in [0, 2]), and (lo, hi)
-    moves to (lo - 2 (hi - lo), lo) while lo walks too high.
+    Returns (slope, (abscissas, states)); the states' columns are the
+    integrated components on a grid of spacing cfg.step over the trajectory
+    span of problem.far(cfg.z_max).  The bracket starts at problem.bracket,
+    and (lo, hi) moves to (lo - 2 (hi - lo), lo) while lo walks too high.
 
     The slope is g's root to within the error of its walks, and that root
     is the infinite-domain slope to within 1e-13 (1 + |s|) on the film and
-    the cone and 3e-9 on screening, at the default step.  Past X the
-    trajectory's error grows like the unstable mode, on the film as
-    e^{sqrt(b3) z}.  A top end not too high, a bracket past 1e3 wide, a walk
-    that aborts unclassified, or a g that keeps its sign over 1e3 raises
-    OracleError in shoot.  The trajectory is walked, on a copy of problem
-    taken by shoot, on the first read of the states, which unpacking the
-    pair makes; reading only the abscissas walks nothing.  A trajectory
-    that leaves +-1e6 raises BlowUpError on that read and on every later one.
-    A film with b3 = 0, which has no decaying solution, raises
+    the cone and 3e-9 on screening, at the default step.  Past where g is
+    taken the trajectory's error grows like the unstable mode, on the film
+    as e^{sqrt(b3) z}.  A top end not too high, a bracket past 1e3 wide, a
+    walk that aborts unclassified, or a g that keeps its sign over 1e3
+    raises OracleError in shoot.  The trajectory is walked, on a copy of
+    problem taken by shoot, on the first read of the states, which
+    unpacking the pair makes; reading only the abscissas walks nothing.  A
+    trajectory that leaves +-1e6 raises BlowUpError on that read and on
+    every later one.  A problem that is no Problem, that require_posed
+    refuses or that lacks launch, mismatch or top_derivative raises
     ConfigurationError.
     """
     cfg = ShootConfig() if cfg is None else cfg
     if not isinstance(cfg, ShootConfig):
         raise ConfigurationError("cfg must be a ShootConfig or None, got %r" % (cfg,))
-    x0, grid0, x1, h0 = 0.0, 0.0, cfg.z_max, cfg.step
-    far = min(_MISMATCH_X, x1)
-    if isinstance(problem, FluidParams):
-        _require_decay(problem)
-        start, lo, hi = (lambda s: (1.0, s)), -2.0, 0.0
-        mismatch = lambda x, y, rate=math.sqrt(problem.b3): y[1] + rate * y[0]
-    elif isinstance(problem, ConeParams):
-        start, lo, hi = (lambda s: (0.0, s, -1.0)), 0.0, 2.0
-        mismatch = lambda x, y, a=(problem.lam + 5.0) / 2.0: y[2] + a * y[0] * y[1]
-    elif isinstance(problem, ThomasFermiProblem):
-        x0 = h0 = _TF_LAUNCH
-        start, lo, hi = (lambda s: _tf_launch(s, x0)), -2.0, 0.0
-        grid0, x1, far = _TF_PRELUDE_END, _TF_FAR_FIELD, _TF_MISMATCH_X
-        mismatch = lambda x, y: x * y[1] + 3.0 * y[0]
-    else:
+    if not isinstance(problem, Problem):
         raise ConfigurationError("unknown problem kind: %r" % (problem,))
-    accel = copy.copy(problem).top_derivative
+    problem.require_posed()
+    try:
+        start, mismatch, accel = problem.launch, problem.mismatch, copy.copy(problem).top_derivative
+    except AttributeError as exc:
+        raise ConfigurationError("%r does not declare %s" % (problem, exc.name)) from None
+    x0, (lo, hi), (grid0, x1, far) = problem.launch_x, problem.bracket, problem.far(cfg.z_max)
+    h0 = x0 or cfg.step
     tol, grid = _tol_and_grid(grid0, x1, cfg.step)
 
     def side(s, width=0.0):

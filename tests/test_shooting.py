@@ -348,9 +348,9 @@ def test_cone_classifies_every_lambda_up_to_two():
 
 def test_screening_launch_point_insensitivity(oracle, monkeypatch):
     base, _ = oracle(ThomasFermiProblem())
-    monkeypatch.setattr(shooting, "_TF_LAUNCH", 1e-7)
+    monkeypatch.setattr(ThomasFermiProblem, "launch_x", 1e-7)
     lo, _ = shoot(ThomasFermiProblem())
-    monkeypatch.setattr(shooting, "_TF_LAUNCH", 1e-5)
+    monkeypatch.setattr(ThomasFermiProblem, "launch_x", 1e-5)
     hi, _ = shoot(ThomasFermiProblem())
     assert abs(lo - base) <= 1e-8
     assert abs(hi - base) <= 1e-8
@@ -491,8 +491,12 @@ def test_only_one_return_expression_is_written_out():
     class Written:
         def top_derivative(self, x, f, fp):
             return self.b * f * math.sqrt(x)
+
+    class Cell(FluidParams):
+        def top_derivative(self, x, f, fp):
+            return 2.0 * super().top_derivative(x, f, fp)   # reads a __class__ cell
     for kind, n in ((Statements, 2), (Unresolved, 2), (Walrus, 2), (Lambda, 2),
-                    (Starred, 2), (Written, 3), (FluidParams, 3)):
+                    (Starred, 2), (Written, 3), (FluidParams, 3), (Cell, 2)):
         assert shooting._inline(kind, n) is None
         assert shooting._walk_source(n, kind).count("accel(") == 13
     bind, top = shooting._inline(Written, 2)
@@ -521,7 +525,6 @@ def test_the_walk_binds_the_names_of_the_method_once(monkeypatch):
     assert "    free_scale = accel.__globals__.get('scale', " in source
     walker, kinds = shooting._walker, []
     monkeypatch.setattr(shooting, "_walker", lambda kind, n: kinds.append(kind) or walker(kind, n))
-    monkeypatch.setattr(shooting, "_MODELS", (*shooting._MODELS, Scaled))
     method = Scaled().top_derivative
     _, written = integrate(method, (1.0, -0.9), 0.0, 6.0, 1e-2)
     _, called = integrate(lambda *args: method(*args), (1.0, -0.9), 0.0, 6.0, 1e-2)
@@ -861,7 +864,7 @@ def test_shoot_config_validation():
 
 
 def test_shoot_rejects_unknown_problem_and_bad_launch():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^unknown problem kind: 'fluid'$"):
         shoot("fluid")
     # cfg is a ShootConfig or None
     for bad in ({}, "x", FLUID):

@@ -26,12 +26,14 @@ states adds, and prints both totals per config; with --against, next to
 the other checkout's totals and the ratios of this checkout's to theirs.  A
 checkout that walks the trajectory on the first read of the states counts
 that walk in the second total, one that walks it in shoot in the first.
-It counts them by wrapping each problem's top_derivative method, and the
-walk calls such a wrapper at every stage where it would otherwise write the
-method's expression in, so the census's shoots take the call path.  The
-counts are still those of the written-out walk, whose steps are the same,
-and tests/test_shooting.py's test_the_inlined_walk_equals_the_call_path
-shows that both paths give the same slope and states bit for bit.
+
+Each problem is shot twice.  The slope and states come from a shoot of the
+problem as it is, whose walks write its top_derivative's expression out.
+The counts come from a second shoot, with the method wrapped in a counter;
+the walk calls such a wrapper at every stage, so that shoot takes the call
+path, whose steps are the same.  Where the two shoots differ in a bit, the
+slope or states field gives both, as "<written out> | called <called>",
+and the last line says how many shoots are alike.
 
 tools/snapshot.py prints the default config's 57 shoots as the oracle
 census section of the snapshot golden, one line per shoot with its slope,
@@ -65,7 +67,8 @@ def census(src, configs=CONFIGS):
     """{(name, config): (slope hex or error, states SHA-256 or error, walks
     before the states are read, walks that reading them adds, top_derivative
     calls before, calls that reading adds)} of halfline in src, in census
-    order; a walk is a call of halfline.shooting._dop853."""
+    order; a walk is a call of halfline.shooting._dop853.  The slope and
+    states are the written-out shoot's, the counts the counted one's."""
     sys.path.insert(0, str(src))
     import halfline
     from halfline import shooting
@@ -75,22 +78,32 @@ def census(src, configs=CONFIGS):
         for config, kwargs in configs:
             cfg = halfline.ShootConfig(**kwargs)
             for name, problem in problems(halfline):
-                made, slope = [], None
-                walks.clear()
+                written = shot(halfline, problem, cfg, walks, [])[:2]
+                made = []
                 problem.top_derivative = counted(problem.top_derivative, made)
-                try:
-                    slope, trajectory = halfline.shoot(problem, cfg)
-                    slope, before = float(slope).hex(), (len(walks), len(made))
-                    digest = hashlib.sha256(trajectory[1].tobytes()).hexdigest()
-                except halfline.HalflineError as exc:
-                    digest = "%s: %s" % (type(exc).__name__, exc)
-                    if slope is None:
-                        slope, digest, before = digest, "-", (len(walks), len(made))
-                out[name, config] = (slope, digest, before[0], len(walks) - before[0],
-                                     before[1], len(made) - before[1])
+                record = shot(halfline, problem, cfg, walks, made)
+                out[name, config] = (*(ours if ours == called else "%s | called %s" % (ours, called)
+                                       for ours, called in zip(written, record[:2])), *record[2:])
     finally:
         shooting._dop853 = walk
     return out
+
+
+def shot(halfline, problem, cfg, walks, made):
+    """(slope hex or error, states SHA-256 or error, len(walks) before the
+    states are read, what reading them adds, and the same of len(made)) of
+    one shoot, with walks emptied first."""
+    slope = None
+    walks.clear()
+    try:
+        slope, trajectory = halfline.shoot(problem, cfg)
+        slope, before = float(slope).hex(), (len(walks), len(made))
+        digest = hashlib.sha256(trajectory[1].tobytes()).hexdigest()
+    except halfline.HalflineError as exc:
+        digest = "%s: %s" % (type(exc).__name__, exc)
+        if slope is None:
+            slope, digest, before = digest, "-", (len(walks), len(made))
+    return slope, digest, before[0], len(walks) - before[0], before[1], len(made) - before[1]
 
 
 def counted(function, made):
@@ -153,6 +166,8 @@ def main(argv=None):
             print("  theirs: " + ", ".join("%s %d" % item for item in theirs.items()))
             print("  ratio:  " + ", ".join("%s %.4f" % (config, count / theirs[config])
                                            for config, count in ours.items()))
+    alike = sum(" | called " not in record[0] + record[1] for record in here.values())
+    print("written out and called alike: %d of %d shoots" % (alike, len(here)))
 
 
 def totals(shoots, i):
