@@ -129,11 +129,11 @@ _PROBLEMS = {
                       "sf": SeedKind.CONE_RATIONAL}),
 }
 
-# method -> (basis class, the keys of its leading arguments)
+# method -> (basis class, the keys of its leading arguments, problem attributes after them)
 _METHODS = {
-    "mglf": (LaguerreBasis, ("n", "alpha", "scale-L")),
-    "hf": (HermiteBasis, ("n", "map-k")),
-    "sf": (SincBasis, ("n", "mesh-h")),
+    "mglf": (LaguerreBasis, ("n", "alpha", "scale-L"), ()),
+    "hf": (HermiteBasis, ("n", "map-k"), ()),
+    "sf": (SincBasis, ("n", "mesh-h"), ("sinc_map",)),
 }
 
 
@@ -153,9 +153,8 @@ def _validate(cfg):
     problem = _row(_PROBLEMS, "problem", cfg.problem)
     label, required = "problem %r" % cfg.problem, problem.keys
     if cfg.method is not None:
-        required += _row(_METHODS, "method", cfg.method)[1]
-        if cfg.method in problem.seeds:
-            required += (problem.seed_key,)
+        family, keys, _ = _row(_METHODS, "method", cfg.method)
+        required += keys + ((problem.seed_key,) if family.seeded else ())
         label += " with method %r" % cfg.method
     missing = [k for k in required if _value(cfg, k) is None]
     if missing:
@@ -179,11 +178,11 @@ def _equation(cfg):
 def to_problem_spec(cfg):
     """Materialize the validated RunConfig as a solvable ProblemSpec."""
     problem = _PROBLEMS[cfg.problem]
-    basis, keys = _row(_METHODS, "method", cfg.method)
-    basis = basis(*(_value(cfg, k) for k in keys),
-                  *(problem.equation.sinc_map,) if basis is SincBasis else ())
-    kind = problem.seeds.get(cfg.method)
-    seed = SeedProfile(kind, _value(cfg, problem.seed_key)) if kind else None
+    family, keys, attributes = _row(_METHODS, "method", cfg.method)
+    basis = family(*(_value(cfg, k) for k in keys),
+                   *(getattr(problem.equation, a) for a in attributes))
+    seed = (SeedProfile(problem.seeds[cfg.method], _value(cfg, problem.seed_key))
+            if family.seeded else None)
     return ProblemSpec(_equation(cfg), basis, seed)
 
 

@@ -1,20 +1,23 @@
 """Shared trial-space machinery: expansions, node checks, and projection.
 
-A basis object (Laguerre, Hermite, or sinc family) exposes
+A trial family (Laguerre, Hermite, sinc, or one defined elsewhere) exposes
 
-    dimension          -- number of coefficients in a truncated expansion
+    label, dimension   -- its name and the number of coefficients it takes
+    nodes()            -- its collocation nodes, read-only, strictly increasing
     tables(xs, M)      -- derivatives of orders 0..M of every member at the
                           points xs >= 0, shape (M+1, dimension, len(xs));
                           its entry m does not depend on M, bit for bit
+    seeded             -- whether a seed carries the axis conditions, or rows do
+    slope_step         -- the step f'(0) is read by differences at, or None
 
-and this module supplies everything generic on top of that: evaluating a
-truncated series (optionally shifted by a closed-form seed profile),
-projecting a function onto the basis with a discrete inner-product rule
-(a (nodes, weights) pair of arrays), the Golub-Welsch node routine of the
-two polynomial families, and the checks every family shares: derivative
-orders, evaluation points, member indices, and collocation nodes, which
-every family returns as a read-only, strictly increasing array.  One private
-memo, _memo, keeps each discretization and each point tabulation by value.
+with its parameters as hashable instance attributes: the private memo, _memo,
+keeps each discretization and point tabulation by the type and vars().  This
+module supplies everything generic on top of that: evaluating a truncated
+series (optionally shifted by a closed-form seed profile), projecting a
+function onto the basis with a discrete inner-product rule (a (nodes,
+weights) pair of arrays), the Golub-Welsch node routine of the two
+polynomial families, and the checks every family shares: derivative orders,
+evaluation points, member indices and node arrays.
 
 Every scalar parameter passes _real (a finite real scalar above a bound)
 or _count (an integer at least a bound); bools and strings fail both,

@@ -54,6 +54,8 @@ class HermiteBasis:
     """
 
     label = "hermite"
+    seeded = True       # every member vanishes at the axis to every order
+    slope_step = None
 
     def __init__(self, N, k=1.0):
         self.N = _count("N", N, 1)

@@ -53,6 +53,8 @@ class LaguerreBasis:
     """
 
     label = "laguerre"
+    seeded = False      # the axis conditions are rows of its systems
+    slope_step = None
 
     def __init__(self, N, alpha=1.0, L=1.0):
         self.N = _count("N", N, 1)

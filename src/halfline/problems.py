@@ -9,12 +9,10 @@ Three model problems, each posed on (0, inf):
   heated cone      f''' + ((lam+5)/2) f f'' - ((2 lam+1)/3) (f')^2 = 0,
                    f(0) = 0, f''(0) = -1, f' -> 0 far out
 
-Each problem pairs with one of the three trial families (modified Laguerre,
-mapped Hermite, weighted composite translates).  The Laguerre family imposes
-axis conditions through explicit boundary equations; the other two carry
-them exactly in a closed-form seed profile whose residual the basis part
-corrects.  A seed is evaluated as a basis is, through tables(xs, M): its
-derivatives of orders 0..M at the points in one pass.
+Each problem pairs with a trial family (see core).  An unseeded one (Laguerre)
+imposes the axis conditions as boundary equations; a seeded one (Hermite,
+composite translates) carries them exactly in a closed-form seed profile,
+evaluated as a basis is through tables(xs, M), whose residual it corrects.
 
 Each problem is a Problem, holding its equation in two forms.  residual(x, f)
 and partials(x, f) take the derivative arrays f = [f0, ..., f_order] at the
@@ -43,10 +41,8 @@ import numpy as np
 
 from .core import Expansion, _as_points, _check_order, _memo, _real
 from .errors import ConfigurationError, ConvergenceError, DomainError, SolverError
-from .hermite import HermiteBasis
-from .laguerre import LaguerreBasis
 from .newton import newton_solve
-from .sinc import SincBasis, SincMap
+from .sinc import SincMap
 
 
 class ParameterConsistencyWarning(UserWarning):
@@ -145,8 +141,8 @@ class Problem:
     negative too low.  It may override these defaults, the film's: launch_x,
     where walks start (a positive one is also their first trial step);
     bracket, the slope's start bracket; far(z_max), (trajectory start, walk
-    end, where g is taken); newton_start, the SeedProfile that Laguerre's
-    Newton start fits; sinc_map, the composite translates' map; and
+    end, where g is taken); newton_start, the SeedProfile an unseeded family's
+    Newton start fits; sinc_map, the map a family with a map_kind uses; and
     require_posed(), which raises ConfigurationError if no solution decays.
     newton_start and sinc_map are class attributes, as a pairing's
     discretization is kept per problem class.
@@ -163,6 +159,18 @@ class Problem:
 
     def require_posed(self):
         pass
+
+
+def _admit(problem, members):
+    """ConfigurationError naming what fails for a non-Problem, a Problem missing one
+    of members (an empty one counts as missing: with no axis condition no decaying
+    solution is unique) or one that its require_posed refuses."""
+    if not isinstance(problem, Problem):
+        raise ConfigurationError("unknown problem kind: %r" % (problem,))
+    for name in members:
+        if not getattr(problem, name, None):
+            raise ConfigurationError("%r does not declare %s" % (problem, name))
+    problem.require_posed()
 
 
 class FluidParams(Problem):
@@ -325,21 +333,21 @@ class ConeParams(Problem):
 class ProblemSpec:
     """One Problem paired with a trial family and optional seed.
 
-    Pairing rules enforced here, after the problem's require_posed:
-      - Laguerre never takes a seed (boundary rows do the work).
-      - Hermite and composite-translate families always take one, and it
-        must meet the problem's axis_conditions exactly at x = 0.
-      - Composite translates use the problem's sinc_map.
+    The problem passes _admit: it declares label, order, residual, partials and
+    a non-empty axis_conditions, and is posed.  The family declares seeded:
+      - an unseeded family never takes a seed (its axis rows do the work);
+      - a seeded one always takes one, meeting axis_conditions exactly at x = 0;
+      - a family with a map_kind must use the problem's sinc_map.
     """
 
     def __init__(self, problem, basis, seed=None):
-        if not isinstance(problem, Problem):
-            raise ConfigurationError("unknown problem kind: %r" % (problem,))
-        problem.require_posed()
-        if isinstance(basis, LaguerreBasis):
-            if seed is not None:
-                raise ConfigurationError("the Laguerre family is never seeded")
-        elif isinstance(basis, (HermiteBasis, SincBasis)):
+        _admit(problem, ("label", "order", "axis_conditions", "residual", "partials"))
+        seeded = getattr(basis, "seeded", None)
+        if seeded is None:
+            raise ConfigurationError("unknown basis kind: %r" % (basis,))
+        if not seeded and seed is not None:
+            raise ConfigurationError("the %s family is never seeded" % basis.label)
+        if seeded:
             if not isinstance(seed, SeedProfile):
                 raise ConfigurationError("this trial family requires a SeedProfile")
             axis = seed.tables(0.0, max(q for q, _ in problem.axis_conditions))
@@ -348,11 +356,9 @@ class ProblemSpec:
                     raise ConfigurationError(
                         "%r does not meet the axis condition f^(%d)(0) = %g of %r"
                         % (seed, q, value, problem))
-            if isinstance(basis, SincBasis) and basis.map_kind is not problem.sinc_map:
-                raise ConfigurationError("this problem pairs with the %s map, got %s"
-                                         % (problem.sinc_map.value, basis.map_kind.value))
-        else:
-            raise ConfigurationError("unknown basis kind: %r" % (basis,))
+        if getattr(basis, "map_kind", problem.sinc_map) is not problem.sinc_map:
+            raise ConfigurationError("this problem pairs with the %s map, got %s"
+                                     % (problem.sinc_map.value, basis.map_kind.value))
         self.problem = problem
         self.basis = basis
         self.seed = seed
@@ -445,19 +451,19 @@ def _discretization(basis, problem):
     is an order's table at x = 0, the last column.  D @ c stays 3-D: over 850
     random c on each of the presets' 14 discretizations it gave the bits of
     the per-order products D[q] @ c for all 11,900, and the 2-D product of
-    their concatenation missed 6,800 (numpy 2.4, OpenBLAS 0.3.31).  Laguerre
-    imposes the axis conditions as those rows, so it collocates at all but its
-    last len(axis_conditions) nodes (the least-resolved far ones) and starts
-    Newton from the problem's newton_start fitted at those nodes and by the
-    axis rows; fitted at every node, it left Newton unconverged on all six
-    cone rows.  Hermite and composite translates
-    collocate at every node and carry the axis conditions in the seed.
+    their concatenation missed 6,800 (numpy 2.4, OpenBLAS 0.3.31).  An
+    unseeded family imposes the axis conditions as those rows, so it collocates
+    at all but its last len(axis_conditions) nodes (the least-resolved far
+    ones) and starts Newton from the problem's newton_start fitted at those
+    nodes and by the axis rows; fitted at every node, Laguerre left Newton
+    unconverged on all six cone rows.  A seeded family collocates at every
+    node and carries the axis conditions in the seed.
     """
     def build():
-        rows = problem.axis_conditions if isinstance(basis, LaguerreBasis) else ()
-        if basis.N <= len(rows):
+        rows = () if basis.seeded else problem.axis_conditions
+        if basis.dimension <= len(rows):
             raise ConfigurationError(
-                "N = %d leaves no interior collocation nodes" % basis.N)
+                "N = %d leaves no interior collocation nodes" % basis.dimension)
         nodes = basis.nodes()
         nodes = nodes[: nodes.size - len(rows)]
         tables = basis.tables(np.append(nodes, 0.0), problem.order)     # the axis last
@@ -505,26 +511,24 @@ def solve_problem(spec):
     return Expansion(spec.basis, report.solution, seed=spec.seed), report
 
 
-_SLOPE_DELTA = 1e-3
-
-
 def derived_slope(e, spec):
     """Initial slope f'(0) of a solved expansion.
 
-    Laguerre and Hermite: the expansion's own derivative at the axis,
-    e(0.0, 1), which adds the seed's exact slope if the pairing is seeded
-    (Hermite's axis tables vanish to every order).
-    Composite translates approach the axis only in a slow logarithmic
-    limit, so the slope comes from one-sided difference quotients through
-    the exact axis value at d = 1e-3, extrapolated once in the step (second
-    order).  Wider stencils are counterproductive here: the translate
-    interpolant ripples on a log scale near the axis, and high-order
-    weights amplify that ripple far past the quotient's own truncation error.
+    A family whose slope_step is None gives the expansion's own derivative
+    at the axis, e(0.0, 1), which adds the seed's exact slope if the pairing
+    is seeded.  A family that approaches the axis only in a slow limit (the
+    composite translates' is logarithmic) declares a step d: the slope then
+    comes from one-sided difference quotients through the exact axis value
+    at d and d/2, extrapolated once in the step (second order).  Wider
+    stencils are counterproductive on the translates: their interpolant
+    ripples on a log scale near the axis, and high-order weights amplify
+    that ripple far past the quotient's own truncation error.
     """
-    if not isinstance(spec.basis, SincBasis):
+    d = spec.basis.slope_step
+    if d is None:
         return e(0.0, 1)
-    f0, f_full, f_half = e(np.array([0.0, _SLOPE_DELTA, 0.5 * _SLOPE_DELTA]), 0)
-    q_full = (f_full - f0) / _SLOPE_DELTA
-    q_half = (f_half - f0) / (0.5 * _SLOPE_DELTA)
+    f0, f_full, f_half = e(np.array([0.0, d, 0.5 * d]), 0)
+    q_full = (f_full - f0) / d
+    q_half = (f_half - f0) / (0.5 * d)
     return float(2.0 * q_half - q_full)
 

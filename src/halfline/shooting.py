@@ -66,7 +66,7 @@ import numpy as np
 
 from .core import _real
 from .errors import BlowUpError, ConfigurationError, OracleError, RangeOverflowError
-from .problems import Problem
+from .problems import _admit
 
 _BOUND = 1e6
 _MAX_WIDTH = 1e3        # the widest bracket searched
@@ -464,13 +464,8 @@ def shoot(problem, cfg=None):
     cfg = ShootConfig() if cfg is None else cfg
     if not isinstance(cfg, ShootConfig):
         raise ConfigurationError("cfg must be a ShootConfig or None, got %r" % (cfg,))
-    if not isinstance(problem, Problem):
-        raise ConfigurationError("unknown problem kind: %r" % (problem,))
-    problem.require_posed()
-    try:
-        start, mismatch, accel = problem.launch, problem.mismatch, copy.copy(problem).top_derivative
-    except AttributeError as exc:
-        raise ConfigurationError("%r does not declare %s" % (problem, exc.name)) from None
+    _admit(problem, ("launch", "mismatch", "top_derivative"))
+    start, mismatch, accel = problem.launch, problem.mismatch, copy.copy(problem).top_derivative
     x0, (lo, hi), (grid0, x1, far) = problem.launch_x, problem.bracket, problem.far(cfg.z_max)
     h0 = x0 or cfg.step
     tol, grid = _tol_and_grid(grid0, x1, cfg.step)

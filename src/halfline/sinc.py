@@ -93,6 +93,8 @@ class SincBasis:
     """
 
     label = "sinc"
+    seeded = True       # every member vanishes at the axis to every order
+    slope_step = 1e-3   # its axis limit is logarithmic: f'(0) is read by differences
 
     def __init__(self, N, h, map_kind=SincMap.LOG_SINH):
         self.N = _count("N", N, 1)

@@ -747,8 +747,7 @@ def test_a_warm_solve_is_bit_identical_to_a_cold_one(key, discretizations):
                          ids=["laguerre", "hermite", "sinc"])
 def test_warm_evaluations_are_bit_identical_to_cold_ones(make, discretizations):
     basis = make()
-    seed = None if isinstance(basis, LaguerreBasis) else \
-        SeedProfile(SeedKind.CONE_RATIONAL, 1.9)
+    seed = SeedProfile(SeedKind.CONE_RATIONAL, 1.9) if basis.seeded else None
     c = np.random.default_rng(9).standard_normal(basis.dimension)
     grid = np.array([[0.0, 1e-3, 0.3], [1.7, 9.0, 80.0]])
 

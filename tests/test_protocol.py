@@ -1,14 +1,20 @@
-"""The problem protocol: a Problem defined here, with no edit to the library,
-shoots, integrates and solves; an incomplete one is refused by name."""
+"""The pairing protocol: a Problem and a trial family defined here, with no
+edit to the library, shoot, integrate and solve; an incomplete problem, one
+with no axis condition and a family that does not declare seeded are refused."""
+
+import math
 
 import numpy as np
 import pytest
 
 from halfline import (
     ConfigurationError,
+    HermiteBasis,
     LaguerreBasis,
     Problem,
     ProblemSpec,
+    SeedKind,
+    SeedProfile,
     derived_slope,
     integrate,
     shoot,
@@ -41,6 +47,35 @@ class Decay(Problem):
         return y[1] + y[0]
 
 
+class DampedPowers:
+    """x^j e^(-x), j = 0..n-1: an unseeded family that holds e^(-x) and
+    subclasses no family of the library."""
+
+    label = "damped powers"
+    seeded = False
+    slope_step = None
+
+    def __init__(self, n):
+        self.n = n
+
+    @property
+    def dimension(self):
+        return self.n
+
+    def nodes(self):
+        return np.linspace(0.5, 6.0, self.n)
+
+    def tables(self, xs, M):
+        """By Leibniz, d^m (x^j e^-x) = e^-x sum_k C(m, k) (-1)^(m-k) (x^j)^(k)."""
+        x, j = np.asarray(xs, dtype=float).reshape(-1), np.arange(self.n)[:, None]
+        out = np.zeros((M + 1, self.n, x.size))
+        for m in range(M + 1):
+            for k in range(m + 1):
+                power = np.prod([j - i for i in range(k)], axis=0) * x ** np.maximum(j - k, 0)
+                out[m] += math.comb(m, k) * (-1) ** (m - k) * power
+        return out * np.exp(-x)
+
+
 def test_a_fourth_problem_shoots_on_the_written_out_walk(monkeypatch):
     walker, kinds = shooting._walker, set()
     monkeypatch.setattr(shooting, "_walker", lambda kind, n: kinds.add(kind) or walker(kind, n))
@@ -67,9 +102,41 @@ def test_a_fourth_problem_solves_on_laguerre():
     assert abs(derived_slope(e, spec) + 1.0) <= 1e-9
 
 
-@pytest.mark.parametrize("member", ["launch", "mismatch", "top_derivative"])
-def test_an_incomplete_problem_is_refused_by_name(member):
+def test_a_fourth_family_solves_with_no_library_edit():
+    spec = ProblemSpec(Decay(), DampedPowers(6))
+    e, report = solve_problem(spec)
+    xs = np.linspace(0.0, 10.0, 101)
+    assert report.converged
+    assert np.max(np.abs(e(xs) - np.exp(-xs))) <= 1e-9
+    assert abs(derived_slope(e, spec) + 1.0) <= 1e-9
+
+
+def test_a_family_that_does_not_declare_seeded_is_refused():
+    kind = type("Undeclared", (), {k: v for k, v in vars(DampedPowers).items()
+                                   if k != "seeded"})
+    with pytest.raises(ConfigurationError, match="^unknown basis kind: "):
+        ProblemSpec(Decay(), kind(6))
+
+
+def _laguerre_spec(problem):
+    return ProblemSpec(problem, LaguerreBasis(20, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("member, admit", [
+    *(pytest.param(m, shoot, id=m) for m in ("launch", "mismatch", "top_derivative")),
+    *(pytest.param(m, _laguerre_spec, id=m)
+      for m in ("label", "order", "axis_conditions", "residual", "partials"))])
+def test_an_incomplete_problem_is_refused_by_name(member, admit):
     kind = type("Incomplete", (Problem,),
                 {k: v for k, v in vars(Decay).items() if k != member})
     with pytest.raises(ConfigurationError, match="does not declare %s$" % member):
-        shoot(kind())
+        admit(kind())
+
+
+@pytest.mark.parametrize("basis, seed", [
+    (HermiteBasis(16, 1.2), SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.7)),
+    (LaguerreBasis(8, 1.0, 1.0), None)], ids=["seeded", "unseeded"])
+def test_a_problem_with_no_axis_condition_is_refused(basis, seed):
+    kind = type("Free", (Decay,), {"axis_conditions": ()})
+    with pytest.raises(ConfigurationError, match="does not declare axis_conditions$"):
+        ProblemSpec(kind(), basis, seed)
