@@ -11,13 +11,13 @@ A trial family (Laguerre, Hermite, sinc, or one defined elsewhere) exposes
     slope_step         -- the step f'(0) is read by differences at, or None
 
 with its parameters as hashable instance attributes: the private memo, _memo,
-keeps each discretization and point tabulation by the type and vars().  This
-module supplies everything generic on top of that: evaluating a truncated
-series (optionally shifted by a closed-form seed profile), projecting a
-function onto the basis with a discrete inner-product rule (a (nodes,
-weights) pair of arrays), the Golub-Welsch node routine of the two
-polynomial families, and the checks every family shares: derivative orders,
-evaluation points, member indices and node arrays.
+keeps each discretization and point tabulation by the type and vars(), and
+refuses an unhashable one by name.  This module supplies what is generic on
+top: evaluating a truncated series (optionally shifted by a closed-form seed
+profile), projecting a function onto the basis with a discrete inner-product
+rule (a (nodes, weights) pair of arrays), the Golub-Welsch node routine of the
+two polynomial families, and the checks every family shares: derivative
+orders, evaluation points, member indices and node arrays.
 
 Every scalar parameter passes _real (a finite real scalar above a bound)
 or _count (an integer at least a bound); bools and strings fail both,
@@ -104,13 +104,21 @@ _MEMO_BYTES = 16 * 2 ** 20      # a preset's discretization takes 1-120 kB
 _MEMO = _Memo()
 
 
+def _value(obj):
+    """(class, sorted instance attributes) of obj, its key by value in the memo."""
+    items = tuple(sorted(vars(obj).items()))
+    for name in (name for name, value in items if type(value).__hash__ is None):
+        raise ConfigurationError("%r: %s does not hash, and the memo keys by value" % (obj, name))
+    return type(obj), items
+
+
 def _memo(basis, detail, build):
-    """build()'s tuple of arrays, read-only, kept by value (basis class, its parameter
-    values, *detail) within _MEMO_BYTES; not kept if over budget or if build raises."""
-    key = (type(basis), tuple(sorted(vars(basis).items())), *detail)
-    if key in _MEMO:
+    """build()'s tuple of arrays, read-only, kept by value (_value(basis), *detail)
+    within _MEMO_BYTES; not kept if over budget or if build raises."""
+    key = (*_value(basis), *detail)
+    if (hit := _MEMO.get(key)) is not None:
         _MEMO.move_to_end(key)
-        return _MEMO[key][0]
+        return hit[0]
     entry = build()
     for a in entry:
         a.setflags(write=False)        # views keep their layout, and so their bits

@@ -26,10 +26,9 @@ where D_q is the family's order-q table at its collocation nodes and s_q the
 seed's (or 0), so the damped Newton driver gets the residual map and its
 exact Jacobian from the same operators, held as one stack D with D[q] = D_q.
 
-All of a system but the seed values s_q depends only on the basis class,
-its parameter values and the problem class: it is built once per process,
-shared read-only (by a cone table's lambda rows on one basis, say) and kept
-in core's memo beside the point tables that expansions are evaluated at.
+All of a system but the seed values s_q is kept in core's memo, beside the
+point tables expansions are evaluated at, by the values its build reads: it
+is built once per process and shared read-only (by a cone table's rows, say).
 """
 
 import contextlib
@@ -39,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .core import Expansion, _as_points, _check_order, _memo, _real
+from .core import Expansion, _as_points, _check_order, _memo, _real, _value
 from .errors import ConfigurationError, ConvergenceError, DomainError, SolverError
 from .newton import newton_solve
 from .sinc import SincMap
@@ -141,11 +140,10 @@ class Problem:
     negative too low.  It may override these defaults, the film's: launch_x,
     where walks start (a positive one is also their first trial step);
     bracket, the slope's start bracket; far(z_max), (trajectory start, walk
-    end, where g is taken); newton_start, the SeedProfile an unseeded family's
+    end, where g is taken); newton_start, the seed an unseeded family's
     Newton start fits; sinc_map, the map a family with a map_kind uses; and
     require_posed(), which raises ConfigurationError if no solution decays.
-    newton_start and sinc_map are class attributes, as a pairing's
-    discretization is kept per problem class.
+    The memo keys a discretization by the values it reads, instance or class.
     """
 
     launch_x = 0.0
@@ -336,8 +334,9 @@ class ProblemSpec:
     The problem passes _admit: it declares label, order, residual, partials and
     a non-empty axis_conditions, and is posed.  The family declares seeded:
       - an unseeded family never takes a seed (its axis rows do the work);
-      - a seeded one always takes one, meeting axis_conditions exactly at x = 0;
+      - a seeded one takes a seed that declares tables and meets axis_conditions at 0;
       - a family with a map_kind must use the problem's sinc_map.
+    Neither family nor seed is tested for its class; the memo keys on what it reads.
     """
 
     def __init__(self, problem, basis, seed=None):
@@ -348,20 +347,17 @@ class ProblemSpec:
         if not seeded and seed is not None:
             raise ConfigurationError("the %s family is never seeded" % basis.label)
         if seeded:
-            if not isinstance(seed, SeedProfile):
-                raise ConfigurationError("this trial family requires a SeedProfile")
+            if not getattr(seed, "tables", None):
+                raise ConfigurationError("a seeded family needs tables, got %r" % (seed,))
             axis = seed.tables(0.0, max(q for q, _ in problem.axis_conditions))
             for q, value in problem.axis_conditions:
                 if axis[q] != value:
-                    raise ConfigurationError(
-                        "%r does not meet the axis condition f^(%d)(0) = %g of %r"
-                        % (seed, q, value, problem))
+                    raise ConfigurationError("%r does not meet the axis condition f^(%d)(0) "
+                                             "= %g of %r" % (seed, q, value, problem))
         if getattr(basis, "map_kind", problem.sinc_map) is not problem.sinc_map:
             raise ConfigurationError("this problem pairs with the %s map, got %s"
                                      % (problem.sinc_map.value, basis.map_kind.value))
-        self.problem = problem
-        self.basis = basis
-        self.seed = seed
+        self.problem, self.basis, self.seed = problem, basis, seed
         self.label = "%s / %s" % (problem.label, basis.label)
 
     def __repr__(self):
@@ -443,7 +439,7 @@ class NonlinearSystem:
 
 def _discretization(basis, problem):
     """Read-only (nodes, axis rows B, targets t, start c0, operator stack D)
-    of a pairing, kept in core's memo (see _memo) under its problem class.
+    of a pairing, kept in core's memo by the order, axis rows and start it reads.
 
     Every family takes its operators from one tabulation at its own nodes
     with the axis appended: D is its view of shape (order + 1, nodes,
@@ -459,8 +455,9 @@ def _discretization(basis, problem):
     unconverged on all six cone rows.  A seeded family collocates at every
     node and carries the axis conditions in the seed.
     """
+    rows = () if basis.seeded else tuple(map(tuple, problem.axis_conditions))
+    start = problem.newton_start    # keyed as itself too: a function's vars() hold no code
     def build():
-        rows = () if basis.seeded else problem.axis_conditions
         if basis.dimension <= len(rows):
             raise ConfigurationError(
                 "N = %d leaves no interior collocation nodes" % basis.dimension)
@@ -470,12 +467,11 @@ def _discretization(basis, problem):
         operators = tables[:, :, :-1].transpose(0, 2, 1)
         boundary = tables[[q for q, _ in rows], :, -1]
         targets = np.array([value for _, value in rows])
-        guess = np.zeros(basis.dimension)
-        if rows:
-            guess = np.linalg.solve(np.vstack([operators[0], boundary]),
-                                    np.concatenate([problem.newton_start(nodes), targets]))
+        guess = (np.linalg.solve(np.vstack([operators[0], boundary]),
+                                 np.concatenate([start(nodes), targets]))
+                 if rows else np.zeros(basis.dimension))
         return (nodes, boundary, targets, guess, operators)
-    return _memo(basis, (type(problem),), build)
+    return _memo(basis, (problem.order, rows, start, *_value(start)), build)
 
 
 def build_system(spec):

@@ -16,15 +16,15 @@ derivative.  It stays scalar on purpose: a numpy stepper advancing a batch
 of 8 to 65 trial slopes in lockstep measured 65-90 us per step, against
 10-12 us here, and its walk is generated per state length from the tableau,
 because a loop over a state tuple measured several times slower.  For a
-class's own top_derivative, the walk evaluates the method's return
-expression, read from its lines in linecache, in place of each call (a film
-shoot 1.5 -> 1.1 ms, a cone 2.8 -> 2.3 ms), and calls the method where
-_inline refuses it.  Accuracy is one knob, ShootConfig.step: the mismatch
-walks and the reported trajectory run at local error tolerance step**4
-(1e-12 at the default 1e-3).  The trajectory, one walk from the final
-slope, is walked on the first read of the states and spaced step apart by
-the pair's order-7 continuous extension; it takes no step longer than 4, so
-the extension holds the tolerance in the far field too.
+bound method that _inline accepts, a problem's top_derivative say, the walk
+evaluates its return expression, read from its lines in linecache, in place
+of each call (a film shoot 1.5 -> 1.1 ms, a cone 2.8 -> 2.3 ms), and calls
+the method where _inline refuses it.  Accuracy is one knob, ShootConfig.step:
+the mismatch walks and the reported trajectory run at local error tolerance
+step**4 (1e-12 at the default 1e-3).  The trajectory, one walk from the
+final slope, is walked on the first read of the states and spaced step apart
+by the pair's order-7 continuous extension; it takes no step longer than 4,
+so the extension holds the tolerance in the far field too.
 
 A problem gives what a shoot needs through the Problem protocol: launch
 point and state, start bracket, far fields and the far-field mismatch g.  A
@@ -61,6 +61,7 @@ import reprlib
 import textwrap
 from functools import cache, reduce
 from operator import add, attrgetter
+from types import FunctionType
 
 import numpy as np
 
@@ -277,10 +278,10 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     state is (f, f', ...), and accel gives the top derivative.  Twelve
     stages, then the derivative at the new state, reused as the next step's
     first (FSAL): twelve top-derivative evaluations per accepted step,
-    eleven per rejected one, each a call of accel or, for a class's own
-    top_derivative that _inline reads, its expression inline.  With E5 and
-    E3 the fifth- and third-order error estimates, each component scaled by
-    tol (1 + |y_i|), y the new state, Hairer's error
+    eleven per rejected one, each a call of accel or, for a bound method that
+    _inline accepts, its expression inline.  With E5 and E3 the fifth- and
+    third-order error estimates, each component scaled by tol (1 + |y_i|),
+    y the new state, Hairer's error
     |h| |E5|^2 / sqrt(n (|E5|^2 + 0.01 |E3|^2)) over n components, the RMS
     of E5 when E3 is small, must be <= 1 to accept the step; the next trial
     step h is h clamp(0.9 err^(-1/8), 1/3, 6), a zero error grows h sixfold
@@ -292,21 +293,21 @@ def _dop853(accel, state, x, x1, tol, h, trail=None, events=False):
     continuous extension.  With events, the walk stops at its first state,
     the starting one included, whose last two components (u, v) have u < 0
     (outcome -1) or v > 0 (outcome +1); else the outcome is 0.  _walk_source
-    generates the walk per state length and class.
+    generates the walk per state length and function that accel binds.
     """
     if events and (state[-2] < 0 or state[-1] > 0):
         return x, state, -1 if state[-2] < 0 else 1
-    kind = type(getattr(accel, "__self__", None))
-    kind = kind if getattr(accel, "__func__", None) is getattr(kind, "top_derivative", 0) else None
-    return _walker(kind, len(state))(accel, state, x, x1, 1.0 / (len(state) * tol * tol), h,
-                                     math.inf if trail is None else _TRAIL_CAP, trail, events)
+    method = getattr(accel, "__func__", None)
+    walk = _walker(method if isinstance(method, FunctionType) else None, len(state))
+    return walk(accel, state, x, x1, 1.0 / (len(state) * tol * tol), h,
+                math.inf if trail is None else _TRAIL_CAP, trail, events)
 
 
 @cache
-def _walker(kind, n):
-    """The n-component walk for kind's top_derivative (None: any accel), compiled once."""
+def _walker(method, n):
+    """The n-component walk of an accel bound to method (None: any accel), compiled once."""
     namespace = {}
-    exec(compile(_walk_source(n, kind), "<dop853 walk, %d components>" % n, "exec"),
+    exec(compile(_walk_source(n, method), "<dop853 walk, %d components>" % n, "exec"),
          globals(), namespace)
     return namespace["walk"]
 
@@ -328,14 +329,13 @@ class _Stage(ast.NodeTransformer):
         return ast.Name("self_" + node.attr)
 
 
-def _inline(kind, n):
+def _inline(method, n):
     """(the lines binding self_<attr> and free_<name> for each self.<attr> and
-    other name that kind.top_derivative reads, a function writing its return
-    expression at a stage's node and index), or None, the call path, unless the
+    other name that the function method reads, a function writing its return
+    expression at a stage's node and index), or None, the call path, unless
     method, with no cell such as super()'s, has lines compiling to its loaded
     names and arguments (self, x and n components) that are a docstring and
     one return binding no name and reading only what its globals or builtins hold."""
-    method = kind.top_derivative
     code, key = method.__code__, attrgetter("co_names", "co_varnames", "co_argcount")
     end = max((pos[1] or 0 for pos in getattr(code, "co_positions", tuple)()), default=0)
     try:
@@ -364,16 +364,16 @@ def _inline(kind, n):
                 "\1", node if node.isidentifier() else "(%s)" % node))
 
 
-def _walk_source(n, kind=None):
+def _walk_source(n, method=None):
     """Source of the body of _dop853 for n components, as scalar Python:
     y<i>_<j> is component i at stage j (1 the step's start, 13 its end) and
-    k<j> the top derivative there, a call of accel or, by _inline, kind's
-    top_derivative written out; each weight is a literal, each sum in the
-    tableau's order."""
+    k<j> the top derivative there, a call of accel or, by _inline, the
+    function method that accel binds written out; each weight is a literal,
+    each sum in the tableau's order."""
     def state(j):
         return ", ".join("y%d_%d" % (i, j) for i in range(n))
 
-    bind, top = (kind and _inline(kind, n)) or (
+    bind, top = (method and _inline(method, n)) or (
         "", lambda node, j: "accel(%s, %s)" % (node, state(j)))
 
     def slope(i, j):

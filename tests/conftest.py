@@ -11,7 +11,7 @@ a second time.
 
 import pytest
 
-from halfline import ConeParams, FluidParams, TABLE3, shoot, solve_problem
+from halfline import TABLE3, shoot, solve_problem
 from halfline.cli import PRESET_CASES, preset_spec
 
 FLUID_B = (0.6, 0.1, 0.5)
@@ -65,16 +65,9 @@ _SHOOT_CACHE = {}
 _SOLVE_CACHE = {}
 
 
-def _problem_key(problem):
-    if isinstance(problem, FluidParams):
-        return ("fluid", problem.b1, problem.b2, problem.b3)
-    if isinstance(problem, ConeParams):
-        return ("cone", problem.lam)
-    return ("tf",)
-
-
 def _shoot_cached(problem):
-    key = _problem_key(problem)
+    # by value, the problem's class and sorted attributes, as core's memo keys a family
+    key = (type(problem), tuple(sorted(vars(problem).items())))
     if key not in _SHOOT_CACHE:
         _SHOOT_CACHE[key] = shoot(problem)
     return _SHOOT_CACHE[key]

@@ -3,7 +3,11 @@ verification flow, and exit codes."""
 
 import io
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,6 +264,16 @@ def test_list_presets_names_all_nine():
         assert any(line.startswith(name) for line in lines)
     code, out, err = run_main("list-presets", "extra")
     assert code == 2
+
+
+def test_the_module_runs_as_a_script():
+    # python -m halfline.cli exits with main()'s status and prints what it prints
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-m", "halfline.cli", "list-presets"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == run_main("list-presets")[1]
+    assert [line.split()[0] for line in run.stdout.splitlines()] == list(PRESET_NAMES)
 
 
 def test_solver_failures_exit_3(monkeypatch):

@@ -668,7 +668,7 @@ def test_equal_valued_bases_share_one_discretization(make, nodes, monkeypatch,
     second = build_system(ProblemSpec(ConeParams(0.75), make(), seed))
     assert len(calls) == 1 and len(discretizations) == 1
     assert second is not first and second.operators is first.operators     # one shared stack
-    # the problem class is part of the key
+    # the problem's order, axis rows and Newton start are part of the key
     if nodes != "sinc_nodes":             # the cone pairs only with the Log map
         seed = None if seed is None else SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.5)
         build_system(ProblemSpec(ThomasFermiProblem(), make(), seed))
@@ -685,8 +685,9 @@ def counted_tables(monkeypatch, cls):
 
 
 def point_entries(memo):
-    """Keys of the memo's point tables: their last item is an order, not a class."""
-    return [k for k in memo if not isinstance(k[-1], type)]
+    """Keys of the memo's point tables: their last item is an order, where a
+    discretization's is its Newton start's attributes."""
+    return [k for k in memo if isinstance(k[-1], int)]
 
 
 MEMO_FAMILIES = [(lambda: LaguerreBasis(13, 0.655, 1.115), "L"),
@@ -788,6 +789,31 @@ def test_a_changed_basis_attribute_gets_its_own_discretization(discretizations):
     assert all(np.array_equal(a, b) for a, b in zip(system.operators, want.operators))
     assert np.array_equal(system.initial_guess, want.initial_guess)
     assert len(discretizations) == 2
+
+
+def test_an_instance_newton_start_gets_its_own_discretization(discretizations, monkeypatch):
+    # the memo keys a discretization on the start's value, not on the problem
+    # class: a start set on an instance is read on a warm memo as on a cold one
+    basis = LaguerreBasis(13, 1.0, 1.09)
+    started = ConeParams(0.5)
+    started.newton_start = SeedProfile(SeedKind.CONE_RATIONAL, 3.0)
+    cold = build_system(ProblemSpec(started, basis)).initial_guess
+    monkeypatch.setattr(halfline.core, "_MEMO", halfline.core._Memo())
+    default = build_system(ProblemSpec(ConeParams(0.5), basis)).initial_guess
+    warm = build_system(ProblemSpec(started, basis)).initial_guess
+    assert np.array_equal(warm, cold)
+    assert not np.array_equal(warm, default)
+    assert len(halfline.core._MEMO) == 2
+    # a start written as a method has no attributes to key on: each is its own
+    class Once(ConeParams):
+        def newton_start(self, x):
+            return np.exp(-x)
+
+    class Thrice(ConeParams):
+        def newton_start(self, x):
+            return 3.0 * np.exp(-x)
+    once = build_system(ProblemSpec(Once(0.5), basis)).initial_guess
+    assert not np.array_equal(build_system(ProblemSpec(Thrice(0.5), basis)).initial_guess, once)
 
 
 @pytest.mark.parametrize("shape", [(3,), (13, 1)], ids=["short", "column"])

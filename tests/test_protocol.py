@@ -9,6 +9,7 @@ import pytest
 
 from halfline import (
     ConfigurationError,
+    Expansion,
     HermiteBasis,
     LaguerreBasis,
     Problem,
@@ -77,17 +78,18 @@ class DampedPowers:
 
 
 def test_a_fourth_problem_shoots_on_the_written_out_walk(monkeypatch):
-    walker, kinds = shooting._walker, set()
-    monkeypatch.setattr(shooting, "_walker", lambda kind, n: kinds.add(kind) or walker(kind, n))
+    walker, methods = shooting._walker, set()
+    monkeypatch.setattr(shooting, "_walker",
+                        lambda method, n: methods.add(method) or walker(method, n))
     slope, (xs, states) = shoot(Decay())
-    assert kinds == {Decay}
+    assert methods == {Decay.top_derivative}
     assert slope.hex() == (-1.0).hex()
     assert np.max(np.abs(states[:, 0] - np.exp(-xs))[xs <= 10.0]) <= 1e-9
 
 
 def test_a_fourth_problem_integrates_as_the_call_path():
     method = Decay().top_derivative
-    assert "accel(" not in shooting._walk_source(2, Decay)
+    assert "accel(" not in shooting._walk_source(2, Decay.top_derivative)
     _, written = integrate(method, (1.0, -1.0), 0.0, 8.0, 1e-2)
     _, called = integrate(lambda *args: method(*args), (1.0, -1.0), 0.0, 8.0, 1e-2)
     assert np.array_equal(written, called)
@@ -109,6 +111,16 @@ def test_a_fourth_family_solves_with_no_library_edit():
     assert report.converged
     assert np.max(np.abs(e(xs) - np.exp(-xs))) <= 1e-9
     assert abs(derived_slope(e, spec) + 1.0) <= 1e-9
+
+
+def test_axis_conditions_given_as_lists_key_as_tuples():
+    # the memo keys a discretization on the axis rows, so rows given as lists
+    # share the entry of the same rows given as tuples
+    listed = type("Listed", (Decay,), {"axis_conditions": [[0, 1.0]]})
+    e, _ = solve_problem(ProblemSpec(Decay(), DampedPowers(6)))
+    listed_e, report = solve_problem(ProblemSpec(listed(), DampedPowers(6)))
+    assert report.converged
+    assert np.array_equal(listed_e.coefficients, e.coefficients)
 
 
 def test_a_family_that_does_not_declare_seeded_is_refused():
@@ -140,3 +152,30 @@ def test_a_problem_with_no_axis_condition_is_refused(basis, seed):
     kind = type("Free", (Decay,), {"axis_conditions": ()})
     with pytest.raises(ConfigurationError, match="does not declare axis_conditions$"):
         ProblemSpec(kind(), basis, seed)
+
+
+class Exponential:
+    """e^(-x) as a seed: it declares tables and nothing else."""
+
+    def tables(self, xs, M):
+        return np.array([(-1.0) ** m * np.exp(-np.asarray(xs, dtype=float))
+                         for m in range(M + 1)])
+
+
+def test_a_seed_is_admitted_by_what_it_declares():
+    spec = ProblemSpec(Decay(), HermiteBasis(16, 1.2), Exponential())
+    e, report = solve_problem(spec)
+    assert report.converged
+    assert derived_slope(e, spec) == -1.0
+    with pytest.raises(ConfigurationError, match="needs tables, got <object object"):
+        ProblemSpec(Decay(), HermiteBasis(16, 1.2), object())
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda b: solve_problem(ProblemSpec(Decay(), b)), id="solve"),
+    pytest.param(lambda b: Expansion(b, np.zeros(6))(1.0), id="evaluate")])
+def test_an_unhashable_family_parameter_is_refused_by_name(call):
+    basis = DampedPowers(6)
+    basis.extra = [1]
+    with pytest.raises(ConfigurationError, match=": extra does not hash"):
+        call(basis)

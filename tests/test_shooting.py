@@ -20,7 +20,9 @@ from conftest import CONE_LAMBDAS, FLUID_B
 from scalar_reference import extension_points
 
 FLUID = FluidParams(*FLUID_B)
-MODELS = ((FluidParams, 2), (ConeParams, 3), (ThomasFermiProblem, 2))
+# each model problem's top_derivative and its state length
+MODELS = ((FluidParams.top_derivative, 2), (ConeParams.top_derivative, 3),
+          (ThomasFermiProblem.top_derivative, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +442,20 @@ def test_the_inlined_walk_equals_the_call_path(problem, cfg, monkeypatch):
     # the walk writes each model problem's top_derivative into its stages;
     # a plain function in its place is called at every stage, and every bit
     # of the slope and the states stays
-    walker, kinds = shooting._walker, set()
+    walker, methods = shooting._walker, set()
 
-    def recorded(kind, n):
-        kinds.add(kind)
-        return walker(kind, n)
+    def recorded(method, n):
+        methods.add(method)
+        return walker(method, n)
     monkeypatch.setattr(shooting, "_walker", recorded)
     slope, (_, states) = shoot(problem, cfg)
-    assert type(problem) in kinds     # beside None, if its walk is compiled here
+    assert type(problem).top_derivative in methods  # beside None, if compiled here
     called = copy.copy(problem)
     method = problem.top_derivative
     called.top_derivative = lambda *args: method(*args)
-    kinds.clear()
+    methods.clear()
     called_slope, (_, called_states) = shoot(called, cfg)
-    assert kinds == {None}
+    assert methods == {None}
     assert slope.hex() == called_slope.hex()
     assert np.array_equal(states, called_states)
 
@@ -463,8 +465,8 @@ def test_only_one_return_expression_is_written_out():
     # over self, x and the state, binding no name and reading only names its
     # globals or builtins hold, so one of the model problems' that stops being
     # so fails here; else it calls accel at each of the 13 points of a step
-    for kind, n in MODELS:
-        assert "accel(" not in shooting._walk_source(n, kind)
+    for method, n in MODELS:
+        assert "accel(" not in shooting._walk_source(n, method)
         assert shooting._walk_source(n).count("accel(") == 13
 
     class Statements:
@@ -497,9 +499,9 @@ def test_only_one_return_expression_is_written_out():
             return 2.0 * super().top_derivative(x, f, fp)   # reads a __class__ cell
     for kind, n in ((Statements, 2), (Unresolved, 2), (Walrus, 2), (Lambda, 2),
                     (Starred, 2), (Written, 3), (FluidParams, 3), (Cell, 2)):
-        assert shooting._inline(kind, n) is None
-        assert shooting._walk_source(n, kind).count("accel(") == 13
-    bind, top = shooting._inline(Written, 2)
+        assert shooting._inline(kind.top_derivative, n) is None
+        assert shooting._walk_source(n, kind.top_derivative).count("accel(") == 13
+    bind, top = shooting._inline(Written.top_derivative, 2)
     assert bind == ("    self_b = accel.__self__.b\n"
                     "    free_math = accel.__globals__.get('math', "
                     "accel.__builtins__.get('math'))\n")
@@ -520,25 +522,40 @@ def test_the_walk_binds_the_names_of_the_method_once(monkeypatch):
     # each name the expression reads is bound at the walk's start from the
     # method's globals, else its builtins, so a global named like a walk
     # local is written out with the call path's bits
-    source = shooting._walk_source(2, Scaled)
+    source = shooting._walk_source(2, Scaled.top_derivative)
     assert "accel(" not in source
     assert "    free_scale = accel.__globals__.get('scale', " in source
-    walker, kinds = shooting._walker, []
-    monkeypatch.setattr(shooting, "_walker", lambda kind, n: kinds.append(kind) or walker(kind, n))
+    walker, methods = shooting._walker, []
+    monkeypatch.setattr(shooting, "_walker",
+                        lambda method, n: methods.append(method) or walker(method, n))
     method = Scaled().top_derivative
     _, written = integrate(method, (1.0, -0.9), 0.0, 6.0, 1e-2)
     _, called = integrate(lambda *args: method(*args), (1.0, -0.9), 0.0, 6.0, 1e-2)
-    assert kinds == [Scaled, None]
+    assert methods == [Scaled.top_derivative, None]
     assert np.array_equal(written, called)
-    # one walk is compiled per (kind, n), and no other to look at
+    # one walk is compiled per (method, n), and no other to look at
     monkeypatch.undo()
     shooting._walker.cache_clear()
     sources = []
     monkeypatch.setattr(shooting, "_walk_source",
-                        lambda n, kind=None, source=shooting._walk_source:
-                        sources.append((n, kind)) or source(n, kind))
-    shooting._walker(ConeParams, 3)
-    assert sources == [(3, ConeParams)]
+                        lambda n, method=None, source=shooting._walk_source:
+                        sources.append((n, method)) or source(n, method))
+    shooting._walker(ConeParams.top_derivative, 3)
+    assert sources == [(3, ConeParams.top_derivative)]
+
+
+def test_a_method_of_any_name_is_written_out():
+    # the walk keys on the function a bound method wraps, not on its name
+    class Decaying:
+        rate = -0.5
+
+        def rhs(self, x, f, fp):
+            return self.rate * fp
+    assert "accel(" not in shooting._walk_source(2, Decaying.rhs)
+    method = Decaying().rhs
+    _, written = integrate(method, (1.0, -1.0), 0.0, 4.0, 1e-2)
+    _, called = integrate(lambda *args: method(*args), (1.0, -1.0), 0.0, 4.0, 1e-2)
+    assert np.array_equal(written, called)
 
 
 @pytest.fixture
@@ -556,8 +573,8 @@ def test_the_walk_needs_no_source(monkeypatch, fresh_walks):
                                                         ConeParams(0.5))]
     monkeypatch.setattr(linecache, "getlines", lambda *args: [])
     shooting._walker.cache_clear()
-    for kind, n in MODELS:
-        assert shooting._inline(kind, n) is None
+    for method, n in MODELS:
+        assert shooting._inline(method, n) is None
     for problem, (slope, (_, states)) in shots:
         called_slope, (_, called_states) = shoot(problem)
         assert called_slope.hex() == slope.hex()
@@ -570,15 +587,58 @@ def test_the_walk_reads_the_lines_the_method_was_compiled_from(monkeypatch):
     def hidden(*args):
         raise OSError("could not get source code")
     monkeypatch.setattr(inspect, "getsource", hidden)
-    for kind, n in MODELS:
-        assert "accel(" not in shooting._walk_source(n, kind)
+    for method, n in MODELS:
+        assert "accel(" not in shooting._walk_source(n, method)
     text = "class Edited:\n    def top_derivative(self, x, f, fp):\n        return %s\n"
     namespace = {}
     exec(compile(text % "self.b * f", "<edited>", "exec"), namespace)
     for body, written in (("self.b * f", True), ("self.c * f", False), ("f * fp", False)):
         lines = (text % body).splitlines(True)
         monkeypatch.setitem(linecache.cache, "<edited>", (1, None, lines, "<edited>"))
-        assert (shooting._inline(namespace["Edited"], 2) is not None) == written
+        assert (shooting._inline(namespace["Edited"].top_derivative, 2) is not None) == written
+
+
+def test_lines_that_do_not_parse_take_the_call_path(monkeypatch, fresh_walks):
+    # lines that no longer parse, as in a source file edited after import, are
+    # refused, and the shoot calls the method with the same bits
+    slope, (_, states) = shoot(FLUID)
+    monkeypatch.setattr(linecache, "getlines", lambda *args: ["def (\n"] * 10 ** 4)
+    shooting._walker.cache_clear()
+    assert shooting._inline(FluidParams.top_derivative, 2) is None
+    called_slope, (_, called_states) = shoot(FLUID)
+    assert called_slope.hex() == slope.hex()
+    assert np.array_equal(called_states, states)
+
+
+def _doubled_b3(self, x, f, fp):
+    """The film's f'' with b3 doubled."""
+    return (self.b2 * f * fp * fp + 2.0 * self.b3 * f) / (1.0 + self.b1 * fp * fp)
+
+
+def test_a_replaced_method_gets_a_fresh_walk(monkeypatch, fresh_walks):
+    # the walk is kept per function, not per class: a shoot after the class's
+    # top_derivative is replaced solves the new equation, bit for bit as a
+    # shoot on cold walks does
+    default, _ = shoot(FLUID)
+    monkeypatch.setattr(FluidParams, "top_derivative", _doubled_b3)
+    slope, (_, states) = shoot(FLUID)
+    shooting._walker.cache_clear()
+    cold, (_, cold_states) = shoot(FLUID)
+    assert slope.hex() == cold.hex() != default.hex()
+    assert np.array_equal(states, cold_states)
+
+
+def test_a_subclass_that_keeps_the_method_shares_its_walk(monkeypatch):
+    class Sub(ConeParams):
+        pass
+    slope, (_, states) = shoot(ConeParams(0.5))
+    walk_source, sources = shooting._walk_source, []
+    monkeypatch.setattr(shooting, "_walk_source", lambda n, method=None:
+                        sources.append((n, method)) or walk_source(n, method))
+    sub_slope, (_, sub_states) = shoot(Sub(0.5))
+    assert sources == []
+    assert sub_slope.hex() == slope.hex()
+    assert np.array_equal(sub_states, states)
 
 
 def test_the_extension_stages_match_the_scalar_reference(monkeypatch):
