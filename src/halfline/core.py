@@ -107,8 +107,12 @@ _MEMO = _Memo()
 def _value(obj):
     """(class, sorted instance attributes) of obj, its key by value in the memo."""
     items = tuple(sorted(vars(obj).items()))
-    for name in (name for name, value in items if type(value).__hash__ is None):
-        raise ConfigurationError("%r: %s does not hash, and the memo keys by value" % (obj, name))
+    for name, value in items:
+        try:
+            hash(value)         # a hashable container may hold an unhashable value
+        except TypeError:
+            raise ConfigurationError("%r: %s does not hash, and the memo keys by value"
+                                     % (obj, name)) from None
     return type(obj), items
 
 

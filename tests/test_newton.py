@@ -73,7 +73,7 @@ def test_scalar_quadratic_root():
     assert report.iterations <= 8
     assert report.history[0] == 5.0
     assert report.final_residual_norm <= 1e-10
-    assert repr(report) == "SolveReport(converged, 5 iterations, max|F| = 0.000e+00)"
+    assert repr(report) == "SolveReport(converged, 3 iterations, max|F| = 1.776e-15)"
 
 
 def test_scalar_quadratic_convergence_is_quadratic():
@@ -122,20 +122,37 @@ def test_stall_away_from_a_root_is_unconverged():
     assert repr(report) == "SolveReport(stopped, 1 iterations, max|F| = 1.000e-04)"
 
 
-def test_stall_at_the_rounding_floor_ends_its_halving_at_the_iterate():
-    # 1e6 (x^2 - 2) stops at sqrt(2) with max|F| = 4.4e-10 from rounding
-    # alone; the next full step rounds back to x, so no trial is evaluated
+def test_a_halving_ends_at_a_trial_that_rounds_to_the_iterate():
+    # |x - 1e6| + 1e-6 has no root; from 1e6 the 15 trials 1e6 - 1e-6 / 2^k,
+    # k < 15, raise |F|, and the 16th rounds to 1e6 (an ulp there is 1.2e-10),
+    # so it and the 15 after it are never evaluated
+    calls = []
+
+    def F(v):
+        calls.append(float(v[0]))
+        return np.array([abs(v[0] - 1e6) + 1e-6])
+    report = newton_solve(F, lambda v: np.array([[1.0 if v[0] >= 1e6 else -1.0]]),
+                          np.array([1e6]))
+    assert report.converged is False and report.iterations == 1 and report.chords == 0
+    assert report.history == [1e-6, 1e-6]
+    assert len(calls) == 16 and calls[-1] == 1e6 - 2.0 ** -33 < 1e6
+
+
+def test_a_solve_at_the_rounding_floor_stops_on_its_step():
+    # 1e6 (x^2 - 2) reaches sqrt(2) with max|F| = 4.4e-10 from rounding
+    # alone; that last full step is under 1e-12, so no chord step and no
+    # further Jacobian follow it
     calls = []
 
     def F(v):
         calls.append(1)
         return np.array([1e6 * (v[0] ** 2 - 2.0)])
     report = newton_solve(F, lambda v: np.array([[2e6 * v[0]]]), np.array([1.0]))
-    assert report.converged and report.iterations == 6
+    assert report.converged and report.iterations == 4 and report.chords == 3
     assert report.solution[0] == math.sqrt(2.0)
-    assert report.history[-2] == report.history[-1] == 4.440892098500626e-10
-    # the start and five accepted trials; the stalled iteration calls none
-    assert len(calls) == 7
+    assert report.history[-1] == 4.440892098500626e-10
+    # the start, four Newton trials and three chord trials, all accepted
+    assert len(calls) == 8
 
 
 def test_accepted_residuals_decrease_monotonically():
@@ -152,8 +169,10 @@ def test_exact_jacobian_costs_one_residual_call_per_trial():
     J = lambda v: np.array([[2.0 * v[0], 0.0], [0.0, np.cos(v[1])]])
     report = newton_solve(F, J, np.array([3.0, 0.5]))
     assert report.converged and abs(report.solution[0] - 2.0) <= 1e-12
-    # the start plus one accepted trial per iteration (no halving needed)
-    assert len(calls) == report.iterations + 1
+    # the start, one accepted Newton trial per iteration (no halving needed)
+    # and one accepted chord trial after each step that did not converge
+    assert report.chords == report.iterations == 3
+    assert len(calls) == 1 + report.iterations + report.chords
 
 
 def test_a_rejected_full_step_is_halved():
@@ -166,6 +185,60 @@ def test_a_rejected_full_step_is_halved():
     assert report.converged
     assert report.history[1] == abs(math.atan(1.5 - 0.5 * math.atan(1.5) * 3.25))
     assert report.history[1] == 0.09673691081185895
+
+
+def _scalar(F, J):
+    """(the residual, the points it is called at, and the correction
+    F(x) / J(at) of a Newton step, at = x, or of a chord step) of a 1-D map."""
+    calls = []
+
+    def residual(v):
+        calls.append(float(v[0]))
+        return F(v)
+    return residual, calls, lambda x, at: float(F(np.array([x]))[0] / J(np.array([at]))[0, 0])
+
+
+def test_a_chord_step_follows_only_an_undamped_accepted_step():
+    # arctan from 1.5: the first step is halved, so the next call is the second
+    # iteration's Newton trial from x1; that step is taken whole, and a chord
+    # trial with x1's slope follows it and is accepted
+    J = lambda v: np.array([[1.0 / (1.0 + v[0] ** 2)]])
+    F, calls, step = _scalar(np.arctan, J)
+    report = newton_solve(F, J, np.array([1.5]))
+    x1 = 1.5 - 0.5 * step(1.5, 1.5)
+    x2 = x1 - step(x1, x1)
+    assert calls[:5] == [1.5, 1.5 - step(1.5, 1.5), x1, x2, x2 - step(x2, x1)]
+    assert report.history[2] == abs(np.arctan(np.array([calls[4]]))[0])
+    assert report.converged and report.iterations == 3 and report.chords == 1
+
+
+def test_a_chord_trial_that_does_not_lower_the_residual_leaves_the_newton_iterate():
+    # x^3 + x - 2 from -0.4: the full step to 1.265 lowers |F| from 2.464 to
+    # 1.289, and the chord trial with the slope at -0.4 overshoots to 0.394,
+    # where |F| = 1.544; the next iteration starts from the Newton iterate
+    J = lambda v: np.array([[3.0 * v[0] ** 2 + 1.0]])
+    cubic = lambda v: v ** 3 + v - 2.0
+    F, calls, step = _scalar(cubic, J)
+    report = newton_solve(F, J, np.array([-0.4]))
+    x1 = -0.4 - step(-0.4, -0.4)
+    assert calls[:4] == [-0.4, x1, x1 - step(x1, -0.4), x1 - step(x1, x1)]
+    assert abs(cubic(np.array([calls[2]]))[0]) > report.history[1] == abs(cubic(np.array([x1]))[0])
+    assert report.converged and report.iterations == 4 and report.chords == 2
+
+
+def test_a_chord_that_rounds_to_the_iterate_ends_the_solve():
+    # x^2 - 2e12 from one ulp below its root's nearest double: the full step
+    # lands on it (max|F| = 2.4e-4, a step of 2.3e-10), and the chord step,
+    # -8.6e-11, is under half an ulp; the solve ends with no further call or
+    # Jacobian, converged by the equilibrated residual
+    J = lambda v: np.array([[2.0 * v[0]]])
+    F, calls, step = _scalar(lambda v: v ** 2 - 2e12, J)
+    root = math.sqrt(2e12)
+    report = newton_solve(F, J, np.array([root - 2.0 ** -32]))
+    assert calls == [root - 2.0 ** -32, root]
+    assert 0 < abs(step(root, calls[0])) < 2.0 ** -33 and root - step(root, calls[0]) == root
+    assert report.converged and report.iterations == 1 and report.chords == 0
+    assert report.final_residual_norm == 2.44140625e-04
 
 
 # ---------------------------------------------------------------------------

@@ -541,12 +541,40 @@ def test_converged_with_small_nodal_residual(key, solve_case):
 # Newton's iteration count on each preset case in PRESET_CASES order, as
 # tools/snapshot.py prints it: film and screening, then the cone rows of
 # table3, table4 and table5
-PRESET_ITERATIONS = [4, 4, 5, 4, 4, 4] + [5] + [6] * 5 + [2] * 6 + [3] * 6
+PRESET_ITERATIONS = [3, 3, 3, 3, 5, 3] + [4, 4, 4, 5, 4, 4] + [1] * 6 + [2] * 6
 
 
 def test_every_preset_case_takes_its_pinned_newton_iterations(solve_case):
     counts = [solve_case(*case_key(case))[2].iterations for case in PRESET_CASES]
     assert counts == PRESET_ITERATIONS
+
+
+# sixteen films, four at each Laguerre size, solved as the benchmark sweep
+# solves each: Laguerre, then Hermite seeded with the Laguerre |slope|, then sinc
+SWEEP_FILMS = [(b1, b3, n) for n in (16, 20, 24, 28) for b1 in (0.3, 0.8) for b3 in (0.25, 0.9)]
+
+
+def test_the_sweep_films_take_their_pinned_jacobians_and_residuals(monkeypatch):
+    counts = [0, 0]
+
+    def counting(F, J, x0):
+        def residual(c):
+            counts[1] += 1
+            return F(c)
+
+        def jacobian(c):
+            counts[0] += 1
+            return J(c)
+        return newton_solve(residual, jacobian, x0)
+    monkeypatch.setattr(halfline.problems, "newton_solve", counting)
+    for b1, b3, n in SWEEP_FILMS:
+        params = FluidParams.from_b1_b3(b1, b3)
+        spec = ProblemSpec(params, LaguerreBasis(n, 1.0, 0.99))
+        slope = derived_slope(solve_problem(spec)[0], spec)
+        for basis, a in ((HermiteBasis(16, 1.2), abs(slope)), (SincBasis(17, 1.0), 0.47)):
+            solve_problem(ProblemSpec(params, basis, SeedProfile(SeedKind.RATIONAL_QUADRATIC, a)))
+    # Jacobians, then residual calls; before the chord step 187 and 235
+    assert counts == [139, 299]
 
 
 @pytest.mark.parametrize("key", BASE_KEYS, ids=lambda k: "-".join(map(str, k)))

@@ -174,8 +174,9 @@ def test_a_seed_is_admitted_by_what_it_declares():
 @pytest.mark.parametrize("call", [
     pytest.param(lambda b: solve_problem(ProblemSpec(Decay(), b)), id="solve"),
     pytest.param(lambda b: Expansion(b, np.zeros(6))(1.0), id="evaluate")])
-def test_an_unhashable_family_parameter_is_refused_by_name(call):
+@pytest.mark.parametrize("extra", [[1], ([1],)], ids=["list", "list-in-tuple"])
+def test_an_unhashable_family_parameter_is_refused_by_name(call, extra):
     basis = DampedPowers(6)
-    basis.extra = [1]
+    basis.extra = extra
     with pytest.raises(ConfigurationError, match=": extra does not hash"):
         call(basis)
