@@ -12,12 +12,13 @@ A trial family (Laguerre, Hermite, sinc, or one defined elsewhere) exposes
 
 with its parameters as hashable instance attributes: the private memo, _memo,
 keeps each discretization and point tabulation by the type and vars(), and
-refuses an unhashable one by name.  This module supplies what is generic on
-top: evaluating a truncated series (optionally shifted by a closed-form seed
-profile), projecting a function onto the basis with a discrete inner-product
-rule (a (nodes, weights) pair of arrays), the Golub-Welsch node routine of the
-two polynomial families, and the checks every family shares: derivative
-orders, evaluation points, member indices and node arrays.
+refuses, by name, an object with no __dict__ and an attribute that does not
+hash.  This module supplies what is generic on top: evaluating a truncated
+series (optionally shifted by a closed-form seed profile), projecting a
+function onto the basis with a discrete inner-product rule (a (nodes, weights)
+pair of arrays), the Golub-Welsch node routine of the two polynomial families,
+and the checks every family shares: derivative orders, evaluation points,
+member indices and node arrays.
 
 Every scalar parameter passes _real (a finite real scalar above a bound)
 or _count (an integer at least a bound); bools and strings fail both,
@@ -106,6 +107,8 @@ _MEMO = _Memo()
 
 def _value(obj):
     """(class, sorted instance attributes) of obj, its key by value in the memo."""
+    if not hasattr(obj, "__dict__"):
+        raise ConfigurationError("%r has no __dict__, and the memo keys by value" % (obj,))
     items = tuple(sorted(vars(obj).items()))
     for name, value in items:
         try:

@@ -99,7 +99,8 @@ def newton_solve(F, J, x0):
 
     J(x) returns the square Jacobian of F at x; a non-finite entry raises
     NumericEvaluationError (component = its row) and a wrong shape
-    ConfigurationError, as for the residual.
+    ConfigurationError, as for the residual.  numpy's floating-point
+    warnings are off from the first residual on; a non-finite F or J raises.
 
     Accepted steps, chord steps among them, strictly decrease max|F|.  Each
     iteration forms one Jacobian and tries at most one chord step; the
@@ -118,68 +119,69 @@ def newton_solve(F, J, x0):
         raise ConfigurationError("x0 must be a non-empty 1-D array")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("x0 must be finite")
-    f, rnorm = _eval(F, x, "residual at initial guess")
-    history = [rnorm]
-    if rnorm <= _TOL_RESIDUAL:
-        return SolveReport(x, True, history, 0)
-    chords = 0
-    for _ in range(_MAX_ITER):
-        jac = np.asarray(J(x), dtype=float)
-        if jac.shape != (x.size, x.size):
-            raise ConfigurationError(
-                "Jacobian has shape %s, expected (%d, %d)" % (jac.shape, x.size, x.size))
-        # row equilibration in the max norm; a NaN or inf makes its row's max non-finite
-        scale = np.maximum.reduce(np.abs(jac), axis=1)
-        if not math.isfinite(np.maximum.reduce(scale)):
-            raise NumericEvaluationError("Jacobian produced a non-finite value",
-                                         component=int(np.nonzero(~np.isfinite(scale))[0][0]))
-        if not np.minimum.reduce(scale):
-            raise SingularJacobianError("Jacobian row %d vanishes" % int(np.argmin(scale)),
-                                        iterate=x.copy(), condition=np.inf)
-        Jeq = jac / scale[:, np.newaxis]
-        feq = f / scale
-        try:
-            inv = np.linalg.inv(Jeq)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                "linear solve failed: %s" % exc, iterate=x.copy(), condition=np.inf)
-        # |A|_1 as np.linalg.norm(A, 1) reduces it: the largest column sum of |A|
-        cond = float(np.maximum.reduce(np.add.reduce(np.abs(Jeq), 0))
-                     * np.maximum.reduce(np.add.reduce(np.abs(inv), 0)))
-        if not math.isfinite(cond) or cond > _COND_LIMIT:
-            raise SingularJacobianError(
-                "equilibrated Jacobian condition %.3e exceeds %.1e" % (cond, _COND_LIMIT),
-                iterate=x.copy(), condition=cond)
-        correction = inv @ feq      # the Newton step is -correction
-        # halving line search: accept the first damped step that decreases
-        # max|F|; a trial that rounds to x ends it, as every later one does too
-        lam = 1.0
-        accepted = False
-        here = x.tobytes()
-        for _ in range(_MAX_HALVINGS + 1):
-            trial = x - lam * correction
-            if trial.tobytes() == here:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, rnorm = _eval(F, x, "residual at initial guess")
+        history = [rnorm]
+        if rnorm <= _TOL_RESIDUAL:
+            return SolveReport(x, True, history, 0)
+        chords = 0
+        for _ in range(_MAX_ITER):
+            jac = np.asarray(J(x), dtype=float)
+            if jac.shape != (x.size, x.size):
+                raise ConfigurationError(
+                    "Jacobian has shape %s, expected (%d, %d)" % (jac.shape, x.size, x.size))
+            # row equilibration in the max norm; a NaN or inf makes its row's max non-finite
+            scale = np.maximum.reduce(np.abs(jac), axis=1)
+            if not math.isfinite(np.maximum.reduce(scale)):
+                raise NumericEvaluationError("Jacobian produced a non-finite value",
+                                             component=int(np.nonzero(~np.isfinite(scale))[0][0]))
+            if not np.minimum.reduce(scale):
+                raise SingularJacobianError("Jacobian row %d vanishes" % int(np.argmin(scale)),
+                                            iterate=x.copy(), condition=np.inf)
+            Jeq = jac / scale[:, np.newaxis]
+            feq = f / scale
+            try:
+                inv = np.linalg.inv(Jeq)
+            except np.linalg.LinAlgError as exc:
+                raise SingularJacobianError(
+                    "linear solve failed: %s" % exc, iterate=x.copy(), condition=np.inf)
+            # |A|_1 as np.linalg.norm(A, 1) reduces it: the largest column sum of |A|
+            cond = float(np.maximum.reduce(np.add.reduce(np.abs(Jeq), 0))
+                         * np.maximum.reduce(np.add.reduce(np.abs(inv), 0)))
+            if not math.isfinite(cond) or cond > _COND_LIMIT:
+                raise SingularJacobianError(
+                    "equilibrated Jacobian condition %.3e exceeds %.1e" % (cond, _COND_LIMIT),
+                    iterate=x.copy(), condition=cond)
+            correction = inv @ feq      # the Newton step is -correction
+            # halving line search: accept the first damped step that decreases
+            # max|F|; a trial that rounds to x ends it, as every later one does too
+            lam = 1.0
+            accepted = False
+            here = x.tobytes()
+            for _ in range(_MAX_HALVINGS + 1):
+                trial = x - lam * correction
+                if trial.tobytes() == here:
+                    break
+                ft, tnorm = _eval(F, trial, "residual during line search")
+                if tnorm < rnorm:
+                    x, f, rnorm = trial, ft, tnorm
+                    accepted = True
+                    break
+                lam *= 0.5
+            step = lam * float(np.maximum.reduce(np.abs(correction)))
+            if accepted and lam == 1.0 and rnorm > _TOL_RESIDUAL and step > _TOL_STEP:
+                # chord step with the inverse held; one that rounds to x ends the solve
+                correction = inv @ (f / scale)
+                trial = x - correction
+                accepted = trial.tobytes() != x.tobytes()
+                ft, tnorm = _eval(F, trial, "residual at chord step") if accepted else (f, rnorm)
+                if tnorm < rnorm:
+                    x, f, rnorm = trial, ft, tnorm
+                    step = float(np.maximum.reduce(np.abs(correction)))
+                    chords += 1
+            history.append(rnorm)
+            if not accepted or rnorm <= _TOL_RESIDUAL or step <= _TOL_STEP:
                 break
-            ft, tnorm = _eval(F, trial, "residual during line search")
-            if tnorm < rnorm:
-                x, f, rnorm = trial, ft, tnorm
-                accepted = True
-                break
-            lam *= 0.5
-        step = lam * float(np.maximum.reduce(np.abs(correction)))
-        if accepted and lam == 1.0 and rnorm > _TOL_RESIDUAL and step > _TOL_STEP:
-            # chord step with the inverse held; one that rounds to x ends the solve
-            correction = inv @ (f / scale)
-            trial = x - correction
-            accepted = trial.tobytes() != x.tobytes()
-            ft, tnorm = _eval(F, trial, "residual at chord step") if accepted else (f, rnorm)
-            if tnorm < rnorm:
-                x, f, rnorm = trial, ft, tnorm
-                step = float(np.maximum.reduce(np.abs(correction)))
-                chords += 1
-        history.append(rnorm)
-        if not accepted or rnorm <= _TOL_RESIDUAL or step <= _TOL_STEP:
-            break
-    converged = (rnorm <= _TOL_RESIDUAL
-                 or float(np.maximum.reduce(np.abs(f) / scale)) <= _TOL_RESIDUAL)
-    return SolveReport(x, converged, history, chords)
+        converged = (rnorm <= _TOL_RESIDUAL
+                     or float(np.maximum.reduce(np.abs(f) / scale)) <= _TOL_RESIDUAL)
+        return SolveReport(x, converged, history, chords)

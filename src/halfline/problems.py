@@ -332,7 +332,9 @@ class ProblemSpec:
     """One Problem paired with a trial family and optional seed.
 
     The problem passes _admit: it declares label, order, residual, partials and
-    a non-empty axis_conditions, and is posed.  The family declares seeded:
+    a non-empty axis_conditions, and is posed.  The family declares seeded,
+    label, dimension, nodes, tables and a slope_step that is None or a finite
+    real > 0:
       - an unseeded family never takes a seed (its axis rows do the work);
       - a seeded one takes a seed that declares tables and meets axis_conditions at 0;
       - a family with a map_kind must use the problem's sinc_map.
@@ -344,6 +346,11 @@ class ProblemSpec:
         seeded = getattr(basis, "seeded", None)
         if seeded is None:
             raise ConfigurationError("unknown basis kind: %r" % (basis,))
+        for name in ("label", "dimension", "nodes", "tables", "slope_step"):
+            if not hasattr(basis, name):
+                raise ConfigurationError("%r does not declare %s" % (basis, name))
+        if basis.slope_step is not None:
+            _real("slope_step of %r" % (basis,), basis.slope_step, 0.0)
         if not seeded and seed is not None:
             raise ConfigurationError("the %s family is never seeded" % basis.label)
         if seeded:

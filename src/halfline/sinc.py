@@ -11,10 +11,11 @@ Each map admits one weight, so the map alone names the family:
     LogSinh map  Phi = ln(sinh x)   with weight W = x / (1 + x^2)
     Log map      Phi = ln(eta)      with weight W = eta^3 / (1 + eta^3)
 
-SincBasis.tables gives the derivatives of every member at any points, the
-collocation operators included.  The classical differentiation matrices
-delta^(0)..delta^(3) of the translates in the mapped variable, combined
-with the chain-rule coefficient tables at the nodes, give the same nodal
+SincBasis.tables gives the derivatives of every member at any points x >= 0,
+the collocation operators included, from chain_tables, the one route from
+points to the map and its chain-rule coefficient tables.  The classical
+differentiation matrices of the translates in the mapped variable
+(delta_matrix), combined with those tables at the nodes, give the same nodal
 derivatives; they are kept as the reference the tests check against.  The
 chain-rule tables use reciprocal-power branch forms so that extreme points
 (|j h| of order hundreds) underflow gracefully to zero instead of
@@ -27,10 +28,9 @@ import math
 import numpy as np
 
 from .core import (_as_points, _check_index, _check_order, _check_power, _count,
-                   _node_array, _readonly, _real)
+                   _finite_tables, _node_array, _readonly, _real)
 from .errors import ConfigurationError, RangeOverflowError
 
-_LOGSINH_CUTOFF = 1e-10   # below this x the weight zero dominates every order
 _TAYLOR_RADIUS = 0.4      # switch point between closed forms and series
 _NODE_EXP_LIMIT = 700.0   # |j h| beyond which nodes leave double range
 
@@ -111,29 +111,28 @@ class SincBasis:
         """Derivatives 0..max_order of every member: shape (max_order+1, 2N+1, len(xs)).
 
         Row i holds translate k = i - N.  The m-th derivative of member k is
-        sum_q A[m][q](x) S^(q)((Phi(x) - k h)/h) / h^q, with the chain-rule
-        tables of chain_tables.  At x = 0 every order gives the
-        continuous-extension limit 0 (the boundary weight's algebraic zero wins
-        against the map divergence); under the LogSinh map so does every x
-        below 1e-10.
+        sum_q A[m][q](x) S^(q)((Phi(x) - k h)/h) / h^q, with Phi and A from
+        chain_tables.  At x = 0 every order gives the continuous-extension
+        limit 0 (the boundary weight's algebraic zero wins against the map
+        divergence).  An entry that is not finite raises RangeOverflowError:
+        under LogSinh, where the weight's zero meets the map's pole, orders
+        1, 2 and 3 below about x = 1e-308, 1e-154 and 1e-102.
         """
         M = _check_order(max_order)
-        xs = _as_points(xs).reshape(-1)
         h = self.h
         _check_power("h", h, M)
-        out = np.zeros((M + 1, self.dimension, xs.size))
-        live, phi, A = _mapped(self, xs, M)
         k = np.arange(-self.N, self.N + 1)[:, np.newaxis]
         # once |Phi| / h passes the largest double the argument rounds to +-inf,
         # where sinc_derivatives takes the limits: a value below 1e-299 in
         # size, derivatives 0.  Clipping Phi instead would change finite
         # values on very fine meshes (h = 1e-300).
-        with np.errstate(over="ignore"):
-            y = (phi - k * h) / h
-        s = sinc_derivatives(y, M)
-        for m in range(M + 1):
-            out[m][:, live] = sum(A[m][q] * s[q] / h ** q for q in range(m + 1))
-        return out
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
+            live, phi, A = chain_tables(self, xs, M)
+            out = np.zeros((M + 1, self.dimension, live.size))
+            s = sinc_derivatives((phi - k * h) / h, M)
+            for m in range(M + 1):
+                out[m][:, live] = sum(A[m][q] * s[q] / h ** q for q in range(m + 1))
+        return _finite_tables(self, out)
 
     # perfbench looks this up; drop it when the harness next changes
     def member(self, i, x, order=0):
@@ -146,37 +145,35 @@ class SincBasis:
         return "SincBasis(N=%d, h=%g, %s)" % (self.N, self.h, self.map_kind.value)
 
 
-def delta_matrices(basis, max_order):
-    """Read-only delta^(0)..delta^(max_order) on the 2N+1 mesh points: [k, j] = S(k,h)^(m)(j h).
+def delta_matrix(basis, order):
+    """Read-only delta^(order) on the 2N+1 mesh points: [k, j] = S(k,h)^(order)(j h).
 
     order 0: identity
     order 1: (1/h)   (-1)^(j-k) / (j-k)              off-diagonal, 0 diagonal
     order 2: (1/h^2) (-2 (-1)^(j-k) / (j-k)^2)       off-diagonal, -pi^2/(3 h^2) diagonal
     order 3: (1/h^3) (-1)^(j-k) (6/(j-k)^3 - pi^2/(j-k)) off-diagonal, 0 diagonal
+
+    Only this order is formed.  With chain_tables it gives nodal derivatives
+    by the classical route, the tests' reference for SincBasis.tables.
     """
-    M = _check_order(max_order)
+    order = _check_order(order)
     n = basis.dimension
     h = basis.h
-    _check_power("h", h, M)
+    _check_power("h", h, order)
+    if order == 0:
+        return _readonly(np.eye(n))
     idx = np.arange(n)
     d = idx[np.newaxis, :] - idx[:, np.newaxis]        # d[k, j] = j - k
     sign = np.where(d % 2 == 0, 1.0, -1.0)
     dd = np.where(d == 0, 1, d).astype(float)          # dummy 1 on the diagonal
-    mats = [np.eye(n)]
-    if M >= 1:
-        mats.append(sign / (h * dd))
-    if M >= 2:
-        mats.append(-2.0 * sign / (h * h * dd * dd))
-    if M >= 3:
-        mats.append(sign * (6.0 / dd ** 3 - math.pi ** 2 / dd) / h ** 3)
-    for ent, diagonal in zip(mats[1:], (0.0, -math.pi ** 2 / (3.0 * h * h), 0.0)):
-        np.fill_diagonal(ent, diagonal)
-    return [_readonly(ent) for ent in mats]
-
-
-def delta_matrix(basis, order):
-    """Differentiation matrix delta^(order) on the mesh points (see delta_matrices)."""
-    return delta_matrices(basis, order)[order]
+    if order == 1:
+        ent = sign / (h * dd)
+    elif order == 2:
+        ent = -2.0 * sign / (h * h * dd * dd)
+    else:
+        ent = sign * (6.0 / dd ** 3 - math.pi ** 2 / dd) / h ** 3
+    np.fill_diagonal(ent, -math.pi ** 2 / (3.0 * h * h) if order == 2 else 0.0)
+    return _readonly(ent)
 
 
 def _asinh_exp(t):
@@ -302,39 +299,23 @@ def _log_chain(eta, max_order):
     return A
 
 
-def _mapped(basis, xs, max_order):
-    """(live, Phi, A): the mask of points xs off the axis limit (x = 0, and
-    x < 1e-10 under LogSinh), and there Phi and the chain-rule tables A[m][q]
-    of the weight the map implies.
-    """
-    if basis.map_kind is SincMap.LOG_SINH:
-        live = xs >= _LOGSINH_CUTOFF
-        phi, A = _logsinh_chain(xs[live], max_order)
-    else:
-        live = xs > 0.0
-        phi = np.log(xs[live])
-        A = _log_chain(xs[live], max_order)
-    return live, phi, A
-
-
 def chain_tables(basis, xs, max_order):
-    """Chain-rule coefficient arrays A[m][q] at the points xs.
+    """(live, Phi, A): the mask of the points xs > 0 (at the axis every order is
+    the limit 0), and on them the map Phi and the chain-rule arrays A[m][q]
+    of the weight W it implies, (W S(Phi))^(m) = sum_q A[m][q] S^(q)(Phi).
 
-    At the basis's own nodes x_j (sinc_nodes) an expansion
-    u(x) = sum_k c_k W(x) S(k,h)(Phi(x)) has the derivatives
+    SincBasis.tables reads them.  At the basis's own nodes x_j, all live, an
+    expansion u(x) = sum_k c_k W(x) S(k,h)(Phi(x)) has the derivatives
 
-        u^(m)(x_j) = sum_{q=0}^{m} A[m][q][j] * (delta^(q)^T c)[j],
+        u^(m)(x_j) = sum_{q=0}^{m} A[m][q][j] * (delta^(q)^T c)[j]
 
-    where delta^(q) carries the mesh derivatives of the bare translates:
-    the classical route to the nodal tables of SincBasis.tables, kept as
-    their reference.  At x = 0, and under the LogSinh map below 1e-10, the
-    entries are zero.
+    with delta^(q) = delta_matrix(basis, q): the classical route, kept as
+    the tests' reference for the nodal tables.
     """
     max_order = _check_order(max_order)
-    nodes = _as_points(xs).reshape(-1)
-    live, _, A = _mapped(basis, nodes, max_order)
-    tables = [[np.zeros(nodes.size) for _ in row] for row in A]
-    for row, parts in zip(tables, A):
-        for full, part in zip(row, parts):
-            full[live] = part
-    return tables
+    xs = _as_points(xs).reshape(-1)
+    live = xs > 0.0
+    x = xs[live]
+    if basis.map_kind is SincMap.LOG_SINH:
+        return (live, *_logsinh_chain(x, max_order))
+    return live, np.log(x), _log_chain(x, max_order)

@@ -301,15 +301,29 @@ def test_unconverged_solve_exits_3_without_csv(tmp_path, argv):
 
 
 def test_a_vanishing_jacobian_row_exits_3_without_csv(tmp_path):
-    # at N = 25 and h = 1 the first LogSinh node, 3.8e-11, lies below the map's
-    # axis cutoff 1e-10, so every table there is 0 and so is Jacobian row 0
-    argv = ("solve", "--preset", "table1-sf", "--n", "25", "--mesh-h", "1")
+    # at h = 20 the Log map's far nodes pass 1e165, where the members'
+    # derivatives and the seed's underflow to 0, and so does Jacobian row 49
+    argv = ("solve", "--preset", "table5", "--mesh-h", "20")
     code, out, err = run_main(*argv)
     assert code == 3 and out == ""
-    assert "solver failure" in err and "Jacobian row 0 vanishes" in err
+    assert "solver failure" in err and "Jacobian row 49 vanishes" in err
     target = tmp_path / "dead.csv"
     code, out, err = run_main(*argv, "--out", str(target))
     assert code == 3 and out == "" and not target.exists()
+
+
+def test_a_translate_film_with_nodes_below_1e10_solves():
+    # at N = 25 and h = 1 the first LogSinh node is 3.8e-11; every x > 0 is
+    # tabulated, so the film converges near the oracle's slope
+    code, out, err = run_main("solve", "--preset", "table1-sf", "--n", "25", "--mesh-h", "1")
+    assert code == 0 and err == ""
+    assert abs(float(out.splitlines()[-1].split(",")[2]) + 0.678302) <= 3e-3
+
+
+def test_an_overflowing_solve_exits_3_with_no_warning_line():
+    code, out, err = run_main("solve", "--preset", "table1-hf", "--map-k", "40")
+    assert code == 3 and out == ""
+    assert err == "failure: residual during line search produced a non-finite value\n"
 
 
 def test_out_of_memory_exits_2_without_csv(monkeypatch, tmp_path):

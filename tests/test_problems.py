@@ -15,6 +15,7 @@ from halfline.errors import (
     ConfigurationError,
     ConvergenceError,
     DomainError,
+    NumericEvaluationError,
     RangeOverflowError,
     UnsupportedOrderError,
 )
@@ -1019,3 +1020,12 @@ def test_cold_cone_laguerre_solve_converges_beyond_the_table(no_oracle):
         slopes.append(derived_slope(e, spec))
     # as on the tabulated rows, the wall slope falls as the exponent grows
     assert slopes[0] > slopes[1] > slopes[2] > 0
+
+
+def test_an_overflowing_solve_raises_typed_with_no_numpy_warning():
+    # at k = 40 a line-search trial overflows the film residual; the suite's
+    # error::RuntimeWarning filter would make a numpy warning the error here
+    spec = ProblemSpec(FluidParams(0.6, 0.1, 0.5), HermiteBasis(16, 40.0),
+                       SeedProfile(SeedKind.RATIONAL_QUADRATIC, 0.678301))
+    with pytest.raises(NumericEvaluationError, match="non-finite"):
+        solve_problem(spec)

@@ -1,6 +1,7 @@
 """The pairing protocol: a Problem and a trial family defined here, with no
 edit to the library, shoot, integrate and solve; an incomplete problem, one
-with no axis condition and a family that does not declare seeded are refused."""
+with no axis condition and a family that does not declare seeded, or any
+other member of the protocol, are refused."""
 
 import math
 
@@ -128,6 +129,29 @@ def test_a_family_that_does_not_declare_seeded_is_refused():
                                    if k != "seeded"})
     with pytest.raises(ConfigurationError, match="^unknown basis kind: "):
         ProblemSpec(Decay(), kind(6))
+
+
+@pytest.mark.parametrize("drop, values, match", [
+    *(pytest.param(m, {}, "does not declare %s$" % m, id=m)
+      for m in ("label", "dimension", "nodes", "tables", "slope_step")),
+    *(pytest.param(None, {"slope_step": v}, "slope_step of .* finite real > 0", id=repr(v))
+      for v in (0.0, -1e-3, math.inf, math.nan, "1e-3", True))])
+def test_a_family_is_admitted_by_what_it_declares(drop, values, match):
+    kind = type("Partial", (), {**{k: v for k, v in vars(DampedPowers).items() if k != drop},
+                                **values})
+    with pytest.raises(ConfigurationError, match=match):
+        ProblemSpec(Decay(), kind(6))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda b: solve_problem(ProblemSpec(Decay(), b)), id="solve"),
+    pytest.param(lambda b: Expansion(b, np.zeros(6))(1.0), id="evaluate")])
+def test_a_family_with_no_instance_dict_is_refused_by_name(call):
+    slotted = type("Slotted", (), {**{k: v for k, v in vars(DampedPowers).items()
+                                      if k not in ("__dict__", "__weakref__")},
+                                   "__slots__": ("n",)})
+    with pytest.raises(ConfigurationError, match="^<.*Slotted object .* has no __dict__"):
+        call(slotted(6))
 
 
 def _laguerre_spec(problem):

@@ -18,7 +18,6 @@ from halfline.sinc import (
     SincBasis,
     SincMap,
     chain_tables,
-    delta_matrices,
     delta_matrix,
     sinc_derivatives,
     sinc_nodes,
@@ -265,8 +264,9 @@ def test_nodal_tables_match_the_delta_matrices(basis):
     # route D_m = sum_q diag(A[m][q]) delta^(q)^T must give the same matrices
     nodes = sinc_nodes(basis)
     tables = basis.tables(nodes, 3)
-    A = chain_tables(basis, nodes, 3)
-    deltas = delta_matrices(basis, 3)
+    live, _, A = chain_tables(basis, nodes, 3)
+    assert live.all()
+    deltas = [delta_matrix(basis, q) for q in range(4)]
     for m in range(4):
         want = sum(A[m][q][:, np.newaxis] * deltas[q].T for q in range(m + 1))
         assert np.max(np.abs(tables[m].T - want)) <= 1e-12 * np.max(np.abs(want))
@@ -315,12 +315,16 @@ def test_axis_values_are_zero():
             assert np.all(basis.tables([0.0], order)[order] == 0.0)
 
 
-def test_logsinh_cutoff_below_1e10():
+def test_logsinh_tables_are_live_near_the_axis():
+    # every x > 0 is tabulated: no order jumps across 1e-10, and an entry
+    # formed as the weight's zero times the map's pole is refused, typed and
+    # without a warning (the suite's filter makes one a failure)
     basis = SincBasis(3, 1.0)
     for order in range(4):
-        assert np.all(basis.tables([1e-12], order)[order] == 0.0)
-    # just above the cutoff evaluation proceeds and stays tiny
-    assert abs(basis.tables([1e-9], 0)[0][3, 0]) <= 1e-8
+        below, above = basis.tables(1e-10 * np.array([1.0 - 1e-9, 1.0 + 1e-9]), order)[order].T
+        assert np.max(np.abs(above - below)) <= 1e-6 * np.max(np.abs(above))
+    with pytest.raises(RangeOverflowError):
+        basis.tables([1e-200], 2)
 
 
 # ---------------------------------------------------------------------------
